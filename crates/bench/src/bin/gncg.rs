@@ -118,6 +118,19 @@ fn parse_num<T: std::str::FromStr>(s: &str, what: &str) -> T {
     })
 }
 
+/// `--rule best|single` (default `single`); anything else is a usage
+/// error, never a silent fallback.
+fn parse_rule(opts: &HashMap<String, String>) -> dynamics::ResponseRule {
+    match opts.get("rule").map(|s| s.as_str()) {
+        Some("best") => dynamics::ResponseRule::BestResponse,
+        Some("single") | None => dynamics::ResponseRule::BestSingleMove,
+        Some(other) => {
+            eprintln!("unknown --rule {other} (expected best or single)");
+            usage_and_exit()
+        }
+    }
+}
+
 fn load_points(path: &str) -> PointSet {
     let data = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("cannot read {path}: {e}");
@@ -252,10 +265,7 @@ fn run_dynamics(opts: &HashMap<String, String>) {
         .get("steps")
         .map(|s| parse_num(s, "--steps"))
         .unwrap_or(500);
-    let rule = match opts.get("rule").map(|s| s.as_str()).unwrap_or("single") {
-        "best" => dynamics::ResponseRule::BestResponse,
-        _ => dynamics::ResponseRule::BestSingleMove,
-    };
+    let rule = parse_rule(opts);
     let start = OwnedNetwork::center_star(ps.len(), 0);
     let session = Session::new();
     let handle = session
@@ -425,10 +435,7 @@ fn run_connect(opts: &HashMap<String, String>) {
         "dynamics" => JobSpec::Dynamics {
             points: load_points(req(opts, "points")),
             alpha: parse_num(req(opts, "alpha"), "--alpha"),
-            rule: match opts.get("rule").map(|s| s.as_str()).unwrap_or("single") {
-                "best" => dynamics::ResponseRule::BestResponse,
-                _ => dynamics::ResponseRule::BestSingleMove,
-            },
+            rule: parse_rule(opts),
             steps: opts
                 .get("steps")
                 .map(|s| parse_num(s, "--steps"))

@@ -54,15 +54,22 @@
 //! The companion driver runs improving-move dynamics at `n = 10⁴`
 //! without an `EvalContext`. Approximation enters **only** in the
 //! search neighbourhood: candidates are the [`GridIndex`]'s nearest
-//! neighbours, but every probed move is costed *exactly* via
-//! [`gncg_graph::delta::dijkstra_modified`] (bit-identical to a fresh
-//! Dijkstra on the mutated graph) plus the same ascending-order edge
-//! fold [`cost::edge_cost`] uses — an accepted move's cost equals
-//! `cost::agent_cost_model` on the mutated network bit-for-bit, and
-//! acceptance uses the same [`gncg_geometry::definitely_less`] margin
-//! as every other engine. Skipped far-away candidates are tallied in
-//! the deterministic `candidates_skipped` counter, so the narrowing is
-//! visible, not silent.
+//! neighbours, but every probed move is costed *exactly*. Each agent's
+//! turn computes one base row; each probe copies it and repairs the
+//! copy for its single-edge delta — [`gncg_graph::delta::repair_removal`]
+//! for a drop, [`gncg_graph::delta::repair_insertions`] (on the current
+//! CSR, the new edge touching the row's source) for an add. Both are
+//! bit-identical to a fresh Dijkstra on the mutated graph; their named
+//! oracle is the full what-if Dijkstra
+//! [`gncg_graph::delta::dijkstra_modified`]. The row's aggregate plus
+//! the same ascending-order edge fold [`cost::edge_cost`] uses makes an
+//! accepted move's cost equal `cost::agent_cost_model` on the mutated
+//! network bit-for-bit, and acceptance uses the same
+//! [`gncg_geometry::definitely_less`] margin as every other engine. An
+//! accepted move patches the graph in place (one edge added or
+//! removed) and refills the CSR from it. Skipped far-away candidates
+//! are tallied in the deterministic `candidates_skipped` counter, so
+//! the narrowing is visible, not silent.
 
 use crate::{best_response, certify, cost, CostModel, EdgeWeights, ModelKind, OwnedNetwork};
 use gncg_geometry::PointSet;
@@ -507,9 +514,58 @@ pub struct ApproxDynamicsResult {
     pub converged: bool,
 }
 
+#[derive(Debug, Clone, Copy)]
 enum ProbeMove {
     Add(usize),
     Drop(usize),
+}
+
+/// What a probe of agent `u` reads: the network at the start of `u`'s
+/// turn, its CSR, `u`'s exact base row on it and a snapshot of `u`'s
+/// (ascending) strategy.
+struct Turn<'a> {
+    ps: &'a PointSet,
+    net: &'a OwnedNetwork,
+    csr: &'a Csr,
+    alpha: f64,
+    u: usize,
+    row: &'a [f64],
+    bought: &'a [usize],
+}
+
+impl Turn<'_> {
+    /// `u`'s exact cost after `mv`: a copy of the base row, repaired
+    /// for the single-edge delta, plus the ascending edge fold. Equals
+    /// `cost::agent_cost_model` on the mutated network bit for bit (see
+    /// module docs).
+    fn cost<M: CostModel>(
+        &self,
+        mv: ProbeMove,
+        what_if: &mut [f64],
+        scratch: &mut delta::RemovalScratch,
+    ) -> f64 {
+        let (ps, u) = (self.ps, self.u);
+        match mv {
+            ProbeMove::Add(v) => {
+                what_if.copy_from_slice(self.row);
+                delta::repair_insertions(self.csr, what_if, &[(u, v, ps.dist(u, v))]);
+                self.alpha * strategy_edge_sum(ps, u, self.bought, Some(v), None)
+                    + M::aggregate(what_if)
+            }
+            ProbeMove::Drop(v) => {
+                let e = self.alpha * strategy_edge_sum(ps, u, self.bought, None, Some(v));
+                if self.net.owns(v, u) {
+                    // v pays for the edge too: dropping the payment
+                    // leaves the created network unchanged
+                    e + M::aggregate(self.row)
+                } else {
+                    what_if.copy_from_slice(self.row);
+                    delta::repair_removal(self.csr, u, what_if, u, v, ps.dist(u, v), scratch);
+                    e + M::aggregate(what_if)
+                }
+            }
+        }
+    }
 }
 
 /// Edge-weight sum of a hypothetical strategy of `u`, folded in the
@@ -579,6 +635,7 @@ fn run_approx_generic<M: CostModel>(
     let mut g = net.graph(ps);
     let mut csr = Csr::from_graph(&g);
     let mut scratch = gncg_parallel::arena::rent::<DijkstraScratch>();
+    let mut removal = gncg_parallel::arena::rent::<delta::RemovalScratch>();
     let mut row = gncg_parallel::arena::rent_vec(n, 0.0f64);
     let mut what_if = gncg_parallel::arena::rent_vec(n, 0.0f64);
     let mut bought = gncg_parallel::arena::rent::<Vec<usize>>();
@@ -611,47 +668,44 @@ fn run_approx_generic<M: CostModel>(
 
             let mut best_cost = current;
             let mut best_move: Option<ProbeMove> = None;
-            for &v in &targets {
-                if v == u || g.has_edge(u, v) {
-                    continue;
-                }
-                let w = ps.dist(u, v);
-                delta::dijkstra_modified(&csr, u, &mut what_if, &[], &[(u, v, w)]);
+            let turn = Turn {
+                ps,
+                net,
+                csr: &csr,
+                alpha,
+                u,
+                row: &row,
+                bought: &bought,
+            };
+            let adds = targets
+                .iter()
+                .filter(|&&v| v != u && !g.has_edge(u, v))
+                .map(|&v| ProbeMove::Add(v));
+            let drops = bought.iter().map(|&v| ProbeMove::Drop(v));
+            for mv in adds.chain(drops) {
+                let c = turn.cost::<M>(mv, &mut what_if, &mut removal);
                 gncg_trace::incr(Counter::BestResponseEvals);
-                let c = alpha * strategy_edge_sum(ps, u, &bought, Some(v), None)
-                    + M::aggregate(&what_if);
                 if gncg_geometry::definitely_less(c, current) && c < best_cost {
                     best_cost = c;
-                    best_move = Some(ProbeMove::Add(v));
-                }
-            }
-            for &v in bought.iter() {
-                let e = alpha * strategy_edge_sum(ps, u, &bought, None, Some(v));
-                gncg_trace::incr(Counter::BestResponseEvals);
-                let c = if net.owns(v, u) {
-                    // v pays for the edge too: dropping the payment
-                    // leaves the created network unchanged
-                    e + M::aggregate(&row)
-                } else {
-                    delta::dijkstra_modified(&csr, u, &mut what_if, &[(u, v)], &[]);
-                    e + M::aggregate(&what_if)
-                };
-                if gncg_geometry::definitely_less(c, current) && c < best_cost {
-                    best_cost = c;
-                    best_move = Some(ProbeMove::Drop(v));
+                    best_move = Some(mv);
                 }
             }
 
             if let Some(mv) = best_move {
+                // patch the graph in place: `Graph` keeps its adjacency
+                // sorted, so this equals a fresh `net.graph(ps)`
                 match mv {
-                    ProbeMove::Add(v) => net.buy(u, v),
+                    ProbeMove::Add(v) => {
+                        net.buy(u, v);
+                        g.add_edge(u, v, ps.dist(u, v));
+                    }
                     ProbeMove::Drop(v) => {
-                        let mut s = net.strategy(u).clone();
-                        s.remove(&v);
-                        net.set_strategy(u, s);
+                        net.sell(u, v);
+                        if !net.owns(v, u) {
+                            g.remove_edge(u, v);
+                        }
                     }
                 }
-                g = net.graph(ps);
                 csr.refill_from_graph(&g);
                 accepted += 1;
                 any = true;
@@ -825,31 +879,94 @@ mod tests {
         assert!(again.converged && again.rounds == 1);
     }
 
+    /// The move `u` made between `before` and `after`, if any.
+    fn move_between(before: &OwnedNetwork, after: &OwnedNetwork, u: usize) -> Option<ProbeMove> {
+        let (s, t) = (before.strategy(u), after.strategy(u));
+        if let Some(&v) = t.difference(s).next() {
+            return Some(ProbeMove::Add(v));
+        }
+        s.difference(t).next().map(|&v| ProbeMove::Drop(v))
+    }
+
+    fn replay_accepted_costs<M: CostModel>(
+        ps: &PointSet,
+        start: &OwnedNetwork,
+        alpha: f64,
+    ) -> usize {
+        // replay the run one agent turn at a time (the `agent_probes`
+        // cap stops it after k turns): each accepted move's probe cost
+        // must equal the exact evaluator's on the mutated network, bit
+        // for bit
+        let n = start.len();
+        let index = GridIndex::with_auto_cell(ps);
+        let run = |turns: usize| {
+            let mut net = start.clone();
+            let opts = ApproxDynamicsOptions::default()
+                .with_model(M::KIND)
+                .with_rounds(3)
+                .with_probe_budget(n / 2)
+                .with_agent_probes(turns);
+            run_approx(ps, &mut net, alpha, &index, opts);
+            net
+        };
+        let mut before = start.clone();
+        let mut moves = 0;
+        let mut scratch = DijkstraScratch::default();
+        let mut removal = delta::RemovalScratch::default();
+        for turns in 1..=3 * n {
+            let after = run(turns);
+            let u = (turns - 1) % n;
+            if let Some(mv) = move_between(&before, &after, u) {
+                moves += 1;
+                let csr = Csr::from_graph(&before.graph(ps));
+                let mut row = vec![0.0; n];
+                csr.dijkstra_into_slice(u, &mut row, &mut scratch);
+                let bought: Vec<usize> = before.strategy(u).iter().copied().collect();
+                let turn = Turn {
+                    ps,
+                    net: &before,
+                    csr: &csr,
+                    alpha,
+                    u,
+                    row: &row,
+                    bought: &bought,
+                };
+                let mut what_if = vec![0.0; n];
+                let probed = turn.cost::<M>(mv, &mut what_if, &mut removal);
+                let exact = cost::agent_cost_model::<PointSet, M>(ps, &after, alpha, u);
+                assert_eq!(
+                    probed.to_bits(),
+                    exact.to_bits(),
+                    "turn {turns}: {mv:?} by {u}"
+                );
+                let was = cost::agent_cost_model::<PointSet, M>(ps, &before, alpha, u);
+                assert!(gncg_geometry::definitely_less(exact, was), "turn {turns}");
+            }
+            before = after;
+        }
+        moves
+    }
+
     #[test]
     fn accepted_probe_costs_match_the_exact_evaluator_bitwise() {
-        // one sweep with a huge probe budget on a tiny instance: every
-        // accepted move's cost must equal the exact evaluator's on the
-        // mutated network, bit for bit — re-derive by replaying
-        let ps = generators::uniform_unit_square(12, 21);
-        let mut net = random_net(12, 77);
-        let index = GridIndex::with_auto_cell(&ps);
-        let before: Vec<f64> = cost::all_costs(&ps, &net, 1.1);
-        let r = run_approx(
-            &ps,
-            &mut net,
-            1.1,
-            &index,
-            ApproxDynamicsOptions::default()
-                .with_rounds(1)
-                .with_probe_budget(11),
-        );
-        let after: Vec<f64> = cost::all_costs(&ps, &net, 1.1);
-        // social totals stay finite and the run made progress or was
-        // already stable; the movers' costs never rise (each accepted
-        // move is an exact strict improvement at acceptance time,
-        // though later movers may shift distances)
-        assert!(before.iter().all(|c| c.is_finite()));
-        assert!(after.iter().all(|c| c.is_finite()));
-        assert!(r.rounds == 1);
+        let mut moves = 0;
+        for seed in 0..3u64 {
+            let ps = generators::uniform_unit_square(14, 21 + seed);
+            let start = random_net(14, 77 + seed);
+            for alpha in [0.2, 1.1, 6.0] {
+                moves += replay_accepted_costs::<crate::SumDistances>(&ps, &start, alpha);
+                moves += replay_accepted_costs::<crate::MaxDistance>(&ps, &start, alpha);
+            }
+            // a complete profile forces drops; a third of its edges are
+            // paid for by both endpoints
+            let mut complete = OwnedNetwork::complete(14);
+            for u in 0..14 {
+                for v in (0..u).filter(|v| (u + v) % 3 == 0) {
+                    complete.buy(u, v);
+                }
+            }
+            moves += replay_accepted_costs::<crate::SumDistances>(&ps, &complete, 3.0);
+        }
+        assert!(moves > 30, "replay saw only {moves} accepted moves");
     }
 }

@@ -27,6 +27,13 @@
 //! grown graph). [`removal_keeps_row`] exploits point 2 directly: if
 //! no shortest-path fold can cross the removed edge, the min over
 //! edge-avoiding paths equals the min over all paths, bitwise.
+//! [`repair_removal`] extends that test to the general case: it keeps
+//! every entry with an edge-avoiding tight chain from the source and
+//! re-runs a point-3 process over the rest.
+//!
+//! [`dijkstra_modified`] is the named oracle for both repairs: a full
+//! what-if Dijkstra on the unchanged CSR, used by the tests to pin the
+//! repairs bitwise.
 
 use crate::csr::{pack_key, Csr};
 use crate::heap4::QuadHeap;
@@ -46,6 +53,14 @@ use crate::heap4::QuadHeap;
 /// applied); `row` must hold the exact distance row of the old graph
 /// (before the insertions) from the row's source; `inserted` lists
 /// the new undirected edges `(a, b, w)`.
+///
+/// Relaxed precondition: an inserted edge that touches the row's source may
+/// be missing from `csr`, so a probe can repair from the *pre*-insertion
+/// CSR. Both arcs of every inserted edge are relaxed once, at seeding;
+/// after that, an arc only needs relaxing again when its tail improves.
+/// The source sits at `0.0`, which no fold undercuts, so it never
+/// improves — its arc is final after seeding — and the reverse arc
+/// leads into the source, which it cannot improve either.
 ///
 /// Distances only decrease under insertion, and any improvement
 /// cascades from an endpoint of a new edge, so the repair seeds a
@@ -113,18 +128,173 @@ pub fn removal_keeps_row(row: &[f64], removed: &[(usize, usize, f64)]) -> bool {
         .all(|&(a, b, w)| row[a] + w > row[b] && row[b] + w > row[a])
 }
 
+/// Reusable buffers for [`repair_removal`]: its queue and its affected
+/// set, as `(vertex, old distance)` and later `(vertex, seed)`.
+#[derive(Debug, Default)]
+pub struct RemovalScratch {
+    heap: QuadHeap,
+    affected: Vec<(u32, f64)>,
+}
+
+/// Arena recycling, so probe loops can rent one per worker.
+impl gncg_parallel::arena::Scratch for RemovalScratch {
+    fn reset(&mut self) {
+        self.heap.clear();
+        self.affected.clear();
+    }
+}
+
+/// Turns `row`, the exact row from `source` of the graph behind `csr`,
+/// into the exact row of that graph *without* the undirected edge
+/// `(a, b)` of weight `w`, in place. `csr` still contains the edge;
+/// every step below skips both of its arcs. `w` must carry the CSR's
+/// weight bits for the edge. `scratch` is left drained.
+///
+/// Distances only grow under removal, and only where every shortest
+/// fold needs the edge. The repair therefore:
+///
+/// 1. returns at once when [`removal_keeps_row`] holds;
+/// 2. collects the *affected set* `A`: every endpoint the removed edge
+///    is tight into (`row[x] + w == row[y]`, exact `f64` equality, with
+///    `row[y]` finite), closed under tight arcs other than the removed
+///    ones. The source never joins `A`: with a zero-weight edge between
+///    coincident points both arcs are tight, and a naive closure would
+///    reset the source to ∞;
+/// 3. resets `A` to ∞, seeds each member from its neighbours outside
+///    `A`, and runs the lazy-deletion relaxation loop from there.
+///
+/// # Why the result is bit-identical to a fresh Dijkstra
+///
+/// Write `G` for the graph with the edge and `G'` for the graph
+/// without it, and `row'` for the exact row of `G'`. Since `G'` has
+/// fewer paths, `row' ≥ row` pointwise (module docs, point 2).
+///
+/// *Every vertex outside `A` keeps its exact value.* Fix the
+/// shortest-path tree of any Dijkstra run on `G`. Each reachable
+/// `v ≠ source` has a tree parent `p`, settled before `v`, with
+/// `row[p] + w(p, v) == row[v]` — a tight arc. If `v ∉ A`, that arc is
+/// not a removed arc (else `v` is an endpoint the edge is tight into,
+/// and `v ∈ A`) and `p ∉ A` (else the closure would have taken `v`).
+/// Induction up the tree, which ends at the source in settle order,
+/// gives a tree path from the source to `v` that avoids the removed
+/// edge and whose fold is, arc by arc, exactly `row[v]`. That path
+/// lies in `G'`, so `row'[v] ≤ row[v]`, hence `row'[v] == row[v]`.
+/// Unreachable vertices stay at ∞, which `row' ≥ row` makes exact,
+/// and the source stays at `0.0`, exact in any graph.
+///
+/// *The members of `A` end at their exact values.* Step 3 only ever
+/// assigns folds of real `G'` paths: seeds extend the exact values
+/// outside `A` by one non-removed arc, and every later assignment
+/// extends a settled value by one more. When the queue drains, no arc
+/// of `G'` can relax: arcs between outside vertices hold because the
+/// outside is exact; arcs from outside into `A` were taken at seeding,
+/// and outside values never change afterwards; arcs out of a member
+/// were scanned when it settled at its final value; arcs into an
+/// outside vertex never fire, since its value is already the min over
+/// all `G'` paths. That is a point-3 process, so `A` ends at the
+/// min-over-path-folds of `G'`. The same fact means the loop needs no
+/// membership test to relax only into `A`.
+///
+/// The cost is proportional to `A` and its neighbourhood, instead of
+/// the whole component.
+pub fn repair_removal(
+    csr: &Csr,
+    source: usize,
+    row: &mut [f64],
+    a: usize,
+    b: usize,
+    w: f64,
+    scratch: &mut RemovalScratch,
+) {
+    debug_assert_eq!(row.len(), csr.len());
+    if removal_keeps_row(row, &[(a, b, w)]) {
+        return;
+    }
+    let removed = |x: usize, y: usize| (x == a && y == b) || (x == b && y == a);
+    let tight = |from: f64, wt: f64, to: f64| to.is_finite() && from + wt == to;
+    // step 2: members leave the row at ∞ at once, which marks them
+    // visited; their old distances ride along for the closure test
+    let affected = &mut scratch.affected;
+    affected.clear();
+    let (into_b, into_a) = (tight(row[a], w, row[b]), tight(row[b], w, row[a]));
+    for (x, is_tight) in [(b, into_b), (a, into_a)] {
+        if is_tight && x != source {
+            affected.push((x as u32, row[x]));
+            row[x] = f64::INFINITY;
+        }
+    }
+    let mut next = 0;
+    while next < affected.len() {
+        let (x, dx) = affected[next];
+        next += 1;
+        let (targets, weights) = csr.neighbors(x as usize);
+        for (&t, &wt) in targets.iter().zip(weights) {
+            let y = t as usize;
+            if y != source && !removed(x as usize, y) && tight(dx, wt, row[y]) {
+                affected.push((t, row[y]));
+                row[y] = f64::INFINITY;
+            }
+        }
+    }
+    // step 3: every member reads only the (exact) outside values,
+    // because all members are still at ∞ while the seeds are taken
+    for entry in affected.iter_mut() {
+        let x = entry.0 as usize;
+        let (targets, weights) = csr.neighbors(x);
+        let mut seed = f64::INFINITY;
+        for (&t, &wt) in targets.iter().zip(weights) {
+            let nd = row[t as usize] + wt;
+            if nd < seed && !removed(x, t as usize) {
+                seed = nd;
+            }
+        }
+        entry.1 = seed;
+    }
+    let heap = &mut scratch.heap;
+    heap.clear();
+    let (mut pops, mut relaxed) = (0u64, 0u64);
+    for &(x, seed) in affected.iter() {
+        if seed < f64::INFINITY {
+            relaxed += 1;
+            row[x as usize] = seed;
+            heap.push(pack_key(seed.to_bits(), x));
+        }
+    }
+    while let Some(key) = heap.pop() {
+        let x = key as u32 as usize;
+        let dist = f64::from_bits((key >> 32) as u64);
+        if dist > row[x] {
+            continue; // stale entry: a shorter fold already landed
+        }
+        pops += 1;
+        let (targets, weights) = csr.neighbors(x);
+        for (&t, &wt) in targets.iter().zip(weights) {
+            let y = t as usize;
+            let nd = dist + wt;
+            if nd < row[y] && !removed(x, y) {
+                relaxed += 1;
+                row[y] = nd;
+                heap.push(pack_key(nd.to_bits(), t));
+            }
+        }
+    }
+    gncg_trace::record_dijkstra(pops, relaxed);
+}
+
 /// Full Dijkstra from `source` into `row`, honoring edge
 /// modifications *without* rebuilding the CSR: every arc between the
 /// endpoints of an edge in `removed` is skipped, and the undirected
 /// edges in `added` (`(a, b, w)`) are relaxed alongside the CSR
 /// adjacency of their endpoints.
 ///
-/// This is the "what-if" kernel for probing single-edge deltas
-/// (drop / add / swap) against a fixed CSR snapshot: bit-identical
-/// to building the modified graph and running a fresh Dijkstra on
-/// it, by the min-over-path-folds argument in the module docs. The
-/// caller must ensure `added` edges do not duplicate CSR edges and
-/// `removed` pairs are distinct (standard for simple graphs).
+/// This is the "what-if" kernel for single-edge deltas (drop / add /
+/// swap) against a fixed CSR snapshot: bit-identical to building the
+/// modified graph and running a fresh Dijkstra on it, by the
+/// min-over-path-folds argument in the module docs. It costs a full
+/// Dijkstra, so probe loops repair a copy of the base row instead
+/// ([`repair_removal`] / [`repair_insertions`]); this kernel is their
+/// oracle. The caller must ensure `added` edges do not duplicate CSR
+/// edges and `removed` pairs are distinct (standard for simple graphs).
 pub fn dijkstra_modified(
     csr: &Csr,
     source: usize,
@@ -314,6 +484,191 @@ mod tests {
             }
         }
         assert!(kept > 0, "sweep never exercised the keep branch");
+    }
+
+    fn bits(row: &[f64]) -> Vec<u64> {
+        row.iter().map(|d| d.to_bits()).collect()
+    }
+
+    /// Repairs `row` (the exact row of `g` from `source`) for the
+    /// removal of edge `(a, b)` and checks it bitwise against a fresh
+    /// Dijkstra on `g` minus the edge and against the oracle.
+    fn check_removal(g: &Graph, source: usize, a: usize, b: usize, what: &str) -> Vec<f64> {
+        let w = g.edge_weight(a, b).expect("removed edge must exist");
+        let csr = Csr::from_graph(g);
+        let mut row = fresh_row(g, source);
+        let mut scratch = RemovalScratch::default();
+        repair_removal(&csr, source, &mut row, a, b, w, &mut scratch);
+        let mut h = g.clone();
+        h.remove_edge(a, b);
+        let expect = fresh_row(&h, source);
+        assert_eq!(
+            bits(&row),
+            bits(&expect),
+            "{what}: repair diverged from fresh Dijkstra"
+        );
+        let mut oracle = vec![0.0; g.len()];
+        dijkstra_modified(&csr, source, &mut oracle, &[(a, b)], &[]);
+        assert_eq!(
+            bits(&row),
+            bits(&oracle),
+            "{what}: repair diverged from the oracle"
+        );
+        assert!(
+            scratch.heap.is_empty(),
+            "{what}: scratch heap left undrained"
+        );
+        row
+    }
+
+    #[test]
+    fn removal_repair_matches_fresh_dijkstra_bitwise() {
+        // Weights from a tiny set make tight ties (several shortest
+        // folds) common, so the closure and seeding see real work.
+        let mut rng = Lcg(0x7e3a1);
+        let (mut at_source, mut elsewhere) = (0usize, 0usize);
+        for case in 0..400 {
+            let n = 3 + (case % 31);
+            let mut g = Graph::new(n);
+            for v in 1..n {
+                let u = rng.below(v);
+                g.add_edge(u, v, [0.5, 1.0, 1.5][rng.below(3)]);
+            }
+            for _ in 0..case % 11 {
+                let (a, b) = (rng.below(n), rng.below(n));
+                if a != b {
+                    g.add_edge(a, b, if case % 2 == 0 { 0.1 + rng.unit() } else { 1.0 });
+                }
+            }
+            let source = rng.below(n);
+            let edges = g.edges();
+            // every third case removes an edge at the source
+            let incident: Vec<_> = edges
+                .iter()
+                .filter(|&&(a, b, _)| a == source || b == source)
+                .collect();
+            let &(a, b, _) = if case % 3 == 0 && !incident.is_empty() {
+                incident[rng.below(incident.len())]
+            } else {
+                &edges[rng.below(edges.len())]
+            };
+            if a == source || b == source {
+                at_source += 1;
+            } else {
+                elsewhere += 1;
+            }
+            check_removal(&g, source, a, b, &format!("case {case}"));
+        }
+        assert!(
+            at_source > 50 && elsewhere > 50,
+            "{at_source} / {elsewhere}"
+        );
+    }
+
+    #[test]
+    fn removal_repair_handles_zero_weight_edges() {
+        // Coincident points: zero-weight edges make both arcs tight, so
+        // the closure must never take the source itself.
+        let mut rng = Lcg(0x0c0c);
+        for case in 0..300 {
+            let n = 3 + (case % 19);
+            let mut g = Graph::new(n);
+            for v in 1..n {
+                let u = rng.below(v);
+                let w = if rng.below(3) == 0 { 0.0 } else { rng.unit() };
+                g.add_edge(u, v, w);
+            }
+            for _ in 0..case % 7 {
+                let (a, b) = (rng.below(n), rng.below(n));
+                if a != b {
+                    g.add_edge(a, b, if rng.below(2) == 0 { 0.0 } else { rng.unit() });
+                }
+            }
+            let source = rng.below(n);
+            for (a, b, _) in g.edges() {
+                check_removal(&g, source, a, b, &format!("case {case} edge ({a},{b})"));
+            }
+        }
+        // A zero-weight edge at the source, with a zero-weight detour:
+        // 0 –0– 1, 0 –0– 2 –0– 1, 1 –1– 3.
+        let mut g = Graph::new(4);
+        g.add_edge(0, 1, 0.0);
+        g.add_edge(0, 2, 0.0);
+        g.add_edge(2, 1, 0.0);
+        g.add_edge(1, 3, 1.0);
+        for source in 0..4 {
+            for (a, b, _) in g.edges() {
+                let row = check_removal(&g, source, a, b, &format!("detour {source} ({a},{b})"));
+                assert_eq!(row[source], 0.0);
+            }
+        }
+        // And the bare zero-weight pair, where the removal strands 1.
+        let mut g = Graph::new(3);
+        g.add_edge(0, 1, 0.0);
+        g.add_edge(0, 2, 1.0);
+        let row = check_removal(&g, 0, 0, 1, "bare pair");
+        assert_eq!(row[0], 0.0);
+        assert!(row[1].is_infinite());
+    }
+
+    #[test]
+    fn removal_repair_disconnects_to_infinity() {
+        // A bridge between two triangles: removing it strands the far
+        // side, which must come back as ∞ from every source.
+        let mut g = Graph::new(6);
+        for &(a, b, w) in &[
+            (0, 1, 1.0),
+            (1, 2, 1.0),
+            (0, 2, 1.5),
+            (2, 3, 0.75),
+            (3, 4, 1.0),
+            (4, 5, 1.0),
+            (3, 5, 2.0),
+        ] {
+            g.add_edge(a, b, w);
+        }
+        for source in 0..6 {
+            let row = check_removal(&g, source, 2, 3, &format!("bridge from {source}"));
+            let near = if source <= 2 { 0..3 } else { 3..6 };
+            for (v, d) in row.iter().enumerate() {
+                assert_eq!(d.is_finite(), near.contains(&v), "source {source} v {v}");
+            }
+        }
+        // Removing an edge inside an unreachable component is a no-op.
+        let mut g = Graph::new(4);
+        g.add_edge(0, 1, 1.0);
+        g.add_edge(2, 3, 1.0);
+        check_removal(&g, 0, 2, 3, "unreachable edge");
+    }
+
+    #[test]
+    fn insertion_repair_accepts_the_pre_insertion_csr_at_the_source() {
+        // A source-incident edge may be missing from the CSR: the probe
+        // loop repairs from the CSR of the graph *before* the insertion.
+        let mut rng = Lcg(0x1a5e);
+        for case in 0..200 {
+            let n = 3 + (case % 27);
+            let g = random_graph(n, case % 9, &mut rng);
+            let source = rng.below(n);
+            let v = rng.below(n);
+            if v == source || g.has_edge(source, v) {
+                continue;
+            }
+            let w = if case % 4 == 0 {
+                0.0
+            } else {
+                0.05 + rng.unit()
+            };
+            let csr = Csr::from_graph(&g);
+            let mut row = fresh_row(&g, source);
+            repair_insertions(&csr, &mut row, &[(source, v, w)]);
+            let mut h = g.clone();
+            h.add_edge(source, v, w);
+            assert_eq!(bits(&row), bits(&fresh_row(&h, source)), "case {case}");
+            let mut oracle = vec![0.0; n];
+            dijkstra_modified(&csr, source, &mut oracle, &[], &[(source, v, w)]);
+            assert_eq!(bits(&row), bits(&oracle), "case {case}: oracle");
+        }
     }
 
     #[test]
