@@ -74,8 +74,17 @@ pub fn sample_designs(ps: &PointSet, alpha: f64, dynamics_steps: usize) -> Vec<P
 
     if dynamics_steps > 0 {
         let mut state = mst_network(ps);
+        let cfg = SolverConfig::default();
         for step in 1..=dynamics_steps {
-            match dynamics::run(ps, &state, alpha, dynamics::ResponseRule::BestSingleMove, 1) {
+            match dynamics::run_spec(
+                ps,
+                &state,
+                alpha,
+                dynamics::ResponseRule::BestSingleMove,
+                dynamics::AgentOrder::RoundRobin,
+                1,
+                &cfg,
+            ) {
                 dynamics::Outcome::Exhausted { state: s, .. } => {
                     state = s;
                     add(format!("mst+dyn{step}"), state.clone());

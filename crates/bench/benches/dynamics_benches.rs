@@ -21,13 +21,13 @@
 //! including the incremental/legacy speedup per scenario.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gncg_game::dynamics::{run_ordered, AgentOrder, Outcome, ResponseRule};
-use gncg_game::OwnedNetwork;
+use gncg_game::dynamics::{run_spec, AgentOrder, Outcome, ResponseRule};
+use gncg_game::{OwnedNetwork, SolverConfig};
 use gncg_geometry::generators;
 
 /// Line-faithful port of the seed's response machinery (pre-incremental).
 mod legacy {
-    use gncg_game::{cost, EdgeWeights, OwnedNetwork};
+    use gncg_game::{cost, EdgeWeights, OwnedNetwork, SumDistances};
     use gncg_graph::{dijkstra, Graph};
     use std::collections::{BTreeSet, HashMap};
 
@@ -167,7 +167,7 @@ mod legacy {
         u: usize,
     ) -> Option<(BTreeSet<usize>, f64)> {
         // the seed probed the current cost with a full rebuild + Dijkstra
-        let now = cost::agent_cost(w, state, alpha, u);
+        let now = cost::agent_cost::<_, SumDistances>(w, state, alpha, u);
         best_single_move(w, state, alpha, u).map(|(s, c)| (s, now - c))
     }
 
@@ -255,13 +255,14 @@ fn bench_max_gain_step(c: &mut Criterion) {
             &(&ps, &net),
             |b, (ps, net)| {
                 b.iter(|| {
-                    run_ordered(
+                    run_spec(
                         *ps,
                         net,
                         1.0,
                         ResponseRule::BestSingleMove,
                         AgentOrder::MaxGain,
                         1,
+                        &SolverConfig::default(),
                     )
                 })
             },
@@ -286,13 +287,14 @@ fn bench_converge_small(c: &mut Criterion) {
         &(&ps, &net),
         |b, (ps, net)| {
             b.iter(|| {
-                let out = run_ordered(
+                let out = run_spec(
                     *ps,
                     net,
                     1.0,
                     ResponseRule::BestSingleMove,
                     AgentOrder::RoundRobin,
                     5000,
+                    &SolverConfig::default(),
                 );
                 assert!(
                     matches!(out, Outcome::Converged { .. } | Outcome::Cycle { .. }),

@@ -2,7 +2,9 @@
 //! social optimum, certification.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gncg_game::{best_response, certify::certify, cost, exact, OwnedNetwork, SolverConfig};
+use gncg_game::{
+    best_response, certify::certify, cost, exact, OwnedNetwork, SolverConfig, SumDistances,
+};
 use gncg_geometry::generators;
 
 fn bench_social_cost(c: &mut Criterion) {
@@ -14,7 +16,7 @@ fn bench_social_cost(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::from_parameter(n),
             &(ps, net),
-            |b, (ps, net)| b.iter(|| cost::social_cost(ps, net, 1.0)),
+            |b, (ps, net)| b.iter(|| cost::social_cost::<_, SumDistances>(ps, net, 1.0)),
         );
     }
     group.finish();

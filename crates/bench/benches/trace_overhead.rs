@@ -9,7 +9,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use gncg_game::best_response::{ResponseEvaluator, ResponseScratch};
-use gncg_game::OwnedNetwork;
+use gncg_game::{OwnedNetwork, SumDistances};
 use gncg_geometry::generators;
 use gncg_graph::csr::{Csr, DijkstraScratch};
 
@@ -34,7 +34,9 @@ fn bench_trace_overhead(c: &mut Criterion) {
             })
         });
         c.bench_function(format!("best_response_eval_n64/{label}"), |b| {
-            b.iter(|| black_box(eval.cost_with(1.0, [black_box(0usize)], &mut rs)))
+            b.iter(|| {
+                black_box(eval.cost_with::<SumDistances, _>(1.0, [black_box(0usize)], &mut rs))
+            })
         });
         gncg_trace::set_enabled(false);
     }

@@ -204,12 +204,14 @@ fn legacy_tier() {
     let ps = generators::uniform_unit_square(48, 5);
     let start = OwnedNetwork::center_star(48, 0);
     let t0 = Instant::now();
-    let out = dynamics::run(
+    let out = dynamics::run_spec(
         &ps,
         &start,
         1.0,
         dynamics::ResponseRule::BestSingleMove,
+        dynamics::AgentOrder::RoundRobin,
         4000,
+        &SolverConfig::default(),
     );
     std::hint::black_box(matches!(out, dynamics::Outcome::Converged { .. }));
     let dyn_s = t0.elapsed().as_secs_f64();

@@ -7,7 +7,7 @@
 //! convergence takes — the empirical companion to the FIP discussion.
 
 use gncg_bench::service::run_repro;
-use gncg_game::{dynamics, OwnedNetwork};
+use gncg_game::{dynamics, OwnedNetwork, SolverConfig};
 use gncg_geometry::generators;
 
 fn main() {
@@ -47,6 +47,7 @@ fn main() {
                 ),
             ];
 
+            let cfg = SolverConfig::default();
             for (label, rule, order) in combos {
                 run.unit(rep, &format!("combo {label}"), |rep| {
                     let mut converged = 0u64;
@@ -56,7 +57,7 @@ fn main() {
                     for seed in 0..trials {
                         let ps = generators::uniform_unit_square(n, 60_000 + seed);
                         let start = OwnedNetwork::center_star(n, 0);
-                        match dynamics::run_ordered(&ps, &start, alpha, rule, order, 400) {
+                        match dynamics::run_spec(&ps, &start, alpha, rule, order, 400, &cfg) {
                             dynamics::Outcome::Converged { steps, .. } => {
                                 converged += 1;
                                 total_steps += steps as u64;

@@ -9,10 +9,12 @@
 
 use gncg_bench::service::run_sections;
 use gncg_bench::Report;
-use gncg_game::{best_response, cost, dynamics, instances, moves};
+use gncg_game::{best_response, cost, dynamics, instances, moves, SumDistances};
 
 fn main() {
-    let all_ok = run_sections("fig2", |run| {
+    let claim = "Figure 2/Theorem 3.1: response dynamics can cycle (no FIP); \
+                 the Theorem 2.1 optimum admits a large improving move";
+    let all_ok = run_sections("fig2", claim, &[], |run, _| {
         let mut all_ok = true;
 
         // Figure 2 left: the unstable optimum of Theorem 2.1
@@ -25,10 +27,11 @@ fn main() {
                 let s = instances::theorem_2_1_cluster_size(alpha);
                 let (ps, opt) = instances::triangle_optimum(s, 0.0);
                 let u = 0usize;
-                let now = cost::agent_cost(&ps, &opt, alpha, u);
+                let now = cost::agent_cost::<_, SumDistances>(&ps, &opt, alpha, u);
                 let mut sold = opt.strategy(u).clone();
                 sold.remove(&s);
-                let after = moves::cost_with_strategy(&ps, &opt, alpha, u, &sold);
+                let after =
+                    moves::cost_with_strategy::<_, SumDistances>(&ps, &opt, alpha, u, &sold);
                 let factor = best_response::ratio(now, after);
                 let bound = instances::theorem_2_1_factor(alpha);
                 left.push(

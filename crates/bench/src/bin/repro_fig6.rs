@@ -4,7 +4,8 @@
 //! `d → ∞`.
 
 use gncg_bench::service::run_repro;
-use gncg_game::{cost, exact, instances, moves};
+use gncg_game::best_response::ResponseEvaluator;
+use gncg_game::{cost, exact, instances, moves, PruneMode, SumDistances};
 
 fn main() {
     let rep = run_repro(
@@ -18,7 +19,7 @@ fn main() {
             // exact NE verification at small d (n = 2d <= 12 agents)
             for d in [3usize, 5] {
                 let (ps, ne, _) = instances::cross_polytope(d, alpha);
-                let is_ne = exact::is_nash(&ps, &ne, alpha);
+                let is_ne = exact::is_nash::<_, SumDistances>(&ps, &ne, alpha);
                 rep.push(
                     format!("alpha={alpha} d={d} exact NE"),
                     1.0,
@@ -31,7 +32,12 @@ fn main() {
             for d in [20usize, 60] {
                 let (ps, ne, _) = instances::cross_polytope(d, alpha);
                 let witness = (0..ps.len())
-                    .map(|u| moves::witness_improvement_factor(&ps, &ne, alpha, u))
+                    .map(|u| {
+                        let eval = ResponseEvaluator::new(&ps, &ne, u);
+                        let now = cost::agent_cost::<_, SumDistances>(&ps, &ne, alpha, u);
+                        let mode = PruneMode::from_env();
+                        moves::witness_improvement_factor::<SumDistances>(&eval, &ne, alpha, now, mode)
+                    })
                     .fold(1.0f64, f64::max);
                 rep.push(
                     format!("alpha={alpha} d={d} witness"),
@@ -71,7 +77,7 @@ fn main() {
             let d = 20;
             let (ps, ne, opt) = instances::cross_polytope(d, alpha);
             let engine_ratio =
-                cost::social_cost(&ps, &ne, alpha) / cost::social_cost(&ps, &opt, alpha);
+                cost::social_cost::<_, SumDistances>(&ps, &ne, alpha) / cost::social_cost::<_, SumDistances>(&ps, &opt, alpha);
             let formula_ratio = instances::cross_ne_social_cost(d, alpha)
                 / instances::cross_opt_social_cost(d, alpha);
             rep.push(

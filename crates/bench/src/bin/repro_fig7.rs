@@ -4,7 +4,8 @@
 
 use gncg_bench::log_log_slope;
 use gncg_bench::service::run_repro;
-use gncg_game::{cost, exact, instances, moves};
+use gncg_game::best_response::ResponseEvaluator;
+use gncg_game::{cost, exact, instances, moves, PruneMode, SumDistances};
 
 fn main() {
     let rep = run_repro(
@@ -29,7 +30,7 @@ fn main() {
             for &(n, alpha) in &[(8usize, 4.0), (12, 8.0)] {
                 run.unit(rep, &format!("exact_ne n={n} alpha={alpha}"), |rep| {
                     let (ps, ne, _) = instances::chain(n, alpha);
-                    let is_ne = exact::is_nash(&ps, &ne, alpha);
+                    let is_ne = exact::is_nash::<_, SumDistances>(&ps, &ne, alpha);
                     rep.push(
                         format!("n={n} alpha={alpha} exact NE"),
                         1.0,
@@ -43,9 +44,9 @@ fn main() {
             // engine vs closed-form social costs
             for &(n, alpha) in &[(10usize, 4.0), (20, 16.0)] {
                 let (ps, ne, opt) = instances::chain(n, alpha);
-                let e_ne = cost::social_cost(&ps, &ne, alpha);
+                let e_ne = cost::social_cost::<_, SumDistances>(&ps, &ne, alpha);
                 let f_ne = instances::chain_ne_social_cost(n, alpha);
-                let e_opt = cost::social_cost(&ps, &opt, alpha);
+                let e_opt = cost::social_cost::<_, SumDistances>(&ps, &opt, alpha);
                 let f_opt = instances::chain_opt_social_cost(n, alpha);
                 rep.push(
                     format!("n={n} alpha={alpha} SC(NE)"),
@@ -70,7 +71,14 @@ fn main() {
                     let n = alpha.powf(2.0 / 3.0).round() as usize;
                     let (ps, ne, _) = instances::chain(n, alpha);
                     let witness = (0..ps.len())
-                        .map(|u| moves::witness_improvement_factor(&ps, &ne, alpha, u))
+                        .map(|u| {
+                            let eval = ResponseEvaluator::new(&ps, &ne, u);
+                            let now = cost::agent_cost::<_, SumDistances>(&ps, &ne, alpha, u);
+                            let mode = PruneMode::from_env();
+                            moves::witness_improvement_factor::<SumDistances>(
+                                &eval, &ne, alpha, now, mode,
+                            )
+                        })
                         .fold(1.0f64, f64::max);
                     rep.push(
                         format!("alpha={alpha} n={n} witness"),

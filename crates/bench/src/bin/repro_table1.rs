@@ -21,56 +21,48 @@ use gncg_algo::{
     run_algorithm1,
     star::{center_star, corollary_3_3_threshold, star_stability_threshold},
 };
-use gncg_bench::service::{run_sections, SweepRun};
+use gncg_bench::service::run_sections;
 use gncg_bench::Report;
-use gncg_game::{best_response, certify::certify, cost, exact, instances, moves, SolverConfig};
+use gncg_game::{
+    best_response, certify::certify, cost, exact, instances, moves, SolverConfig, SumDistances,
+};
 use gncg_geometry::generators;
 use gncg_host::{corollaries as host_cor, hitting_set, poa as host_poa, HostNetwork};
 
+/// One Table 1 row's checks, as a whole report.
+type Section = fn() -> Report;
+
+/// Every section in run order; the ids are also the only accepted
+/// arguments.
+const SECTIONS: [(&str, Section); 10] = [
+    ("thm_2_1", thm_2_1),
+    ("thm_2_2", thm_2_2),
+    ("thm_3_4", thm_3_4),
+    ("thm_3_5", thm_3_5),
+    ("thm_3_7", thm_3_7),
+    ("thm_3_9", thm_3_9),
+    ("thm_3_13", thm_3_13),
+    ("thm_4_4", thm_4_4),
+    ("sec_5", sec_5),
+    ("thm_5_4", thm_5_4),
+];
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let all_ok = run_sections("table1", move |run| {
-        let want = |name: &str| args.is_empty() || args.iter().any(|a| a == name);
+    let claim = "Table 1: every row's claim certified on concrete instances";
+    let ids = SECTIONS.map(|(id, _)| id);
+    let all_ok = run_sections("table1", claim, &ids, move |run, selected| {
         // each theorem section is one checkpointed unit: a killed run
         // only repeats the section that was in flight
         let mut all_ok = true;
-        let mut done = |run: &mut SweepRun, name: &str, section: fn() -> Report| {
+        for (name, section) in SECTIONS {
+            if !selected.is_empty() && !selected.iter().any(|a| a == name) {
+                continue;
+            }
             if let Some(r) = run.section(name, section) {
                 r.print();
                 all_ok &= r.all_ok();
                 let _ = r.save();
             }
-        };
-
-        if want("thm_2_1") {
-            done(run, "thm_2_1", thm_2_1);
-        }
-        if want("thm_2_2") {
-            done(run, "thm_2_2", thm_2_2);
-        }
-        if want("thm_3_4") {
-            done(run, "thm_3_4", thm_3_4);
-        }
-        if want("thm_3_5") {
-            done(run, "thm_3_5", thm_3_5);
-        }
-        if want("thm_3_7") {
-            done(run, "thm_3_7", thm_3_7);
-        }
-        if want("thm_3_9") {
-            done(run, "thm_3_9", thm_3_9);
-        }
-        if want("thm_3_13") {
-            done(run, "thm_3_13", thm_3_13);
-        }
-        if want("thm_4_4") {
-            done(run, "thm_4_4", thm_4_4);
-        }
-        if want("sec_5") {
-            done(run, "sec_5", sec_5);
-        }
-        if want("thm_5_4") {
-            done(run, "thm_5_4", thm_5_4);
         }
 
         println!(
@@ -102,10 +94,10 @@ fn thm_2_1() -> Report {
         // length-1 edge; selling it (keeping the rest) is the paper's
         // improving move — measure the factor via local search witness
         let u = 0usize;
-        let now = cost::agent_cost(&ps, &opt, alpha, u);
+        let now = cost::agent_cost::<_, SumDistances>(&ps, &opt, alpha, u);
         let mut sold = opt.strategy(u).clone();
         sold.remove(&s); // drop the length-1 edge 0 -> s
-        let after = moves::cost_with_strategy(&ps, &opt, alpha, u, &sold);
+        let after = moves::cost_with_strategy::<_, SumDistances>(&ps, &opt, alpha, u, &sold);
         let factor = best_response::ratio(now, after);
         let bound = instances::theorem_2_1_factor(alpha);
         rep.push(
@@ -190,7 +182,7 @@ fn thm_3_4() -> Report {
         let ps = generators::uniform_unit_square(n, seed + 1);
         let cor = corollary_3_3_threshold(&ps).unwrap();
         let star = center_star(n, 0);
-        let is_ne = exact::is_nash(&ps, &star, cor + 0.01);
+        let is_ne = exact::is_nash::<_, SumDistances>(&ps, &star, cor + 0.01);
         rep.push(
             format!("seed={seed} n={n} alpha=2r-1+eps"),
             1.0,
@@ -200,7 +192,7 @@ fn thm_3_4() -> Report {
         );
         // Lemma 3.2's tighter per-center threshold also works
         let lem = star_stability_threshold(&ps, 0);
-        let is_ne2 = exact::is_nash(&ps, &star, lem + 0.01);
+        let is_ne2 = exact::is_nash::<_, SumDistances>(&ps, &star, lem + 0.01);
         rep.push(
             format!("seed={seed} n={n} alpha=lemma3.2+eps"),
             1.0,
@@ -438,16 +430,16 @@ fn thm_4_4() -> Report {
         let s = instances::theorem_4_4_cluster_size(alpha);
         let (ps, opt) = instances::triangle_optimum(s, 0.0);
         let (_, two) = instances::triangle_two_edges(s, 0.0);
-        let c_opt = cost::social_cost(&ps, &opt, alpha);
-        let c_two = cost::social_cost(&ps, &two, alpha);
+        let c_opt = cost::social_cost::<_, SumDistances>(&ps, &opt, alpha);
+        let c_two = cost::social_cost::<_, SumDistances>(&ps, &two, alpha);
         // optimum condition: 3-edge beats 2-edge as social state
         let opt_is_social_opt = c_opt < c_two;
         // instability: the agent owning a unit edge improves by selling
         let u = 0usize;
-        let now = cost::agent_cost(&ps, &opt, alpha, u);
+        let now = cost::agent_cost::<_, SumDistances>(&ps, &opt, alpha, u);
         let mut sold = opt.strategy(u).clone();
         sold.remove(&s);
-        let after = moves::cost_with_strategy(&ps, &opt, alpha, u, &sold);
+        let after = moves::cost_with_strategy::<_, SumDistances>(&ps, &opt, alpha, u, &sold);
         let unstable = after < now - 1e-9;
         rep.push(
             format!("alpha={alpha} n={}", 3 * s),
@@ -534,7 +526,7 @@ fn thm_5_4() -> Report {
             HostNetwork::random_nonmetric(6, 0.3, 4.0, seed)
         };
         for alpha in [1.0, 3.0] {
-            let probe = host_poa::probe_poa(&h, alpha, 400);
+            let probe = host_poa::probe_poa(&h, alpha, 400, &SolverConfig::default());
             if let Some(ne) = &probe.equilibrium {
                 found += 1;
                 let bound = host_poa::theorem_5_4_bound(alpha);

@@ -1,5 +1,6 @@
-//! `gncg` command-line surface: input it does not understand is a usage
-//! error (exit 2), never a silent fallback.
+//! `gncg` and repro-binary command-line surfaces: input they do not
+//! understand is a usage error (exit 2), never a silent fallback, and
+//! neither `--help` nor a rejected argument runs a sweep.
 
 use gncg_geometry::generators;
 use std::path::PathBuf;
@@ -49,4 +50,54 @@ fn dynamics_accepts_best_single_and_absent() {
         assert!(out.status.success(), "{rule:?}: {out:?}");
     }
     std::fs::remove_dir_all(points.parent().unwrap()).ok();
+}
+
+/// Run a repro binary with `GNCG_RESULTS_DIR` pointed at a fresh empty
+/// directory; returns the output and the directory.
+fn repro(bin: &str, args: &[&str], tag: &str) -> (Output, PathBuf) {
+    let dir = std::env::temp_dir().join(format!("gncg_cli_{tag}_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = Command::new(bin)
+        .args(args)
+        .env("GNCG_RESULTS_DIR", &dir)
+        .output()
+        .expect("repro binary runs");
+    (out, dir)
+}
+
+fn assert_nothing_written(dir: &PathBuf) {
+    let left: Vec<_> = std::fs::read_dir(dir).unwrap().collect();
+    assert!(left.is_empty(), "wrote {left:?}");
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn repro_help_prints_usage_without_running() {
+    let (out, dir) = repro(env!("CARGO_BIN_EXE_repro_fig7"), &["--help"], "fig7_help");
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("usage: repro_fig7"), "{stdout}");
+    assert_nothing_written(&dir);
+}
+
+#[test]
+fn repro_rejects_unknown_arguments() {
+    let (out, dir) = repro(env!("CARGO_BIN_EXE_repro_fig7"), &["--bogus"], "fig7_bogus");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown argument '--bogus'"), "{stderr}");
+    assert_nothing_written(&dir);
+}
+
+#[test]
+fn repro_table1_accepts_only_its_section_names() {
+    let (out, dir) = repro(
+        env!("CARGO_BIN_EXE_repro_table1"),
+        &["thm_9_9"],
+        "table1_bad_section",
+    );
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("sections: thm_2_1"), "{stderr}");
+    assert_nothing_written(&dir);
 }

@@ -63,7 +63,7 @@
 //! oracle is the full what-if Dijkstra
 //! [`gncg_graph::delta::dijkstra_modified`]. The row's aggregate plus
 //! the same ascending-order edge fold [`cost::edge_cost`] uses makes an
-//! accepted move's cost equal `cost::agent_cost_model` on the mutated
+//! accepted move's cost equal `cost::agent_cost` on the mutated
 //! network bit-for-bit, and acceptance uses the same
 //! [`gncg_geometry::definitely_less`] margin as every other engine. An
 //! accepted move patches the graph in place (one edge added or
@@ -178,7 +178,7 @@ pub struct ApproxCertifyReport {
     /// Guarded upper bound on the social cost.
     pub social_hi: f64,
     /// Exact certified lower bound on the social optimum (identical to
-    /// the exact backend's: [`certify::optimum_lower_bound_model`]).
+    /// the exact backend's: [`certify::optimum_lower_bound`]).
     pub opt_lower_bound: f64,
     /// The cost model the brackets were certified under.
     pub model: ModelKind,
@@ -286,19 +286,6 @@ pub fn certify_approx_tuned(
     crate::dispatch_model!(opts.model, M, {
         certify_approx_generic::<M>(ps, net, alpha, &opts)
     })
-}
-
-/// Legacy alias of [`certify_approx_tuned`] (the historical
-/// `certify_approx` signature).
-#[deprecated(note = "build a `SolverConfig` and call `certify_approx`, or use \
-    `certify_approx_tuned` for the full knob space")]
-pub fn certify_approx_with_options(
-    ps: &PointSet,
-    net: &OwnedNetwork,
-    alpha: f64,
-    opts: ApproxCertifyOptions,
-) -> ApproxCertifyReport {
-    certify_approx_tuned(ps, net, alpha, opts)
 }
 
 fn certify_approx_generic<M: CostModel>(
@@ -423,7 +410,7 @@ fn certify_approx_generic<M: CostModel>(
     // to the exact backend's — it is polynomial even at 10⁴), with the
     // social cost bracketed by the same-order sums of the pointwise
     // agent bounds.
-    let opt_lb = certify::optimum_lower_bound_model::<PointSet, M>(ps, alpha);
+    let opt_lb = certify::optimum_lower_bound::<PointSet, M>(ps, alpha);
     let social_lo: f64 = agent_lo.iter().sum();
     let social_hi: f64 = agent_hi.iter().sum();
     let gamma_lo = best_response::ratio(social_lo, opt_lb);
@@ -536,7 +523,7 @@ struct Turn<'a> {
 impl Turn<'_> {
     /// `u`'s exact cost after `mv`: a copy of the base row, repaired
     /// for the single-edge delta, plus the ascending edge fold. Equals
-    /// `cost::agent_cost_model` on the mutated network bit for bit (see
+    /// `cost::agent_cost` on the mutated network bit for bit (see
     /// module docs).
     fn cost<M: CostModel>(
         &self,
@@ -729,6 +716,7 @@ fn run_approx_generic<M: CostModel>(
 mod tests {
     use super::*;
     use crate::certify::certify;
+    use crate::SumDistances;
     use gncg_geometry::generators;
 
     fn random_net(n: usize, seed: u64) -> OwnedNetwork {
@@ -829,7 +817,7 @@ mod tests {
         let spanner = gncg_spanner::build(&ps, SpannerKind::Greedy { t: 2.0 });
         let mut net = OwnedNetwork::from_distributed(40, &cert::distribute(&spanner));
         let index = GridIndex::with_auto_cell(&ps);
-        let before = cost::all_costs(&ps, &net, 0.01);
+        let before = cost::all_costs::<_, SumDistances>(&ps, &net, 0.01);
         let r = run_approx(
             &ps,
             &mut net,
@@ -839,7 +827,7 @@ mod tests {
         );
         assert!(r.moves_accepted > 0, "{r:?}");
         assert_eq!(r.agents_probed, 80);
-        let after = cost::all_costs(&ps, &net, 0.01);
+        let after = cost::all_costs::<_, SumDistances>(&ps, &net, 0.01);
         let (sb, sa): (f64, f64) = (before.iter().sum(), after.iter().sum());
         assert!(sa.is_finite() && sb.is_finite());
     }
@@ -933,13 +921,13 @@ mod tests {
                 };
                 let mut what_if = vec![0.0; n];
                 let probed = turn.cost::<M>(mv, &mut what_if, &mut removal);
-                let exact = cost::agent_cost_model::<PointSet, M>(ps, &after, alpha, u);
+                let exact = cost::agent_cost::<PointSet, M>(ps, &after, alpha, u);
                 assert_eq!(
                     probed.to_bits(),
                     exact.to_bits(),
                     "turn {turns}: {mv:?} by {u}"
                 );
-                let was = cost::agent_cost_model::<PointSet, M>(ps, &before, alpha, u);
+                let was = cost::agent_cost::<PointSet, M>(ps, &before, alpha, u);
                 assert!(gncg_geometry::definitely_less(exact, was), "turn {turns}");
             }
             before = after;

@@ -15,7 +15,7 @@
 //!    worker so candidate evaluation performs zero heap allocations.
 
 use crate::prune::PruneMode;
-use crate::{cost, CostModel, EdgeWeights, ModelKind, OwnedNetwork, SumDistances};
+use crate::{cost, CostModel, EdgeWeights, ModelKind, OwnedNetwork};
 use gncg_graph::{csr::Csr, DistMatrix, Graph};
 use std::collections::BTreeSet;
 
@@ -243,19 +243,13 @@ impl<'d> ResponseEvaluator<'d> {
         }
     }
 
-    /// `Σ_{v≠u} lb(u, v)`: a lower bound on the distance cost of *any*
-    /// strategy of this agent.
+    /// The metric floor on this agent's distance cost under model `M`
+    /// — a lower bound on the `M`-distance cost of *any* strategy:
+    /// `Σ_{v≠u} lb(u, v)` for the sum objective, `max_{v≠u} lb(u, v)`
+    /// for the max-distance objective. Both floors are precomputed, so
+    /// selection is a compile-time `M::KIND` match.
     #[inline]
-    pub fn lb_dist(&self) -> f64 {
-        self.lb_dist
-    }
-
-    /// The metric floor on this agent's distance cost under model `M` —
-    /// [`ResponseEvaluator::lb_dist`] for the sum objective,
-    /// `max_{v≠u} lb(u, v)` for the max-distance objective. Both floors
-    /// are precomputed, so selection is a compile-time `M::KIND` match.
-    #[inline]
-    pub fn lb_dist_model<M: CostModel>(&self) -> f64 {
+    pub fn lb_dist<M: CostModel>(&self) -> f64 {
         match M::KIND {
             ModelKind::SumDistances => self.lb_dist,
             ModelKind::MaxDistance => self.lb_dist_max,
@@ -275,73 +269,40 @@ impl<'d> ResponseEvaluator<'d> {
         self.dist_rest.row(x)
     }
 
-    /// Cost of `agent` under the candidate strategy `bought` (an
-    /// iterator of agent ids to buy edges to). Allocating convenience
-    /// wrapper around [`ResponseEvaluator::cost_with`].
-    pub fn cost<I: IntoIterator<Item = usize>>(&self, alpha: f64, bought: I) -> f64 {
-        self.cost_model::<SumDistances, I>(alpha, bought)
-    }
-
-    /// [`ResponseEvaluator::cost`] under model `M`.
-    pub fn cost_model<M: CostModel, I: IntoIterator<Item = usize>>(
-        &self,
-        alpha: f64,
-        bought: I,
-    ) -> f64 {
+    /// Cost of `agent` under model `M` and the candidate strategy
+    /// `bought` (an iterator of agent ids to buy edges to). Allocating
+    /// convenience wrapper around [`ResponseEvaluator::cost_with`].
+    pub fn cost<M: CostModel, I: IntoIterator<Item = usize>>(&self, alpha: f64, bought: I) -> f64 {
         let mut scratch = gncg_parallel::arena::rent::<ResponseScratch>();
-        self.cost_with_model::<M, I>(alpha, bought, &mut scratch)
+        self.cost_with::<M, I>(alpha, bought, &mut scratch)
     }
 
     /// Like [`ResponseEvaluator::cost`], but reusing `scratch`: after the
     /// buffers warm up, evaluating a candidate performs zero heap
     /// allocations. Hot loops (mask enumeration, move generation) hold
     /// one scratch per worker.
-    pub fn cost_with<I: IntoIterator<Item = usize>>(
+    pub fn cost_with<M: CostModel, I: IntoIterator<Item = usize>>(
         &self,
         alpha: f64,
         bought: I,
         scratch: &mut ResponseScratch,
     ) -> f64 {
-        self.cost_with_cutoff(alpha, bought, f64::INFINITY, scratch)
-    }
-
-    /// [`ResponseEvaluator::cost_with`] under model `M`.
-    pub fn cost_with_model<M: CostModel, I: IntoIterator<Item = usize>>(
-        &self,
-        alpha: f64,
-        bought: I,
-        scratch: &mut ResponseScratch,
-    ) -> f64 {
-        self.cost_with_cutoff_model::<M, I>(alpha, bought, f64::INFINITY, scratch)
+        self.cost_with_cutoff::<M, I>(alpha, bought, f64::INFINITY, scratch)
     }
 
     /// [`ResponseEvaluator::cost_with`] with a branch-and-bound cutoff:
     /// returns the exact cost (bit-identical to `cost_with`) whenever it
     /// is ≤ `cutoff`, and may return `+∞` early otherwise.
     ///
-    /// Sound because the distance sum accumulates non-negative terms:
-    /// every partial value of `α·buy + Σ_prefix d(u,v)` is ≤ the final
-    /// cost bit-exactly (round-to-nearest is monotone), so a partial
-    /// strictly above `cutoff` proves the final cost is too. Candidates
-    /// at the cutoff never trip the strict comparison, so exact ties —
-    /// which the callers' tie-breaks must see — always evaluate fully.
-    pub fn cost_with_cutoff<I: IntoIterator<Item = usize>>(
-        &self,
-        alpha: f64,
-        bought: I,
-        cutoff: f64,
-        scratch: &mut ResponseScratch,
-    ) -> f64 {
-        self.cost_with_cutoff_model::<SumDistances, I>(alpha, bought, cutoff, scratch)
-    }
-
-    /// [`ResponseEvaluator::cost_with_cutoff`] under model `M`. The
-    /// early exit stays sound because every [`CostModel`] guarantees
-    /// prefix folds are ≤ the final fold (soundness rule 2 — true of
-    /// non-negative running sums and of running maxima alike); the
-    /// [`SumDistances`] instantiation monomorphizes `M::fold(acc, d)`
-    /// back to `acc + d` and is bit-identical to the legacy body.
-    pub fn cost_with_cutoff_model<M: CostModel, I: IntoIterator<Item = usize>>(
+    /// Sound because every [`CostModel`] guarantees prefix folds are ≤
+    /// the final fold (soundness rule 2 — true of non-negative running
+    /// sums and of running maxima alike): every partial value of
+    /// `α·buy + prefix aggregate` is ≤ the final cost bit-exactly
+    /// (round-to-nearest is monotone), so a partial strictly above
+    /// `cutoff` proves the final cost is too. Candidates at the cutoff
+    /// never trip the strict comparison, so exact ties — which the
+    /// callers' tie-breaks must see — always evaluate fully.
+    pub fn cost_with_cutoff<M: CostModel, I: IntoIterator<Item = usize>>(
         &self,
         alpha: f64,
         bought: I,
@@ -398,6 +359,115 @@ impl<'d> ResponseEvaluator<'d> {
         }
         base + dist_agg
     }
+
+    /// Exact best response of this agent under model `M`: enumerates all
+    /// `2^{n−1}` strategies against the evaluator's rest distances.
+    ///
+    /// With [`PruneMode::On`], a deterministic sequential pre-pass
+    /// evaluates the empty strategy, every singleton, and the full
+    /// strategy (`m + 2` evaluations with one scratch — the full mask
+    /// keeps `ub₀` finite even when no single edge connects the agent,
+    /// e.g. the centre of a star it owns) to obtain an upper bound
+    /// `ub₀`; the mask enumeration then skips any mask whose buy cost
+    /// alone already exceeds it (`fl(α·buy) > ub₀` — sound bit-exactly
+    /// for every model since the distance aggregate is non-negative, see
+    /// soundness rule 1 in [`crate::prune`]) and evaluates survivors
+    /// with `ub₀` as a branch-and-bound cutoff (rule 2). The pre-pass
+    /// argmin mask always survives the prune test (`fl(α·buy) ≤ its
+    /// cost = ub₀`), so the final winner — including lowest-mask
+    /// tie-breaks among costs ≤ `ub₀` — is bit-identical to the
+    /// unpruned enumeration. Prune decisions depend only on
+    /// `(mask, ub₀)`, so the `moves_pruned` / `moves_evaluated` counters
+    /// are deterministic across thread counts.
+    pub fn best_response<M: CostModel>(&self, alpha: f64, mode: PruneMode) -> BestResponse {
+        let _span = gncg_trace::span("game.best_response");
+        let others = &self.others;
+        let m = others.len();
+        assert!(
+            m < MAX_EXACT_AGENTS,
+            "exact best response limited to {MAX_EXACT_AGENTS} agents (got {})",
+            m + 1
+        );
+
+        let prune = mode.is_on();
+        let ub0 = if prune {
+            let mut scratch = gncg_parallel::arena::rent::<ResponseScratch>();
+            let mut ub = self.cost_with::<M, _>(alpha, std::iter::empty(), &mut scratch);
+            for &v in others {
+                let c = self.cost_with::<M, _>(alpha, std::iter::once(v), &mut scratch);
+                if c < ub {
+                    ub = c;
+                }
+            }
+            if m >= 2 {
+                let c = self.cost_with::<M, _>(alpha, others.iter().copied(), &mut scratch);
+                if c < ub {
+                    ub = c;
+                }
+            }
+            ub
+        } else {
+            f64::INFINITY
+        };
+
+        let total_masks = 1u64 << m;
+        let (best_mask, best_cost) = gncg_parallel::parallel_reduce_with(
+            total_masks as usize,
+            gncg_parallel::arena::rent::<ResponseScratch>,
+            || (u64::MAX, f64::INFINITY),
+            |scratch, acc, i| {
+                let mask = i as u64;
+                if prune {
+                    // Buy cost in ascending bit order — the exact fl value
+                    // `cost_with` would accumulate for this mask.
+                    let mut buy = 0.0;
+                    for (bit, &v) in others.iter().enumerate() {
+                        if mask & (1u64 << bit) != 0 {
+                            buy += self.edge_weight(v);
+                        }
+                    }
+                    if alpha * buy > ub0 {
+                        gncg_trace::incr(gncg_trace::Counter::MovesPruned);
+                        return acc;
+                    }
+                    gncg_trace::incr(gncg_trace::Counter::MovesEvaluated);
+                }
+                let c = self.cost_with_cutoff::<M, _>(
+                    alpha,
+                    others
+                        .iter()
+                        .enumerate()
+                        .filter(|(bit, _)| mask & (1u64 << bit) != 0)
+                        .map(|(_, &v)| v),
+                    ub0,
+                    scratch,
+                );
+                if c < acc.1 || (c == acc.1 && mask < acc.0) {
+                    (mask, c)
+                } else {
+                    acc
+                }
+            },
+            |a, b| {
+                if b.1 < a.1 || (b.1 == a.1 && b.0 < a.0) {
+                    b
+                } else {
+                    a
+                }
+            },
+        );
+
+        let strategy: BTreeSet<usize> = others
+            .iter()
+            .enumerate()
+            .filter(|(bit, _)| best_mask & (1u64 << bit) != 0)
+            .map(|(_, &v)| v)
+            .collect();
+        BestResponse {
+            cost: best_cost,
+            strategy,
+        }
+    }
 }
 
 /// Exact best response of agent `u` against the fixed strategies of all
@@ -423,21 +493,6 @@ pub fn exact_best_response<W: EdgeWeights + ?Sized>(
     })
 }
 
-/// [`exact_best_response`] with the legacy
-/// [`SolveOptions`](crate::outcome::SolveOptions) surface.
-#[deprecated(note = "build a `SolverConfig` and call `exact_best_response` instead")]
-pub fn exact_best_response_with_options<W: EdgeWeights + ?Sized>(
-    w: &W,
-    net: &OwnedNetwork,
-    alpha: f64,
-    u: usize,
-    opts: &crate::outcome::SolveOptions,
-) -> crate::outcome::Outcome<BestResponse> {
-    crate::dispatch_model!(opts.model, M, {
-        exact_best_response_generic::<W, M>(w, net, alpha, u, &opts.budget)
-    })
-}
-
 /// Monomorphic body of [`exact_best_response`] for model `M`.
 fn exact_best_response_generic<W: EdgeWeights + ?Sized, M: CostModel>(
     w: &W,
@@ -450,75 +505,31 @@ fn exact_best_response_generic<W: EdgeWeights + ?Sized, M: CostModel>(
     let n = net.len();
     if n > MAX_EXACT_AGENTS {
         return Outcome::Degraded {
-            certified_bound: best_response_lower_bound_model::<W, M>(w, u),
+            certified_bound: best_response_lower_bound::<W, M>(w, u),
             reason: DegradeReason::InstanceTooLarge {
                 n,
                 cap: MAX_EXACT_AGENTS,
             },
         };
     }
-    match attempt(budget, || {
-        exact_best_response_raw_model::<W, M>(w, net, alpha, u)
-    }) {
+    match attempt(budget, || exact_best_response_raw::<W, M>(w, net, alpha, u)) {
         Ok(br) => Outcome::Exact(br),
         Err(reason) => Outcome::Degraded {
-            certified_bound: best_response_lower_bound_model::<W, M>(w, u),
+            certified_bound: best_response_lower_bound::<W, M>(w, u),
             reason,
         },
     }
 }
 
-/// Unbudgeted enumeration body of [`exact_best_response`]; panics if
+/// Unbudgeted enumeration body of [`exact_best_response`] under model
+/// `M` (prune mode from `GNCG_PRUNE`); panics if
 /// `n > MAX_EXACT_AGENTS`. Internal callers (Nash verification, the
 /// reference dynamics, the improvement-factor map) run it directly.
-pub(crate) fn exact_best_response_raw<W: EdgeWeights + ?Sized>(
+pub(crate) fn exact_best_response_raw<W: EdgeWeights + ?Sized, M: CostModel>(
     w: &W,
     net: &OwnedNetwork,
     alpha: f64,
     u: usize,
-) -> BestResponse {
-    exact_best_response_raw_model::<W, SumDistances>(w, net, alpha, u)
-}
-
-/// [`exact_best_response_raw`] under model `M`.
-pub(crate) fn exact_best_response_raw_model<W: EdgeWeights + ?Sized, M: CostModel>(
-    w: &W,
-    net: &OwnedNetwork,
-    alpha: f64,
-    u: usize,
-) -> BestResponse {
-    enumerate_best_response::<W, M>(w, net, alpha, u, None)
-}
-
-/// [`exact_best_response`] against a pre-built created network `g`
-/// (which must equal `net.graph(w)`), skipping the rest-graph assembly.
-pub fn exact_best_response_in_graph<W: EdgeWeights + ?Sized>(
-    w: &W,
-    net: &OwnedNetwork,
-    g: &Graph,
-    alpha: f64,
-    u: usize,
-) -> BestResponse {
-    exact_best_response_in_graph_model::<W, SumDistances>(w, net, g, alpha, u)
-}
-
-/// [`exact_best_response_in_graph`] under model `M`.
-pub fn exact_best_response_in_graph_model<W: EdgeWeights + ?Sized, M: CostModel>(
-    w: &W,
-    net: &OwnedNetwork,
-    g: &Graph,
-    alpha: f64,
-    u: usize,
-) -> BestResponse {
-    enumerate_best_response::<W, M>(w, net, alpha, u, Some(g))
-}
-
-fn enumerate_best_response<W: EdgeWeights + ?Sized, M: CostModel>(
-    w: &W,
-    net: &OwnedNetwork,
-    alpha: f64,
-    u: usize,
-    g: Option<&Graph>,
 ) -> BestResponse {
     let n = net.len();
     assert!(u < n);
@@ -532,189 +543,34 @@ fn enumerate_best_response<W: EdgeWeights + ?Sized, M: CostModel>(
             strategy: BTreeSet::new(),
         };
     }
-
-    let eval = match g {
-        Some(g) => ResponseEvaluator::from_built_graph(w, net, g, u),
-        None => ResponseEvaluator::new(w, net, u),
-    };
-    exact_best_response_with_eval_mode_model::<M>(&eval, alpha, PruneMode::from_env())
+    ResponseEvaluator::new(w, net, u).best_response::<M>(alpha, PruneMode::from_env())
 }
 
-/// Exact best response driven by a caller-built evaluator — e.g. one
-/// borrowing shared rest distances from an [`crate::EvalContext`] via
-/// [`ResponseEvaluator::with_shared_rest`]. Pruning mode comes from
-/// `GNCG_PRUNE` (see [`PruneMode::from_env`]).
-pub fn exact_best_response_with_eval(eval: &ResponseEvaluator<'_>, alpha: f64) -> BestResponse {
-    exact_best_response_with_eval_mode(eval, alpha, PruneMode::from_env())
-}
-
-/// [`exact_best_response_with_eval`] with an explicit [`PruneMode`], so
-/// the oracle harness can compare both engines in-process.
-///
-/// With pruning on, a deterministic sequential pre-pass evaluates the
-/// empty strategy, every singleton, and the full strategy (`m + 2`
-/// evaluations with one scratch — the full mask keeps `ub₀` finite even
-/// when no single edge connects the agent, e.g. the centre of a star it
-/// owns) to obtain an upper bound `ub₀`; the mask enumeration then
-/// skips any mask whose buy cost alone already exceeds it
-/// (`fl(α·buy) > ub₀` — sound bit-exactly, see soundness rule 1 in
-/// [`crate::prune`]) and evaluates survivors with `ub₀` as a
-/// branch-and-bound cutoff (rule 2). The pre-pass argmin mask always
-/// survives the prune test (`fl(α·buy) ≤ its cost = ub₀`), so the final
-/// winner — including lowest-mask tie-breaks among costs ≤ `ub₀` — is
-/// bit-identical to the unpruned enumeration. Prune decisions depend
-/// only on `(mask, ub₀)`, so the `moves_pruned` / `moves_evaluated`
-/// counters are deterministic across thread counts.
-pub fn exact_best_response_with_eval_mode(
-    eval: &ResponseEvaluator<'_>,
-    alpha: f64,
-    mode: PruneMode,
-) -> BestResponse {
-    exact_best_response_with_eval_mode_model::<SumDistances>(eval, alpha, mode)
-}
-
-/// [`exact_best_response_with_eval_mode`] under model `M`. The mask
-/// prune stays sound for every model: the distance aggregate is
-/// non-negative (soundness rule 1), so `fl(α·buy) > ub₀` still proves
-/// the candidate loses to the pre-pass bound.
-pub fn exact_best_response_with_eval_mode_model<M: CostModel>(
-    eval: &ResponseEvaluator<'_>,
-    alpha: f64,
-    mode: PruneMode,
-) -> BestResponse {
-    let _span = gncg_trace::span("game.best_response");
-    let others = &eval.others;
-    let m = others.len();
-    assert!(
-        m < MAX_EXACT_AGENTS,
-        "exact best response limited to {MAX_EXACT_AGENTS} agents (got {})",
-        m + 1
-    );
-
-    let prune = mode.is_on();
-    let ub0 = if prune {
-        let mut scratch = gncg_parallel::arena::rent::<ResponseScratch>();
-        let mut ub = eval.cost_with_model::<M, _>(alpha, std::iter::empty(), &mut scratch);
-        for &v in others {
-            let c = eval.cost_with_model::<M, _>(alpha, std::iter::once(v), &mut scratch);
-            if c < ub {
-                ub = c;
-            }
-        }
-        if m >= 2 {
-            let c = eval.cost_with_model::<M, _>(alpha, others.iter().copied(), &mut scratch);
-            if c < ub {
-                ub = c;
-            }
-        }
-        ub
-    } else {
-        f64::INFINITY
-    };
-
-    let total_masks = 1u64 << m;
-    let (best_mask, best_cost) = gncg_parallel::parallel_reduce_with(
-        total_masks as usize,
-        gncg_parallel::arena::rent::<ResponseScratch>,
-        || (u64::MAX, f64::INFINITY),
-        |scratch, acc, i| {
-            let mask = i as u64;
-            if prune {
-                // Buy cost in ascending bit order — the exact fl value
-                // `cost_with` would accumulate for this mask.
-                let mut buy = 0.0;
-                for (bit, &v) in others.iter().enumerate() {
-                    if mask & (1u64 << bit) != 0 {
-                        buy += eval.edge_weight(v);
-                    }
-                }
-                if alpha * buy > ub0 {
-                    gncg_trace::incr(gncg_trace::Counter::MovesPruned);
-                    return acc;
-                }
-                gncg_trace::incr(gncg_trace::Counter::MovesEvaluated);
-            }
-            let c = eval.cost_with_cutoff_model::<M, _>(
-                alpha,
-                others
-                    .iter()
-                    .enumerate()
-                    .filter(|(bit, _)| mask & (1u64 << bit) != 0)
-                    .map(|(_, &v)| v),
-                ub0,
-                scratch,
-            );
-            if c < acc.1 || (c == acc.1 && mask < acc.0) {
-                (mask, c)
-            } else {
-                acc
-            }
-        },
-        |a, b| {
-            if b.1 < a.1 || (b.1 == a.1 && b.0 < a.0) {
-                b
-            } else {
-                a
-            }
-        },
-    );
-
-    let strategy: BTreeSet<usize> = others
-        .iter()
-        .enumerate()
-        .filter(|(bit, _)| best_mask & (1u64 << bit) != 0)
-        .map(|(_, &v)| v)
-        .collect();
-    BestResponse {
-        cost: best_cost,
-        strategy,
-    }
-}
-
-/// Certified lower bound on the cost of *any* strategy of agent `u`:
-/// `Σ_{v≠u} lb(u, v)` — no network brings a pair closer than the metric
-/// lower bound, and edge purchases only add to that.
-pub fn best_response_lower_bound<W: EdgeWeights + ?Sized>(w: &W, u: usize) -> f64 {
-    best_response_lower_bound_model::<W, SumDistances>(w, u)
-}
-
-/// [`best_response_lower_bound`] under model `M`: the `M`-aggregate of
-/// the metric lower bounds (the farthest floor, for max-distance). The
-/// left fold with `M::fold` is exactly `iter().sum()` for
-/// [`SumDistances`], so the sum instantiation is bit-identical.
-pub fn best_response_lower_bound_model<W: EdgeWeights + ?Sized, M: CostModel>(
-    w: &W,
-    u: usize,
-) -> f64 {
+/// Certified lower bound on the cost of *any* strategy of agent `u`
+/// under model `M`: the `M`-aggregate of the metric lower bounds
+/// `lb(u, v)`, `v ≠ u` (their sum for the paper's objective, the
+/// farthest floor for max-distance) — no network brings a pair closer
+/// than the metric lower bound, and edge purchases only add to that.
+pub fn best_response_lower_bound<W: EdgeWeights + ?Sized, M: CostModel>(w: &W, u: usize) -> f64 {
     (0..w.len())
         .filter(|&v| v != u)
         .map(|v| w.metric_lower_bound(u, v))
         .fold(M::EMPTY, M::fold)
 }
 
-/// Exact improvement factor of agent `u`:
+/// Exact improvement factor of agent `u` under model `M`:
 /// `cost(u, G) / cost(u, best response)`.
 ///
 /// Returns 1.0 when the best-response cost is 0 and the current cost is
 /// also 0 (degenerate co-located instances).
-pub fn exact_improvement_factor<W: EdgeWeights + ?Sized>(
+pub fn exact_improvement_factor<W: EdgeWeights + ?Sized, M: CostModel>(
     w: &W,
     net: &OwnedNetwork,
     alpha: f64,
     u: usize,
 ) -> f64 {
-    exact_improvement_factor_model::<W, SumDistances>(w, net, alpha, u)
-}
-
-/// [`exact_improvement_factor`] under model `M`.
-pub fn exact_improvement_factor_model<W: EdgeWeights + ?Sized, M: CostModel>(
-    w: &W,
-    net: &OwnedNetwork,
-    alpha: f64,
-    u: usize,
-) -> f64 {
-    let now = cost::agent_cost_model::<W, M>(w, net, alpha, u);
-    let br = exact_best_response_raw_model::<W, M>(w, net, alpha, u);
+    let now = cost::agent_cost::<W, M>(w, net, alpha, u);
+    let br = exact_best_response_raw::<W, M>(w, net, alpha, u);
     ratio(now, br.cost)
 }
 
@@ -732,6 +588,7 @@ pub fn ratio(now: f64, best: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SumDistances;
     use gncg_geometry::generators;
 
     #[test]
@@ -740,7 +597,7 @@ mod tests {
         // a star centred at 0 has nothing cheaper than staying put
         let ps = generators::line(3, 2.0);
         let net = OwnedNetwork::center_star(3, 0);
-        let br = exact_best_response_raw(&ps, &net, 0.5, 1);
+        let br = exact_best_response_raw::<_, SumDistances>(&ps, &net, 0.5, 1);
         // agent 1 current cost: d=1 (to 0) + 3 (to 2 via 0) = 4
         // buying edge to 2 (w=1) costs 0.5, distance becomes 1+1=2 => 2.5
         assert!((br.cost - 2.5).abs() < 1e-9);
@@ -755,7 +612,7 @@ mod tests {
         net.buy(0, 1);
         net.buy(2, 1);
         // agent 1 owns nothing and is connected: BR may be empty
-        let br = exact_best_response_raw(&ps, &net, 10.0, 1);
+        let br = exact_best_response_raw::<_, SumDistances>(&ps, &net, 10.0, 1);
         assert!(br.strategy.is_empty());
         assert!((br.cost - 2.0).abs() < 1e-9);
     }
@@ -765,7 +622,7 @@ mod tests {
         let ps = generators::line(3, 2.0);
         let mut net = OwnedNetwork::empty(3);
         net.buy(0, 1); // 2 is isolated
-        let br = exact_best_response_raw(&ps, &net, 1.0, 2);
+        let br = exact_best_response_raw::<_, SumDistances>(&ps, &net, 1.0, 2);
         assert!(!br.strategy.is_empty());
         assert!(br.cost.is_finite());
         // optimal: buy edge to 1 (w=1): cost 1*1 + (1 + 2) = 4
@@ -780,7 +637,7 @@ mod tests {
         let mut net = OwnedNetwork::empty(2);
         net.buy(0, 1);
         // agent 1 pays only distance 1 and can do nothing better
-        let f = exact_improvement_factor(&ps, &net, 1.0, 1);
+        let f = exact_improvement_factor::<_, SumDistances>(&ps, &net, 1.0, 1);
         assert!((f - 1.0).abs() < 1e-9);
     }
 
@@ -803,7 +660,7 @@ mod tests {
             }
             let alpha = 0.5 + rng.gen::<f64>() * 3.0;
             for u in 0..n {
-                let fast = exact_best_response_raw(&ps, &net, alpha, u);
+                let fast = exact_best_response_raw::<_, SumDistances>(&ps, &net, alpha, u);
                 let slow = naive_best_response(&ps, &net, alpha, u);
                 assert!(
                     (fast.cost - slow).abs() < 1e-9,
@@ -832,7 +689,7 @@ mod tests {
                 .map(|(_, &v)| v)
                 .collect();
             trial.set_strategy(u, strat);
-            let c = cost::agent_cost(ps, &trial, alpha, u);
+            let c = cost::agent_cost::<_, SumDistances>(ps, &trial, alpha, u);
             if c < best {
                 best = c;
             }
@@ -859,13 +716,15 @@ mod tests {
                 let built = ResponseEvaluator::from_built_graph(&ps, &net, &g, u);
                 assert_eq!(fresh.fixed_incident, built.fixed_incident);
                 let current = net.strategy(u);
-                let a = fresh.cost(alpha, current.iter().copied());
-                let b = built.cost(alpha, current.iter().copied());
+                let a = fresh.cost::<SumDistances, _>(alpha, current.iter().copied());
+                let b = built.cost::<SumDistances, _>(alpha, current.iter().copied());
                 assert_eq!(a.to_bits(), b.to_bits(), "trial {trial} agent {u}");
-                assert_eq!(
-                    exact_best_response_raw(&ps, &net, alpha, u),
-                    exact_best_response_in_graph(&ps, &net, &g, alpha, u),
-                );
+                for mode in [PruneMode::On, PruneMode::Off] {
+                    assert_eq!(
+                        fresh.best_response::<SumDistances>(alpha, mode),
+                        built.best_response::<SumDistances>(alpha, mode),
+                    );
+                }
             }
         }
     }
@@ -893,13 +752,14 @@ mod tests {
                 let owned = ResponseEvaluator::from_built_graph(&ps, &net, &g, u);
                 let shared = ResponseEvaluator::with_shared_rest(&ps, &net, &g, &full, u);
                 for v in (0..n).filter(|&v| v != u) {
-                    let a = owned.cost(alpha, [v]);
-                    let b = shared.cost(alpha, [v]);
+                    let a = owned.cost::<SumDistances, _>(alpha, [v]);
+                    let b = shared.cost::<SumDistances, _>(alpha, [v]);
                     assert_eq!(a.to_bits(), b.to_bits(), "trial {trial} agent {u} buy {v}");
                 }
+                let mode = PruneMode::from_env();
                 assert_eq!(
-                    exact_best_response_with_eval(&owned, alpha),
-                    exact_best_response_with_eval(&shared, alpha),
+                    owned.best_response::<SumDistances>(alpha, mode),
+                    shared.best_response::<SumDistances>(alpha, mode),
                     "trial {trial} agent {u}"
                 );
             }
@@ -923,15 +783,17 @@ mod tests {
         let eval = ResponseEvaluator::new(&ps, &net, 0);
         let mut scratch = ResponseScratch::default();
         for v in 1..7 {
-            let a = eval.cost(1.3, [v]);
-            let b = eval.cost_with(1.3, [v], &mut scratch);
+            let a = eval.cost::<SumDistances, _>(1.3, [v]);
+            let b = eval.cost_with::<SumDistances, _>(1.3, [v], &mut scratch);
             assert_eq!(a.to_bits(), b.to_bits());
         }
         // empty candidate with no incident edges is infeasible
         let mut lonely = OwnedNetwork::empty(7);
         lonely.buy(1, 2);
         let e = ResponseEvaluator::new(&ps, &lonely, 0);
-        assert!(e.cost_with(1.0, [].into_iter(), &mut scratch).is_infinite());
+        assert!(e
+            .cost_with::<SumDistances, _>(1.0, [].into_iter(), &mut scratch)
+            .is_infinite());
     }
 
     #[test]
@@ -952,7 +814,7 @@ mod tests {
             }
             let alpha = 0.5 + rng.gen::<f64>() * 3.0;
             for u in 0..n {
-                let fast = exact_best_response_raw_model::<_, MaxDistance>(&ps, &net, alpha, u);
+                let fast = exact_best_response_raw::<_, MaxDistance>(&ps, &net, alpha, u);
                 let slow = naive_best_response_model::<MaxDistance>(&ps, &net, alpha, u);
                 assert_eq!(
                     fast.cost.to_bits(),
@@ -967,7 +829,7 @@ mod tests {
                 // Dijkstra over G(s)
                 let mut probe = net.clone();
                 probe.set_strategy(u, fast.strategy.clone());
-                let scratch_cost = cost::agent_cost_model::<_, MaxDistance>(&ps, &probe, alpha, u);
+                let scratch_cost = cost::agent_cost::<_, MaxDistance>(&ps, &probe, alpha, u);
                 if fast.cost.is_finite() {
                     assert!(
                         (fast.cost - scratch_cost).abs() <= 1e-9 * scratch_cost.abs().max(1.0),
@@ -1004,7 +866,7 @@ mod tests {
                 .filter(|(bit, _)| mask & (1 << bit) != 0)
                 .map(|(_, &v)| v)
                 .collect();
-            let c = eval.cost_with_model::<M, _>(alpha, strat.iter().copied(), &mut scratch);
+            let c = eval.cost_with::<M, _>(alpha, strat.iter().copied(), &mut scratch);
             if c < best {
                 best = c;
             }
@@ -1013,17 +875,13 @@ mod tests {
     }
 
     #[test]
-    fn lb_dist_model_selects_per_model_floor() {
+    fn lb_dist_selects_per_model_floor() {
         use crate::MaxDistance;
         let ps = generators::line(4, 3.0); // points at 0,1,2,3
         let net = OwnedNetwork::forward_path(4);
         let eval = ResponseEvaluator::new(&ps, &net, 0);
-        assert_eq!(
-            eval.lb_dist_model::<SumDistances>().to_bits(),
-            eval.lb_dist().to_bits()
-        );
-        assert!((eval.lb_dist() - 6.0).abs() < 1e-12);
-        assert!((eval.lb_dist_model::<MaxDistance>() - 3.0).abs() < 1e-12);
+        assert!((eval.lb_dist::<SumDistances>() - 6.0).abs() < 1e-12);
+        assert!((eval.lb_dist::<MaxDistance>() - 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -1036,7 +894,7 @@ mod tests {
         let merged = exact_best_response(&ps, &net, 1.2, 3, &opts).expect_exact("br");
         assert_eq!(
             merged,
-            exact_best_response_raw_model::<_, MaxDistance>(&ps, &net, 1.2, 3)
+            exact_best_response_raw::<_, MaxDistance>(&ps, &net, 1.2, 3)
         );
     }
 
@@ -1052,7 +910,7 @@ mod tests {
     fn too_many_agents_rejected_by_raw() {
         let ps = generators::uniform_unit_square(30, 1);
         let net = OwnedNetwork::complete(30);
-        exact_best_response_raw(&ps, &net, 1.0, 0);
+        exact_best_response_raw::<_, SumDistances>(&ps, &net, 1.0, 0);
     }
 
     #[test]
@@ -1063,7 +921,10 @@ mod tests {
         let net = OwnedNetwork::center_star(6, 0);
         let merged =
             exact_best_response(&ps, &net, 1.2, 3, &SolverConfig::default()).expect_exact("br");
-        assert_eq!(merged, exact_best_response_raw(&ps, &net, 1.2, 3));
+        assert_eq!(
+            merged,
+            exact_best_response_raw::<_, SumDistances>(&ps, &net, 1.2, 3)
+        );
 
         let big = generators::uniform_unit_square(30, 1);
         let big_net = OwnedNetwork::complete(30);

@@ -18,85 +18,13 @@
 //! response engines ([`crate::prune`]); pruning is bit-identical, so
 //! every reported bound and exact value is unchanged by the toggle.
 
+use crate::best_response::{self, ResponseEvaluator};
 use crate::outcome::{self, DegradeReason, Regime};
 use crate::{
-    best_response, cost, exact, moves, CostModel, EdgeWeights, EvalContext, ModelKind,
-    OwnedNetwork, SumDistances,
+    exact, moves, CostModel, EdgeWeights, EvalContext, ModelKind, OwnedNetwork, PruneMode,
 };
 use gncg_graph::Graph;
 use gncg_json::{field, object, FromJson, JsonError, ToJson, Value};
-use gncg_parallel::Budget;
-
-/// What the certifier should compute, and under which budget.
-#[derive(Debug, Clone)]
-pub struct CertifyOptions {
-    /// Compute exact β via exact best responses (exponential; silently
-    /// skipped — `beta_exact = None` — when n exceeds the enumeration
-    /// cap).
-    pub exact_beta: bool,
-    /// Compute exact γ via the exact social optimum (skipped when n
-    /// exceeds the enumeration cap).
-    pub exact_gamma: bool,
-    /// Compute the local-search instability witness.
-    pub witness: bool,
-    /// Budget for the *exponential* parts (exact β, exact optimum). All
-    /// constructors take it from `GNCG_BUDGET_MS` ([`Budget::from_env`],
-    /// unlimited when the variable is unset) — the historical `certify`
-    /// behaviour; override with [`CertifyOptions::with_budget`].
-    pub budget: Budget,
-    /// The per-agent cost model to certify under (the paper's
-    /// sum-of-distances by default; deliberately *not* environment-
-    /// derived — binaries that want the `GNCG_MODEL` choice read it off
-    /// `GncgConfig` and pass it in with
-    /// [`CertifyOptions::with_model`]).
-    pub model: ModelKind,
-}
-
-impl Default for CertifyOptions {
-    fn default() -> Self {
-        Self {
-            exact_beta: false,
-            exact_gamma: false,
-            witness: true,
-            budget: Budget::from_env(),
-            model: ModelKind::SumDistances,
-        }
-    }
-}
-
-impl CertifyOptions {
-    /// Everything exact (only sensible on small instances).
-    pub fn exact() -> Self {
-        Self {
-            exact_beta: true,
-            exact_gamma: true,
-            witness: true,
-            ..Self::default()
-        }
-    }
-
-    /// Bounds only (large instances).
-    pub fn bounds_only() -> Self {
-        Self {
-            exact_beta: false,
-            exact_gamma: false,
-            witness: false,
-            ..Self::default()
-        }
-    }
-
-    /// Replace the budget (builder style).
-    pub fn with_budget(mut self, budget: &Budget) -> Self {
-        self.budget = budget.clone();
-        self
-    }
-
-    /// Replace the cost model (builder style).
-    pub fn with_model(mut self, model: ModelKind) -> Self {
-        self.model = model;
-        self
-    }
-}
 
 /// The certification report for a profile `s` on an instance.
 #[derive(Debug, Clone, PartialEq)]
@@ -225,23 +153,16 @@ impl CertifyReport {
     }
 }
 
-/// Certified lower bound on the social optimum:
-/// `α·w(MST) + Σ_u Σ_{v≠u} lb(u, v)`.
+/// Certified lower bound on the social optimum under model `M`:
+/// `α·w(MST) + Σ_u M-aggregate(lb(u, ·))`.
 ///
 /// Every connected network's edge set weighs at least the MST of the
 /// buildable edges, and no network brings a pair closer than the metric
-/// lower bound.
-pub fn optimum_lower_bound<W: EdgeWeights + ?Sized>(w: &W, alpha: f64) -> f64 {
-    optimum_lower_bound_model::<W, SumDistances>(w, alpha)
-}
-
-/// [`optimum_lower_bound`] under model `M`:
-/// `α·w(MST) + Σ_u M-aggregate(lb(u, ·))`. For max-distance the
-/// per-agent term is `max_v lb(u, v)` — no network gives `u` a smaller
-/// eccentricity. The historical sum accumulated the whole `n×n` matrix
-/// in one flat double loop, and that exact accumulation order is kept
-/// for [`SumDistances`] (a per-row regrouping would round differently).
-pub fn optimum_lower_bound_model<W: EdgeWeights + ?Sized, M: CostModel>(w: &W, alpha: f64) -> f64 {
+/// lower bound; for max-distance the per-agent term is
+/// `max_v lb(u, v)` — no network gives `u` a smaller eccentricity. The
+/// [`crate::SumDistances`] arm accumulates the whole `n×n` matrix in one
+/// flat double loop (a per-row regrouping would round differently).
+pub fn optimum_lower_bound<W: EdgeWeights + ?Sized, M: CostModel>(w: &W, alpha: f64) -> f64 {
     let n = w.len();
     let mst: f64 = gncg_graph::mst::prim_dense(n, |i, j| w.weight(i, j))
         .iter()
@@ -297,35 +218,13 @@ pub fn optimum_lower_bound_model<W: EdgeWeights + ?Sized, M: CostModel>(w: &W, a
 /// turns this into exactly the Theorem 3.9 accounting (the replacement
 /// edge is never cheaper than the tree edge); on grids it certifies the
 /// Theorem 3.13 bound at every α.
-pub fn agent_beta_upper<W: EdgeWeights + ?Sized>(
-    w: &W,
-    net: &OwnedNetwork,
-    alpha: f64,
-    u: usize,
-) -> f64 {
-    let now = cost::agent_cost(w, net, alpha, u);
-    agent_beta_upper_with_now(w, net, &net.graph(w), alpha, u, now)
-}
-
-/// [`agent_beta_upper`] with the agent's current cost and the created
-/// network already in hand (the certifier computes both once for all
-/// agents instead of rebuilding per probe).
-pub fn agent_beta_upper_with_now<W: EdgeWeights + ?Sized>(
-    w: &W,
-    net: &OwnedNetwork,
-    g: &Graph,
-    alpha: f64,
-    u: usize,
-    now: f64,
-) -> f64 {
-    agent_beta_upper_with_now_model::<W, SumDistances>(w, net, g, alpha, u, now)
-}
-
-/// [`agent_beta_upper_with_now`] under model `M` (`now` must be the
-/// agent's current `M`-cost). The distance floor becomes the
+///
+/// Generic over the cost model `M`: `g` must be the created network
+/// `net.graph(w)` and `now` the agent's current `M`-cost (the certifier
+/// computes both once for all agents). The distance floor is the
 /// `M`-aggregate of the metric lower bounds; the component-connect term
 /// bounds the *edge* cost of any deviation and is model-independent.
-pub fn agent_beta_upper_with_now_model<W: EdgeWeights + ?Sized, M: CostModel>(
+pub fn agent_beta_upper<W: EdgeWeights + ?Sized, M: CostModel>(
     w: &W,
     net: &OwnedNetwork,
     g: &Graph,
@@ -366,16 +265,11 @@ pub fn agent_beta_upper_with_now_model<W: EdgeWeights + ?Sized, M: CostModel>(
     best_response::ratio(now, lb)
 }
 
-/// Sound upper bound on β for the whole profile (the max over agents of
-/// [`agent_beta_upper`], computed off one shared evaluation context).
-/// Polynomial; this is the certified-regime fallback of the budgeted β
-/// solvers.
-pub fn beta_upper<W: EdgeWeights + ?Sized>(w: &W, net: &OwnedNetwork, alpha: f64) -> f64 {
-    beta_upper_model::<W, SumDistances>(w, net, alpha)
-}
-
-/// [`beta_upper`] under model `M`.
-pub fn beta_upper_model<W: EdgeWeights + ?Sized, M: CostModel>(
+/// Sound upper bound on β for the whole profile under model `M` (the
+/// max over agents of [`agent_beta_upper`], computed off one shared
+/// evaluation context). Polynomial; this is the certified-regime
+/// fallback of the budgeted β solvers.
+pub fn beta_upper<W: EdgeWeights + ?Sized, M: CostModel>(
     w: &W,
     net: &OwnedNetwork,
     alpha: f64,
@@ -383,12 +277,10 @@ pub fn beta_upper_model<W: EdgeWeights + ?Sized, M: CostModel>(
     let n = net.len();
     let mut ctx = EvalContext::new(w, net, alpha);
     ctx.ensure_all_rows();
-    let costs: Vec<f64> = (0..n)
-        .map(|u| ctx.agent_cost_cached_model::<M>(u))
-        .collect();
+    let costs: Vec<f64> = (0..n).map(|u| ctx.agent_cost_cached::<M>(u)).collect();
     let (g, costs) = (ctx.graph(), &costs);
     let ups = gncg_parallel::parallel_map(n, |u| {
-        agent_beta_upper_with_now_model::<W, M>(w, net, g, alpha, u, costs[u])
+        agent_beta_upper::<W, M>(w, net, g, alpha, u, costs[u])
     });
     ups.into_iter().fold(1.0f64, f64::max)
 }
@@ -412,34 +304,19 @@ pub fn certify<W: EdgeWeights + ?Sized>(
     cfg: &crate::SolverConfig,
 ) -> CertifyReport {
     crate::dispatch_model!(cfg.model, M, {
-        certify_generic::<W, M>(w, net, alpha, cfg.certify_options())
+        certify_generic::<W, M>(w, net, alpha, cfg)
     })
 }
 
-/// [`certify`] with the legacy [`CertifyOptions`] surface.
-#[deprecated(note = "build a `SolverConfig` and call `certify` instead")]
-pub fn certify_with_options<W: EdgeWeights + ?Sized>(
-    w: &W,
-    net: &OwnedNetwork,
-    alpha: f64,
-    opts: CertifyOptions,
-) -> CertifyReport {
-    crate::dispatch_model!(opts.model, M, {
-        certify_generic::<W, M>(w, net, alpha, opts)
-    })
-}
-
-/// Monomorphic body of [`certify`] for model `M` — for the default
-/// [`SumDistances`] this compiles to the identical float-operation
-/// sequence as the historical certifier.
+/// Monomorphic body of [`certify`] for model `M`.
 fn certify_generic<W: EdgeWeights + ?Sized, M: CostModel>(
     w: &W,
     net: &OwnedNetwork,
     alpha: f64,
-    opts: CertifyOptions,
+    cfg: &crate::SolverConfig,
 ) -> CertifyReport {
     let _span = gncg_trace::span("game.certify");
-    let budget = &opts.budget;
+    let budget = &cfg.budget;
     let n = net.len();
     assert_eq!(n, w.len());
     // one shared evaluation context: the graph is built once and every
@@ -448,14 +325,12 @@ fn certify_generic<W: EdgeWeights + ?Sized, M: CostModel>(
     let mut ctx = EvalContext::new(w, net, alpha);
     ctx.ensure_all_rows();
     let connected = gncg_graph::components::is_connected(ctx.graph());
-    let costs: Vec<f64> = (0..n)
-        .map(|u| ctx.agent_cost_cached_model::<M>(u))
-        .collect();
+    let costs: Vec<f64> = (0..n).map(|u| ctx.agent_cost_cached::<M>(u)).collect();
     let social: f64 = costs.iter().sum();
     let (g, costs) = (ctx.graph(), &costs);
 
     let beta_uppers = gncg_parallel::parallel_map(n, |u| {
-        agent_beta_upper_with_now_model::<W, M>(w, net, g, alpha, u, costs[u])
+        agent_beta_upper::<W, M>(w, net, g, alpha, u, costs[u])
     });
     let beta_upper = beta_uppers.into_iter().fold(1.0f64, f64::max);
 
@@ -464,11 +339,9 @@ fn certify_generic<W: EdgeWeights + ?Sized, M: CostModel>(
         degrade_reasons.push(format!("{what}: {reason}"));
     };
 
-    let beta_exact = if opts.exact_beta {
+    let beta_exact = if cfg.exact_beta {
         if n <= best_response::MAX_EXACT_AGENTS {
-            match outcome::attempt(budget, || {
-                exact::exact_beta_raw_model::<W, M>(w, net, alpha)
-            }) {
+            match outcome::attempt(budget, || exact::exact_beta_raw::<W, M>(w, net, alpha)) {
                 Ok(b) => Some(b),
                 Err(reason) => {
                     record("beta", reason);
@@ -494,20 +367,24 @@ fn certify_generic<W: EdgeWeights + ?Sized, M: CostModel>(
         Regime::Certified
     };
 
-    let beta_witness = if opts.witness {
+    let beta_witness = if cfg.witness {
+        // the witness search prunes per `GNCG_PRUNE`; `cfg.prune` is a
+        // dynamics axis (pruning is bit-identical either way)
+        let mode = PruneMode::from_env();
         let ws = gncg_parallel::parallel_map(n, |u| {
-            moves::witness_improvement_factor_with_now_model::<W, M>(w, net, g, alpha, u, costs[u])
+            let eval = ResponseEvaluator::from_built_graph(w, net, g, u);
+            moves::witness_improvement_factor::<M>(&eval, net, alpha, costs[u], mode)
         });
         ws.into_iter().fold(1.0f64, f64::max)
     } else {
         1.0
     };
 
-    let opt_lb = optimum_lower_bound_model::<W, M>(w, alpha);
-    let opt_exact = if opts.exact_gamma {
+    let opt_lb = optimum_lower_bound::<W, M>(w, alpha);
+    let opt_exact = if cfg.exact_gamma {
         if n <= exact::MAX_EXACT_OPT_AGENTS {
             match outcome::attempt(budget, || {
-                exact::exact_social_optimum_raw_model::<W, M>(w, alpha).social_cost
+                exact::exact_social_optimum_raw::<W, M>(w, alpha).social_cost
             }) {
                 Ok(o) => Some(o),
                 Err(reason) => {
@@ -628,7 +505,7 @@ mod tests {
         for seed in 0..3 {
             let ps = generators::uniform_unit_square(6, seed);
             for alpha in [0.3, 1.0, 5.0] {
-                let lb = optimum_lower_bound(&ps, alpha);
+                let lb = optimum_lower_bound::<_, crate::SumDistances>(&ps, alpha);
                 let opt = exact::exact_social_optimum(&ps, alpha, &SolverConfig::default())
                     .expect_exact("optimum")
                     .social_cost;
@@ -744,7 +621,7 @@ mod tests {
         }
 
         // beta: degraded bound never undercuts the true beta
-        let beta_true = exact::exact_beta_raw_model::<_, SumDistances>(&ps, &net, alpha);
+        let beta_true = exact::exact_beta_raw::<_, crate::SumDistances>(&ps, &net, alpha);
         match exact::exact_beta(
             &ps,
             &net,

@@ -1,13 +1,13 @@
 //! Cost evaluation: per-agent cost, distance cost, social cost.
 //!
 //! Every evaluation is generic over the [`CostModel`] `M` turning the
-//! per-agent distance vector into a scalar; the un-suffixed functions
-//! are the historical API and delegate to the [`SumDistances`]
-//! instantiation, which monomorphizes to the identical float-operation
-//! sequence (`M::fold(acc, d) = acc + d` in a left fold is exactly
-//! `iter().sum()`).
+//! per-agent distance vector into a scalar; callers name the model at
+//! the call site (`agent_cost::<_, SumDistances>` for the paper's
+//! objective). The [`crate::SumDistances`] instantiation monomorphizes
+//! to the plain distance sum (`M::fold(acc, d) = acc + d` in a left fold
+//! is exactly `iter().sum()`).
 
-use crate::{CostModel, EdgeWeights, OwnedNetwork, SumDistances};
+use crate::{CostModel, EdgeWeights, OwnedNetwork};
 use gncg_graph::{apsp, dijkstra, Graph};
 
 /// Edge cost `α·‖u, S_u‖` of agent `u` (model-independent: every model
@@ -16,16 +16,10 @@ pub fn edge_cost<W: EdgeWeights + ?Sized>(w: &W, net: &OwnedNetwork, alpha: f64,
     alpha * net.strategy(u).iter().map(|&v| w.weight(u, v)).sum::<f64>()
 }
 
-/// Distance cost `d_G(u, P)` of agent `u` (`INFINITY` when the created
-/// network does not connect `u` to everyone).
-pub fn distance_cost<W: EdgeWeights + ?Sized>(w: &W, net: &OwnedNetwork, u: usize) -> f64 {
-    distance_cost_model::<W, SumDistances>(w, net, u)
-}
-
 /// Distance cost of agent `u` under model `M`: the `M`-aggregate of
-/// `u`'s shortest-path distance vector (self-distance 0 included, as
-/// the sum always did).
-pub fn distance_cost_model<W: EdgeWeights + ?Sized, M: CostModel>(
+/// `u`'s shortest-path distance vector (self-distance 0 included), or
+/// `INFINITY` when the created network does not connect `u` to everyone.
+pub fn distance_cost<W: EdgeWeights + ?Sized, M: CostModel>(
     w: &W,
     net: &OwnedNetwork,
     u: usize,
@@ -34,51 +28,19 @@ pub fn distance_cost_model<W: EdgeWeights + ?Sized, M: CostModel>(
     M::aggregate(&dijkstra::distances(&g, u))
 }
 
-/// Full cost of agent `u`: `α·‖u,S_u‖ + d_G(u, P)`.
-pub fn agent_cost<W: EdgeWeights + ?Sized>(w: &W, net: &OwnedNetwork, alpha: f64, u: usize) -> f64 {
-    agent_cost_model::<W, SumDistances>(w, net, alpha, u)
-}
-
-/// Full cost of agent `u` under model `M`.
-pub fn agent_cost_model<W: EdgeWeights + ?Sized, M: CostModel>(
+/// Full cost of agent `u` under model `M`: `α·‖u,S_u‖ + d_G(u, P)`.
+pub fn agent_cost<W: EdgeWeights + ?Sized, M: CostModel>(
     w: &W,
     net: &OwnedNetwork,
     alpha: f64,
     u: usize,
 ) -> f64 {
-    edge_cost(w, net, alpha, u) + distance_cost_model::<W, M>(w, net, u)
+    edge_cost(w, net, alpha, u) + distance_cost::<W, M>(w, net, u)
 }
 
-/// Agent cost against a pre-built graph (avoids rebuilding `G(s)` in
-/// inner loops; `g` must equal `net.graph(w)`).
-pub fn agent_cost_in_graph<W: EdgeWeights + ?Sized>(
-    w: &W,
-    net: &OwnedNetwork,
-    g: &Graph,
-    alpha: f64,
-    u: usize,
-) -> f64 {
-    agent_cost_in_graph_model::<W, SumDistances>(w, net, g, alpha, u)
-}
-
-/// [`agent_cost_in_graph`] under model `M`.
-pub fn agent_cost_in_graph_model<W: EdgeWeights + ?Sized, M: CostModel>(
-    w: &W,
-    net: &OwnedNetwork,
-    g: &Graph,
-    alpha: f64,
-    u: usize,
-) -> f64 {
-    edge_cost(w, net, alpha, u) + M::aggregate(&dijkstra::distances(g, u))
-}
-
-/// Cost vector of all agents, distance aggregates computed in parallel.
-pub fn all_costs<W: EdgeWeights + ?Sized>(w: &W, net: &OwnedNetwork, alpha: f64) -> Vec<f64> {
-    all_costs_model::<W, SumDistances>(w, net, alpha)
-}
-
-/// [`all_costs`] under model `M`.
-pub fn all_costs_model<W: EdgeWeights + ?Sized, M: CostModel>(
+/// Cost vector of all agents under model `M`, distance aggregates
+/// computed in parallel.
+pub fn all_costs<W: EdgeWeights + ?Sized, M: CostModel>(
     w: &W,
     net: &OwnedNetwork,
     alpha: f64,
@@ -90,38 +52,28 @@ pub fn all_costs_model<W: EdgeWeights + ?Sized, M: CostModel>(
         .collect()
 }
 
-/// Social cost `SC(G(s)) = Σ_u cost(u)`.
-pub fn social_cost<W: EdgeWeights + ?Sized>(w: &W, net: &OwnedNetwork, alpha: f64) -> f64 {
-    social_cost_model::<W, SumDistances>(w, net, alpha)
-}
-
-/// [`social_cost`] under model `M` (the outer Σ over agents is a sum
-/// under every model; only the per-agent distance aggregate varies).
-pub fn social_cost_model<W: EdgeWeights + ?Sized, M: CostModel>(
+/// Social cost `SC(G(s)) = Σ_u cost(u)` under model `M` (the outer Σ
+/// over agents is a sum under every model; only the per-agent distance
+/// aggregate varies).
+pub fn social_cost<W: EdgeWeights + ?Sized, M: CostModel>(
     w: &W,
     net: &OwnedNetwork,
     alpha: f64,
 ) -> f64 {
-    all_costs_model::<W, M>(w, net, alpha).iter().sum()
+    all_costs::<W, M>(w, net, alpha).iter().sum()
 }
 
-/// Social cost of a bare network (ownership-independent form):
-/// `α·Σ_{e∈E} w(e) + Σ_u d_G(u, P)`. Equal to [`social_cost`] whenever
-/// each edge is bought exactly once.
-pub fn social_cost_of_graph(g: &Graph, alpha: f64) -> f64 {
-    social_cost_of_graph_model::<SumDistances>(g, alpha)
-}
-
-/// [`social_cost_of_graph`] under model `M`:
-/// `α·Σ_{e∈E} w(e) + Σ_u M-aggregate(d_G(u, ·))`.
-pub fn social_cost_of_graph_model<M: CostModel>(g: &Graph, alpha: f64) -> f64 {
+/// Social cost of a bare network (ownership-independent form) under
+/// model `M`: `α·Σ_{e∈E} w(e) + Σ_u M-aggregate(d_G(u, ·))`. Equal to
+/// [`social_cost`] whenever each edge is bought exactly once.
+pub fn social_cost_of_graph<M: CostModel>(g: &Graph, alpha: f64) -> f64 {
     alpha * g.total_weight() + apsp::total_row_aggregate(g, |row| M::aggregate(row))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MaxDistance;
+    use crate::{MaxDistance, SumDistances};
     use gncg_geometry::generators;
 
     #[test]
@@ -131,12 +83,12 @@ mod tests {
         let net = OwnedNetwork::center_star(3, 0);
         let alpha = 2.0;
         // edge cost of 0: 2*(1+2) = 6; distance cost: 1+2 = 3
-        assert!((agent_cost(&ps, &net, alpha, 0) - 9.0).abs() < 1e-12);
+        assert!((agent_cost::<_, SumDistances>(&ps, &net, alpha, 0) - 9.0).abs() < 1e-12);
         // agent 1: no edges; distances 1 (to 0) + 3 (to 2 via 0)
-        assert!((agent_cost(&ps, &net, alpha, 1) - 4.0).abs() < 1e-12);
+        assert!((agent_cost::<_, SumDistances>(&ps, &net, alpha, 1) - 4.0).abs() < 1e-12);
         // agent 2: distances 2 + 3
-        assert!((agent_cost(&ps, &net, alpha, 2) - 5.0).abs() < 1e-12);
-        assert!((social_cost(&ps, &net, alpha) - 18.0).abs() < 1e-12);
+        assert!((agent_cost::<_, SumDistances>(&ps, &net, alpha, 2) - 5.0).abs() < 1e-12);
+        assert!((social_cost::<_, SumDistances>(&ps, &net, alpha) - 18.0).abs() < 1e-12);
     }
 
     #[test]
@@ -146,28 +98,29 @@ mod tests {
         let net = OwnedNetwork::center_star(3, 0);
         let alpha = 2.0;
         // agent 0: edge cost 6, eccentricity 2
-        assert!((agent_cost_model::<_, MaxDistance>(&ps, &net, alpha, 0) - 8.0).abs() < 1e-12);
+        assert!((agent_cost::<_, MaxDistance>(&ps, &net, alpha, 0) - 8.0).abs() < 1e-12);
         // agent 1: ecc = 3 (to 2 via 0)
-        assert!((agent_cost_model::<_, MaxDistance>(&ps, &net, alpha, 1) - 3.0).abs() < 1e-12);
+        assert!((agent_cost::<_, MaxDistance>(&ps, &net, alpha, 1) - 3.0).abs() < 1e-12);
         // agent 2: ecc = 3
-        assert!((agent_cost_model::<_, MaxDistance>(&ps, &net, alpha, 2) - 3.0).abs() < 1e-12);
-        assert!((social_cost_model::<_, MaxDistance>(&ps, &net, alpha) - 14.0).abs() < 1e-12);
+        assert!((agent_cost::<_, MaxDistance>(&ps, &net, alpha, 2) - 3.0).abs() < 1e-12);
+        assert!((social_cost::<_, MaxDistance>(&ps, &net, alpha) - 14.0).abs() < 1e-12);
     }
 
     #[test]
-    fn sum_model_is_bit_identical_to_legacy_path() {
+    fn sum_model_is_bit_identical_to_plain_distance_sum() {
+        // the SumDistances fold must reproduce `iter().sum()` bit for bit
         for seed in 0..4u64 {
             let ps = generators::uniform_unit_square(12, seed);
             let net = OwnedNetwork::center_star(12, 0);
+            let g = net.graph(&ps);
             for u in 0..12 {
+                let plain =
+                    edge_cost(&ps, &net, 1.5, u) + dijkstra::distances(&g, u).iter().sum::<f64>();
                 assert_eq!(
-                    agent_cost(&ps, &net, 1.5, u).to_bits(),
-                    agent_cost_model::<_, SumDistances>(&ps, &net, 1.5, u).to_bits()
+                    agent_cost::<_, SumDistances>(&ps, &net, 1.5, u).to_bits(),
+                    plain.to_bits()
                 );
             }
-            let a = all_costs(&ps, &net, 1.5);
-            let b = all_costs_model::<_, SumDistances>(&ps, &net, 1.5);
-            assert!(a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits()));
         }
     }
 
@@ -176,13 +129,13 @@ mod tests {
         let ps = generators::uniform_unit_square(15, 3);
         let net = OwnedNetwork::complete(15);
         let alpha = 1.5;
-        let batch = all_costs(&ps, &net, alpha);
+        let batch = all_costs::<_, SumDistances>(&ps, &net, alpha);
         for (u, &c) in batch.iter().enumerate() {
-            assert!((c - agent_cost(&ps, &net, alpha, u)).abs() < 1e-9);
+            assert!((c - agent_cost::<_, SumDistances>(&ps, &net, alpha, u)).abs() < 1e-9);
         }
-        let batch_max = all_costs_model::<_, MaxDistance>(&ps, &net, alpha);
+        let batch_max = all_costs::<_, MaxDistance>(&ps, &net, alpha);
         for (u, &c) in batch_max.iter().enumerate() {
-            assert!((c - agent_cost_model::<_, MaxDistance>(&ps, &net, alpha, u)).abs() < 1e-9);
+            assert!((c - agent_cost::<_, MaxDistance>(&ps, &net, alpha, u)).abs() < 1e-9);
         }
     }
 
@@ -191,10 +144,10 @@ mod tests {
         let ps = generators::line(3, 2.0);
         let mut net = OwnedNetwork::empty(3);
         net.buy(0, 1);
-        assert!(distance_cost(&ps, &net, 0).is_infinite());
-        assert!(social_cost(&ps, &net, 1.0).is_infinite());
-        assert!(distance_cost_model::<_, MaxDistance>(&ps, &net, 0).is_infinite());
-        assert!(social_cost_model::<_, MaxDistance>(&ps, &net, 1.0).is_infinite());
+        assert!(distance_cost::<_, SumDistances>(&ps, &net, 0).is_infinite());
+        assert!(social_cost::<_, SumDistances>(&ps, &net, 1.0).is_infinite());
+        assert!(distance_cost::<_, MaxDistance>(&ps, &net, 0).is_infinite());
+        assert!(social_cost::<_, MaxDistance>(&ps, &net, 1.0).is_infinite());
     }
 
     #[test]
@@ -202,11 +155,11 @@ mod tests {
         let ps = generators::uniform_unit_square(10, 9);
         let net = OwnedNetwork::complete(10);
         let g = net.graph(&ps);
-        let a = social_cost(&ps, &net, 2.5);
-        let b = social_cost_of_graph(&g, 2.5);
+        let a = social_cost::<_, SumDistances>(&ps, &net, 2.5);
+        let b = social_cost_of_graph::<SumDistances>(&g, 2.5);
         assert!((a - b).abs() < 1e-9);
-        let am = social_cost_model::<_, MaxDistance>(&ps, &net, 2.5);
-        let bm = social_cost_of_graph_model::<MaxDistance>(&g, 2.5);
+        let am = social_cost::<_, MaxDistance>(&ps, &net, 2.5);
+        let bm = social_cost_of_graph::<MaxDistance>(&g, 2.5);
         assert!((am - bm).abs() < 1e-9);
     }
 
@@ -218,10 +171,10 @@ mod tests {
         net.buy(1, 0);
         let alpha = 3.0;
         // each agent pays 3; distances 1 each
-        assert!((social_cost(&ps, &net, alpha) - (6.0 + 2.0)).abs() < 1e-12);
+        assert!((social_cost::<_, SumDistances>(&ps, &net, alpha) - (6.0 + 2.0)).abs() < 1e-12);
         // graph form counts the edge once — deliberately different
         let g = net.graph(&ps);
-        assert!((social_cost_of_graph(&g, alpha) - (3.0 + 2.0)).abs() < 1e-12);
+        assert!((social_cost_of_graph::<SumDistances>(&g, alpha) - (3.0 + 2.0)).abs() < 1e-12);
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //! old from-scratch path survives as [`run_ordered_reference`], the
 //! property-test oracle (and the "old" side of the dynamics benchmark).
 
+use crate::best_response::{self, ResponseEvaluator};
 use crate::{
-    best_response, cost, model, moves, CostModel, EdgeFormation, EdgeWeights, EvalContext,
-    GameSpec, OwnedNetwork, PruneMode, SumDistances,
+    cost, model, moves, CostModel, EdgeFormation, EdgeWeights, EvalContext, OwnedNetwork,
+    PruneMode, SolverConfig, SumDistances,
 };
 use std::collections::{BTreeSet, HashMap};
 
@@ -31,7 +32,7 @@ pub enum ResponseRule {
 /// In which order agents are probed for improving moves.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AgentOrder {
-    /// `0, 1, …, n−1` repeatedly (the default of [`run`]).
+    /// `0, 1, …, n−1` repeatedly.
     RoundRobin,
     /// A fresh uniformly random permutation every round (seeded).
     RandomPermutation(u64),
@@ -57,67 +58,19 @@ pub enum Outcome {
     Exhausted { state: OwnedNetwork, steps: usize },
 }
 
-/// Run response dynamics from `start` with round-robin activation.
+/// Run response dynamics from `start` under a [`crate::SolverConfig`]
+/// — the cost model, edge-formation rule, and prune mode together
+/// (`SolverConfig::default()`: sum-of-distances, unilateral,
+/// `GNCG_PRUNE` prune mode).
 ///
-/// Agents are probed round-robin; a *round* with no strategy change
+/// Agents are probed in `order`; a *round* with no strategy change
 /// means convergence. After every accepted change the canonical profile
 /// is hashed: a repeat is returned as a [`Outcome::Cycle`].
-pub fn run<W: EdgeWeights + ?Sized>(
-    w: &W,
-    start: &OwnedNetwork,
-    alpha: f64,
-    rule: ResponseRule,
-    max_steps: usize,
-) -> Outcome {
-    run_ordered(w, start, alpha, rule, AgentOrder::RoundRobin, max_steps)
-}
-
-/// Run response dynamics with an explicit activation order. The
-/// response engines prune per `GNCG_PRUNE` (see [`PruneMode::from_env`],
-/// default on; resolved once per run).
-pub fn run_ordered<W: EdgeWeights + ?Sized>(
-    w: &W,
-    start: &OwnedNetwork,
-    alpha: f64,
-    rule: ResponseRule,
-    order: AgentOrder,
-    max_steps: usize,
-) -> Outcome {
-    run_ordered_mode(
-        w,
-        start,
-        alpha,
-        rule,
-        order,
-        max_steps,
-        PruneMode::from_env(),
-    )
-}
-
-/// [`run_ordered`] with an explicit [`PruneMode`], so the oracle harness
-/// can compare whole pruned/unpruned trajectories in-process.
-#[allow(clippy::too_many_arguments)]
-pub fn run_ordered_mode<W: EdgeWeights + ?Sized>(
-    w: &W,
-    start: &OwnedNetwork,
-    alpha: f64,
-    rule: ResponseRule,
-    order: AgentOrder,
-    max_steps: usize,
-    mode: PruneMode,
-) -> Outcome {
-    run_ordered_mode_generic::<W, SumDistances>(w, start, alpha, rule, order, max_steps, mode)
-}
-
-/// Run response dynamics under a [`crate::SolverConfig`] — the cost
-/// model, edge-formation rule, and prune mode together
-/// (`SolverConfig::default()` reproduces [`run_ordered`] exactly:
-/// sum-of-distances, unilateral, `GNCG_PRUNE` prune mode).
 ///
 /// * [`EdgeFormation::Unilateral`] routes through the incremental
-///   drivers, monomorphized per model; for the default
-///   [`SumDistances`] this is the *same* code path as [`run_ordered`]
-///   (identical trace counters, bit-identical trajectories).
+///   drivers, monomorphized per model (the prune mode selects the
+///   pruned or plain response engines — bit-identical trajectories, so
+///   the oracle harness compares whole runs per mode).
 /// * [`EdgeFormation::Bilateral`] routes through a dedicated naive
 ///   from-scratch driver that consults
 ///   [`crate::model::deviation_is_legal`] before accepting any deviation —
@@ -129,12 +82,12 @@ pub fn run_spec<W: EdgeWeights + ?Sized>(
     rule: ResponseRule,
     order: AgentOrder,
     max_steps: usize,
-    cfg: &crate::SolverConfig,
+    cfg: &SolverConfig,
 ) -> Outcome {
     crate::dispatch_model!(cfg.model, M, {
         match cfg.formation {
             EdgeFormation::Unilateral => {
-                run_ordered_mode_generic::<W, M>(w, start, alpha, rule, order, max_steps, cfg.prune)
+                run_unilateral::<W, M>(w, start, alpha, rule, order, max_steps, cfg.prune)
             }
             EdgeFormation::Bilateral => {
                 run_bilateral::<W, M>(w, start, alpha, rule, order, max_steps)
@@ -143,48 +96,8 @@ pub fn run_spec<W: EdgeWeights + ?Sized>(
     })
 }
 
-/// [`run_spec`] with the legacy [`GameSpec`] surface (prune mode from
-/// the environment).
 #[allow(clippy::too_many_arguments)]
-#[deprecated(note = "build a `SolverConfig` and call `run_spec` instead")]
-pub fn run_spec_with_spec<W: EdgeWeights + ?Sized>(
-    w: &W,
-    start: &OwnedNetwork,
-    alpha: f64,
-    rule: ResponseRule,
-    order: AgentOrder,
-    max_steps: usize,
-    spec: GameSpec,
-) -> Outcome {
-    run_spec(
-        w,
-        start,
-        alpha,
-        rule,
-        order,
-        max_steps,
-        &crate::SolverConfig::from(spec),
-    )
-}
-
-/// [`run_ordered_mode`] under cost model `M` (unilateral formation) —
-/// the oracle harness uses this to compare whole pruned/unpruned
-/// trajectories per model.
-#[allow(clippy::too_many_arguments)]
-pub fn run_ordered_mode_model<W: EdgeWeights + ?Sized, M: CostModel>(
-    w: &W,
-    start: &OwnedNetwork,
-    alpha: f64,
-    rule: ResponseRule,
-    order: AgentOrder,
-    max_steps: usize,
-    mode: PruneMode,
-) -> Outcome {
-    run_ordered_mode_generic::<W, M>(w, start, alpha, rule, order, max_steps, mode)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_ordered_mode_generic<W: EdgeWeights + ?Sized, M: CostModel>(
+fn run_unilateral<W: EdgeWeights + ?Sized, M: CostModel>(
     w: &W,
     start: &OwnedNetwork,
     alpha: f64,
@@ -219,21 +132,16 @@ fn response_in_ctx<W: EdgeWeights + ?Sized, M: CostModel>(
     // `ResponseEvaluator::with_shared_rest`); everyone else runs the
     // usual APSP of `G − u`.
     let eval = match ctx.cached_full_matrix() {
-        Some(dist) if g.degree(u) <= 1 => {
-            best_response::ResponseEvaluator::with_shared_rest(w, net, g, dist, u)
-        }
-        _ => best_response::ResponseEvaluator::from_built_graph(w, net, g, u),
+        Some(dist) if g.degree(u) <= 1 => ResponseEvaluator::with_shared_rest(w, net, g, dist, u),
+        _ => ResponseEvaluator::from_built_graph(w, net, g, u),
     };
     match rule {
         ResponseRule::BestResponse => {
-            let br =
-                best_response::exact_best_response_with_eval_mode_model::<M>(&eval, alpha, mode);
+            let br = eval.best_response::<M>(alpha, mode);
             gncg_geometry::definitely_less(br.cost, now).then_some((br.strategy, now - br.cost))
         }
-        ResponseRule::BestSingleMove => {
-            moves::best_single_move_from_eval_mode_model::<M>(&eval, net, alpha, mode)
-                .map(|m| (m.strategy, now - m.cost))
-        }
+        ResponseRule::BestSingleMove => moves::best_single_move::<M>(&eval, net, alpha, mode)
+            .map(|m| (m.strategy, now - m.cost)),
     }
 }
 
@@ -257,13 +165,7 @@ fn run_max_gain<W: EdgeWeights + ?Sized, M: CostModel>(
         ctx.ensure_all_rows();
         let shared = &ctx;
         let candidates = gncg_parallel::parallel_map(n, |u| {
-            response_in_ctx::<W, M>(
-                shared,
-                rule,
-                u,
-                shared.agent_cost_cached_model::<M>(u),
-                mode,
-            )
+            response_in_ctx::<W, M>(shared, rule, u, shared.agent_cost_cached::<M>(u), mode)
         });
         let best = candidates
             .into_iter()
@@ -344,7 +246,7 @@ fn run_with_rounds<W: EdgeWeights + ?Sized, M: CostModel>(
             // a no-op unless the previous accepted move changed the edge
             // set; keeps the full matrix warm so leaf agents can share it
             ctx.ensure_all_rows();
-            let now = ctx.agent_cost_cached_model::<M>(u);
+            let now = ctx.agent_cost_cached::<M>(u);
             if let Some((strategy, _)) = response_in_ctx::<W, M>(&ctx, rule, u, now, mode) {
                 ctx.apply_move(u, strategy);
                 steps += 1;
@@ -385,7 +287,7 @@ fn bilateral_response_for<W: EdgeWeights + ?Sized, M: CostModel>(
     u: usize,
 ) -> Option<(BTreeSet<usize>, f64)> {
     let n = state.len();
-    let now = cost::agent_cost_model::<W, M>(w, state, alpha, u);
+    let now = cost::agent_cost::<W, M>(w, state, alpha, u);
     let mut best: Option<(BTreeSet<usize>, f64)> = None;
     let mut consider = |strategy: BTreeSet<usize>| {
         if !model::deviation_is_legal::<W, M>(
@@ -400,7 +302,7 @@ fn bilateral_response_for<W: EdgeWeights + ?Sized, M: CostModel>(
         }
         let mut probe = state.clone();
         probe.set_strategy(u, strategy.clone());
-        let c = cost::agent_cost_model::<W, M>(w, &probe, alpha, u);
+        let c = cost::agent_cost::<W, M>(w, &probe, alpha, u);
         let beats_current = gncg_geometry::definitely_less(c, now);
         let beats_best = match &best {
             Some((_, bc)) => c < *bc,
@@ -571,9 +473,10 @@ fn run_bilateral<W: EdgeWeights + ?Sized, M: CostModel>(
 }
 
 /// The pre-incremental dynamics driver: every probe rebuilds `G(s)` and
-/// recomputes the agent's cost from scratch. Behaviourally identical to
-/// [`run_ordered`]; retained as the property-test oracle and as the
-/// baseline side of the dynamics benchmark. Do not use in new code.
+/// recomputes the agent's (sum-model) cost from scratch. Behaviourally
+/// identical to [`run_spec`] under the default config; retained as the
+/// property-test oracle and as the baseline side of the dynamics
+/// benchmark. Do not use in new code.
 pub fn run_ordered_reference<W: EdgeWeights + ?Sized>(
     w: &W,
     start: &OwnedNetwork,
@@ -583,14 +486,17 @@ pub fn run_ordered_reference<W: EdgeWeights + ?Sized>(
     max_steps: usize,
 ) -> Outcome {
     let response_for = |state: &OwnedNetwork, u: usize| -> Option<(BTreeSet<usize>, f64)> {
-        let now = cost::agent_cost(w, state, alpha, u);
+        let now = cost::agent_cost::<W, SumDistances>(w, state, alpha, u);
         match rule {
             ResponseRule::BestResponse => {
-                let br = best_response::exact_best_response_raw(w, state, alpha, u);
+                let br =
+                    best_response::exact_best_response_raw::<W, SumDistances>(w, state, alpha, u);
                 gncg_geometry::definitely_less(br.cost, now).then_some((br.strategy, now - br.cost))
             }
             ResponseRule::BestSingleMove => {
-                moves::best_single_move(w, state, alpha, u).map(|m| (m.strategy, now - m.cost))
+                let eval = ResponseEvaluator::new(w, state, u);
+                moves::best_single_move::<SumDistances>(&eval, state, alpha, PruneMode::from_env())
+                    .map(|m| (m.strategy, now - m.cost))
             }
         }
     };
@@ -723,6 +629,7 @@ pub fn search_for_cycle(
     seeds: std::ops::Range<u64>,
     max_steps: usize,
 ) -> Option<CycleWitness> {
+    let cfg = SolverConfig::default();
     for seed in seeds {
         let ps = gncg_geometry::generators::uniform_unit_square(n, seed);
         let starts = [
@@ -737,7 +644,7 @@ pub fn search_for_cycle(
                 if let Outcome::Cycle {
                     history,
                     cycle_start,
-                } = run_ordered(&ps, start, alpha, rule, order, max_steps)
+                } = run_spec(&ps, start, alpha, rule, order, max_steps, &cfg)
                 {
                     return Some(CycleWitness {
                         seed,
@@ -756,16 +663,42 @@ pub fn search_for_cycle(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{GameSpec, MaxDistance, ModelKind};
     use gncg_geometry::generators;
+
+    /// Default-config dynamics: sum model, unilateral, `GNCG_PRUNE`.
+    fn run_default<W: EdgeWeights + ?Sized>(
+        w: &W,
+        start: &OwnedNetwork,
+        rule: ResponseRule,
+        order: AgentOrder,
+        max_steps: usize,
+    ) -> Outcome {
+        run_spec(
+            w,
+            start,
+            1.0,
+            rule,
+            order,
+            max_steps,
+            &SolverConfig::default(),
+        )
+    }
 
     #[test]
     fn dynamics_converge_on_two_points() {
         let ps = generators::line(2, 1.0);
         let start = OwnedNetwork::empty(2);
-        match run(&ps, &start, 1.0, ResponseRule::BestResponse, 100) {
+        match run_default(
+            &ps,
+            &start,
+            ResponseRule::BestResponse,
+            AgentOrder::RoundRobin,
+            100,
+        ) {
             Outcome::Converged { state, .. } => {
                 assert!(state.has_edge(0, 1));
-                assert!(crate::exact::is_nash(&ps, &state, 1.0));
+                assert!(crate::exact::is_nash::<_, SumDistances>(&ps, &state, 1.0));
             }
             other => panic!("expected convergence, got {other:?}"),
         }
@@ -776,10 +709,16 @@ mod tests {
         for seed in 0..3u64 {
             let ps = generators::uniform_unit_square(5, seed);
             let start = OwnedNetwork::empty(5);
-            match run(&ps, &start, 1.0, ResponseRule::BestResponse, 500) {
+            match run_default(
+                &ps,
+                &start,
+                ResponseRule::BestResponse,
+                AgentOrder::RoundRobin,
+                500,
+            ) {
                 Outcome::Converged { state, .. } => {
                     assert!(
-                        crate::exact::is_nash(&ps, &state, 1.0),
+                        crate::exact::is_nash::<_, SumDistances>(&ps, &state, 1.0),
                         "seed {seed}: converged state not Nash"
                     );
                 }
@@ -793,7 +732,13 @@ mod tests {
     fn budget_exhaustion_reported() {
         let ps = generators::uniform_unit_square(6, 3);
         let start = OwnedNetwork::empty(6);
-        match run(&ps, &start, 1.0, ResponseRule::BestResponse, 1) {
+        match run_default(
+            &ps,
+            &start,
+            ResponseRule::BestResponse,
+            AgentOrder::RoundRobin,
+            1,
+        ) {
             Outcome::Exhausted { steps, .. } => assert_eq!(steps, 1),
             Outcome::Converged { steps, .. } => assert!(steps <= 1),
             Outcome::Cycle { .. } => panic!("cannot cycle after one step"),
@@ -804,7 +749,13 @@ mod tests {
     fn single_move_dynamics_run() {
         let ps = generators::uniform_unit_square(8, 11);
         let start = OwnedNetwork::center_star(8, 0);
-        let out = run(&ps, &start, 1.0, ResponseRule::BestSingleMove, 2000);
+        let out = run_default(
+            &ps,
+            &start,
+            ResponseRule::BestSingleMove,
+            AgentOrder::RoundRobin,
+            2000,
+        );
         match out {
             Outcome::Converged { state, .. } => {
                 let g = state.graph(&ps);
@@ -828,15 +779,14 @@ mod tests {
     fn random_permutation_order_converges_to_nash() {
         let ps = generators::uniform_unit_square(5, 7);
         let start = OwnedNetwork::empty(5);
-        if let Outcome::Converged { state, .. } = run_ordered(
+        if let Outcome::Converged { state, .. } = run_default(
             &ps,
             &start,
-            1.0,
             ResponseRule::BestResponse,
             AgentOrder::RandomPermutation(99),
             500,
         ) {
-            assert!(crate::exact::is_nash(&ps, &state, 1.0));
+            assert!(crate::exact::is_nash::<_, SumDistances>(&ps, &state, 1.0));
         }
     }
 
@@ -844,16 +794,15 @@ mod tests {
     fn max_gain_order_converges_to_nash() {
         let ps = generators::uniform_unit_square(5, 13);
         let start = OwnedNetwork::empty(5);
-        match run_ordered(
+        match run_default(
             &ps,
             &start,
-            1.0,
             ResponseRule::BestResponse,
             AgentOrder::MaxGain,
             500,
         ) {
             Outcome::Converged { state, .. } => {
-                assert!(crate::exact::is_nash(&ps, &state, 1.0));
+                assert!(crate::exact::is_nash::<_, SumDistances>(&ps, &state, 1.0));
             }
             Outcome::Cycle { .. } => {}
             Outcome::Exhausted { .. } => panic!("budget too small"),
@@ -864,18 +813,16 @@ mod tests {
     fn shuffled_dynamics_deterministic_given_seed() {
         let ps = generators::uniform_unit_square(5, 21);
         let start = OwnedNetwork::center_star(5, 0);
-        let a = run_ordered(
+        let a = run_default(
             &ps,
             &start,
-            1.0,
             ResponseRule::BestSingleMove,
             AgentOrder::RandomPermutation(5),
             200,
         );
-        let b = run_ordered(
+        let b = run_default(
             &ps,
             &start,
-            1.0,
             ResponseRule::BestSingleMove,
             AgentOrder::RandomPermutation(5),
             200,
@@ -894,7 +841,7 @@ mod tests {
                 AgentOrder::MaxGain,
             ] {
                 for rule in [ResponseRule::BestSingleMove, ResponseRule::BestResponse] {
-                    let fast = run_ordered(&ps, &start, 1.0, rule, order, 300);
+                    let fast = run_default(&ps, &start, rule, order, 300);
                     let slow = run_ordered_reference(&ps, &start, 1.0, rule, order, 300);
                     assert_eq!(fast, slow, "seed {seed} order {order:?} rule {rule:?}");
                 }
@@ -903,26 +850,17 @@ mod tests {
     }
 
     #[test]
-    fn run_spec_default_matches_run_ordered_bit_exactly() {
+    fn run_spec_prune_modes_match_bit_exactly() {
         for seed in 0..3u64 {
             let ps = generators::uniform_unit_square(6, 300 + seed);
             let start = OwnedNetwork::center_star(6, 0);
             for order in [AgentOrder::RoundRobin, AgentOrder::RandomPermutation(seed)] {
                 for rule in [ResponseRule::BestSingleMove, ResponseRule::BestResponse] {
-                    let via_spec = run_spec(
-                        &ps,
-                        &start,
-                        1.0,
-                        rule,
-                        order,
-                        300,
-                        &crate::SolverConfig::default(),
-                    );
-                    let direct = run_ordered(&ps, &start, 1.0, rule, order, 300);
-                    assert_eq!(
-                        via_spec, direct,
-                        "seed {seed} order {order:?} rule {rule:?}"
-                    );
+                    let [on, off] = [PruneMode::On, PruneMode::Off].map(|mode| {
+                        let cfg = SolverConfig::default().with_prune(mode);
+                        run_spec(&ps, &start, 1.0, rule, order, 300, &cfg)
+                    });
+                    assert_eq!(on, off, "seed {seed} order {order:?} rule {rule:?}");
                 }
             }
         }
@@ -933,7 +871,7 @@ mod tests {
         for seed in 0..3u64 {
             let ps = generators::uniform_unit_square(5, 600 + seed);
             let start = OwnedNetwork::empty(5);
-            let cfg = crate::SolverConfig::default().with_model(crate::ModelKind::MaxDistance);
+            let cfg = SolverConfig::default().with_model(ModelKind::MaxDistance);
             match run_spec(
                 &ps,
                 &start,
@@ -945,7 +883,7 @@ mod tests {
             ) {
                 Outcome::Converged { state, .. } => {
                     assert!(
-                        crate::exact::is_nash_model::<_, crate::MaxDistance>(&ps, &state, 1.0),
+                        crate::exact::is_nash::<_, MaxDistance>(&ps, &state, 1.0),
                         "seed {seed}: converged state not Nash under max-distance"
                     );
                 }
@@ -960,8 +898,7 @@ mod tests {
         for seed in 0..3u64 {
             let ps = generators::uniform_unit_square(5, 900 + seed);
             let start = OwnedNetwork::center_star(5, 0);
-            let cfg =
-                crate::SolverConfig::from(GameSpec::bilateral(crate::ModelKind::SumDistances));
+            let cfg = SolverConfig::from(GameSpec::bilateral(ModelKind::SumDistances));
             match run_spec(
                 &ps,
                 &start,
@@ -1003,7 +940,7 @@ mod tests {
             ResponseRule::BestSingleMove,
             AgentOrder::MaxGain,
             1000,
-            &crate::SolverConfig::from(GameSpec::bilateral(crate::ModelKind::SumDistances)),
+            &SolverConfig::from(GameSpec::bilateral(ModelKind::SumDistances)),
         );
         if let Outcome::Converged { state, .. } = out {
             // unilateral drops stay legal, so a converged bilateral

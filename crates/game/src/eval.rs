@@ -263,17 +263,9 @@ impl<'w, W: EdgeWeights + ?Sized> EvalContext<'w, W> {
         self.dist.row(u)
     }
 
-    /// Distance cost `d_G(u, P)` of agent `u`.
-    pub fn distance_cost(&mut self, u: usize) -> f64 {
-        self.ensure_row(u);
-        self.dist.row_sum(u)
-    }
-
     /// Distance cost of agent `u` under model `M` — the `M`-aggregate
-    /// of the cached row. `row_sum` is `iter().sum()`, i.e. exactly the
-    /// [`crate::SumDistances`] left fold, so the sum instantiation is
-    /// bit-identical to [`EvalContext::distance_cost`].
-    pub fn distance_cost_model<M: CostModel>(&mut self, u: usize) -> f64 {
+    /// of the cached row (refreshed if stale).
+    pub fn distance_cost<M: CostModel>(&mut self, u: usize) -> f64 {
         self.ensure_row(u);
         M::aggregate(self.dist.row(u))
     }
@@ -284,47 +276,39 @@ impl<'w, W: EdgeWeights + ?Sized> EvalContext<'w, W> {
         self.edge_costs[u]
     }
 
-    /// Full cost of agent `u` — bit-identical to
-    /// [`crate::cost::agent_cost`] on the same profile.
-    pub fn agent_cost(&mut self, u: usize) -> f64 {
-        self.edge_costs[u] + self.distance_cost(u)
+    /// Full cost of agent `u` under model `M` (row refreshed if stale) —
+    /// bit-identical to [`crate::cost::agent_cost`] on the same profile.
+    pub fn agent_cost<M: CostModel>(&mut self, u: usize) -> f64 {
+        self.edge_costs[u] + self.distance_cost::<M>(u)
     }
 
-    /// Full cost of agent `u` assuming its row is already valid (e.g.
-    /// after [`EvalContext::ensure_all_rows`]); usable through a shared
-    /// reference inside parallel sections.
-    pub fn agent_cost_cached(&self, u: usize) -> f64 {
-        assert!(self.row_valid[u], "distance row {u} is stale");
-        self.edge_costs[u] + self.dist.row_sum(u)
-    }
-
-    /// [`EvalContext::agent_cost_cached`] under model `M` (bit-identical
-    /// to it for [`crate::SumDistances`]).
-    pub fn agent_cost_cached_model<M: CostModel>(&self, u: usize) -> f64 {
+    /// Full cost of agent `u` under model `M`, assuming its row is
+    /// already valid (e.g. after [`EvalContext::ensure_all_rows`]);
+    /// usable through a shared reference inside parallel sections.
+    pub fn agent_cost_cached<M: CostModel>(&self, u: usize) -> f64 {
         assert!(self.row_valid[u], "distance row {u} is stale");
         self.edge_costs[u] + M::aggregate(self.dist.row(u))
     }
 
-    /// Full cost of agent `u` under model `M` (row refreshed if stale).
-    pub fn agent_cost_model<M: CostModel>(&mut self, u: usize) -> f64 {
-        self.edge_costs[u] + self.distance_cost_model::<M>(u)
-    }
-
-    /// Cost vector of all agents (stale rows refreshed in parallel).
-    pub fn all_costs(&mut self) -> Vec<f64> {
+    /// Cost vector of all agents under model `M` (stale rows refreshed
+    /// in parallel).
+    pub fn all_costs<M: CostModel>(&mut self) -> Vec<f64> {
         self.ensure_all_rows();
-        (0..self.len()).map(|u| self.agent_cost_cached(u)).collect()
+        (0..self.len())
+            .map(|u| self.agent_cost_cached::<M>(u))
+            .collect()
     }
 
-    /// Social cost `SC(G(s)) = Σ_u cost(u)`.
-    pub fn social_cost(&mut self) -> f64 {
-        self.all_costs().iter().sum()
+    /// Social cost `SC(G(s)) = Σ_u cost(u)` under model `M`.
+    pub fn social_cost<M: CostModel>(&mut self) -> f64 {
+        self.all_costs::<M>().iter().sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SumDistances;
     use gncg_geometry::generators;
     use rand::{Rng, SeedableRng};
 
@@ -355,15 +339,18 @@ mod tests {
         let net = random_profile(&mut rand::rngs::StdRng::seed_from_u64(8), 12);
         let mut ctx = EvalContext::new(&ps, &net, 1.7);
         for u in 0..12 {
-            let a = ctx.agent_cost(u);
-            let b = cost::agent_cost(&ps, &net, 1.7, u);
+            let a = ctx.agent_cost::<SumDistances>(u);
+            let b = cost::agent_cost::<_, SumDistances>(&ps, &net, 1.7, u);
             assert_eq!(a.to_bits(), b.to_bits(), "agent {u}");
         }
         assert_eq!(
-            ctx.social_cost().to_bits(),
-            cost::social_cost(&ps, &net, 1.7).to_bits()
+            ctx.social_cost::<SumDistances>().to_bits(),
+            cost::social_cost::<_, SumDistances>(&ps, &net, 1.7).to_bits()
         );
-        assert_eq!(ctx.all_costs(), cost::all_costs(&ps, &net, 1.7));
+        assert_eq!(
+            ctx.all_costs::<SumDistances>(),
+            cost::all_costs::<_, SumDistances>(&ps, &net, 1.7)
+        );
     }
 
     #[test]
@@ -383,31 +370,35 @@ mod tests {
                 assert_eq!(ctx.graph(), &reference, "trial {trial} step {step}");
                 // spot-check one agent's cost against the oracle
                 let probe = rng.gen_range(0..n);
-                let a = ctx.agent_cost(probe);
-                let b = cost::agent_cost(&ps, ctx.network(), 2.0, probe);
+                let a = ctx.agent_cost::<SumDistances>(probe);
+                let b = cost::agent_cost::<_, SumDistances>(&ps, ctx.network(), 2.0, probe);
                 assert_eq!(a.to_bits(), b.to_bits(), "trial {trial} step {step}");
             }
             let net = ctx.network().clone();
-            assert_eq!(ctx.all_costs(), cost::all_costs(&ps, &net, 2.0));
+            assert_eq!(
+                ctx.all_costs::<SumDistances>(),
+                cost::all_costs::<_, SumDistances>(&ps, &net, 2.0)
+            );
         }
     }
 
     #[test]
     fn model_costs_match_from_scratch_oracle() {
-        use crate::{MaxDistance, SumDistances};
+        use crate::MaxDistance;
         let ps = generators::uniform_unit_square(11, 5);
         let net = random_profile(&mut rand::rngs::StdRng::seed_from_u64(9), 11);
         let mut ctx = EvalContext::new(&ps, &net, 1.3);
         ctx.ensure_all_rows();
         for u in 0..11 {
+            let row_sum = ctx.cached_full_matrix().expect("all rows valid").row_sum(u);
             assert_eq!(
-                ctx.agent_cost_cached_model::<SumDistances>(u).to_bits(),
-                ctx.agent_cost_cached(u).to_bits(),
-                "sum instantiation must be bit-identical (agent {u})"
+                ctx.agent_cost_cached::<SumDistances>(u).to_bits(),
+                (ctx.edge_cost(u) + row_sum).to_bits(),
+                "sum instantiation must be the plain row sum (agent {u})"
             );
             assert_eq!(
-                ctx.agent_cost_model::<MaxDistance>(u).to_bits(),
-                cost::agent_cost_model::<_, MaxDistance>(&ps, &net, 1.3, u).to_bits(),
+                ctx.agent_cost::<MaxDistance>(u).to_bits(),
+                cost::agent_cost::<_, MaxDistance>(&ps, &net, 1.3, u).to_bits(),
                 "agent {u}"
             );
         }
@@ -439,8 +430,8 @@ mod tests {
                 }
                 let probe = rng.gen_range(0..n);
                 assert_eq!(
-                    ctx.agent_cost(probe).to_bits(),
-                    cost::agent_cost(&ps, ctx.network(), 1.4, probe).to_bits(),
+                    ctx.agent_cost::<SumDistances>(probe).to_bits(),
+                    cost::agent_cost::<_, SumDistances>(&ps, ctx.network(), 1.4, probe).to_bits(),
                     "trial {trial} step {step}"
                 );
             }
@@ -460,8 +451,8 @@ mod tests {
         ctx.apply_move(0, BTreeSet::new());
         assert!(ctx.row_valid.iter().all(|&v| v), "graph did not change");
         assert_eq!(
-            ctx.agent_cost(0).to_bits(),
-            cost::agent_cost(&ps, ctx.network(), 1.0, 0).to_bits()
+            ctx.agent_cost::<SumDistances>(0).to_bits(),
+            cost::agent_cost::<_, SumDistances>(&ps, ctx.network(), 1.0, 0).to_bits()
         );
     }
 
@@ -474,8 +465,8 @@ mod tests {
         ctx.apply_move(0, [2].into_iter().collect());
         assert!(ctx.row_valid.iter().all(|&v| !v));
         assert_eq!(
-            ctx.social_cost().to_bits(),
-            cost::social_cost(&ps, ctx.network(), 1.0).to_bits()
+            ctx.social_cost::<SumDistances>().to_bits(),
+            cost::social_cost::<_, SumDistances>(&ps, ctx.network(), 1.0).to_bits()
         );
     }
 
@@ -485,7 +476,7 @@ mod tests {
         let net = OwnedNetwork::forward_path(3);
         let mut ctx = EvalContext::new(&ps, &net, 1.0);
         ctx.apply_move(1, BTreeSet::new()); // 2 now isolated
-        assert!(ctx.agent_cost(2).is_infinite());
-        assert!(ctx.social_cost().is_infinite());
+        assert!(ctx.agent_cost::<SumDistances>(2).is_infinite());
+        assert!(ctx.social_cost::<SumDistances>().is_infinite());
     }
 }

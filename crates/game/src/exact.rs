@@ -12,10 +12,8 @@
 //! best-response engine ([`crate::prune`]) — bit-identical under either
 //! setting of the toggle.
 
-use crate::outcome::{self, DegradeReason, Outcome, SolveOptions};
-use crate::{
-    best_response, certify, cost, CostModel, EdgeWeights, OwnedNetwork, SolverConfig, SumDistances,
-};
+use crate::outcome::{self, DegradeReason, Outcome};
+use crate::{best_response, certify, cost, CostModel, EdgeWeights, OwnedNetwork, SolverConfig};
 use gncg_graph::Graph;
 use gncg_parallel::Budget;
 
@@ -51,18 +49,6 @@ pub fn exact_social_optimum<W: EdgeWeights + ?Sized>(
     })
 }
 
-/// [`exact_social_optimum`] with the legacy [`SolveOptions`] surface.
-#[deprecated(note = "build a `SolverConfig` and call `exact_social_optimum` instead")]
-pub fn exact_social_optimum_with_options<W: EdgeWeights + ?Sized>(
-    w: &W,
-    alpha: f64,
-    opts: &SolveOptions,
-) -> Outcome<ExactOptimum> {
-    crate::dispatch_model!(opts.model, M, {
-        exact_social_optimum_generic::<W, M>(w, alpha, &opts.budget)
-    })
-}
-
 /// Monomorphic body of [`exact_social_optimum`] for model `M`.
 fn exact_social_optimum_generic<W: EdgeWeights + ?Sized, M: CostModel>(
     w: &W,
@@ -72,17 +58,17 @@ fn exact_social_optimum_generic<W: EdgeWeights + ?Sized, M: CostModel>(
     let n = w.len();
     if n > MAX_EXACT_OPT_AGENTS {
         return Outcome::Degraded {
-            certified_bound: certify::optimum_lower_bound_model::<W, M>(w, alpha),
+            certified_bound: certify::optimum_lower_bound::<W, M>(w, alpha),
             reason: DegradeReason::InstanceTooLarge {
                 n,
                 cap: MAX_EXACT_OPT_AGENTS,
             },
         };
     }
-    match outcome::attempt(budget, || exact_social_optimum_raw_model::<W, M>(w, alpha)) {
+    match outcome::attempt(budget, || exact_social_optimum_raw::<W, M>(w, alpha)) {
         Ok(opt) => Outcome::Exact(opt),
         Err(reason) => Outcome::Degraded {
-            certified_bound: certify::optimum_lower_bound_model::<W, M>(w, alpha),
+            certified_bound: certify::optimum_lower_bound::<W, M>(w, alpha),
             reason,
         },
     }
@@ -92,7 +78,7 @@ fn exact_social_optimum_generic<W: EdgeWeights + ?Sized, M: CostModel>(
 /// `M`; panics when `n > MAX_EXACT_OPT_AGENTS`. Internal callers run it
 /// under [`outcome::attempt`] themselves to avoid recomputing
 /// fallbacks.
-pub(crate) fn exact_social_optimum_raw_model<W: EdgeWeights + ?Sized, M: CostModel>(
+pub(crate) fn exact_social_optimum_raw<W: EdgeWeights + ?Sized, M: CostModel>(
     w: &W,
     alpha: f64,
 ) -> ExactOptimum {
@@ -117,7 +103,7 @@ pub(crate) fn exact_social_optimum_raw_model<W: EdgeWeights + ?Sized, M: CostMod
                 g.add_edge(u, v, w.weight(u, v));
             }
         }
-        cost::social_cost_of_graph_model::<M>(&g, alpha)
+        cost::social_cost_of_graph::<M>(&g, alpha)
     };
 
     let (best_mask, best_cost) = gncg_parallel::parallel_reduce(
@@ -170,19 +156,6 @@ pub fn exact_beta<W: EdgeWeights + ?Sized>(
     })
 }
 
-/// [`exact_beta`] with the legacy [`SolveOptions`] surface.
-#[deprecated(note = "build a `SolverConfig` and call `exact_beta` instead")]
-pub fn exact_beta_with_options<W: EdgeWeights + ?Sized>(
-    w: &W,
-    net: &OwnedNetwork,
-    alpha: f64,
-    opts: &SolveOptions,
-) -> Outcome<f64> {
-    crate::dispatch_model!(opts.model, M, {
-        exact_beta_generic::<W, M>(w, net, alpha, &opts.budget)
-    })
-}
-
 /// Monomorphic body of [`exact_beta`] for model `M`.
 fn exact_beta_generic<W: EdgeWeights + ?Sized, M: CostModel>(
     w: &W,
@@ -193,17 +166,17 @@ fn exact_beta_generic<W: EdgeWeights + ?Sized, M: CostModel>(
     let n = net.len();
     if n > best_response::MAX_EXACT_AGENTS {
         return Outcome::Degraded {
-            certified_bound: certify::beta_upper_model::<W, M>(w, net, alpha),
+            certified_bound: certify::beta_upper::<W, M>(w, net, alpha),
             reason: DegradeReason::InstanceTooLarge {
                 n,
                 cap: best_response::MAX_EXACT_AGENTS,
             },
         };
     }
-    match outcome::attempt(budget, || exact_beta_raw_model::<W, M>(w, net, alpha)) {
+    match outcome::attempt(budget, || exact_beta_raw::<W, M>(w, net, alpha)) {
         Ok(beta) => Outcome::Exact(beta),
         Err(reason) => Outcome::Degraded {
-            certified_bound: certify::beta_upper_model::<W, M>(w, net, alpha),
+            certified_bound: certify::beta_upper::<W, M>(w, net, alpha),
             reason,
         },
     }
@@ -211,32 +184,27 @@ fn exact_beta_generic<W: EdgeWeights + ?Sized, M: CostModel>(
 
 /// Unbudgeted enumeration body of [`exact_beta`] under model `M`;
 /// panics past the per-agent enumeration cap.
-pub(crate) fn exact_beta_raw_model<W: EdgeWeights + ?Sized, M: CostModel>(
+pub(crate) fn exact_beta_raw<W: EdgeWeights + ?Sized, M: CostModel>(
     w: &W,
     net: &OwnedNetwork,
     alpha: f64,
 ) -> f64 {
     let factors = gncg_parallel::parallel_map(net.len(), |u| {
-        best_response::exact_improvement_factor_model::<W, M>(w, net, alpha, u)
+        best_response::exact_improvement_factor::<W, M>(w, net, alpha, u)
     });
     factors.into_iter().fold(1.0, f64::max)
 }
 
-/// Is the profile an exact (pure) Nash equilibrium? True iff no agent can
-/// improve beyond floating-point noise.
-pub fn is_nash<W: EdgeWeights + ?Sized>(w: &W, net: &OwnedNetwork, alpha: f64) -> bool {
-    is_nash_model::<W, SumDistances>(w, net, alpha)
-}
-
-/// [`is_nash`] under model `M`.
-pub fn is_nash_model<W: EdgeWeights + ?Sized, M: CostModel>(
+/// Is the profile an exact (pure) Nash equilibrium under model `M`?
+/// True iff no agent can improve beyond floating-point noise.
+pub fn is_nash<W: EdgeWeights + ?Sized, M: CostModel>(
     w: &W,
     net: &OwnedNetwork,
     alpha: f64,
 ) -> bool {
     (0..net.len()).all(|u| {
-        let now = cost::agent_cost_model::<W, M>(w, net, alpha, u);
-        let br = best_response::exact_best_response_raw_model::<W, M>(w, net, alpha, u);
+        let now = cost::agent_cost::<W, M>(w, net, alpha, u);
+        let br = best_response::exact_best_response_raw::<W, M>(w, net, alpha, u);
         !gncg_geometry::definitely_less(br.cost, now)
     })
 }
@@ -244,6 +212,7 @@ pub fn is_nash_model<W: EdgeWeights + ?Sized, M: CostModel>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SumDistances;
     use gncg_geometry::generators;
 
     fn optimum(ps: &impl EdgeWeights, alpha: f64) -> ExactOptimum {
@@ -285,11 +254,12 @@ mod tests {
             let mst = gncg_graph::mst::euclidean_mst(&ps);
             let complete = Graph::complete(6, |i, j| ps.dist(i, j));
             assert!(
-                opt.social_cost <= cost::social_cost_of_graph(&mst, alpha) + 1e-9,
+                opt.social_cost <= cost::social_cost_of_graph::<SumDistances>(&mst, alpha) + 1e-9,
                 "alpha {alpha}"
             );
             assert!(
-                opt.social_cost <= cost::social_cost_of_graph(&complete, alpha) + 1e-9,
+                opt.social_cost
+                    <= cost::social_cost_of_graph::<SumDistances>(&complete, alpha) + 1e-9,
                 "alpha {alpha}"
             );
         }
@@ -300,7 +270,7 @@ mod tests {
         let ps = generators::line(2, 1.0);
         let mut net = OwnedNetwork::empty(2);
         net.buy(0, 1);
-        assert!(is_nash(&ps, &net, 1.0));
+        assert!(is_nash::<_, SumDistances>(&ps, &net, 1.0));
         let beta = exact_beta(&ps, &net, 1.0, &SolverConfig::default()).expect_exact("beta");
         assert!((beta - 1.0).abs() < 1e-9);
     }
@@ -310,8 +280,8 @@ mod tests {
         // middle agent of the line star can improve at small alpha
         let ps = generators::line(3, 2.0);
         let net = OwnedNetwork::center_star(3, 0);
-        assert!(!is_nash(&ps, &net, 0.1));
-        assert!(exact_beta_raw_model::<_, SumDistances>(&ps, &net, 0.1) > 1.0);
+        assert!(!is_nash::<_, SumDistances>(&ps, &net, 0.1));
+        assert!(exact_beta_raw::<_, SumDistances>(&ps, &net, 0.1) > 1.0);
     }
 
     #[test]
@@ -319,14 +289,14 @@ mod tests {
         let ps = generators::line(3, 2.0);
         let net = OwnedNetwork::empty(3);
         // everyone has infinite cost; buying an edge is an improvement
-        assert!(!is_nash(&ps, &net, 1.0));
+        assert!(!is_nash::<_, SumDistances>(&ps, &net, 1.0));
     }
 
     #[test]
     #[should_panic(expected = "limited to")]
     fn too_many_agents_for_raw_exact_opt() {
         let ps = generators::uniform_unit_square(12, 1);
-        exact_social_optimum_raw_model::<_, SumDistances>(&ps, 1.0);
+        exact_social_optimum_raw::<_, SumDistances>(&ps, 1.0);
     }
 
     #[test]
@@ -355,8 +325,7 @@ mod tests {
             exact_social_optimum(&ps, 1e-6, &SolverConfig::default()).expect_exact("sum optimum");
         assert!(
             opt.social_cost
-                <= cost::social_cost_of_graph_model::<crate::MaxDistance>(&sum_opt.graph, 1e-6)
-                    + 1e-12,
+                <= cost::social_cost_of_graph::<crate::MaxDistance>(&sum_opt.graph, 1e-6) + 1e-12,
             "max-model optimum must be at least as good as the sum optimum's graph"
         );
     }
@@ -367,7 +336,7 @@ mod tests {
         let ps = generators::line(2, 1.0);
         let mut net = OwnedNetwork::empty(2);
         net.buy(0, 1);
-        assert!(is_nash_model::<_, MaxDistance>(&ps, &net, 1.0));
+        assert!(is_nash::<_, MaxDistance>(&ps, &net, 1.0));
         let opts = SolverConfig::default().with_model(ModelKind::MaxDistance);
         let beta = exact_beta(&ps, &net, 1.0, &opts).expect_exact("beta");
         assert!((beta - 1.0).abs() < 1e-9);
@@ -375,7 +344,7 @@ mod tests {
         // middle agent of a wide line star still gains by a short edge
         let ps3 = generators::line(3, 2.0);
         let star = OwnedNetwork::center_star(3, 0);
-        assert!(!is_nash_model::<_, MaxDistance>(&ps3, &star, 0.1));
-        assert!(exact_beta_raw_model::<_, MaxDistance>(&ps3, &star, 0.1) > 1.0);
+        assert!(!is_nash::<_, MaxDistance>(&ps3, &star, 0.1));
+        assert!(exact_beta_raw::<_, MaxDistance>(&ps3, &star, 0.1) > 1.0);
     }
 }

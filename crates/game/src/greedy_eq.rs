@@ -15,12 +15,17 @@
 //! profile is swap stable. The certifier's `beta_witness` is exactly the
 //! greedy-instability factor computed here.
 
-use crate::{cost, moves, EdgeWeights, OwnedNetwork};
+use crate::best_response::ResponseEvaluator;
+use crate::{cost, moves, EdgeWeights, OwnedNetwork, PruneMode, SumDistances};
 use std::collections::BTreeSet;
 
 /// Is the profile stable against single add/drop/swap moves?
 pub fn is_greedy_stable<W: EdgeWeights + ?Sized>(w: &W, net: &OwnedNetwork, alpha: f64) -> bool {
-    (0..net.len()).all(|u| moves::best_single_move(w, net, alpha, u).is_none())
+    let mode = PruneMode::from_env();
+    (0..net.len()).all(|u| {
+        let eval = ResponseEvaluator::new(w, net, u);
+        moves::best_single_move::<SumDistances>(&eval, net, alpha, mode).is_none()
+    })
 }
 
 /// Is the profile stable against single swap moves only?
@@ -38,7 +43,7 @@ pub fn best_swap<W: EdgeWeights + ?Sized>(
 ) -> Option<moves::Move> {
     let n = net.len();
     let current = net.strategy(u).clone();
-    let now = cost::agent_cost(w, net, alpha, u);
+    let now = cost::agent_cost::<W, SumDistances>(w, net, alpha, u);
     let mut best: Option<moves::Move> = None;
     for &out in &current {
         for inn in 0..n {
@@ -48,7 +53,7 @@ pub fn best_swap<W: EdgeWeights + ?Sized>(
             let mut s: BTreeSet<usize> = current.clone();
             s.remove(&out);
             s.insert(inn);
-            let c = moves::cost_with_strategy(w, net, alpha, u, &s);
+            let c = moves::cost_with_strategy::<W, SumDistances>(w, net, alpha, u, &s);
             let improves = gncg_geometry::definitely_less(c, now);
             let beats = best.as_ref().map(|m| c < m.cost).unwrap_or(true);
             if improves && beats {
@@ -67,8 +72,9 @@ pub fn best_swap<W: EdgeWeights + ?Sized>(
 /// lower bound on the profile's true β.
 pub fn greedy_instability<W: EdgeWeights + ?Sized>(w: &W, net: &OwnedNetwork, alpha: f64) -> f64 {
     let factors = gncg_parallel::parallel_map(net.len(), |u| {
-        let now = cost::agent_cost(w, net, alpha, u);
-        match moves::best_single_move(w, net, alpha, u) {
+        let now = cost::agent_cost::<W, SumDistances>(w, net, alpha, u);
+        let eval = ResponseEvaluator::new(w, net, u);
+        match moves::best_single_move::<SumDistances>(&eval, net, alpha, PruneMode::from_env()) {
             Some(m) => crate::best_response::ratio(now, m.cost),
             None => 1.0,
         }
@@ -79,8 +85,7 @@ pub fn greedy_instability<W: EdgeWeights + ?Sized>(w: &W, net: &OwnedNetwork, al
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact;
-    use crate::SumDistances;
+    use crate::{dynamics, exact};
     use gncg_geometry::generators;
 
     #[test]
@@ -89,14 +94,16 @@ mod tests {
         for seed in 0..4u64 {
             let ps = generators::uniform_unit_square(5, seed);
             let start = OwnedNetwork::empty(5);
-            if let crate::dynamics::Outcome::Converged { state, .. } = crate::dynamics::run(
+            if let dynamics::Outcome::Converged { state, .. } = dynamics::run_spec(
                 &ps,
                 &start,
                 1.0,
-                crate::dynamics::ResponseRule::BestResponse,
+                dynamics::ResponseRule::BestResponse,
+                dynamics::AgentOrder::RoundRobin,
                 300,
+                &crate::SolverConfig::default(),
             ) {
-                assert!(exact::is_nash(&ps, &state, 1.0));
+                assert!(exact::is_nash::<_, SumDistances>(&ps, &state, 1.0));
                 assert!(is_greedy_stable(&ps, &state, 1.0), "seed {seed}");
                 assert!(is_swap_stable(&ps, &state, 1.0), "seed {seed}");
                 assert!((greedy_instability(&ps, &state, 1.0) - 1.0).abs() < 1e-9);
@@ -154,7 +161,7 @@ mod tests {
             }
             let alpha = 0.5 + rng.gen::<f64>();
             let g = greedy_instability(&ps, &net, alpha);
-            let b = exact::exact_beta_raw_model::<_, SumDistances>(&ps, &net, alpha);
+            let b = exact::exact_beta_raw::<_, SumDistances>(&ps, &net, alpha);
             assert!(g <= b + 1e-9, "seed {seed}: greedy {g} > beta {b}");
         }
     }

@@ -166,6 +166,7 @@ pub fn theorem_4_1_bound(alpha: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::cost;
+    use crate::SumDistances;
 
     #[test]
     fn lemma_4_2_identity_holds() {
@@ -185,7 +186,7 @@ mod tests {
     fn chain_ne_cost_matches_engine() {
         for &(n, alpha) in &[(4usize, 2.0), (6, 3.0), (8, 5.0)] {
             let (ps, ne, _) = chain(n, alpha);
-            let engine = cost::social_cost(&ps, &ne, alpha);
+            let engine = cost::social_cost::<_, SumDistances>(&ps, &ne, alpha);
             let formula = chain_ne_social_cost(n, alpha);
             assert!(
                 (engine - formula).abs() < 1e-6 * formula.max(1.0),
@@ -198,7 +199,7 @@ mod tests {
     fn chain_opt_cost_matches_engine() {
         for &(n, alpha) in &[(4usize, 2.0), (6, 3.0), (8, 5.0)] {
             let (ps, _, opt) = chain(n, alpha);
-            let engine = cost::social_cost(&ps, &opt, alpha);
+            let engine = cost::social_cost::<_, SumDistances>(&ps, &opt, alpha);
             let formula = chain_opt_social_cost(n, alpha);
             assert!(
                 (engine - formula).abs() < 1e-6 * formula.max(1.0),
@@ -220,13 +221,13 @@ mod tests {
     fn cross_costs_match_engine() {
         for &(d, alpha) in &[(3usize, 2.0), (4, 3.0), (5, 1.0)] {
             let (ps, ne, opt) = cross_polytope(d, alpha);
-            let e_ne = cost::social_cost(&ps, &ne, alpha);
+            let e_ne = cost::social_cost::<_, SumDistances>(&ps, &ne, alpha);
             let f_ne = cross_ne_social_cost(d, alpha);
             assert!(
                 (e_ne - f_ne).abs() < 1e-6 * f_ne,
                 "d={d} alpha={alpha}: NE engine {e_ne} formula {f_ne}"
             );
-            let e_opt = cost::social_cost(&ps, &opt, alpha);
+            let e_opt = cost::social_cost::<_, SumDistances>(&ps, &opt, alpha);
             let f_opt = cross_opt_social_cost(d, alpha);
             assert!(
                 (e_opt - f_opt).abs() < 1e-6 * f_opt,
@@ -280,8 +281,8 @@ mod tests {
         let alpha = 10.0;
         let (ps, opt) = triangle_optimum(s, 0.0);
         let (_, two) = triangle_two_edges(s, 0.0);
-        let c_opt = cost::social_cost(&ps, &opt, alpha);
-        let c_two = cost::social_cost(&ps, &two, alpha);
+        let c_opt = cost::social_cost::<_, SumDistances>(&ps, &opt, alpha);
+        let c_two = cost::social_cost::<_, SumDistances>(&ps, &two, alpha);
         assert!(c_opt < c_two, "{c_opt} vs {c_two}");
     }
 
@@ -291,8 +292,8 @@ mod tests {
         let alpha = 20.0;
         let (ps, opt) = triangle_optimum(s, 0.0);
         let (_, two) = triangle_two_edges(s, 0.0);
-        let c_opt = cost::social_cost(&ps, &opt, alpha);
-        let c_two = cost::social_cost(&ps, &two, alpha);
+        let c_opt = cost::social_cost::<_, SumDistances>(&ps, &opt, alpha);
+        let c_two = cost::social_cost::<_, SumDistances>(&ps, &two, alpha);
         assert!(c_two < c_opt, "{c_two} vs {c_opt}");
     }
 

@@ -61,7 +61,7 @@ pub use backend::EvalBackend;
 pub use eval::EvalContext;
 pub use model::{CostModel, EdgeFormation, GameSpec, MaxDistance, ModelKind, SumDistances};
 pub use network::OwnedNetwork;
-pub use outcome::{DegradeReason, Outcome, Regime, SolveOptions};
+pub use outcome::{DegradeReason, Outcome, Regime};
 pub use prune::PruneMode;
 pub use solver_config::{CachePolicy, SolverConfig};
 

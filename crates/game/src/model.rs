@@ -207,8 +207,8 @@ pub fn deviation_is_legal<W: EdgeWeights + ?Sized, M: CostModel>(
     let mut post = net.clone();
     post.set_strategy(u, new_strategy.clone());
     for v in new_edges {
-        let pre = cost::agent_cost_model::<W, M>(w, net, alpha, v);
-        let after = cost::agent_cost_model::<W, M>(w, &post, alpha, v);
+        let pre = cost::agent_cost::<W, M>(w, net, alpha, v);
+        let after = cost::agent_cost::<W, M>(w, &post, alpha, v);
         if gncg_geometry::definitely_less(pre, after) {
             return false;
         }
@@ -359,8 +359,8 @@ mod tests {
                             kind,
                             M,
                             (
-                                cost::agent_cost_model::<_, M>(&ps, &start, 1.0, v),
-                                cost::agent_cost_model::<_, M>(&ps, &post, 1.0, v)
+                                cost::agent_cost::<_, M>(&ps, &start, 1.0, v),
+                                cost::agent_cost::<_, M>(&ps, &post, 1.0, v)
                             )
                         );
                         assert_eq!(

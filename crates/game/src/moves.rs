@@ -16,9 +16,8 @@
 
 use crate::best_response::{ResponseEvaluator, ResponseScratch};
 use crate::prune::{MoveFilter, PruneMode};
-use crate::{cost, CostModel, EdgeWeights, OwnedNetwork, SumDistances};
+use crate::{cost, CostModel, EdgeWeights, OwnedNetwork};
 use gncg_geometry::PointSet;
-use gncg_graph::Graph;
 use gncg_parallel::arena;
 use gncg_spanner::GridIndex;
 use std::collections::BTreeSet;
@@ -32,19 +31,9 @@ pub struct Move {
     pub cost: f64,
 }
 
-/// Evaluate agent `u`'s cost if she switched to `strategy`.
-pub fn cost_with_strategy<W: EdgeWeights + ?Sized>(
-    w: &W,
-    net: &OwnedNetwork,
-    alpha: f64,
-    u: usize,
-    strategy: &BTreeSet<usize>,
-) -> f64 {
-    cost_with_strategy_model::<W, SumDistances>(w, net, alpha, u, strategy)
-}
-
-/// [`cost_with_strategy`] under model `M`.
-pub fn cost_with_strategy_model<W: EdgeWeights + ?Sized, M: CostModel>(
+/// Evaluate agent `u`'s cost under model `M` if she switched to
+/// `strategy` (a from-scratch rebuild of the deviated profile).
+pub fn cost_with_strategy<W: EdgeWeights + ?Sized, M: CostModel>(
     w: &W,
     net: &OwnedNetwork,
     alpha: f64,
@@ -53,7 +42,7 @@ pub fn cost_with_strategy_model<W: EdgeWeights + ?Sized, M: CostModel>(
 ) -> f64 {
     let mut trial = net.clone();
     trial.set_strategy(u, strategy.clone());
-    cost::agent_cost_model::<W, M>(w, &trial, alpha, u)
+    cost::agent_cost::<W, M>(w, &trial, alpha, u)
 }
 
 /// A single add/drop/swap relative to the current strategy, tracked
@@ -65,81 +54,19 @@ enum Step {
     Swap(usize, usize),
 }
 
-/// Best single add / drop / swap move for agent `u`, or `None` if none of
-/// them strictly improves (beyond floating-point noise).
+/// Best single add / drop / swap move under model `M` for the
+/// evaluator's agent, or `None` if none of them strictly improves
+/// (beyond floating-point noise).
 ///
-/// Candidate costs are evaluated through
-/// [`crate::best_response::ResponseEvaluator`] — one APSP of `G − u` up
-/// front, then O(deg·n) per candidate instead of a full graph rebuild.
-pub fn best_single_move<W: EdgeWeights + ?Sized>(
-    w: &W,
-    net: &OwnedNetwork,
-    alpha: f64,
-    u: usize,
-) -> Option<Move> {
-    best_single_move_model::<W, SumDistances>(w, net, alpha, u)
-}
-
-/// [`best_single_move`] under model `M`.
-pub fn best_single_move_model<W: EdgeWeights + ?Sized, M: CostModel>(
-    w: &W,
-    net: &OwnedNetwork,
-    alpha: f64,
-    u: usize,
-) -> Option<Move> {
-    let eval = ResponseEvaluator::new(w, net, u);
-    best_single_move_from_eval_mode_model::<M>(&eval, net, alpha, PruneMode::from_env())
-}
-
-/// [`best_single_move`] against a pre-built created network `g` (which
-/// must equal `net.graph(w)`), skipping the rest-graph re-assembly.
-pub fn best_single_move_in_graph<W: EdgeWeights + ?Sized>(
-    w: &W,
-    net: &OwnedNetwork,
-    g: &Graph,
-    alpha: f64,
-    u: usize,
-) -> Option<Move> {
-    best_single_move_in_graph_model::<W, SumDistances>(w, net, g, alpha, u)
-}
-
-/// [`best_single_move_in_graph`] under model `M`.
-pub fn best_single_move_in_graph_model<W: EdgeWeights + ?Sized, M: CostModel>(
-    w: &W,
-    net: &OwnedNetwork,
-    g: &Graph,
-    alpha: f64,
-    u: usize,
-) -> Option<Move> {
-    let eval = ResponseEvaluator::from_built_graph(w, net, g, u);
-    best_single_move_from_eval_mode_model::<M>(&eval, net, alpha, PruneMode::from_env())
-}
-
-/// [`best_single_move`] driven by a caller-built evaluator — e.g. one
-/// borrowing shared rest distances from an [`crate::EvalContext`] via
-/// [`ResponseEvaluator::with_shared_rest`] for leaf agents. Pruning mode
-/// comes from `GNCG_PRUNE` (see [`PruneMode::from_env`]).
-pub fn best_single_move_from_eval(
-    eval: &ResponseEvaluator<'_>,
-    net: &OwnedNetwork,
-    alpha: f64,
-) -> Option<Move> {
-    best_single_move_from_eval_mode(eval, net, alpha, PruneMode::from_env())
-}
-
-/// [`best_single_move_from_eval`] with an explicit [`PruneMode`], so the
-/// oracle harness can compare both engines in-process.
-pub fn best_single_move_from_eval_mode(
-    eval: &ResponseEvaluator<'_>,
-    net: &OwnedNetwork,
-    alpha: f64,
-    mode: PruneMode,
-) -> Option<Move> {
-    best_single_move_from_eval_mode_model::<SumDistances>(eval, net, alpha, mode)
-}
-
-/// [`best_single_move_from_eval_mode`] under model `M`.
-pub fn best_single_move_from_eval_mode_model<M: CostModel>(
+/// Candidate costs are evaluated through the caller-built
+/// [`ResponseEvaluator`] — one APSP of `G − u` up front
+/// ([`ResponseEvaluator::new`], or [`ResponseEvaluator::from_built_graph`]
+/// when the created network is already in hand, or
+/// [`ResponseEvaluator::with_shared_rest`] for leaf agents), then
+/// O(deg·n) per candidate instead of a full graph rebuild. `mode`
+/// selects the pruned batched engine or the plain generator
+/// (bit-identical results; see [`crate::prune`]).
+pub fn best_single_move<M: CostModel>(
     eval: &ResponseEvaluator<'_>,
     net: &OwnedNetwork,
     alpha: f64,
@@ -149,7 +76,7 @@ pub fn best_single_move_from_eval_mode_model<M: CostModel>(
     let mut scratch = arena::rent::<ResponseScratch>();
     let mut current = arena::rent::<Vec<usize>>();
     current.extend(net.strategy(u).iter().copied());
-    let current_cost = eval.cost_with_model::<M, _>(alpha, current.iter().copied(), &mut scratch);
+    let current_cost = eval.cost_with::<M, _>(alpha, current.iter().copied(), &mut scratch);
     let mut cand = arena::rent::<Vec<usize>>();
     best_single_step::<M>(
         eval,
@@ -211,14 +138,14 @@ fn best_single_step<M: CostModel>(
     // drops
     for &v in current {
         write_candidate(current, Step::Drop(v), cand);
-        let c = eval.cost_with_model::<M, _>(alpha, cand.iter().copied(), scratch);
+        let c = eval.cost_with::<M, _>(alpha, cand.iter().copied(), scratch);
         consider(&mut best, Step::Drop(v), c, current_cost);
     }
     // adds
     for v in 0..n {
         if v != u && current.binary_search(&v).is_err() {
             write_candidate(current, Step::Add(v), cand);
-            let c = eval.cost_with_model::<M, _>(alpha, cand.iter().copied(), scratch);
+            let c = eval.cost_with::<M, _>(alpha, cand.iter().copied(), scratch);
             consider(&mut best, Step::Add(v), c, current_cost);
         }
     }
@@ -227,7 +154,7 @@ fn best_single_step<M: CostModel>(
         for inn in 0..n {
             if inn != u && inn != out && current.binary_search(&inn).is_err() {
                 write_candidate(current, Step::Swap(out, inn), cand);
-                let c = eval.cost_with_model::<M, _>(alpha, cand.iter().copied(), scratch);
+                let c = eval.cost_with::<M, _>(alpha, cand.iter().copied(), scratch);
                 consider(&mut best, Step::Swap(out, inn), c, current_cost);
             }
         }
@@ -271,7 +198,7 @@ fn best_single_step_batched<M: CostModel>(
     // The margin filter takes the floor appropriate to `M` — the metric
     // sum for the paper's objective, the metric max for max-distance
     // (rule 3 holds per model; see `crate::prune`).
-    let filter = MoveFilter::new(eval.lb_dist_model::<M>(), current_cost);
+    let filter = MoveFilter::new(eval.lb_dist::<M>(), current_cost);
     // Full scan: every agent is an add / swap-in target.
     let mut targets = arena::rent::<Vec<usize>>();
     targets.extend(0..n);
@@ -561,8 +488,7 @@ fn prune_radius(filter: &MoveFilter, alpha: f64) -> Option<f64> {
     }
 }
 
-/// [`best_single_move_from_eval_mode_model`] with **grid-hash
-/// candidate generation**: add and swap-in targets are drawn from a
+/// [`best_single_move`] with **grid-hash candidate generation**: add and swap-in targets are drawn from a
 /// [`GridIndex`] ball query instead of scanning all `n` agents.
 ///
 /// `ps` must be the very point set serving as the evaluator's weight
@@ -580,7 +506,7 @@ fn prune_radius(filter: &MoveFilter, alpha: f64) -> Option<f64> {
 /// targets accounted under `candidates_skipped` instead. When no
 /// finite exclusion radius exists the call degrades to the plain
 /// batched engine (counted as a full generation).
-pub fn best_single_move_grid_model<M: CostModel>(
+pub fn best_single_move_grid<M: CostModel>(
     eval: &ResponseEvaluator<'_>,
     net: &OwnedNetwork,
     alpha: f64,
@@ -592,8 +518,8 @@ pub fn best_single_move_grid_model<M: CostModel>(
     let mut scratch = arena::rent::<ResponseScratch>();
     let mut current = arena::rent::<Vec<usize>>();
     current.extend(net.strategy(u).iter().copied());
-    let current_cost = eval.cost_with_model::<M, _>(alpha, current.iter().copied(), &mut scratch);
-    let filter = MoveFilter::new(eval.lb_dist_model::<M>(), current_cost);
+    let current_cost = eval.cost_with::<M, _>(alpha, current.iter().copied(), &mut scratch);
+    let filter = MoveFilter::new(eval.lb_dist::<M>(), current_cost);
     let mut targets = arena::rent::<Vec<usize>>();
     match prune_radius(&filter, alpha) {
         None => {
@@ -656,98 +582,25 @@ fn materialize(current: &[usize], step: Step) -> BTreeSet<usize> {
     buf.into_iter().collect()
 }
 
-/// Iterated local search: apply [`best_single_move`] until no single move
-/// improves, up to `max_rounds` rounds. Returns the final strategy and
-/// its cost — an upper bound on the agent's best-response cost.
+/// Iterated local search under model `M`: apply [`best_single_move`]
+/// until no single move improves, up to `max_rounds` rounds. Returns the
+/// final strategy and its cost — an upper bound on the agent's
+/// best-response cost.
 ///
-/// Other agents' strategies never change during the search, so the
-/// `ResponseEvaluator` (APSP of `G − u`) is computed exactly once.
-pub fn local_search_response<W: EdgeWeights + ?Sized>(
-    w: &W,
-    net: &OwnedNetwork,
-    alpha: f64,
-    u: usize,
-    max_rounds: usize,
-) -> Move {
-    local_search_response_model::<W, SumDistances>(w, net, alpha, u, max_rounds)
-}
-
-/// [`local_search_response`] under model `M`.
-pub fn local_search_response_model<W: EdgeWeights + ?Sized, M: CostModel>(
-    w: &W,
-    net: &OwnedNetwork,
-    alpha: f64,
-    u: usize,
-    max_rounds: usize,
-) -> Move {
-    let eval = ResponseEvaluator::new(w, net, u);
-    local_search_from_eval::<M>(&eval, net, alpha, u, max_rounds, PruneMode::from_env())
-}
-
-/// [`local_search_response`] against a pre-built created network.
-pub fn local_search_response_in_graph<W: EdgeWeights + ?Sized>(
-    w: &W,
-    net: &OwnedNetwork,
-    g: &Graph,
-    alpha: f64,
-    u: usize,
-    max_rounds: usize,
-) -> Move {
-    local_search_response_in_graph_model::<W, SumDistances>(w, net, g, alpha, u, max_rounds)
-}
-
-/// [`local_search_response_in_graph`] under model `M`.
-pub fn local_search_response_in_graph_model<W: EdgeWeights + ?Sized, M: CostModel>(
-    w: &W,
-    net: &OwnedNetwork,
-    g: &Graph,
-    alpha: f64,
-    u: usize,
-    max_rounds: usize,
-) -> Move {
-    let eval = ResponseEvaluator::from_built_graph(w, net, g, u);
-    local_search_from_eval::<M>(&eval, net, alpha, u, max_rounds, PruneMode::from_env())
-}
-
-/// [`local_search_response`] with an explicit [`PruneMode`], so the
-/// oracle harness can compare both engines in-process.
-pub fn local_search_response_mode<W: EdgeWeights + ?Sized>(
-    w: &W,
-    net: &OwnedNetwork,
-    alpha: f64,
-    u: usize,
-    max_rounds: usize,
-    mode: PruneMode,
-) -> Move {
-    local_search_response_mode_model::<W, SumDistances>(w, net, alpha, u, max_rounds, mode)
-}
-
-/// [`local_search_response_mode`] under model `M`.
-pub fn local_search_response_mode_model<W: EdgeWeights + ?Sized, M: CostModel>(
-    w: &W,
-    net: &OwnedNetwork,
-    alpha: f64,
-    u: usize,
-    max_rounds: usize,
-    mode: PruneMode,
-) -> Move {
-    let eval = ResponseEvaluator::new(w, net, u);
-    local_search_from_eval::<M>(&eval, net, alpha, u, max_rounds, mode)
-}
-
-fn local_search_from_eval<M: CostModel>(
+/// Other agents' strategies never change during the search, so the one
+/// caller-built [`ResponseEvaluator`] (APSP of `G − u`) serves every
+/// round.
+pub fn local_search_response<M: CostModel>(
     eval: &ResponseEvaluator<'_>,
     net: &OwnedNetwork,
     alpha: f64,
-    u: usize,
     max_rounds: usize,
     mode: PruneMode,
 ) -> Move {
     let mut scratch = arena::rent::<ResponseScratch>();
     let mut current = arena::rent::<Vec<usize>>();
-    current.extend(net.strategy(u).iter().copied());
-    let mut current_cost =
-        eval.cost_with_model::<M, _>(alpha, current.iter().copied(), &mut scratch);
+    current.extend(net.strategy(eval.agent).iter().copied());
+    let mut current_cost = eval.cost_with::<M, _>(alpha, current.iter().copied(), &mut scratch);
     let mut cand = arena::rent::<Vec<usize>>();
     let mut next = arena::rent::<Vec<usize>>();
     for _ in 0..max_rounds {
@@ -775,55 +628,19 @@ fn local_search_from_eval<M: CostModel>(
     }
 }
 
-/// Witness improvement factor of agent `u` from local search:
-/// `cost(u, G) / cost(u, found)` — a certified *lower bound* on the true
-/// improvement factor (so a lower bound on the β for which G is a β-NE).
-pub fn witness_improvement_factor<W: EdgeWeights + ?Sized>(
-    w: &W,
+/// Witness improvement factor of the evaluator's agent under model `M`
+/// from a `2n`-round [`local_search_response`]: `now / cost(found)`,
+/// where `now` must be the agent's current `M`-cost — a certified
+/// *lower bound* on the true improvement factor (so a lower bound on
+/// the β for which G is a β-NE).
+pub fn witness_improvement_factor<M: CostModel>(
+    eval: &ResponseEvaluator<'_>,
     net: &OwnedNetwork,
     alpha: f64,
-    u: usize,
-) -> f64 {
-    witness_improvement_factor_model::<W, SumDistances>(w, net, alpha, u)
-}
-
-/// [`witness_improvement_factor`] under model `M`.
-pub fn witness_improvement_factor_model<W: EdgeWeights + ?Sized, M: CostModel>(
-    w: &W,
-    net: &OwnedNetwork,
-    alpha: f64,
-    u: usize,
-) -> f64 {
-    let now = cost::agent_cost_model::<W, M>(w, net, alpha, u);
-    let found = local_search_response_model::<W, M>(w, net, alpha, u, 2 * net.len());
-    crate::best_response::ratio(now, found.cost)
-}
-
-/// [`witness_improvement_factor`] with the agent's current cost and the
-/// created network already in hand (the certifier computes both once for
-/// all agents).
-pub fn witness_improvement_factor_with_now<W: EdgeWeights + ?Sized>(
-    w: &W,
-    net: &OwnedNetwork,
-    g: &Graph,
-    alpha: f64,
-    u: usize,
     now: f64,
+    mode: PruneMode,
 ) -> f64 {
-    witness_improvement_factor_with_now_model::<W, SumDistances>(w, net, g, alpha, u, now)
-}
-
-/// [`witness_improvement_factor_with_now`] under model `M` (`now` must
-/// be the agent's current `M`-cost).
-pub fn witness_improvement_factor_with_now_model<W: EdgeWeights + ?Sized, M: CostModel>(
-    w: &W,
-    net: &OwnedNetwork,
-    g: &Graph,
-    alpha: f64,
-    u: usize,
-    now: f64,
-) -> f64 {
-    let found = local_search_response_in_graph_model::<W, M>(w, net, g, alpha, u, 2 * net.len());
+    let found = local_search_response::<M>(eval, net, alpha, 2 * net.len(), mode);
     crate::best_response::ratio(now, found.cost)
 }
 
@@ -831,14 +648,21 @@ pub fn witness_improvement_factor_with_now_model<W: EdgeWeights + ?Sized, M: Cos
 mod tests {
     use super::*;
     use crate::best_response::exact_best_response_raw;
+    use crate::SumDistances;
     use gncg_geometry::generators;
+
+    /// Sum-model best single move off a fresh evaluator.
+    fn fresh_move(ps: &PointSet, net: &OwnedNetwork, alpha: f64, u: usize) -> Option<Move> {
+        let eval = ResponseEvaluator::new(ps, net, u);
+        best_single_move::<SumDistances>(&eval, net, alpha, PruneMode::from_env())
+    }
 
     #[test]
     fn finds_the_obvious_add() {
         // middle agent of a line star profits from buying the short edge
         let ps = generators::line(3, 2.0);
         let net = OwnedNetwork::center_star(3, 0);
-        let m = best_single_move(&ps, &net, 0.5, 1).expect("improving move exists");
+        let m = fresh_move(&ps, &net, 0.5, 1).expect("improving move exists");
         assert!(m.strategy.contains(&2));
         assert!((m.cost - 2.5).abs() < 1e-9);
     }
@@ -848,7 +672,7 @@ mod tests {
         let ps = generators::line(2, 1.0);
         let mut net = OwnedNetwork::empty(2);
         net.buy(0, 1);
-        assert!(best_single_move(&ps, &net, 1.0, 1).is_none());
+        assert!(fresh_move(&ps, &net, 1.0, 1).is_none());
     }
 
     #[test]
@@ -859,7 +683,7 @@ mod tests {
         net.buy(0, 1);
         net.buy(1, 2);
         net.buy(0, 2); // redundant at high alpha
-        let m = best_single_move(&ps, &net, 100.0, 0).expect("drop should improve");
+        let m = fresh_move(&ps, &net, 100.0, 0).expect("drop should improve");
         assert!(!m.strategy.contains(&2));
         assert!(m.strategy.contains(&1));
     }
@@ -887,7 +711,7 @@ mod tests {
     }
 
     #[test]
-    fn in_graph_variant_matches_plain() {
+    fn built_graph_evaluator_matches_fresh() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(13);
         for trial in 0..4 {
@@ -899,15 +723,18 @@ mod tests {
             }
             let g = net.graph(&ps);
             let alpha = 0.5 + rng.gen::<f64>() * 2.0;
+            let mode = PruneMode::from_env();
             for u in 0..n {
+                let fresh = ResponseEvaluator::new(&ps, &net, u);
+                let built = ResponseEvaluator::from_built_graph(&ps, &net, &g, u);
                 assert_eq!(
-                    best_single_move(&ps, &net, alpha, u),
-                    best_single_move_in_graph(&ps, &net, &g, alpha, u),
+                    best_single_move::<SumDistances>(&fresh, &net, alpha, mode),
+                    best_single_move::<SumDistances>(&built, &net, alpha, mode),
                     "trial {trial} agent {u}"
                 );
                 assert_eq!(
-                    local_search_response(&ps, &net, alpha, u, 12),
-                    local_search_response_in_graph(&ps, &net, &g, alpha, u, 12),
+                    local_search_response::<SumDistances>(&fresh, &net, alpha, 12, mode),
+                    local_search_response::<SumDistances>(&built, &net, alpha, 12, mode),
                 );
             }
         }
@@ -927,15 +754,22 @@ mod tests {
             }
             let alpha = 0.5 + rng.gen::<f64>() * 2.0;
             for u in 0..n {
-                let ls = local_search_response(&ps, &net, alpha, u, 20);
-                let ex = exact_best_response_raw(&ps, &net, alpha, u);
+                let eval = ResponseEvaluator::new(&ps, &net, u);
+                let ls = local_search_response::<SumDistances>(
+                    &eval,
+                    &net,
+                    alpha,
+                    20,
+                    PruneMode::from_env(),
+                );
+                let ex = exact_best_response_raw::<_, SumDistances>(&ps, &net, alpha, u);
                 assert!(
                     ls.cost >= ex.cost - 1e-9,
                     "local search beat exact?! {} < {}",
                     ls.cost,
                     ex.cost
                 );
-                let now = cost::agent_cost(&ps, &net, alpha, u);
+                let now = cost::agent_cost::<_, SumDistances>(&ps, &net, alpha, u);
                 assert!(ls.cost <= now + 1e-9, "local search made things worse");
             }
         }
@@ -956,18 +790,8 @@ mod tests {
             let alpha = 0.5 + rng.gen::<f64>() * 2.0;
             for u in 0..n {
                 let eval = ResponseEvaluator::new(&ps, &net, u);
-                let off = best_single_move_from_eval_mode_model::<MaxDistance>(
-                    &eval,
-                    &net,
-                    alpha,
-                    PruneMode::Off,
-                );
-                let on = best_single_move_from_eval_mode_model::<MaxDistance>(
-                    &eval,
-                    &net,
-                    alpha,
-                    PruneMode::On,
-                );
+                let off = best_single_move::<MaxDistance>(&eval, &net, alpha, PruneMode::Off);
+                let on = best_single_move::<MaxDistance>(&eval, &net, alpha, PruneMode::On);
                 match (&off, &on) {
                     (Some(a), Some(b)) => {
                         assert_eq!(a.strategy, b.strategy, "trial {trial} agent {u}");
@@ -989,7 +813,15 @@ mod tests {
         let ps = generators::uniform_unit_square(10, 77);
         let net = OwnedNetwork::complete(10);
         for u in 0..10 {
-            let f = witness_improvement_factor(&ps, &net, 1.0, u);
+            let eval = ResponseEvaluator::new(&ps, &net, u);
+            let now = cost::agent_cost::<_, SumDistances>(&ps, &net, 1.0, u);
+            let f = witness_improvement_factor::<SumDistances>(
+                &eval,
+                &net,
+                1.0,
+                now,
+                PruneMode::from_env(),
+            );
             assert!(f >= 1.0 - 1e-9);
         }
     }
@@ -1002,7 +834,15 @@ mod tests {
         // is exactly 1 (no improving move) in this extreme case.
         let ps = generators::line(4, 3.0);
         let net = OwnedNetwork::center_star(4, 0);
-        let f = witness_improvement_factor(&ps, &net, 1000.0, 0);
+        let eval = ResponseEvaluator::new(&ps, &net, 0);
+        let now = cost::agent_cost::<_, SumDistances>(&ps, &net, 1000.0, 0);
+        let f = witness_improvement_factor::<SumDistances>(
+            &eval,
+            &net,
+            1000.0,
+            now,
+            PruneMode::from_env(),
+        );
         assert!(f >= 1.0 - 1e-9);
     }
 }

@@ -5,8 +5,8 @@
 //! The exact solvers ([`crate::exact::exact_social_optimum`],
 //! [`crate::exact::exact_beta`],
 //! [`crate::best_response::exact_best_response`]) run the exponential
-//! enumeration under the [`Budget`] in their [`SolveOptions`] (unlimited
-//! by default) and return an [`Outcome`]:
+//! enumeration under the [`Budget`] of their [`crate::SolverConfig`]
+//! (`GNCG_BUDGET_MS`, unlimited when unset) and return an [`Outcome`]:
 //!
 //! * [`Outcome::Exact`] — the enumeration finished inside the budget;
 //!   the value is the true optimum/best response.
@@ -24,7 +24,6 @@
 //! [`crate::certify::CertifyReport`], so downstream tables can label
 //! every number with its provenance.
 
-use crate::ModelKind;
 use gncg_parallel::{with_budget, Budget};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -74,63 +73,6 @@ pub enum Outcome<T> {
         /// Why the exact path was abandoned.
         reason: DegradeReason,
     },
-}
-
-/// Options shared by the merged exact-solver entry points
-/// ([`crate::exact::exact_social_optimum`], [`crate::exact::exact_beta`],
-/// [`crate::best_response::exact_best_response`]): the [`Budget`] the
-/// exponential enumeration runs under (unlimited by default — the
-/// historical un-budgeted behaviour) and the [`ModelKind`] defining the
-/// per-agent objective (the paper's sum of distances by default;
-/// deliberately *not* environment-derived, so numeric expectations in
-/// tests and repro binaries survive a `GNCG_MODEL` override — binaries
-/// that want the env model read it off `GncgConfig`).
-#[derive(Debug, Clone, Default)]
-pub struct SolveOptions {
-    /// Budget for the exponential part of the solve. Unlimited by
-    /// default; an exhausted budget degrades the [`Outcome`] to the
-    /// certified fallback bound instead of returning partial garbage.
-    pub budget: Budget,
-    /// The per-agent cost model the solve runs under.
-    pub model: ModelKind,
-}
-
-impl SolveOptions {
-    /// Explicitly-unlimited options (same as `Default`).
-    pub fn unlimited() -> Self {
-        Self::default()
-    }
-
-    /// Options running the solve under (a clone of) `budget`.
-    pub fn budgeted(budget: &Budget) -> Self {
-        Self {
-            budget: budget.clone(),
-            ..Self::default()
-        }
-    }
-
-    /// Options under the process-wide `GNCG_BUDGET_MS` budget
-    /// (unlimited when the variable is unset).
-    pub fn from_env() -> Self {
-        Self {
-            budget: Budget::from_env(),
-            ..Self::default()
-        }
-    }
-
-    /// These options with the budget replaced by (a clone of) `budget` —
-    /// the seam the job service uses to impose per-job budgets without
-    /// discarding the caller's model choice.
-    pub fn with_budget(mut self, budget: &Budget) -> Self {
-        self.budget = budget.clone();
-        self
-    }
-
-    /// These options with the model replaced.
-    pub fn with_model(mut self, model: ModelKind) -> Self {
-        self.model = model;
-        self
-    }
 }
 
 impl<T> Outcome<T> {
@@ -260,21 +202,6 @@ mod tests {
             DegradeReason::BudgetExhausted.to_string(),
             "budget exhausted"
         );
-    }
-
-    #[test]
-    fn solve_options_builders() {
-        assert_eq!(SolveOptions::default().model, ModelKind::SumDistances);
-        let b = Budget::unlimited();
-        assert_eq!(
-            SolveOptions::budgeted(&b).model,
-            ModelKind::SumDistances,
-            "budgeted options keep the default model"
-        );
-        let o = SolveOptions::default()
-            .with_model(ModelKind::MaxDistance)
-            .with_budget(&b);
-        assert_eq!(o.model, ModelKind::MaxDistance);
     }
 
     #[test]

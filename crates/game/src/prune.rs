@@ -50,7 +50,7 @@
 //! final fold (true of non-negative running sums and running maxima
 //! alike), and rule 3 only a per-model metric floor: callers hand
 //! [`MoveFilter`] the floor matching their model
-//! ([`crate::best_response::ResponseEvaluator::lb_dist_model`] —
+//! ([`crate::best_response::ResponseEvaluator::lb_dist`] —
 //! `Σ_v lb(u,v)` for sum-of-distances, `max_v lb(u,v)` for
 //! max-distance, both under-estimating the true aggregate
 //! coordinate-wise). See DESIGN.md §2g for the per-model derivation.

@@ -1,49 +1,28 @@
 //! The unified solver-options surface: [`SolverConfig`].
 //!
-//! The solver entry points historically grew one options struct each —
-//! [`SolveOptions`] (budget + model) for the exact solvers,
-//! [`CertifyOptions`] (exact flags + witness + budget + model) for the
-//! certifier, [`GameSpec`] (model + formation) for the dynamics,
-//! [`crate::approx::ApproxCertifyOptions`] for the bracketed certifier,
-//! plus free-standing [`EvalBackend`] and [`PruneMode`] parameters.
-//! Every axis made sense when it was added; together they forced each
-//! caller to know which subset of knobs each entry point reads, and the
-//! combinations drifted (the sweep engine threaded a budget through
-//! `CertifyOptions` but a model through `GameSpec`, the service layer
-//! re-wrapped budgets per submit, ...).
-//!
-//! [`SolverConfig`] is the one builder-style struct every entry point
-//! accepts: `exact_*`, [`crate::certify::certify`],
+//! [`SolverConfig`] is the one builder-style struct every solver entry
+//! point accepts: `exact_*`, [`crate::certify::certify`],
 //! [`crate::approx::certify_approx`], [`crate::dynamics::run_spec`],
 //! and the service layer's `Session::submit_*` family. Each entry point
 //! reads the axes it understands and ignores the rest, so one config
 //! value can drive a whole experiment (dynamics → certify → exact
-//! validation) without re-translation.
-//!
-//! The legacy structs remain as plumbing types (the monomorphic solver
-//! bodies still consume them) and the old entry-point signatures
-//! survive one release as `#[deprecated]` shims — see the migration
-//! note in the README.
+//! validation) without re-translation. The solver bodies read the
+//! config directly; the only derived views are [`GameSpec`] (the
+//! `model × formation` pair the serve tier puts on the wire) and
+//! [`crate::approx::ApproxCertifyOptions`] (the bracketed certifier's
+//! spanner knobs).
 //!
 //! # Defaults
 //!
-//! `SolverConfig::default()` reproduces the historical certifier
-//! defaults: the paper's game (sum-of-distances objective, unilateral
-//! edge formation), the exact evaluation backend, the process-wide
-//! `GNCG_PRUNE` prune mode, the `GNCG_BUDGET_MS` budget (unlimited when
-//! unset), witness search on, exact enumeration off, caching off.
-//! The one deliberate unification: the exact solvers historically
-//! defaulted to an *unlimited* budget while the certifier read
-//! `GNCG_BUDGET_MS`; under `SolverConfig` every entry point defaults to
-//! the env budget (identical behaviour whenever the variable is unset,
-//! which is the tested configuration). Call
-//! [`SolverConfig::unbudgeted`] to pin the old exact-solver default
-//! regardless of the environment.
+//! `SolverConfig::default()` is the paper's game (sum-of-distances
+//! objective, unilateral edge formation), the exact evaluation backend,
+//! the process-wide `GNCG_PRUNE` prune mode, the `GNCG_BUDGET_MS`
+//! budget (unlimited when unset), witness search on, exact enumeration
+//! off, caching off. Call [`SolverConfig::unbudgeted`] to pin an
+//! unlimited budget regardless of the environment.
 
 use crate::backend::EvalBackend;
-use crate::certify::CertifyOptions;
 use crate::model::{EdgeFormation, GameSpec};
-use crate::outcome::SolveOptions;
 use crate::prune::PruneMode;
 use crate::ModelKind;
 use gncg_parallel::Budget;
@@ -59,8 +38,7 @@ use gncg_parallel::Budget;
 /// + options (see `gncg_json::canon::content_key`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub enum CachePolicy {
-    /// Never consult or populate the cache (the historical behaviour of
-    /// every entry point except `submit_certify_cached`).
+    /// Never consult or populate the cache.
     #[default]
     Disabled,
     /// Serve from / write back to the attached result cache under this
@@ -139,8 +117,7 @@ impl SolverConfig {
         Self::default()
     }
 
-    /// Everything exact (only sensible on small instances) — the
-    /// [`CertifyOptions::exact`] preset.
+    /// Everything exact (only sensible on small instances).
     pub fn exact() -> Self {
         Self {
             exact_beta: true,
@@ -150,8 +127,7 @@ impl SolverConfig {
         }
     }
 
-    /// Bounds only, no witness (large instances) — the
-    /// [`CertifyOptions::bounds_only`] preset.
+    /// Bounds only, no witness (large instances).
     pub fn bounds_only() -> Self {
         Self {
             exact_beta: false,
@@ -193,8 +169,7 @@ impl SolverConfig {
         self
     }
 
-    /// Explicitly unlimited budget, overriding `GNCG_BUDGET_MS` — the
-    /// historical default of the exact solvers.
+    /// Explicitly unlimited budget, overriding `GNCG_BUDGET_MS`.
     pub fn unbudgeted(mut self) -> Self {
         self.budget = Budget::unlimited();
         self
@@ -231,31 +206,12 @@ impl SolverConfig {
         self
     }
 
-    /// The `model × formation` pair as a [`GameSpec`] (the dynamics
-    /// plumbing type).
+    /// The `model × formation` pair as a [`GameSpec`] (the serve wire
+    /// type).
     pub fn game_spec(&self) -> GameSpec {
         GameSpec {
             model: self.model,
             formation: self.formation,
-        }
-    }
-
-    /// The axes the exact solvers read, as their plumbing type.
-    pub fn solve_options(&self) -> SolveOptions {
-        SolveOptions {
-            budget: self.budget.clone(),
-            model: self.model,
-        }
-    }
-
-    /// The axes the exact certifier reads, as its plumbing type.
-    pub fn certify_options(&self) -> CertifyOptions {
-        CertifyOptions {
-            exact_beta: self.exact_beta,
-            exact_gamma: self.exact_gamma,
-            witness: self.witness,
-            budget: self.budget.clone(),
-            model: self.model,
         }
     }
 
@@ -284,42 +240,18 @@ impl From<GameSpec> for SolverConfig {
     }
 }
 
-impl From<SolveOptions> for SolverConfig {
-    fn from(opts: SolveOptions) -> Self {
-        Self {
-            model: opts.model,
-            budget: opts.budget,
-            ..Self::default()
-        }
-    }
-}
-
-impl From<CertifyOptions> for SolverConfig {
-    fn from(opts: CertifyOptions) -> Self {
-        Self {
-            model: opts.model,
-            budget: opts.budget,
-            exact_beta: opts.exact_beta,
-            exact_gamma: opts.exact_gamma,
-            witness: opts.witness,
-            ..Self::default()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn default_matches_historical_certify_options() {
+    fn default_is_the_papers_game_with_bounds_and_witness() {
         let cfg = SolverConfig::default();
-        let legacy = CertifyOptions::default();
-        let derived = cfg.certify_options();
-        assert_eq!(derived.exact_beta, legacy.exact_beta);
-        assert_eq!(derived.exact_gamma, legacy.exact_gamma);
-        assert_eq!(derived.witness, legacy.witness);
-        assert_eq!(derived.model, legacy.model);
+        assert_eq!(cfg.model, ModelKind::SumDistances);
+        assert_eq!(cfg.formation, EdgeFormation::Unilateral);
+        assert_eq!(cfg.backend, EvalBackend::Exact);
+        assert_eq!(cfg.prune, PruneMode::from_env());
+        assert!(!cfg.exact_beta && !cfg.exact_gamma && cfg.witness);
         assert_eq!(cfg.cache, CachePolicy::Disabled);
     }
 
@@ -356,15 +288,6 @@ mod tests {
         let spec = GameSpec::bilateral(ModelKind::MaxDistance);
         let cfg = SolverConfig::from(spec);
         assert_eq!(cfg.game_spec(), spec);
-    }
-
-    #[test]
-    fn legacy_conversions_preserve_axes() {
-        let from_solve =
-            SolverConfig::from(SolveOptions::default().with_model(ModelKind::MaxDistance));
-        assert_eq!(from_solve.model, ModelKind::MaxDistance);
-        let from_certify = SolverConfig::from(CertifyOptions::exact());
-        assert!(from_certify.exact_beta && from_certify.exact_gamma);
     }
 
     #[test]

@@ -68,14 +68,14 @@ fn max_distance_cost_is_monotone_under_edge_addition() {
             continue; // complete profile, nothing to add
         }
         for u in 0..n {
-            let before = cost::distance_cost_model::<_, MaxDistance>(&ps, &net, u);
-            let after = cost::distance_cost_model::<_, MaxDistance>(&ps, &extra, u);
+            let before = cost::distance_cost::<_, MaxDistance>(&ps, &net, u);
+            let after = cost::distance_cost::<_, MaxDistance>(&ps, &extra, u);
             assert!(
                 after <= before + 1e-12,
                 "case {case} agent {u}: max-distance grew {before} -> {after} after an edge add"
             );
-            let sum_before = cost::distance_cost_model::<_, SumDistances>(&ps, &net, u);
-            let sum_after = cost::distance_cost_model::<_, SumDistances>(&ps, &extra, u);
+            let sum_before = cost::distance_cost::<_, SumDistances>(&ps, &net, u);
+            let sum_after = cost::distance_cost::<_, SumDistances>(&ps, &extra, u);
             assert!(
                 sum_after <= sum_before + 1e-9,
                 "case {case} agent {u}: sum-distance grew after an edge add"
@@ -94,8 +94,8 @@ fn max_distance_dominates_every_coordinate_and_sum_dominates_max() {
         let ps = generators::uniform_unit_square(n, rng.gen());
         let net = random_connected(&mut rng, n);
         for u in 0..n {
-            let maxd = cost::distance_cost_model::<_, MaxDistance>(&ps, &net, u);
-            let sumd = cost::distance_cost_model::<_, SumDistances>(&ps, &net, u);
+            let maxd = cost::distance_cost::<_, MaxDistance>(&ps, &net, u);
+            let sumd = cost::distance_cost::<_, SumDistances>(&ps, &net, u);
             assert!(maxd <= sumd + 1e-12, "case {case}: max {maxd} > sum {sumd}");
         }
     }
@@ -118,14 +118,13 @@ fn cutoff_abort_is_sound_for_max_model() {
         for _ in 0..8 {
             let k = rng.gen_range(0..n);
             let strat: Vec<usize> = (0..n).filter(|&v| v != u).take(k.max(1)).collect();
-            let full =
-                eval.cost_with_model::<MaxDistance, _>(alpha, strat.iter().copied(), &mut scratch);
+            let full = eval.cost_with::<MaxDistance, _>(alpha, strat.iter().copied(), &mut scratch);
             let cutoff = match rng.gen_range(0..3) {
                 0 => full * 0.5,
                 1 => full, // at the cutoff: must NOT abort
                 _ => full * 2.0,
             };
-            let cut = eval.cost_with_cutoff_model::<MaxDistance, _>(
+            let cut = eval.cost_with_cutoff::<MaxDistance, _>(
                 alpha,
                 strat.iter().copied(),
                 cutoff,
@@ -226,8 +225,8 @@ fn bilateral_rejection_matches_endpoint_harm_exactly() {
             .copied()
             .filter(|&v| !net.has_edge(u, v))
             .all(|v| {
-                let pre = cost::agent_cost_model::<_, MaxDistance>(&ps, &net, alpha, v);
-                let after = cost::agent_cost_model::<_, MaxDistance>(&ps, &post, alpha, v);
+                let pre = cost::agent_cost::<_, MaxDistance>(&ps, &net, alpha, v);
+                let after = cost::agent_cost::<_, MaxDistance>(&ps, &post, alpha, v);
                 !gncg_geometry::definitely_less(pre, after)
             });
         assert_eq!(legal, oracle, "case {case}: legality diverges from oracle");

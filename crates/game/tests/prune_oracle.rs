@@ -9,10 +9,10 @@
 //! assert the returned costs match to the last bit (`f64::to_bits`) and
 //! the returned strategies/trajectories match exactly, across
 //!
-//! * the exact mask enumeration (`exact_best_response_with_eval_mode`),
-//! * the single-move generator (`best_single_move_from_eval_mode`),
-//! * iterated local search (`local_search_response_mode`),
-//! * whole dynamics trajectories (`run_ordered_mode`),
+//! * the exact mask enumeration (`ResponseEvaluator::best_response`),
+//! * the single-move generator (`moves::best_single_move`),
+//! * iterated local search (`moves::local_search_response`),
+//! * whole dynamics trajectories (`dynamics::run_spec`),
 //! * and all of the above under `gncg_parallel` fault injection.
 //!
 //! Every sweep runs once per cost model. `GNCG_MODEL` (via
@@ -26,15 +26,10 @@
 //! sequential fallback and on the worker-pool path.
 
 use gncg_config::ModelKind;
-use gncg_game::best_response::{
-    exact_best_response_with_eval_mode_model, BestResponse, ResponseEvaluator,
-};
-use gncg_game::dynamics::{run_ordered_mode_model, AgentOrder, ResponseRule};
-use gncg_game::moves::{
-    best_single_move_from_eval_mode_model, best_single_move_grid_model,
-    local_search_response_mode_model,
-};
-use gncg_game::{dispatch_model, CostModel, OwnedNetwork, PruneMode};
+use gncg_game::best_response::{BestResponse, ResponseEvaluator};
+use gncg_game::dynamics::{run_spec, AgentOrder, ResponseRule};
+use gncg_game::moves::{best_single_move, best_single_move_grid, local_search_response};
+use gncg_game::{dispatch_model, CostModel, OwnedNetwork, PruneMode, SolverConfig};
 use gncg_geometry::{generators, PointSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -114,8 +109,8 @@ fn exact_sweep_model<M: CostModel>(seed_base: u64, cases: u64) {
         let alpha = pick_alpha(&mut rng);
         let u = rng.gen_range(0..n);
         let eval = ResponseEvaluator::new(&ps, &net, u);
-        let on = exact_best_response_with_eval_mode_model::<M>(&eval, alpha, PruneMode::On);
-        let off = exact_best_response_with_eval_mode_model::<M>(&eval, alpha, PruneMode::Off);
+        let on = eval.best_response::<M>(alpha, PruneMode::On);
+        let off = eval.best_response::<M>(alpha, PruneMode::Off);
         assert_same_br(
             &on,
             &off,
@@ -142,8 +137,8 @@ fn single_move_sweep_model<M: CostModel>(seed_base: u64, cases: u64) {
         let alpha = pick_alpha(&mut rng);
         let u = rng.gen_range(0..n);
         let eval = ResponseEvaluator::new(&ps, &net, u);
-        let on = best_single_move_from_eval_mode_model::<M>(&eval, &net, alpha, PruneMode::On);
-        let off = best_single_move_from_eval_mode_model::<M>(&eval, &net, alpha, PruneMode::Off);
+        let on = best_single_move::<M>(&eval, &net, alpha, PruneMode::On);
+        let off = best_single_move::<M>(&eval, &net, alpha, PruneMode::Off);
         match (&on, &off) {
             (Some(a), Some(b)) => {
                 assert_eq!(
@@ -197,7 +192,7 @@ fn grid_candidates_sweep_model<M: CostModel>(seed_base: u64, cases: u64) {
         let alpha = pick_alpha(&mut rng);
         let u = rng.gen_range(0..n);
         let eval = ResponseEvaluator::new(&ps, &net, u);
-        let off = best_single_move_from_eval_mode_model::<M>(&eval, &net, alpha, PruneMode::Off);
+        let off = best_single_move::<M>(&eval, &net, alpha, PruneMode::Off);
         for (which, index) in [
             GridIndex::with_auto_cell(&ps),
             GridIndex::build(&ps, 0.01),
@@ -206,7 +201,7 @@ fn grid_candidates_sweep_model<M: CostModel>(seed_base: u64, cases: u64) {
         .into_iter()
         .enumerate()
         {
-            let grid = best_single_move_grid_model::<M>(&eval, &net, alpha, &ps, &index);
+            let grid = best_single_move_grid::<M>(&eval, &net, alpha, &ps, &index);
             match (&grid, &off) {
                 (Some(a), Some(b)) => {
                     assert_eq!(
@@ -259,9 +254,8 @@ fn grid_candidates_match_on_degenerate_geometries() {
                 let u = rng.gen_range(0..n);
                 let eval = ResponseEvaluator::new(&ps, &net, u);
                 let index = GridIndex::with_auto_cell(&ps);
-                let grid = best_single_move_grid_model::<M>(&eval, &net, alpha, &ps, &index);
-                let off =
-                    best_single_move_from_eval_mode_model::<M>(&eval, &net, alpha, PruneMode::Off);
+                let grid = best_single_move_grid::<M>(&eval, &net, alpha, &ps, &index);
+                let off = best_single_move::<M>(&eval, &net, alpha, PruneMode::Off);
                 assert_eq!(grid, off, "degenerate grid case {case} (model={kind:?})");
             }
         });
@@ -280,22 +274,9 @@ fn local_search_bit_identical() {
                 let net = random_network(&mut rng, n);
                 let alpha = pick_alpha(&mut rng);
                 let u = rng.gen_range(0..n);
-                let on = local_search_response_mode_model::<_, M>(
-                    &ps,
-                    &net,
-                    alpha,
-                    u,
-                    2 * n,
-                    PruneMode::On,
-                );
-                let off = local_search_response_mode_model::<_, M>(
-                    &ps,
-                    &net,
-                    alpha,
-                    u,
-                    2 * n,
-                    PruneMode::Off,
-                );
+                let eval = ResponseEvaluator::new(&ps, &net, u);
+                let on = local_search_response::<M>(&eval, &net, alpha, 2 * n, PruneMode::On);
+                let off = local_search_response::<M>(&eval, &net, alpha, 2 * n, PruneMode::Off);
                 assert_eq!(
                     on.cost.to_bits(),
                     off.cost.to_bits(),
@@ -328,24 +309,10 @@ fn dynamics_trajectories_identical() {
                         AgentOrder::RandomPermutation(case),
                     ),
                 ] {
-                    let on = run_ordered_mode_model::<_, M>(
-                        &ps,
-                        &net,
-                        alpha,
-                        rule,
-                        order,
-                        200,
-                        PruneMode::On,
-                    );
-                    let off = run_ordered_mode_model::<_, M>(
-                        &ps,
-                        &net,
-                        alpha,
-                        rule,
-                        order,
-                        200,
-                        PruneMode::Off,
-                    );
+                    let [on, off] = [PruneMode::On, PruneMode::Off].map(|mode| {
+                        let cfg = SolverConfig::default().with_model(kind).with_prune(mode);
+                        run_spec(&ps, &net, alpha, rule, order, 200, &cfg)
+                    });
                     assert_eq!(
                         on, off,
                         "dynamics case {case} (model={kind:?} n={n} α={alpha} {rule:?} {order:?})"
@@ -403,18 +370,15 @@ fn degenerate_geometries_bit_identical() {
                 let alpha = pick_alpha(&mut rng);
                 let u = rng.gen_range(0..n);
                 let eval = ResponseEvaluator::new(&ps, &net, u);
-                let on = exact_best_response_with_eval_mode_model::<M>(&eval, alpha, PruneMode::On);
-                let off =
-                    exact_best_response_with_eval_mode_model::<M>(&eval, alpha, PruneMode::Off);
+                let on = eval.best_response::<M>(alpha, PruneMode::On);
+                let off = eval.best_response::<M>(alpha, PruneMode::Off);
                 assert_same_br(
                     &on,
                     &off,
                     &format!("degenerate case {case} (model={kind:?})"),
                 );
-                let mon =
-                    best_single_move_from_eval_mode_model::<M>(&eval, &net, alpha, PruneMode::On);
-                let moff =
-                    best_single_move_from_eval_mode_model::<M>(&eval, &net, alpha, PruneMode::Off);
+                let mon = best_single_move::<M>(&eval, &net, alpha, PruneMode::On);
+                let moff = best_single_move::<M>(&eval, &net, alpha, PruneMode::Off);
                 assert_eq!(
                     mon, moff,
                     "degenerate single-move case {case} (model={kind:?})"

@@ -10,7 +10,7 @@
 //! Trace state is process-global, so every test serializes on one lock
 //! and measures via before/after snapshots.
 
-use gncg_game::{best_response, dynamics, OwnedNetwork};
+use gncg_game::{best_response, dynamics, OwnedNetwork, SumDistances};
 use gncg_geometry::generators;
 use gncg_graph::csr::{Csr, DijkstraScratch};
 use gncg_trace::Counter;
@@ -80,7 +80,15 @@ fn dynamics_counters_bit_identical_across_runs() {
     let start = OwnedNetwork::center_star(12, 0);
     let run = || {
         deltas_of(|| {
-            let out = dynamics::run(&ps, &start, 1.0, dynamics::ResponseRule::BestResponse, 200);
+            let out = dynamics::run_spec(
+                &ps,
+                &start,
+                1.0,
+                dynamics::ResponseRule::BestResponse,
+                dynamics::AgentOrder::RoundRobin,
+                200,
+                &gncg_game::SolverConfig::default(),
+            );
             std::hint::black_box(matches!(out, dynamics::Outcome::Converged { .. }));
         })
     };
@@ -147,11 +155,7 @@ fn exact_best_response_counts_every_mask() {
     // unpruned engine: exactly one cost evaluation per strategy mask,
     // and the pruning counters stay untouched
     let off = deltas_of(|| {
-        let br = best_response::exact_best_response_with_eval_mode(
-            &eval,
-            8.0,
-            gncg_game::PruneMode::Off,
-        );
+        let br = eval.best_response::<SumDistances>(8.0, gncg_game::PruneMode::Off);
         std::hint::black_box(br.cost);
     });
     assert_eq!(
@@ -165,8 +169,7 @@ fn exact_best_response_counts_every_mask() {
     // pruned engine: every mask is either pruned or evaluated, and the
     // evaluation count is the (m+2)-mask pre-pass plus the survivors
     let on = deltas_of(|| {
-        let br =
-            best_response::exact_best_response_with_eval_mode(&eval, 8.0, gncg_game::PruneMode::On);
+        let br = eval.best_response::<SumDistances>(8.0, gncg_game::PruneMode::On);
         std::hint::black_box(br.cost);
     });
     assert_eq!(

@@ -25,6 +25,7 @@
 //! `candidate_network` and the tests.
 
 use crate::HostNetwork;
+use gncg_game::SumDistances;
 use gncg_graph::{apsp, Graph};
 
 /// A HITTING SET instance.
@@ -216,7 +217,7 @@ impl Reduction {
     /// Social cost of a candidate network under the reduction's α.
     pub fn candidate_cost(&self, hs: &[usize]) -> f64 {
         let g = self.candidate_network(hs);
-        gncg_game::cost::social_cost_of_graph(&g, self.alpha)
+        gncg_game::cost::social_cost_of_graph::<SumDistances>(&g, self.alpha)
     }
 }
 

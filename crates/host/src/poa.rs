@@ -8,7 +8,7 @@
 //! the host metric.
 
 use crate::HostNetwork;
-use gncg_game::{cost, dispatch_model, dynamics, exact, GameSpec, OwnedNetwork, SolverConfig};
+use gncg_game::{cost, dispatch_model, dynamics, exact, OwnedNetwork, SolverConfig};
 
 /// Theorem 5.4's PoA upper bound.
 pub fn theorem_5_4_bound(alpha: f64) -> f64 {
@@ -33,21 +33,11 @@ pub struct PoaProbe {
 }
 
 /// Try to find a NE on the host by best-response dynamics from the
-/// shortest-path subnetwork, then compare with the optimum.
-pub fn probe_poa(h: &HostNetwork, alpha: f64, max_steps: usize) -> PoaProbe {
-    probe_poa_spec(h, alpha, max_steps, &SolverConfig::default())
-}
-
-/// [`probe_poa`] under an explicit [`SolverConfig`]: equilibria, social
-/// costs, and the optimum are all taken under `cfg`'s cost model
-/// (and edge-formation rule for the dynamics). The default config is
-/// the identical code path as [`probe_poa`].
-pub fn probe_poa_spec(
-    h: &HostNetwork,
-    alpha: f64,
-    max_steps: usize,
-    cfg: &SolverConfig,
-) -> PoaProbe {
+/// shortest-path subnetwork, then compare with the optimum. Equilibria,
+/// social costs, and the optimum are all taken under `cfg`'s cost model
+/// (and edge-formation rule for the dynamics); the paper's game is
+/// `SolverConfig::default()`.
+pub fn probe_poa(h: &HostNetwork, alpha: f64, max_steps: usize, cfg: &SolverConfig) -> PoaProbe {
     let w = h.as_weights();
     let start = crate::corollaries::shortest_path_subnetwork(h);
     let outcome = dynamics::run_spec(
@@ -65,7 +55,7 @@ pub fn probe_poa_spec(
     };
     let (ne_cost, ratio, opt_cost, opt_is_exact) = match &equilibrium {
         Some(ne) => dispatch_model!(cfg.model, M, {
-            let sc = cost::social_cost_model::<_, M>(&w, ne, alpha);
+            let sc = cost::social_cost::<_, M>(&w, ne, alpha);
             let (opt, exact_flag) = match exact::exact_social_optimum(&w, alpha, cfg) {
                 gncg_game::Outcome::Exact(o) => (o.social_cost, true),
                 gncg_game::Outcome::Degraded {
@@ -83,17 +73,6 @@ pub fn probe_poa_spec(
         opt_is_exact,
         ratio,
     }
-}
-
-/// Deprecated shim for the pre-[`SolverConfig`] signature.
-#[deprecated(note = "build a `SolverConfig` and call `probe_poa_spec` instead")]
-pub fn probe_poa_with_game_spec(
-    h: &HostNetwork,
-    alpha: f64,
-    max_steps: usize,
-    spec: GameSpec,
-) -> PoaProbe {
-    probe_poa_spec(h, alpha, max_steps, &SolverConfig::from(spec))
 }
 
 /// Is a profile an (α+1)-spanner of the host metric? (The structural
@@ -117,6 +96,7 @@ pub fn ne_is_alpha_plus_one_spanner(h: &HostNetwork, net: &OwnedNetwork, alpha: 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gncg_game::SumDistances;
 
     #[test]
     fn poa_bound_holds_on_random_metric_hosts() {
@@ -124,11 +104,11 @@ mod tests {
         for seed in 0..6u64 {
             let h = HostNetwork::random_metric(6, seed);
             for alpha in [0.5, 1.5, 4.0] {
-                let probe = probe_poa(&h, alpha, 400);
+                let probe = probe_poa(&h, alpha, 400, &SolverConfig::default());
                 if let Some(ne) = &probe.equilibrium {
                     converged += 1;
                     assert!(
-                        exact::is_nash(&h.as_weights(), ne, alpha),
+                        exact::is_nash::<_, SumDistances>(&h.as_weights(), ne, alpha),
                         "seed {seed} alpha {alpha}: claimed NE is not a NE"
                     );
                     assert!(
@@ -150,7 +130,7 @@ mod tests {
         for seed in 0..6u64 {
             let h = HostNetwork::random_nonmetric(6, 0.2, 4.0, seed);
             let alpha = 2.0;
-            let probe = probe_poa(&h, alpha, 400);
+            let probe = probe_poa(&h, alpha, 400, &SolverConfig::default());
             if probe.equilibrium.is_some() {
                 converged += 1;
                 assert!(
@@ -166,22 +146,9 @@ mod tests {
     #[test]
     fn ratio_at_least_one_when_exact() {
         let h = HostNetwork::random_metric(5, 9);
-        let probe = probe_poa(&h, 1.0, 300);
+        let probe = probe_poa(&h, 1.0, 300, &SolverConfig::default());
         if probe.opt_is_exact && probe.equilibrium.is_some() {
             assert!(probe.ratio >= 1.0 - 1e-9);
-        }
-    }
-
-    #[test]
-    fn default_spec_probe_is_bit_identical_to_probe_poa() {
-        let h = HostNetwork::random_metric(6, 17);
-        let a = probe_poa(&h, 1.5, 400);
-        let b = probe_poa_spec(&h, 1.5, 400, &SolverConfig::default());
-        assert_eq!(a.equilibrium.is_some(), b.equilibrium.is_some());
-        if a.equilibrium.is_some() {
-            assert_eq!(a.ne_cost.to_bits(), b.ne_cost.to_bits());
-            assert_eq!(a.opt_cost.to_bits(), b.opt_cost.to_bits());
-            assert_eq!(a.ratio.to_bits(), b.ratio.to_bits());
         }
     }
 
@@ -196,11 +163,11 @@ mod tests {
         for seed in 0..6u64 {
             let h = HostNetwork::random_metric(6, seed);
             let cfg = SolverConfig::default().with_model(ModelKind::MaxDistance);
-            let probe = probe_poa_spec(&h, 1.5, 400, &cfg);
+            let probe = probe_poa(&h, 1.5, 400, &cfg);
             if let Some(ne) = &probe.equilibrium {
                 converged += 1;
                 assert!(
-                    exact::is_nash_model::<_, MaxDistance>(&h.as_weights(), ne, 1.5),
+                    exact::is_nash::<_, MaxDistance>(&h.as_weights(), ne, 1.5),
                     "seed {seed}: claimed max-model NE is not one"
                 );
                 if probe.opt_is_exact {

@@ -440,6 +440,7 @@ pub fn from_str<T: FromJson>(input: &str) -> Result<T, JsonError> {
 /// garbage, trailing commas, and unquoted keys.
 pub fn parse(input: &str) -> Result<Value, JsonError> {
     let mut parser = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -453,6 +454,10 @@ pub fn parse(input: &str) -> Result<Value, JsonError> {
 }
 
 struct Parser<'a> {
+    /// The input; valid UTF-8, so any run of bytes between ASCII
+    /// delimiters is a valid `str` slice.
+    text: &'a str,
+    /// `text` as bytes, for byte-wise scanning.
     bytes: &'a [u8],
     pos: usize,
 }
@@ -575,12 +580,16 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.error("invalid utf-8 in string"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run of unescaped bytes up to the next `"`
+                    // or backslash in one slice. Both delimiters are ASCII, so
+                    // they never fall inside a multi-byte code point and
+                    // the run ends on a char boundary.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }

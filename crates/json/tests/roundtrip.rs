@@ -76,34 +76,48 @@ fn random_string(rng: &mut StdRng) -> String {
         .collect()
 }
 
+/// A result-cache distance-matrix entry at n = 64: the bits of every
+/// `f64` entry as 16 hex digits, 16·n² = 64 KiB in one string.
+fn distance_matrix_entry(rng: &mut StdRng) -> Value {
+    let n = 64usize;
+    let hex: String = (0..n * n)
+        .map(|_| format!("{:016x}", rng.gen_range(0.0..2.0f64).to_bits()))
+        .collect();
+    assert!(hex.len() >= 64 * 1024);
+    object(vec![("n", n.to_json()), ("dist", Value::String(hex))])
+}
+
+/// `parse(print(v)) == v` and printing the reparse reproduces the
+/// text byte for byte, compact and pretty.
+fn assert_fixpoint(v: &Value, what: &str) {
+    let compact = to_string(v);
+    let reparsed = parse(&compact).unwrap_or_else(|e| panic!("{what}: {e} in {compact}"));
+    assert_eq!(&reparsed, v, "{what}: value drifted through compact");
+    // printing the reparse is a fixpoint: byte-for-byte stable
+    assert_eq!(
+        to_string(&reparsed),
+        compact,
+        "{what}: compact not a fixpoint"
+    );
+
+    let pretty = to_string_pretty(v);
+    let reparsed_pretty = parse(&pretty).unwrap_or_else(|e| panic!("{what}: {e}"));
+    assert_eq!(&reparsed_pretty, v, "{what}: value drifted through pretty");
+    assert_eq!(
+        to_string_pretty(&reparsed_pretty),
+        pretty,
+        "{what}: pretty not a fixpoint"
+    );
+}
+
 #[test]
 fn parse_serialize_parse_fixpoint() {
     for case in 0..cases() {
         let mut rng = StdRng::seed_from_u64(0xacc0_0000 + case);
-        let v = random_value(&mut rng, 3);
-
-        let compact = to_string(&v);
-        let reparsed = parse(&compact).unwrap_or_else(|e| panic!("case {case}: {e} in {compact}"));
-        assert_eq!(reparsed, v, "case {case}: value drifted through compact");
-        // printing the reparse is a fixpoint: byte-for-byte stable
-        assert_eq!(
-            to_string(&reparsed),
-            compact,
-            "case {case}: compact not a fixpoint"
-        );
-
-        let pretty = to_string_pretty(&v);
-        let reparsed_pretty = parse(&pretty).unwrap_or_else(|e| panic!("case {case}: {e}"));
-        assert_eq!(
-            reparsed_pretty, v,
-            "case {case}: value drifted through pretty"
-        );
-        assert_eq!(
-            to_string_pretty(&reparsed_pretty),
-            pretty,
-            "case {case}: pretty not a fixpoint"
-        );
+        assert_fixpoint(&random_value(&mut rng, 3), &format!("case {case}"));
     }
+    let mut rng = StdRng::seed_from_u64(0xacc0_d157);
+    assert_fixpoint(&distance_matrix_entry(&mut rng), "64 KiB distance matrix");
 }
 
 #[test]

@@ -122,16 +122,21 @@ impl ResultCache {
     /// `cache_hits` / `cache_misses` trace counters.
     pub fn get(&self, key: &str) -> Option<Value> {
         let path = self.entry_path(key);
-        let payload = fs::read_to_string(&path)
-            .ok()
-            .and_then(|text| Self::verify(key, &text));
+        // `None` only when there was nothing to read. Judging presence
+        // by a later `exists()` instead would race a writer installing
+        // the entry between the two calls and quarantine its valid file.
+        let bytes = fs::read(&path).ok();
+        let payload = bytes
+            .as_deref()
+            .and_then(|b| std::str::from_utf8(b).ok())
+            .and_then(|text| Self::verify(key, text));
         match payload {
             Some(p) => {
                 gncg_trace::incr(gncg_trace::Counter::CacheHits);
                 Some(p)
             }
             None => {
-                if path.exists() {
+                if bytes.is_some() {
                     // Present but invalid: quarantine the evidence so the
                     // slot is free for a valid recompute.
                     let q = self

@@ -50,13 +50,11 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use gncg_config::GncgConfig;
-use gncg_game::approx::{ApproxCertifyOptions, ApproxCertifyReport};
+use gncg_game::approx::ApproxCertifyReport;
 use gncg_game::best_response::BestResponse;
-use gncg_game::certify::{CertifyOptions, CertifyReport};
+use gncg_game::certify::CertifyReport;
 use gncg_game::exact::ExactOptimum;
-use gncg_game::{
-    dynamics, EdgeWeights, GameSpec, Outcome, OwnedNetwork, SolveOptions, SolverConfig,
-};
+use gncg_game::{dynamics, EdgeWeights, Outcome, OwnedNetwork, SolverConfig};
 use gncg_json::{FromJson, ToJson};
 use gncg_parallel::pool::ThreadPool;
 use gncg_parallel::{with_budget, with_max_threads, Budget};
@@ -759,93 +757,38 @@ impl Session {
         cfg: SolverConfig,
         job: JobOptions,
     ) -> Result<JobHandle<CertifyReport>, SubmitError> {
-        match cfg.cache.key().map(str::to_string) {
-            Some(key) => {
-                let cache = self.attached_cache();
-                self.certify_cached_impl(cache, &key, w, net, alpha, cfg, job)
-            }
-            None => self.submit_raw(JobKind::Certify, job, false, false, move |_, budget| {
+        // Cache-consistency rule: the cache stores only deterministic,
+        // budget-free results, so it is bypassed entirely (no get, no
+        // put) whenever the job runs under a limited budget — budgeted
+        // certification can degrade along the exact→certified ladder at
+        // a nondeterministic point, and such a report must never be
+        // served to a later caller that asked for the unbudgeted answer.
+        let cached = cfg.cache.key().and_then(|key| {
+            let budget_limited = job
+                .budget
+                .as_ref()
+                .map(|b| b.deadline.is_some())
+                .unwrap_or_else(|| self.default_budget().deadline.is_some());
+            let cache = self.attached_cache().filter(|_| !budget_limited)?;
+            Some((cache, key.to_string()))
+        });
+        let Some((cache, key)) = cached else {
+            return self.submit_raw(JobKind::Certify, job, false, false, move |_, budget| {
                 gncg_game::certify::certify(&*w, &net, alpha, &cfg.with_budget(budget))
-            }),
-        }
-    }
-
-    /// The keyed-cache certify path, shared by [`Session::submit_certify`]
-    /// (with the attached cache) and the deprecated
-    /// `submit_certify_cached` (with an explicit one).
-    ///
-    /// Cache-consistency rule: the cache stores only deterministic,
-    /// budget-free results, so the cache is **bypassed entirely** (no
-    /// get, no put) whenever the job runs under a limited budget —
-    /// budgeted certification can degrade along the exact→certified
-    /// ladder at a nondeterministic point, and such a report must never
-    /// be served to a later caller that asked for the unbudgeted
-    /// answer. With no cache this is exactly an uncached certify.
-    #[allow(clippy::too_many_arguments)]
-    fn certify_cached_impl(
-        &self,
-        cache: Option<Arc<cache::ResultCache>>,
-        key: &str,
-        w: SharedWeights,
-        net: OwnedNetwork,
-        alpha: f64,
-        cfg: SolverConfig,
-        job: JobOptions,
-    ) -> Result<JobHandle<CertifyReport>, SubmitError> {
-        let budget_limited = job
-            .budget
-            .as_ref()
-            .map(|b| b.deadline.is_some())
-            .unwrap_or_else(|| self.default_budget().deadline.is_some());
-        let Some(cache) = cache.filter(|_| !budget_limited) else {
-            return self.submit_certify(w, net, alpha, cfg.without_cache(), job);
+            });
         };
-        if let Some(payload) = cache.get(key) {
+        if let Some(payload) = cache.get(&key) {
             if let Ok(report) = CertifyReport::from_json(&payload) {
                 return Ok(JobHandle::resolved(JobKind::Certify, report));
             }
             // Hash-valid but schema-incompatible (e.g. written by a
             // different version): recompute and overwrite below.
         }
-        let key = key.to_string();
         self.submit_raw(JobKind::Certify, job, false, false, move |_, budget| {
             let report = gncg_game::certify::certify(&*w, &net, alpha, &cfg.with_budget(budget));
             let _ = cache.put(&key, &report.to_json());
             report
         })
-    }
-
-    /// Deprecated shim for the pre-[`SolverConfig`] signature.
-    #[deprecated(note = "build a `SolverConfig` and call `submit_certify` instead")]
-    pub fn submit_certify_with_options(
-        &self,
-        w: SharedWeights,
-        net: OwnedNetwork,
-        alpha: f64,
-        opts: CertifyOptions,
-        job: JobOptions,
-    ) -> Result<JobHandle<CertifyReport>, SubmitError> {
-        self.submit_certify(w, net, alpha, SolverConfig::from(opts), job)
-    }
-
-    /// Submit a (β, γ) certification job through an explicitly supplied
-    /// result cache.
-    #[deprecated(
-        note = "attach the cache with `Session::attach_result_cache` and call \
-                `submit_certify` with a `SolverConfig` carrying `with_cache_key` instead"
-    )]
-    #[allow(clippy::too_many_arguments)]
-    pub fn submit_certify_cached(
-        &self,
-        cache: Option<Arc<cache::ResultCache>>,
-        key: &str,
-        w: SharedWeights,
-        net: OwnedNetwork,
-        alpha: f64,
-        opts: CertifyOptions,
-        job: JobOptions,
-    ) -> Result<JobHandle<CertifyReport>, SubmitError> {
-        self.certify_cached_impl(cache, key, w, net, alpha, SolverConfig::from(opts), job)
     }
 
     /// Submit a spanner-backed *bracketed* certification job
@@ -868,26 +811,6 @@ impl Session {
     ) -> Result<JobHandle<ApproxCertifyReport>, SubmitError> {
         self.submit_raw(JobKind::Certify, job, false, false, move |_, _| {
             gncg_game::approx::certify_approx(&ps, &net, alpha, &cfg)
-        })
-    }
-
-    /// Deprecated shim for the pre-[`SolverConfig`] signature. Unlike
-    /// the canonical entry it honours the full
-    /// [`ApproxCertifyOptions`] knob space (`lo_mode`, spanner caps);
-    /// expert callers who need those knobs should call
-    /// [`gncg_game::approx::certify_approx_tuned`] through
-    /// [`Session::submit_observed`] instead.
-    #[deprecated(note = "build a `SolverConfig` and call `submit_certify_approx` instead")]
-    pub fn submit_certify_approx_with_options(
-        &self,
-        ps: Arc<gncg_geometry::PointSet>,
-        net: OwnedNetwork,
-        alpha: f64,
-        opts: ApproxCertifyOptions,
-        job: JobOptions,
-    ) -> Result<JobHandle<ApproxCertifyReport>, SubmitError> {
-        self.submit_raw(JobKind::Certify, job, false, false, move |_, _| {
-            gncg_game::approx::certify_approx_tuned(&ps, &net, alpha, opts)
         })
     }
 
@@ -922,21 +845,6 @@ impl Session {
         )
     }
 
-    /// Deprecated shim for the pre-[`SolverConfig`] signature.
-    #[deprecated(note = "build a `SolverConfig` and call `submit_best_response` instead")]
-    #[allow(clippy::too_many_arguments)]
-    pub fn submit_best_response_with_options(
-        &self,
-        w: SharedWeights,
-        net: OwnedNetwork,
-        alpha: f64,
-        u: usize,
-        opts: SolveOptions,
-        job: JobOptions,
-    ) -> Result<JobHandle<Outcome<BestResponse>>, SubmitError> {
-        self.submit_best_response(w, net, alpha, u, SolverConfig::from(opts), job)
-    }
-
     /// Submit an exact social-optimum job (batch lane by default). The
     /// job budget replaces `cfg.budget`; the cost model in `cfg` is
     /// honored.
@@ -950,18 +858,6 @@ impl Session {
         self.submit_raw(JobKind::ExactOpt, job, false, false, move |_, budget| {
             gncg_game::exact::exact_social_optimum(&*w, alpha, &cfg.with_budget(budget))
         })
-    }
-
-    /// Deprecated shim for the pre-[`SolverConfig`] signature.
-    #[deprecated(note = "build a `SolverConfig` and call `submit_exact_optimum` instead")]
-    pub fn submit_exact_optimum_with_options(
-        &self,
-        w: SharedWeights,
-        alpha: f64,
-        opts: SolveOptions,
-        job: JobOptions,
-    ) -> Result<JobHandle<Outcome<ExactOptimum>>, SubmitError> {
-        self.submit_exact_optimum(w, alpha, SolverConfig::from(opts), job)
     }
 
     /// Submit a response-dynamics run under `cfg` (cost model +
@@ -991,30 +887,6 @@ impl Session {
                 &cfg,
             )
         })
-    }
-
-    /// Deprecated shim for the pre-[`SolverConfig`] signature.
-    #[deprecated(note = "build a `SolverConfig` and call `submit_dynamics` instead")]
-    #[allow(clippy::too_many_arguments)]
-    pub fn submit_dynamics_with_spec(
-        &self,
-        w: SharedWeights,
-        start: OwnedNetwork,
-        alpha: f64,
-        rule: dynamics::ResponseRule,
-        max_steps: usize,
-        spec: GameSpec,
-        job: JobOptions,
-    ) -> Result<JobHandle<dynamics::Outcome>, SubmitError> {
-        self.submit_dynamics(
-            w,
-            start,
-            alpha,
-            rule,
-            max_steps,
-            SolverConfig::from(spec),
-            job,
-        )
     }
 
     /// Submit a sweep closure (batch lane by default). The closure

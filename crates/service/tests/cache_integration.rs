@@ -3,9 +3,8 @@
 //! calls, across worker-thread counts and both cost models — and a
 //! budgeted job never touches the cache at all.
 //!
-//! The canonical surface is `Session::attach_result_cache` plus a
-//! [`SolverConfig`] carrying a cache key; the deprecated
-//! `submit_certify_cached` shim is exercised once for compatibility.
+//! The surface is `Session::attach_result_cache` plus a
+//! [`SolverConfig`] carrying a cache key.
 
 use std::fs;
 use std::path::PathBuf;
@@ -179,48 +178,4 @@ fn budgeted_jobs_bypass_the_cache_entirely() {
         "budgeted result must not be cached (no put)"
     );
     assert_eq!(cache.entry_count().unwrap(), 0);
-}
-
-/// The deprecated explicit-cache shim must stay bit-identical to the
-/// canonical attached-cache path for one release.
-#[test]
-#[allow(deprecated)]
-fn deprecated_submit_certify_cached_matches_canonical_path() {
-    use gncg_game::certify::CertifyOptions;
-    let (n, seed, alpha) = (5usize, 13u64, 1.5f64);
-    let key = key_for(n, seed, alpha, ModelKind::SumDistances);
-    let dir = tmpdir("shim");
-    let cache = Arc::new(ResultCache::at(&dir).unwrap());
-    let session = Session::builder().threads(1).build();
-    let legacy = session
-        .submit_certify_cached(
-            Some(Arc::clone(&cache)),
-            &key,
-            Arc::new(generators::uniform_unit_square(n, seed)),
-            OwnedNetwork::center_star(n, 0),
-            alpha,
-            CertifyOptions::exact(),
-            JobOptions::default(),
-        )
-        .expect("admitted")
-        .wait()
-        .expect("legacy certify");
-    assert!(cache.get(&key).is_some(), "shim still populates the cache");
-    // the canonical path served from the same cache agrees bit-for-bit
-    session.attach_result_cache(Arc::clone(&cache));
-    let canonical = session
-        .submit_certify(
-            Arc::new(generators::uniform_unit_square(n, seed)),
-            OwnedNetwork::center_star(n, 0),
-            alpha,
-            SolverConfig::exact().with_cache_key(&key),
-            JobOptions::default(),
-        )
-        .expect("admitted")
-        .wait()
-        .expect("canonical certify");
-    assert_eq!(
-        gncg_json::to_string(&legacy.to_json()),
-        gncg_json::to_string(&canonical.to_json())
-    );
 }

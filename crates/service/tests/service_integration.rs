@@ -35,12 +35,14 @@ fn concurrent_mixed_load_bit_identical_to_sequential() {
             exact::exact_social_optimum(&ps, 1.5, &SolverConfig::default())
                 .expect_exact("social optimum"),
         );
-        seq_dyn.push(dynamics::run(
+        seq_dyn.push(dynamics::run_spec(
             &ps,
             &net,
             1.5,
             dynamics::ResponseRule::BestSingleMove,
+            dynamics::AgentOrder::RoundRobin,
             200,
+            &SolverConfig::default(),
         ));
     }
 

@@ -19,11 +19,17 @@
 //! completed work and *skip* (returning `None`) once the budget is
 //! exhausted — completed units stay checkpointed, in-flight ones are
 //! never half-written.
+//!
+//! Both whole-main harnesses parse the process arguments before any
+//! work: `--help`/`-h` prints the claim and usage and exits 0, and any
+//! argument the binary does not accept prints the usage and exits 2 —
+//! neither writes a report or a checkpoint.
 
 use crate::checkpoint::SweepCheckpoint;
 use crate::Report;
 use gncg_service::{JobCtx, JobOptions, Session};
 use std::ops::Range;
+use std::path::Path;
 
 /// Exit code of a sweep interrupted by its budget (checkpoint kept;
 /// re-run to resume). `EX_TEMPFAIL` from `sysexits.h`. Defined once in
@@ -124,15 +130,43 @@ where
     }
 }
 
-/// Whole-main harness for single-report repro binaries: runs `body` as
-/// a service job, then prints and saves the report and finishes the
-/// checkpoint. Exits with [`INTERRUPTED_EXIT`] when the budget tripped
-/// mid-sweep. Returns the completed report so `main` can turn
-/// `!all_ok()` into its exit status.
+/// Parse a repro binary's arguments: `--help`/`-h` prints `claim` and
+/// the usage and exits 0; any argument outside `sections` prints the
+/// usage and exits 2. Returns the selected sections (empty: run all).
+fn parse_args(id: &str, claim: &str, sections: &[&str]) -> Vec<String> {
+    let mut args = std::env::args();
+    let bin = args
+        .next()
+        .and_then(|a| Some(Path::new(&a).file_name()?.to_string_lossy().into_owned()))
+        .unwrap_or_else(|| format!("repro_{id}"));
+    let args: Vec<String> = args.collect();
+    let mut usage = format!("usage: {bin} [--help]");
+    if !sections.is_empty() {
+        usage += &format!(" [SECTION ...]\nsections: {}", sections.join(" "));
+    }
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{bin}: {claim}\n\n{usage}");
+        println!("writes its report(s) under results/ (or $GNCG_RESULTS_DIR)");
+        std::process::exit(0);
+    }
+    if let Some(bad) = args.iter().find(|a| !sections.contains(&a.as_str())) {
+        eprintln!("{bin}: unknown argument '{bad}'\n{usage}");
+        std::process::exit(2);
+    }
+    args
+}
+
+/// Whole-main harness for single-report repro binaries: parses the
+/// arguments (only `--help` is accepted), runs `body` as a service job,
+/// then prints and saves the report and finishes the checkpoint. Exits
+/// with [`INTERRUPTED_EXIT`] when the budget tripped mid-sweep. Returns
+/// the completed report so `main` can turn `!all_ok()` into its exit
+/// status.
 pub fn run_repro<F>(id: &str, claim: &str, body: F) -> Report
 where
     F: FnOnce(&mut SweepRun, &mut Report) + Send + 'static,
 {
+    parse_args(id, claim, &[]);
     let id_owned = id.to_string();
     let claim_owned = claim.to_string();
     let (report, interrupted) = run_sweep(id, move |run| {
@@ -150,14 +184,18 @@ where
     report
 }
 
-/// Whole-main harness for multi-report (sectioned) repro binaries: the
-/// body prints/saves each section itself and returns its aggregate
-/// `all_ok`. Exits with [`INTERRUPTED_EXIT`] when interrupted.
-pub fn run_sections<F>(id: &str, body: F) -> bool
+/// Whole-main harness for multi-report (sectioned) repro binaries:
+/// parses the arguments (`--help`, or any of `sections` to run only
+/// those), then runs `body` with the selected section names (empty:
+/// all). The body prints/saves each section itself and returns its
+/// aggregate `all_ok`. Exits with [`INTERRUPTED_EXIT`] when
+/// interrupted.
+pub fn run_sections<F>(id: &str, claim: &str, sections: &[&str], body: F) -> bool
 where
-    F: FnOnce(&mut SweepRun) -> bool + Send + 'static,
+    F: FnOnce(&mut SweepRun, Vec<String>) -> bool + Send + 'static,
 {
-    let (all_ok, interrupted) = run_sweep(id, body);
+    let selected = parse_args(id, claim, sections);
+    let (all_ok, interrupted) = run_sweep(id, move |run| body(run, selected));
     if interrupted {
         std::process::exit(INTERRUPTED_EXIT);
     }

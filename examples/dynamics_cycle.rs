@@ -10,7 +10,7 @@
 //! cargo run --example dynamics_cycle
 //! ```
 
-use euclidean_network_design::game::{dynamics, exact, OwnedNetwork};
+use euclidean_network_design::game::{dynamics, exact, OwnedNetwork, SumDistances};
 use euclidean_network_design::prelude::*;
 
 fn main() {
@@ -24,16 +24,18 @@ fn main() {
     for seed in 0..60u64 {
         let points = generators::uniform_unit_square(n, seed);
         let start = OwnedNetwork::center_star(n, 0);
-        match dynamics::run(
+        match dynamics::run_spec(
             &points,
             &start,
             alpha,
             dynamics::ResponseRule::BestResponse,
+            dynamics::AgentOrder::RoundRobin,
             500,
+            &SolverConfig::default(),
         ) {
             dynamics::Outcome::Converged { state, steps } => {
                 converged += 1;
-                debug_assert!(exact::is_nash(&points, &state, alpha));
+                debug_assert!(exact::is_nash::<_, SumDistances>(&points, &state, alpha));
                 if seed < 3 {
                     println!("seed {seed}: converged to a NE in {steps} strategy changes");
                 }

@@ -62,7 +62,7 @@ fn main() {
     show("Algorithm 1 on H_M (Cor 5.3)", &res.network);
 
     // PoA probe: find an equilibrium by best-response dynamics
-    let probe = poa::probe_poa(&host, alpha, 300);
+    let probe = poa::probe_poa(&host, alpha, 300, &SolverConfig::default());
     match probe.equilibrium {
         Some(_) => println!(
             "\nequilibrium found by dynamics: SC(NE)/SC(OPT{}) = {:.3} \

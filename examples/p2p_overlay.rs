@@ -10,7 +10,8 @@
 //! ```
 
 use euclidean_network_design::algo::random_points::{build_one_plus_eps, quarter_square_counts};
-use euclidean_network_design::game::moves;
+use euclidean_network_design::game::best_response::ResponseEvaluator;
+use euclidean_network_design::game::{cost, moves, PruneMode, SumDistances};
 use euclidean_network_design::prelude::*;
 
 fn main() {
@@ -47,8 +48,17 @@ fn main() {
     // defection check: every peer searches for an improving rewiring
     let mut worst: f64 = 1.0;
     let mut defectors = 0usize;
+    let net = &result.network;
     for u in 0..n {
-        let f = moves::witness_improvement_factor(&points, &result.network, alpha, u);
+        let eval = ResponseEvaluator::new(&points, net, u);
+        let now = cost::agent_cost::<_, SumDistances>(&points, net, alpha, u);
+        let f = moves::witness_improvement_factor::<SumDistances>(
+            &eval,
+            net,
+            alpha,
+            now,
+            PruneMode::from_env(),
+        );
         if f > 1.0 + 1e-9 {
             defectors += 1;
         }

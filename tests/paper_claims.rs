@@ -6,7 +6,7 @@ use euclidean_network_design::algo::{
     params::corollary_3_8_params,
 };
 use euclidean_network_design::game::{
-    best_response, certify::certify, cost, exact, instances, moves,
+    best_response, certify::certify, cost, exact, instances, moves, SumDistances,
 };
 use euclidean_network_design::geometry::generators;
 use euclidean_network_design::host::{corollaries, poa, HostNetwork};
@@ -24,10 +24,10 @@ fn theorem_2_1_unstable_optimum() {
         let s = instances::theorem_2_1_cluster_size(alpha);
         let (ps, opt) = instances::triangle_optimum(s, 0.0);
         let u = 0usize;
-        let now = cost::agent_cost(&ps, &opt, alpha, u);
+        let now = cost::agent_cost::<_, SumDistances>(&ps, &opt, alpha, u);
         let mut sold = opt.strategy(u).clone();
         sold.remove(&s);
-        let after = moves::cost_with_strategy(&ps, &opt, alpha, u, &sold);
+        let after = moves::cost_with_strategy::<_, SumDistances>(&ps, &opt, alpha, u, &sold);
         let factor = best_response::ratio(now, after);
         assert!(
             factor >= instances::theorem_2_1_factor(alpha) - 1e-9,
@@ -98,8 +98,9 @@ fn theorem_3_13_grid_exact() {
 fn theorem_4_1_cross_polytope() {
     let alpha = 2.0;
     let (ps, ne, opt) = instances::cross_polytope(4, alpha);
-    assert!(exact::is_nash(&ps, &ne, alpha));
-    let ratio = cost::social_cost(&ps, &ne, alpha) / cost::social_cost(&ps, &opt, alpha);
+    assert!(exact::is_nash::<_, SumDistances>(&ps, &ne, alpha));
+    let ratio = cost::social_cost::<_, SumDistances>(&ps, &ne, alpha)
+        / cost::social_cost::<_, SumDistances>(&ps, &opt, alpha);
     let bound = instances::theorem_4_1_bound(alpha);
     assert!(ratio <= bound + 1e-9);
     let big_ratio =
@@ -114,8 +115,9 @@ fn theorem_4_1_cross_polytope() {
 fn theorem_4_3_chain() {
     let alpha = 8.0;
     let (ps, ne, opt) = instances::chain(10, alpha);
-    assert!(exact::is_nash(&ps, &ne, alpha));
-    let ratio = cost::social_cost(&ps, &ne, alpha) / cost::social_cost(&ps, &opt, alpha);
+    assert!(exact::is_nash::<_, SumDistances>(&ps, &ne, alpha));
+    let ratio = cost::social_cost::<_, SumDistances>(&ps, &ne, alpha)
+        / cost::social_cost::<_, SumDistances>(&ps, &opt, alpha);
     assert!(ratio > 1.0);
     // asymptotic samples from the closed forms
     let r1 = instances::chain_ne_social_cost(100, 1000.0)
@@ -130,15 +132,15 @@ fn theorem_4_4_pos_greater_than_one() {
     let s = instances::theorem_4_4_cluster_size(alpha);
     let (ps, opt) = instances::triangle_optimum(s, 0.0);
     let (_, two) = instances::triangle_two_edges(s, 0.0);
-    let c_opt = cost::social_cost(&ps, &opt, alpha);
-    let c_two = cost::social_cost(&ps, &two, alpha);
+    let c_opt = cost::social_cost::<_, SumDistances>(&ps, &opt, alpha);
+    let c_two = cost::social_cost::<_, SumDistances>(&ps, &two, alpha);
     assert!(c_opt < c_two, "3-edge state must be the social optimum");
     // the optimum is not stable: selling a unit edge improves
     let u = 0usize;
-    let now = cost::agent_cost(&ps, &opt, alpha, u);
+    let now = cost::agent_cost::<_, SumDistances>(&ps, &opt, alpha, u);
     let mut sold = opt.strategy(u).clone();
     sold.remove(&s);
-    let after = moves::cost_with_strategy(&ps, &opt, alpha, u, &sold);
+    let after = moves::cost_with_strategy::<_, SumDistances>(&ps, &opt, alpha, u, &sold);
     assert!(after < now - 1e-9);
 }
 
@@ -160,7 +162,7 @@ fn theorem_5_4_poa_bound() {
     let mut found = false;
     for seed in 0..6u64 {
         let h = HostNetwork::random_metric(5, seed);
-        let probe = poa::probe_poa(&h, 2.0, 300);
+        let probe = poa::probe_poa(&h, 2.0, 300, &SolverConfig::default());
         if probe.equilibrium.is_some() {
             found = true;
             assert!(probe.ratio <= poa::theorem_5_4_bound(2.0) + 1e-6);

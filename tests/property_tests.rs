@@ -6,8 +6,10 @@
 //! crate cannot be built in the offline environment — while keeping the
 //! same invariants under test.
 
+use euclidean_network_design::game::best_response::{self, ResponseEvaluator};
 use euclidean_network_design::game::{
-    best_response, certify::optimum_lower_bound, cost, exact, moves, OwnedNetwork, SolverConfig,
+    certify::optimum_lower_bound, cost, exact, moves, OwnedNetwork, PruneMode, SolverConfig,
+    SumDistances,
 };
 use euclidean_network_design::graph::{apsp, mst, stretch};
 use euclidean_network_design::spanner::{self, SpannerKind};
@@ -65,7 +67,7 @@ fn social_cost_decomposition() {
         let n = ps.len();
         let net = random_profile(&mut rng, n);
         let alpha = rng.gen_range(0.1..5.0);
-        let sc = cost::social_cost(&ps, &net, alpha);
+        let sc = cost::social_cost::<_, SumDistances>(&ps, &net, alpha);
         let mut bought = 0.0;
         for u in 0..n {
             for &v in net.strategy(u) {
@@ -92,8 +94,15 @@ fn best_response_ordering() {
         let net = random_profile(&mut rng, n);
         let alpha = rng.gen_range(0.1..4.0);
         for u in 0..n {
-            let now = cost::agent_cost(&ps, &net, alpha, u);
-            let ls = moves::local_search_response(&ps, &net, alpha, u, 10);
+            let now = cost::agent_cost::<_, SumDistances>(&ps, &net, alpha, u);
+            let eval = ResponseEvaluator::new(&ps, &net, u);
+            let ls = moves::local_search_response::<SumDistances>(
+                &eval,
+                &net,
+                alpha,
+                10,
+                PruneMode::from_env(),
+            );
             let ex =
                 best_response::exact_best_response(&ps, &net, alpha, u, &SolverConfig::default())
                     .expect_exact("best response");
@@ -137,7 +146,7 @@ fn opt_lower_bound_sound() {
     for case in 0..CASES {
         let ps = random_point_set(&mut rng, 6);
         let alpha = rng.gen_range(0.2..4.0);
-        let lb = optimum_lower_bound(&ps, alpha);
+        let lb = optimum_lower_bound::<_, SumDistances>(&ps, alpha);
         let opt = exact::exact_social_optimum(&ps, alpha, &SolverConfig::default())
             .expect_exact("optimum")
             .social_cost;
@@ -195,8 +204,8 @@ fn eval_context_matches_from_scratch_rebuild() {
                 "case {case} step {step}: delta-rebuilt graph diverged"
             );
             for a in 0..n {
-                let inc = ctx.agent_cost(a);
-                let oracle = cost::agent_cost(&ps, ctx.network(), alpha, a);
+                let inc = ctx.agent_cost::<SumDistances>(a);
+                let oracle = cost::agent_cost::<_, SumDistances>(&ps, ctx.network(), alpha, a);
                 assert_eq!(
                     inc.to_bits(),
                     oracle.to_bits(),
@@ -204,8 +213,8 @@ fn eval_context_matches_from_scratch_rebuild() {
                 );
             }
         }
-        let social = ctx.social_cost();
-        let oracle = cost::social_cost(&ps, &ctx.network().clone(), alpha);
+        let social = ctx.social_cost::<SumDistances>();
+        let oracle = cost::social_cost::<_, SumDistances>(&ps, &ctx.network().clone(), alpha);
         assert_eq!(social.to_bits(), oracle.to_bits(), "case {case}");
     }
 }
@@ -241,7 +250,7 @@ fn dist_matrix_apsp_matches_legacy_rows() {
 #[test]
 fn incremental_dynamics_match_reference() {
     use euclidean_network_design::game::dynamics::{
-        run_ordered, run_ordered_reference, AgentOrder, ResponseRule,
+        run_ordered_reference, run_spec, AgentOrder, ResponseRule,
     };
     use euclidean_network_design::geometry::generators;
     for seed in 0..6u64 {
@@ -253,7 +262,7 @@ fn incremental_dynamics_match_reference() {
             AgentOrder::MaxGain,
         ] {
             for rule in [ResponseRule::BestSingleMove, ResponseRule::BestResponse] {
-                let fast = run_ordered(&ps, &start, 1.0, rule, order, 400);
+                let fast = run_spec(&ps, &start, 1.0, rule, order, 400, &SolverConfig::default());
                 let slow = run_ordered_reference(&ps, &start, 1.0, rule, order, 400);
                 assert_eq!(fast, slow, "seed {seed} order {order:?} rule {rule:?}");
             }
@@ -269,9 +278,15 @@ fn converged_dynamics_beta_is_one() {
     for seed in 0..40u64 {
         let ps = generators::uniform_unit_square(4, seed);
         let start = OwnedNetwork::empty(4);
-        if let dynamics::Outcome::Converged { state, .. } =
-            dynamics::run(&ps, &start, 1.0, dynamics::ResponseRule::BestResponse, 200)
-        {
+        if let dynamics::Outcome::Converged { state, .. } = dynamics::run_spec(
+            &ps,
+            &start,
+            1.0,
+            dynamics::ResponseRule::BestResponse,
+            dynamics::AgentOrder::RoundRobin,
+            200,
+            &SolverConfig::default(),
+        ) {
             let beta =
                 exact::exact_beta(&ps, &state, 1.0, &SolverConfig::default()).expect_exact("beta");
             assert!(beta <= 1.0 + 1e-6, "seed {seed}: beta {beta}");

@@ -67,11 +67,25 @@ if grep -rn --include='*.rs' -F '"GNCG_CACHE' src crates tests examples \
     exit 1
 fi
 
+# one entry point per computation: no deprecated shims, and no
+# model / prune-mode / prebuilt-graph / evaluator / legacy-options twin
+# of a function (the model is a type parameter, the prune mode an
+# explicit argument, the graph choice a `ResponseEvaluator`
+# constructor); `with_*` builders are exempt
+if grep -rnE --include='*.rs' '#\[(deprecated|allow\(deprecated\))' src crates tests examples; then
+    echo '#[deprecated] shims (delete them; callers use the one entry point)' >&2
+    exit 1
+fi
+if grep -rnE --include='*.rs' \
+    'pub(\(crate\))? fn [a-z0-9_]*(_model|_mode|_with_options|_with_spec|_with_game_spec)\b|pub(\(crate\))? fn [a-z0-9_]*(_in_graph|_with_eval|_from_eval|_with_now)' \
+    src crates tests examples | grep -vE 'fn with_'; then
+    echo 'suffixed twin of a public function (use the generic one)' >&2
+    exit 1
+fi
+
 cargo fmt --all -- --check
-# `-D deprecated` on top of `-D warnings`: the in-repo tree must stay
-# fully migrated to `SolverConfig` — the pre-unification shims exist for
-# external callers only, and the sole sanctioned in-repo uses carry an
-# explicit #[allow(deprecated)] (shim compat tests)
+# `-D deprecated` on top of `-D warnings`: no workspace member may use a
+# deprecated item
 cargo clippy --workspace --all-targets -- -D warnings -D deprecated
 cargo build --release --workspace
 cargo test --workspace -q
