@@ -2,7 +2,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gncg_geometry::generators;
-use gncg_graph::{apsp, dijkstra, mst, Graph};
+use gncg_graph::csr::{Csr, DijkstraScratch};
+use gncg_graph::{apsp, mst, Graph};
 
 fn spanner_graph(n: usize) -> Graph {
     let ps = generators::uniform_unit_square(n, 11);
@@ -12,9 +13,11 @@ fn spanner_graph(n: usize) -> Graph {
 fn bench_dijkstra(c: &mut Criterion) {
     let mut group = c.benchmark_group("dijkstra");
     for n in [100usize, 400] {
-        let g = spanner_graph(n);
-        group.bench_with_input(BenchmarkId::from_parameter(n), &g, |b, g| {
-            b.iter(|| dijkstra::distances(g, 0))
+        let csr = Csr::from_graph(&spanner_graph(n));
+        let mut scratch = DijkstraScratch::default();
+        let mut row = vec![0.0; n];
+        group.bench_with_input(BenchmarkId::from_parameter(n), &csr, |b, csr| {
+            b.iter(|| csr.dijkstra_into_slice(0, &mut row, &mut scratch))
         });
     }
     group.finish();

@@ -8,7 +8,8 @@
 //! is exactly `iter().sum()`).
 
 use crate::{CostModel, EdgeWeights, OwnedNetwork};
-use gncg_graph::{apsp, dijkstra, Graph};
+use gncg_graph::csr::{Csr, DijkstraScratch};
+use gncg_graph::{apsp, Graph};
 
 /// Edge cost `α·‖u, S_u‖` of agent `u` (model-independent: every model
 /// charges the buyer the same way).
@@ -24,8 +25,12 @@ pub fn distance_cost<W: EdgeWeights + ?Sized, M: CostModel>(
     net: &OwnedNetwork,
     u: usize,
 ) -> f64 {
-    let g = net.graph(w);
-    M::aggregate(&dijkstra::distances(&g, u))
+    let csr = Csr::from_graph(&net.graph(w));
+    let mut dist = gncg_parallel::arena::rent::<Vec<f64>>();
+    let mut scratch = gncg_parallel::arena::rent::<DijkstraScratch>();
+    dist.resize(csr.len(), f64::INFINITY);
+    csr.dijkstra_into_slice(u, &mut dist, &mut scratch);
+    M::aggregate(&dist)
 }
 
 /// Full cost of agent `u` under model `M`: `α·‖u,S_u‖ + d_G(u, P)`.
@@ -75,6 +80,7 @@ mod tests {
     use super::*;
     use crate::{MaxDistance, SumDistances};
     use gncg_geometry::generators;
+    use gncg_graph::dijkstra;
 
     #[test]
     fn star_costs_on_line() {

@@ -6,11 +6,14 @@
 //! we reproduce the claim by *searching* for cycles: run the dynamics
 //! with canonical state hashing and report the first revisited state.
 //!
-//! All drivers run on an [`EvalContext`]: the created network is
-//! delta-rebuilt per accepted move and agent costs come from cached
-//! distance rows instead of a full rebuild-plus-Dijkstra per probe. The
-//! old from-scratch path survives as [`run_ordered_reference`], the
-//! property-test oracle (and the "old" side of the dynamics benchmark).
+//! One schedule driver runs every [`AgentOrder`], with cycle detection
+//! and the step budget, over a response policy: unilateral formation
+//! probes an [`EvalContext`] (the created network is delta-rebuilt per
+//! accepted move and agent costs come from cached distance rows),
+//! bilateral formation filters from-scratch responses by consent. The
+//! old from-scratch unilateral path survives as
+//! [`run_ordered_reference`], the property-test oracle (and the "old"
+//! side of the dynamics benchmark).
 
 use crate::best_response::{self, ResponseEvaluator};
 use crate::{
@@ -18,6 +21,7 @@ use crate::{
     PruneMode, SolverConfig, SumDistances,
 };
 use std::collections::{BTreeSet, HashMap};
+use std::marker::PhantomData;
 
 /// Which response oracle the dynamics use.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,14 +71,16 @@ pub enum Outcome {
 /// means convergence. After every accepted change the canonical profile
 /// is hashed: a repeat is returned as a [`Outcome::Cycle`].
 ///
-/// * [`EdgeFormation::Unilateral`] routes through the incremental
-///   drivers, monomorphized per model (the prune mode selects the
-///   pruned or plain response engines — bit-identical trajectories, so
-///   the oracle harness compares whole runs per mode).
-/// * [`EdgeFormation::Bilateral`] routes through a dedicated naive
-///   from-scratch driver that consults
-///   [`crate::model::deviation_is_legal`] before accepting any deviation —
-///   bilateral consent never touches the unilateral hot paths.
+/// The formation only picks the response policy the schedule driver
+/// runs over:
+///
+/// * [`EdgeFormation::Unilateral`] probes the incremental
+///   [`EvalContext`], monomorphized per model (the prune mode selects
+///   the pruned or plain response engines — bit-identical trajectories,
+///   so the oracle harness compares whole runs per mode).
+/// * [`EdgeFormation::Bilateral`] evaluates each candidate from scratch
+///   and consults [`crate::model::deviation_is_legal`] before accepting
+///   it — bilateral consent never touches the unilateral hot paths.
 pub fn run_spec<W: EdgeWeights + ?Sized>(
     w: &W,
     start: &OwnedNetwork,
@@ -84,36 +90,171 @@ pub fn run_spec<W: EdgeWeights + ?Sized>(
     max_steps: usize,
     cfg: &SolverConfig,
 ) -> Outcome {
+    let _span = gncg_trace::span("game.dynamics");
     crate::dispatch_model!(cfg.model, M, {
         match cfg.formation {
-            EdgeFormation::Unilateral => {
-                run_unilateral::<W, M>(w, start, alpha, rule, order, max_steps, cfg.prune)
-            }
-            EdgeFormation::Bilateral => {
-                run_bilateral::<W, M>(w, start, alpha, rule, order, max_steps)
-            }
+            EdgeFormation::Unilateral => drive(
+                Unilateral::<W, M> {
+                    ctx: EvalContext::new(w, start, alpha),
+                    rule,
+                    mode: cfg.prune,
+                    model: PhantomData,
+                },
+                order,
+                max_steps,
+            ),
+            EdgeFormation::Bilateral => drive(
+                Bilateral::<W, M> {
+                    w,
+                    state: start.clone(),
+                    alpha,
+                    rule,
+                    model: PhantomData,
+                },
+                order,
+                max_steps,
+            ),
         }
     })
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_unilateral<W: EdgeWeights + ?Sized, M: CostModel>(
-    w: &W,
-    start: &OwnedNetwork,
+/// What the schedule driver runs over: the profile it advances and each
+/// agent's improving response in that profile.
+trait Policy: Sync {
+    /// The current profile.
+    fn state(&self) -> &OwnedNetwork;
+    /// Bring cached state up to date before a probe (or a max-gain
+    /// round of parallel probes).
+    fn refresh(&mut self) {}
+    /// `u`'s improving response in the current profile, with its gain.
+    fn respond(&self, u: usize) -> Option<(BTreeSet<usize>, f64)>;
+    /// Switch `u` to `strategy`.
+    fn apply(&mut self, u: usize, strategy: BTreeSet<usize>);
+}
+
+/// Unilateral formation on the incremental evaluation context.
+struct Unilateral<'w, W: EdgeWeights + ?Sized, M> {
+    ctx: EvalContext<'w, W>,
+    rule: ResponseRule,
+    mode: PruneMode,
+    model: PhantomData<fn() -> M>,
+}
+
+impl<W: EdgeWeights + ?Sized, M: CostModel> Policy for Unilateral<'_, W, M> {
+    fn state(&self) -> &OwnedNetwork {
+        self.ctx.network()
+    }
+
+    /// A no-op unless the previous accepted move changed the edge set;
+    /// keeps the full matrix warm so leaf agents can share it.
+    fn refresh(&mut self) {
+        self.ctx.ensure_all_rows();
+    }
+
+    fn respond(&self, u: usize) -> Option<(BTreeSet<usize>, f64)> {
+        let now = self.ctx.agent_cost_cached::<M>(u);
+        response_in_ctx::<W, M>(&self.ctx, self.rule, u, now, self.mode)
+    }
+
+    fn apply(&mut self, u: usize, strategy: BTreeSet<usize>) {
+        self.ctx.apply_move(u, strategy);
+    }
+}
+
+/// Bilateral formation: consent-filtered responses costed from scratch.
+struct Bilateral<'w, W: EdgeWeights + ?Sized, M> {
+    w: &'w W,
+    state: OwnedNetwork,
     alpha: f64,
     rule: ResponseRule,
-    order: AgentOrder,
-    max_steps: usize,
-    mode: PruneMode,
-) -> Outcome {
-    match order {
-        AgentOrder::RoundRobin => {
-            run_with_rounds::<W, M>(w, start, alpha, rule, max_steps, None, mode)
+    model: PhantomData<fn() -> M>,
+}
+
+impl<W: EdgeWeights + ?Sized, M: CostModel> Policy for Bilateral<'_, W, M> {
+    fn state(&self) -> &OwnedNetwork {
+        &self.state
+    }
+
+    fn respond(&self, u: usize) -> Option<(BTreeSet<usize>, f64)> {
+        bilateral_response_for::<W, M>(self.w, &self.state, self.alpha, self.rule, u)
+    }
+
+    fn apply(&mut self, u: usize, strategy: BTreeSet<usize>) {
+        self.state.set_strategy(u, strategy);
+    }
+}
+
+/// Fisher–Yates shuffle of `agents` from a xorshift64 stream (rand is a
+/// dev-dependency only; the schedule must stay deterministic given the
+/// seed anyway).
+fn shuffle(agents: &mut [usize], rng_state: &mut u64) {
+    for i in (1..agents.len()).rev() {
+        *rng_state ^= *rng_state << 13;
+        *rng_state ^= *rng_state >> 7;
+        *rng_state ^= *rng_state << 17;
+        let j = (*rng_state % (i as u64 + 1)) as usize;
+        agents.swap(i, j);
+    }
+}
+
+/// The schedule driver: activates agents in `order`, applies each
+/// improving response of `policy`, stops at the first revisited profile
+/// and after `max_steps` strategy changes. A round activates every
+/// agent in turn, or under [`AgentOrder::MaxGain`] once the agent with
+/// the largest gain; a round without a change is convergence.
+fn drive<P: Policy>(mut policy: P, order: AgentOrder, max_steps: usize) -> Outcome {
+    let n = policy.state().len();
+    let mut seen = HashMap::from([(policy.state().canonical_key(), 0)]);
+    let mut history = vec![policy.state().clone()];
+    let mut rng_state = match order {
+        AgentOrder::RandomPermutation(seed) => Some(seed | 1),
+        _ => None,
+    };
+    let mut agents: Vec<usize> = (0..n).collect();
+    let activations = if order == AgentOrder::MaxGain { 1 } else { n };
+    let mut steps = 0usize;
+    loop {
+        if let Some(rng_state) = &mut rng_state {
+            shuffle(&mut agents, rng_state);
         }
-        AgentOrder::RandomPermutation(seed) => {
-            run_with_rounds::<W, M>(w, start, alpha, rule, max_steps, Some(seed), mode)
+        let mut changed = false;
+        for &u in &agents[..activations] {
+            if steps >= max_steps {
+                let state = policy.state().clone();
+                return Outcome::Exhausted { state, steps };
+            }
+            policy.refresh();
+            let response = if order == AgentOrder::MaxGain {
+                // every agent probed in parallel against the shared state
+                let shared = &policy;
+                gncg_parallel::parallel_map(n, |u| shared.respond(u))
+                    .into_iter()
+                    .enumerate()
+                    .filter_map(|(u, c)| c.map(|(s, gain)| (u, s, gain)))
+                    .max_by(|a, b| a.2.partial_cmp(&b.2).unwrap_or(std::cmp::Ordering::Equal))
+                    .map(|(u, s, _)| (u, s))
+            } else {
+                policy.respond(u).map(|(s, _)| (u, s))
+            };
+            if let Some((u, strategy)) = response {
+                policy.apply(u, strategy);
+                steps += 1;
+                changed = true;
+                let key = policy.state().canonical_key();
+                history.push(policy.state().clone());
+                if let Some(&cycle_start) = seen.get(&key) {
+                    return Outcome::Cycle {
+                        history,
+                        cycle_start,
+                    };
+                }
+                seen.insert(key, history.len() - 1);
+            }
         }
-        AgentOrder::MaxGain => run_max_gain::<W, M>(w, start, alpha, rule, max_steps, mode),
+        if !changed {
+            let state = policy.state().clone();
+            return Outcome::Converged { state, steps };
+        }
     }
 }
 
@@ -145,134 +286,8 @@ fn response_in_ctx<W: EdgeWeights + ?Sized, M: CostModel>(
     }
 }
 
-fn run_max_gain<W: EdgeWeights + ?Sized, M: CostModel>(
-    w: &W,
-    start: &OwnedNetwork,
-    alpha: f64,
-    rule: ResponseRule,
-    max_steps: usize,
-    mode: PruneMode,
-) -> Outcome {
-    let _span = gncg_trace::span("game.dynamics");
-    let n = start.len();
-    let mut ctx = EvalContext::new(w, start, alpha);
-    let mut seen: HashMap<Vec<Vec<usize>>, usize> = HashMap::new();
-    let mut history = vec![start.clone()];
-    seen.insert(start.canonical_key(), 0);
-    for steps in 0..max_steps {
-        // refresh all distance rows once, then probe agents in parallel
-        // against the shared graph + cached costs
-        ctx.ensure_all_rows();
-        let shared = &ctx;
-        let candidates = gncg_parallel::parallel_map(n, |u| {
-            response_in_ctx::<W, M>(shared, rule, u, shared.agent_cost_cached::<M>(u), mode)
-        });
-        let best = candidates
-            .into_iter()
-            .enumerate()
-            .filter_map(|(u, c)| c.map(|(s, gain)| (u, s, gain)))
-            .max_by(|a, b| a.2.partial_cmp(&b.2).unwrap_or(std::cmp::Ordering::Equal));
-        match best {
-            None => {
-                return Outcome::Converged {
-                    state: ctx.network().clone(),
-                    steps,
-                }
-            }
-            Some((u, strategy, _)) => {
-                ctx.apply_move(u, strategy);
-                let key = ctx.network().canonical_key();
-                if let Some(&first) = seen.get(&key) {
-                    history.push(ctx.network().clone());
-                    return Outcome::Cycle {
-                        history,
-                        cycle_start: first,
-                    };
-                }
-                seen.insert(key, history.len());
-                history.push(ctx.network().clone());
-            }
-        }
-    }
-    Outcome::Exhausted {
-        state: ctx.network().clone(),
-        steps: max_steps,
-    }
-}
-
-fn run_with_rounds<W: EdgeWeights + ?Sized, M: CostModel>(
-    w: &W,
-    start: &OwnedNetwork,
-    alpha: f64,
-    rule: ResponseRule,
-    max_steps: usize,
-    shuffle_seed: Option<u64>,
-    mode: PruneMode,
-) -> Outcome {
-    let _span = gncg_trace::span("game.dynamics");
-    let n = start.len();
-    let mut ctx = EvalContext::new(w, start, alpha);
-    let mut seen: HashMap<Vec<Vec<usize>>, usize> = HashMap::new();
-    let mut history: Vec<OwnedNetwork> = vec![start.clone()];
-    seen.insert(start.canonical_key(), 0);
-    let mut steps = 0usize;
-    // tiny xorshift for the shuffled schedule (rand is a dev-dependency
-    // only; the dynamics must stay deterministic given the seed anyway)
-    let mut rng_state = shuffle_seed.unwrap_or(0) | 1;
-    let mut next_u64 = move || {
-        rng_state ^= rng_state << 13;
-        rng_state ^= rng_state >> 7;
-        rng_state ^= rng_state << 17;
-        rng_state
-    };
-
-    let mut order: Vec<usize> = (0..n).collect();
-    loop {
-        if shuffle_seed.is_some() {
-            // Fisher–Yates with the xorshift stream
-            for i in (1..n).rev() {
-                let j = (next_u64() % (i as u64 + 1)) as usize;
-                order.swap(i, j);
-            }
-        }
-        let mut changed = false;
-        for &u in &order {
-            if steps >= max_steps {
-                return Outcome::Exhausted {
-                    state: ctx.network().clone(),
-                    steps,
-                };
-            }
-            // a no-op unless the previous accepted move changed the edge
-            // set; keeps the full matrix warm so leaf agents can share it
-            ctx.ensure_all_rows();
-            let now = ctx.agent_cost_cached::<M>(u);
-            if let Some((strategy, _)) = response_in_ctx::<W, M>(&ctx, rule, u, now, mode) {
-                ctx.apply_move(u, strategy);
-                steps += 1;
-                changed = true;
-                let key = ctx.network().canonical_key();
-                if let Some(&first) = seen.get(&key) {
-                    history.push(ctx.network().clone());
-                    return Outcome::Cycle {
-                        history,
-                        cycle_start: first,
-                    };
-                }
-                seen.insert(key, history.len());
-                history.push(ctx.network().clone());
-            }
-        }
-        if !changed {
-            return Outcome::Converged {
-                state: ctx.network().clone(),
-                steps,
-            };
-        }
-    }
-}
-
-/// Best *legal* improving deviation of `u` under bilateral consent:
+/// Best *legal* improving deviation of `u` under bilateral consent (the
+/// [`Bilateral`] policy's response):
 /// candidates that would create a structurally new edge without the
 /// other endpoint's agreement are filtered out by
 /// [`model::deviation_is_legal`] before they can be selected. Costs are
@@ -359,117 +374,6 @@ fn bilateral_response_for<W: EdgeWeights + ?Sized, M: CostModel>(
         }
     }
     best.map(|(s, c)| (s, now - c))
-}
-
-/// Naive from-scratch dynamics driver for [`EdgeFormation::Bilateral`]:
-/// structurally the same loop family as [`run_ordered_reference`], with
-/// every deviation consent-filtered. Kept deliberately separate from
-/// the incremental unilateral drivers so the default paths stay
-/// counter-identical.
-fn run_bilateral<W: EdgeWeights + ?Sized, M: CostModel>(
-    w: &W,
-    start: &OwnedNetwork,
-    alpha: f64,
-    rule: ResponseRule,
-    order: AgentOrder,
-    max_steps: usize,
-) -> Outcome {
-    let _span = gncg_trace::span("game.dynamics");
-    let n = start.len();
-    let mut state = start.clone();
-    let mut seen: HashMap<Vec<Vec<usize>>, usize> = HashMap::new();
-    let mut history = vec![state.clone()];
-    seen.insert(state.canonical_key(), 0);
-
-    let accept = |state: &OwnedNetwork,
-                  history: &mut Vec<OwnedNetwork>,
-                  seen: &mut HashMap<Vec<Vec<usize>>, usize>|
-     -> Option<usize> {
-        let key = state.canonical_key();
-        if let Some(&first) = seen.get(&key) {
-            history.push(state.clone());
-            return Some(first);
-        }
-        seen.insert(key, history.len());
-        history.push(state.clone());
-        None
-    };
-
-    match order {
-        AgentOrder::MaxGain => {
-            for steps in 0..max_steps {
-                let candidates = gncg_parallel::parallel_map(n, |u| {
-                    bilateral_response_for::<W, M>(w, &state, alpha, rule, u)
-                });
-                let best = candidates
-                    .into_iter()
-                    .enumerate()
-                    .filter_map(|(u, c)| c.map(|(s, gain)| (u, s, gain)))
-                    .max_by(|a, b| a.2.partial_cmp(&b.2).unwrap_or(std::cmp::Ordering::Equal));
-                match best {
-                    None => return Outcome::Converged { state, steps },
-                    Some((u, strategy, _)) => {
-                        state.set_strategy(u, strategy);
-                        if let Some(first) = accept(&state, &mut history, &mut seen) {
-                            return Outcome::Cycle {
-                                history,
-                                cycle_start: first,
-                            };
-                        }
-                    }
-                }
-            }
-            Outcome::Exhausted {
-                state,
-                steps: max_steps,
-            }
-        }
-        AgentOrder::RoundRobin | AgentOrder::RandomPermutation(_) => {
-            let shuffle_seed = match order {
-                AgentOrder::RandomPermutation(s) => Some(s),
-                _ => None,
-            };
-            let mut steps = 0usize;
-            let mut rng_state = shuffle_seed.unwrap_or(0) | 1;
-            let mut next_u64 = move || {
-                rng_state ^= rng_state << 13;
-                rng_state ^= rng_state >> 7;
-                rng_state ^= rng_state << 17;
-                rng_state
-            };
-            let mut agent_order: Vec<usize> = (0..n).collect();
-            loop {
-                if shuffle_seed.is_some() {
-                    for i in (1..n).rev() {
-                        let j = (next_u64() % (i as u64 + 1)) as usize;
-                        agent_order.swap(i, j);
-                    }
-                }
-                let mut changed = false;
-                for &u in &agent_order {
-                    if steps >= max_steps {
-                        return Outcome::Exhausted { state, steps };
-                    }
-                    if let Some((strategy, _)) =
-                        bilateral_response_for::<W, M>(w, &state, alpha, rule, u)
-                    {
-                        state.set_strategy(u, strategy);
-                        steps += 1;
-                        changed = true;
-                        if let Some(first) = accept(&state, &mut history, &mut seen) {
-                            return Outcome::Cycle {
-                                history,
-                                cycle_start: first,
-                            };
-                        }
-                    }
-                }
-                if !changed {
-                    return Outcome::Converged { state, steps };
-                }
-            }
-        }
-    }
 }
 
 /// The pre-incremental dynamics driver: every probe rebuilds `G(s)` and

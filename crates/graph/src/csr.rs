@@ -4,8 +4,10 @@
 //! engine's incremental edits; the APSP-heavy kernels (γ certification
 //! on large instances, the benchmark sweeps) prefer a frozen,
 //! cache-friendly layout. [`Csr`] is an immutable snapshot with all
-//! neighbour lists in two flat arrays, plus a Dijkstra that reuses
-//! caller-provided scratch buffers to avoid per-source allocation.
+//! neighbour lists in two flat arrays, plus the one production Dijkstra
+//! kernel (full rows, rows bounded at a distance, or rows with their
+//! shortest-path tree), which reuses caller-provided scratch buffers
+//! to avoid per-source allocation.
 
 use crate::{DistMatrix, Graph};
 
@@ -29,7 +31,7 @@ impl gncg_parallel::arena::Scratch for Csr {
     }
 }
 
-/// Reusable scratch space for [`Csr::dijkstra_into`].
+/// Reusable scratch space for the [`Csr`] Dijkstra kernel.
 #[derive(Debug, Default)]
 pub struct DijkstraScratch {
     heap: crate::heap4::QuadHeap,
@@ -37,9 +39,9 @@ pub struct DijkstraScratch {
 
 /// Arena recycling for per-worker Dijkstra scratch: hot loops rent a
 /// scratch with `gncg_parallel::arena::rent::<DijkstraScratch>()`
-/// instead of constructing one per call. The kernel drains the heap
-/// before returning, so a recycled scratch is indistinguishable from a
-/// fresh one.
+/// instead of constructing one per call. The kernel clears the heap
+/// before it starts (a bounded run leaves entries queued), so a
+/// recycled scratch is indistinguishable from a fresh one.
 impl gncg_parallel::arena::Scratch for DijkstraScratch {
     fn reset(&mut self) {
         self.heap.clear();
@@ -63,36 +65,24 @@ pub(crate) fn pack_key(bits: u64, node: u32) -> u128 {
 impl Csr {
     /// Snapshot an adjacency-list graph.
     pub fn from_graph(g: &Graph) -> Self {
-        let n = g.len();
-        assert!(n <= u32::MAX as usize, "graph too large for CSR u32 ids");
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut targets = Vec::with_capacity(2 * g.num_edges());
-        let mut weights = Vec::with_capacity(2 * g.num_edges());
-        offsets.push(0u32);
-        for u in 0..n {
-            for &(v, w) in g.neighbors(u) {
-                targets.push(v as u32);
-                weights.push(w);
-            }
-            offsets.push(targets.len() as u32);
-        }
-        Self {
-            offsets,
-            targets,
-            weights,
-        }
+        let mut csr = Self::default();
+        csr.refill_from_graph(g);
+        csr
     }
 
     /// Re-snapshot `g` into this CSR, reusing the three flat buffers —
     /// the allocation-free refresh for loops that re-freeze a mutating
     /// graph (e.g. the approx-dynamics probe loop after each accepted
-    /// move). Produces exactly the arrays [`Csr::from_graph`] would.
+    /// move).
     pub fn refill_from_graph(&mut self, g: &Graph) {
         let n = g.len();
         assert!(n <= u32::MAX as usize, "graph too large for CSR u32 ids");
         self.offsets.clear();
         self.targets.clear();
         self.weights.clear();
+        self.offsets.reserve(n + 1);
+        self.targets.reserve(2 * g.num_edges());
+        self.weights.reserve(2 * g.num_edges());
         self.offsets.push(0u32);
         for u in 0..n {
             for &(v, w) in g.neighbors(u) {
@@ -123,18 +113,11 @@ impl Csr {
         (&self.targets[lo..hi], &self.weights[lo..hi])
     }
 
-    /// Snapshot `g` with vertex `skip` isolated: every edge incident to
-    /// `skip` is dropped, all other vertices keep their ids. This is the
-    /// "rest graph" `G − u` of the best-response evaluator, built without
-    /// mutating or cloning the adjacency-list graph.
-    pub fn from_graph_without_vertex(g: &Graph, skip: usize) -> Self {
-        let mut csr = Self::default();
-        csr.refill_from_graph_without_vertex(g, skip);
-        csr
-    }
-
-    /// Allocation-free counterpart of [`Csr::from_graph_without_vertex`]:
-    /// re-snapshot `g` minus vertex `skip` into this CSR's buffers.
+    /// Re-snapshot `g` with vertex `skip` isolated into this CSR's
+    /// buffers: every edge incident to `skip` is dropped, all other
+    /// vertices keep their ids. This is the "rest graph" `G − u` of the
+    /// best-response evaluator, built without mutating or cloning the
+    /// adjacency-list graph.
     pub fn refill_from_graph_without_vertex(&mut self, g: &Graph, skip: usize) {
         let n = g.len();
         assert!(n <= u32::MAX as usize, "graph too large for CSR u32 ids");
@@ -156,22 +139,65 @@ impl Csr {
         }
     }
 
-    /// Dijkstra from `source` writing distances into `dist`
-    /// (`f64::INFINITY` for unreachable), reusing `scratch`.
-    pub fn dijkstra_into(&self, source: usize, dist: &mut Vec<f64>, scratch: &mut DijkstraScratch) {
-        let n = self.len();
-        dist.clear();
-        dist.resize(n, f64::INFINITY);
-        self.dijkstra_into_slice(source, dist, scratch);
-    }
-
-    /// Dijkstra writing into a caller-owned row of exactly `n` entries —
-    /// the allocation-free kernel behind [`Csr::all_pairs`] and the
-    /// incremental evaluation context's row refresh.
+    /// Dijkstra writing into a caller-owned row of exactly `n` entries
+    /// (`f64::INFINITY` for unreachable) — the allocation-free kernel
+    /// behind [`Csr::all_pairs`] and the incremental evaluation
+    /// context's row refresh.
     pub fn dijkstra_into_slice(
         &self,
         source: usize,
         dist: &mut [f64],
+        scratch: &mut DijkstraScratch,
+    ) {
+        self.sssp::<false, false>(source, dist, &mut [], f64::INFINITY, scratch);
+    }
+
+    /// [`Csr::dijkstra_into_slice`] that ends the search at the first
+    /// settled pop beyond `bound`. Every vertex at distance `≤ bound`
+    /// gets its exact row entry; every other entry is `> bound` (a
+    /// tentative distance or `INFINITY`), so `dist[v] > bound` decides
+    /// `d(source, v) > bound` exactly.
+    pub fn dijkstra_bounded(
+        &self,
+        source: usize,
+        dist: &mut [f64],
+        bound: f64,
+        scratch: &mut DijkstraScratch,
+    ) {
+        self.sssp::<true, false>(source, dist, &mut [], bound, scratch);
+    }
+
+    /// [`Csr::dijkstra_into_slice`] that also records the shortest-path
+    /// tree: `pred[v]` is the vertex whose relaxation last improved `v`
+    /// (`usize::MAX` for the source and unreachable vertices), exactly
+    /// as [`crate::dijkstra::tree`] records it. Read paths with
+    /// [`path_from_tree`].
+    pub fn dijkstra_tree(
+        &self,
+        source: usize,
+        dist: &mut [f64],
+        pred: &mut [usize],
+        scratch: &mut DijkstraScratch,
+    ) {
+        assert_eq!(
+            pred.len(),
+            self.len(),
+            "predecessor row must have n entries"
+        );
+        pred.fill(usize::MAX);
+        self.sssp::<false, true>(source, dist, pred, f64::INFINITY, scratch);
+    }
+
+    /// The one production relaxation loop. `BOUNDED` and `PRED` are
+    /// resolved at compile time, so the full-row instantiation carries
+    /// neither the bound test nor the predecessor store.
+    #[inline(always)]
+    fn sssp<const BOUNDED: bool, const PRED: bool>(
+        &self,
+        source: usize,
+        dist: &mut [f64],
+        pred: &mut [usize],
+        bound: f64,
         scratch: &mut DijkstraScratch,
     ) {
         let n = self.len();
@@ -204,6 +230,11 @@ impl Csr {
             if d > unsafe { *dist.get_unchecked(u) } {
                 continue;
             }
+            // pops come in non-decreasing distance order: everything
+            // still queued is at least as far
+            if BOUNDED && d > bound {
+                break;
+            }
             // Settled scan over the two contiguous CSR slices; the
             // lockstep zip keeps the relax loop free of bounds checks.
             // SAFETY: `u < n` (above) so `u + 1` indexes `offsets`
@@ -226,6 +257,9 @@ impl Csr {
                 if nd < *dv {
                     relaxed += 1;
                     *dv = nd;
+                    if PRED {
+                        pred[v] = u;
+                    }
                     debug_assert!(nd.to_bits() >> 63 == 0, "negative tentative distance");
                     scratch.heap.push(pack_key(nd.to_bits(), v as u32));
                 }
@@ -234,16 +268,9 @@ impl Csr {
         gncg_trace::record_dijkstra(pops, relaxed);
     }
 
-    /// Sum of distances from `source` (∞ if anything unreachable).
-    pub fn distance_sum(&self, source: usize, scratch: &mut DijkstraScratch) -> f64 {
-        let mut dist = gncg_parallel::arena::rent::<Vec<f64>>();
-        self.dijkstra_into(source, &mut dist, scratch);
-        dist.iter().sum()
-    }
-
     /// Parallel APSP into a flat [`DistMatrix`], one persistent Dijkstra
     /// scratch per worker thread. Entry-for-entry identical to running
-    /// [`crate::dijkstra::distances`] from every source.
+    /// the [`crate::dijkstra::distances`] oracle from every source.
     pub fn all_pairs(&self) -> DistMatrix {
         let _span = gncg_trace::span("graph.apsp");
         let mut m = DistMatrix::default();
@@ -270,10 +297,33 @@ impl Csr {
     }
 }
 
+/// Reconstruct the vertex path `source → … → target` from a predecessor
+/// row recorded by [`Csr::dijkstra_tree`] (or the
+/// [`crate::dijkstra::tree`] oracle). `None` when `target` is
+/// unreachable.
+pub fn path_from_tree(pred: &[usize], source: usize, target: usize) -> Option<Vec<usize>> {
+    if source == target {
+        return Some(vec![source]);
+    }
+    if pred[target] == usize::MAX {
+        return None;
+    }
+    let mut path = vec![target];
+    let mut cur = target;
+    while cur != source {
+        cur = pred[cur];
+        path.push(cur);
+        if path.len() > pred.len() {
+            return None; // defensive: corrupted predecessor array
+        }
+    }
+    path.reverse();
+    Some(path)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{apsp, dijkstra};
 
     fn random_graph(n: usize, seed: u64) -> Graph {
         use rand::{Rng, SeedableRng};
@@ -292,51 +342,11 @@ mod tests {
         g
     }
 
-    #[test]
-    fn csr_matches_adjacency_dijkstra() {
-        for seed in 0..5 {
-            let g = random_graph(40, seed);
-            let csr = Csr::from_graph(&g);
-            let mut scratch = DijkstraScratch::default();
-            let mut dist = Vec::new();
-            for s in 0..g.len() {
-                csr.dijkstra_into(s, &mut dist, &mut scratch);
-                let reference = dijkstra::distances(&g, s);
-                assert_eq!(dist, reference, "seed {seed} source {s}");
-            }
-        }
-    }
-
-    #[test]
-    fn csr_apsp_matches() {
-        let g = random_graph(30, 9);
-        let csr = Csr::from_graph(&g);
-        assert_eq!(csr.all_pairs(), apsp::all_pairs(&g));
-    }
-
-    #[test]
-    fn disconnected_vertices_are_infinite() {
-        let g = Graph::from_edges(4, &[(0, 1, 1.0)]);
-        let csr = Csr::from_graph(&g);
-        let mut scratch = DijkstraScratch::default();
-        let mut dist = Vec::new();
-        csr.dijkstra_into(0, &mut dist, &mut scratch);
-        assert_eq!(dist[1], 1.0);
-        assert!(dist[2].is_infinite() && dist[3].is_infinite());
-        assert!(csr.distance_sum(0, &mut scratch).is_infinite());
-    }
-
-    #[test]
-    fn scratch_reuse_is_clean() {
-        let g1 = random_graph(20, 1);
-        let g2 = random_graph(25, 2);
-        let c1 = Csr::from_graph(&g1);
-        let c2 = Csr::from_graph(&g2);
-        let mut scratch = DijkstraScratch::default();
-        let mut dist = Vec::new();
-        c1.dijkstra_into(0, &mut dist, &mut scratch);
-        c2.dijkstra_into(3, &mut dist, &mut scratch);
-        assert_eq!(dist, dijkstra::distances(&g2, 3));
+    /// Full row from `source` into a fresh buffer.
+    fn row(csr: &Csr, source: usize, scratch: &mut DijkstraScratch) -> Vec<f64> {
+        let mut dist = vec![0.0; csr.len()];
+        csr.dijkstra_into_slice(source, &mut dist, scratch);
+        dist
     }
 
     #[test]
@@ -344,7 +354,8 @@ mod tests {
         for seed in 0..3 {
             let g = random_graph(25, seed + 40);
             for skip in [0, 7, 24] {
-                let csr = Csr::from_graph_without_vertex(&g, skip);
+                let mut csr = Csr::default();
+                csr.refill_from_graph_without_vertex(&g, skip);
                 // reference: clone the graph and drop skip's edges
                 let mut reduced = g.clone();
                 let nbrs: Vec<usize> = reduced.neighbors(skip).iter().map(|&(v, _)| v).collect();
@@ -352,30 +363,15 @@ mod tests {
                     reduced.remove_edge(skip, v);
                 }
                 let reference = Csr::from_graph(&reduced);
-                let mut s1 = DijkstraScratch::default();
-                let mut s2 = DijkstraScratch::default();
-                let mut d1 = Vec::new();
-                let mut d2 = Vec::new();
+                let mut scratch = DijkstraScratch::default();
                 for s in 0..g.len() {
-                    csr.dijkstra_into(s, &mut d1, &mut s1);
-                    reference.dijkstra_into(s, &mut d2, &mut s2);
-                    assert_eq!(d1, d2, "seed {seed} skip {skip} source {s}");
+                    assert_eq!(
+                        row(&csr, s, &mut scratch),
+                        row(&reference, s, &mut scratch),
+                        "seed {seed} skip {skip} source {s}"
+                    );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn slice_kernel_matches_vec_kernel() {
-        let g = random_graph(30, 77);
-        let csr = Csr::from_graph(&g);
-        let mut scratch = DijkstraScratch::default();
-        let mut vec_dist = Vec::new();
-        let mut row = vec![0.0; g.len()];
-        for s in 0..g.len() {
-            csr.dijkstra_into(s, &mut vec_dist, &mut scratch);
-            csr.dijkstra_into_slice(s, &mut row, &mut scratch);
-            assert_eq!(row, vec_dist);
         }
     }
 

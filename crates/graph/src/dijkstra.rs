@@ -1,4 +1,8 @@
-//! Single-source shortest paths (Dijkstra, 4-ary heap).
+//! The adjacency-list Dijkstra oracle.
+//!
+//! Production code runs the CSR kernel ([`crate::csr::Csr`]); this
+//! module keeps one independent relaxation loop over [`Graph`] as the
+//! named oracle the kernel is tested against.
 
 use crate::heap4::QuadHeap;
 use crate::Graph;
@@ -8,9 +12,8 @@ use crate::Graph;
 /// non-negative weights (sign bit clear), over which the u64 bit
 /// pattern is strictly monotone in the value, so the packed integer
 /// compare orders entries by distance with ties broken toward the
-/// smaller node id — the same total order the float comparator imposed,
-/// hence the same pop sequence (see `csr::pack_key` for the full
-/// argument).
+/// smaller node id — the same total order the CSR kernel uses (see
+/// `csr::pack_key`), hence the same pop sequence.
 #[inline]
 fn pack_key(bits: u64, node: usize) -> u128 {
     ((bits as u128) << 64) | node as u128
@@ -21,154 +24,10 @@ fn unpack_key(key: u128) -> (f64, usize) {
     (f64::from_bits((key >> 64) as u64), key as u64 as usize)
 }
 
-/// Reusable scratch for repeated single-source runs: the heap and the
-/// distance buffer survive across calls, so a loop of SSSP computations
-/// performs zero allocations after the first call (beyond heap growth
-/// on the largest instance seen).
-#[derive(Debug, Default)]
-pub struct DijkstraWorkspace {
-    heap: QuadHeap,
-    dist: Vec<f64>,
-}
-
-/// Arena recycling: the single-shot entry points below rent a workspace
-/// from `gncg_parallel::arena` instead of constructing one per call, so
-/// repeated calls on the same thread are allocation-free after warmup.
-impl gncg_parallel::arena::Scratch for DijkstraWorkspace {
-    fn reset(&mut self) {
-        self.heap.clear();
-        self.dist.clear();
-    }
-}
-
-impl DijkstraWorkspace {
-    /// Fresh, empty workspace.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The distance buffer of the most recent run.
-    #[inline]
-    pub fn dist(&self) -> &[f64] {
-        &self.dist
-    }
-}
-
 /// Shortest-path distances from `source` to every vertex.
 /// Unreachable vertices get `f64::INFINITY` (the paper's `d_G(u,v) = +∞`).
 pub fn distances(g: &Graph, source: usize) -> Vec<f64> {
-    let mut ws = gncg_parallel::arena::rent::<DijkstraWorkspace>();
-    distances_into(g, source, &mut ws);
-    // steal the distance buffer (the returned value); heap and settled
-    // set go back to the pool with their capacity intact
-    std::mem::take(&mut ws.dist)
-}
-
-/// Like [`distances`], but reusing `ws` for every buffer; the result is
-/// in `ws.dist()` (also returned). Bit-identical to [`distances`]: same
-/// heap order, same tie-breaks, same `d + w` accumulation.
-pub fn distances_into<'a>(g: &Graph, source: usize, ws: &'a mut DijkstraWorkspace) -> &'a [f64] {
-    let n = g.len();
-    assert!(source < n);
-    ws.dist.clear();
-    ws.dist.resize(n, f64::INFINITY);
-    ws.heap.clear();
-    ws.dist[source] = 0.0;
-    ws.heap.push(pack_key(0.0f64.to_bits(), source));
-    let (mut pops, mut relaxed) = (0u64, 0u64);
-    while let Some(key) = ws.heap.pop() {
-        pops += 1;
-        let (d, u) = unpack_key(key);
-        // stale-entry scan; see `Csr::dijkstra_into_slice` for why this
-        // is exactly the legacy settled-bitmap skip
-        if d > ws.dist[u] {
-            continue;
-        }
-        for &(v, w) in g.neighbors(u) {
-            let nd = d + w;
-            if nd < ws.dist[v] {
-                relaxed += 1;
-                ws.dist[v] = nd;
-                debug_assert!(nd.to_bits() >> 63 == 0, "negative tentative distance");
-                ws.heap.push(pack_key(nd.to_bits(), v));
-            }
-        }
-    }
-    gncg_trace::record_dijkstra(pops, relaxed);
-    &ws.dist
-}
-
-/// Like [`distances`] but abandons exploration beyond `limit` — used by
-/// the greedy spanner, which only asks "is `d_G(u,v) ≤ t·‖u,v‖`?".
-/// Vertices whose distance exceeds `limit` may be reported as `INFINITY`.
-pub fn distances_with_limit(g: &Graph, source: usize, limit: f64) -> Vec<f64> {
-    let n = g.len();
-    assert!(source < n);
-    // the distance buffer is the return value; heap and settled set are
-    // rented scratch
-    let mut dist = vec![f64::INFINITY; n];
-    let mut ws = gncg_parallel::arena::rent::<DijkstraWorkspace>();
-    let heap = &mut ws.heap;
-    dist[source] = 0.0;
-    heap.push(pack_key(0.0f64.to_bits(), source));
-    let (mut pops, mut relaxed) = (0u64, 0u64);
-    while let Some(key) = heap.pop() {
-        pops += 1;
-        let (d, u) = unpack_key(key);
-        if d > dist[u] {
-            continue; // stale entry, node already settled closer
-        }
-        if d > limit {
-            break; // every remaining entry is at least as far
-        }
-        for &(v, w) in g.neighbors(u) {
-            let nd = d + w;
-            if nd < dist[v] {
-                relaxed += 1;
-                dist[v] = nd;
-                heap.push(pack_key(nd.to_bits(), v));
-            }
-        }
-    }
-    gncg_trace::record_dijkstra(pops, relaxed);
-    dist
-}
-
-/// Shortest-path distance between a single pair (early exit once `target`
-/// is settled). `INFINITY` when disconnected.
-pub fn pair_distance(g: &Graph, source: usize, target: usize) -> f64 {
-    let n = g.len();
-    assert!(source < n && target < n);
-    if source == target {
-        return 0.0;
-    }
-    let mut ws = gncg_parallel::arena::rent::<DijkstraWorkspace>();
-    let DijkstraWorkspace { heap, dist } = &mut *ws;
-    dist.resize(n, f64::INFINITY);
-    dist[source] = 0.0;
-    heap.push(pack_key(0.0f64.to_bits(), source));
-    let (mut pops, mut relaxed) = (0u64, 0u64);
-    while let Some(key) = heap.pop() {
-        pops += 1;
-        let (d, u) = unpack_key(key);
-        if d > dist[u] {
-            continue; // stale entry, node already settled closer
-        }
-        if u == target {
-            gncg_trace::record_dijkstra(pops, relaxed);
-            return d;
-        }
-        for &(v, w) in g.neighbors(u) {
-            let nd = d + w;
-            if nd < dist[v] {
-                relaxed += 1;
-                dist[v] = nd;
-                heap.push(pack_key(nd.to_bits(), v));
-            }
-        }
-    }
-    gncg_trace::record_dijkstra(pops, relaxed);
-    f64::INFINITY
+    tree(g, source).0
 }
 
 /// Shortest-path tree: distances plus a predecessor per vertex
@@ -176,12 +35,9 @@ pub fn pair_distance(g: &Graph, source: usize, target: usize) -> f64 {
 pub fn tree(g: &Graph, source: usize) -> (Vec<f64>, Vec<usize>) {
     let n = g.len();
     assert!(source < n);
-    // dist and pred are the return values; heap and settled set are
-    // rented scratch
     let mut dist = vec![f64::INFINITY; n];
     let mut pred = vec![usize::MAX; n];
-    let mut ws = gncg_parallel::arena::rent::<DijkstraWorkspace>();
-    let heap = &mut ws.heap;
+    let mut heap = gncg_parallel::arena::rent::<QuadHeap>();
     dist[source] = 0.0;
     heap.push(pack_key(0.0f64.to_bits(), source));
     let (mut pops, mut relaxed) = (0u64, 0u64);
@@ -203,151 +59,4 @@ pub fn tree(g: &Graph, source: usize) -> (Vec<f64>, Vec<usize>) {
     }
     gncg_trace::record_dijkstra(pops, relaxed);
     (dist, pred)
-}
-
-/// Reconstruct the vertex path `source → … → target` from a predecessor
-/// array produced by [`tree`]. `None` when `target` is unreachable.
-pub fn path_from_tree(pred: &[usize], source: usize, target: usize) -> Option<Vec<usize>> {
-    if source == target {
-        return Some(vec![source]);
-    }
-    if pred[target] == usize::MAX {
-        return None;
-    }
-    let mut path = vec![target];
-    let mut cur = target;
-    while cur != source {
-        cur = pred[cur];
-        path.push(cur);
-        if path.len() > pred.len() {
-            return None; // defensive: corrupted predecessor array
-        }
-    }
-    path.reverse();
-    Some(path)
-}
-
-/// Sum of distances from `source` to all vertices — the distance cost
-/// `d_G(u, P)` of agent `u` in the game. `INFINITY` if any vertex is
-/// unreachable.
-pub fn distance_sum(g: &Graph, source: usize) -> f64 {
-    let mut ws = gncg_parallel::arena::rent::<DijkstraWorkspace>();
-    distances_into(g, source, &mut ws).iter().sum()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Path graph 0-1-2-3 with unit weights plus a heavy shortcut 0-3.
-    fn diamond() -> Graph {
-        Graph::from_edges(4, &[(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 10.0)])
-    }
-
-    #[test]
-    fn distances_prefers_short_path() {
-        let d = distances(&diamond(), 0);
-        assert_eq!(d, vec![0.0, 1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn pair_distance_matches() {
-        let g = diamond();
-        assert_eq!(pair_distance(&g, 0, 3), 3.0);
-        assert_eq!(pair_distance(&g, 3, 0), 3.0);
-        assert_eq!(pair_distance(&g, 1, 1), 0.0);
-    }
-
-    #[test]
-    fn unreachable_is_infinite() {
-        let g = Graph::from_edges(4, &[(0, 1, 1.0)]);
-        let d = distances(&g, 0);
-        assert_eq!(d[1], 1.0);
-        assert!(d[2].is_infinite());
-        assert!(pair_distance(&g, 0, 3).is_infinite());
-        assert!(distance_sum(&g, 0).is_infinite());
-    }
-
-    #[test]
-    fn limit_cuts_off_far_vertices() {
-        let g = Graph::from_edges(4, &[(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]);
-        let d = distances_with_limit(&g, 0, 1.5);
-        assert_eq!(d[0], 0.0);
-        assert_eq!(d[1], 1.0);
-        // vertex 2 at distance 2 may or may not be settled; 3 must not be
-        assert!(d[3].is_infinite() || d[3] == 3.0);
-    }
-
-    #[test]
-    fn tree_and_path_reconstruction() {
-        let g = diamond();
-        let (dist, pred) = tree(&g, 0);
-        assert_eq!(dist[3], 3.0);
-        let p = path_from_tree(&pred, 0, 3).unwrap();
-        assert_eq!(p, vec![0, 1, 2, 3]);
-        assert_eq!(path_from_tree(&pred, 0, 0).unwrap(), vec![0]);
-    }
-
-    #[test]
-    fn path_none_when_unreachable() {
-        let g = Graph::from_edges(3, &[(0, 1, 1.0)]);
-        let (_, pred) = tree(&g, 0);
-        assert!(path_from_tree(&pred, 0, 2).is_none());
-    }
-
-    #[test]
-    fn zero_weight_edges() {
-        let g = Graph::from_edges(3, &[(0, 1, 0.0), (1, 2, 5.0)]);
-        let d = distances(&g, 0);
-        assert_eq!(d, vec![0.0, 0.0, 5.0]);
-    }
-
-    #[test]
-    fn distance_sum_star() {
-        // star centred at 0 with unit spokes
-        let g = Graph::from_edges(5, &[(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0), (0, 4, 1.0)]);
-        assert_eq!(distance_sum(&g, 0), 4.0);
-        assert_eq!(distance_sum(&g, 1), 1.0 + 2.0 * 3.0);
-    }
-
-    #[test]
-    fn workspace_reuse_matches_fresh_runs() {
-        let g1 = diamond();
-        let g2 = Graph::from_edges(6, &[(0, 5, 2.0), (5, 4, 1.0), (4, 3, 1.0)]);
-        let mut ws = DijkstraWorkspace::new();
-        for s in 0..g1.len() {
-            assert_eq!(distances_into(&g1, s, &mut ws), &distances(&g1, s)[..]);
-        }
-        // switching to a different-sized graph must not leak state
-        for s in 0..g2.len() {
-            assert_eq!(distances_into(&g2, s, &mut ws), &distances(&g2, s)[..]);
-        }
-    }
-
-    #[test]
-    fn big_random_graph_triangle_inequality_of_metric_closure() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let n = 60;
-        let mut g = Graph::new(n);
-        for u in 0..n {
-            for v in (u + 1)..n {
-                if rng.gen::<f64>() < 0.1 {
-                    g.add_edge(u, v, rng.gen::<f64>() * 10.0);
-                }
-            }
-        }
-        // ensure connectivity with a cheap path
-        for u in 0..n - 1 {
-            if !g.has_edge(u, u + 1) {
-                g.add_edge(u, u + 1, 5.0);
-            }
-        }
-        let d0 = distances(&g, 0);
-        let d1 = distances(&g, 1);
-        let w01 = pair_distance(&g, 0, 1);
-        for v in 0..n {
-            assert!(d0[v] <= w01 + d1[v] + 1e-9, "triangle violated at {v}");
-        }
-    }
 }

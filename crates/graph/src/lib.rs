@@ -2,8 +2,13 @@
 //! machinery the GNCG needs.
 //!
 //! * [`Graph`] — adjacency-list weighted graph over vertices `0..n`,
-//! * [`dijkstra`] — single-source shortest paths (binary heap) with a
-//!   reusable [`dijkstra::DijkstraWorkspace`],
+//! * [`csr`] — frozen CSR snapshots and the one production Dijkstra
+//!   kernel (4-ary heap over packed keys; full, bounded, or with
+//!   predecessors) with reusable [`csr::DijkstraScratch`],
+//! * [`delta`] — incremental row repairs after edge edits, with
+//!   [`delta::dijkstra_modified`] as their oracle,
+//! * [`dijkstra`] — the adjacency-list Dijkstra oracle (`tree`,
+//!   `distances`) the kernel is tested against,
 //! * [`apsp`] — all-pairs shortest paths into a flat [`DistMatrix`],
 //!   parallel over sources with per-worker scratch,
 //! * [`mst`] — Prim's algorithm, O(n²), on arbitrary dense metrics,

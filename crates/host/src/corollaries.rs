@@ -3,7 +3,8 @@
 use crate::hm_filter;
 use crate::HostNetwork;
 use gncg_game::OwnedNetwork;
-use gncg_graph::{dijkstra, mst, orientation, Graph};
+use gncg_graph::csr::{path_from_tree, Csr, DijkstraScratch};
+use gncg_graph::{mst, orientation, Graph};
 
 /// Corollary 5.1: the spanning subnetwork
 /// `H' = (V, {uv | w(u,v) = d_H(u,v)})` — every edge that realizes the
@@ -146,13 +147,13 @@ pub fn algorithm1_on_host(
             // a path edge {a, b} must sit at one endpoint; we let the
             // path-predecessor endpoint own it, which keeps the created
             // edge set identical to the paper's construction.
-            let (_, preds) = hm_trees(&hm);
+            let preds = hm_trees(&hm);
             for &u in &outside {
                 let closest = *c_v
                     .iter()
                     .min_by(|&&a, &&b| metric[u][a].partial_cmp(&metric[u][b]).unwrap())
                     .unwrap();
-                if let Some(path) = dijkstra::path_from_tree(&preds[u], u, closest) {
+                if let Some(path) = path_from_tree(&preds[u], u, closest) {
                     for win in path.windows(2) {
                         let (a, b) = (win[0], win[1]);
                         if !network.has_edge(a, b) {
@@ -176,19 +177,8 @@ pub fn algorithm1_on_host(
 /// reachable through kept edges because `H_M` realizes the metric).
 fn greedy_metric_spanner(metric: &gncg_graph::DistMatrix, hm: &Graph, t: f64) -> Graph {
     assert!(t >= 1.0);
-    let n = metric.len();
-    let mut pairs: Vec<(f64, usize, usize)> =
-        hm.edges().into_iter().map(|(u, v, w)| (w, u, v)).collect();
-    pairs.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
-    let mut g = Graph::new(n);
-    for (w, u, v) in pairs {
-        let limit = t * w;
-        let d = dijkstra::distances_with_limit(&g, u, limit);
-        if d[v] > limit * (1.0 + 1e-12) {
-            g.add_edge(u, v, w);
-        }
-    }
-    g
+    let pairs = hm.edges().into_iter().map(|(u, v, w)| (w, u, v)).collect();
+    gncg_spanner::greedy::greedy_over_pairs(metric.len(), pairs, t, 1e-12)
 }
 
 fn measured_stretch(g: &Graph, metric: &gncg_graph::DistMatrix) -> f64 {
@@ -205,16 +195,19 @@ fn measured_stretch(g: &Graph, metric: &gncg_graph::DistMatrix) -> f64 {
     worst
 }
 
-fn hm_trees(hm: &Graph) -> (Vec<Vec<f64>>, Vec<Vec<usize>>) {
+/// Shortest-path-tree predecessors of `H_M` from every source.
+fn hm_trees(hm: &Graph) -> Vec<Vec<usize>> {
     let n = hm.len();
-    let mut dists = Vec::with_capacity(n);
-    let mut preds = Vec::with_capacity(n);
-    for s in 0..n {
-        let (d, p) = dijkstra::tree(hm, s);
-        dists.push(d);
-        preds.push(p);
-    }
-    (dists, preds)
+    let csr = Csr::from_graph(hm);
+    let mut scratch = DijkstraScratch::default();
+    let mut dist = vec![f64::INFINITY; n];
+    (0..n)
+        .map(|s| {
+            let mut pred = vec![usize::MAX; n];
+            csr.dijkstra_tree(s, &mut dist, &mut pred, &mut scratch);
+            pred
+        })
+        .collect()
 }
 
 /// Corollary 5.1's guarantee.

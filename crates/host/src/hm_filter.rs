@@ -7,23 +7,30 @@
 //! `w(u,v) = d_{H_M}(u,v)`.
 
 use crate::HostNetwork;
-use gncg_graph::{dijkstra, Graph};
+use gncg_graph::csr::{Csr, DijkstraScratch};
+use gncg_graph::Graph;
 
 /// Apply the filter to a complete host network; returns `H_M` as a graph
 /// (not necessarily complete).
+///
+/// Each check runs on the graph *with* `uv`, bounded at `w`: since
+/// `d_H(u,v) = min(w, d_{H−uv}(u,v))`, the edge is dominated iff
+/// `d_H(u,v) < w − 1e-12`, and a bounded run settles `v` exactly because
+/// `d_H(u,v) ≤ w`. The CSR snapshot is refreshed only after a removal.
 pub fn hm_filter(h: &HostNetwork) -> Graph {
     let n = h.len();
     let mut g = Graph::complete(n, |i, j| h.weight(i, j));
     let mut edges = g.edges();
     // longest first
     edges.sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap());
+    let mut csr = Csr::from_graph(&g);
+    let mut scratch = DijkstraScratch::default();
+    let mut dist = vec![f64::INFINITY; n];
     for (u, v, w) in edges {
-        // check the distance without this edge: if strictly shorter than
-        // w, the edge is dominated and removed
-        g.remove_edge(u, v);
-        let alt = dijkstra::pair_distance(&g, u, v);
-        if alt >= w - 1e-12 {
-            g.add_edge(u, v, w);
+        csr.dijkstra_bounded(u, &mut dist, w, &mut scratch);
+        if dist[v] < w - 1e-12 {
+            g.remove_edge(u, v);
+            csr.refill_from_graph(&g);
         }
     }
     g
@@ -32,13 +39,13 @@ pub fn hm_filter(h: &HostNetwork) -> Graph {
 /// Check the defining property of `H_M`: each surviving edge realizes
 /// the shortest-path distance between its endpoints.
 pub fn is_shortest_path_network(g: &Graph) -> bool {
-    for (u, v, w) in g.edges() {
-        let d = dijkstra::pair_distance(g, u, v);
-        if (d - w).abs() > 1e-9 * w.max(1.0) {
-            return false;
-        }
-    }
-    true
+    let csr = Csr::from_graph(g);
+    let mut scratch = DijkstraScratch::default();
+    let mut dist = vec![f64::INFINITY; g.len()];
+    g.edges().into_iter().all(|(u, v, w)| {
+        csr.dijkstra_bounded(u, &mut dist, w, &mut scratch);
+        (dist[v] - w).abs() <= 1e-9 * w.max(1.0)
+    })
 }
 
 /// The metric induced by `H_M` (distances in the filtered network),

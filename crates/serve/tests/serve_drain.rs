@@ -116,14 +116,21 @@ fn sigterm_drains_without_losing_any_accepted_job_and_escalates_on_second() {
     // ------------- phase 2: second SIGTERM escalates to cancel -------------
     let server = Server::bind(Session::builder().threads(1).build(), &cfg).expect("rebind");
     let addr = server.local_addr().to_string();
-    // park the single worker so wire jobs stay queued
+    // park the single worker so wire jobs stay queued; the worker
+    // prefers the victim's interactive lane over the gate's batch lane,
+    // so the victim is submitted only once the gate runs
     let (gate_tx, gate_rx) = std::sync::mpsc::channel::<()>();
+    let (started_tx, started_rx) = std::sync::mpsc::channel::<()>();
     let gate = server
         .session()
         .submit_sweep(gncg_service::JobOptions::default(), move |_| {
+            let _ = started_tx.send(());
             let _ = gate_rx.recv();
         })
         .expect("gate job");
+    started_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("gate job started");
     let victim = std::thread::spawn(move || {
         let mut client = ServeClient::new(addr, "victim").with_timeout(Duration::from_secs(60));
         client.submit(&small_spec(0))

@@ -275,15 +275,22 @@ fn quota_rejects_while_full_and_recovers_after_release() {
     };
     // single worker + a gate job parked on it: the wire-submitted job
     // below stays *queued* for as long as the test wants, so the quota
-    // window is deterministic, not timing-dependent
+    // window is deterministic, not timing-dependent. The gate runs in
+    // the batch lane and the hog in the interactive one, which the
+    // worker prefers, so the hog is submitted only once the gate runs.
     let server = Server::bind(Session::builder().threads(1).build(), &cfg).expect("bind");
     let (gate_tx, gate_rx) = std::sync::mpsc::channel::<()>();
+    let (started_tx, started_rx) = std::sync::mpsc::channel::<()>();
     let gate = server
         .session()
         .submit_sweep(gncg_service::JobOptions::default(), move |_| {
+            let _ = started_tx.send(());
             let _ = gate_rx.recv();
         })
         .expect("gate job");
+    started_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("gate job started");
     let mut conn = RawConn::connect(&server);
     conn.hello("tenant");
     // occupy the single quota slot; the job queues behind the gate
@@ -321,8 +328,12 @@ fn quota_rejects_while_full_and_recovers_after_release() {
     // was processed before we let the worker go
     conn.send(&Request::Ping { seq: 7 });
     loop {
-        if matches!(conn.recv(Duration::from_secs(5)), Response::Pong { seq: 7 }) {
-            break;
+        match conn.recv(Duration::from_secs(5)) {
+            Response::Pong { seq: 7 } => break,
+            Response::Result { req, outcome } => {
+                panic!("req {req} resolved while the worker was parked: {outcome:?}")
+            }
+            _ => continue,
         }
     }
     gate_tx.send(()).expect("release gate");

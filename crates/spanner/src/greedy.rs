@@ -9,11 +9,13 @@
 //! [`crate::cert`] instead of assuming book constants.
 //!
 //! Complexity: O(n²) pairs, each answered with a Dijkstra run truncated
-//! at `t·‖u,v‖`. Good to a few thousand points — the scale of the
-//! paper-level experiments.
+//! at `t·‖u,v‖` on a CSR snapshot of the spanner so far; the snapshot
+//! is refreshed once per added edge (O(n + m) each). Good to a few
+//! thousand points — the scale of the paper-level experiments.
 
 use gncg_geometry::PointSet;
-use gncg_graph::{dijkstra, Graph};
+use gncg_graph::csr::{Csr, DijkstraScratch};
+use gncg_graph::Graph;
 
 /// Build the path-greedy t-spanner of `ps` (requires `t ≥ 1`).
 ///
@@ -23,30 +25,32 @@ use gncg_graph::{dijkstra, Graph};
 pub fn greedy_spanner(ps: &PointSet, t: f64) -> Graph {
     assert!(t >= 1.0, "stretch factor must be >= 1, got {t}");
     let n = ps.len();
-    let mut g = Graph::new(n);
-    if n == 1 {
-        return g;
-    }
     let mut pairs: Vec<(f64, usize, usize)> = Vec::with_capacity(n * (n - 1) / 2);
     for u in 0..n {
         for v in (u + 1)..n {
             pairs.push((ps.dist(u, v), u, v));
         }
     }
+    greedy_over_pairs(n, pairs, t, gncg_geometry::EPS)
+}
+
+/// The greedy rule over distinct candidate pairs `(w, u, v)` on `n`
+/// vertices: in non-decreasing `(w, u)` order, add `{u, v}` iff the
+/// spanner so far has `d(u, v) > t·w·(1 + tol)`. A zero-weight pair is
+/// thus added iff its endpoints are not yet joined by a zero-length
+/// path (the bound-0 search explores just that component).
+pub fn greedy_over_pairs(n: usize, mut pairs: Vec<(f64, usize, usize)>, t: f64, tol: f64) -> Graph {
     pairs.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
+    let mut g = Graph::new(n);
+    let mut csr = Csr::from_graph(&g);
+    let mut scratch = DijkstraScratch::default();
+    let mut dist = vec![f64::INFINITY; n];
     for (w, u, v) in pairs {
-        if w == 0.0 {
-            // co-located: connect only if not already in the same
-            // zero-distance component (cheap check via direct edge scan)
-            if !g.has_edge(u, v) && dijkstra::pair_distance(&g, u, v) > 0.0 {
-                g.add_edge(u, v, 0.0);
-            }
-            continue;
-        }
         let limit = t * w;
-        let d = dijkstra::distances_with_limit(&g, u, limit);
-        if d[v] > limit * (1.0 + gncg_geometry::EPS) {
+        csr.dijkstra_bounded(u, &mut dist, limit, &mut scratch);
+        if dist[v] > limit * (1.0 + tol) {
             g.add_edge(u, v, w);
+            csr.refill_from_graph(&g);
         }
     }
     g

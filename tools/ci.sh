@@ -83,6 +83,21 @@ if grep -rnE --include='*.rs' \
     exit 1
 fi
 
+# one shortest-path kernel: production code outside gncg-graph queries
+# the CSR kernel (`Csr::dijkstra_*`), never the adjacency-list oracle in
+# `dijkstra.rs` (test modules may import it as their reference), and no
+# crate grows a relaxation loop of its own
+if grep -rnE --include='*.rs' '^use gncg_graph::[^;]*dijkstra|gncg_graph::dijkstra::' src crates \
+    | grep -E '^(src|crates/[^/]+/src)/' | grep -v '^crates/graph/'; then
+    echo 'gncg_graph::dijkstra (the oracle) used outside crates/graph (use gncg_graph::csr::Csr)' >&2
+    exit 1
+fi
+if grep -rnE --include='*.rs' 'heap\.pop\(\)' src crates tests examples \
+    | grep -vE '^crates/graph/src/(csr|delta|dijkstra|heap4|mst)\.rs:'; then
+    echo 'a heap.pop() relaxation loop outside the gncg-graph kernels' >&2
+    exit 1
+fi
+
 cargo fmt --all -- --check
 # `-D deprecated` on top of `-D warnings`: no workspace member may use a
 # deprecated item
