@@ -32,8 +32,7 @@
 //! `connect --job sweep --spec FILE`.
 
 use gncg_algo as algo;
-use gncg_config::GncgConfig;
-use gncg_game::{dynamics, GameSpec, OwnedNetwork, SolverConfig};
+use gncg_game::{dynamics, GameSpec, ModelKind, OwnedNetwork, SolverConfig};
 use gncg_geometry::{generators, PointSet};
 use gncg_parallel::Budget;
 use gncg_serve::{ClientError, JobSpec, ServeClient, Server};
@@ -129,6 +128,17 @@ fn parse_rule(opts: &HashMap<String, String>) -> dynamics::ResponseRule {
             usage_and_exit()
         }
     }
+}
+
+/// The `GNCG_MODEL` objective (sum when unset or empty); an unknown
+/// spelling is a usage error, never a silent fallback to sum.
+fn env_model() -> ModelKind {
+    gncg_config::env::model()
+        .map(Option::unwrap_or_default)
+        .unwrap_or_else(|e| {
+            eprintln!("{e}");
+            exit(2);
+        })
 }
 
 fn load_points(path: &str) -> PointSet {
@@ -231,11 +241,11 @@ fn build(opts: &HashMap<String, String>) {
 }
 
 fn run_certify(opts: &HashMap<String, String>) {
+    // binaries honor the env model choice; library defaults stay sum
+    let model = env_model();
     let ps = load_points(req(opts, "points"));
     let net = load_network(req(opts, "network"));
     let alpha: f64 = parse_num(req(opts, "alpha"), "--alpha");
-    // binaries honor the env model choice; library defaults stay sum
-    let model = GncgConfig::from_env().model;
     let options = if opts.contains_key("exact") {
         SolverConfig::exact()
     } else {
@@ -259,6 +269,7 @@ fn run_certify(opts: &HashMap<String, String>) {
 }
 
 fn run_dynamics(opts: &HashMap<String, String>) {
+    let model = env_model();
     let ps = load_points(req(opts, "points"));
     let alpha: f64 = parse_num(req(opts, "alpha"), "--alpha");
     let steps: usize = opts
@@ -275,7 +286,7 @@ fn run_dynamics(opts: &HashMap<String, String>) {
             alpha,
             rule,
             steps,
-            SolverConfig::default().with_model(GncgConfig::from_env().model),
+            SolverConfig::default().with_model(model),
             JobOptions::default(),
         )
         .unwrap_or_else(|e| {
@@ -422,7 +433,7 @@ fn run_connect(opts: &HashMap<String, String>) {
         .cloned()
         .unwrap_or_else(|| format!("gncg-cli-{}", std::process::id()));
     let budget_ms: Option<u64> = opts.get("budget-ms").map(|s| parse_num(s, "--budget-ms"));
-    let model = GncgConfig::from_env().model;
+    let model = env_model();
     let spec = match opts.get("job").map(|s| s.as_str()).unwrap_or("certify") {
         "certify" => JobSpec::Certify {
             network: load_network(req(opts, "network")),

@@ -26,15 +26,15 @@
 //! * `large` — the spanner-backed large-n envelope (`perf_smoke_large`
 //!   → `perf_smoke_large.json`, gated against
 //!   `results/PERF_BASELINE_LARGE.json`): grid-candidate improving-move
-//!   dynamics plus bracketed β/γ certification at n ∈ {1024, 4096,
-//!   10000}, all under the approximate (`GNCG_EVAL_BACKEND=spanner`
-//!   semantics) evaluation path. The n = 10⁴ stage must finish well
+//!   dynamics plus bracketed β/γ certification
+//!   ([`approx::certify_approx`] on the stage's spanner with 8 pivots)
+//!   at n ∈ {1024, 4096, 10000}. The n = 10⁴ stage must finish well
 //!   under 60 s single-threaded.
 
 use gncg_bench::Report;
-use gncg_game::approx::{run_approx, ApproxDynamicsOptions};
+use gncg_game::approx::{self, run_approx, ApproxDynamicsOptions};
 use gncg_game::certify::certify;
-use gncg_game::{best_response, dynamics, EvalBackend, ModelKind, OwnedNetwork, SolverConfig};
+use gncg_game::{best_response, dynamics, EvalBackend, OwnedNetwork, SolverConfig};
 use gncg_geometry::{generators, PointSet};
 use gncg_service::{JobOptions, Session};
 use gncg_spanner::{GridIndex, SpannerKind};
@@ -58,8 +58,8 @@ fn calibration_secs() -> f64 {
 
 /// One large-tier stage: build the stage spanner, adopt its
 /// distributed profile as the start network, run grid-candidate
-/// improving-move dynamics, then certify a β/γ bracket through the
-/// spanner [`EvalBackend`]. Everything inside is deterministic — the
+/// improving-move dynamics, then certify a β/γ bracket on the same
+/// spanner. Everything inside is deterministic — the
 /// candidate tallies and Dijkstra counters it adds are gated exactly.
 fn large_stage(
     report: &mut Report,
@@ -76,8 +76,8 @@ fn large_stage(
     let index = GridIndex::with_auto_cell(ps);
     let out = run_approx(ps, &mut net, alpha, &index, dynamics_opts);
     std::hint::black_box(out.moves_accepted);
-    let backend = EvalBackend::Spanner { kind, pivots: 8 };
-    let bracket = backend.certify_bracket(ps, &net, alpha, ModelKind::SumDistances);
+    let cfg = SolverConfig::default().with_backend(EvalBackend::Spanner { kind, pivots: 8 });
+    let bracket = approx::certify_approx(ps, &net, alpha, &cfg);
     assert!(
         bracket.beta_lo <= bracket.beta_hi && bracket.gamma_lo <= bracket.gamma_hi,
         "{name}: certified bracket inverted"

@@ -52,6 +52,48 @@ fn dynamics_accepts_best_single_and_absent() {
     std::fs::remove_dir_all(points.parent().unwrap()).ok();
 }
 
+/// `gncg <sub>` on a 6-point star with `GNCG_MODEL=<model>`; `connect`
+/// targets a port nothing should listen on.
+fn with_model(sub: &str, model: &str, tag: &str) -> Output {
+    let points = points_file(tag);
+    let network = points.with_file_name("network.json");
+    let star = gncg_game::OwnedNetwork::center_star(6, 0);
+    std::fs::write(
+        &network,
+        gncg_json::to_string(&gncg_json::ToJson::to_json(&star)),
+    )
+    .unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_gncg"))
+        .arg(sub)
+        .arg("--points")
+        .arg(&points)
+        .arg("--network")
+        .arg(&network)
+        .args(["--alpha", "2", "--addr", "127.0.0.1:9"])
+        .env(gncg_config::env::MODEL_VAR, model)
+        .output()
+        .expect("gncg runs");
+    std::fs::remove_dir_all(points.parent().unwrap()).ok();
+    out
+}
+
+#[test]
+fn certify_and_connect_reject_an_unknown_model() {
+    for sub in ["certify", "connect"] {
+        let out = with_model(sub, "maxdst", &format!("model_typo_{sub}"));
+        assert_eq!(out.status.code(), Some(2), "{sub}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("accepted: sum, maxdist, max"),
+            "{sub}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{sub}: nothing may run on a typo");
+    }
+    let out = with_model("certify", "MAX", "model_max");
+    assert!(out.status.success(), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains(r#""model": "maxdist""#));
+}
+
 /// Run a repro binary with `GNCG_RESULTS_DIR` pointed at a fresh empty
 /// directory; returns the output and the directory.
 fn repro(bin: &str, args: &[&str], tag: &str) -> (Output, PathBuf) {

@@ -19,9 +19,7 @@
 //! | `GNCG_RESULTS_DIR`          | [`env::results_dir`]           | path override; **re-read on every call** (tests retarget it at runtime) |
 //! | `GNCG_CACHE_DIR`            | [`env::cache_dir`]             | content-addressed result-cache directory; unset ⇒ cache off; **re-read on every call** (tests retarget it at runtime) |
 //! | `GNCG_CACHE`                | [`env::cache_on`]              | off iff `"0"`/`"false"`/`"off"` (case-insensitive); **re-read on every call** |
-//! | `GNCG_PERF_RATIO`           | [`env::perf_ratio`]            | parsed `f64` > 0, default `1.5`; cached at first read |
-//! | `GNCG_MODEL`                | [`env::model`]                 | `"maxdist"`/`"max"` ⇒ [`ModelKind::MaxDistance`], anything else ⇒ [`ModelKind::SumDistances`]; cached at first read |
-//! | `GNCG_EVAL_BACKEND`         | [`env::eval_backend`]          | `"spanner"`/`"approx"` ⇒ [`EvalBackendKind::Spanner`], anything else ⇒ [`EvalBackendKind::Exact`]; cached at first read |
+//! | `GNCG_MODEL`                | [`env::model`]                 | `"sum"`/`""` ⇒ [`ModelKind::SumDistances`], `"maxdist"`/`"max"` ⇒ [`ModelKind::MaxDistance`] (any case), unset ⇒ no choice, anything else ⇒ error; cached at first read |
 //! | `GNCG_NET_FAULT_INJECT`     | [`env::net_fault_inject`]      | parsed `f64`, unparsable ⇒ unset; cached at first read |
 //! | `GNCG_SERVE_ADDR`           | [`env::serve_addr`]            | listen/connect address, default `127.0.0.1:7117`; cached at first read |
 //! | `GNCG_SERVE_MAX_CONNS`      | ([`ServeConfig`])              | parsed `usize`, default 512; cached at first read |
@@ -37,12 +35,11 @@
 //! parallel call still takes effect — exactly the semantics the
 //! scattered `OnceLock`s had before this crate existed.
 //!
-//! [`GncgConfig`] is the snapshot form: one struct carrying every knob,
-//! filled from the environment by [`GncgConfig::from_env`] and
-//! overridable programmatically through [`GncgConfig::builder`]. The
-//! `gncg-service` `Session` consumes a `GncgConfig` instead of the
-//! process environment, which is how embedders configure the job engine
-//! without touching env vars.
+//! Embedders that must not depend on the process environment configure
+//! the job engine through `gncg_service::SessionBuilder` (worker count,
+//! default budget) and each solve through `gncg_game::SolverConfig`;
+//! the process-global toggles (`GNCG_TRACE`, `GNCG_FAULT_INJECT`) have
+//! runtime setters in their owning crates.
 
 use std::path::PathBuf;
 use std::sync::OnceLock;
@@ -77,44 +74,18 @@ impl ModelKind {
             ModelKind::MaxDistance => "maxdist",
         }
     }
+
+    /// The kind whose [`ModelKind::as_str`] spelling is exactly `name`;
+    /// `None` for anything else (no case folding, no aliases). Wire
+    /// frames, sweep specs and stored reports all parse through this.
+    pub fn from_name(name: &str) -> Option<Self> {
+        [ModelKind::SumDistances, ModelKind::MaxDistance]
+            .into_iter()
+            .find(|kind| kind.as_str() == name)
+    }
 }
 
 impl std::fmt::Display for ModelKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// Which evaluation backend the solvers should use (`GNCG_EVAL_BACKEND`).
-///
-/// Defined here for the same reason as [`ModelKind`]: the config crate is
-/// upstream of every consumer, and `gncg-game` maps the kind onto its
-/// `EvalBackend` (exact `EvalContext` vs. the spanner-backed approximate
-/// evaluator with certified error bars).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum EvalBackendKind {
-    /// Exact all-pairs evaluation — the historical behaviour and the
-    /// only backend whose figures are bit-compared against baselines.
-    #[default]
-    Exact,
-    /// Spanner-backed approximate evaluation: β/γ come back as certified
-    /// brackets (`[lo, hi]` guaranteed to contain the exact figure),
-    /// never as silently-approximate point values.
-    Spanner,
-}
-
-impl EvalBackendKind {
-    /// Canonical lowercase name, matching the `GNCG_EVAL_BACKEND`
-    /// spelling.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            EvalBackendKind::Exact => "exact",
-            EvalBackendKind::Spanner => "spanner",
-        }
-    }
-}
-
-impl std::fmt::Display for EvalBackendKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.as_str())
     }
@@ -155,41 +126,24 @@ pub mod parse {
         value.and_then(|v| v.parse().ok())
     }
 
-    /// `GNCG_PERF_RATIO` semantics: parsed `f64`, but non-positive or
-    /// unparsable values fall back to the default `1.5`.
-    pub fn perf_ratio(value: Option<&str>) -> f64 {
-        match number::<f64>(value) {
-            Some(r) if r > 0.0 => r,
-            _ => 1.5,
-        }
-    }
-
-    /// `GNCG_MODEL` semantics: `"maxdist"` or `"max"` (case-insensitive)
-    /// selects the max-distance objective; anything else — including
-    /// unset, `""`, and `"sum"` — is the paper's sum-of-distances
-    /// default, so a typo can never silently change which numbers the
-    /// repro binaries report against the committed baselines.
-    pub fn model(value: Option<&str>) -> super::ModelKind {
-        match value {
-            Some(v) if v.eq_ignore_ascii_case("maxdist") || v.eq_ignore_ascii_case("max") => {
-                super::ModelKind::MaxDistance
-            }
-            _ => super::ModelKind::SumDistances,
-        }
-    }
-
-    /// `GNCG_EVAL_BACKEND` semantics: `"spanner"` or `"approx"`
-    /// (case-insensitive) selects the spanner-backed approximate
-    /// evaluation backend; anything else — including unset, `""`, and
-    /// `"exact"` — is the exact default, mirroring the typo-safe rule of
-    /// [`model`]: a misspelling can never silently flip a run onto
-    /// approximate figures.
-    pub fn eval_backend(value: Option<&str>) -> super::EvalBackendKind {
-        match value {
-            Some(v) if v.eq_ignore_ascii_case("spanner") || v.eq_ignore_ascii_case("approx") => {
-                super::EvalBackendKind::Spanner
-            }
-            _ => super::EvalBackendKind::Exact,
+    /// `GNCG_MODEL` semantics: unset ⇒ `Ok(None)`, no explicit choice
+    /// (binaries run the paper's sum objective, model-parameterized
+    /// test harnesses sweep every model); `""` or `"sum"` ⇒ sum,
+    /// `"maxdist"` or `"max"` ⇒ max-distance, in any case; anything
+    /// else is an error naming the accepted values, so a typo can never
+    /// silently change which numbers a run reports.
+    pub fn model(value: Option<&str>) -> Result<Option<super::ModelKind>, String> {
+        let Some(v) = value else { return Ok(None) };
+        match v.to_ascii_lowercase().as_str() {
+            "" => Ok(Some(super::ModelKind::SumDistances)),
+            "max" => Ok(Some(super::ModelKind::MaxDistance)),
+            name => super::ModelKind::from_name(name).map(Some).ok_or_else(|| {
+                format!(
+                    "{}={v:?} is not a model; accepted: sum, maxdist, max \
+                     (any case; empty or unset means sum)",
+                    super::env::MODEL_VAR
+                )
+            }),
         }
     }
 }
@@ -283,27 +237,18 @@ pub mod env {
         parse::cache_on(read("GNCG_CACHE").as_deref())
     }
 
-    /// `GNCG_PERF_RATIO`: perf-gate wall-time regression allowance
-    /// (default 1.5). Cached at first read.
-    pub fn perf_ratio() -> f64 {
-        static CACHE: OnceLock<f64> = OnceLock::new();
-        *CACHE.get_or_init(|| parse::perf_ratio(read("GNCG_PERF_RATIO").as_deref()))
-    }
+    /// Name of the variable [`model`] reads — for tests that set it on
+    /// a child process.
+    pub const MODEL_VAR: &str = "GNCG_MODEL";
 
-    /// `GNCG_MODEL`: which agent objective the binaries and the
-    /// model-parameterized test harnesses target (default
-    /// [`ModelKind::SumDistances`]). Cached at first read.
-    pub fn model() -> ModelKind {
-        static CACHE: OnceLock<ModelKind> = OnceLock::new();
-        *CACHE.get_or_init(|| parse::model(read("GNCG_MODEL").as_deref()))
-    }
-
-    /// `GNCG_EVAL_BACKEND`: which evaluation backend solver entry points
-    /// default to (default [`EvalBackendKind::Exact`]). Cached at first
-    /// read.
-    pub fn eval_backend() -> EvalBackendKind {
-        static CACHE: OnceLock<EvalBackendKind> = OnceLock::new();
-        *CACHE.get_or_init(|| parse::eval_backend(read("GNCG_EVAL_BACKEND").as_deref()))
+    /// `GNCG_MODEL`: the agent objective the binaries and the
+    /// model-parameterized test harnesses target, under the rules of
+    /// [`parse::model`]. `Ok(None)` when unset. Cached at first read.
+    pub fn model() -> Result<Option<ModelKind>, String> {
+        static CACHE: OnceLock<Result<Option<ModelKind>, String>> = OnceLock::new();
+        CACHE
+            .get_or_init(|| parse::model(read(MODEL_VAR).as_deref()))
+            .clone()
     }
 
     /// `GNCG_NET_FAULT_INJECT`: injected network-fault probability in
@@ -336,17 +281,6 @@ pub mod env {
             timeout_ms: parse::number(read("GNCG_SERVE_TIMEOUT_MS").as_deref()).unwrap_or(30_000),
             retries: parse::number(read("GNCG_SERVE_RETRIES").as_deref()).unwrap_or(16),
         })
-    }
-
-    /// `GNCG_MODEL` as an explicit choice: `Some(kind)` when the
-    /// variable is set (to anything — unknown spellings still resolve
-    /// to the sum default via [`parse::model`]), `None` when unset.
-    /// Model-parameterized test harnesses use the `None` case to mean
-    /// "sweep every model" while a CI leg pins one. Cached at first
-    /// read.
-    pub fn model_choice() -> Option<ModelKind> {
-        static CACHE: OnceLock<Option<ModelKind>> = OnceLock::new();
-        *CACHE.get_or_init(|| read("GNCG_MODEL").as_deref().map(|v| parse::model(Some(v))))
     }
 }
 
@@ -413,192 +347,6 @@ impl Default for ServeConfig {
     }
 }
 
-/// One snapshot of every `GNCG_*` knob: what [`GncgConfig::from_env`]
-/// read, possibly adjusted through [`GncgConfig::builder`].
-///
-/// The struct is plain data; consumers decide what to do with each
-/// field. The `gncg-service` `Session` consumes `threads` and
-/// `budget_ms` directly; `fault_inject`, `trace`, and `prune` are
-/// process-global toggles that their owning crates initialize lazily
-/// from the same [`env`] accessors (use `gncg_trace::set_enabled`,
-/// `gncg_parallel::fault::set_injection_probability`, or an explicit
-/// `PruneMode` to override those at runtime).
-#[derive(Debug, Clone, PartialEq)]
-pub struct GncgConfig {
-    /// Worker-thread count (`GNCG_THREADS`); `None` ⇒ machine default.
-    pub threads: Option<usize>,
-    /// Default solve budget in milliseconds (`GNCG_BUDGET_MS`); `None` ⇒
-    /// unlimited.
-    pub budget_ms: Option<u64>,
-    /// Injected-fault probability (`GNCG_FAULT_INJECT`); `None` ⇒ off.
-    pub fault_inject: Option<f64>,
-    /// Injected delay in ms (`GNCG_FAULT_INJECT_DELAY_MS`).
-    pub fault_inject_delay_ms: Option<u64>,
-    /// Observability gate (`GNCG_TRACE`).
-    pub trace: bool,
-    /// Geometric pruning toggle (`GNCG_PRUNE`, default on).
-    pub prune: bool,
-    /// Report output directory override (`GNCG_RESULTS_DIR`).
-    pub results_dir: Option<PathBuf>,
-    /// Content-addressed result-cache directory (`GNCG_CACHE_DIR`);
-    /// `None` ⇒ cache off. `GNCG_CACHE=0` forces `None` here even when
-    /// the directory is set.
-    pub cache_dir: Option<PathBuf>,
-    /// Perf-gate regression allowance (`GNCG_PERF_RATIO`, default 1.5).
-    pub perf_ratio: f64,
-    /// Agent objective (`GNCG_MODEL`, default sum-of-distances).
-    pub model: ModelKind,
-    /// Evaluation backend (`GNCG_EVAL_BACKEND`, default exact).
-    pub eval_backend: EvalBackendKind,
-    /// Injected network-fault probability for the serve tier
-    /// (`GNCG_NET_FAULT_INJECT`); `None` ⇒ off.
-    pub net_fault_inject: Option<f64>,
-    /// The `GNCG_SERVE_*` knob set of the network service tier.
-    pub serve: ServeConfig,
-}
-
-impl GncgConfig {
-    /// Snapshot the environment through the cached [`env`] accessors.
-    pub fn from_env() -> Self {
-        Self {
-            threads: env::threads(),
-            budget_ms: env::budget_ms(),
-            fault_inject: env::fault_inject(),
-            fault_inject_delay_ms: env::fault_inject_delay_ms(),
-            trace: env::trace(),
-            prune: env::prune(),
-            results_dir: env::results_dir(),
-            cache_dir: if env::cache_on() {
-                env::cache_dir()
-            } else {
-                None
-            },
-            perf_ratio: env::perf_ratio(),
-            model: env::model(),
-            eval_backend: env::eval_backend(),
-            net_fault_inject: env::net_fault_inject(),
-            serve: env::serve().clone(),
-        }
-    }
-
-    /// A builder seeded from the environment; override fields
-    /// programmatically, then [`GncgConfigBuilder::build`].
-    pub fn builder() -> GncgConfigBuilder {
-        GncgConfigBuilder {
-            config: Self::from_env(),
-        }
-    }
-}
-
-impl Default for GncgConfig {
-    /// All knobs at their unset/default values, ignoring the
-    /// environment: no thread override, unlimited budget, no fault
-    /// injection, tracing off, pruning on.
-    fn default() -> Self {
-        Self {
-            threads: None,
-            budget_ms: None,
-            fault_inject: None,
-            fault_inject_delay_ms: None,
-            trace: false,
-            prune: true,
-            results_dir: None,
-            cache_dir: None,
-            perf_ratio: 1.5,
-            model: ModelKind::SumDistances,
-            eval_backend: EvalBackendKind::Exact,
-            net_fault_inject: None,
-            serve: ServeConfig::default(),
-        }
-    }
-}
-
-/// Programmatic overrides on top of an env-seeded [`GncgConfig`].
-#[derive(Debug, Clone)]
-pub struct GncgConfigBuilder {
-    config: GncgConfig,
-}
-
-impl GncgConfigBuilder {
-    /// Override the worker-thread count.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.config.threads = Some(threads);
-        self
-    }
-
-    /// Override the default solve budget (milliseconds).
-    pub fn budget_ms(mut self, ms: u64) -> Self {
-        self.config.budget_ms = Some(ms);
-        self
-    }
-
-    /// Clear the solve budget (unlimited), even when `GNCG_BUDGET_MS`
-    /// is set.
-    pub fn unlimited_budget(mut self) -> Self {
-        self.config.budget_ms = None;
-        self
-    }
-
-    /// Override the injected-fault probability.
-    pub fn fault_inject(mut self, p: f64) -> Self {
-        self.config.fault_inject = Some(p);
-        self
-    }
-
-    /// Override the observability gate.
-    pub fn trace(mut self, on: bool) -> Self {
-        self.config.trace = on;
-        self
-    }
-
-    /// Override the pruning toggle.
-    pub fn prune(mut self, on: bool) -> Self {
-        self.config.prune = on;
-        self
-    }
-
-    /// Override the report output directory.
-    pub fn results_dir(mut self, dir: PathBuf) -> Self {
-        self.config.results_dir = Some(dir);
-        self
-    }
-
-    /// Override the result-cache directory.
-    pub fn cache_dir(mut self, dir: PathBuf) -> Self {
-        self.config.cache_dir = Some(dir);
-        self
-    }
-
-    /// Override the agent objective.
-    pub fn model(mut self, model: ModelKind) -> Self {
-        self.config.model = model;
-        self
-    }
-
-    /// Override the evaluation backend.
-    pub fn eval_backend(mut self, backend: EvalBackendKind) -> Self {
-        self.config.eval_backend = backend;
-        self
-    }
-
-    /// Override the injected network-fault probability.
-    pub fn net_fault_inject(mut self, p: f64) -> Self {
-        self.config.net_fault_inject = Some(p);
-        self
-    }
-
-    /// Override the serve-tier knob set wholesale.
-    pub fn serve(mut self, serve: ServeConfig) -> Self {
-        self.config.serve = serve;
-        self
-    }
-
-    /// Finish the build.
-    pub fn build(self) -> GncgConfig {
-        self.config
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -653,101 +401,28 @@ mod tests {
     }
 
     #[test]
-    fn perf_ratio_defaults_and_rejects_nonpositive() {
-        assert_eq!(parse::perf_ratio(None), 1.5);
-        assert_eq!(parse::perf_ratio(Some("2.0")), 2.0);
-        assert_eq!(parse::perf_ratio(Some("0")), 1.5);
-        assert_eq!(parse::perf_ratio(Some("-3")), 1.5);
-        assert_eq!(parse::perf_ratio(Some("fast")), 1.5);
-    }
-
-    #[test]
     fn model_parse_rules_are_frozen() {
-        assert_eq!(parse::model(None), ModelKind::SumDistances);
-        assert_eq!(parse::model(Some("")), ModelKind::SumDistances);
-        assert_eq!(parse::model(Some("sum")), ModelKind::SumDistances);
-        assert_eq!(parse::model(Some("sumdist")), ModelKind::SumDistances);
-        assert_eq!(parse::model(Some("garbage")), ModelKind::SumDistances);
-        assert_eq!(parse::model(Some("maxdist")), ModelKind::MaxDistance);
-        assert_eq!(parse::model(Some("MAXDIST")), ModelKind::MaxDistance);
-        assert_eq!(parse::model(Some("max")), ModelKind::MaxDistance);
-        assert_eq!(parse::model(Some("Max")), ModelKind::MaxDistance);
-        assert_eq!(ModelKind::SumDistances.as_str(), "sum");
-        assert_eq!(ModelKind::MaxDistance.as_str(), "maxdist");
-        // round-trip: the canonical spelling parses back to itself
+        let sum = Ok(Some(ModelKind::SumDistances));
+        let max = Ok(Some(ModelKind::MaxDistance));
+        assert_eq!(parse::model(None), Ok(None));
+        assert_eq!(parse::model(Some("")), sum);
+        assert_eq!(parse::model(Some("sum")), sum);
+        assert_eq!(parse::model(Some("SUM")), sum);
+        assert_eq!(parse::model(Some("maxdist")), max);
+        assert_eq!(parse::model(Some("MAXDIST")), max);
+        assert_eq!(parse::model(Some("max")), max);
+        assert_eq!(parse::model(Some("Max")), max);
+        for typo in ["sumdist", "garbage", "maxdst", " sum"] {
+            let err = parse::model(Some(typo)).unwrap_err();
+            assert!(err.contains("sum, maxdist, max"), "{err}");
+        }
+        // the canonical spellings, and only they, name a kind exactly
         for kind in [ModelKind::SumDistances, ModelKind::MaxDistance] {
-            assert_eq!(parse::model(Some(kind.as_str())), kind);
+            assert_eq!(ModelKind::from_name(kind.as_str()), Some(kind));
+            assert_eq!(parse::model(Some(kind.as_str())), Ok(Some(kind)));
         }
-    }
-
-    #[test]
-    fn eval_backend_parse_rules_are_frozen() {
-        assert_eq!(parse::eval_backend(None), EvalBackendKind::Exact);
-        assert_eq!(parse::eval_backend(Some("")), EvalBackendKind::Exact);
-        assert_eq!(parse::eval_backend(Some("exact")), EvalBackendKind::Exact);
-        assert_eq!(parse::eval_backend(Some("garbage")), EvalBackendKind::Exact);
-        assert_eq!(parse::eval_backend(Some("spaner")), EvalBackendKind::Exact);
-        assert_eq!(
-            parse::eval_backend(Some("spanner")),
-            EvalBackendKind::Spanner
-        );
-        assert_eq!(
-            parse::eval_backend(Some("SPANNER")),
-            EvalBackendKind::Spanner
-        );
-        assert_eq!(
-            parse::eval_backend(Some("approx")),
-            EvalBackendKind::Spanner
-        );
-        assert_eq!(
-            parse::eval_backend(Some("Approx")),
-            EvalBackendKind::Spanner
-        );
-        assert_eq!(EvalBackendKind::Exact.as_str(), "exact");
-        assert_eq!(EvalBackendKind::Spanner.as_str(), "spanner");
-        // round-trip: the canonical spelling parses back to itself
-        for kind in [EvalBackendKind::Exact, EvalBackendKind::Spanner] {
-            assert_eq!(parse::eval_backend(Some(kind.as_str())), kind);
-        }
-    }
-
-    #[test]
-    fn builder_overrides_stick() {
-        let c = GncgConfig::builder()
-            .threads(3)
-            .budget_ms(250)
-            .trace(true)
-            .prune(false)
-            .fault_inject(0.5)
-            .results_dir(PathBuf::from("/tmp/x"))
-            .model(ModelKind::MaxDistance)
-            .eval_backend(EvalBackendKind::Spanner)
-            .build();
-        assert_eq!(c.threads, Some(3));
-        assert_eq!(c.budget_ms, Some(250));
-        assert!(c.trace);
-        assert!(!c.prune);
-        assert_eq!(c.fault_inject, Some(0.5));
-        assert_eq!(c.results_dir, Some(PathBuf::from("/tmp/x")));
-        assert_eq!(c.model, ModelKind::MaxDistance);
-        assert_eq!(c.eval_backend, EvalBackendKind::Spanner);
-        let unlimited = GncgConfig::builder().unlimited_budget().build();
-        assert_eq!(unlimited.budget_ms, None);
-    }
-
-    #[test]
-    fn default_config_ignores_environment() {
-        let c = GncgConfig::default();
-        assert_eq!(c.threads, None);
-        assert_eq!(c.budget_ms, None);
-        assert_eq!(c.fault_inject, None);
-        assert!(!c.trace);
-        assert!(c.prune);
-        assert_eq!(c.perf_ratio, 1.5);
-        assert_eq!(c.model, ModelKind::SumDistances);
-        assert_eq!(c.eval_backend, EvalBackendKind::Exact);
-        assert_eq!(c.net_fault_inject, None);
-        assert_eq!(c.serve, ServeConfig::default());
+        assert_eq!(ModelKind::from_name("max"), None);
+        assert_eq!(ModelKind::from_name("Sum"), None);
     }
 
     #[test]
@@ -763,20 +438,6 @@ mod tests {
         assert_eq!(s.outbuf_frames, 1_024);
         assert_eq!(s.timeout_ms, 30_000);
         assert_eq!(s.retries, 16);
-    }
-
-    #[test]
-    fn serve_builder_override_sticks() {
-        let custom = ServeConfig {
-            quota: 2,
-            ..ServeConfig::default()
-        };
-        let c = GncgConfig::builder()
-            .serve(custom.clone())
-            .net_fault_inject(0.25)
-            .build();
-        assert_eq!(c.serve, custom);
-        assert_eq!(c.net_fault_inject, Some(0.25));
     }
 
     #[test]

@@ -489,7 +489,7 @@ pub fn exact_best_response<W: EdgeWeights + ?Sized>(
     cfg: &crate::SolverConfig,
 ) -> crate::outcome::Outcome<BestResponse> {
     crate::dispatch_model!(cfg.model, M, {
-        exact_best_response_generic::<W, M>(w, net, alpha, u, &cfg.budget)
+        exact_best_response_generic::<W, M>(w, net, alpha, u, cfg)
     })
 }
 
@@ -499,7 +499,7 @@ fn exact_best_response_generic<W: EdgeWeights + ?Sized, M: CostModel>(
     net: &OwnedNetwork,
     alpha: f64,
     u: usize,
-    budget: &gncg_parallel::Budget,
+    cfg: &crate::SolverConfig,
 ) -> crate::outcome::Outcome<BestResponse> {
     use crate::outcome::{attempt, DegradeReason, Outcome};
     let n = net.len();
@@ -512,7 +512,9 @@ fn exact_best_response_generic<W: EdgeWeights + ?Sized, M: CostModel>(
             },
         };
     }
-    match attempt(budget, || exact_best_response_raw::<W, M>(w, net, alpha, u)) {
+    match attempt(&cfg.budget, || {
+        exact_best_response_raw::<W, M>(w, net, alpha, u, cfg.prune)
+    }) {
         Ok(br) => Outcome::Exact(br),
         Err(reason) => Outcome::Degraded {
             certified_bound: best_response_lower_bound::<W, M>(w, u),
@@ -522,7 +524,7 @@ fn exact_best_response_generic<W: EdgeWeights + ?Sized, M: CostModel>(
 }
 
 /// Unbudgeted enumeration body of [`exact_best_response`] under model
-/// `M` (prune mode from `GNCG_PRUNE`); panics if
+/// `M` and prune mode `mode`; panics if
 /// `n > MAX_EXACT_AGENTS`. Internal callers (Nash verification, the
 /// reference dynamics, the improvement-factor map) run it directly.
 pub(crate) fn exact_best_response_raw<W: EdgeWeights + ?Sized, M: CostModel>(
@@ -530,6 +532,7 @@ pub(crate) fn exact_best_response_raw<W: EdgeWeights + ?Sized, M: CostModel>(
     net: &OwnedNetwork,
     alpha: f64,
     u: usize,
+    mode: PruneMode,
 ) -> BestResponse {
     let n = net.len();
     assert!(u < n);
@@ -543,7 +546,7 @@ pub(crate) fn exact_best_response_raw<W: EdgeWeights + ?Sized, M: CostModel>(
             strategy: BTreeSet::new(),
         };
     }
-    ResponseEvaluator::new(w, net, u).best_response::<M>(alpha, PruneMode::from_env())
+    ResponseEvaluator::new(w, net, u).best_response::<M>(alpha, mode)
 }
 
 /// Certified lower bound on the cost of *any* strategy of agent `u`
@@ -558,7 +561,8 @@ pub fn best_response_lower_bound<W: EdgeWeights + ?Sized, M: CostModel>(w: &W, u
         .fold(M::EMPTY, M::fold)
 }
 
-/// Exact improvement factor of agent `u` under model `M`:
+/// Exact improvement factor of agent `u` under model `M` (best
+/// response searched under prune mode `mode`):
 /// `cost(u, G) / cost(u, best response)`.
 ///
 /// Returns 1.0 when the best-response cost is 0 and the current cost is
@@ -568,9 +572,10 @@ pub fn exact_improvement_factor<W: EdgeWeights + ?Sized, M: CostModel>(
     net: &OwnedNetwork,
     alpha: f64,
     u: usize,
+    mode: PruneMode,
 ) -> f64 {
     let now = cost::agent_cost::<W, M>(w, net, alpha, u);
-    let br = exact_best_response_raw::<W, M>(w, net, alpha, u);
+    let br = exact_best_response_raw::<W, M>(w, net, alpha, u, mode);
     ratio(now, br.cost)
 }
 
@@ -597,7 +602,8 @@ mod tests {
         // a star centred at 0 has nothing cheaper than staying put
         let ps = generators::line(3, 2.0);
         let net = OwnedNetwork::center_star(3, 0);
-        let br = exact_best_response_raw::<_, SumDistances>(&ps, &net, 0.5, 1);
+        let br =
+            exact_best_response_raw::<_, SumDistances>(&ps, &net, 0.5, 1, PruneMode::from_env());
         // agent 1 current cost: d=1 (to 0) + 3 (to 2 via 0) = 4
         // buying edge to 2 (w=1) costs 0.5, distance becomes 1+1=2 => 2.5
         assert!((br.cost - 2.5).abs() < 1e-9);
@@ -612,7 +618,8 @@ mod tests {
         net.buy(0, 1);
         net.buy(2, 1);
         // agent 1 owns nothing and is connected: BR may be empty
-        let br = exact_best_response_raw::<_, SumDistances>(&ps, &net, 10.0, 1);
+        let br =
+            exact_best_response_raw::<_, SumDistances>(&ps, &net, 10.0, 1, PruneMode::from_env());
         assert!(br.strategy.is_empty());
         assert!((br.cost - 2.0).abs() < 1e-9);
     }
@@ -622,7 +629,8 @@ mod tests {
         let ps = generators::line(3, 2.0);
         let mut net = OwnedNetwork::empty(3);
         net.buy(0, 1); // 2 is isolated
-        let br = exact_best_response_raw::<_, SumDistances>(&ps, &net, 1.0, 2);
+        let br =
+            exact_best_response_raw::<_, SumDistances>(&ps, &net, 1.0, 2, PruneMode::from_env());
         assert!(!br.strategy.is_empty());
         assert!(br.cost.is_finite());
         // optimal: buy edge to 1 (w=1): cost 1*1 + (1 + 2) = 4
@@ -637,7 +645,8 @@ mod tests {
         let mut net = OwnedNetwork::empty(2);
         net.buy(0, 1);
         // agent 1 pays only distance 1 and can do nothing better
-        let f = exact_improvement_factor::<_, SumDistances>(&ps, &net, 1.0, 1);
+        let f =
+            exact_improvement_factor::<_, SumDistances>(&ps, &net, 1.0, 1, PruneMode::from_env());
         assert!((f - 1.0).abs() < 1e-9);
     }
 
@@ -660,7 +669,13 @@ mod tests {
             }
             let alpha = 0.5 + rng.gen::<f64>() * 3.0;
             for u in 0..n {
-                let fast = exact_best_response_raw::<_, SumDistances>(&ps, &net, alpha, u);
+                let fast = exact_best_response_raw::<_, SumDistances>(
+                    &ps,
+                    &net,
+                    alpha,
+                    u,
+                    PruneMode::from_env(),
+                );
                 let slow = naive_best_response(&ps, &net, alpha, u);
                 assert!(
                     (fast.cost - slow).abs() < 1e-9,
@@ -814,7 +829,13 @@ mod tests {
             }
             let alpha = 0.5 + rng.gen::<f64>() * 3.0;
             for u in 0..n {
-                let fast = exact_best_response_raw::<_, MaxDistance>(&ps, &net, alpha, u);
+                let fast = exact_best_response_raw::<_, MaxDistance>(
+                    &ps,
+                    &net,
+                    alpha,
+                    u,
+                    PruneMode::from_env(),
+                );
                 let slow = naive_best_response_model::<MaxDistance>(&ps, &net, alpha, u);
                 assert_eq!(
                     fast.cost.to_bits(),
@@ -894,7 +915,7 @@ mod tests {
         let merged = exact_best_response(&ps, &net, 1.2, 3, &opts).expect_exact("br");
         assert_eq!(
             merged,
-            exact_best_response_raw::<_, MaxDistance>(&ps, &net, 1.2, 3)
+            exact_best_response_raw::<_, MaxDistance>(&ps, &net, 1.2, 3, PruneMode::from_env())
         );
     }
 
@@ -910,7 +931,7 @@ mod tests {
     fn too_many_agents_rejected_by_raw() {
         let ps = generators::uniform_unit_square(30, 1);
         let net = OwnedNetwork::complete(30);
-        exact_best_response_raw::<_, SumDistances>(&ps, &net, 1.0, 0);
+        exact_best_response_raw::<_, SumDistances>(&ps, &net, 1.0, 0, PruneMode::from_env());
     }
 
     #[test]
@@ -923,7 +944,7 @@ mod tests {
             exact_best_response(&ps, &net, 1.2, 3, &SolverConfig::default()).expect_exact("br");
         assert_eq!(
             merged,
-            exact_best_response_raw::<_, SumDistances>(&ps, &net, 1.2, 3)
+            exact_best_response_raw::<_, SumDistances>(&ps, &net, 1.2, 3, PruneMode::from_env())
         );
 
         let big = generators::uniform_unit_square(30, 1);

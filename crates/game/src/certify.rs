@@ -20,9 +20,7 @@
 
 use crate::best_response::{self, ResponseEvaluator};
 use crate::outcome::{self, DegradeReason, Regime};
-use crate::{
-    exact, moves, CostModel, EdgeWeights, EvalContext, ModelKind, OwnedNetwork, PruneMode,
-};
+use crate::{exact, moves, CostModel, EdgeWeights, EvalContext, ModelKind, OwnedNetwork};
 use gncg_graph::Graph;
 use gncg_json::{field, object, FromJson, JsonError, ToJson, Value};
 
@@ -112,10 +110,9 @@ impl FromJson for CertifyReport {
         let model = match value.get("model") {
             // absent ⇔ the frozen sum-model key set
             None => ModelKind::SumDistances,
-            Some(v) => match v.as_str() {
-                Some("sum") => ModelKind::SumDistances,
-                Some("maxdist") => ModelKind::MaxDistance,
-                other => return Err(JsonError::new(format!("bad model: {other:?}"))),
+            Some(v) => match v.as_str().and_then(ModelKind::from_name) {
+                Some(model) => model,
+                None => return Err(JsonError::new(format!("bad model: {:?}", v.as_str()))),
             },
         };
         Ok(CertifyReport {
@@ -341,7 +338,9 @@ fn certify_generic<W: EdgeWeights + ?Sized, M: CostModel>(
 
     let beta_exact = if cfg.exact_beta {
         if n <= best_response::MAX_EXACT_AGENTS {
-            match outcome::attempt(budget, || exact::exact_beta_raw::<W, M>(w, net, alpha)) {
+            match outcome::attempt(budget, || {
+                exact::exact_beta_raw::<W, M>(w, net, alpha, cfg.prune)
+            }) {
                 Ok(b) => Some(b),
                 Err(reason) => {
                     record("beta", reason);
@@ -368,12 +367,9 @@ fn certify_generic<W: EdgeWeights + ?Sized, M: CostModel>(
     };
 
     let beta_witness = if cfg.witness {
-        // the witness search prunes per `GNCG_PRUNE`; `cfg.prune` is a
-        // dynamics axis (pruning is bit-identical either way)
-        let mode = PruneMode::from_env();
         let ws = gncg_parallel::parallel_map(n, |u| {
             let eval = ResponseEvaluator::from_built_graph(w, net, g, u);
-            moves::witness_improvement_factor::<M>(&eval, net, alpha, costs[u], mode)
+            moves::witness_improvement_factor::<M>(&eval, net, alpha, costs[u], cfg.prune)
         });
         ws.into_iter().fold(1.0f64, f64::max)
     } else {
@@ -435,7 +431,7 @@ fn certify_generic<W: EdgeWeights + ?Sized, M: CostModel>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SolverConfig;
+    use crate::{PruneMode, SolverConfig};
     use gncg_geometry::generators;
 
     #[test]
@@ -621,7 +617,12 @@ mod tests {
         }
 
         // beta: degraded bound never undercuts the true beta
-        let beta_true = exact::exact_beta_raw::<_, crate::SumDistances>(&ps, &net, alpha);
+        let beta_true = exact::exact_beta_raw::<_, crate::SumDistances>(
+            &ps,
+            &net,
+            alpha,
+            PruneMode::from_env(),
+        );
         match exact::exact_beta(
             &ps,
             &net,

@@ -393,8 +393,13 @@ pub fn run_ordered_reference<W: EdgeWeights + ?Sized>(
         let now = cost::agent_cost::<W, SumDistances>(w, state, alpha, u);
         match rule {
             ResponseRule::BestResponse => {
-                let br =
-                    best_response::exact_best_response_raw::<W, SumDistances>(w, state, alpha, u);
+                let br = best_response::exact_best_response_raw::<W, SumDistances>(
+                    w,
+                    state,
+                    alpha,
+                    u,
+                    PruneMode::from_env(),
+                );
                 gncg_geometry::definitely_less(br.cost, now).then_some((br.strategy, now - br.cost))
             }
             ResponseRule::BestSingleMove => {

@@ -13,7 +13,9 @@
 //! setting of the toggle.
 
 use crate::outcome::{self, DegradeReason, Outcome};
-use crate::{best_response, certify, cost, CostModel, EdgeWeights, OwnedNetwork, SolverConfig};
+use crate::{
+    best_response, certify, cost, CostModel, EdgeWeights, OwnedNetwork, PruneMode, SolverConfig,
+};
 use gncg_graph::Graph;
 use gncg_parallel::Budget;
 
@@ -152,7 +154,7 @@ pub fn exact_beta<W: EdgeWeights + ?Sized>(
     cfg: &SolverConfig,
 ) -> Outcome<f64> {
     crate::dispatch_model!(cfg.model, M, {
-        exact_beta_generic::<W, M>(w, net, alpha, &cfg.budget)
+        exact_beta_generic::<W, M>(w, net, alpha, cfg)
     })
 }
 
@@ -161,7 +163,7 @@ fn exact_beta_generic<W: EdgeWeights + ?Sized, M: CostModel>(
     w: &W,
     net: &OwnedNetwork,
     alpha: f64,
-    budget: &Budget,
+    cfg: &SolverConfig,
 ) -> Outcome<f64> {
     let n = net.len();
     if n > best_response::MAX_EXACT_AGENTS {
@@ -173,7 +175,9 @@ fn exact_beta_generic<W: EdgeWeights + ?Sized, M: CostModel>(
             },
         };
     }
-    match outcome::attempt(budget, || exact_beta_raw::<W, M>(w, net, alpha)) {
+    match outcome::attempt(&cfg.budget, || {
+        exact_beta_raw::<W, M>(w, net, alpha, cfg.prune)
+    }) {
         Ok(beta) => Outcome::Exact(beta),
         Err(reason) => Outcome::Degraded {
             certified_bound: certify::beta_upper::<W, M>(w, net, alpha),
@@ -182,21 +186,23 @@ fn exact_beta_generic<W: EdgeWeights + ?Sized, M: CostModel>(
     }
 }
 
-/// Unbudgeted enumeration body of [`exact_beta`] under model `M`;
-/// panics past the per-agent enumeration cap.
+/// Unbudgeted enumeration body of [`exact_beta`] under model `M` and
+/// prune mode `mode`; panics past the per-agent enumeration cap.
 pub(crate) fn exact_beta_raw<W: EdgeWeights + ?Sized, M: CostModel>(
     w: &W,
     net: &OwnedNetwork,
     alpha: f64,
+    mode: PruneMode,
 ) -> f64 {
     let factors = gncg_parallel::parallel_map(net.len(), |u| {
-        best_response::exact_improvement_factor::<W, M>(w, net, alpha, u)
+        best_response::exact_improvement_factor::<W, M>(w, net, alpha, u, mode)
     });
     factors.into_iter().fold(1.0, f64::max)
 }
 
 /// Is the profile an exact (pure) Nash equilibrium under model `M`?
-/// True iff no agent can improve beyond floating-point noise.
+/// True iff no agent can improve beyond floating-point noise (best
+/// responses searched under the `GNCG_PRUNE` mode).
 pub fn is_nash<W: EdgeWeights + ?Sized, M: CostModel>(
     w: &W,
     net: &OwnedNetwork,
@@ -204,7 +210,8 @@ pub fn is_nash<W: EdgeWeights + ?Sized, M: CostModel>(
 ) -> bool {
     (0..net.len()).all(|u| {
         let now = cost::agent_cost::<W, M>(w, net, alpha, u);
-        let br = best_response::exact_best_response_raw::<W, M>(w, net, alpha, u);
+        let br =
+            best_response::exact_best_response_raw::<W, M>(w, net, alpha, u, PruneMode::from_env());
         !gncg_geometry::definitely_less(br.cost, now)
     })
 }
@@ -281,7 +288,7 @@ mod tests {
         let ps = generators::line(3, 2.0);
         let net = OwnedNetwork::center_star(3, 0);
         assert!(!is_nash::<_, SumDistances>(&ps, &net, 0.1));
-        assert!(exact_beta_raw::<_, SumDistances>(&ps, &net, 0.1) > 1.0);
+        assert!(exact_beta_raw::<_, SumDistances>(&ps, &net, 0.1, PruneMode::from_env()) > 1.0);
     }
 
     #[test]
@@ -345,6 +352,6 @@ mod tests {
         let ps3 = generators::line(3, 2.0);
         let star = OwnedNetwork::center_star(3, 0);
         assert!(!is_nash::<_, MaxDistance>(&ps3, &star, 0.1));
-        assert!(exact_beta_raw::<_, MaxDistance>(&ps3, &star, 0.1) > 1.0);
+        assert!(exact_beta_raw::<_, MaxDistance>(&ps3, &star, 0.1, PruneMode::from_env()) > 1.0);
     }
 }

@@ -161,7 +161,8 @@ mod tests {
             }
             let alpha = 0.5 + rng.gen::<f64>();
             let g = greedy_instability(&ps, &net, alpha);
-            let b = exact::exact_beta_raw::<_, SumDistances>(&ps, &net, alpha);
+            let b =
+                exact::exact_beta_raw::<_, SumDistances>(&ps, &net, alpha, PruneMode::from_env());
             assert!(g <= b + 1e-9, "seed {seed}: greedy {g} > beta {b}");
         }
     }

@@ -27,13 +27,13 @@
 //! * [`approx`] — spanner-backed approximate evaluation with
 //!   *certified error bars* (β/γ brackets proven to contain the exact
 //!   backend's figures) and grid-candidate dynamics for `n = 10⁴`,
-//! * [`backend`] — the [`EvalBackend`] abstraction mapping
-//!   `GNCG_EVAL_BACKEND` onto the exact or spanner-backed certifier,
 //! * [`prune`] — geometric move pruning ([`PruneMode`], `GNCG_PRUNE`):
 //!   sound lower bounds that discard candidates bit-identically,
 //! * [`solver_config`] — the unified builder-style [`SolverConfig`]
 //!   accepted by every solver entry point (model × formation × backend
-//!   × prune × budget × certify flags × cache policy),
+//!   × prune × budget × certify flags × cache policy), with the
+//!   [`EvalBackend`] choice of spanner and pivots for the bracketed
+//!   certifier,
 //! * [`model`] — the cost-model abstraction ([`CostModel`],
 //!   [`SumDistances`]/[`MaxDistance`]) and edge-formation rules
 //!   ([`EdgeFormation`], [`GameSpec`]) every engine is generic over,
@@ -41,7 +41,6 @@
 //!   profiles (Theorems 2.1, 4.1, 4.3, 4.4).
 
 pub mod approx;
-pub mod backend;
 pub mod best_response;
 pub mod certify;
 pub mod cost;
@@ -57,13 +56,12 @@ pub mod outcome;
 pub mod prune;
 pub mod solver_config;
 
-pub use backend::EvalBackend;
 pub use eval::EvalContext;
 pub use model::{CostModel, EdgeFormation, GameSpec, MaxDistance, ModelKind, SumDistances};
 pub use network::OwnedNetwork;
 pub use outcome::{DegradeReason, Outcome, Regime};
 pub use prune::PruneMode;
-pub use solver_config::{CachePolicy, SolverConfig};
+pub use solver_config::{CachePolicy, EvalBackend, SolverConfig};
 
 use gncg_geometry::PointSet;
 use gncg_graph::DistMatrix;

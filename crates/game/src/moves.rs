@@ -762,7 +762,13 @@ mod tests {
                     20,
                     PruneMode::from_env(),
                 );
-                let ex = exact_best_response_raw::<_, SumDistances>(&ps, &net, alpha, u);
+                let ex = exact_best_response_raw::<_, SumDistances>(
+                    &ps,
+                    &net,
+                    alpha,
+                    u,
+                    PruneMode::from_env(),
+                );
                 assert!(
                     ls.cost >= ex.cost - 1e-9,
                     "local search beat exact?! {} < {}",

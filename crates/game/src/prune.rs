@@ -61,13 +61,13 @@
 //! counters are bit-identical across thread counts and fault-injection
 //! retries, and the perf gate compares them exactly.
 //!
-//! The layer is env-gated: `GNCG_PRUNE=0` (or `false`/`off`) routes
-//! every engine through the original unpruned code path. The oracle
-//! harness (`crates/game/tests/prune_oracle.rs`) drives both modes
-//! explicitly and asserts bit-identical results.
+//! Solver entry points take the mode from `SolverConfig::prune`, whose
+//! default is `GNCG_PRUNE` (`0`, `false` or `off` route every engine
+//! through the original unpruned code path). The oracle harness
+//! (`crates/game/tests/prune_oracle.rs`) drives both modes explicitly
+//! and asserts bit-identical results.
 
 use gncg_geometry::EPS;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Whether the pruned engine is active. Threaded explicitly through the
 /// search entry points so tests can compare both modes in-process
@@ -88,39 +88,15 @@ impl PruneMode {
     }
 
     /// The process-wide mode from `GNCG_PRUNE` (default on; `0`,
-    /// `false`, or `off` disable). Cached after the first read, like
-    /// the other `GNCG_*` gates.
+    /// `false`, or `off` disable), as read once by
+    /// [`gncg_config::env::prune`].
     #[inline]
     pub fn from_env() -> Self {
-        const UNSET: u8 = 0;
-        const OFF: u8 = 1;
-        const ON: u8 = 2;
-        static STATE: AtomicU8 = AtomicU8::new(UNSET);
-        match STATE.load(Ordering::Relaxed) {
-            ON => PruneMode::On,
-            OFF => PruneMode::Off,
-            _ => {
-                let mode = if gncg_config::env::prune() {
-                    PruneMode::On
-                } else {
-                    PruneMode::Off
-                };
-                STATE.store(if mode.is_on() { ON } else { OFF }, Ordering::Relaxed);
-                mode
-            }
+        if gncg_config::env::prune() {
+            PruneMode::On
+        } else {
+            PruneMode::Off
         }
-    }
-}
-
-/// `GNCG_PRUNE` parsing, separated from the cached getter for testing.
-/// Delegates to the shared rule in [`gncg_config::parse::prune_on`] so
-/// the env semantics have exactly one definition.
-#[cfg(test)]
-pub(crate) fn parse_env(value: Option<&str>) -> PruneMode {
-    if gncg_config::parse::prune_on(value) {
-        PruneMode::On
-    } else {
-        PruneMode::Off
     }
 }
 
@@ -171,17 +147,6 @@ impl MoveFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn env_parse_defaults_on() {
-        assert_eq!(parse_env(None), PruneMode::On);
-        assert_eq!(parse_env(Some("1")), PruneMode::On);
-        assert_eq!(parse_env(Some("true")), PruneMode::On);
-        assert_eq!(parse_env(Some("")), PruneMode::On);
-        assert_eq!(parse_env(Some("0")), PruneMode::Off);
-        assert_eq!(parse_env(Some("false")), PruneMode::Off);
-        assert_eq!(parse_env(Some("OFF")), PruneMode::Off);
-    }
 
     #[test]
     fn filter_never_prunes_below_threshold() {

@@ -16,16 +16,33 @@
 //!
 //! `SolverConfig::default()` is the paper's game (sum-of-distances
 //! objective, unilateral edge formation), the exact evaluation backend,
-//! the process-wide `GNCG_PRUNE` prune mode, the `GNCG_BUDGET_MS`
+//! the `GNCG_PRUNE` prune mode, the `GNCG_BUDGET_MS`
 //! budget (unlimited when unset), witness search on, exact enumeration
 //! off, caching off. Call [`SolverConfig::unbudgeted`] to pin an
 //! unlimited budget regardless of the environment.
 
-use crate::backend::EvalBackend;
 use crate::model::{EdgeFormation, GameSpec};
 use crate::prune::PruneMode;
 use crate::ModelKind;
 use gncg_parallel::Budget;
+use gncg_spanner::SpannerKind;
+
+/// Which evaluation the bracketed certifier
+/// ([`crate::approx::certify_approx`]) runs on: the spanner behind its
+/// lower bounds and the number of pivot rows behind its upper bounds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum EvalBackend {
+    /// Exact evaluation and exact certified bounds.
+    Exact,
+    /// Spanner-backed approximate evaluation with certified error bars.
+    Spanner {
+        /// Spanner backing the lower bounds (and the reported stretch
+        /// certificate).
+        kind: SpannerKind,
+        /// Pivot rows for the distance upper bounds.
+        pivots: usize,
+    },
+}
 
 /// Whether (and under which content key) a submit-layer result may be
 /// served from / written to the content-addressed result cache.
@@ -70,16 +87,18 @@ impl CachePolicy {
 pub struct SolverConfig {
     /// The per-agent objective (the paper's sum of distances by
     /// default; deliberately *not* environment-derived — binaries that
-    /// want the `GNCG_MODEL` choice read it off `GncgConfig` and pass
-    /// it in with [`SolverConfig::with_model`]).
+    /// honour `GNCG_MODEL` read `gncg_config::env::model` and pass it
+    /// in with [`SolverConfig::with_model`]).
     pub model: ModelKind,
     /// Who must agree before an edge exists (dynamics only).
     pub formation: EdgeFormation,
     /// Exact or spanner-backed evaluation (bracketed certification
     /// only).
     pub backend: EvalBackend,
-    /// Geometric move pruning (dynamics only; the `GNCG_PRUNE` env
-    /// default — bit-identical either way, see [`crate::prune`]).
+    /// Geometric move pruning in the dynamics, the certifier's exact-β
+    /// and witness searches, and the exact best response (the
+    /// `GNCG_PRUNE` env default — bit-identical either way, see
+    /// [`crate::prune`]).
     pub prune: PruneMode,
     /// Budget for the *exponential* solver parts. Defaults to
     /// `GNCG_BUDGET_MS` ([`Budget::from_env`], unlimited when unset).
@@ -292,7 +311,6 @@ mod tests {
 
     #[test]
     fn approx_options_inherit_spanner_backend_knobs() {
-        use gncg_spanner::SpannerKind;
         let cfg = SolverConfig::default().with_backend(EvalBackend::Spanner {
             kind: SpannerKind::Grid,
             pivots: 3,

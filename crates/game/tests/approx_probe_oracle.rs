@@ -37,7 +37,7 @@ fn cases() -> u64 {
 }
 
 fn models() -> Vec<ModelKind> {
-    match gncg_config::env::model_choice() {
+    match gncg_config::env::model().unwrap_or_else(|e| panic!("{e}")) {
         Some(kind) => vec![kind],
         None => vec![ModelKind::SumDistances, ModelKind::MaxDistance],
     }

@@ -16,7 +16,7 @@
 //! * and all of the above under `gncg_parallel` fault injection.
 //!
 //! Every sweep runs once per cost model. `GNCG_MODEL` (via
-//! [`gncg_config::env::model_choice`]) narrows a run to one model — the
+//! [`gncg_config::env::model`]) narrows a run to one model — the
 //! CI matrix uses `GNCG_MODEL=maxdist` for a dedicated max-distance
 //! leg; unset, both models are swept.
 //!
@@ -48,7 +48,7 @@ fn cases() -> u64 {
 /// The models this run sweeps: the `GNCG_MODEL` choice when set,
 /// otherwise every model.
 fn models() -> Vec<ModelKind> {
-    match gncg_config::env::model_choice() {
+    match gncg_config::env::model().unwrap_or_else(|e| panic!("{e}")) {
         Some(kind) => vec![kind],
         None => vec![ModelKind::SumDistances, ModelKind::MaxDistance],
     }

@@ -5,12 +5,16 @@
 //! - the deterministic counters are bit-identical run-to-run and
 //!   unchanged under `GNCG_FAULT_INJECT`-style retries;
 //! - the exact best-response enumerator performs exactly `2^(n-1)`
-//!   strategy evaluations.
+//!   strategy evaluations;
+//! - `SolverConfig::prune` alone decides whether the certifier and the
+//!   exact best response prune, whatever `GNCG_PRUNE` says.
 //!
 //! Trace state is process-global, so every test serializes on one lock
 //! and measures via before/after snapshots.
 
-use gncg_game::{best_response, dynamics, OwnedNetwork, SumDistances};
+use gncg_game::{
+    best_response, certify, dynamics, OwnedNetwork, PruneMode, SolverConfig, SumDistances,
+};
 use gncg_geometry::generators;
 use gncg_graph::csr::{Csr, DijkstraScratch};
 use gncg_trace::Counter;
@@ -186,6 +190,47 @@ fn exact_best_response_counts_every_mask() {
         on[Counter::MovesPruned as usize] > 0,
         "high alpha on a connected rest graph must prune some masks"
     );
+}
+
+#[test]
+fn solver_config_prune_mode_reaches_certify_and_exact_best_response() {
+    let _g = setup();
+    let n = 12;
+    let ps = generators::uniform_unit_square(n, 3);
+    let mut net = OwnedNetwork::empty(n);
+    for a in 1..n {
+        net.buy(a, a - 1);
+    }
+    let alpha = 8.0;
+    let run = |mode: PruneMode| {
+        let cfg = SolverConfig::default().with_prune(mode);
+        assert!(cfg.witness, "the default config searches a witness");
+        let mut report = String::new();
+        let certify_d = deltas_of(|| {
+            let r = certify::certify(&ps, &net, alpha, &cfg);
+            report = gncg_json::to_string(&gncg_json::ToJson::to_json(&r));
+        });
+        let mut br = None;
+        let br_d = deltas_of(|| {
+            br = Some(
+                best_response::exact_best_response(&ps, &net, alpha, 0, &cfg).expect_exact("br"),
+            );
+        });
+        let pruned = |d: [u64; gncg_trace::NUM_COUNTERS]| d[Counter::MovesPruned as usize];
+        (pruned(certify_d), pruned(br_d), report, br.unwrap())
+    };
+
+    let (on_certify, on_br, on_report, on_best) = run(PruneMode::On);
+    let (off_certify, off_br, off_report, off_best) = run(PruneMode::Off);
+    assert!(
+        on_certify > 0 && on_br > 0,
+        "the instance must exercise pruning"
+    );
+    assert_eq!(off_certify, 0, "certify pruned under PruneMode::Off");
+    assert_eq!(off_br, 0, "exact_best_response pruned under PruneMode::Off");
+    assert_eq!(off_report, on_report);
+    assert_eq!(off_best.cost.to_bits(), on_best.cost.to_bits());
+    assert_eq!(off_best.strategy, on_best.strategy);
 }
 
 #[test]

@@ -92,16 +92,8 @@ pub enum JobSpec {
     },
 }
 
-fn model_to_str(m: ModelKind) -> &'static str {
-    m.as_str()
-}
-
 fn model_from_str(s: &str) -> Result<ModelKind, JsonError> {
-    match s {
-        "sum" => Ok(ModelKind::SumDistances),
-        "maxdist" => Ok(ModelKind::MaxDistance),
-        other => Err(JsonError::new(format!("bad model: {other:?}"))),
-    }
+    ModelKind::from_name(s).ok_or_else(|| JsonError::new(format!("bad model: {s:?}")))
 }
 
 impl JobSpec {
@@ -206,7 +198,7 @@ impl ToJson for JobSpec {
                 ("network", network.to_json()),
                 ("alpha", alpha.to_json()),
                 ("exact", exact.to_json()),
-                ("model", model_to_str(*model).to_json()),
+                ("model", model.as_str().to_json()),
                 ("budget_ms", budget_ms.to_json()),
             ]),
             JobSpec::Dynamics {
@@ -230,7 +222,7 @@ impl ToJson for JobSpec {
                     .to_json(),
                 ),
                 ("steps", steps.to_json()),
-                ("model", model_to_str(spec.model).to_json()),
+                ("model", spec.model.as_str().to_json()),
                 (
                     "formation",
                     match spec.formation {
@@ -669,6 +661,13 @@ mod tests {
         });
         round_trip_request(&Request::Cancel { req: 3 });
         round_trip_request(&Request::Ping { seq: 9 });
+        for model in [ModelKind::SumDistances, ModelKind::MaxDistance] {
+            assert_eq!(model_from_str(model.as_str()), Ok(model));
+        }
+        assert_eq!(
+            model_from_str("max"),
+            Err(JsonError::new(r#"bad model: "max""#))
+        );
     }
 
     #[test]

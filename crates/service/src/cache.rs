@@ -93,12 +93,6 @@ impl ResultCache {
         Self::at(dir).ok()
     }
 
-    /// The cache a config snapshot asks for (`GncgConfig::cache_dir`).
-    pub fn from_config(cfg: &gncg_config::GncgConfig) -> Option<Self> {
-        let dir = cfg.cache_dir.as_ref()?;
-        Self::at(dir).ok()
-    }
-
     /// The cache's root directory.
     pub fn dir(&self) -> &Path {
         &self.dir

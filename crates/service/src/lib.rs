@@ -49,7 +49,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use gncg_config::GncgConfig;
 use gncg_game::approx::ApproxCertifyReport;
 use gncg_game::best_response::BestResponse;
 use gncg_game::certify::CertifyReport;
@@ -485,16 +484,6 @@ impl Default for SessionBuilder {
 }
 
 impl SessionBuilder {
-    /// Seed the builder from a [`GncgConfig`] (worker count and default
-    /// job budget).
-    pub fn from_config(cfg: &GncgConfig) -> Self {
-        Self {
-            threads: cfg.threads,
-            default_budget_ms: cfg.budget_ms,
-            ..Self::default()
-        }
-    }
-
     /// Number of pool workers (default: [`gncg_parallel::num_threads`]).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
@@ -562,10 +551,15 @@ pub struct Session {
 }
 
 impl Session {
-    /// A session configured from the environment
-    /// ([`GncgConfig::from_env`]).
+    /// A session configured from the environment: the
+    /// [`gncg_parallel::num_threads`] worker count and the
+    /// `GNCG_BUDGET_MS` default job budget.
     pub fn new() -> Self {
-        SessionBuilder::from_config(&GncgConfig::from_env()).build()
+        SessionBuilder {
+            default_budget_ms: gncg_config::env::budget_ms(),
+            ..SessionBuilder::default()
+        }
+        .build()
     }
 
     /// Start building a custom session.

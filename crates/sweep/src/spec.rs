@@ -349,15 +349,17 @@ impl SweepSpec {
             None => false,
         };
         let model = match job.get("model") {
-            Some(v) => match as_str(v, "job.model")?.as_str() {
-                "sum" => ModelKind::SumDistances,
-                "maxdist" => ModelKind::MaxDistance,
-                other => {
-                    return err(format!(
-                        "unknown `job.model` `{other}` (allowed: sum, maxdist)"
-                    ))
+            Some(v) => {
+                let name = as_str(v, "job.model")?;
+                match ModelKind::from_name(&name) {
+                    Some(model) => model,
+                    None => {
+                        return err(format!(
+                            "unknown `job.model` `{name}` (allowed: sum, maxdist)"
+                        ))
+                    }
                 }
-            },
+            }
             None => ModelKind::SumDistances,
         };
         let budget_ms = match job.get("budget_ms") {
@@ -666,6 +668,20 @@ mod tests {
         let reparsed = SweepSpec::parse(&printed).unwrap();
         assert_eq!(reparsed, s);
         assert_eq!(reparsed.canonical_string(), printed);
+        for model in [ModelKind::SumDistances, ModelKind::MaxDistance] {
+            let job = format!(r#""kind": "certify", "model": "{}""#, model.as_str());
+            let s = SweepSpec::parse(&MINIMAL.replace(r#""kind": "certify""#, &job)).unwrap();
+            assert_eq!(s.model, model);
+            assert_eq!(SweepSpec::parse(&s.canonical_string()).unwrap(), s);
+        }
+        let typo = MINIMAL.replace(
+            r#""kind": "certify""#,
+            r#""kind": "certify", "model": "max""#,
+        );
+        assert!(SweepSpec::parse(&typo)
+            .unwrap_err()
+            .to_string()
+            .contains("unknown `job.model` `max` (allowed: sum, maxdist)"));
     }
 
     #[test]

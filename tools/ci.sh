@@ -24,13 +24,13 @@ fi
 # direct read anywhere else bypasses the documented parsing rules
 if grep -rn --include='*.rs' -F 'env::var("GNCG_' src crates tests examples \
     | grep -v '^crates/config/src/'; then
-    echo "direct GNCG_* env reads outside crates/config/src (use GncgConfig)" >&2
+    echo "direct GNCG_* env reads outside crates/config/src (use gncg_config::env)" >&2
     exit 1
 fi
 
 # model-selection discipline: GNCG_MODEL is parsed solely by gncg-config
-# (GncgConfig::from_env / env::model_choice); any other mention of the
-# quoted literal is a second parser waiting to drift
+# (env::model); any other mention of the quoted literal is a second
+# parser waiting to drift
 if grep -rn --include='*.rs' -F '"GNCG_MODEL"' src crates tests examples \
     | grep -v '^crates/config/src/'; then
     echo 'the "GNCG_MODEL" literal outside crates/config/src (use gncg_config)' >&2
@@ -47,13 +47,12 @@ if grep -rnE --include='*.rs' '"GNCG_(SERVE_[A-Z_]+|NET_FAULT_INJECT)"' src crat
     exit 1
 fi
 
-# eval-backend discipline: GNCG_EVAL_BACKEND selects exact vs
-# spanner-backed certification; its parse rule (unknown values fall back
-# to exact, never silently approximate the other way) lives solely in
-# gncg-config — a second parser elsewhere could flip that default
-if grep -rn --include='*.rs' -F '"GNCG_EVAL_BACKEND"' src crates tests examples \
-    | grep -v '^crates/config/src/'; then
-    echo 'the "GNCG_EVAL_BACKEND" literal outside crates/config/src (use gncg_config)' >&2
+# one reader per knob: the snapshot config struct, the env-selected
+# evaluation backend and its bracket helper were removed because
+# nothing read them; solver settings travel in SolverConfig only
+if grep -rnE 'GncgConfig|EvalBackendKind|GNCG_EVAL_BACKEND|certify_bracket' \
+    src crates tests examples tools | grep -v '^tools/ci.sh:.*grep -rnE'; then
+    echo 'a removed config snapshot / eval-backend name is back (solver settings go in SolverConfig)' >&2
     exit 1
 fi
 

@@ -15,8 +15,7 @@
 #            certification at n ∈ {1024, 4096, 10000}, gated against
 #            results/PERF_BASELINE_LARGE.json; eight deterministic
 #            counters (the six legacy ones plus the candidate-generation
-#            tallies). Runs with GNCG_EVAL_BACKEND=spanner so the
-#            environment states the evaluation semantics explicitly.
+#            tallies).
 #
 # Contract:
 #   - the tier's deterministic trace counters must match the baseline
@@ -27,7 +26,9 @@
 #     loop on the machine that produced it. The gate normalizes each
 #     stage by its own file's calibration constant *here* (current
 #     stage/current calibration vs baseline stage/baseline calibration)
-#     before applying GNCG_PERF_RATIO (default 1.5), so baselines
+#     before applying GNCG_PERF_RATIO (default 1.5; this script is its
+#     only reader, and a value that is not a finite number > 0 exits
+#     2), so baselines
 #     recorded on a different machine compare in machine-neutral units
 #     and the constants are auditable in both files. A baseline without
 #     `calibration_secs` predates this scheme and must be refreshed —
@@ -48,6 +49,11 @@ cd "$(dirname "$0")/.."
 
 TIER="${1:-legacy}"
 RATIO="${GNCG_PERF_RATIO:-1.5}"
+if ! python3 -c 'import math, sys; r = float(sys.argv[1]); sys.exit(not (math.isfinite(r) and r > 0))' \
+    "$RATIO" 2>/dev/null; then
+    echo "perf_gate.sh: GNCG_PERF_RATIO='$RATIO' is not a finite number > 0" >&2
+    exit 2
+fi
 OUT_DIR="${GNCG_PERF_OUT:-target/perf-gate}"
 
 case "$TIER" in
@@ -55,13 +61,11 @@ legacy)
     TIER_ARGS=()
     CUR_JSON="$OUT_DIR/perf_smoke.json"
     BASELINE=results/PERF_BASELINE.json
-    BACKEND_ENV=exact
     ;;
 large)
     TIER_ARGS=(large)
     CUR_JSON="$OUT_DIR/perf_smoke_large.json"
     BASELINE=results/PERF_BASELINE_LARGE.json
-    BACKEND_ENV=spanner
     ;;
 *)
     echo "perf_gate.sh: unknown tier '$TIER' (expected 'legacy' or 'large')" >&2
@@ -71,7 +75,7 @@ esac
 
 cargo build --release -p gncg-bench --bin perf_smoke
 mkdir -p "$OUT_DIR"
-GNCG_TRACE=1 GNCG_THREADS=1 GNCG_EVAL_BACKEND="$BACKEND_ENV" \
+GNCG_TRACE=1 GNCG_THREADS=1 \
     GNCG_RESULTS_DIR="$OUT_DIR" ./target/release/perf_smoke ${TIER_ARGS[@]+"${TIER_ARGS[@]}"}
 
 python3 - "$CUR_JSON" "$BASELINE" "$RATIO" "$TIER" <<'PY'
