@@ -44,7 +44,8 @@ fn main() {
                 let ps = generators::line(2, 1.0);
                 let mut net = OwnedNetwork::empty(2);
                 net.buy(0, 1);
-                let is_ne = exact::is_nash::<_, MaxDistance>(&ps, &net, 1.0);
+                let is_ne =
+                    exact::is_nash::<_, MaxDistance>(&ps, &net, 1.0, SolverConfig::default().prune);
                 let beta = exact::exact_beta(&ps, &net, 1.0, &opts()).expect_exact("beta");
                 rep.push(
                     "single edge n=2 alpha=1".into(),

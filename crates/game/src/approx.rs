@@ -23,7 +23,7 @@
 //! brackets are sound certificates in their own right; the `lo` ends
 //! measure how loose the approximation is. The bracket property is
 //! enforced by an oracle sweep against the exact backend at `n ≤ 128`
-//! (`tests/approx_brackets.rs`).
+//! (the `bracket_oracle` test module next to this file).
 //!
 //! The inequalities come in two kinds:
 //!
@@ -71,7 +71,9 @@
 //! are tallied in the deterministic `candidates_skipped` counter, so
 //! the narrowing is visible, not silent.
 
-use crate::{best_response, certify, cost, CostModel, EdgeWeights, ModelKind, OwnedNetwork};
+use crate::{
+    best_response, certify, cost, CostModel, EdgeWeights, EvalBackend, ModelKind, OwnedNetwork,
+};
 use gncg_geometry::PointSet;
 use gncg_graph::csr::{Csr, DijkstraScratch};
 use gncg_graph::{components, delta};
@@ -79,74 +81,19 @@ use gncg_json::{object, ToJson, Value};
 use gncg_spanner::{cert, grid, GridIndex, SpannerKind};
 use gncg_trace::Counter;
 
-/// Above this `n`, [`LoMode::Auto`] switches the per-agent lower
-/// bounds from union-graph Dijkstra rows (`n` sparse Dijkstras) to the
-/// metric floor (no Dijkstras at all): at `n = 10⁴` single-threaded,
-/// the rows would dominate the whole certification.
+/// Above this `n`, [`certify_approx`] switches the per-agent lower
+/// bounds from union-graph Dijkstra rows (`n` sparse Dijkstras on
+/// `H = G ∪ S`, tighter) to the metric floor (the `M`-fold of metric
+/// lower bounds, coarser, no Dijkstras at all): at `n = 10⁴`
+/// single-threaded, the rows would dominate the whole certification.
 pub const UNION_ROWS_CAP: usize = 4096;
 
-/// How the per-agent cost *lower* bounds are computed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LoMode {
-    /// Union-graph rows below [`UNION_ROWS_CAP`], metric floor above.
-    Auto,
-    /// Dijkstra rows on `H = G ∪ S` (tighter; `n` sparse Dijkstras).
-    UnionRows,
-    /// The `M`-fold of metric lower bounds (coarser; no Dijkstras).
-    MetricFloor,
-}
+/// Spanner behind the lower bounds under [`EvalBackend::Exact`] (the
+/// bracketed certifier always runs on a spanner).
+const DEFAULT_SPANNER: SpannerKind = SpannerKind::Theta { cones: 12 };
 
-/// Options for [`certify_approx`].
-#[derive(Debug, Clone)]
-pub struct ApproxCertifyOptions {
-    /// Spanner construction for the union-graph lower bounds and the
-    /// reported stretch certificate.
-    pub spanner: SpannerKind,
-    /// Cost model to bracket under.
-    pub model: ModelKind,
-    /// Number of farthest-point-sampled pivot rows for the distance
-    /// upper bounds (clamped to `1..=n`).
-    pub pivots: usize,
-    /// Lower-bound strategy (see [`LoMode`]).
-    pub lo_mode: LoMode,
-}
-
-impl Default for ApproxCertifyOptions {
-    fn default() -> Self {
-        Self {
-            spanner: SpannerKind::Theta { cones: 12 },
-            model: ModelKind::SumDistances,
-            pivots: 8,
-            lo_mode: LoMode::Auto,
-        }
-    }
-}
-
-impl ApproxCertifyOptions {
-    /// Replace the spanner construction (builder style).
-    pub fn with_spanner(mut self, spanner: SpannerKind) -> Self {
-        self.spanner = spanner;
-        self
-    }
-
-    /// Replace the cost model (builder style).
-    pub fn with_model(mut self, model: ModelKind) -> Self {
-        self.model = model;
-        self
-    }
-
-    /// Replace the pivot count (builder style).
-    pub fn with_pivots(mut self, pivots: usize) -> Self {
-        self.pivots = pivots;
-        self
-    }
-
-    /// Replace the lower-bound mode (builder style).
-    pub fn with_lo_mode(mut self, lo_mode: LoMode) -> Self {
-        self.lo_mode = lo_mode;
-        self
-    }
-}
+/// Pivot rows behind the upper bounds under [`EvalBackend::Exact`].
+const DEFAULT_PIVOTS: usize = 8;
 
 /// The bracketed certification report (see module docs for what each
 /// bracket provably contains).
@@ -261,38 +208,37 @@ fn farthest_point_pivots(ps: &PointSet, k: usize) -> Vec<usize> {
 /// point set (see module docs for the exact soundness claims).
 ///
 /// Reads the spanner construction and pivot count off `cfg.backend`
-/// (defaults when the backend is exact — bracketed certification
-/// always runs on a spanner) and the cost model off `cfg.model`. For
-/// the full knob space (e.g. pinning a [`LoMode`]) use
-/// [`certify_approx_tuned`].
+/// (a Θ-graph with 12 cones and 8 pivots when the backend is exact —
+/// bracketed certification always runs on a spanner) and the cost
+/// model off `cfg.model`. The lower bounds come from union-graph rows
+/// up to [`UNION_ROWS_CAP`] agents and from the metric floor above it.
 pub fn certify_approx(
     ps: &PointSet,
     net: &OwnedNetwork,
     alpha: f64,
     cfg: &crate::SolverConfig,
 ) -> ApproxCertifyReport {
-    certify_approx_tuned(ps, net, alpha, cfg.approx_options())
-}
-
-/// [`certify_approx`] with every knob exposed — the oracle suites sweep
-/// combinations (spanner × pivots × [`LoMode`]) that the unified
-/// [`crate::SolverConfig`] surface deliberately does not carry.
-pub fn certify_approx_tuned(
-    ps: &PointSet,
-    net: &OwnedNetwork,
-    alpha: f64,
-    opts: ApproxCertifyOptions,
-) -> ApproxCertifyReport {
-    crate::dispatch_model!(opts.model, M, {
-        certify_approx_generic::<M>(ps, net, alpha, &opts)
+    let (spanner, pivots) = match cfg.backend {
+        EvalBackend::Exact => (DEFAULT_SPANNER, DEFAULT_PIVOTS),
+        EvalBackend::Spanner { kind, pivots } => (kind, pivots),
+    };
+    let union_rows = net.len() <= UNION_ROWS_CAP;
+    crate::dispatch_model!(cfg.model, M, {
+        certify_approx_generic::<M>(ps, net, alpha, spanner, pivots, union_rows)
     })
 }
 
+/// Body of [`certify_approx`] under model `M`. `union_rows` picks the
+/// lower-bound side: Dijkstra rows on `H = G ∪ S` when set, the
+/// metric floor otherwise (the oracle sweep drives both at every
+/// size).
 fn certify_approx_generic<M: CostModel>(
     ps: &PointSet,
     net: &OwnedNetwork,
     alpha: f64,
-    opts: &ApproxCertifyOptions,
+    spanner_kind: SpannerKind,
+    pivots: usize,
+    union_rows: bool,
 ) -> ApproxCertifyReport {
     let _span = gncg_trace::span("game.certify_approx");
     let n = net.len();
@@ -301,8 +247,8 @@ fn certify_approx_generic<M: CostModel>(
     let connected = components::is_connected(&g);
     let csr = Csr::from_graph(&g);
 
-    let spanner = gncg_spanner::build(ps, opts.spanner);
-    let (spanner_stretch, stretch_proven) = match opts.spanner {
+    let spanner = gncg_spanner::build(ps, spanner_kind);
+    let (spanner_stretch, stretch_proven) = match spanner_kind {
         // the grid spanner's stretch is a theorem (√d on integer
         // grids), so no O(n·Dijkstra) measurement is needed at 10⁴
         SpannerKind::Grid => (grid::grid_stretch_bound(ps.dim()), true),
@@ -326,11 +272,6 @@ fn certify_approx_generic<M: CostModel>(
         .collect();
 
     // lo: distance-cost lower bounds, bitwise ≤ the exact aggregates
-    let union_rows = match opts.lo_mode {
-        LoMode::UnionRows => true,
-        LoMode::MetricFloor => false,
-        LoMode::Auto => n <= UNION_ROWS_CAP,
-    };
     let dist_lo: Vec<f64> = if union_rows {
         let mut h = g.clone();
         for (a, b, w) in spanner.edges() {
@@ -357,7 +298,7 @@ fn certify_approx_generic<M: CostModel>(
     let agent_lo: Vec<f64> = (0..n).map(|u| edge_costs[u] + dist_lo[u]).collect();
 
     // hi: triangle-inequality recombination of K exact pivot rows
-    let pivots = farthest_point_pivots(ps, opts.pivots.max(1));
+    let pivots = farthest_point_pivots(ps, pivots.max(1));
     let mut scratch = gncg_parallel::arena::rent::<DijkstraScratch>();
     let mut prow = gncg_parallel::arena::rent_vec(n, 0.0f64);
     let pivot_rows: Vec<Vec<f64>> = pivots
@@ -713,13 +654,16 @@ fn run_approx_generic<M: CostModel>(
 }
 
 #[cfg(test)]
+mod bracket_oracle;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::certify::certify;
     use crate::SumDistances;
     use gncg_geometry::generators;
 
-    fn random_net(n: usize, seed: u64) -> OwnedNetwork {
+    pub(super) fn random_net(n: usize, seed: u64) -> OwnedNetwork {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let mut net = OwnedNetwork::empty(n);
@@ -737,53 +681,11 @@ mod tests {
     }
 
     #[test]
-    fn brackets_contain_certified_values_smoke() {
-        for seed in 0..3u64 {
-            let n = 24;
-            let ps = generators::uniform_unit_square(n, seed + 30);
-            let net = random_net(n, seed);
-            let alpha = 0.4 + seed as f64;
-            let exact = certify(&ps, &net, alpha, &crate::SolverConfig::bounds_only());
-            for lo_mode in [LoMode::UnionRows, LoMode::MetricFloor] {
-                let r = certify_approx_tuned(
-                    &ps,
-                    &net,
-                    alpha,
-                    ApproxCertifyOptions::default().with_lo_mode(lo_mode),
-                );
-                assert_eq!(r.opt_lower_bound.to_bits(), exact.opt_lower_bound.to_bits());
-                assert!(
-                    r.beta_lo <= exact.beta_upper && exact.beta_upper <= r.beta_hi,
-                    "seed {seed} {lo_mode:?}: beta [{}, {}] misses {}",
-                    r.beta_lo,
-                    r.beta_hi,
-                    exact.beta_upper
-                );
-                assert!(
-                    r.gamma_lo <= exact.gamma_upper && exact.gamma_upper <= r.gamma_hi,
-                    "seed {seed} {lo_mode:?}: gamma [{}, {}] misses {}",
-                    r.gamma_lo,
-                    r.gamma_hi,
-                    exact.gamma_upper
-                );
-                assert!(
-                    r.social_lo <= exact.social_cost && exact.social_cost <= r.social_hi,
-                    "seed {seed} {lo_mode:?}: social [{}, {}] misses {}",
-                    r.social_lo,
-                    r.social_hi,
-                    exact.social_cost
-                );
-                assert!(r.beta_lo >= 1.0 && r.spanner_stretch >= 1.0);
-            }
-        }
-    }
-
-    #[test]
     fn disconnected_network_reports_infinite_hi_finite_lo() {
         let ps = generators::uniform_unit_square(10, 4);
         let mut net = OwnedNetwork::empty(10);
         net.buy(0, 1); // two agents linked, the rest isolated
-        let r = certify_approx_tuned(&ps, &net, 1.0, ApproxCertifyOptions::default());
+        let r = certify_approx(&ps, &net, 1.0, &crate::SolverConfig::default());
         assert!(!r.connected);
         assert!(r.beta_hi.is_infinite() && r.social_hi.is_infinite());
         assert!(r.social_lo.is_finite(), "union graph keeps lo finite");
@@ -795,14 +697,14 @@ mod tests {
     fn json_tags_model_only_when_non_default() {
         let ps = generators::uniform_unit_square(8, 7);
         let net = OwnedNetwork::center_star(8, 0);
-        let sum = certify_approx_tuned(&ps, &net, 1.0, ApproxCertifyOptions::default());
+        let sum = certify_approx(&ps, &net, 1.0, &crate::SolverConfig::default());
         let sum_json = gncg_json::to_string(&sum.to_json());
         assert!(!sum_json.contains("\"model\""), "{sum_json}");
-        let max = certify_approx_tuned(
+        let max = certify_approx(
             &ps,
             &net,
             1.0,
-            ApproxCertifyOptions::default().with_model(ModelKind::MaxDistance),
+            &crate::SolverConfig::default().with_model(ModelKind::MaxDistance),
         );
         let max_json = gncg_json::to_string(&max.to_json());
         assert!(max_json.contains("\"model\":\"maxdist\""), "{max_json}");

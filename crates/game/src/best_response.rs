@@ -596,14 +596,19 @@ mod tests {
     use crate::SumDistances;
     use gncg_geometry::generators;
 
+    /// The `GNCG_PRUNE`-selected mode, so `GNCG_PRUNE=0` runs every
+    /// test here on the unpruned path.
+    fn default_mode() -> PruneMode {
+        crate::SolverConfig::default().prune
+    }
+
     #[test]
     fn best_response_on_line_center_star() {
         // points 0,1,2 at x=0,1,2; alpha small: agent 1 in the middle of
         // a star centred at 0 has nothing cheaper than staying put
         let ps = generators::line(3, 2.0);
         let net = OwnedNetwork::center_star(3, 0);
-        let br =
-            exact_best_response_raw::<_, SumDistances>(&ps, &net, 0.5, 1, PruneMode::from_env());
+        let br = exact_best_response_raw::<_, SumDistances>(&ps, &net, 0.5, 1, default_mode());
         // agent 1 current cost: d=1 (to 0) + 3 (to 2 via 0) = 4
         // buying edge to 2 (w=1) costs 0.5, distance becomes 1+1=2 => 2.5
         assert!((br.cost - 2.5).abs() < 1e-9);
@@ -618,8 +623,7 @@ mod tests {
         net.buy(0, 1);
         net.buy(2, 1);
         // agent 1 owns nothing and is connected: BR may be empty
-        let br =
-            exact_best_response_raw::<_, SumDistances>(&ps, &net, 10.0, 1, PruneMode::from_env());
+        let br = exact_best_response_raw::<_, SumDistances>(&ps, &net, 10.0, 1, default_mode());
         assert!(br.strategy.is_empty());
         assert!((br.cost - 2.0).abs() < 1e-9);
     }
@@ -629,8 +633,7 @@ mod tests {
         let ps = generators::line(3, 2.0);
         let mut net = OwnedNetwork::empty(3);
         net.buy(0, 1); // 2 is isolated
-        let br =
-            exact_best_response_raw::<_, SumDistances>(&ps, &net, 1.0, 2, PruneMode::from_env());
+        let br = exact_best_response_raw::<_, SumDistances>(&ps, &net, 1.0, 2, default_mode());
         assert!(!br.strategy.is_empty());
         assert!(br.cost.is_finite());
         // optimal: buy edge to 1 (w=1): cost 1*1 + (1 + 2) = 4
@@ -645,8 +648,7 @@ mod tests {
         let mut net = OwnedNetwork::empty(2);
         net.buy(0, 1);
         // agent 1 pays only distance 1 and can do nothing better
-        let f =
-            exact_improvement_factor::<_, SumDistances>(&ps, &net, 1.0, 1, PruneMode::from_env());
+        let f = exact_improvement_factor::<_, SumDistances>(&ps, &net, 1.0, 1, default_mode());
         assert!((f - 1.0).abs() < 1e-9);
     }
 
@@ -669,13 +671,8 @@ mod tests {
             }
             let alpha = 0.5 + rng.gen::<f64>() * 3.0;
             for u in 0..n {
-                let fast = exact_best_response_raw::<_, SumDistances>(
-                    &ps,
-                    &net,
-                    alpha,
-                    u,
-                    PruneMode::from_env(),
-                );
+                let fast =
+                    exact_best_response_raw::<_, SumDistances>(&ps, &net, alpha, u, default_mode());
                 let slow = naive_best_response(&ps, &net, alpha, u);
                 assert!(
                     (fast.cost - slow).abs() < 1e-9,
@@ -771,7 +768,7 @@ mod tests {
                     let b = shared.cost::<SumDistances, _>(alpha, [v]);
                     assert_eq!(a.to_bits(), b.to_bits(), "trial {trial} agent {u} buy {v}");
                 }
-                let mode = PruneMode::from_env();
+                let mode = default_mode();
                 assert_eq!(
                     owned.best_response::<SumDistances>(alpha, mode),
                     shared.best_response::<SumDistances>(alpha, mode),
@@ -829,13 +826,8 @@ mod tests {
             }
             let alpha = 0.5 + rng.gen::<f64>() * 3.0;
             for u in 0..n {
-                let fast = exact_best_response_raw::<_, MaxDistance>(
-                    &ps,
-                    &net,
-                    alpha,
-                    u,
-                    PruneMode::from_env(),
-                );
+                let fast =
+                    exact_best_response_raw::<_, MaxDistance>(&ps, &net, alpha, u, default_mode());
                 let slow = naive_best_response_model::<MaxDistance>(&ps, &net, alpha, u);
                 assert_eq!(
                     fast.cost.to_bits(),
@@ -915,7 +907,7 @@ mod tests {
         let merged = exact_best_response(&ps, &net, 1.2, 3, &opts).expect_exact("br");
         assert_eq!(
             merged,
-            exact_best_response_raw::<_, MaxDistance>(&ps, &net, 1.2, 3, PruneMode::from_env())
+            exact_best_response_raw::<_, MaxDistance>(&ps, &net, 1.2, 3, default_mode())
         );
     }
 
@@ -931,7 +923,7 @@ mod tests {
     fn too_many_agents_rejected_by_raw() {
         let ps = generators::uniform_unit_square(30, 1);
         let net = OwnedNetwork::complete(30);
-        exact_best_response_raw::<_, SumDistances>(&ps, &net, 1.0, 0, PruneMode::from_env());
+        exact_best_response_raw::<_, SumDistances>(&ps, &net, 1.0, 0, default_mode());
     }
 
     #[test]
@@ -944,7 +936,7 @@ mod tests {
             exact_best_response(&ps, &net, 1.2, 3, &SolverConfig::default()).expect_exact("br");
         assert_eq!(
             merged,
-            exact_best_response_raw::<_, SumDistances>(&ps, &net, 1.2, 3, PruneMode::from_env())
+            exact_best_response_raw::<_, SumDistances>(&ps, &net, 1.2, 3, default_mode())
         );
 
         let big = generators::uniform_unit_square(30, 1);

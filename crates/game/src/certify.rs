@@ -431,7 +431,7 @@ fn certify_generic<W: EdgeWeights + ?Sized, M: CostModel>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{PruneMode, SolverConfig};
+    use crate::SolverConfig;
     use gncg_geometry::generators;
 
     #[test]
@@ -621,7 +621,7 @@ mod tests {
             &ps,
             &net,
             alpha,
-            PruneMode::from_env(),
+            SolverConfig::default().prune,
         );
         match exact::exact_beta(
             &ps,

@@ -12,8 +12,7 @@
 //! accepted move and agent costs come from cached distance rows),
 //! bilateral formation filters from-scratch responses by consent. The
 //! old from-scratch unilateral path survives as
-//! [`run_ordered_reference`], the property-test oracle (and the "old"
-//! side of the dynamics benchmark).
+//! [`run_ordered_reference`], the property-test oracle.
 
 use crate::best_response::{self, ResponseEvaluator};
 use crate::{
@@ -377,10 +376,10 @@ fn bilateral_response_for<W: EdgeWeights + ?Sized, M: CostModel>(
 }
 
 /// The pre-incremental dynamics driver: every probe rebuilds `G(s)` and
-/// recomputes the agent's (sum-model) cost from scratch. Behaviourally
-/// identical to [`run_spec`] under the default config; retained as the
-/// property-test oracle and as the baseline side of the dynamics
-/// benchmark. Do not use in new code.
+/// recomputes the agent's (sum-model) cost from scratch, searching
+/// responses under prune mode `mode`. Behaviourally identical to
+/// [`run_spec`] under the default config with the same prune mode;
+/// retained as the property-test oracle. Do not use in new code.
 pub fn run_ordered_reference<W: EdgeWeights + ?Sized>(
     w: &W,
     start: &OwnedNetwork,
@@ -388,23 +387,20 @@ pub fn run_ordered_reference<W: EdgeWeights + ?Sized>(
     rule: ResponseRule,
     order: AgentOrder,
     max_steps: usize,
+    mode: PruneMode,
 ) -> Outcome {
     let response_for = |state: &OwnedNetwork, u: usize| -> Option<(BTreeSet<usize>, f64)> {
         let now = cost::agent_cost::<W, SumDistances>(w, state, alpha, u);
         match rule {
             ResponseRule::BestResponse => {
                 let br = best_response::exact_best_response_raw::<W, SumDistances>(
-                    w,
-                    state,
-                    alpha,
-                    u,
-                    PruneMode::from_env(),
+                    w, state, alpha, u, mode,
                 );
                 gncg_geometry::definitely_less(br.cost, now).then_some((br.strategy, now - br.cost))
             }
             ResponseRule::BestSingleMove => {
                 let eval = ResponseEvaluator::new(w, state, u);
-                moves::best_single_move::<SumDistances>(&eval, state, alpha, PruneMode::from_env())
+                moves::best_single_move::<SumDistances>(&eval, state, alpha, mode)
                     .map(|m| (m.strategy, now - m.cost))
             }
         }
@@ -607,7 +603,12 @@ mod tests {
         ) {
             Outcome::Converged { state, .. } => {
                 assert!(state.has_edge(0, 1));
-                assert!(crate::exact::is_nash::<_, SumDistances>(&ps, &state, 1.0));
+                assert!(crate::exact::is_nash::<_, SumDistances>(
+                    &ps,
+                    &state,
+                    1.0,
+                    SolverConfig::default().prune
+                ));
             }
             other => panic!("expected convergence, got {other:?}"),
         }
@@ -627,7 +628,12 @@ mod tests {
             ) {
                 Outcome::Converged { state, .. } => {
                     assert!(
-                        crate::exact::is_nash::<_, SumDistances>(&ps, &state, 1.0),
+                        crate::exact::is_nash::<_, SumDistances>(
+                            &ps,
+                            &state,
+                            1.0,
+                            SolverConfig::default().prune
+                        ),
                         "seed {seed}: converged state not Nash"
                     );
                 }
@@ -695,7 +701,12 @@ mod tests {
             AgentOrder::RandomPermutation(99),
             500,
         ) {
-            assert!(crate::exact::is_nash::<_, SumDistances>(&ps, &state, 1.0));
+            assert!(crate::exact::is_nash::<_, SumDistances>(
+                &ps,
+                &state,
+                1.0,
+                SolverConfig::default().prune
+            ));
         }
     }
 
@@ -711,7 +722,12 @@ mod tests {
             500,
         ) {
             Outcome::Converged { state, .. } => {
-                assert!(crate::exact::is_nash::<_, SumDistances>(&ps, &state, 1.0));
+                assert!(crate::exact::is_nash::<_, SumDistances>(
+                    &ps,
+                    &state,
+                    1.0,
+                    SolverConfig::default().prune
+                ));
             }
             Outcome::Cycle { .. } => {}
             Outcome::Exhausted { .. } => panic!("budget too small"),
@@ -751,7 +767,15 @@ mod tests {
             ] {
                 for rule in [ResponseRule::BestSingleMove, ResponseRule::BestResponse] {
                     let fast = run_default(&ps, &start, rule, order, 300);
-                    let slow = run_ordered_reference(&ps, &start, 1.0, rule, order, 300);
+                    let slow = run_ordered_reference(
+                        &ps,
+                        &start,
+                        1.0,
+                        rule,
+                        order,
+                        300,
+                        SolverConfig::default().prune,
+                    );
                     assert_eq!(fast, slow, "seed {seed} order {order:?} rule {rule:?}");
                 }
             }
@@ -792,7 +816,12 @@ mod tests {
             ) {
                 Outcome::Converged { state, .. } => {
                     assert!(
-                        crate::exact::is_nash::<_, MaxDistance>(&ps, &state, 1.0),
+                        crate::exact::is_nash::<_, MaxDistance>(
+                            &ps,
+                            &state,
+                            1.0,
+                            SolverConfig::default().prune
+                        ),
                         "seed {seed}: converged state not Nash under max-distance"
                     );
                 }

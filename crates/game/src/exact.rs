@@ -202,16 +202,16 @@ pub(crate) fn exact_beta_raw<W: EdgeWeights + ?Sized, M: CostModel>(
 
 /// Is the profile an exact (pure) Nash equilibrium under model `M`?
 /// True iff no agent can improve beyond floating-point noise (best
-/// responses searched under the `GNCG_PRUNE` mode).
+/// responses searched under prune mode `mode`).
 pub fn is_nash<W: EdgeWeights + ?Sized, M: CostModel>(
     w: &W,
     net: &OwnedNetwork,
     alpha: f64,
+    mode: PruneMode,
 ) -> bool {
     (0..net.len()).all(|u| {
         let now = cost::agent_cost::<W, M>(w, net, alpha, u);
-        let br =
-            best_response::exact_best_response_raw::<W, M>(w, net, alpha, u, PruneMode::from_env());
+        let br = best_response::exact_best_response_raw::<W, M>(w, net, alpha, u, mode);
         !gncg_geometry::definitely_less(br.cost, now)
     })
 }
@@ -277,7 +277,12 @@ mod tests {
         let ps = generators::line(2, 1.0);
         let mut net = OwnedNetwork::empty(2);
         net.buy(0, 1);
-        assert!(is_nash::<_, SumDistances>(&ps, &net, 1.0));
+        assert!(is_nash::<_, SumDistances>(
+            &ps,
+            &net,
+            1.0,
+            SolverConfig::default().prune
+        ));
         let beta = exact_beta(&ps, &net, 1.0, &SolverConfig::default()).expect_exact("beta");
         assert!((beta - 1.0).abs() < 1e-9);
     }
@@ -287,8 +292,15 @@ mod tests {
         // middle agent of the line star can improve at small alpha
         let ps = generators::line(3, 2.0);
         let net = OwnedNetwork::center_star(3, 0);
-        assert!(!is_nash::<_, SumDistances>(&ps, &net, 0.1));
-        assert!(exact_beta_raw::<_, SumDistances>(&ps, &net, 0.1, PruneMode::from_env()) > 1.0);
+        assert!(!is_nash::<_, SumDistances>(
+            &ps,
+            &net,
+            0.1,
+            SolverConfig::default().prune
+        ));
+        assert!(
+            exact_beta_raw::<_, SumDistances>(&ps, &net, 0.1, SolverConfig::default().prune) > 1.0
+        );
     }
 
     #[test]
@@ -296,7 +308,12 @@ mod tests {
         let ps = generators::line(3, 2.0);
         let net = OwnedNetwork::empty(3);
         // everyone has infinite cost; buying an edge is an improvement
-        assert!(!is_nash::<_, SumDistances>(&ps, &net, 1.0));
+        assert!(!is_nash::<_, SumDistances>(
+            &ps,
+            &net,
+            1.0,
+            SolverConfig::default().prune
+        ));
     }
 
     #[test]
@@ -343,7 +360,12 @@ mod tests {
         let ps = generators::line(2, 1.0);
         let mut net = OwnedNetwork::empty(2);
         net.buy(0, 1);
-        assert!(is_nash::<_, MaxDistance>(&ps, &net, 1.0));
+        assert!(is_nash::<_, MaxDistance>(
+            &ps,
+            &net,
+            1.0,
+            SolverConfig::default().prune
+        ));
         let opts = SolverConfig::default().with_model(ModelKind::MaxDistance);
         let beta = exact_beta(&ps, &net, 1.0, &opts).expect_exact("beta");
         assert!((beta - 1.0).abs() < 1e-9);
@@ -351,7 +373,14 @@ mod tests {
         // middle agent of a wide line star still gains by a short edge
         let ps3 = generators::line(3, 2.0);
         let star = OwnedNetwork::center_star(3, 0);
-        assert!(!is_nash::<_, MaxDistance>(&ps3, &star, 0.1));
-        assert!(exact_beta_raw::<_, MaxDistance>(&ps3, &star, 0.1, PruneMode::from_env()) > 1.0);
+        assert!(!is_nash::<_, MaxDistance>(
+            &ps3,
+            &star,
+            0.1,
+            SolverConfig::default().prune
+        ));
+        assert!(
+            exact_beta_raw::<_, MaxDistance>(&ps3, &star, 0.1, SolverConfig::default().prune) > 1.0
+        );
     }
 }

@@ -17,9 +17,7 @@
 use crate::best_response::{ResponseEvaluator, ResponseScratch};
 use crate::prune::{MoveFilter, PruneMode};
 use crate::{cost, CostModel, EdgeWeights, OwnedNetwork};
-use gncg_geometry::PointSet;
 use gncg_parallel::arena;
-use gncg_spanner::GridIndex;
 use std::collections::BTreeSet;
 
 /// A candidate strategy change for one agent with its resulting cost.
@@ -162,50 +160,7 @@ fn best_single_step<M: CostModel>(
     best
 }
 
-/// The pruned, batched move generator. Produces exactly the result of
-/// the unpruned [`best_single_step`], bit for bit, but replaces the
-/// O(deg·n) per-candidate evaluation with an O(n) one and skips
-/// provably-non-improving candidates entirely:
-///
-/// * **Batching.** All candidates share the neighbour slots
-///   `fixed_incident ++ current` — a drop removes one slot, an add
-///   appends one, a swap does both. One O(slots·n) pre-pass records, per
-///   target `v`, the two smallest `ew[x] + D[x][v]` over the slots and
-///   the arg-min slot; each candidate's per-target minimum is then an
-///   O(1) combination (exclude a slot → `min2` when the arg-min is
-///   excluded, include one → `min(min1, via)`). f64 `min` over a fixed
-///   multiset is order-independent and the excluded slot's duplicate (a
-///   neighbour both bought and fixed-incident contributes two slots with
-///   identical values) stays in `min2`, so every per-target value — and
-///   hence the ascending-order distance sum — carries the exact bits of
-///   [`ResponseEvaluator::cost_with`] on that candidate.
-/// * **Margin pruning** ([`MoveFilter`], soundness rule 3 in
-///   [`crate::prune`]): candidates whose metric lower bound already
-///   reaches the `definitely_less` margin are counted as `moves_pruned`
-///   and never evaluated.
-/// * **Branch-and-bound cutoff** (soundness rule 2): surviving
-///   candidates abort to `+∞` once their partial sum exceeds
-///   `min(current_cost, best-so-far)` — both rejections the acceptance
-///   test would have issued anyway. Prune *counters* depend only on the
-///   filter, never on the best-so-far, so they are deterministic.
-fn best_single_step_batched<M: CostModel>(
-    eval: &ResponseEvaluator<'_>,
-    n: usize,
-    current: &[usize],
-    current_cost: f64,
-    alpha: f64,
-) -> Option<(Step, f64)> {
-    // The margin filter takes the floor appropriate to `M` — the metric
-    // sum for the paper's objective, the metric max for max-distance
-    // (rule 3 holds per model; see `crate::prune`).
-    let filter = MoveFilter::new(eval.lb_dist::<M>(), current_cost);
-    // Full scan: every agent is an add / swap-in target.
-    let mut targets = arena::rent::<Vec<usize>>();
-    targets.extend(0..n);
-    best_single_step_scan::<M>(eval, n, current, current_cost, alpha, &filter, &targets)
-}
-
-/// Per-target structure-of-arrays state of the batched engines: the two
+/// Per-target structure-of-arrays state of the batched engine: the two
 /// smallest `ew[x] + D[x][v]` over the neighbour slots (`fixed_incident
 /// ++ current`, the neighbour order of `cost_with`) and the slot
 /// achieving the minimum. All three live in arena-rented buffers.
@@ -345,21 +300,43 @@ fn fold_segment<M: CostModel>(
 /// steps (each a single compare-plus-add).
 const FOLD_CHECK_BLOCK: usize = 16;
 
-/// Shared body of both batched engines: drops over the current
-/// strategy, adds and swap-ins over the sorted `targets` list. Every
-/// target *not* in the list must be provably margin-pruned — the full
-/// engine passes `0..n`, the grid engine a radius-restricted subset —
-/// so the evaluated candidate sequence (and every cost bit) is the same
-/// for any sound target list.
-fn best_single_step_scan<M: CostModel>(
+/// The pruned, batched move generator. Produces exactly the result of
+/// the unpruned [`best_single_step`], bit for bit, but replaces the
+/// O(deg·n) per-candidate evaluation with an O(n) one and skips
+/// provably-non-improving candidates entirely:
+///
+/// * **Batching.** All candidates share the neighbour slots
+///   `fixed_incident ++ current` — a drop removes one slot, an add
+///   appends one, a swap does both. One O(slots·n) pre-pass records, per
+///   target `v`, the two smallest `ew[x] + D[x][v]` over the slots and
+///   the arg-min slot; each candidate's per-target minimum is then an
+///   O(1) combination (exclude a slot → `min2` when the arg-min is
+///   excluded, include one → `min(min1, via)`). f64 `min` over a fixed
+///   multiset is order-independent and the excluded slot's duplicate (a
+///   neighbour both bought and fixed-incident contributes two slots with
+///   identical values) stays in `min2`, so every per-target value — and
+///   hence the ascending-order distance sum — carries the exact bits of
+///   [`ResponseEvaluator::cost_with`] on that candidate.
+/// * **Margin pruning** ([`MoveFilter`], soundness rule 3 in
+///   [`crate::prune`]): candidates whose metric lower bound already
+///   reaches the `definitely_less` margin are counted as `moves_pruned`
+///   and never evaluated.
+/// * **Branch-and-bound cutoff** (soundness rule 2): surviving
+///   candidates abort to `+∞` once their partial sum exceeds
+///   `min(current_cost, best-so-far)` — both rejections the acceptance
+///   test would have issued anyway. Prune *counters* depend only on the
+///   filter, never on the best-so-far, so they are deterministic.
+fn best_single_step_batched<M: CostModel>(
     eval: &ResponseEvaluator<'_>,
     n: usize,
     current: &[usize],
     current_cost: f64,
     alpha: f64,
-    filter: &MoveFilter,
-    targets: &[usize],
 ) -> Option<(Step, f64)> {
+    // The margin filter takes the floor appropriate to `M` — the metric
+    // sum for the paper's objective, the metric max for max-distance
+    // (rule 3 holds per model; see `crate::prune`).
+    let filter = MoveFilter::new(eval.lb_dist::<M>(), current_cost);
     let u = eval.agent;
     let nfixed = eval.fixed_incident.len();
     let minima = slot_minima(eval, current, n);
@@ -396,7 +373,7 @@ fn best_single_step_scan<M: CostModel>(
         );
     }
     // adds
-    for &inn in targets {
+    for inn in 0..n {
         if inn != u && current.binary_search(&inn).is_err() {
             let ew = eval.edge_weight(inn);
             let row = &eval.rest_row(inn)[..n];
@@ -426,7 +403,7 @@ fn best_single_step_scan<M: CostModel>(
             *e = if a == excl { m2 } else { m1 };
         }
         let exs = &ex[..n];
-        for &inn in targets {
+        for inn in 0..n {
             if inn != u && inn != out && current.binary_search(&inn).is_err() {
                 let ew = eval.edge_weight(inn);
                 let row = &eval.rest_row(inn)[..n];
@@ -446,114 +423,6 @@ fn best_single_step_scan<M: CostModel>(
         }
     }
     best
-}
-
-/// Smallest buy weight at which `filter` prunes, i.e. the exact
-/// float infimum `R` of `{x ≥ 0 : filter.prunes(alpha, x)}`.
-///
-/// `MoveFilter::prunes(alpha, buy)` is `fl(fl(α·buy) + lb) ≥ θ`,
-/// a composition of round-to-nearest operations each *monotone* in
-/// `buy` (for α > 0), so the predicate is monotone over the
-/// non-negative floats and the infimum is found by binary search on
-/// the bit representation — no epsilon analysis, ~60 predicate
-/// evaluations. Returns:
-///
-/// * `None` when even `buy = ∞` does not prune (or α = 0 makes the
-///   product NaN): no exclusion is sound, callers must fall back to
-///   the full scan;
-/// * `Some(R)` otherwise: every candidate whose buy weight reaches
-///   `R` provably prunes (`R = 0` means *everything* does).
-fn prune_radius(filter: &MoveFilter, alpha: f64) -> Option<f64> {
-    if !filter.prunes(alpha, f64::INFINITY) {
-        return None;
-    }
-    if filter.prunes(alpha, 0.0) {
-        return Some(0.0);
-    }
-    let mut lo = 0u64; // bits of a non-pruning value
-    let mut hi = f64::INFINITY.to_bits(); // bits of a pruning value
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo) / 2;
-        if filter.prunes(alpha, f64::from_bits(mid)) {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    let r = f64::from_bits(hi);
-    if r.is_infinite() {
-        None
-    } else {
-        Some(r)
-    }
-}
-
-/// [`best_single_move`] with **grid-hash candidate generation**: add and swap-in targets are drawn from a
-/// [`GridIndex`] ball query instead of scanning all `n` agents.
-///
-/// `ps` must be the very point set serving as the evaluator's weight
-/// oracle (so `eval.edge_weight(v)` and `ps.dist(u, v)` carry the
-/// same bits). Soundness of the restriction: any candidate
-/// containing target `v` accumulates a buy-weight fold ≥ `ew[v]`
-/// bitwise (float folds of non-negative terms are monotone and
-/// bounded below by each term), and [`MoveFilter::prunes`] is
-/// monotone in the buy weight, so every target at distance ≥
-/// [`prune_radius`] would have had *all* its candidates margin-pruned
-/// by the full engine. Excluding exactly those targets leaves the
-/// evaluated candidate sequence — and hence the returned move, its
-/// cost bits, and the `moves_evaluated` counter — identical to
-/// [`PruneMode::On`]; only `moves_pruned` shrinks, with the excluded
-/// targets accounted under `candidates_skipped` instead. When no
-/// finite exclusion radius exists the call degrades to the plain
-/// batched engine (counted as a full generation).
-pub fn best_single_move_grid<M: CostModel>(
-    eval: &ResponseEvaluator<'_>,
-    net: &OwnedNetwork,
-    alpha: f64,
-    ps: &PointSet,
-    index: &GridIndex,
-) -> Option<Move> {
-    let u = eval.agent;
-    let n = net.len();
-    let mut scratch = arena::rent::<ResponseScratch>();
-    let mut current = arena::rent::<Vec<usize>>();
-    current.extend(net.strategy(u).iter().copied());
-    let current_cost = eval.cost_with::<M, _>(alpha, current.iter().copied(), &mut scratch);
-    let filter = MoveFilter::new(eval.lb_dist::<M>(), current_cost);
-    let mut targets = arena::rent::<Vec<usize>>();
-    match prune_radius(&filter, alpha) {
-        None => {
-            // No sound restriction: full scan via the batched engine.
-            gncg_trace::add(gncg_trace::Counter::CandidatesGenerated, (n - 1) as u64);
-            return best_single_step_batched::<M>(eval, n, &current, current_cost, alpha).map(
-                |(step, c)| Move {
-                    strategy: materialize(&current, step),
-                    cost: c,
-                },
-            );
-        }
-        Some(r) => {
-            if r > 0.0 {
-                // Targets with `ew < R`, i.e. `dist ≤ prev(R)`.
-                let ball = f64::from_bits(r.to_bits() - 1);
-                index.within_radius(ps, u, ball, &mut targets);
-            }
-        }
-    }
-    gncg_trace::add(
-        gncg_trace::Counter::CandidatesGenerated,
-        targets.len() as u64,
-    );
-    gncg_trace::add(
-        gncg_trace::Counter::CandidatesSkipped,
-        (n - 1 - targets.len()) as u64,
-    );
-    best_single_step_scan::<M>(eval, n, &current, current_cost, alpha, &filter, &targets).map(
-        |(step, c)| Move {
-            strategy: materialize(&current, step),
-            cost: c,
-        },
-    )
 }
 
 /// Write `current` with `step` applied into `out`, keeping it sorted (the
@@ -649,12 +518,18 @@ mod tests {
     use super::*;
     use crate::best_response::exact_best_response_raw;
     use crate::SumDistances;
-    use gncg_geometry::generators;
+    use gncg_geometry::{generators, PointSet};
+
+    /// The `GNCG_PRUNE`-selected mode, so `GNCG_PRUNE=0` runs every
+    /// test here on the unpruned path.
+    fn default_mode() -> PruneMode {
+        crate::SolverConfig::default().prune
+    }
 
     /// Sum-model best single move off a fresh evaluator.
     fn fresh_move(ps: &PointSet, net: &OwnedNetwork, alpha: f64, u: usize) -> Option<Move> {
         let eval = ResponseEvaluator::new(ps, net, u);
-        best_single_move::<SumDistances>(&eval, net, alpha, PruneMode::from_env())
+        best_single_move::<SumDistances>(&eval, net, alpha, default_mode())
     }
 
     #[test]
@@ -723,7 +598,7 @@ mod tests {
             }
             let g = net.graph(&ps);
             let alpha = 0.5 + rng.gen::<f64>() * 2.0;
-            let mode = PruneMode::from_env();
+            let mode = default_mode();
             for u in 0..n {
                 let fresh = ResponseEvaluator::new(&ps, &net, u);
                 let built = ResponseEvaluator::from_built_graph(&ps, &net, &g, u);
@@ -755,20 +630,10 @@ mod tests {
             let alpha = 0.5 + rng.gen::<f64>() * 2.0;
             for u in 0..n {
                 let eval = ResponseEvaluator::new(&ps, &net, u);
-                let ls = local_search_response::<SumDistances>(
-                    &eval,
-                    &net,
-                    alpha,
-                    20,
-                    PruneMode::from_env(),
-                );
-                let ex = exact_best_response_raw::<_, SumDistances>(
-                    &ps,
-                    &net,
-                    alpha,
-                    u,
-                    PruneMode::from_env(),
-                );
+                let ls =
+                    local_search_response::<SumDistances>(&eval, &net, alpha, 20, default_mode());
+                let ex =
+                    exact_best_response_raw::<_, SumDistances>(&ps, &net, alpha, u, default_mode());
                 assert!(
                     ls.cost >= ex.cost - 1e-9,
                     "local search beat exact?! {} < {}",
@@ -821,13 +686,8 @@ mod tests {
         for u in 0..10 {
             let eval = ResponseEvaluator::new(&ps, &net, u);
             let now = cost::agent_cost::<_, SumDistances>(&ps, &net, 1.0, u);
-            let f = witness_improvement_factor::<SumDistances>(
-                &eval,
-                &net,
-                1.0,
-                now,
-                PruneMode::from_env(),
-            );
+            let f =
+                witness_improvement_factor::<SumDistances>(&eval, &net, 1.0, now, default_mode());
             assert!(f >= 1.0 - 1e-9);
         }
     }
@@ -842,13 +702,8 @@ mod tests {
         let net = OwnedNetwork::center_star(4, 0);
         let eval = ResponseEvaluator::new(&ps, &net, 0);
         let now = cost::agent_cost::<_, SumDistances>(&ps, &net, 1000.0, 0);
-        let f = witness_improvement_factor::<SumDistances>(
-            &eval,
-            &net,
-            1000.0,
-            now,
-            PruneMode::from_env(),
-        );
+        let f =
+            witness_improvement_factor::<SumDistances>(&eval, &net, 1000.0, now, default_mode());
         assert!(f >= 1.0 - 1e-9);
     }
 }

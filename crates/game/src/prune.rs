@@ -61,11 +61,15 @@
 //! counters are bit-identical across thread counts and fault-injection
 //! retries, and the perf gate compares them exactly.
 //!
-//! Solver entry points take the mode from `SolverConfig::prune`, whose
-//! default is `GNCG_PRUNE` (`0`, `false` or `off` route every engine
-//! through the original unpruned code path). The oracle harness
-//! (`crates/game/tests/prune_oracle.rs`) drives both modes explicitly
-//! and asserts bit-identical results.
+//! No function here reads the environment. Solvers take the mode either
+//! from `SolverConfig::prune` or as an explicit `mode` argument, and
+//! only `SolverConfig::default()` maps `GNCG_PRUNE` to a mode (`0`,
+//! `false` or `off` route every engine through the original unpruned
+//! code path). Binaries, examples and tests pass
+//! `SolverConfig::default().prune` where a function wants a bare mode,
+//! so `GNCG_PRUNE=0 cargo test` still runs every `Off` path. The oracle
+//! harness (`crates/game/tests/prune_oracle.rs`) drives both modes
+//! explicitly and asserts bit-identical results.
 
 use gncg_geometry::EPS;
 
@@ -85,18 +89,6 @@ impl PruneMode {
     #[inline]
     pub fn is_on(self) -> bool {
         matches!(self, PruneMode::On)
-    }
-
-    /// The process-wide mode from `GNCG_PRUNE` (default on; `0`,
-    /// `false`, or `off` disable), as read once by
-    /// [`gncg_config::env::prune`].
-    #[inline]
-    pub fn from_env() -> Self {
-        if gncg_config::env::prune() {
-            PruneMode::On
-        } else {
-            PruneMode::Off
-        }
     }
 }
 

@@ -7,10 +7,11 @@
 //! reads the axes it understands and ignores the rest, so one config
 //! value can drive a whole experiment (dynamics → certify → exact
 //! validation) without re-translation. The solver bodies read the
-//! config directly; the only derived views are [`GameSpec`] (the
-//! `model × formation` pair the serve tier puts on the wire) and
-//! [`crate::approx::ApproxCertifyOptions`] (the bracketed certifier's
-//! spanner knobs).
+//! config directly; the only derived view is [`GameSpec`] (the
+//! `model × formation` pair the serve tier puts on the wire).
+//! Functions that take a bare [`PruneMode`] argument instead (`is_nash`,
+//! the greedy-equilibrium checks, the dynamics reference oracle) get it
+//! from their caller, usually as `SolverConfig::default().prune`.
 //!
 //! # Defaults
 //!
@@ -18,8 +19,10 @@
 //! objective, unilateral edge formation), the exact evaluation backend,
 //! the `GNCG_PRUNE` prune mode, the `GNCG_BUDGET_MS`
 //! budget (unlimited when unset), witness search on, exact enumeration
-//! off, caching off. Call [`SolverConfig::unbudgeted`] to pin an
-//! unlimited budget regardless of the environment.
+//! off, caching off. It is the one place the library maps `GNCG_PRUNE`
+//! ([`gncg_config::env::prune`]) to a mode. Call
+//! [`SolverConfig::unbudgeted`] to pin an unlimited budget regardless
+//! of the environment.
 
 use crate::model::{EdgeFormation, GameSpec};
 use crate::prune::PruneMode;
@@ -32,7 +35,9 @@ use gncg_spanner::SpannerKind;
 /// lower bounds and the number of pivot rows behind its upper bounds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EvalBackend {
-    /// Exact evaluation and exact certified bounds.
+    /// Exact evaluation and exact certified bounds; the bracketed
+    /// certifier, which always runs on a spanner, then uses a Θ-graph
+    /// with 12 cones and 8 pivot rows.
     Exact,
     /// Spanner-backed approximate evaluation with certified error bars.
     Spanner {
@@ -120,7 +125,11 @@ impl Default for SolverConfig {
             model: ModelKind::SumDistances,
             formation: EdgeFormation::Unilateral,
             backend: EvalBackend::Exact,
-            prune: PruneMode::from_env(),
+            prune: if gncg_config::env::prune() {
+                PruneMode::On
+            } else {
+                PruneMode::Off
+            },
             budget: Budget::from_env(),
             exact_beta: false,
             exact_gamma: false,
@@ -233,20 +242,6 @@ impl SolverConfig {
             formation: self.formation,
         }
     }
-
-    /// The axes the bracketed certifier reads: the backend's spanner
-    /// and pivot knobs (defaults when the backend is exact — the
-    /// bracketed certifier always runs on a spanner) plus the model.
-    pub fn approx_options(&self) -> crate::approx::ApproxCertifyOptions {
-        let base = crate::approx::ApproxCertifyOptions::default();
-        match self.backend {
-            EvalBackend::Exact => base.with_model(self.model),
-            EvalBackend::Spanner { kind, pivots } => base
-                .with_spanner(kind)
-                .with_pivots(pivots)
-                .with_model(self.model),
-        }
-    }
 }
 
 impl From<GameSpec> for SolverConfig {
@@ -269,7 +264,7 @@ mod tests {
         assert_eq!(cfg.model, ModelKind::SumDistances);
         assert_eq!(cfg.formation, EdgeFormation::Unilateral);
         assert_eq!(cfg.backend, EvalBackend::Exact);
-        assert_eq!(cfg.prune, PruneMode::from_env());
+        assert_eq!(cfg.prune.is_on(), gncg_config::env::prune());
         assert!(!cfg.exact_beta && !cfg.exact_gamma && cfg.witness);
         assert_eq!(cfg.cache, CachePolicy::Disabled);
     }
@@ -307,23 +302,5 @@ mod tests {
         let spec = GameSpec::bilateral(ModelKind::MaxDistance);
         let cfg = SolverConfig::from(spec);
         assert_eq!(cfg.game_spec(), spec);
-    }
-
-    #[test]
-    fn approx_options_inherit_spanner_backend_knobs() {
-        let cfg = SolverConfig::default().with_backend(EvalBackend::Spanner {
-            kind: SpannerKind::Grid,
-            pivots: 3,
-        });
-        let opts = cfg.approx_options();
-        assert_eq!(opts.spanner, SpannerKind::Grid);
-        assert_eq!(opts.pivots, 3);
-        // exact backend: bracketed certification still needs a spanner,
-        // so the defaults apply
-        let dflt = SolverConfig::default().approx_options();
-        assert_eq!(
-            dflt.pivots,
-            crate::approx::ApproxCertifyOptions::default().pivots
-        );
     }
 }

@@ -28,7 +28,7 @@
 use gncg_config::ModelKind;
 use gncg_game::best_response::{BestResponse, ResponseEvaluator};
 use gncg_game::dynamics::{run_spec, AgentOrder, ResponseRule};
-use gncg_game::moves::{best_single_move, best_single_move_grid, local_search_response};
+use gncg_game::moves::{best_single_move, local_search_response};
 use gncg_game::{dispatch_model, CostModel, OwnedNetwork, PruneMode, SolverConfig};
 use gncg_geometry::{generators, PointSet};
 use rand::rngs::StdRng;
@@ -174,92 +174,6 @@ fn exact_best_response_bit_identical() {
 #[test]
 fn single_move_bit_identical() {
     single_move_sweep(0x5eed_0002, cases());
-}
-
-/// Grid-hash candidate generation must be invisible in the results:
-/// the restricted engine excludes only targets whose every candidate
-/// the full batched engine would margin-prune, so move, cost bits,
-/// and the `moves_evaluated` counter all have to match the unpruned
-/// oracle exactly. Sweeps several index cell sizes (including
-/// pathological ones) per case.
-fn grid_candidates_sweep_model<M: CostModel>(seed_base: u64, cases: u64) {
-    use gncg_spanner::GridIndex;
-    for case in 0..cases {
-        let mut rng = StdRng::seed_from_u64(seed_base + case);
-        let n = rng.gen_range(4..25);
-        let ps = generators::uniform_unit_square(n, rng.gen());
-        let net = random_network(&mut rng, n);
-        let alpha = pick_alpha(&mut rng);
-        let u = rng.gen_range(0..n);
-        let eval = ResponseEvaluator::new(&ps, &net, u);
-        let off = best_single_move::<M>(&eval, &net, alpha, PruneMode::Off);
-        for (which, index) in [
-            GridIndex::with_auto_cell(&ps),
-            GridIndex::build(&ps, 0.01),
-            GridIndex::build(&ps, 10.0),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            let grid = best_single_move_grid::<M>(&eval, &net, alpha, &ps, &index);
-            match (&grid, &off) {
-                (Some(a), Some(b)) => {
-                    assert_eq!(
-                        a.cost.to_bits(),
-                        b.cost.to_bits(),
-                        "grid case {case} idx {which} (model={:?} n={n} α={alpha} u={u})",
-                        M::KIND
-                    );
-                    assert_eq!(a.strategy, b.strategy, "grid case {case} idx {which}");
-                }
-                (None, None) => {}
-                _ => panic!(
-                    "grid case {case} idx {which} (model={:?} n={n} α={alpha} u={u}): \
-                     {grid:?} vs {off:?}",
-                    M::KIND
-                ),
-            }
-        }
-    }
-}
-
-#[test]
-fn grid_candidate_generation_bit_identical() {
-    for kind in models() {
-        dispatch_model!(
-            kind,
-            M,
-            grid_candidates_sweep_model::<M>(0x5eed_0008, cases())
-        );
-    }
-}
-
-#[test]
-fn grid_candidates_match_on_degenerate_geometries() {
-    use gncg_spanner::GridIndex;
-    for kind in models() {
-        dispatch_model!(kind, M, {
-            for case in 0..cases().max(16) / 2 {
-                let mut rng = StdRng::seed_from_u64(0x5eed_0009 + case);
-                let n = rng.gen_range(4..11);
-                let ps = if case % 2 == 0 {
-                    generators::line(n, 0.25)
-                } else {
-                    // every point coincident: zero-size index cells
-                    // would be degenerate, auto cell must cope
-                    PointSet::new(vec![vec![1.0, 1.0].into(); n])
-                };
-                let net = random_network(&mut rng, n);
-                let alpha = pick_alpha(&mut rng);
-                let u = rng.gen_range(0..n);
-                let eval = ResponseEvaluator::new(&ps, &net, u);
-                let index = GridIndex::with_auto_cell(&ps);
-                let grid = best_single_move_grid::<M>(&eval, &net, alpha, &ps, &index);
-                let off = best_single_move::<M>(&eval, &net, alpha, PruneMode::Off);
-                assert_eq!(grid, off, "degenerate grid case {case} (model={kind:?})");
-            }
-        });
-    }
 }
 
 #[test]

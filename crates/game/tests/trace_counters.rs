@@ -6,14 +6,17 @@
 //!   unchanged under `GNCG_FAULT_INJECT`-style retries;
 //! - the exact best-response enumerator performs exactly `2^(n-1)`
 //!   strategy evaluations;
-//! - `SolverConfig::prune` alone decides whether the certifier and the
-//!   exact best response prune, whatever `GNCG_PRUNE` says.
+//! - the caller's prune mode (`SolverConfig::prune`, or the explicit
+//!   `mode` argument of `is_nash`, `greedy_instability` and
+//!   `run_ordered_reference`) alone decides whether a solver prunes,
+//!   whatever `GNCG_PRUNE` says.
 //!
 //! Trace state is process-global, so every test serializes on one lock
 //! and measures via before/after snapshots.
 
 use gncg_game::{
-    best_response, certify, dynamics, OwnedNetwork, PruneMode, SolverConfig, SumDistances,
+    best_response, certify, dynamics, exact, greedy_eq, OwnedNetwork, PruneMode, SolverConfig,
+    SumDistances,
 };
 use gncg_geometry::generators;
 use gncg_graph::csr::{Csr, DijkstraScratch};
@@ -192,6 +195,11 @@ fn exact_best_response_counts_every_mask() {
     );
 }
 
+/// The prune mode a caller picks reaches every solver that searches
+/// moves: `SolverConfig::prune` for the certifier and the exact best
+/// response, the explicit `mode` argument for `is_nash`,
+/// `greedy_instability` and `run_ordered_reference`. `On` must prune,
+/// `Off` must not, and neither may change a result.
 #[test]
 fn solver_config_prune_mode_reaches_certify_and_exact_best_response() {
     let _g = setup();
@@ -201,36 +209,62 @@ fn solver_config_prune_mode_reaches_certify_and_exact_best_response() {
     for a in 1..n {
         net.buy(a, a - 1);
     }
-    let alpha = 8.0;
-    let run = |mode: PruneMode| {
+    // expensive edges: every probe below, the single-move search of
+    // `greedy_instability` included, has candidates to prune
+    let alpha = 32.0;
+    let run = |mode: PruneMode| -> Vec<(&'static str, u64, String)> {
         let cfg = SolverConfig::default().with_prune(mode);
         assert!(cfg.witness, "the default config searches a witness");
-        let mut report = String::new();
-        let certify_d = deltas_of(|| {
-            let r = certify::certify(&ps, &net, alpha, &cfg);
-            report = gncg_json::to_string(&gncg_json::ToJson::to_json(&r));
-        });
-        let mut br = None;
-        let br_d = deltas_of(|| {
-            br = Some(
-                best_response::exact_best_response(&ps, &net, alpha, 0, &cfg).expect_exact("br"),
+        let reference = |rule| {
+            let out = dynamics::run_ordered_reference(
+                &ps,
+                &net,
+                alpha,
+                rule,
+                dynamics::AgentOrder::RoundRobin,
+                200,
+                mode,
             );
-        });
-        let pruned = |d: [u64; gncg_trace::NUM_COUNTERS]| d[Counter::MovesPruned as usize];
-        (pruned(certify_d), pruned(br_d), report, br.unwrap())
+            format!("{out:?}")
+        };
+        let measure = |name: &'static str, probe: &dyn Fn() -> String| {
+            let mut out = String::new();
+            let d = deltas_of(|| out = probe());
+            (name, d[Counter::MovesPruned as usize], out)
+        };
+        vec![
+            measure("certify", &|| {
+                let r = certify::certify(&ps, &net, alpha, &cfg);
+                gncg_json::to_string(&gncg_json::ToJson::to_json(&r))
+            }),
+            measure("exact_best_response", &|| {
+                let br = best_response::exact_best_response(&ps, &net, alpha, 0, &cfg)
+                    .expect_exact("br");
+                format!("{:?} {}", br.strategy, br.cost.to_bits())
+            }),
+            measure("is_nash", &|| {
+                exact::is_nash::<_, SumDistances>(&ps, &net, alpha, mode).to_string()
+            }),
+            measure("greedy_instability", &|| {
+                let f = greedy_eq::greedy_instability(&ps, &net, alpha, mode);
+                f.to_bits().to_string()
+            }),
+            measure("run_ordered_reference (single move)", &|| {
+                reference(dynamics::ResponseRule::BestSingleMove)
+            }),
+            measure("run_ordered_reference (best response)", &|| {
+                reference(dynamics::ResponseRule::BestResponse)
+            }),
+        ]
     };
 
-    let (on_certify, on_br, on_report, on_best) = run(PruneMode::On);
-    let (off_certify, off_br, off_report, off_best) = run(PruneMode::Off);
-    assert!(
-        on_certify > 0 && on_br > 0,
-        "the instance must exercise pruning"
-    );
-    assert_eq!(off_certify, 0, "certify pruned under PruneMode::Off");
-    assert_eq!(off_br, 0, "exact_best_response pruned under PruneMode::Off");
-    assert_eq!(off_report, on_report);
-    assert_eq!(off_best.cost.to_bits(), on_best.cost.to_bits());
-    assert_eq!(off_best.strategy, on_best.strategy);
+    let on = run(PruneMode::On);
+    let off = run(PruneMode::Off);
+    for ((name, on_pruned, on_out), (_, off_pruned, off_out)) in on.iter().zip(&off) {
+        assert!(*on_pruned > 0, "{name}: the instance must exercise pruning");
+        assert_eq!(*off_pruned, 0, "{name} pruned under PruneMode::Off");
+        assert_eq!(off_out, on_out, "{name}: the prune mode changed the result");
+    }
 }
 
 #[test]

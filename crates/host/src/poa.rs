@@ -108,7 +108,12 @@ mod tests {
                 if let Some(ne) = &probe.equilibrium {
                     converged += 1;
                     assert!(
-                        exact::is_nash::<_, SumDistances>(&h.as_weights(), ne, alpha),
+                        exact::is_nash::<_, SumDistances>(
+                            &h.as_weights(),
+                            ne,
+                            alpha,
+                            SolverConfig::default().prune
+                        ),
                         "seed {seed} alpha {alpha}: claimed NE is not a NE"
                     );
                     assert!(
@@ -167,7 +172,12 @@ mod tests {
             if let Some(ne) = &probe.equilibrium {
                 converged += 1;
                 assert!(
-                    exact::is_nash::<_, MaxDistance>(&h.as_weights(), ne, 1.5),
+                    exact::is_nash::<_, MaxDistance>(
+                        &h.as_weights(),
+                        ne,
+                        1.5,
+                        SolverConfig::default().prune
+                    ),
                     "seed {seed}: claimed max-model NE is not one"
                 );
                 if probe.opt_is_exact {

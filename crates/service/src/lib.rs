@@ -446,17 +446,6 @@ fn run_envelope<T>(
     }
 }
 
-/// Run one job body with the envelope and fulfill `state`.
-fn execute<T>(
-    state: &HandleState<T>,
-    ctx: &JobCtx,
-    ambient: bool,
-    cancel_on_exhaust: bool,
-    work: impl FnOnce(&JobCtx) -> T,
-) {
-    state.fulfill(run_envelope(ctx, ambient, cancel_on_exhaust, work));
-}
-
 // ---------------------------------------------------------------------------
 // Session
 // ---------------------------------------------------------------------------
@@ -646,34 +635,15 @@ impl Session {
         Ok(())
     }
 
+    /// [`Session::submit_observed`] without an observer: the typed
+    /// submits' one admission path.
     fn submit_raw<T: Send + 'static>(
         &self,
         kind: JobKind,
         job: JobOptions,
-        ambient: bool,
-        cancel_on_exhaust: bool,
         work: impl FnOnce(&JobCtx, &Budget) -> T + Send + 'static,
     ) -> Result<JobHandle<T>, SubmitError> {
-        let priority = job.priority.unwrap_or_else(|| kind.default_priority());
-        let budget = job.budget.unwrap_or_else(|| self.default_budget());
-        let state = HandleState::new();
-        let run_state = Arc::clone(&state);
-        let run_budget = budget.clone();
-        self.admit(
-            kind,
-            priority,
-            budget.clone(),
-            Box::new(move |ctx| {
-                execute(&run_state, ctx, ambient, cancel_on_exhaust, |ctx| {
-                    work(ctx, &run_budget)
-                });
-            }),
-        )?;
-        Ok(JobHandle {
-            state,
-            budget,
-            kind,
-        })
+        self.submit_observed(kind, job, work, |_| {})
     }
 
     /// Submit a job with an observer: `done` is invoked **exactly once**
@@ -767,7 +737,7 @@ impl Session {
             Some((cache, key.to_string()))
         });
         let Some((cache, key)) = cached else {
-            return self.submit_raw(JobKind::Certify, job, false, false, move |_, budget| {
+            return self.submit_raw(JobKind::Certify, job, move |_, budget| {
                 gncg_game::certify::certify(&*w, &net, alpha, &cfg.with_budget(budget))
             });
         };
@@ -778,7 +748,7 @@ impl Session {
             // Hash-valid but schema-incompatible (e.g. written by a
             // different version): recompute and overwrite below.
         }
-        self.submit_raw(JobKind::Certify, job, false, false, move |_, budget| {
+        self.submit_raw(JobKind::Certify, job, move |_, budget| {
             let report = gncg_game::certify::certify(&*w, &net, alpha, &cfg.with_budget(budget));
             let _ = cache.put(&key, &report.to_json());
             report
@@ -803,7 +773,7 @@ impl Session {
         cfg: SolverConfig,
         job: JobOptions,
     ) -> Result<JobHandle<ApproxCertifyReport>, SubmitError> {
-        self.submit_raw(JobKind::Certify, job, false, false, move |_, _| {
+        self.submit_raw(JobKind::Certify, job, move |_, _| {
             gncg_game::approx::certify_approx(&ps, &net, alpha, &cfg)
         })
     }
@@ -822,21 +792,15 @@ impl Session {
         cfg: SolverConfig,
         job: JobOptions,
     ) -> Result<JobHandle<Outcome<BestResponse>>, SubmitError> {
-        self.submit_raw(
-            JobKind::BestResponse,
-            job,
-            false,
-            false,
-            move |_, budget| {
-                gncg_game::best_response::exact_best_response(
-                    &*w,
-                    &net,
-                    alpha,
-                    u,
-                    &cfg.with_budget(budget),
-                )
-            },
-        )
+        self.submit_raw(JobKind::BestResponse, job, move |_, budget| {
+            gncg_game::best_response::exact_best_response(
+                &*w,
+                &net,
+                alpha,
+                u,
+                &cfg.with_budget(budget),
+            )
+        })
     }
 
     /// Submit an exact social-optimum job (batch lane by default). The
@@ -849,7 +813,7 @@ impl Session {
         cfg: SolverConfig,
         job: JobOptions,
     ) -> Result<JobHandle<Outcome<ExactOptimum>>, SubmitError> {
-        self.submit_raw(JobKind::ExactOpt, job, false, false, move |_, budget| {
+        self.submit_raw(JobKind::ExactOpt, job, move |_, budget| {
             gncg_game::exact::exact_social_optimum(&*w, alpha, &cfg.with_budget(budget))
         })
     }
@@ -870,7 +834,7 @@ impl Session {
         cfg: SolverConfig,
         job: JobOptions,
     ) -> Result<JobHandle<dynamics::Outcome>, SubmitError> {
-        self.submit_raw(JobKind::Dynamics, job, true, true, move |_, _| {
+        self.submit_raw(JobKind::Dynamics, job, move |_, _| {
             dynamics::run_spec(
                 &*w,
                 &start,
@@ -893,7 +857,7 @@ impl Session {
         T: Send + 'static,
         F: FnOnce(&JobCtx) -> T + Send + 'static,
     {
-        self.submit_raw(JobKind::Sweep, job, true, false, move |ctx, _| f(ctx))
+        self.submit_raw(JobKind::Sweep, job, move |ctx, _| f(ctx))
     }
 
     /// Block until every admitted job has resolved. Also waits for the

@@ -35,7 +35,12 @@ fn main() {
         ) {
             dynamics::Outcome::Converged { state, steps } => {
                 converged += 1;
-                debug_assert!(exact::is_nash::<_, SumDistances>(&points, &state, alpha));
+                debug_assert!(exact::is_nash::<_, SumDistances>(
+                    &points,
+                    &state,
+                    alpha,
+                    SolverConfig::default().prune
+                ));
                 if seed < 3 {
                     println!("seed {seed}: converged to a NE in {steps} strategy changes");
                 }

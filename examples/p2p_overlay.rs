@@ -11,7 +11,7 @@
 
 use euclidean_network_design::algo::random_points::{build_one_plus_eps, quarter_square_counts};
 use euclidean_network_design::game::best_response::ResponseEvaluator;
-use euclidean_network_design::game::{cost, moves, PruneMode, SumDistances};
+use euclidean_network_design::game::{cost, moves, SumDistances};
 use euclidean_network_design::prelude::*;
 
 fn main() {
@@ -57,7 +57,7 @@ fn main() {
             net,
             alpha,
             now,
-            PruneMode::from_env(),
+            SolverConfig::default().prune,
         );
         if f > 1.0 + 1e-9 {
             defectors += 1;

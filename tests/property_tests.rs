@@ -8,8 +8,7 @@
 
 use euclidean_network_design::game::best_response::{self, ResponseEvaluator};
 use euclidean_network_design::game::{
-    certify::optimum_lower_bound, cost, exact, moves, OwnedNetwork, PruneMode, SolverConfig,
-    SumDistances,
+    certify::optimum_lower_bound, cost, exact, moves, OwnedNetwork, SolverConfig, SumDistances,
 };
 use euclidean_network_design::graph::{apsp, mst, stretch};
 use euclidean_network_design::spanner::{self, SpannerKind};
@@ -101,7 +100,7 @@ fn best_response_ordering() {
                 &net,
                 alpha,
                 10,
-                PruneMode::from_env(),
+                SolverConfig::default().prune,
             );
             let ex =
                 best_response::exact_best_response(&ps, &net, alpha, u, &SolverConfig::default())
@@ -263,7 +262,15 @@ fn incremental_dynamics_match_reference() {
         ] {
             for rule in [ResponseRule::BestSingleMove, ResponseRule::BestResponse] {
                 let fast = run_spec(&ps, &start, 1.0, rule, order, 400, &SolverConfig::default());
-                let slow = run_ordered_reference(&ps, &start, 1.0, rule, order, 400);
+                let slow = run_ordered_reference(
+                    &ps,
+                    &start,
+                    1.0,
+                    rule,
+                    order,
+                    400,
+                    SolverConfig::default().prune,
+                );
                 assert_eq!(fast, slow, "seed {seed} order {order:?} rule {rule:?}");
             }
         }

@@ -56,6 +56,27 @@ if grep -rnE 'GncgConfig|EvalBackendKind|GNCG_EVAL_BACKEND|certify_bracket' \
     exit 1
 fi
 
+# one route into each solver: the bracketed certifier's option struct
+# and its tuned twin, the uncalled grid move engine, the env-reading
+# prune-mode constructor and the retired dynamics speed-up harness are
+# gone; settings reach solvers through SolverConfig or an explicit
+# argument
+if grep -rnE 'ApproxCertifyOptions|certify_approx_tuned|approx_options|best_single_move_grid|PruneMode::from_env|bench_dynamics' \
+    src crates tests examples tools .github README.md DESIGN.md \
+    | grep -v '^tools/ci.sh:.*grep -rnE'; then
+    echo 'a removed solver-settings route is back (use SolverConfig or an explicit argument)' >&2
+    exit 1
+fi
+
+# GNCG_PRUNE has one reader: SolverConfig::default() maps
+# gncg_config::env::prune() to a mode, and everything else takes the
+# mode from a SolverConfig or as an argument
+if grep -rn --include='*.rs' 'env::prune()' src crates tests examples \
+    | grep -vE '^crates/(game/src/solver_config\.rs|config/src/)'; then
+    echo 'env::prune() outside SolverConfig::default() (take the prune mode from the caller)' >&2
+    exit 1
+fi
+
 # cache discipline: GNCG_CACHE_DIR / GNCG_CACHE are parsed solely by
 # gncg-config (env::cache_dir / env::cache_on); tests and embedders
 # steer the cache programmatically through
