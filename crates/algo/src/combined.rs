@@ -35,11 +35,6 @@ pub struct CombinedResult {
     pub alg1: AlgorithmOneResult,
 }
 
-/// Corollary 3.10's guaranteed exponent: `β ∈ O(α^{2/3})`.
-pub fn corollary_3_10_exponent() -> f64 {
-    2.0 / 3.0
-}
-
 /// Build both candidate networks and keep the one with the smaller
 /// *certified* β upper bound (ties to Algorithm 1).
 pub fn combined_network(ps: &PointSet, alpha: f64) -> CombinedResult {

@@ -67,7 +67,7 @@ pub fn theorem_3_4_failure_bound(n: usize, alpha: f64) -> f64 {
 mod tests {
     use super::*;
     use gncg_game::exact;
-    use gncg_game::{SolverConfig, SumDistances};
+    use gncg_game::SumDistances;
     use gncg_geometry::generators;
 
     #[test]
@@ -78,12 +78,7 @@ mod tests {
             let thr = star_stability_threshold(&ps, c);
             let net = center_star(8, c);
             assert!(
-                exact::is_nash::<_, SumDistances>(
-                    &ps,
-                    &net,
-                    thr + 0.01,
-                    SolverConfig::default().prune
-                ),
+                exact::is_nash::<_, SumDistances>(&ps, &net, thr + 0.01),
                 "seed {seed}: star not NE just above threshold {thr}"
             );
         }
@@ -98,12 +93,7 @@ mod tests {
         assert!(thr > 0.0);
         let net = center_star(6, 0);
         // far below the threshold the star must be unstable
-        assert!(!exact::is_nash::<_, SumDistances>(
-            &ps,
-            &net,
-            0.01,
-            SolverConfig::default().prune
-        ));
+        assert!(!exact::is_nash::<_, SumDistances>(&ps, &net, 0.01));
     }
 
     #[test]
@@ -127,18 +117,8 @@ mod tests {
         assert!(star_stability_threshold(&ps, 1).abs() < 1e-12);
         // the middle-centred star is then a NE for every alpha
         let net = center_star(3, 1);
-        assert!(exact::is_nash::<_, SumDistances>(
-            &ps,
-            &net,
-            0.001,
-            SolverConfig::default().prune
-        ));
-        assert!(exact::is_nash::<_, SumDistances>(
-            &ps,
-            &net,
-            100.0,
-            SolverConfig::default().prune
-        ));
+        assert!(exact::is_nash::<_, SumDistances>(&ps, &net, 0.001));
+        assert!(exact::is_nash::<_, SumDistances>(&ps, &net, 100.0));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use gncg_bench::service::run_repro;
 use gncg_game::best_response::ResponseEvaluator;
-use gncg_game::{cost, exact, instances, moves, SolverConfig, SumDistances};
+use gncg_game::{cost, exact, instances, moves, SumDistances};
 
 fn main() {
     let rep = run_repro(
@@ -19,7 +19,7 @@ fn main() {
             // exact NE verification at small d (n = 2d <= 12 agents)
             for d in [3usize, 5] {
                 let (ps, ne, _) = instances::cross_polytope(d, alpha);
-                let is_ne = exact::is_nash::<_, SumDistances>(&ps, &ne, alpha, SolverConfig::default().prune);
+                let is_ne = exact::is_nash::<_, SumDistances>(&ps, &ne, alpha);
                 rep.push(
                     format!("alpha={alpha} d={d} exact NE"),
                     1.0,
@@ -35,8 +35,7 @@ fn main() {
                     .map(|u| {
                         let eval = ResponseEvaluator::new(&ps, &ne, u);
                         let now = cost::agent_cost::<_, SumDistances>(&ps, &ne, alpha, u);
-                        let mode = SolverConfig::default().prune;
-                        moves::witness_improvement_factor::<SumDistances>(&eval, &ne, alpha, now, mode)
+                        moves::witness_improvement_factor::<SumDistances>(&eval, &ne, alpha, now)
                     })
                     .fold(1.0f64, f64::max);
                 rep.push(

@@ -5,7 +5,7 @@
 use gncg_bench::log_log_slope;
 use gncg_bench::service::run_repro;
 use gncg_game::best_response::ResponseEvaluator;
-use gncg_game::{cost, exact, instances, moves, SolverConfig, SumDistances};
+use gncg_game::{cost, exact, instances, moves, SumDistances};
 
 fn main() {
     let rep = run_repro(
@@ -30,12 +30,7 @@ fn main() {
             for &(n, alpha) in &[(8usize, 4.0), (12, 8.0)] {
                 run.unit(rep, &format!("exact_ne n={n} alpha={alpha}"), |rep| {
                     let (ps, ne, _) = instances::chain(n, alpha);
-                    let is_ne = exact::is_nash::<_, SumDistances>(
-                        &ps,
-                        &ne,
-                        alpha,
-                        SolverConfig::default().prune,
-                    );
+                    let is_ne = exact::is_nash::<_, SumDistances>(&ps, &ne, alpha);
                     rep.push(
                         format!("n={n} alpha={alpha} exact NE"),
                         1.0,
@@ -79,9 +74,8 @@ fn main() {
                         .map(|u| {
                             let eval = ResponseEvaluator::new(&ps, &ne, u);
                             let now = cost::agent_cost::<_, SumDistances>(&ps, &ne, alpha, u);
-                            let mode = SolverConfig::default().prune;
                             moves::witness_improvement_factor::<SumDistances>(
-                                &eval, &ne, alpha, now, mode,
+                                &eval, &ne, alpha, now,
                             )
                         })
                         .fold(1.0f64, f64::max);

@@ -10,9 +10,9 @@
 
 use gncg_bench::service::run_repro;
 use gncg_game::certify::certify;
+use gncg_game::prune::oracle;
 use gncg_game::{
-    best_response, dynamics, exact, GameSpec, MaxDistance, ModelKind, OwnedNetwork, PruneMode,
-    SolverConfig,
+    best_response, dynamics, exact, GameSpec, MaxDistance, ModelKind, OwnedNetwork, SolverConfig,
 };
 use gncg_geometry::generators;
 
@@ -44,8 +44,7 @@ fn main() {
                 let ps = generators::line(2, 1.0);
                 let mut net = OwnedNetwork::empty(2);
                 net.buy(0, 1);
-                let is_ne =
-                    exact::is_nash::<_, MaxDistance>(&ps, &net, 1.0, SolverConfig::default().prune);
+                let is_ne = exact::is_nash::<_, MaxDistance>(&ps, &net, 1.0);
                 let beta = exact::exact_beta(&ps, &net, 1.0, &opts()).expect_exact("beta");
                 rep.push(
                     "single edge n=2 alpha=1".into(),
@@ -66,8 +65,8 @@ fn main() {
                     let net = OwnedNetwork::center_star(6, 0);
                     for u in 0..6 {
                         let eval = best_response::ResponseEvaluator::new(&ps, &net, u);
-                        let on = eval.best_response::<MaxDistance>(1.5, PruneMode::On);
-                        let off = eval.best_response::<MaxDistance>(1.5, PruneMode::Off);
+                        let on = eval.best_response::<MaxDistance>(1.5);
+                        let off = oracle::best_response::<MaxDistance>(&eval, 1.5);
                         if on.cost.to_bits() == off.cost.to_bits() && on.strategy == off.strategy {
                             identical += 1;
                         }

@@ -182,12 +182,7 @@ fn thm_3_4() -> Report {
         let ps = generators::uniform_unit_square(n, seed + 1);
         let cor = corollary_3_3_threshold(&ps).unwrap();
         let star = center_star(n, 0);
-        let is_ne = exact::is_nash::<_, SumDistances>(
-            &ps,
-            &star,
-            cor + 0.01,
-            SolverConfig::default().prune,
-        );
+        let is_ne = exact::is_nash::<_, SumDistances>(&ps, &star, cor + 0.01);
         rep.push(
             format!("seed={seed} n={n} alpha=2r-1+eps"),
             1.0,
@@ -197,12 +192,7 @@ fn thm_3_4() -> Report {
         );
         // Lemma 3.2's tighter per-center threshold also works
         let lem = star_stability_threshold(&ps, 0);
-        let is_ne2 = exact::is_nash::<_, SumDistances>(
-            &ps,
-            &star,
-            lem + 0.01,
-            SolverConfig::default().prune,
-        );
+        let is_ne2 = exact::is_nash::<_, SumDistances>(&ps, &star, lem + 0.01);
         rep.push(
             format!("seed={seed} n={n} alpha=lemma3.2+eps"),
             1.0,

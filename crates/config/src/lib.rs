@@ -14,7 +14,6 @@
 //! | `GNCG_FAULT_INJECT`         | [`env::fault_inject`]          | parsed `f64`, unparsable ⇒ unset; cached at first read |
 //! | `GNCG_FAULT_INJECT_DELAY_MS`| [`env::fault_inject_delay_ms`] | parsed `u64`, unparsable ⇒ unset; cached at first read |
 //! | `GNCG_TRACE`                | [`env::trace`]                 | on iff `"1"` or case-insensitive `"true"`; cached at first read |
-//! | `GNCG_PRUNE`                | [`env::prune`]                 | off iff `"0"`/`"false"`/`"off"` (case-insensitive); cached at first read |
 //! | `GNCG_ARENA_DEBUG`          | [`env::arena_debug`]           | on iff `"1"` or case-insensitive `"true"` (same rule as `GNCG_TRACE`); cached at first read |
 //! | `GNCG_RESULTS_DIR`          | [`env::results_dir`]           | path override; **re-read on every call** (tests retarget it at runtime) |
 //! | `GNCG_CACHE_DIR`            | [`env::cache_dir`]             | content-addressed result-cache directory; unset ⇒ cache off; **re-read on every call** (tests retarget it at runtime) |
@@ -99,24 +98,18 @@ pub mod parse {
         value.is_some_and(|v| v == "1" || v.eq_ignore_ascii_case("true"))
     }
 
-    /// `GNCG_PRUNE` semantics: pruning defaults **on**; only an explicit
-    /// `"0"`, `"false"`, or `"off"` (case-insensitive) disables it.
-    pub fn prune_on(value: Option<&str>) -> bool {
+    /// `GNCG_CACHE` semantics: the result cache defaults **on** (it only
+    /// activates when `GNCG_CACHE_DIR` is also set); only an explicit
+    /// `"0"`, `"false"`, or `"off"` (case-insensitive) disables it, so a
+    /// typo can never silently disable dedup on a shared cache
+    /// directory.
+    pub fn cache_on(value: Option<&str>) -> bool {
         match value {
             Some(v) => {
                 !(v == "0" || v.eq_ignore_ascii_case("false") || v.eq_ignore_ascii_case("off"))
             }
             None => true,
         }
-    }
-
-    /// `GNCG_CACHE` semantics: the result cache defaults **on** (it only
-    /// activates when `GNCG_CACHE_DIR` is also set); only an explicit
-    /// `"0"`, `"false"`, or `"off"` (case-insensitive) disables it — the
-    /// same rule as [`prune_on`], so a typo can never silently disable
-    /// dedup on a shared cache directory.
-    pub fn cache_on(value: Option<&str>) -> bool {
-        prune_on(value)
     }
 
     /// Numeric semantics shared by `GNCG_THREADS`, `GNCG_BUDGET_MS`,
@@ -190,13 +183,6 @@ pub mod env {
     pub fn trace() -> bool {
         static CACHE: OnceLock<bool> = OnceLock::new();
         *CACHE.get_or_init(|| parse::trace_on(read("GNCG_TRACE").as_deref()))
-    }
-
-    /// `GNCG_PRUNE`: geometric pruning toggle (default on). Cached at
-    /// first read.
-    pub fn prune() -> bool {
-        static CACHE: OnceLock<bool> = OnceLock::new();
-        *CACHE.get_or_init(|| parse::prune_on(read("GNCG_PRUNE").as_deref()))
     }
 
     /// `GNCG_ARENA_DEBUG`: arms the scratch-arena debug tripwires
@@ -364,23 +350,9 @@ mod tests {
     }
 
     #[test]
-    fn prune_parse_rules_are_frozen() {
-        assert!(parse::prune_on(None));
-        assert!(parse::prune_on(Some("1")));
-        assert!(parse::prune_on(Some("true")));
-        assert!(parse::prune_on(Some("")));
-        assert!(parse::prune_on(Some("anything")));
-        assert!(!parse::prune_on(Some("0")));
-        assert!(!parse::prune_on(Some("false")));
-        assert!(!parse::prune_on(Some("FALSE")));
-        assert!(!parse::prune_on(Some("off")));
-        assert!(!parse::prune_on(Some("OFF")));
-    }
-
-    #[test]
     fn cache_parse_rules_are_frozen() {
-        // Same frozen rule as GNCG_PRUNE: default on, only an explicit
-        // "0"/"false"/"off" (case-insensitive) disables.
+        // Frozen rule: default on, only an explicit "0"/"false"/"off"
+        // (case-insensitive) disables.
         assert!(parse::cache_on(None));
         assert!(parse::cache_on(Some("1")));
         assert!(parse::cache_on(Some("")));

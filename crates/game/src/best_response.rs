@@ -13,8 +13,11 @@
 //! 2. **Parallel enumeration** over the mask space with
 //!    `gncg_parallel::parallel_reduce_with`, one [`ResponseScratch`] per
 //!    worker so candidate evaluation performs zero heap allocations.
+//!
+//! The enumeration prunes masks that provably cannot win (see
+//! [`ResponseEvaluator::best_response`]); the plain enumeration it must
+//! match bit for bit is [`crate::prune::oracle::best_response`].
 
-use crate::prune::PruneMode;
 use crate::{cost, CostModel, EdgeWeights, ModelKind, OwnedNetwork};
 use gncg_graph::{csr::Csr, DistMatrix, Graph};
 use std::collections::BTreeSet;
@@ -363,23 +366,22 @@ impl<'d> ResponseEvaluator<'d> {
     /// Exact best response of this agent under model `M`: enumerates all
     /// `2^{n−1}` strategies against the evaluator's rest distances.
     ///
-    /// With [`PruneMode::On`], a deterministic sequential pre-pass
-    /// evaluates the empty strategy, every singleton, and the full
-    /// strategy (`m + 2` evaluations with one scratch — the full mask
-    /// keeps `ub₀` finite even when no single edge connects the agent,
-    /// e.g. the centre of a star it owns) to obtain an upper bound
-    /// `ub₀`; the mask enumeration then skips any mask whose buy cost
-    /// alone already exceeds it (`fl(α·buy) > ub₀` — sound bit-exactly
+    /// A deterministic sequential pre-pass evaluates the empty strategy,
+    /// every singleton, and the full strategy (`m + 2` evaluations with one
+    /// scratch — the full mask keeps `ub₀` finite even when no single edge
+    /// connects the agent, e.g. the centre of a star it owns) to obtain an
+    /// upper bound `ub₀`; the mask enumeration then skips any mask whose buy
+    /// cost alone already exceeds it (`fl(α·buy) > ub₀` — sound bit-exactly
     /// for every model since the distance aggregate is non-negative, see
-    /// soundness rule 1 in [`crate::prune`]) and evaluates survivors
-    /// with `ub₀` as a branch-and-bound cutoff (rule 2). The pre-pass
-    /// argmin mask always survives the prune test (`fl(α·buy) ≤ its
-    /// cost = ub₀`), so the final winner — including lowest-mask
-    /// tie-breaks among costs ≤ `ub₀` — is bit-identical to the
-    /// unpruned enumeration. Prune decisions depend only on
-    /// `(mask, ub₀)`, so the `moves_pruned` / `moves_evaluated` counters
+    /// soundness rule 1 in [`crate::prune`]) and evaluates survivors with
+    /// `ub₀` as a branch-and-bound cutoff (rule 2). The pre-pass argmin mask
+    /// always survives the prune test (`fl(α·buy) ≤ its cost = ub₀`), so the
+    /// final winner — including lowest-mask tie-breaks among costs ≤ `ub₀` —
+    /// is bit-identical to the unpruned enumeration
+    /// ([`crate::prune::oracle::best_response`]). Prune decisions depend only
+    /// on `(mask, ub₀)`, so the `moves_pruned` / `moves_evaluated` counters
     /// are deterministic across thread counts.
-    pub fn best_response<M: CostModel>(&self, alpha: f64, mode: PruneMode) -> BestResponse {
+    pub fn best_response<M: CostModel>(&self, alpha: f64) -> BestResponse {
         let _span = gncg_trace::span("game.best_response");
         let others = &self.others;
         let m = others.len();
@@ -389,8 +391,7 @@ impl<'d> ResponseEvaluator<'d> {
             m + 1
         );
 
-        let prune = mode.is_on();
-        let ub0 = if prune {
+        let ub0 = {
             let mut scratch = gncg_parallel::arena::rent::<ResponseScratch>();
             let mut ub = self.cost_with::<M, _>(alpha, std::iter::empty(), &mut scratch);
             for &v in others {
@@ -406,8 +407,6 @@ impl<'d> ResponseEvaluator<'d> {
                 }
             }
             ub
-        } else {
-            f64::INFINITY
         };
 
         let total_masks = 1u64 << m;
@@ -417,31 +416,21 @@ impl<'d> ResponseEvaluator<'d> {
             || (u64::MAX, f64::INFINITY),
             |scratch, acc, i| {
                 let mask = i as u64;
-                if prune {
-                    // Buy cost in ascending bit order — the exact fl value
-                    // `cost_with` would accumulate for this mask.
-                    let mut buy = 0.0;
-                    for (bit, &v) in others.iter().enumerate() {
-                        if mask & (1u64 << bit) != 0 {
-                            buy += self.edge_weight(v);
-                        }
+                // Buy cost in ascending bit order — the exact fl value
+                // `cost_with` would accumulate for this mask.
+                let mut buy = 0.0;
+                for (bit, &v) in others.iter().enumerate() {
+                    if mask & (1u64 << bit) != 0 {
+                        buy += self.edge_weight(v);
                     }
-                    if alpha * buy > ub0 {
-                        gncg_trace::incr(gncg_trace::Counter::MovesPruned);
-                        return acc;
-                    }
-                    gncg_trace::incr(gncg_trace::Counter::MovesEvaluated);
                 }
-                let c = self.cost_with_cutoff::<M, _>(
-                    alpha,
-                    others
-                        .iter()
-                        .enumerate()
-                        .filter(|(bit, _)| mask & (1u64 << bit) != 0)
-                        .map(|(_, &v)| v),
-                    ub0,
-                    scratch,
-                );
+                if alpha * buy > ub0 {
+                    gncg_trace::incr(gncg_trace::Counter::MovesPruned);
+                    return acc;
+                }
+                gncg_trace::incr(gncg_trace::Counter::MovesEvaluated);
+                let c =
+                    self.cost_with_cutoff::<M, _>(alpha, mask_members(others, mask), ub0, scratch);
                 if c < acc.1 || (c == acc.1 && mask < acc.0) {
                     (mask, c)
                 } else {
@@ -457,17 +446,21 @@ impl<'d> ResponseEvaluator<'d> {
             },
         );
 
-        let strategy: BTreeSet<usize> = others
-            .iter()
-            .enumerate()
-            .filter(|(bit, _)| best_mask & (1u64 << bit) != 0)
-            .map(|(_, &v)| v)
-            .collect();
         BestResponse {
             cost: best_cost,
-            strategy,
+            strategy: mask_members(others, best_mask).collect(),
         }
     }
+}
+
+/// The agents of `others` whose bit is set in `mask`, in ascending bit
+/// order — the strategy a mask of the exact enumeration stands for.
+pub(crate) fn mask_members(others: &[usize], mask: u64) -> impl Iterator<Item = usize> + '_ {
+    others
+        .iter()
+        .enumerate()
+        .filter(move |(bit, _)| mask & (1u64 << bit) != 0)
+        .map(|(_, &v)| v)
 }
 
 /// Exact best response of agent `u` against the fixed strategies of all
@@ -513,7 +506,7 @@ fn exact_best_response_generic<W: EdgeWeights + ?Sized, M: CostModel>(
         };
     }
     match attempt(&cfg.budget, || {
-        exact_best_response_raw::<W, M>(w, net, alpha, u, cfg.prune)
+        exact_best_response_raw::<W, M>(w, net, alpha, u)
     }) {
         Ok(br) => Outcome::Exact(br),
         Err(reason) => Outcome::Degraded {
@@ -524,15 +517,13 @@ fn exact_best_response_generic<W: EdgeWeights + ?Sized, M: CostModel>(
 }
 
 /// Unbudgeted enumeration body of [`exact_best_response`] under model
-/// `M` and prune mode `mode`; panics if
-/// `n > MAX_EXACT_AGENTS`. Internal callers (Nash verification, the
+/// `M`; panics if `n > MAX_EXACT_AGENTS`. Internal callers (Nash verification, the
 /// reference dynamics, the improvement-factor map) run it directly.
 pub(crate) fn exact_best_response_raw<W: EdgeWeights + ?Sized, M: CostModel>(
     w: &W,
     net: &OwnedNetwork,
     alpha: f64,
     u: usize,
-    mode: PruneMode,
 ) -> BestResponse {
     let n = net.len();
     assert!(u < n);
@@ -546,7 +537,7 @@ pub(crate) fn exact_best_response_raw<W: EdgeWeights + ?Sized, M: CostModel>(
             strategy: BTreeSet::new(),
         };
     }
-    ResponseEvaluator::new(w, net, u).best_response::<M>(alpha, mode)
+    ResponseEvaluator::new(w, net, u).best_response::<M>(alpha)
 }
 
 /// Certified lower bound on the cost of *any* strategy of agent `u`
@@ -561,8 +552,7 @@ pub fn best_response_lower_bound<W: EdgeWeights + ?Sized, M: CostModel>(w: &W, u
         .fold(M::EMPTY, M::fold)
 }
 
-/// Exact improvement factor of agent `u` under model `M` (best
-/// response searched under prune mode `mode`):
+/// Exact improvement factor of agent `u` under model `M`:
 /// `cost(u, G) / cost(u, best response)`.
 ///
 /// Returns 1.0 when the best-response cost is 0 and the current cost is
@@ -572,10 +562,9 @@ pub fn exact_improvement_factor<W: EdgeWeights + ?Sized, M: CostModel>(
     net: &OwnedNetwork,
     alpha: f64,
     u: usize,
-    mode: PruneMode,
 ) -> f64 {
     let now = cost::agent_cost::<W, M>(w, net, alpha, u);
-    let br = exact_best_response_raw::<W, M>(w, net, alpha, u, mode);
+    let br = exact_best_response_raw::<W, M>(w, net, alpha, u);
     ratio(now, br.cost)
 }
 
@@ -596,19 +585,13 @@ mod tests {
     use crate::SumDistances;
     use gncg_geometry::generators;
 
-    /// The `GNCG_PRUNE`-selected mode, so `GNCG_PRUNE=0` runs every
-    /// test here on the unpruned path.
-    fn default_mode() -> PruneMode {
-        crate::SolverConfig::default().prune
-    }
-
     #[test]
     fn best_response_on_line_center_star() {
         // points 0,1,2 at x=0,1,2; alpha small: agent 1 in the middle of
         // a star centred at 0 has nothing cheaper than staying put
         let ps = generators::line(3, 2.0);
         let net = OwnedNetwork::center_star(3, 0);
-        let br = exact_best_response_raw::<_, SumDistances>(&ps, &net, 0.5, 1, default_mode());
+        let br = exact_best_response_raw::<_, SumDistances>(&ps, &net, 0.5, 1);
         // agent 1 current cost: d=1 (to 0) + 3 (to 2 via 0) = 4
         // buying edge to 2 (w=1) costs 0.5, distance becomes 1+1=2 => 2.5
         assert!((br.cost - 2.5).abs() < 1e-9);
@@ -623,7 +606,7 @@ mod tests {
         net.buy(0, 1);
         net.buy(2, 1);
         // agent 1 owns nothing and is connected: BR may be empty
-        let br = exact_best_response_raw::<_, SumDistances>(&ps, &net, 10.0, 1, default_mode());
+        let br = exact_best_response_raw::<_, SumDistances>(&ps, &net, 10.0, 1);
         assert!(br.strategy.is_empty());
         assert!((br.cost - 2.0).abs() < 1e-9);
     }
@@ -633,7 +616,7 @@ mod tests {
         let ps = generators::line(3, 2.0);
         let mut net = OwnedNetwork::empty(3);
         net.buy(0, 1); // 2 is isolated
-        let br = exact_best_response_raw::<_, SumDistances>(&ps, &net, 1.0, 2, default_mode());
+        let br = exact_best_response_raw::<_, SumDistances>(&ps, &net, 1.0, 2);
         assert!(!br.strategy.is_empty());
         assert!(br.cost.is_finite());
         // optimal: buy edge to 1 (w=1): cost 1*1 + (1 + 2) = 4
@@ -648,7 +631,7 @@ mod tests {
         let mut net = OwnedNetwork::empty(2);
         net.buy(0, 1);
         // agent 1 pays only distance 1 and can do nothing better
-        let f = exact_improvement_factor::<_, SumDistances>(&ps, &net, 1.0, 1, default_mode());
+        let f = exact_improvement_factor::<_, SumDistances>(&ps, &net, 1.0, 1);
         assert!((f - 1.0).abs() < 1e-9);
     }
 
@@ -671,8 +654,7 @@ mod tests {
             }
             let alpha = 0.5 + rng.gen::<f64>() * 3.0;
             for u in 0..n {
-                let fast =
-                    exact_best_response_raw::<_, SumDistances>(&ps, &net, alpha, u, default_mode());
+                let fast = exact_best_response_raw::<_, SumDistances>(&ps, &net, alpha, u);
                 let slow = naive_best_response(&ps, &net, alpha, u);
                 assert!(
                     (fast.cost - slow).abs() < 1e-9,
@@ -731,12 +713,10 @@ mod tests {
                 let a = fresh.cost::<SumDistances, _>(alpha, current.iter().copied());
                 let b = built.cost::<SumDistances, _>(alpha, current.iter().copied());
                 assert_eq!(a.to_bits(), b.to_bits(), "trial {trial} agent {u}");
-                for mode in [PruneMode::On, PruneMode::Off] {
-                    assert_eq!(
-                        fresh.best_response::<SumDistances>(alpha, mode),
-                        built.best_response::<SumDistances>(alpha, mode),
-                    );
-                }
+                assert_eq!(
+                    fresh.best_response::<SumDistances>(alpha),
+                    built.best_response::<SumDistances>(alpha),
+                );
             }
         }
     }
@@ -768,10 +748,9 @@ mod tests {
                     let b = shared.cost::<SumDistances, _>(alpha, [v]);
                     assert_eq!(a.to_bits(), b.to_bits(), "trial {trial} agent {u} buy {v}");
                 }
-                let mode = default_mode();
                 assert_eq!(
-                    owned.best_response::<SumDistances>(alpha, mode),
-                    shared.best_response::<SumDistances>(alpha, mode),
+                    owned.best_response::<SumDistances>(alpha),
+                    shared.best_response::<SumDistances>(alpha),
                     "trial {trial} agent {u}"
                 );
             }
@@ -826,9 +805,9 @@ mod tests {
             }
             let alpha = 0.5 + rng.gen::<f64>() * 3.0;
             for u in 0..n {
-                let fast =
-                    exact_best_response_raw::<_, MaxDistance>(&ps, &net, alpha, u, default_mode());
-                let slow = naive_best_response_model::<MaxDistance>(&ps, &net, alpha, u);
+                let fast = exact_best_response_raw::<_, MaxDistance>(&ps, &net, alpha, u);
+                let eval = ResponseEvaluator::new(&ps, &net, u);
+                let slow = crate::prune::oracle::best_response::<MaxDistance>(&eval, alpha).cost;
                 assert_eq!(
                     fast.cost.to_bits(),
                     slow.to_bits(),
@@ -856,37 +835,6 @@ mod tests {
         }
     }
 
-    /// Plain-loop mask enumeration over the same evaluator cost
-    /// primitive the engines use — no pruning, no precomputed upper
-    /// bound, no cutoffs. Bit-identity against the engines is exact
-    /// because both sides evaluate candidates with the identical
-    /// float-operation sequence.
-    fn naive_best_response_model<M: crate::CostModel>(
-        ps: &gncg_geometry::PointSet,
-        net: &OwnedNetwork,
-        alpha: f64,
-        u: usize,
-    ) -> f64 {
-        let eval = ResponseEvaluator::new(ps, net, u);
-        let mut scratch = ResponseScratch::default();
-        let n = net.len();
-        let others: Vec<usize> = (0..n).filter(|&v| v != u).collect();
-        let mut best = f64::INFINITY;
-        for mask in 0u64..(1 << others.len()) {
-            let strat: Vec<usize> = others
-                .iter()
-                .enumerate()
-                .filter(|(bit, _)| mask & (1 << bit) != 0)
-                .map(|(_, &v)| v)
-                .collect();
-            let c = eval.cost_with::<M, _>(alpha, strat.iter().copied(), &mut scratch);
-            if c < best {
-                best = c;
-            }
-        }
-        best
-    }
-
     #[test]
     fn lb_dist_selects_per_model_floor() {
         use crate::MaxDistance;
@@ -907,7 +855,7 @@ mod tests {
         let merged = exact_best_response(&ps, &net, 1.2, 3, &opts).expect_exact("br");
         assert_eq!(
             merged,
-            exact_best_response_raw::<_, MaxDistance>(&ps, &net, 1.2, 3, default_mode())
+            exact_best_response_raw::<_, MaxDistance>(&ps, &net, 1.2, 3)
         );
     }
 
@@ -923,7 +871,7 @@ mod tests {
     fn too_many_agents_rejected_by_raw() {
         let ps = generators::uniform_unit_square(30, 1);
         let net = OwnedNetwork::complete(30);
-        exact_best_response_raw::<_, SumDistances>(&ps, &net, 1.0, 0, default_mode());
+        exact_best_response_raw::<_, SumDistances>(&ps, &net, 1.0, 0);
     }
 
     #[test]
@@ -936,7 +884,7 @@ mod tests {
             exact_best_response(&ps, &net, 1.2, 3, &SolverConfig::default()).expect_exact("br");
         assert_eq!(
             merged,
-            exact_best_response_raw::<_, SumDistances>(&ps, &net, 1.2, 3, default_mode())
+            exact_best_response_raw::<_, SumDistances>(&ps, &net, 1.2, 3)
         );
 
         let big = generators::uniform_unit_square(30, 1);

@@ -14,9 +14,9 @@
 //! * **Exact values** (exponential, optional): exact best responses
 //!   (n ≤ 22) and the exact social optimum (n ≤ 8).
 //!
-//! Witness search and exact β both bottom out in the `GNCG_PRUNE`-gated
-//! response engines ([`crate::prune`]); pruning is bit-identical, so
-//! every reported bound and exact value is unchanged by the toggle.
+//! Witness search and exact β both bottom out in the pruned response
+//! engines ([`crate::prune`]), bit-identical to the unpruned oracle, so
+//! pruning changes no reported bound or exact value.
 
 use crate::best_response::{self, ResponseEvaluator};
 use crate::outcome::{self, DegradeReason, Regime};
@@ -338,9 +338,7 @@ fn certify_generic<W: EdgeWeights + ?Sized, M: CostModel>(
 
     let beta_exact = if cfg.exact_beta {
         if n <= best_response::MAX_EXACT_AGENTS {
-            match outcome::attempt(budget, || {
-                exact::exact_beta_raw::<W, M>(w, net, alpha, cfg.prune)
-            }) {
+            match outcome::attempt(budget, || exact::exact_beta_raw::<W, M>(w, net, alpha)) {
                 Ok(b) => Some(b),
                 Err(reason) => {
                     record("beta", reason);
@@ -369,7 +367,7 @@ fn certify_generic<W: EdgeWeights + ?Sized, M: CostModel>(
     let beta_witness = if cfg.witness {
         let ws = gncg_parallel::parallel_map(n, |u| {
             let eval = ResponseEvaluator::from_built_graph(w, net, g, u);
-            moves::witness_improvement_factor::<M>(&eval, net, alpha, costs[u], cfg.prune)
+            moves::witness_improvement_factor::<M>(&eval, net, alpha, costs[u])
         });
         ws.into_iter().fold(1.0f64, f64::max)
     } else {
@@ -617,12 +615,7 @@ mod tests {
         }
 
         // beta: degraded bound never undercuts the true beta
-        let beta_true = exact::exact_beta_raw::<_, crate::SumDistances>(
-            &ps,
-            &net,
-            alpha,
-            SolverConfig::default().prune,
-        );
+        let beta_true = exact::exact_beta_raw::<_, crate::SumDistances>(&ps, &net, alpha);
         match exact::exact_beta(
             &ps,
             &net,

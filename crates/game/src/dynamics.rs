@@ -10,14 +10,17 @@
 //! and the step budget, over a response policy: unilateral formation
 //! probes an [`EvalContext`] (the created network is delta-rebuilt per
 //! accepted move and agent costs come from cached distance rows),
-//! bilateral formation filters from-scratch responses by consent. The
-//! old from-scratch unilateral path survives as
-//! [`run_ordered_reference`], the property-test oracle.
+//! bilateral formation filters from-scratch responses by consent.
+//! [`run_ordered_reference`] is the full reference for the unilateral
+//! path: from-scratch costs and the unpruned response engines of
+//! [`crate::prune::oracle`], so comparing it with [`run_spec`] checks
+//! incremental evaluation and pruning together, for every cost model.
 
 use crate::best_response::{self, ResponseEvaluator};
+use crate::prune::oracle;
 use crate::{
     cost, model, moves, CostModel, EdgeFormation, EdgeWeights, EvalContext, OwnedNetwork,
-    PruneMode, SolverConfig, SumDistances,
+    SolverConfig,
 };
 use std::collections::{BTreeSet, HashMap};
 use std::marker::PhantomData;
@@ -62,9 +65,8 @@ pub enum Outcome {
 }
 
 /// Run response dynamics from `start` under a [`crate::SolverConfig`]
-/// — the cost model, edge-formation rule, and prune mode together
-/// (`SolverConfig::default()`: sum-of-distances, unilateral,
-/// `GNCG_PRUNE` prune mode).
+/// — the cost model and edge-formation rule together
+/// (`SolverConfig::default()`: sum-of-distances, unilateral).
 ///
 /// Agents are probed in `order`; a *round* with no strategy change
 /// means convergence. After every accepted change the canonical profile
@@ -74,9 +76,8 @@ pub enum Outcome {
 /// runs over:
 ///
 /// * [`EdgeFormation::Unilateral`] probes the incremental
-///   [`EvalContext`], monomorphized per model (the prune mode selects
-///   the pruned or plain response engines — bit-identical trajectories,
-///   so the oracle harness compares whole runs per mode).
+///   [`EvalContext`] with the pruned response engines, monomorphized
+///   per model ([`run_ordered_reference`] is its oracle).
 /// * [`EdgeFormation::Bilateral`] evaluates each candidate from scratch
 ///   and consults [`crate::model::deviation_is_legal`] before accepting
 ///   it — bilateral consent never touches the unilateral hot paths.
@@ -96,7 +97,6 @@ pub fn run_spec<W: EdgeWeights + ?Sized>(
                 Unilateral::<W, M> {
                     ctx: EvalContext::new(w, start, alpha),
                     rule,
-                    mode: cfg.prune,
                     model: PhantomData,
                 },
                 order,
@@ -135,7 +135,6 @@ trait Policy: Sync {
 struct Unilateral<'w, W: EdgeWeights + ?Sized, M> {
     ctx: EvalContext<'w, W>,
     rule: ResponseRule,
-    mode: PruneMode,
     model: PhantomData<fn() -> M>,
 }
 
@@ -152,7 +151,7 @@ impl<W: EdgeWeights + ?Sized, M: CostModel> Policy for Unilateral<'_, W, M> {
 
     fn respond(&self, u: usize) -> Option<(BTreeSet<usize>, f64)> {
         let now = self.ctx.agent_cost_cached::<M>(u);
-        response_in_ctx::<W, M>(&self.ctx, self.rule, u, now, self.mode)
+        response_in_ctx::<W, M>(&self.ctx, self.rule, u, now)
     }
 
     fn apply(&mut self, u: usize, strategy: BTreeSet<usize>) {
@@ -264,7 +263,6 @@ fn response_in_ctx<W: EdgeWeights + ?Sized, M: CostModel>(
     rule: ResponseRule,
     u: usize,
     now: f64,
-    mode: PruneMode,
 ) -> Option<(BTreeSet<usize>, f64)> {
     let (w, net, g, alpha) = (ctx.weights(), ctx.network(), ctx.graph(), ctx.alpha());
     // Leaf agents (degree ≤ 1) borrow the context's full-graph distance
@@ -277,11 +275,12 @@ fn response_in_ctx<W: EdgeWeights + ?Sized, M: CostModel>(
     };
     match rule {
         ResponseRule::BestResponse => {
-            let br = eval.best_response::<M>(alpha, mode);
+            let br = eval.best_response::<M>(alpha);
             gncg_geometry::definitely_less(br.cost, now).then_some((br.strategy, now - br.cost))
         }
-        ResponseRule::BestSingleMove => moves::best_single_move::<M>(&eval, net, alpha, mode)
-            .map(|m| (m.strategy, now - m.cost)),
+        ResponseRule::BestSingleMove => {
+            moves::best_single_move::<M>(&eval, net, alpha).map(|m| (m.strategy, now - m.cost))
+        }
     }
 }
 
@@ -375,34 +374,30 @@ fn bilateral_response_for<W: EdgeWeights + ?Sized, M: CostModel>(
     best.map(|(s, c)| (s, now - c))
 }
 
-/// The pre-incremental dynamics driver: every probe rebuilds `G(s)` and
-/// recomputes the agent's (sum-model) cost from scratch, searching
-/// responses under prune mode `mode`. Behaviourally identical to
-/// [`run_spec`] under the default config with the same prune mode;
-/// retained as the property-test oracle. Do not use in new code.
-pub fn run_ordered_reference<W: EdgeWeights + ?Sized>(
+/// The reference dynamics runner under model `M`: every probe rebuilds
+/// `G(s)`, recomputes the agent's cost from scratch and searches its
+/// response with the unpruned engines of [`crate::prune::oracle`].
+/// Behaviourally identical to [`run_spec`] with unilateral formation and
+/// model `M`; retained as the property-test oracle. Do not use in new
+/// code.
+pub fn run_ordered_reference<W: EdgeWeights + ?Sized, M: CostModel>(
     w: &W,
     start: &OwnedNetwork,
     alpha: f64,
     rule: ResponseRule,
     order: AgentOrder,
     max_steps: usize,
-    mode: PruneMode,
 ) -> Outcome {
     let response_for = |state: &OwnedNetwork, u: usize| -> Option<(BTreeSet<usize>, f64)> {
-        let now = cost::agent_cost::<W, SumDistances>(w, state, alpha, u);
+        let now = cost::agent_cost::<W, M>(w, state, alpha, u);
+        let eval = ResponseEvaluator::new(w, state, u);
         match rule {
             ResponseRule::BestResponse => {
-                let br = best_response::exact_best_response_raw::<W, SumDistances>(
-                    w, state, alpha, u, mode,
-                );
+                let br = oracle::best_response::<M>(&eval, alpha);
                 gncg_geometry::definitely_less(br.cost, now).then_some((br.strategy, now - br.cost))
             }
-            ResponseRule::BestSingleMove => {
-                let eval = ResponseEvaluator::new(w, state, u);
-                moves::best_single_move::<SumDistances>(&eval, state, alpha, mode)
-                    .map(|m| (m.strategy, now - m.cost))
-            }
+            ResponseRule::BestSingleMove => oracle::best_single_move::<M>(&eval, state, alpha)
+                .map(|m| (m.strategy, now - m.cost)),
         }
     };
 
@@ -568,10 +563,10 @@ pub fn search_for_cycle(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{GameSpec, MaxDistance, ModelKind};
+    use crate::{GameSpec, MaxDistance, ModelKind, SumDistances};
     use gncg_geometry::generators;
 
-    /// Default-config dynamics: sum model, unilateral, `GNCG_PRUNE`.
+    /// Default-config dynamics: sum model, unilateral.
     fn run_default<W: EdgeWeights + ?Sized>(
         w: &W,
         start: &OwnedNetwork,
@@ -603,12 +598,7 @@ mod tests {
         ) {
             Outcome::Converged { state, .. } => {
                 assert!(state.has_edge(0, 1));
-                assert!(crate::exact::is_nash::<_, SumDistances>(
-                    &ps,
-                    &state,
-                    1.0,
-                    SolverConfig::default().prune
-                ));
+                assert!(crate::exact::is_nash::<_, SumDistances>(&ps, &state, 1.0));
             }
             other => panic!("expected convergence, got {other:?}"),
         }
@@ -628,12 +618,7 @@ mod tests {
             ) {
                 Outcome::Converged { state, .. } => {
                     assert!(
-                        crate::exact::is_nash::<_, SumDistances>(
-                            &ps,
-                            &state,
-                            1.0,
-                            SolverConfig::default().prune
-                        ),
+                        crate::exact::is_nash::<_, SumDistances>(&ps, &state, 1.0),
                         "seed {seed}: converged state not Nash"
                     );
                 }
@@ -701,12 +686,7 @@ mod tests {
             AgentOrder::RandomPermutation(99),
             500,
         ) {
-            assert!(crate::exact::is_nash::<_, SumDistances>(
-                &ps,
-                &state,
-                1.0,
-                SolverConfig::default().prune
-            ));
+            assert!(crate::exact::is_nash::<_, SumDistances>(&ps, &state, 1.0));
         }
     }
 
@@ -722,12 +702,7 @@ mod tests {
             500,
         ) {
             Outcome::Converged { state, .. } => {
-                assert!(crate::exact::is_nash::<_, SumDistances>(
-                    &ps,
-                    &state,
-                    1.0,
-                    SolverConfig::default().prune
-                ));
+                assert!(crate::exact::is_nash::<_, SumDistances>(&ps, &state, 1.0));
             }
             Outcome::Cycle { .. } => {}
             Outcome::Exhausted { .. } => panic!("budget too small"),
@@ -767,33 +742,10 @@ mod tests {
             ] {
                 for rule in [ResponseRule::BestSingleMove, ResponseRule::BestResponse] {
                     let fast = run_default(&ps, &start, rule, order, 300);
-                    let slow = run_ordered_reference(
-                        &ps,
-                        &start,
-                        1.0,
-                        rule,
-                        order,
-                        300,
-                        SolverConfig::default().prune,
+                    let slow = run_ordered_reference::<_, SumDistances>(
+                        &ps, &start, 1.0, rule, order, 300,
                     );
                     assert_eq!(fast, slow, "seed {seed} order {order:?} rule {rule:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn run_spec_prune_modes_match_bit_exactly() {
-        for seed in 0..3u64 {
-            let ps = generators::uniform_unit_square(6, 300 + seed);
-            let start = OwnedNetwork::center_star(6, 0);
-            for order in [AgentOrder::RoundRobin, AgentOrder::RandomPermutation(seed)] {
-                for rule in [ResponseRule::BestSingleMove, ResponseRule::BestResponse] {
-                    let [on, off] = [PruneMode::On, PruneMode::Off].map(|mode| {
-                        let cfg = SolverConfig::default().with_prune(mode);
-                        run_spec(&ps, &start, 1.0, rule, order, 300, &cfg)
-                    });
-                    assert_eq!(on, off, "seed {seed} order {order:?} rule {rule:?}");
                 }
             }
         }
@@ -816,12 +768,7 @@ mod tests {
             ) {
                 Outcome::Converged { state, .. } => {
                     assert!(
-                        crate::exact::is_nash::<_, MaxDistance>(
-                            &ps,
-                            &state,
-                            1.0,
-                            SolverConfig::default().prune
-                        ),
+                        crate::exact::is_nash::<_, MaxDistance>(&ps, &state, 1.0),
                         "seed {seed}: converged state not Nash under max-distance"
                     );
                 }

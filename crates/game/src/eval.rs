@@ -23,7 +23,7 @@
 
 use crate::{cost, CostModel, EdgeWeights, OwnedNetwork};
 use gncg_graph::csr::{Csr, DijkstraScratch};
-use gncg_graph::{delta, DistMatrix, Graph};
+use gncg_graph::{DistMatrix, Graph};
 use std::collections::BTreeSet;
 
 /// Incrementally maintained evaluation state for one `(weights, α)` game
@@ -42,12 +42,6 @@ pub struct EvalContext<'w, W: EdgeWeights + ?Sized> {
     /// `α·‖u, S_u‖` per agent, always current.
     edge_costs: Vec<f64>,
     scratch: DijkstraScratch,
-    /// When set, [`EvalContext::apply_move`] *repairs* still-valid
-    /// distance rows through [`gncg_graph::delta`] instead of
-    /// invalidating them wholesale (see
-    /// [`EvalContext::set_delta_updates`]). Off by default so the
-    /// legacy counter profile is untouched.
-    delta_updates: bool,
 }
 
 impl<'w, W: EdgeWeights + ?Sized> EvalContext<'w, W> {
@@ -68,29 +62,7 @@ impl<'w, W: EdgeWeights + ?Sized> EvalContext<'w, W> {
             row_valid: vec![false; n],
             edge_costs,
             scratch: DijkstraScratch::default(),
-            delta_updates: false,
         }
-    }
-
-    /// Switch dynamic row maintenance on or off. When on, an edge
-    /// delta no longer blanket-invalidates every cached distance row:
-    ///
-    /// * pure **insertions** repair every valid row in place with
-    ///   [`delta::repair_insertions`] — bit-identical to a fresh
-    ///   Dijkstra on the new graph (distances only shrink, and the
-    ///   repair is a relaxation process over the same path folds);
-    /// * **removals** keep a row only when
-    ///   [`delta::removal_keeps_row`] proves no shortest path could
-    ///   cross a removed edge (exact, no epsilon), else the row is
-    ///   invalidated as before; a swap composes the two: rows that
-    ///   survive the removal test are then insertion-repaired.
-    ///
-    /// Every number the context hands out remains bit-identical to
-    /// the from-scratch path; only the amount of Dijkstra work (and
-    /// hence the heap-pop/relaxation trace counters) changes. Off by
-    /// default so legacy stages keep their counter baselines.
-    pub fn set_delta_updates(&mut self, on: bool) {
-        self.delta_updates = on;
     }
 
     /// Number of agents.
@@ -136,37 +108,26 @@ impl<'w, W: EdgeWeights + ?Sized> EvalContext<'w, W> {
     /// old strategy.
     pub fn apply_move(&mut self, u: usize, strategy: BTreeSet<usize>) -> BTreeSet<usize> {
         let old = self.net.set_strategy(u, strategy);
-        let mut removed_edges: Vec<(usize, usize, f64)> = Vec::new();
-        let mut added_edges: Vec<(usize, usize, f64)> = Vec::new();
+        let mut edges_changed = false;
         for &v in old.difference(self.net.strategy(u)) {
             // the edge survives when v still buys it herself
             if !self.net.owns(v, u) {
-                let w = self.w.weight(u, v);
-                if self.graph.remove_edge(u, v) {
-                    removed_edges.push((u, v, w));
-                }
+                edges_changed |= self.graph.remove_edge(u, v);
             }
         }
         let added: Vec<usize> = self.net.strategy(u).difference(&old).copied().collect();
         for v in added {
             // add_edge reports whether the edge is structurally new
             // (false when v already bought it: weight is unchanged)
-            let w = self.w.weight(u, v);
-            if self.graph.add_edge(u, v, w) {
-                added_edges.push((u, v, w));
-            }
+            edges_changed |= self.graph.add_edge(u, v, self.w.weight(u, v));
         }
-        if !removed_edges.is_empty() || !added_edges.is_empty() {
+        if edges_changed {
             self.csr = None;
-            if self.delta_updates {
-                self.repair_rows(&removed_edges, &added_edges);
-            } else {
-                if gncg_trace::enabled() {
-                    let live = self.row_valid.iter().filter(|&&v| v).count() as u64;
-                    gncg_trace::add(gncg_trace::Counter::RowInvalidations, live);
-                }
-                self.row_valid.fill(false);
+            if gncg_trace::enabled() {
+                let live = self.row_valid.iter().filter(|&&v| v).count() as u64;
+                gncg_trace::add(gncg_trace::Counter::RowInvalidations, live);
             }
+            self.row_valid.fill(false);
         }
         // same expression (and summation order) as cost::edge_cost
         self.edge_costs[u] = self.alpha
@@ -177,33 +138,6 @@ impl<'w, W: EdgeWeights + ?Sized> EvalContext<'w, W> {
                 .map(|&v| self.w.weight(u, v))
                 .sum::<f64>();
         old
-    }
-
-    /// Dynamic row maintenance after an edge delta (`delta_updates`
-    /// path of [`EvalContext::apply_move`]): rows that provably
-    /// survive the removals are insertion-repaired against the new
-    /// graph; the rest are invalidated. Bit-identical to a full
-    /// rebuild — see [`gncg_graph::delta`] for the argument.
-    fn repair_rows(&mut self, removed: &[(usize, usize, f64)], added: &[(usize, usize, f64)]) {
-        let csr = Csr::from_graph(&self.graph);
-        let mut invalidated = 0u64;
-        for r in 0..self.len() {
-            if !self.row_valid[r] {
-                continue;
-            }
-            if !removed.is_empty() && !delta::removal_keeps_row(self.dist.row(r), removed) {
-                self.row_valid[r] = false;
-                invalidated += 1;
-                continue;
-            }
-            if !added.is_empty() {
-                delta::repair_insertions(&csr, self.dist.row_mut(r), added);
-            }
-        }
-        if invalidated > 0 && gncg_trace::enabled() {
-            gncg_trace::add(gncg_trace::Counter::RowInvalidations, invalidated);
-        }
-        self.csr = Some(csr);
     }
 
     fn take_csr(&mut self) -> Csr {
@@ -255,12 +189,6 @@ impl<'w, W: EdgeWeights + ?Sized> EvalContext<'w, W> {
         } else {
             None
         }
-    }
-
-    /// Distance row `d_G(u, ·)` (refreshed if stale).
-    pub fn dist_row(&mut self, u: usize) -> &[f64] {
-        self.ensure_row(u);
-        self.dist.row(u)
     }
 
     /// Distance cost of agent `u` under model `M` — the `M`-aggregate
@@ -401,40 +329,6 @@ mod tests {
                 cost::agent_cost::<_, MaxDistance>(&ps, &net, 1.3, u).to_bits(),
                 "agent {u}"
             );
-        }
-    }
-
-    #[test]
-    fn delta_updates_are_bit_identical_to_full_rebuild() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(77);
-        for trial in 0..6 {
-            let n = 12;
-            let ps = generators::uniform_unit_square(n, 2000 + trial);
-            let start = random_profile(&mut rng, n);
-            let mut ctx = EvalContext::new(&ps, &start, 1.4);
-            ctx.set_delta_updates(true);
-            ctx.ensure_all_rows();
-            for step in 0..16 {
-                let u = rng.gen_range(0..n);
-                let s = random_strategy(&mut rng, n, u);
-                ctx.apply_move(u, s);
-                ctx.ensure_all_rows();
-                // every maintained row must equal a from-scratch one
-                let fresh = EvalContext::new(&ps, ctx.network(), 1.4);
-                let mut fresh = fresh;
-                fresh.ensure_all_rows();
-                for r in 0..n {
-                    let kept: Vec<u64> = ctx.dist.row(r).iter().map(|d| d.to_bits()).collect();
-                    let want: Vec<u64> = fresh.dist.row(r).iter().map(|d| d.to_bits()).collect();
-                    assert_eq!(kept, want, "trial {trial} step {step} row {r}");
-                }
-                let probe = rng.gen_range(0..n);
-                assert_eq!(
-                    ctx.agent_cost::<SumDistances>(probe).to_bits(),
-                    cost::agent_cost::<_, SumDistances>(&ps, ctx.network(), 1.4, probe).to_bits(),
-                    "trial {trial} step {step}"
-                );
-            }
         }
     }
 

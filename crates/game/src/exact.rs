@@ -8,14 +8,11 @@
 //! is the ground truth the certified bounds are validated against in
 //! tests, and the exact γ used on the paper's small witness instances.
 //!
-//! Exact β and Nash verification run on the `GNCG_PRUNE`-gated
-//! best-response engine ([`crate::prune`]) — bit-identical under either
-//! setting of the toggle.
+//! Exact β and Nash verification run on the pruned best-response engine
+//! ([`crate::prune`]), bit-identical to the unpruned enumeration.
 
 use crate::outcome::{self, DegradeReason, Outcome};
-use crate::{
-    best_response, certify, cost, CostModel, EdgeWeights, OwnedNetwork, PruneMode, SolverConfig,
-};
+use crate::{best_response, certify, cost, CostModel, EdgeWeights, OwnedNetwork, SolverConfig};
 use gncg_graph::Graph;
 use gncg_parallel::Budget;
 
@@ -175,9 +172,7 @@ fn exact_beta_generic<W: EdgeWeights + ?Sized, M: CostModel>(
             },
         };
     }
-    match outcome::attempt(&cfg.budget, || {
-        exact_beta_raw::<W, M>(w, net, alpha, cfg.prune)
-    }) {
+    match outcome::attempt(&cfg.budget, || exact_beta_raw::<W, M>(w, net, alpha)) {
         Ok(beta) => Outcome::Exact(beta),
         Err(reason) => Outcome::Degraded {
             certified_bound: certify::beta_upper::<W, M>(w, net, alpha),
@@ -186,32 +181,29 @@ fn exact_beta_generic<W: EdgeWeights + ?Sized, M: CostModel>(
     }
 }
 
-/// Unbudgeted enumeration body of [`exact_beta`] under model `M` and
-/// prune mode `mode`; panics past the per-agent enumeration cap.
+/// Unbudgeted enumeration body of [`exact_beta`] under model `M`;
+/// panics past the per-agent enumeration cap.
 pub(crate) fn exact_beta_raw<W: EdgeWeights + ?Sized, M: CostModel>(
     w: &W,
     net: &OwnedNetwork,
     alpha: f64,
-    mode: PruneMode,
 ) -> f64 {
     let factors = gncg_parallel::parallel_map(net.len(), |u| {
-        best_response::exact_improvement_factor::<W, M>(w, net, alpha, u, mode)
+        best_response::exact_improvement_factor::<W, M>(w, net, alpha, u)
     });
     factors.into_iter().fold(1.0, f64::max)
 }
 
 /// Is the profile an exact (pure) Nash equilibrium under model `M`?
-/// True iff no agent can improve beyond floating-point noise (best
-/// responses searched under prune mode `mode`).
+/// True iff no agent can improve beyond floating-point noise.
 pub fn is_nash<W: EdgeWeights + ?Sized, M: CostModel>(
     w: &W,
     net: &OwnedNetwork,
     alpha: f64,
-    mode: PruneMode,
 ) -> bool {
     (0..net.len()).all(|u| {
         let now = cost::agent_cost::<W, M>(w, net, alpha, u);
-        let br = best_response::exact_best_response_raw::<W, M>(w, net, alpha, u, mode);
+        let br = best_response::exact_best_response_raw::<W, M>(w, net, alpha, u);
         !gncg_geometry::definitely_less(br.cost, now)
     })
 }
@@ -277,12 +269,7 @@ mod tests {
         let ps = generators::line(2, 1.0);
         let mut net = OwnedNetwork::empty(2);
         net.buy(0, 1);
-        assert!(is_nash::<_, SumDistances>(
-            &ps,
-            &net,
-            1.0,
-            SolverConfig::default().prune
-        ));
+        assert!(is_nash::<_, SumDistances>(&ps, &net, 1.0));
         let beta = exact_beta(&ps, &net, 1.0, &SolverConfig::default()).expect_exact("beta");
         assert!((beta - 1.0).abs() < 1e-9);
     }
@@ -292,15 +279,8 @@ mod tests {
         // middle agent of the line star can improve at small alpha
         let ps = generators::line(3, 2.0);
         let net = OwnedNetwork::center_star(3, 0);
-        assert!(!is_nash::<_, SumDistances>(
-            &ps,
-            &net,
-            0.1,
-            SolverConfig::default().prune
-        ));
-        assert!(
-            exact_beta_raw::<_, SumDistances>(&ps, &net, 0.1, SolverConfig::default().prune) > 1.0
-        );
+        assert!(!is_nash::<_, SumDistances>(&ps, &net, 0.1));
+        assert!(exact_beta_raw::<_, SumDistances>(&ps, &net, 0.1) > 1.0);
     }
 
     #[test]
@@ -308,12 +288,7 @@ mod tests {
         let ps = generators::line(3, 2.0);
         let net = OwnedNetwork::empty(3);
         // everyone has infinite cost; buying an edge is an improvement
-        assert!(!is_nash::<_, SumDistances>(
-            &ps,
-            &net,
-            1.0,
-            SolverConfig::default().prune
-        ));
+        assert!(!is_nash::<_, SumDistances>(&ps, &net, 1.0));
     }
 
     #[test]
@@ -360,12 +335,7 @@ mod tests {
         let ps = generators::line(2, 1.0);
         let mut net = OwnedNetwork::empty(2);
         net.buy(0, 1);
-        assert!(is_nash::<_, MaxDistance>(
-            &ps,
-            &net,
-            1.0,
-            SolverConfig::default().prune
-        ));
+        assert!(is_nash::<_, MaxDistance>(&ps, &net, 1.0));
         let opts = SolverConfig::default().with_model(ModelKind::MaxDistance);
         let beta = exact_beta(&ps, &net, 1.0, &opts).expect_exact("beta");
         assert!((beta - 1.0).abs() < 1e-9);
@@ -373,14 +343,7 @@ mod tests {
         // middle agent of a wide line star still gains by a short edge
         let ps3 = generators::line(3, 2.0);
         let star = OwnedNetwork::center_star(3, 0);
-        assert!(!is_nash::<_, MaxDistance>(
-            &ps3,
-            &star,
-            0.1,
-            SolverConfig::default().prune
-        ));
-        assert!(
-            exact_beta_raw::<_, MaxDistance>(&ps3, &star, 0.1, SolverConfig::default().prune) > 1.0
-        );
+        assert!(!is_nash::<_, MaxDistance>(&ps3, &star, 0.1));
+        assert!(exact_beta_raw::<_, MaxDistance>(&ps3, &star, 0.1) > 1.0);
     }
 }

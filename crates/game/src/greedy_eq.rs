@@ -16,20 +16,14 @@
 //! greedy-instability factor computed here.
 
 use crate::best_response::ResponseEvaluator;
-use crate::{cost, moves, EdgeWeights, OwnedNetwork, PruneMode, SumDistances};
+use crate::{cost, moves, EdgeWeights, OwnedNetwork, SumDistances};
 use std::collections::BTreeSet;
 
-/// Is the profile stable against single add/drop/swap moves (searched
-/// under prune mode `mode`)?
-pub fn is_greedy_stable<W: EdgeWeights + ?Sized>(
-    w: &W,
-    net: &OwnedNetwork,
-    alpha: f64,
-    mode: PruneMode,
-) -> bool {
+/// Is the profile stable against single add/drop/swap moves?
+pub fn is_greedy_stable<W: EdgeWeights + ?Sized>(w: &W, net: &OwnedNetwork, alpha: f64) -> bool {
     (0..net.len()).all(|u| {
         let eval = ResponseEvaluator::new(w, net, u);
-        moves::best_single_move::<SumDistances>(&eval, net, alpha, mode).is_none()
+        moves::best_single_move::<SumDistances>(&eval, net, alpha).is_none()
     })
 }
 
@@ -74,18 +68,12 @@ pub fn best_swap<W: EdgeWeights + ?Sized>(
 
 /// The greedy-instability factor: the largest cost improvement any agent
 /// reaches with a *single* move (1.0 when greedy stable). A certified
-/// lower bound on the profile's true β. Moves are searched under prune
-/// mode `mode`.
-pub fn greedy_instability<W: EdgeWeights + ?Sized>(
-    w: &W,
-    net: &OwnedNetwork,
-    alpha: f64,
-    mode: PruneMode,
-) -> f64 {
+/// lower bound on the profile's true β.
+pub fn greedy_instability<W: EdgeWeights + ?Sized>(w: &W, net: &OwnedNetwork, alpha: f64) -> f64 {
     let factors = gncg_parallel::parallel_map(net.len(), |u| {
         let now = cost::agent_cost::<W, SumDistances>(w, net, alpha, u);
         let eval = ResponseEvaluator::new(w, net, u);
-        match moves::best_single_move::<SumDistances>(&eval, net, alpha, mode) {
+        match moves::best_single_move::<SumDistances>(&eval, net, alpha) {
             Some(m) => crate::best_response::ratio(now, m.cost),
             None => 1.0,
         }
@@ -96,14 +84,8 @@ pub fn greedy_instability<W: EdgeWeights + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{dynamics, exact, SolverConfig};
+    use crate::{dynamics, exact};
     use gncg_geometry::generators;
-
-    /// The `GNCG_PRUNE`-selected mode, so `GNCG_PRUNE=0` runs every
-    /// test here on the unpruned path.
-    fn default_mode() -> PruneMode {
-        SolverConfig::default().prune
-    }
 
     #[test]
     fn nash_implies_greedy_implies_swap() {
@@ -120,18 +102,10 @@ mod tests {
                 300,
                 &crate::SolverConfig::default(),
             ) {
-                assert!(exact::is_nash::<_, SumDistances>(
-                    &ps,
-                    &state,
-                    1.0,
-                    default_mode()
-                ));
-                assert!(
-                    is_greedy_stable(&ps, &state, 1.0, default_mode()),
-                    "seed {seed}"
-                );
+                assert!(exact::is_nash::<_, SumDistances>(&ps, &state, 1.0));
+                assert!(is_greedy_stable(&ps, &state, 1.0), "seed {seed}");
                 assert!(is_swap_stable(&ps, &state, 1.0), "seed {seed}");
-                assert!((greedy_instability(&ps, &state, 1.0, default_mode()) - 1.0).abs() < 1e-9);
+                assert!((greedy_instability(&ps, &state, 1.0) - 1.0).abs() < 1e-9);
             }
         }
     }
@@ -141,8 +115,8 @@ mod tests {
         let ps = generators::line(3, 2.0);
         let net = OwnedNetwork::center_star(3, 0);
         // middle agent profits from an add at tiny alpha
-        assert!(!is_greedy_stable(&ps, &net, 0.01, default_mode()));
-        assert!(greedy_instability(&ps, &net, 0.01, default_mode()) > 1.0);
+        assert!(!is_greedy_stable(&ps, &net, 0.01));
+        assert!(greedy_instability(&ps, &net, 0.01) > 1.0);
     }
 
     #[test]
@@ -158,7 +132,7 @@ mod tests {
                 net.buy(a, rng.gen_range(0..a));
             }
             let alpha = 0.2 + rng.gen::<f64>() * 2.0;
-            if is_greedy_stable(&ps, &net, alpha, default_mode()) {
+            if is_greedy_stable(&ps, &net, alpha) {
                 assert!(is_swap_stable(&ps, &net, alpha), "seed {seed}");
             }
         }
@@ -170,7 +144,7 @@ mod tests {
         // adds never help; drops disconnect; swaps only lengthen paths
         let ps = generators::line(4, 3.0);
         let net = OwnedNetwork::forward_path(4);
-        assert!(is_greedy_stable(&ps, &net, 0.01, default_mode()));
+        assert!(is_greedy_stable(&ps, &net, 0.01));
         assert!(is_swap_stable(&ps, &net, 0.01));
     }
 
@@ -185,8 +159,8 @@ mod tests {
                 net.buy(a, rng.gen_range(0..a));
             }
             let alpha = 0.5 + rng.gen::<f64>();
-            let g = greedy_instability(&ps, &net, alpha, default_mode());
-            let b = exact::exact_beta_raw::<_, SumDistances>(&ps, &net, alpha, default_mode());
+            let g = greedy_instability(&ps, &net, alpha);
+            let b = exact::exact_beta_raw::<_, SumDistances>(&ps, &net, alpha);
             assert!(g <= b + 1e-9, "seed {seed}: greedy {g} > beta {b}");
         }
     }

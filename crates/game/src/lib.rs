@@ -27,11 +27,12 @@
 //! * [`approx`] — spanner-backed approximate evaluation with
 //!   *certified error bars* (β/γ brackets proven to contain the exact
 //!   backend's figures) and grid-candidate dynamics for `n = 10⁴`,
-//! * [`prune`] — geometric move pruning ([`PruneMode`], `GNCG_PRUNE`):
-//!   sound lower bounds that discard candidates bit-identically,
+//! * [`prune`] — geometric move pruning: sound lower bounds that
+//!   discard candidates bit-identically, with the unpruned engines kept
+//!   as one named oracle ([`prune::oracle`]),
 //! * [`solver_config`] — the unified builder-style [`SolverConfig`]
 //!   accepted by every solver entry point (model × formation × backend
-//!   × prune × budget × certify flags × cache policy), with the
+//!   × budget × certify flags × cache policy), with the
 //!   [`EvalBackend`] choice of spanner and pivots for the bracketed
 //!   certifier,
 //! * [`model`] — the cost-model abstraction ([`CostModel`],
@@ -60,7 +61,6 @@ pub use eval::EvalContext;
 pub use model::{CostModel, EdgeFormation, GameSpec, MaxDistance, ModelKind, SumDistances};
 pub use network::OwnedNetwork;
 pub use outcome::{DegradeReason, Outcome, Regime};
-pub use prune::PruneMode;
 pub use solver_config::{CachePolicy, EvalBackend, SolverConfig};
 
 use gncg_geometry::PointSet;

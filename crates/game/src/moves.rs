@@ -10,12 +10,13 @@
 //! * as the response oracle of [`crate::dynamics`] on instances too
 //!   large for exact best responses.
 //!
-//! Candidate strategies are materialized into one reusable sorted buffer
-//! (no per-candidate set clones); only the winning move is turned into a
-//! `BTreeSet` at the end.
+//! Candidates are scored by the pruned, batched generator
+//! (`best_single_step_batched`); the plain per-candidate generator it
+//! must match bit for bit is [`crate::prune::oracle`]. Only the winning
+//! move is turned into a `BTreeSet` at the end.
 
-use crate::best_response::{ResponseEvaluator, ResponseScratch};
-use crate::prune::{MoveFilter, PruneMode};
+use crate::best_response::ResponseEvaluator;
+use crate::prune::MoveFilter;
 use crate::{cost, CostModel, EdgeWeights, OwnedNetwork};
 use gncg_parallel::arena;
 use std::collections::BTreeSet;
@@ -46,7 +47,7 @@ pub fn cost_with_strategy<W: EdgeWeights + ?Sized, M: CostModel>(
 /// A single add/drop/swap relative to the current strategy, tracked
 /// symbolically so candidate enumeration never materializes a set.
 #[derive(Debug, Clone, Copy, PartialEq)]
-enum Step {
+pub(crate) enum Step {
     Drop(usize),
     Add(usize),
     Swap(usize, usize),
@@ -60,33 +61,31 @@ enum Step {
 /// [`ResponseEvaluator`] — one APSP of `G − u` up front
 /// ([`ResponseEvaluator::new`], or [`ResponseEvaluator::from_built_graph`]
 /// when the created network is already in hand, or
-/// [`ResponseEvaluator::with_shared_rest`] for leaf agents), then
-/// O(deg·n) per candidate instead of a full graph rebuild. `mode`
-/// selects the pruned batched engine or the plain generator
-/// (bit-identical results; see [`crate::prune`]).
+/// [`ResponseEvaluator::with_shared_rest`] for leaf agents), then O(n)
+/// per surviving candidate (see `best_single_step_batched`).
 pub fn best_single_move<M: CostModel>(
     eval: &ResponseEvaluator<'_>,
     net: &OwnedNetwork,
     alpha: f64,
-    mode: PruneMode,
 ) -> Option<Move> {
-    let u = eval.agent;
-    let mut scratch = arena::rent::<ResponseScratch>();
+    single_move_by::<M>(eval, net, alpha, best_single_step_batched::<M>)
+}
+
+/// The loop shared by [`best_single_move`] and its oracle twin: one `step`
+/// search around the agent's current strategy, turned into a [`Move`].
+/// `step(eval, n, current, current_cost, alpha)` returns the best
+/// improving [`Step`] around the sorted strategy `current` with its
+/// cost.
+pub(crate) fn single_move_by<M: CostModel>(
+    eval: &ResponseEvaluator<'_>,
+    net: &OwnedNetwork,
+    alpha: f64,
+    step: impl Fn(&ResponseEvaluator<'_>, usize, &[usize], f64, f64) -> Option<(Step, f64)>,
+) -> Option<Move> {
     let mut current = arena::rent::<Vec<usize>>();
-    current.extend(net.strategy(u).iter().copied());
-    let current_cost = eval.cost_with::<M, _>(alpha, current.iter().copied(), &mut scratch);
-    let mut cand = arena::rent::<Vec<usize>>();
-    best_single_step::<M>(
-        eval,
-        net.len(),
-        &current,
-        current_cost,
-        alpha,
-        &mut scratch,
-        &mut cand,
-        mode,
-    )
-    .map(|(step, c)| Move {
+    current.extend(net.strategy(eval.agent).iter().copied());
+    let current_cost = eval.cost::<M, _>(alpha, current.iter().copied());
+    step(eval, net.len(), &current, current_cost, alpha).map(|(step, c)| Move {
         strategy: materialize(&current, step),
         cost: c,
     })
@@ -94,9 +93,10 @@ pub fn best_single_move<M: CostModel>(
 
 /// Accept `c` as the new best iff it improves on the current cost beyond
 /// floating-point noise AND strictly beats the best candidate so far —
-/// the exact acceptance test of the unpruned generator, shared by both
-/// engines so their selections can only differ if their `c` bits do.
-fn consider(best: &mut Option<(Step, f64)>, step: Step, c: f64, current_cost: f64) {
+/// the exact acceptance test of the unpruned generator, shared with
+/// [`crate::prune::oracle`] so the two engines' selections can only
+/// differ if their `c` bits do.
+pub(crate) fn consider(best: &mut Option<(Step, f64)>, step: Step, c: f64, current_cost: f64) {
     let beats_current = gncg_geometry::definitely_less(c, current_cost);
     let beats_best = match best {
         Some((_, bc)) => c < *bc,
@@ -105,59 +105,6 @@ fn consider(best: &mut Option<(Step, f64)>, step: Step, c: f64, current_cost: f6
     if beats_current && beats_best {
         *best = Some((step, c));
     }
-}
-
-/// Move-generation core shared with [`local_search_response`]: best
-/// improving add/drop/swap around the sorted strategy `current`, judged
-/// by `eval`. Candidates are written into the reusable sorted buffer
-/// `cand`; no heap allocation happens per candidate once the buffers are
-/// warm.
-///
-/// With [`PruneMode::On`] the batched engine runs instead: same
-/// candidate set, same order, same acceptance test, bit-identical costs
-/// (see [`best_single_step_batched`]).
-#[allow(clippy::too_many_arguments)]
-fn best_single_step<M: CostModel>(
-    eval: &ResponseEvaluator<'_>,
-    n: usize,
-    current: &[usize],
-    current_cost: f64,
-    alpha: f64,
-    scratch: &mut ResponseScratch,
-    cand: &mut Vec<usize>,
-    mode: PruneMode,
-) -> Option<(Step, f64)> {
-    if mode.is_on() {
-        return best_single_step_batched::<M>(eval, n, current, current_cost, alpha);
-    }
-    let u = eval.agent;
-    let mut best: Option<(Step, f64)> = None;
-
-    // drops
-    for &v in current {
-        write_candidate(current, Step::Drop(v), cand);
-        let c = eval.cost_with::<M, _>(alpha, cand.iter().copied(), scratch);
-        consider(&mut best, Step::Drop(v), c, current_cost);
-    }
-    // adds
-    for v in 0..n {
-        if v != u && current.binary_search(&v).is_err() {
-            write_candidate(current, Step::Add(v), cand);
-            let c = eval.cost_with::<M, _>(alpha, cand.iter().copied(), scratch);
-            consider(&mut best, Step::Add(v), c, current_cost);
-        }
-    }
-    // swaps
-    for &out in current {
-        for inn in 0..n {
-            if inn != u && inn != out && current.binary_search(&inn).is_err() {
-                write_candidate(current, Step::Swap(out, inn), cand);
-                let c = eval.cost_with::<M, _>(alpha, cand.iter().copied(), scratch);
-                consider(&mut best, Step::Swap(out, inn), c, current_cost);
-            }
-        }
-    }
-    best
 }
 
 /// Per-target structure-of-arrays state of the batched engine: the two
@@ -213,7 +160,7 @@ fn slot_minima(eval: &ResponseEvaluator<'_>, current: &[usize], n: usize) -> Slo
 /// role that does not apply; `insert` lands before the first surviving
 /// strategy entry greater than it, i.e. at its sorted position. Folding
 /// directly from `current` skips the candidate-buffer materialization
-/// the legacy engine paid per candidate.
+/// the oracle generator pays per candidate.
 #[inline]
 fn buy_fold(eval: &ResponseEvaluator<'_>, current: &[usize], skip: usize, insert: usize) -> f64 {
     let mut buy = 0.0;
@@ -301,9 +248,9 @@ fn fold_segment<M: CostModel>(
 const FOLD_CHECK_BLOCK: usize = 16;
 
 /// The pruned, batched move generator. Produces exactly the result of
-/// the unpruned [`best_single_step`], bit for bit, but replaces the
-/// O(deg·n) per-candidate evaluation with an O(n) one and skips
-/// provably-non-improving candidates entirely:
+/// the unpruned generator in [`crate::prune::oracle`], bit for bit, but
+/// replaces the O(deg·n) per-candidate evaluation with an O(n) one and
+/// skips provably-non-improving candidates entirely:
 ///
 /// * **Batching.** All candidates share the neighbour slots
 ///   `fixed_incident ++ current` — a drop removes one slot, an add
@@ -428,7 +375,7 @@ fn best_single_step_batched<M: CostModel>(
 /// Write `current` with `step` applied into `out`, keeping it sorted (the
 /// same order a `BTreeSet` would iterate, so edge costs accumulate in the
 /// same sequence as the from-scratch evaluation).
-fn write_candidate(current: &[usize], step: Step, out: &mut Vec<usize>) {
+pub(crate) fn write_candidate(current: &[usize], step: Step, out: &mut Vec<usize>) {
     out.clear();
     match step {
         Step::Drop(v) => out.extend(current.iter().copied().filter(|&x| x != v)),
@@ -464,25 +411,26 @@ pub fn local_search_response<M: CostModel>(
     net: &OwnedNetwork,
     alpha: f64,
     max_rounds: usize,
-    mode: PruneMode,
 ) -> Move {
-    let mut scratch = arena::rent::<ResponseScratch>();
+    local_search_by::<M>(eval, net, alpha, max_rounds, best_single_step_batched::<M>)
+}
+
+/// The loop shared by [`local_search_response`] and its oracle twin:
+/// apply `step` moves (as in [`single_move_by`]) until none improves or
+/// `max_rounds` have run.
+pub(crate) fn local_search_by<M: CostModel>(
+    eval: &ResponseEvaluator<'_>,
+    net: &OwnedNetwork,
+    alpha: f64,
+    max_rounds: usize,
+    step: impl Fn(&ResponseEvaluator<'_>, usize, &[usize], f64, f64) -> Option<(Step, f64)>,
+) -> Move {
     let mut current = arena::rent::<Vec<usize>>();
     current.extend(net.strategy(eval.agent).iter().copied());
-    let mut current_cost = eval.cost_with::<M, _>(alpha, current.iter().copied(), &mut scratch);
-    let mut cand = arena::rent::<Vec<usize>>();
+    let mut current_cost = eval.cost::<M, _>(alpha, current.iter().copied());
     let mut next = arena::rent::<Vec<usize>>();
     for _ in 0..max_rounds {
-        match best_single_step::<M>(
-            eval,
-            net.len(),
-            &current,
-            current_cost,
-            alpha,
-            &mut scratch,
-            &mut cand,
-            mode,
-        ) {
+        match step(eval, net.len(), &current, current_cost, alpha) {
             Some((step, c)) => {
                 write_candidate(&current, step, &mut next);
                 std::mem::swap(&mut current, &mut next);
@@ -507,9 +455,8 @@ pub fn witness_improvement_factor<M: CostModel>(
     net: &OwnedNetwork,
     alpha: f64,
     now: f64,
-    mode: PruneMode,
 ) -> f64 {
-    let found = local_search_response::<M>(eval, net, alpha, 2 * net.len(), mode);
+    let found = local_search_response::<M>(eval, net, alpha, 2 * net.len());
     crate::best_response::ratio(now, found.cost)
 }
 
@@ -520,16 +467,10 @@ mod tests {
     use crate::SumDistances;
     use gncg_geometry::{generators, PointSet};
 
-    /// The `GNCG_PRUNE`-selected mode, so `GNCG_PRUNE=0` runs every
-    /// test here on the unpruned path.
-    fn default_mode() -> PruneMode {
-        crate::SolverConfig::default().prune
-    }
-
     /// Sum-model best single move off a fresh evaluator.
     fn fresh_move(ps: &PointSet, net: &OwnedNetwork, alpha: f64, u: usize) -> Option<Move> {
         let eval = ResponseEvaluator::new(ps, net, u);
-        best_single_move::<SumDistances>(&eval, net, alpha, default_mode())
+        best_single_move::<SumDistances>(&eval, net, alpha)
     }
 
     #[test]
@@ -598,18 +539,17 @@ mod tests {
             }
             let g = net.graph(&ps);
             let alpha = 0.5 + rng.gen::<f64>() * 2.0;
-            let mode = default_mode();
             for u in 0..n {
                 let fresh = ResponseEvaluator::new(&ps, &net, u);
                 let built = ResponseEvaluator::from_built_graph(&ps, &net, &g, u);
                 assert_eq!(
-                    best_single_move::<SumDistances>(&fresh, &net, alpha, mode),
-                    best_single_move::<SumDistances>(&built, &net, alpha, mode),
+                    best_single_move::<SumDistances>(&fresh, &net, alpha),
+                    best_single_move::<SumDistances>(&built, &net, alpha),
                     "trial {trial} agent {u}"
                 );
                 assert_eq!(
-                    local_search_response::<SumDistances>(&fresh, &net, alpha, 12, mode),
-                    local_search_response::<SumDistances>(&built, &net, alpha, 12, mode),
+                    local_search_response::<SumDistances>(&fresh, &net, alpha, 12),
+                    local_search_response::<SumDistances>(&built, &net, alpha, 12),
                 );
             }
         }
@@ -630,10 +570,8 @@ mod tests {
             let alpha = 0.5 + rng.gen::<f64>() * 2.0;
             for u in 0..n {
                 let eval = ResponseEvaluator::new(&ps, &net, u);
-                let ls =
-                    local_search_response::<SumDistances>(&eval, &net, alpha, 20, default_mode());
-                let ex =
-                    exact_best_response_raw::<_, SumDistances>(&ps, &net, alpha, u, default_mode());
+                let ls = local_search_response::<SumDistances>(&eval, &net, alpha, 20);
+                let ex = exact_best_response_raw::<_, SumDistances>(&ps, &net, alpha, u);
                 assert!(
                     ls.cost >= ex.cost - 1e-9,
                     "local search beat exact?! {} < {}",
@@ -661,8 +599,8 @@ mod tests {
             let alpha = 0.5 + rng.gen::<f64>() * 2.0;
             for u in 0..n {
                 let eval = ResponseEvaluator::new(&ps, &net, u);
-                let off = best_single_move::<MaxDistance>(&eval, &net, alpha, PruneMode::Off);
-                let on = best_single_move::<MaxDistance>(&eval, &net, alpha, PruneMode::On);
+                let off = crate::prune::oracle::best_single_move::<MaxDistance>(&eval, &net, alpha);
+                let on = best_single_move::<MaxDistance>(&eval, &net, alpha);
                 match (&off, &on) {
                     (Some(a), Some(b)) => {
                         assert_eq!(a.strategy, b.strategy, "trial {trial} agent {u}");
@@ -686,8 +624,7 @@ mod tests {
         for u in 0..10 {
             let eval = ResponseEvaluator::new(&ps, &net, u);
             let now = cost::agent_cost::<_, SumDistances>(&ps, &net, 1.0, u);
-            let f =
-                witness_improvement_factor::<SumDistances>(&eval, &net, 1.0, now, default_mode());
+            let f = witness_improvement_factor::<SumDistances>(&eval, &net, 1.0, now);
             assert!(f >= 1.0 - 1e-9);
         }
     }
@@ -702,8 +639,7 @@ mod tests {
         let net = OwnedNetwork::center_star(4, 0);
         let eval = ResponseEvaluator::new(&ps, &net, 0);
         let now = cost::agent_cost::<_, SumDistances>(&ps, &net, 1000.0, 0);
-        let f =
-            witness_improvement_factor::<SumDistances>(&eval, &net, 1000.0, now, default_mode());
+        let f = witness_improvement_factor::<SumDistances>(&eval, &net, 1000.0, now);
         assert!(f >= 1.0 - 1e-9);
     }
 }

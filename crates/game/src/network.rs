@@ -67,15 +67,6 @@ impl OwnedNetwork {
         net
     }
 
-    /// Build from oriented edges `(owner, other)`.
-    pub fn from_owned_edges(n: usize, edges: &[(usize, usize)]) -> Self {
-        let mut net = Self::empty(n);
-        for &(o, v) in edges {
-            net.buy(o, v);
-        }
-        net
-    }
-
     /// Build from oriented, weighted edges `(owner, other, _w)` — the
     /// output shape of the orientation/distribution helpers.
     pub fn from_distributed(n: usize, edges: &[(usize, usize, f64)]) -> Self {

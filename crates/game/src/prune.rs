@@ -61,36 +61,18 @@
 //! counters are bit-identical across thread counts and fault-injection
 //! retries, and the perf gate compares them exactly.
 //!
-//! No function here reads the environment. Solvers take the mode either
-//! from `SolverConfig::prune` or as an explicit `mode` argument, and
-//! only `SolverConfig::default()` maps `GNCG_PRUNE` to a mode (`0`,
-//! `false` or `off` route every engine through the original unpruned
-//! code path). Binaries, examples and tests pass
-//! `SolverConfig::default().prune` where a function wants a bare mode,
-//! so `GNCG_PRUNE=0 cargo test` still runs every `Off` path. The oracle
-//! harness (`crates/game/tests/prune_oracle.rs`) drives both modes
-//! explicitly and asserts bit-identical results.
+//! Pruning is not a setting: every solver runs the pruned engines. The
+//! unpruned engines they must match bit for bit live in one place,
+//! [`oracle`] — the plain mask enumeration, single-move generator and
+//! local search. Only tests, the `repro_maxdist` consistency row and
+//! the reference dynamics runner
+//! ([`crate::dynamics::run_ordered_reference`]) call it; the harness
+//! `crates/game/tests/prune_oracle.rs` drives production and oracle over
+//! the same instances and asserts bit-identical results.
 
 use gncg_geometry::EPS;
 
-/// Whether the pruned engine is active. Threaded explicitly through the
-/// search entry points so tests can compare both modes in-process
-/// without mutating global state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PruneMode {
-    /// Original unpruned code paths, bit-for-bit.
-    Off,
-    /// Geometric pruning + batched evaluation (the default).
-    On,
-}
-
-impl PruneMode {
-    /// Is pruning active?
-    #[inline]
-    pub fn is_on(self) -> bool {
-        matches!(self, PruneMode::On)
-    }
-}
+pub mod oracle;
 
 /// Per-agent pruning state for single-move generation: the metric
 /// distance floor plus the margin arithmetic of soundness rule 3.

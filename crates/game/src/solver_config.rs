@@ -8,24 +8,20 @@
 //! value can drive a whole experiment (dynamics → certify → exact
 //! validation) without re-translation. The solver bodies read the
 //! config directly; the only derived view is [`GameSpec`] (the
-//! `model × formation` pair the serve tier puts on the wire).
-//! Functions that take a bare [`PruneMode`] argument instead (`is_nash`,
-//! the greedy-equilibrium checks, the dynamics reference oracle) get it
-//! from their caller, usually as `SolverConfig::default().prune`.
+//! `model × formation` pair the serve tier puts on the wire). Geometric
+//! pruning is not an axis: every solver runs the pruned engines, whose
+//! unpruned oracle is [`crate::prune::oracle`].
 //!
 //! # Defaults
 //!
 //! `SolverConfig::default()` is the paper's game (sum-of-distances
 //! objective, unilateral edge formation), the exact evaluation backend,
-//! the `GNCG_PRUNE` prune mode, the `GNCG_BUDGET_MS`
-//! budget (unlimited when unset), witness search on, exact enumeration
-//! off, caching off. It is the one place the library maps `GNCG_PRUNE`
-//! ([`gncg_config::env::prune`]) to a mode. Call
+//! the `GNCG_BUDGET_MS` budget (unlimited when unset), witness search
+//! on, exact enumeration off, caching off. Call
 //! [`SolverConfig::unbudgeted`] to pin an unlimited budget regardless
 //! of the environment.
 
 use crate::model::{EdgeFormation, GameSpec};
-use crate::prune::PruneMode;
 use crate::ModelKind;
 use gncg_parallel::Budget;
 use gncg_spanner::SpannerKind;
@@ -100,11 +96,6 @@ pub struct SolverConfig {
     /// Exact or spanner-backed evaluation (bracketed certification
     /// only).
     pub backend: EvalBackend,
-    /// Geometric move pruning in the dynamics, the certifier's exact-β
-    /// and witness searches, and the exact best response (the
-    /// `GNCG_PRUNE` env default — bit-identical either way, see
-    /// [`crate::prune`]).
-    pub prune: PruneMode,
     /// Budget for the *exponential* solver parts. Defaults to
     /// `GNCG_BUDGET_MS` ([`Budget::from_env`], unlimited when unset).
     pub budget: Budget,
@@ -125,11 +116,6 @@ impl Default for SolverConfig {
             model: ModelKind::SumDistances,
             formation: EdgeFormation::Unilateral,
             backend: EvalBackend::Exact,
-            prune: if gncg_config::env::prune() {
-                PruneMode::On
-            } else {
-                PruneMode::Off
-            },
             budget: Budget::from_env(),
             exact_beta: false,
             exact_gamma: false,
@@ -180,12 +166,6 @@ impl SolverConfig {
     /// Replace the evaluation backend.
     pub fn with_backend(mut self, backend: EvalBackend) -> Self {
         self.backend = backend;
-        self
-    }
-
-    /// Replace the prune mode.
-    pub fn with_prune(mut self, prune: PruneMode) -> Self {
-        self.prune = prune;
         self
     }
 
@@ -264,7 +244,6 @@ mod tests {
         assert_eq!(cfg.model, ModelKind::SumDistances);
         assert_eq!(cfg.formation, EdgeFormation::Unilateral);
         assert_eq!(cfg.backend, EvalBackend::Exact);
-        assert_eq!(cfg.prune.is_on(), gncg_config::env::prune());
         assert!(!cfg.exact_beta && !cfg.exact_gamma && cfg.witness);
         assert_eq!(cfg.cache, CachePolicy::Disabled);
     }
@@ -283,7 +262,6 @@ mod tests {
         let cfg = SolverConfig::default()
             .with_model(ModelKind::MaxDistance)
             .with_formation(EdgeFormation::Bilateral)
-            .with_prune(PruneMode::Off)
             .with_budget(&budget)
             .with_exact_beta(true)
             .with_exact_gamma(true)
@@ -291,7 +269,6 @@ mod tests {
             .with_cache_key("k123");
         assert_eq!(cfg.model, ModelKind::MaxDistance);
         assert_eq!(cfg.formation, EdgeFormation::Bilateral);
-        assert_eq!(cfg.prune, PruneMode::Off);
         assert!(cfg.exact_beta && cfg.exact_gamma && !cfg.witness);
         assert_eq!(cfg.cache.key(), Some("k123"));
         assert_eq!(cfg.without_cache().cache.key(), None);

@@ -4,16 +4,22 @@
 //! The pruning layer (`crates/game/src/prune.rs`) claims its results are
 //! *bit-identical* to the unpruned engines — not merely close, and for
 //! every [`gncg_game::CostModel`], not just the paper's sum objective.
-//! This harness is the enforcement: seeded property sweeps drive both
-//! [`PruneMode::On`] and [`PruneMode::Off`] over the same instances and
-//! assert the returned costs match to the last bit (`f64::to_bits`) and
-//! the returned strategies/trajectories match exactly, across
+//! This harness is the enforcement: seeded property sweeps drive the
+//! production engines and their unpruned oracle ([`oracle`]) over the
+//! same instances and assert the returned costs match to the last bit
+//! (`f64::to_bits`) and the returned strategies/trajectories match
+//! exactly, across
 //!
-//! * the exact mask enumeration (`ResponseEvaluator::best_response`),
-//! * the single-move generator (`moves::best_single_move`),
-//! * iterated local search (`moves::local_search_response`),
-//! * whole dynamics trajectories (`dynamics::run_spec`),
-//! * and all of the above under `gncg_parallel` fault injection.
+//! * the exact mask enumeration (`ResponseEvaluator::best_response` vs
+//!   `oracle::best_response`),
+//! * the single-move generator (`moves::best_single_move` vs
+//!   `oracle::best_single_move`),
+//! * iterated local search (`moves::local_search_response` vs
+//!   `oracle::local_search_response`),
+//! * whole dynamics trajectories (`dynamics::run_spec` vs
+//!   `dynamics::run_ordered_reference`, which also recomputes every cost
+//!   from scratch),
+//! * and the first two under `gncg_parallel` fault injection.
 //!
 //! Every sweep runs once per cost model. `GNCG_MODEL` (via
 //! [`gncg_config::env::model`]) narrows a run to one model — the
@@ -22,14 +28,15 @@
 //!
 //! Case count scales with `PROPTEST_CASES` (default 48; CI runs 512).
 //! Thread count comes from `GNCG_THREADS` — the CI matrix runs the suite
-//! both single-threaded and parallel, so mode identity is checked on the
+//! both single-threaded and parallel, so identity is checked on the
 //! sequential fallback and on the worker-pool path.
 
 use gncg_config::ModelKind;
 use gncg_game::best_response::{BestResponse, ResponseEvaluator};
-use gncg_game::dynamics::{run_spec, AgentOrder, ResponseRule};
+use gncg_game::dynamics::{run_ordered_reference, run_spec, AgentOrder, ResponseRule};
 use gncg_game::moves::{best_single_move, local_search_response};
-use gncg_game::{dispatch_model, CostModel, OwnedNetwork, PruneMode, SolverConfig};
+use gncg_game::prune::oracle;
+use gncg_game::{dispatch_model, CostModel, OwnedNetwork, SolverConfig};
 use gncg_geometry::{generators, PointSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -89,15 +96,18 @@ fn random_network(rng: &mut StdRng, n: usize) -> OwnedNetwork {
     }
 }
 
-fn assert_same_br(on: &BestResponse, off: &BestResponse, what: &str) {
+fn assert_same_br(pruned: &BestResponse, plain: &BestResponse, what: &str) {
     assert_eq!(
-        on.cost.to_bits(),
-        off.cost.to_bits(),
+        pruned.cost.to_bits(),
+        plain.cost.to_bits(),
         "{what}: pruned cost {} != oracle cost {}",
-        on.cost,
-        off.cost
+        pruned.cost,
+        plain.cost
     );
-    assert_eq!(on.strategy, off.strategy, "{what}: strategies diverge");
+    assert_eq!(
+        pruned.strategy, plain.strategy,
+        "{what}: strategies diverge"
+    );
 }
 
 fn exact_sweep_model<M: CostModel>(seed_base: u64, cases: u64) {
@@ -109,11 +119,11 @@ fn exact_sweep_model<M: CostModel>(seed_base: u64, cases: u64) {
         let alpha = pick_alpha(&mut rng);
         let u = rng.gen_range(0..n);
         let eval = ResponseEvaluator::new(&ps, &net, u);
-        let on = eval.best_response::<M>(alpha, PruneMode::On);
-        let off = eval.best_response::<M>(alpha, PruneMode::Off);
+        let pruned = eval.best_response::<M>(alpha);
+        let plain = oracle::best_response::<M>(&eval, alpha);
         assert_same_br(
-            &on,
-            &off,
+            &pruned,
+            &plain,
             &format!(
                 "exact case {case} (model={:?} n={n} α={alpha} u={u})",
                 M::KIND
@@ -137,9 +147,9 @@ fn single_move_sweep_model<M: CostModel>(seed_base: u64, cases: u64) {
         let alpha = pick_alpha(&mut rng);
         let u = rng.gen_range(0..n);
         let eval = ResponseEvaluator::new(&ps, &net, u);
-        let on = best_single_move::<M>(&eval, &net, alpha, PruneMode::On);
-        let off = best_single_move::<M>(&eval, &net, alpha, PruneMode::Off);
-        match (&on, &off) {
+        let pruned = best_single_move::<M>(&eval, &net, alpha);
+        let plain = oracle::best_single_move::<M>(&eval, &net, alpha);
+        match (&pruned, &plain) {
             (Some(a), Some(b)) => {
                 assert_eq!(
                     a.cost.to_bits(),
@@ -153,7 +163,7 @@ fn single_move_sweep_model<M: CostModel>(seed_base: u64, cases: u64) {
             }
             (None, None) => {}
             _ => panic!(
-                "single-move case {case} (model={:?} n={n} α={alpha} u={u}): {on:?} vs {off:?}",
+                "single-move case {case} (model={:?} n={n} α={alpha} u={u}): {pruned:?} vs {plain:?}",
                 M::KIND
             ),
         }
@@ -189,14 +199,14 @@ fn local_search_bit_identical() {
                 let alpha = pick_alpha(&mut rng);
                 let u = rng.gen_range(0..n);
                 let eval = ResponseEvaluator::new(&ps, &net, u);
-                let on = local_search_response::<M>(&eval, &net, alpha, 2 * n, PruneMode::On);
-                let off = local_search_response::<M>(&eval, &net, alpha, 2 * n, PruneMode::Off);
+                let pruned = local_search_response::<M>(&eval, &net, alpha, 2 * n);
+                let plain = oracle::local_search_response::<M>(&eval, &net, alpha, 2 * n);
                 assert_eq!(
-                    on.cost.to_bits(),
-                    off.cost.to_bits(),
+                    pruned.cost.to_bits(),
+                    plain.cost.to_bits(),
                     "local-search case {case} (model={kind:?} n={n} α={alpha} u={u})"
                 );
-                assert_eq!(on.strategy, off.strategy, "local-search case {case}");
+                assert_eq!(pruned.strategy, plain.strategy, "local-search case {case}");
             }
         });
     }
@@ -204,8 +214,9 @@ fn local_search_bit_identical() {
 
 #[test]
 fn dynamics_trajectories_identical() {
-    // whole-trajectory identity: any single diverging response would
-    // cascade into a different converged state / cycle / step count
+    // whole-trajectory identity: any single diverging response or cost
+    // would cascade into a different converged state / cycle / step
+    // count
     let cases = cases().max(8) / 8;
     for kind in models() {
         dispatch_model!(kind, M, {
@@ -223,12 +234,11 @@ fn dynamics_trajectories_identical() {
                         AgentOrder::RandomPermutation(case),
                     ),
                 ] {
-                    let [on, off] = [PruneMode::On, PruneMode::Off].map(|mode| {
-                        let cfg = SolverConfig::default().with_model(kind).with_prune(mode);
-                        run_spec(&ps, &net, alpha, rule, order, 200, &cfg)
-                    });
+                    let cfg = SolverConfig::default().with_model(kind);
+                    let pruned = run_spec(&ps, &net, alpha, rule, order, 200, &cfg);
+                    let plain = run_ordered_reference::<_, M>(&ps, &net, alpha, rule, order, 200);
                     assert_eq!(
-                        on, off,
+                        pruned, plain,
                         "dynamics case {case} (model={kind:?} n={n} α={alpha} {rule:?} {order:?})"
                     );
                 }
@@ -239,7 +249,7 @@ fn dynamics_trajectories_identical() {
 
 #[test]
 fn bit_identity_survives_fault_injection() {
-    // injected worker panics + retries must not perturb either engine:
+    // injected worker panics + retries must not perturb the engines:
     // prune decisions are pure per-candidate functions and the counters
     // fire after the chunk's fault point, so a retried chunk replays
     // identically
@@ -284,17 +294,17 @@ fn degenerate_geometries_bit_identical() {
                 let alpha = pick_alpha(&mut rng);
                 let u = rng.gen_range(0..n);
                 let eval = ResponseEvaluator::new(&ps, &net, u);
-                let on = eval.best_response::<M>(alpha, PruneMode::On);
-                let off = eval.best_response::<M>(alpha, PruneMode::Off);
+                let pruned = eval.best_response::<M>(alpha);
+                let plain = oracle::best_response::<M>(&eval, alpha);
                 assert_same_br(
-                    &on,
-                    &off,
+                    &pruned,
+                    &plain,
                     &format!("degenerate case {case} (model={kind:?})"),
                 );
-                let mon = best_single_move::<M>(&eval, &net, alpha, PruneMode::On);
-                let moff = best_single_move::<M>(&eval, &net, alpha, PruneMode::Off);
+                let mpruned = best_single_move::<M>(&eval, &net, alpha);
+                let mplain = oracle::best_single_move::<M>(&eval, &net, alpha);
                 assert_eq!(
-                    mon, moff,
+                    mpruned, mplain,
                     "degenerate single-move case {case} (model={kind:?})"
                 );
             }

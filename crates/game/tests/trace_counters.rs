@@ -4,19 +4,18 @@
 //!   (the thread-count-invariance the perf gate relies on);
 //! - the deterministic counters are bit-identical run-to-run and
 //!   unchanged under `GNCG_FAULT_INJECT`-style retries;
-//! - the exact best-response enumerator performs exactly `2^(n-1)`
-//!   strategy evaluations;
-//! - the caller's prune mode (`SolverConfig::prune`, or the explicit
-//!   `mode` argument of `is_nash`, `greedy_instability` and
-//!   `run_ordered_reference`) alone decides whether a solver prunes,
-//!   whatever `GNCG_PRUNE` says.
+//! - the unpruned oracle enumeration performs exactly `2^(n-1)` strategy
+//!   evaluations, and the pruned one accounts for every mask;
+//! - every solver that searches moves prunes, its unpruned oracle never
+//!   does, and the two agree on the result.
 //!
 //! Trace state is process-global, so every test serializes on one lock
 //! and measures via before/after snapshots.
 
+use gncg_game::best_response::{self, ResponseEvaluator};
+use gncg_game::prune::oracle;
 use gncg_game::{
-    best_response, certify, dynamics, exact, greedy_eq, OwnedNetwork, PruneMode, SolverConfig,
-    SumDistances,
+    certify, cost, dynamics, exact, greedy_eq, OwnedNetwork, SolverConfig, SumDistances,
 };
 use gncg_geometry::generators;
 use gncg_graph::csr::{Csr, DijkstraScratch};
@@ -157,12 +156,12 @@ fn exact_best_response_counts_every_mask() {
     for a in 1..n {
         net.buy(a, a - 1);
     }
-    let eval = best_response::ResponseEvaluator::new(&ps, &net, 0);
+    let eval = ResponseEvaluator::new(&ps, &net, 0);
 
-    // unpruned engine: exactly one cost evaluation per strategy mask,
+    // unpruned oracle: exactly one cost evaluation per strategy mask,
     // and the pruning counters stay untouched
     let off = deltas_of(|| {
-        let br = eval.best_response::<SumDistances>(8.0, gncg_game::PruneMode::Off);
+        let br = oracle::best_response::<SumDistances>(&eval, 8.0);
         std::hint::black_box(br.cost);
     });
     assert_eq!(
@@ -176,7 +175,7 @@ fn exact_best_response_counts_every_mask() {
     // pruned engine: every mask is either pruned or evaluated, and the
     // evaluation count is the (m+2)-mask pre-pass plus the survivors
     let on = deltas_of(|| {
-        let br = eval.best_response::<SumDistances>(8.0, gncg_game::PruneMode::On);
+        let br = eval.best_response::<SumDistances>(8.0);
         std::hint::black_box(br.cost);
     });
     assert_eq!(
@@ -195,13 +194,14 @@ fn exact_best_response_counts_every_mask() {
     );
 }
 
-/// The prune mode a caller picks reaches every solver that searches
-/// moves: `SolverConfig::prune` for the certifier and the exact best
-/// response, the explicit `mode` argument for `is_nash`,
-/// `greedy_instability` and `run_ordered_reference`. `On` must prune,
-/// `Off` must not, and neither may change a result.
+/// Every solver that searches moves runs the pruned engines: the
+/// certifier's witness search, the exact best response, `is_nash`,
+/// `greedy_instability` and both `run_spec` rules each prune, while the
+/// same computation on the unpruned oracle ([`oracle`], or
+/// `run_ordered_reference` for the dynamics) prunes nothing and gives
+/// the same result.
 #[test]
-fn solver_config_prune_mode_reaches_certify_and_exact_best_response() {
+fn every_move_search_prunes_and_matches_its_oracle() {
     let _g = setup();
     let n = 12;
     let ps = generators::uniform_unit_square(n, 3);
@@ -212,58 +212,97 @@ fn solver_config_prune_mode_reaches_certify_and_exact_best_response() {
     // expensive edges: every probe below, the single-move search of
     // `greedy_instability` included, has candidates to prune
     let alpha = 32.0;
-    let run = |mode: PruneMode| -> Vec<(&'static str, u64, String)> {
-        let cfg = SolverConfig::default().with_prune(mode);
-        assert!(cfg.witness, "the default config searches a witness");
-        let reference = |rule| {
-            let out = dynamics::run_ordered_reference(
-                &ps,
-                &net,
-                alpha,
-                rule,
-                dynamics::AgentOrder::RoundRobin,
-                200,
-                mode,
-            );
-            format!("{out:?}")
+    let cfg = SolverConfig::default();
+    assert!(cfg.witness, "the default config searches a witness");
+    let now = |u| cost::agent_cost::<_, SumDistances>(&ps, &net, alpha, u);
+    let eval = |u| ResponseEvaluator::new(&ps, &net, u);
+    let fold = |f: &dyn Fn(usize) -> f64| (0..n).map(f).fold(1.0f64, f64::max);
+    let trajectory = |rule, reference: bool| {
+        let order = dynamics::AgentOrder::RoundRobin;
+        let out = if reference {
+            dynamics::run_ordered_reference::<_, SumDistances>(&ps, &net, alpha, rule, order, 200)
+        } else {
+            dynamics::run_spec(&ps, &net, alpha, rule, order, 200, &cfg)
         };
-        let measure = |name: &'static str, probe: &dyn Fn() -> String| {
-            let mut out = String::new();
-            let d = deltas_of(|| out = probe());
-            (name, d[Counter::MovesPruned as usize], out)
-        };
-        vec![
-            measure("certify", &|| {
+        format!("{out:?}")
+    };
+    type Probe<'a> = &'a dyn Fn() -> String;
+    let probes: [(&str, Probe, Probe); 6] = [
+        (
+            "certify (witness)",
+            &|| {
                 let r = certify::certify(&ps, &net, alpha, &cfg);
-                gncg_json::to_string(&gncg_json::ToJson::to_json(&r))
-            }),
-            measure("exact_best_response", &|| {
+                r.beta_witness.to_bits().to_string()
+            },
+            &|| {
+                let f = fold(&|u| {
+                    let found =
+                        oracle::local_search_response::<SumDistances>(&eval(u), &net, alpha, 2 * n);
+                    best_response::ratio(now(u), found.cost)
+                });
+                f.to_bits().to_string()
+            },
+        ),
+        (
+            "exact_best_response",
+            &|| {
                 let br = best_response::exact_best_response(&ps, &net, alpha, 0, &cfg)
                     .expect_exact("br");
                 format!("{:?} {}", br.strategy, br.cost.to_bits())
-            }),
-            measure("is_nash", &|| {
-                exact::is_nash::<_, SumDistances>(&ps, &net, alpha, mode).to_string()
-            }),
-            measure("greedy_instability", &|| {
-                let f = greedy_eq::greedy_instability(&ps, &net, alpha, mode);
+            },
+            &|| {
+                let br = oracle::best_response::<SumDistances>(&eval(0), alpha);
+                format!("{:?} {}", br.strategy, br.cost.to_bits())
+            },
+        ),
+        (
+            "is_nash",
+            &|| exact::is_nash::<_, SumDistances>(&ps, &net, alpha).to_string(),
+            &|| {
+                (0..n)
+                    .all(|u| {
+                        let br = oracle::best_response::<SumDistances>(&eval(u), alpha);
+                        !gncg_geometry::definitely_less(br.cost, now(u))
+                    })
+                    .to_string()
+            },
+        ),
+        (
+            "greedy_instability",
+            &|| {
+                let f = greedy_eq::greedy_instability(&ps, &net, alpha);
                 f.to_bits().to_string()
-            }),
-            measure("run_ordered_reference (single move)", &|| {
-                reference(dynamics::ResponseRule::BestSingleMove)
-            }),
-            measure("run_ordered_reference (best response)", &|| {
-                reference(dynamics::ResponseRule::BestResponse)
-            }),
-        ]
-    };
+            },
+            &|| {
+                let f =
+                    fold(
+                        &|u| match oracle::best_single_move::<SumDistances>(&eval(u), &net, alpha) {
+                            Some(m) => best_response::ratio(now(u), m.cost),
+                            None => 1.0,
+                        },
+                    );
+                f.to_bits().to_string()
+            },
+        ),
+        (
+            "run_spec (single move)",
+            &|| trajectory(dynamics::ResponseRule::BestSingleMove, false),
+            &|| trajectory(dynamics::ResponseRule::BestSingleMove, true),
+        ),
+        (
+            "run_spec (best response)",
+            &|| trajectory(dynamics::ResponseRule::BestResponse, false),
+            &|| trajectory(dynamics::ResponseRule::BestResponse, true),
+        ),
+    ];
 
-    let on = run(PruneMode::On);
-    let off = run(PruneMode::Off);
-    for ((name, on_pruned, on_out), (_, off_pruned, off_out)) in on.iter().zip(&off) {
-        assert!(*on_pruned > 0, "{name}: the instance must exercise pruning");
-        assert_eq!(*off_pruned, 0, "{name} pruned under PruneMode::Off");
-        assert_eq!(off_out, on_out, "{name}: the prune mode changed the result");
+    for (name, production, reference) in probes {
+        let (mut got, mut want) = (String::new(), String::new());
+        let pruned = deltas_of(|| got = production())[Counter::MovesPruned as usize];
+        let plain = deltas_of(|| want = reference())[Counter::MovesPruned as usize];
+        assert!(pruned > 0, "{name}: the instance must exercise pruning");
+        assert_eq!(plain, 0, "{name}: the oracle pruned");
+        assert_eq!(got, want, "{name}: pruning changed the result");
     }
 }
 

@@ -108,12 +108,7 @@ mod tests {
                 if let Some(ne) = &probe.equilibrium {
                     converged += 1;
                     assert!(
-                        exact::is_nash::<_, SumDistances>(
-                            &h.as_weights(),
-                            ne,
-                            alpha,
-                            SolverConfig::default().prune
-                        ),
+                        exact::is_nash::<_, SumDistances>(&h.as_weights(), ne, alpha),
                         "seed {seed} alpha {alpha}: claimed NE is not a NE"
                     );
                     assert!(
@@ -172,12 +167,7 @@ mod tests {
             if let Some(ne) = &probe.equilibrium {
                 converged += 1;
                 assert!(
-                    exact::is_nash::<_, MaxDistance>(
-                        &h.as_weights(),
-                        ne,
-                        1.5,
-                        SolverConfig::default().prune
-                    ),
+                    exact::is_nash::<_, MaxDistance>(&h.as_weights(), ne, 1.5),
                     "seed {seed}: claimed max-model NE is not one"
                 );
                 if probe.opt_is_exact {

@@ -70,11 +70,6 @@ impl ThreadPool {
         Self { inner, workers }
     }
 
-    /// Create a pool sized by [`crate::num_threads`].
-    pub fn with_default_threads() -> Self {
-        Self::new(crate::num_threads())
-    }
-
     /// Number of worker threads.
     pub fn threads(&self) -> usize {
         self.workers.len()

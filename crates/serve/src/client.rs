@@ -123,12 +123,6 @@ impl ServeClient {
         self
     }
 
-    /// Override the faulted-attempt cap before fault suppression.
-    pub fn with_retries(mut self, retries: u32) -> Self {
-        self.retries = retries;
-        self
-    }
-
     /// Submit under a fresh idempotency key.
     pub fn submit(&mut self, spec: &JobSpec) -> Result<Value, ClientError> {
         let key = format!("{}#{}", self.client_id, self.next_idem);

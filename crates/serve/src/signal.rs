@@ -49,12 +49,6 @@ pub fn term_count() -> u32 {
     TERM_COUNT.load(Ordering::Relaxed)
 }
 
-/// Test hook: pretend a SIGTERM arrived (same observable effect as the
-/// real handler firing).
-pub fn simulate_sigterm() {
-    TERM_COUNT.fetch_add(1, Ordering::Relaxed);
-}
-
 /// Send the current process a real SIGTERM (drain soak tests use this
 /// to exercise the genuine kernel path). Returns `false` if the raise
 /// failed.

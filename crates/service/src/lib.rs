@@ -819,7 +819,7 @@ impl Session {
     }
 
     /// Submit a response-dynamics run under `cfg` (cost model +
-    /// edge-formation rule + prune mode; [`SolverConfig::default`]
+    /// edge-formation rule; [`SolverConfig::default`]
     /// reproduces the historical behaviour exactly). A budget cancelled
     /// mid-run resolves the handle to [`JobError::Cancelled`] (a
     /// truncated trajectory has no sound fallback).

@@ -100,13 +100,13 @@ pub enum Counter {
     /// Jobs executed by persistent `ThreadPool` workers.
     PoolJobs,
     /// Candidate moves/strategies discarded by the geometric pruning
-    /// layer without a cost evaluation (`GNCG_PRUNE`, default on). The
-    /// prune decision is a pure function of the candidate and fixed
-    /// per-agent bounds, so the total is schedule-invariant.
+    /// layer without a cost evaluation. The prune decision is a pure
+    /// function of the candidate and fixed per-agent bounds, so the total
+    /// is schedule-invariant.
     MovesPruned,
     /// Candidate moves/strategies that survived pruning and were cost
     /// evaluated by the pruned engine. `MovesPruned + MovesEvaluated`
-    /// equals the candidate count the unpruned engine would evaluate.
+    /// equals the candidate count the unpruned oracle evaluates.
     MovesEvaluated,
     /// Jobs admitted into a `gncg-service` session queue.
     ServiceEnqueued,

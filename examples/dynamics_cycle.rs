@@ -35,12 +35,7 @@ fn main() {
         ) {
             dynamics::Outcome::Converged { state, steps } => {
                 converged += 1;
-                debug_assert!(exact::is_nash::<_, SumDistances>(
-                    &points,
-                    &state,
-                    alpha,
-                    SolverConfig::default().prune
-                ));
+                debug_assert!(exact::is_nash::<_, SumDistances>(&points, &state, alpha));
                 if seed < 3 {
                     println!("seed {seed}: converged to a NE in {steps} strategy changes");
                 }

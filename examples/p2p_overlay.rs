@@ -52,13 +52,7 @@ fn main() {
     for u in 0..n {
         let eval = ResponseEvaluator::new(&points, net, u);
         let now = cost::agent_cost::<_, SumDistances>(&points, net, alpha, u);
-        let f = moves::witness_improvement_factor::<SumDistances>(
-            &eval,
-            net,
-            alpha,
-            now,
-            SolverConfig::default().prune,
-        );
+        let f = moves::witness_improvement_factor::<SumDistances>(&eval, net, alpha, now);
         if f > 1.0 + 1e-9 {
             defectors += 1;
         }

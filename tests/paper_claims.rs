@@ -98,12 +98,7 @@ fn theorem_3_13_grid_exact() {
 fn theorem_4_1_cross_polytope() {
     let alpha = 2.0;
     let (ps, ne, opt) = instances::cross_polytope(4, alpha);
-    assert!(exact::is_nash::<_, SumDistances>(
-        &ps,
-        &ne,
-        alpha,
-        SolverConfig::default().prune
-    ));
+    assert!(exact::is_nash::<_, SumDistances>(&ps, &ne, alpha));
     let ratio = cost::social_cost::<_, SumDistances>(&ps, &ne, alpha)
         / cost::social_cost::<_, SumDistances>(&ps, &opt, alpha);
     let bound = instances::theorem_4_1_bound(alpha);
@@ -120,12 +115,7 @@ fn theorem_4_1_cross_polytope() {
 fn theorem_4_3_chain() {
     let alpha = 8.0;
     let (ps, ne, opt) = instances::chain(10, alpha);
-    assert!(exact::is_nash::<_, SumDistances>(
-        &ps,
-        &ne,
-        alpha,
-        SolverConfig::default().prune
-    ));
+    assert!(exact::is_nash::<_, SumDistances>(&ps, &ne, alpha));
     let ratio = cost::social_cost::<_, SumDistances>(&ps, &ne, alpha)
         / cost::social_cost::<_, SumDistances>(&ps, &opt, alpha);
     assert!(ratio > 1.0);

@@ -95,13 +95,7 @@ fn best_response_ordering() {
         for u in 0..n {
             let now = cost::agent_cost::<_, SumDistances>(&ps, &net, alpha, u);
             let eval = ResponseEvaluator::new(&ps, &net, u);
-            let ls = moves::local_search_response::<SumDistances>(
-                &eval,
-                &net,
-                alpha,
-                10,
-                SolverConfig::default().prune,
-            );
+            let ls = moves::local_search_response::<SumDistances>(&eval, &net, alpha, 10);
             let ex =
                 best_response::exact_best_response(&ps, &net, alpha, u, &SolverConfig::default())
                     .expect_exact("best response");
@@ -262,15 +256,8 @@ fn incremental_dynamics_match_reference() {
         ] {
             for rule in [ResponseRule::BestSingleMove, ResponseRule::BestResponse] {
                 let fast = run_spec(&ps, &start, 1.0, rule, order, 400, &SolverConfig::default());
-                let slow = run_ordered_reference(
-                    &ps,
-                    &start,
-                    1.0,
-                    rule,
-                    order,
-                    400,
-                    SolverConfig::default().prune,
-                );
+                let slow =
+                    run_ordered_reference::<_, SumDistances>(&ps, &start, 1.0, rule, order, 400);
                 assert_eq!(fast, slow, "seed {seed} order {order:?} rule {rule:?}");
             }
         }

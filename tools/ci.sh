@@ -57,23 +57,32 @@ if grep -rnE 'GncgConfig|EvalBackendKind|GNCG_EVAL_BACKEND|certify_bracket' \
 fi
 
 # one route into each solver: the bracketed certifier's option struct
-# and its tuned twin, the uncalled grid move engine, the env-reading
-# prune-mode constructor and the retired dynamics speed-up harness are
-# gone; settings reach solvers through SolverConfig or an explicit
-# argument
-if grep -rnE 'ApproxCertifyOptions|certify_approx_tuned|approx_options|best_single_move_grid|PruneMode::from_env|bench_dynamics' \
+# and its tuned twin, the uncalled grid move engine and the retired
+# dynamics speed-up harness are gone; settings reach solvers through
+# SolverConfig
+if grep -rnE 'ApproxCertifyOptions|certify_approx_tuned|approx_options|best_single_move_grid|bench_dynamics' \
     src crates tests examples tools .github README.md DESIGN.md \
     | grep -v '^tools/ci.sh:.*grep -rnE'; then
     echo 'a removed solver-settings route is back (use SolverConfig or an explicit argument)' >&2
     exit 1
 fi
 
-# GNCG_PRUNE has one reader: SolverConfig::default() maps
-# gncg_config::env::prune() to a mode, and everything else takes the
-# mode from a SolverConfig or as an argument
-if grep -rn --include='*.rs' 'env::prune()' src crates tests examples \
-    | grep -vE '^crates/(game/src/solver_config\.rs|config/src/)'; then
-    echo 'env::prune() outside SolverConfig::default() (take the prune mode from the caller)' >&2
+# pruning is not a setting: every solver runs the pruned engines, so
+# the prune-mode type, its config setter and env knob, and the
+# off-by-default delta-row switch of EvalContext are gone
+if grep -rnE 'PruneMode|with_prune|GNCG_PRUNE|env::prune|prune_on|set_delta_updates' \
+    src crates tests examples tools .github README.md DESIGN.md \
+    | grep -v '^tools/ci.sh:.*grep -rnE'; then
+    echo 'a removed prune setting is back (the pruned engines are the only production path)' >&2
+    exit 1
+fi
+
+# one named oracle: the unpruned engines in gncg_game::prune::oracle are
+# called only inside gncg-game, from test files and by repro_maxdist's
+# consistency row
+if grep -rn --include='*.rs' 'prune::oracle' src crates tests examples \
+    | grep -vE '^(crates/game/src/|crates/[^/]+/tests/|tests/|crates/bench/src/bin/repro_maxdist\.rs:)'; then
+    echo 'prune::oracle called outside gncg-game, tests and repro_maxdist (production runs the pruned engines)' >&2
     exit 1
 fi
 
@@ -88,10 +97,9 @@ if grep -rn --include='*.rs' -F '"GNCG_CACHE' src crates tests examples \
 fi
 
 # one entry point per computation: no deprecated shims, and no
-# model / prune-mode / prebuilt-graph / evaluator / legacy-options twin
-# of a function (the model is a type parameter, the prune mode an
-# explicit argument, the graph choice a `ResponseEvaluator`
-# constructor); `with_*` builders are exempt
+# model / mode / prebuilt-graph / evaluator / legacy-options twin of a
+# function (the model is a type parameter, the graph choice a
+# `ResponseEvaluator` constructor); `with_*` builders are exempt
 if grep -rnE --include='*.rs' '#\[(deprecated|allow\(deprecated\))' src crates tests examples; then
     echo '#[deprecated] shims (delete them; callers use the one entry point)' >&2
     exit 1
@@ -133,6 +141,3 @@ GNCG_FAULT_INJECT=0.02 cargo test --workspace -q
 # sequential run: all parallel substrates on their 1-thread fallback
 # paths must produce identical results
 GNCG_THREADS=1 cargo test --workspace -q
-
-# pruning disabled: every solver on its original unpruned code path
-GNCG_PRUNE=0 cargo test --workspace -q
