@@ -29,7 +29,7 @@
 //!
 //! * **Bitwise** (no epsilon): the `lo` sides. Per-agent cost lower
 //!   bounds evaluate distances on the *union graph* `H = G ∪ S` of the
-//!   created network and a stretch-certified spanner `S` (or, beyond
+//!   created network and a geometric spanner `S` (or, beyond
 //!   [`UNION_ROWS_CAP`], on the metric lower bounds directly). `H`'s
 //!   path set contains `G`'s, shared edges have identical weight bits,
 //!   and Dijkstra computes a min over path folds
@@ -44,10 +44,16 @@
 //!   an order of magnitude above the worst-case fold reassociation
 //!   error of `O(n·ε)` — restores soundness.
 //!
-//! The spanner's certificate bounds the bracket *width*: on connected
+//! The spanner's stretch bounds the bracket *width*: on connected
 //! inputs `‖u,v‖ ≤ d_H(u,v)` and `d_H(u,v) ≤ d_S(u,v) ≤ t·‖u,v‖`, so
 //! per-distance lo/hi disagree by at most the stretch `t` (times the
 //! pivot-approximation slack). A tighter spanner buys tighter bars.
+//! No bracket side reads `t`, so the report states the construction's
+//! theorem ([`SpannerKind::proven_stretch`]: the Θ/Yao/greedy/grid
+//! bounds of the paper's analysis) instead of measuring it with `n`
+//! more Dijkstras; the measured certificate
+//! (`gncg_spanner::cert::certify`) stays with Algorithm 1, which plugs
+//! the measured `(k, t)` into its bound.
 //!
 //! # Large-n dynamics ([`run_approx`])
 //!
@@ -70,6 +76,20 @@
 //! removed) and refills the CSR from it. Skipped far-away candidates
 //! are tallied in the deterministic `candidates_skipped` counter, so
 //! the narrowing is visible, not silent.
+//!
+//! A drop probe only matters if it beats the turn's best cost so far,
+//! so its repair runs under that cutoff. It is skipped outright when
+//! the base row's cost `α·edges + base aggregate` already exceeds the
+//! cutoff (a removal only lengthens distances), and stopped as soon as
+//! the settled increases prove the repaired cost does:
+//! [`gncg_graph::delta::sum_cutoff`] (the running sum of increases,
+//! guarded by [`relative_guard`]) under [`crate::SumDistances`],
+//! [`gncg_graph::delta::max_cutoff`] (the exact `max(base aggregate,
+//! running max)`) under [`crate::MaxDistance`]. Both only stop a probe
+//! whose exact cost is strictly above the cutoff, which the probe loop
+//! would have rejected anyway; ties repair in full. So every final
+//! network, result and `best_response_evals` / `candidates_*` count is
+//! unchanged; each skipped or stopped repair counts in `moves_pruned`.
 
 use crate::{
     best_response, certify, cost, CostModel, EdgeWeights, EvalBackend, ModelKind, OwnedNetwork,
@@ -78,7 +98,7 @@ use gncg_geometry::PointSet;
 use gncg_graph::csr::{Csr, DijkstraScratch};
 use gncg_graph::{components, delta};
 use gncg_json::{object, ToJson, Value};
-use gncg_spanner::{cert, grid, GridIndex, SpannerKind};
+use gncg_spanner::{GridIndex, SpannerKind};
 use gncg_trace::Counter;
 
 /// Above this `n`, [`certify_approx`] switches the per-agent lower
@@ -105,13 +125,11 @@ pub struct ApproxCertifyReport {
     pub alpha: f64,
     /// Whether the created network is connected.
     pub connected: bool,
-    /// Stretch certificate of the spanner backing the lower bounds:
-    /// measured per instance, or the proven dimension bound for
-    /// [`SpannerKind::Grid`].
+    /// The stretch the spanner's construction provably guarantees on
+    /// this point set ([`SpannerKind::proven_stretch`]); `∞` (JSON
+    /// `null`) when no theorem covers it. No bracket side reads it: it
+    /// states how wide the bars can be (module docs).
     pub spanner_stretch: f64,
-    /// `true` when `spanner_stretch` is a proven bound rather than a
-    /// per-instance measurement.
-    pub stretch_proven: bool,
     /// Lower end of the β bracket (≥ 1).
     pub beta_lo: f64,
     /// Upper end of the β bracket — a sound β certificate by itself.
@@ -138,7 +156,6 @@ impl ToJson for ApproxCertifyReport {
             ("alpha", self.alpha.to_json()),
             ("connected", self.connected.to_json()),
             ("spanner_stretch", self.spanner_stretch.to_json()),
-            ("stretch_proven", self.stretch_proven.to_json()),
             ("beta_lo", self.beta_lo.to_json()),
             ("beta_hi", self.beta_hi.to_json()),
             ("gamma_lo", self.gamma_lo.to_json()),
@@ -246,14 +263,6 @@ fn certify_approx_generic<M: CostModel>(
     let g = net.graph(ps);
     let connected = components::is_connected(&g);
     let csr = Csr::from_graph(&g);
-
-    let spanner = gncg_spanner::build(ps, spanner_kind);
-    let (spanner_stretch, stretch_proven) = match spanner_kind {
-        // the grid spanner's stretch is a theorem (√d on integer
-        // grids), so no O(n·Dijkstra) measurement is needed at 10⁴
-        SpannerKind::Grid => (grid::grid_stretch_bound(ps.dim()), true),
-        _ => (cert::certify(&spanner, ps).stretch, false),
-    };
     let guard = relative_guard(n);
 
     // Per-agent metric folds, in the exact certifier's loop order: the
@@ -274,7 +283,7 @@ fn certify_approx_generic<M: CostModel>(
     // lo: distance-cost lower bounds, bitwise ≤ the exact aggregates
     let dist_lo: Vec<f64> = if union_rows {
         let mut h = g.clone();
-        for (a, b, w) in spanner.edges() {
+        for (a, b, w) in gncg_spanner::build(ps, spanner_kind).edges() {
             // shared pairs already carry identical weight bits (both
             // sides are `ps.dist`); `add_edge` would *update* them
             if !h.has_edge(a, b) {
@@ -361,8 +370,7 @@ fn certify_approx_generic<M: CostModel>(
         n,
         alpha,
         connected,
-        spanner_stretch,
-        stretch_proven,
+        spanner_stretch: spanner_kind.proven_stretch(ps),
         beta_lo,
         beta_hi,
         gamma_lo,
@@ -449,8 +457,8 @@ enum ProbeMove {
 }
 
 /// What a probe of agent `u` reads: the network at the start of `u`'s
-/// turn, its CSR, `u`'s exact base row on it and a snapshot of `u`'s
-/// (ascending) strategy.
+/// turn, its CSR, `u`'s exact base row on it with its aggregate, and a
+/// snapshot of `u`'s (ascending) strategy.
 struct Turn<'a> {
     ps: &'a PointSet,
     net: &'a OwnedNetwork,
@@ -458,6 +466,7 @@ struct Turn<'a> {
     alpha: f64,
     u: usize,
     row: &'a [f64],
+    base: f64,
     bought: &'a [usize],
 }
 
@@ -465,10 +474,13 @@ impl Turn<'_> {
     /// `u`'s exact cost after `mv`: a copy of the base row, repaired
     /// for the single-edge delta, plus the ascending edge fold. Equals
     /// `cost::agent_cost` on the mutated network bit for bit (see
-    /// module docs).
+    /// module docs) whenever that cost is at most `cutoff`; a drop
+    /// whose cost provably exceeds `cutoff` may return `+∞` instead,
+    /// counted in `moves_pruned`.
     fn cost<M: CostModel>(
         &self,
         mv: ProbeMove,
+        cutoff: f64,
         what_if: &mut [f64],
         scratch: &mut delta::RemovalScratch,
     ) -> f64 {
@@ -485,12 +497,30 @@ impl Turn<'_> {
                 if self.net.owns(v, u) {
                     // v pays for the edge too: dropping the payment
                     // leaves the created network unchanged
-                    e + M::aggregate(self.row)
-                } else {
-                    what_if.copy_from_slice(self.row);
-                    delta::repair_removal(self.csr, u, what_if, u, v, ps.dist(u, v), scratch);
-                    e + M::aggregate(what_if)
+                    return e + self.base;
                 }
+                // a removal only lengthens distances, so the base row's
+                // cost is a bitwise lower bound (monotone folds)
+                let finished = e + self.base <= cutoff && {
+                    what_if.copy_from_slice(self.row);
+                    let (csr, w) = (self.csr, ps.dist(u, v));
+                    match M::KIND {
+                        ModelKind::SumDistances => {
+                            let guard = relative_guard(ps.len());
+                            let budget = delta::sum_cutoff(e, self.base, cutoff, guard);
+                            delta::repair_removal(csr, u, what_if, u, v, w, scratch, budget)
+                        }
+                        ModelKind::MaxDistance => {
+                            let budget = delta::max_cutoff(e, self.base, cutoff);
+                            delta::repair_removal(csr, u, what_if, u, v, w, scratch, budget)
+                        }
+                    }
+                };
+                if !finished {
+                    gncg_trace::incr(Counter::MovesPruned);
+                    return f64::INFINITY;
+                }
+                e + M::aggregate(what_if)
             }
         }
     }
@@ -583,8 +613,8 @@ fn run_approx_generic<M: CostModel>(
             csr.dijkstra_into_slice(u, &mut row, &mut scratch);
             bought.clear();
             bought.extend(net.strategy(u).iter().copied());
-            let current =
-                alpha * strategy_edge_sum(ps, u, &bought, None, None) + M::aggregate(&row);
+            let base = M::aggregate(&row);
+            let current = alpha * strategy_edge_sum(ps, u, &bought, None, None) + base;
 
             let k = opts.probe_budget.min(n.saturating_sub(1));
             let targets = index.nearest_k(ps, u, k);
@@ -603,6 +633,7 @@ fn run_approx_generic<M: CostModel>(
                 alpha,
                 u,
                 row: &row,
+                base,
                 bought: &bought,
             };
             let adds = targets
@@ -611,7 +642,7 @@ fn run_approx_generic<M: CostModel>(
                 .map(|&v| ProbeMove::Add(v));
             let drops = bought.iter().map(|&v| ProbeMove::Drop(v));
             for mv in adds.chain(drops) {
-                let c = turn.cost::<M>(mv, &mut what_if, &mut removal);
+                let c = turn.cost::<M>(mv, best_cost, &mut what_if, &mut removal);
                 gncg_trace::incr(Counter::BestResponseEvals);
                 if gncg_geometry::definitely_less(c, current) && c < best_cost {
                     best_cost = c;
@@ -662,6 +693,7 @@ mod tests {
     use crate::certify::certify;
     use crate::SumDistances;
     use gncg_geometry::generators;
+    use gncg_spanner::cert;
 
     pub(super) fn random_net(n: usize, seed: u64) -> OwnedNetwork {
         use rand::{Rng, SeedableRng};
@@ -819,11 +851,13 @@ mod tests {
                     alpha,
                     u,
                     row: &row,
+                    base: M::aggregate(&row),
                     bought: &bought,
                 };
                 let mut what_if = vec![0.0; n];
-                let probed = turn.cost::<M>(mv, &mut what_if, &mut removal);
                 let exact = cost::agent_cost::<PointSet, M>(ps, &after, alpha, u);
+                // a cutoff at the probe's own cost must not stop it
+                let probed = turn.cost::<M>(mv, exact, &mut what_if, &mut removal);
                 assert_eq!(
                     probed.to_bits(),
                     exact.to_bits(),

@@ -154,11 +154,13 @@ fn check_case(
         ctx,
     );
     assert!(approx.beta_lo >= 1.0, "{ctx}: beta_lo below the floor");
-    assert!(
-        approx.spanner_stretch >= 1.0 - 1e-12,
-        "{ctx}: stretch certificate {} below 1",
-        approx.spanner_stretch
+    // the report states the construction's theorem, not a measurement
+    assert_eq!(
+        approx.spanner_stretch.to_bits(),
+        spanner.proven_stretch(ps).to_bits(),
+        "{ctx}: reported stretch is not the proven bound"
     );
+    assert!(approx.spanner_stretch >= 1.0, "{ctx}: stretch below 1");
     if !exact.connected {
         assert!(
             approx.beta_hi.is_infinite() && approx.social_hi.is_infinite(),
@@ -221,7 +223,7 @@ fn brackets_contain_certified_values_on_default_backend() {
                 union_rows,
                 &ctx,
             );
-            assert!(r.spanner_stretch >= 1.0, "{ctx}");
+            assert!(r.spanner_stretch.is_finite(), "{ctx}");
         }
     }
 }

@@ -1,8 +1,10 @@
 //! Oracle sweep for the large-n dynamics driver `approx::run_approx`.
 //!
 //! `run_approx` costs each probe by repairing a copy of the agent's
-//! base row (`delta::repair_removal` / `delta::repair_insertions`) and
-//! patches its graph in place after an accepted move. The reference
+//! base row (`delta::repair_removal` / `delta::repair_insertions`),
+//! stops a drop repair once its cost provably exceeds the turn's best
+//! (counted in `moves_pruned`, which the sweep must see), and patches
+//! its graph in place after an accepted move. The reference
 //! driver below is the plain version of the same dynamics: every probe
 //! is a full what-if Dijkstra (`delta::dijkstra_modified`, the named
 //! oracle) and every accepted move rebuilds the graph with
@@ -211,7 +213,8 @@ fn pick_alpha(rng: &mut StdRng) -> f64 {
     }
 }
 
-fn check_case<M: CostModel>(seed: u64) -> u64 {
+/// Runs one case and returns its accepted moves and pruned probes.
+fn check_case<M: CostModel>(seed: u64) -> (u64, u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let n = rng.gen_range(2..40);
     let (ps, kind) = points(&mut rng, n);
@@ -245,21 +248,24 @@ fn check_case<M: CostModel>(seed: u64) -> u64 {
     assert_eq!(got, expect, "{what}: result");
     assert_eq!(net, expect_net, "{what}: final network");
     assert_eq!(counted, tally, "{what}: deterministic counters");
-    got.moves_accepted
+    (got.moves_accepted, d[Counter::MovesPruned as usize])
 }
 
 #[test]
 fn run_approx_matches_the_full_dijkstra_reference() {
     let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
     gncg_trace::set_enabled(true);
-    let mut moves = 0;
+    let (mut moves, mut pruned) = (0, 0);
     for seed in 0..cases() {
         for model in models() {
-            moves += match model {
+            let (m, p) = match model {
                 ModelKind::SumDistances => check_case::<SumDistances>(seed),
                 ModelKind::MaxDistance => check_case::<MaxDistance>(seed),
             };
+            moves += m;
+            pruned += p;
         }
     }
     assert!(moves > 0, "the sweep never accepted a move");
+    assert!(pruned > 0, "the sweep never cut a drop repair short");
 }

@@ -33,7 +33,10 @@
 //!
 //! [`dijkstra_modified`] is the named oracle for both repairs: a full
 //! what-if Dijkstra on the unchanged CSR, used by the tests to pin the
-//! repairs bitwise.
+//! repairs bitwise. A removal repair also takes a *budget*
+//! ([`sum_cutoff`] / [`max_cutoff`], or `|_, _| true` for none) that
+//! may stop it once the caller's cost of the repaired row provably
+//! exceeds a cutoff.
 
 use crate::csr::{pack_key, Csr};
 use crate::heap4::QuadHeap;
@@ -128,12 +131,14 @@ pub fn removal_keeps_row(row: &[f64], removed: &[(usize, usize, f64)]) -> bool {
         .all(|&(a, b, w)| row[a] + w > row[b] && row[b] + w > row[a])
 }
 
-/// Reusable buffers for [`repair_removal`]: its queue and its affected
-/// set, as `(vertex, old distance)` and later `(vertex, seed)`.
+/// Reusable buffers for [`repair_removal`]: its queue, its affected
+/// set, as `(vertex, old distance)` and later `(vertex, seed)`, and each
+/// member's old distance by vertex, for the budget.
 #[derive(Debug, Default)]
 pub struct RemovalScratch {
     heap: QuadHeap,
     affected: Vec<(u32, f64)>,
+    old: Vec<f64>,
 }
 
 /// Arena recycling, so probe loops can rent one per worker.
@@ -146,9 +151,10 @@ impl gncg_parallel::arena::Scratch for RemovalScratch {
 
 /// Turns `row`, the exact row from `source` of the graph behind `csr`,
 /// into the exact row of that graph *without* the undirected edge
-/// `(a, b)` of weight `w`, in place. `csr` still contains the edge;
-/// every step below skips both of its arcs. `w` must carry the CSR's
-/// weight bits for the edge. `scratch` is left drained.
+/// `(a, b)` of weight `w`, in place, unless `budget` stops it first.
+/// `csr` still contains the edge; every step below skips both of its
+/// arcs. `w` must carry the CSR's weight bits for the edge. `scratch`
+/// is left drained either way.
 ///
 /// Distances only grow under removal, and only where every shortest
 /// fold needs the edge. The repair therefore:
@@ -162,6 +168,19 @@ impl gncg_parallel::arena::Scratch for RemovalScratch {
 ///    reset the source to ∞;
 /// 3. resets `A` to ∞, seeds each member from its neighbours outside
 ///    `A`, and runs the lazy-deletion relaxation loop from there.
+///
+/// # The budget
+///
+/// Each member settles exactly once, at its final distance, and the
+/// loop calls `budget(old, new)` with its distance before and after the
+/// removal; `new` never decreases from call to call, and `new ≥ old`.
+/// Returning `false` stops the repair: the function then returns
+/// `false` and leaves `row` in an unspecified state. It returns `true`
+/// when the repair ran to the end (at once, in step 1 — the budget
+/// never runs there). `|_, _| true` is the full repair.
+/// [`sum_cutoff`] and [`max_cutoff`] build the budgets of the two cost
+/// models; their docs carry the argument that an abort proves the
+/// repaired row's cost strictly above the cutoff.
 ///
 /// # Why the result is bit-identical to a fresh Dijkstra
 ///
@@ -193,10 +212,12 @@ impl gncg_parallel::arena::Scratch for RemovalScratch {
 /// outside vertex never fire, since its value is already the min over
 /// all `G'` paths. That is a point-3 process, so `A` ends at the
 /// min-over-path-folds of `G'`. The same fact means the loop needs no
-/// membership test to relax only into `A`.
+/// membership test to relax only into `A`, and that every settled
+/// vertex is a member.
 ///
 /// The cost is proportional to `A` and its neighbourhood, instead of
 /// the whole component.
+#[allow(clippy::too_many_arguments)]
 pub fn repair_removal(
     csr: &Csr,
     source: usize,
@@ -205,21 +226,29 @@ pub fn repair_removal(
     b: usize,
     w: f64,
     scratch: &mut RemovalScratch,
-) {
+    mut budget: impl FnMut(f64, f64) -> bool,
+) -> bool {
     debug_assert_eq!(row.len(), csr.len());
     if removal_keeps_row(row, &[(a, b, w)]) {
-        return;
+        return true;
     }
     let removed = |x: usize, y: usize| (x == a && y == b) || (x == b && y == a);
     let tight = |from: f64, wt: f64, to: f64| to.is_finite() && from + wt == to;
     // step 2: members leave the row at ∞ at once, which marks them
-    // visited; their old distances ride along for the closure test
-    let affected = &mut scratch.affected;
+    // visited; their old distances ride along for the closure test and
+    // are kept by vertex for the budget
+    let RemovalScratch {
+        heap,
+        affected,
+        old,
+    } = scratch;
     affected.clear();
+    old.resize(row.len(), 0.0);
     let (into_b, into_a) = (tight(row[a], w, row[b]), tight(row[b], w, row[a]));
     for (x, is_tight) in [(b, into_b), (a, into_a)] {
         if is_tight && x != source {
             affected.push((x as u32, row[x]));
+            old[x] = row[x];
             row[x] = f64::INFINITY;
         }
     }
@@ -232,6 +261,7 @@ pub fn repair_removal(
             let y = t as usize;
             if y != source && !removed(x as usize, y) && tight(dx, wt, row[y]) {
                 affected.push((t, row[y]));
+                old[y] = row[y];
                 row[y] = f64::INFINITY;
             }
         }
@@ -250,7 +280,6 @@ pub fn repair_removal(
         }
         entry.1 = seed;
     }
-    let heap = &mut scratch.heap;
     heap.clear();
     let (mut pops, mut relaxed) = (0u64, 0u64);
     for &(x, seed) in affected.iter() {
@@ -260,6 +289,7 @@ pub fn repair_removal(
             heap.push(pack_key(seed.to_bits(), x));
         }
     }
+    let mut finished = true;
     while let Some(key) = heap.pop() {
         let x = key as u32 as usize;
         let dist = f64::from_bits((key >> 32) as u64);
@@ -267,6 +297,11 @@ pub fn repair_removal(
             continue; // stale entry: a shorter fold already landed
         }
         pops += 1;
+        if !budget(old[x], dist) {
+            heap.clear();
+            finished = false;
+            break;
+        }
         let (targets, weights) = csr.neighbors(x);
         for (&t, &wt) in targets.iter().zip(weights) {
             let y = t as usize;
@@ -279,6 +314,48 @@ pub fn repair_removal(
         }
     }
     gncg_trace::record_dijkstra(pops, relaxed);
+    finished
+}
+
+/// The [`repair_removal`] budget for a sum-of-distances cost
+/// `offset + Σ row'`, where `base` is the left-to-right `f64` sum of
+/// the row before the removal: it stops the repair once
+/// `offset + (base + inc)`, with `inc` the running `f64` sum of the
+/// settled increases `new − old`, exceeds `cutoff · (1 + guard)`.
+///
+/// *Why an abort proves `fl(offset + Σ row') > cutoff`.* In real
+/// arithmetic `Σ row' ≥ Σ row + I`, with `I` the real sum of the
+/// settled increases, since every other entry grows too. Each
+/// computed sum of `k ≤ n` non-negative terms is within a factor
+/// `1 ± γ_k` (`γ_k = k·u/(1 − k·u)`, `u = ε/2`) of its real value, so
+/// the tested quantity is at most `(offset + Σ row + I)·(1 + γ_{n+2})`
+/// and the caller's cost is at least `(offset + Σ row')·(1 − γ_n)`.
+/// With `guard ≥ 2·(n + 4)·ε` the factors and the rounding of the
+/// cutoff product leave the cost strictly above `cutoff`. A cost at or
+/// below `cutoff` — ties in particular — therefore never aborts.
+/// `gncg_game::approx::relative_guard(n) = 64·(n + 64)·ε` is the guard
+/// its callers pass. An infinite `cutoff` never aborts.
+pub fn sum_cutoff(offset: f64, base: f64, cutoff: f64, guard: f64) -> impl FnMut(f64, f64) -> bool {
+    let cut = cutoff * (1.0 + guard);
+    let mut inc = 0.0;
+    move |old, new| {
+        inc += new - old;
+        offset + (base + inc) <= cut
+    }
+}
+
+/// The [`repair_removal`] budget for a max-distance cost
+/// `offset + max row'`, where `base = max row` before the removal: it
+/// stops the repair once `offset + max(base, new)` exceeds `cutoff`.
+///
+/// *Why an abort proves `fl(offset + max row') > cutoff`, exactly.*
+/// `max` never rounds, `row' ≥ row` pointwise gives `max row' ≥ base`,
+/// and every settled `new` is an entry of `row'`; round-to-nearest
+/// addition is monotone, so the caller's cost is at least the tested
+/// sum. No guard is needed, and a cost at or below `cutoff` never
+/// aborts.
+pub fn max_cutoff(offset: f64, base: f64, cutoff: f64) -> impl FnMut(f64, f64) -> bool {
+    move |_, new| offset + new.max(base) <= cutoff
 }
 
 /// Full Dijkstra from `source` into `row`, honoring edge
@@ -498,7 +575,8 @@ mod tests {
         let csr = Csr::from_graph(g);
         let mut row = fresh_row(g, source);
         let mut scratch = RemovalScratch::default();
-        repair_removal(&csr, source, &mut row, a, b, w, &mut scratch);
+        let finished = repair_removal(&csr, source, &mut row, a, b, w, &mut scratch, |_, _| true);
+        assert!(finished, "{what}: an unbounded repair stopped");
         let mut h = g.clone();
         h.remove_edge(a, b);
         let expect = fresh_row(&h, source);
@@ -609,6 +687,97 @@ mod tests {
         let row = check_removal(&g, 0, 0, 1, "bare pair");
         assert_eq!(row[0], 0.0);
         assert!(row[1].is_infinite());
+    }
+
+    /// `offset + fold(row)` under the sum or the max fold, as a budget's
+    /// caller costs a repaired row.
+    fn folded_cost(row: &[f64], offset: f64, max: bool) -> f64 {
+        offset
+            + if max {
+                row.iter().fold(0.0, |m, &d| if d > m { d } else { m })
+            } else {
+                row.iter().fold(0.0, |acc, &d| acc + d)
+            }
+    }
+
+    #[test]
+    fn removal_budget_stops_only_past_the_cutoff() {
+        // Coincident points give zero-weight edges, and every third case
+        // removes an edge at the source. Both budgets run against
+        // cutoffs at, below and between the old and the new cost; the
+        // sum budget gets the smallest guard its doc allows.
+        let mut rng = Lcg(0xb0d9e7);
+        let (mut stopped, mut at_cutoff) = ([0usize; 2], 0usize);
+        for case in 0..400 {
+            let n = 3 + (case % 29);
+            let mut g = Graph::new(n);
+            for v in 1..n {
+                let u = rng.below(v);
+                let w = if rng.below(4) == 0 { 0.0 } else { rng.unit() };
+                g.add_edge(u, v, w);
+            }
+            for _ in 0..case % 9 {
+                let (a, b) = (rng.below(n), rng.below(n));
+                if a != b {
+                    g.add_edge(a, b, if rng.below(3) == 0 { 0.0 } else { rng.unit() });
+                }
+            }
+            let source = rng.below(n);
+            let edges = g.edges();
+            let incident: Vec<_> = edges
+                .iter()
+                .filter(|&&(a, b, _)| a == source || b == source)
+                .collect();
+            let &(a, b, w) = if case % 3 == 0 && !incident.is_empty() {
+                incident[rng.below(incident.len())]
+            } else {
+                &edges[rng.below(edges.len())]
+            };
+            let csr = Csr::from_graph(&g);
+            let before = fresh_row(&g, source);
+            let mut oracle = vec![0.0; n];
+            dijkstra_modified(&csr, source, &mut oracle, &[(a, b)], &[]);
+            let offset = if case % 2 == 0 { 0.0 } else { 4.0 * rng.unit() };
+            let guard = 2.0 * (n as f64 + 4.0) * f64::EPSILON;
+            for (kind, max) in [false, true].into_iter().enumerate() {
+                let base = folded_cost(&before, 0.0, max);
+                let old_cost = offset + base;
+                let exact = folded_cost(&oracle, offset, max);
+                let mut cutoffs = vec![exact, old_cost];
+                if exact.is_finite() {
+                    let gap = exact - old_cost;
+                    cutoffs.extend([old_cost + gap * rng.unit(), exact * rng.unit()]);
+                }
+                for cutoff in cutoffs {
+                    let what =
+                        format!("case {case} ({a},{b}) from {source}, max {max}, cutoff {cutoff}");
+                    let mut row = before.clone();
+                    let mut scratch = RemovalScratch::default();
+                    let finished = if max {
+                        let budget = max_cutoff(offset, base, cutoff);
+                        repair_removal(&csr, source, &mut row, a, b, w, &mut scratch, budget)
+                    } else {
+                        let budget = sum_cutoff(offset, base, cutoff, guard);
+                        repair_removal(&csr, source, &mut row, a, b, w, &mut scratch, budget)
+                    };
+                    assert!(scratch.heap.is_empty(), "{what}: heap left undrained");
+                    if finished {
+                        assert_eq!(bits(&row), bits(&oracle), "{what}: finished repair");
+                    } else {
+                        assert!(exact > cutoff, "{what}: stopped at cost {exact}");
+                        stopped[kind] += 1;
+                    }
+                    if cutoff == exact {
+                        assert!(finished, "{what}: a probe at the cutoff stopped");
+                        at_cutoff += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            stopped[0] > 50 && stopped[1] > 50 && at_cutoff > 0,
+            "{stopped:?} / {at_cutoff}"
+        );
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub mod yao;
 
 pub use grid::GridIndex;
 
-use gncg_geometry::PointSet;
+use gncg_geometry::{Norm, PointSet};
 use gncg_graph::Graph;
 
 /// Which spanner construction to use inside Algorithm 1.
@@ -44,6 +44,62 @@ pub enum SpannerKind {
     Grid,
     /// The complete graph (stretch 1, degree n−1).
     Complete,
+}
+
+/// Relative slack on every theorem-based stretch bound: the
+/// construction tolerance of the greedy rule plus the rounding of
+/// measured path folds and of the theorems' trigonometry, so that a
+/// measured stretch never exceeds the reported bound.
+const STRETCH_SLACK: f64 = 2.0 * gncg_geometry::EPS;
+
+impl SpannerKind {
+    /// The stretch this construction provably guarantees on `ps`: the
+    /// construction's theorem, inflated by a relative `2·EPS`, or `∞`
+    /// when no theorem covers the input.
+    ///
+    /// * `Greedy { t }`: `t`, by construction, under any norm (the rule
+    ///   itself admits a relative `EPS`, which the slack covers);
+    /// * `Theta { cones }` with `cones ≥ 9` and `Yao { cones }` with
+    ///   `cones ≥ 7`: [`theta::theta_stretch_bound`] /
+    ///   [`yao::yao_stretch_bound`], on Euclidean planar inputs;
+    /// * `Grid`: [`grid::grid_stretch_bound`] (`√d`, Theorem 3.13) on a
+    ///   full Euclidean integer box, i.e. when the distinct integer
+    ///   points [`grid::grid_spanner`] accepts fill their bounding box;
+    /// * `Complete`: exactly 1.
+    ///
+    /// The slack covers the rounding of a measured stretch at any `n`
+    /// below 10⁶ (a path fold errs by at most `n·ε` relative).
+    pub fn proven_stretch(self, ps: &PointSet) -> f64 {
+        let planar_l2 = ps.dim() == 2 && ps.norm() == Norm::L2;
+        let theorem = match self {
+            SpannerKind::Greedy { t } => t,
+            SpannerKind::Theta { cones } if cones >= 9 && planar_l2 => {
+                theta::theta_stretch_bound(cones)
+            }
+            SpannerKind::Yao { cones } if cones >= 7 && planar_l2 => yao::yao_stretch_bound(cones),
+            SpannerKind::Grid if ps.norm() == Norm::L2 && fills_bounding_box(ps) => {
+                grid::grid_stretch_bound(ps.dim())
+            }
+            SpannerKind::Complete => return 1.0,
+            _ => return f64::INFINITY,
+        };
+        theorem * (1.0 + STRETCH_SLACK)
+    }
+}
+
+/// Whether as many points as integer lattice points in the bounding box
+/// — for distinct integer points, that the set is the full box.
+fn fills_bounding_box(ps: &PointSet) -> bool {
+    let cells: f64 = (0..ps.dim())
+        .map(|axis| {
+            let coords = (0..ps.len()).map(|i| ps.point(i).coords()[axis]);
+            let (lo, hi) = coords.fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), c| {
+                (lo.min(c), hi.max(c))
+            });
+            (hi - lo).round() + 1.0
+        })
+        .product();
+    cells == ps.len() as f64
 }
 
 /// Build the selected spanner over (a subset of) a point set.

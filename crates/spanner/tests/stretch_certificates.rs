@@ -8,10 +8,15 @@
 //! * Θ-graph: stretch ≤ `theta_stretch_bound(cones)` for cones ≥ 9,
 //! * Yao graph: stretch ≤ `yao_stretch_bound(cones)` for cones ≥ 7,
 //! * greedy spanner: stretch ≤ t by construction,
+//! * grid spanner: stretch ≤ √d on full integer boxes,
 //! * ownership: `distribute` covers each edge exactly once and respects
 //!   the certified `max_ownership`.
+//!
+//! Each theorem is checked through `SpannerKind::proven_stretch`, the
+//! bound the bracketed certifier reports: the measured stretch may not
+//! exceed it by any tolerance, coincident points included.
 
-use gncg_geometry::{generators, PointSet};
+use gncg_geometry::{generators, Norm, Point, PointSet};
 use gncg_graph::Graph;
 use gncg_spanner::cert::{certify, distribute};
 use gncg_spanner::{build, SpannerKind};
@@ -58,8 +63,10 @@ fn brute_force_stretch(g: &Graph, ps: &PointSet) -> f64 {
 }
 
 /// Certified stretch must agree with the brute-force value up to
-/// floating-point noise in the two APSP formulations.
-fn check_cert(kind: SpannerKind, ps: &PointSet, bound: Option<f64>, what: &str) {
+/// floating-point noise in the two APSP formulations, and never exceed
+/// the construction's proven bound; `theorem`, when given, is the
+/// bound that must cover the input.
+fn check_cert(kind: SpannerKind, ps: &PointSet, theorem: Option<f64>, what: &str) {
     let g = build(ps, kind);
     let cert = certify(&g, ps);
     let brute = brute_force_stretch(&g, ps);
@@ -73,11 +80,16 @@ fn check_cert(kind: SpannerKind, ps: &PointSet, bound: Option<f64>, what: &str) 
         cert.stretch,
         brute
     );
-    if let Some(t) = bound {
+    let proven = kind.proven_stretch(ps);
+    assert!(
+        cert.stretch <= proven,
+        "{what}: stretch {} exceeds the proven bound {proven}",
+        cert.stretch
+    );
+    if let Some(t) = theorem {
         assert!(
-            cert.stretch <= t + 1e-9,
-            "{what}: stretch {} exceeds theoretical bound {t}",
-            cert.stretch
+            proven.is_finite() && proven >= t,
+            "{what}: proven bound {proven} does not cover the theorem {t}"
         );
     }
     // basic certificate consistency
@@ -189,4 +201,90 @@ fn collinear_points_certify() {
     ] {
         check_cert(kind, &ps, None, &format!("collinear {kind:?}"));
     }
+}
+
+/// `n` uniform points where about every third one sits on an earlier
+/// point, so zero-length pairs appear throughout.
+fn coincident_points(n: usize, seed: u64) -> PointSet {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut pts: Vec<Point> = Vec::with_capacity(n);
+    for i in 0..n {
+        if i > 0 && rng.gen_range(0..3) == 0 {
+            let twin = pts[rng.gen_range(0..i)].clone();
+            pts.push(twin);
+        } else {
+            pts.push(Point::d2(rng.gen(), rng.gen()));
+        }
+    }
+    PointSet::new(pts)
+}
+
+#[test]
+fn proven_stretch_covers_coincident_points() {
+    for seed in 0..6u64 {
+        let ps = coincident_points(6 + 3 * seed as usize, 3900 + seed);
+        for cones in [9usize, 12] {
+            let theta = gncg_spanner::theta::theta_stretch_bound(cones);
+            let what = format!("theta coincident seed {seed} cones={cones}");
+            check_cert(SpannerKind::Theta { cones }, &ps, Some(theta), &what);
+        }
+        for cones in [7usize, 12] {
+            let yao = gncg_spanner::yao::yao_stretch_bound(cones);
+            let what = format!("yao coincident seed {seed} cones={cones}");
+            check_cert(SpannerKind::Yao { cones }, &ps, Some(yao), &what);
+        }
+        for t in [1.0f64, 1.5, 2.0] {
+            let what = format!("greedy coincident seed {seed} t={t}");
+            check_cert(SpannerKind::Greedy { t }, &ps, Some(t), &what);
+        }
+        let what = format!("complete coincident seed {seed}");
+        check_cert(SpannerKind::Complete, &ps, Some(1.0), &what);
+    }
+}
+
+#[test]
+fn proven_stretch_covers_full_grids() {
+    for sides in [vec![7], vec![4, 5], vec![3, 3, 2]] {
+        let ps = generators::integer_grid(&sides);
+        let bound = gncg_spanner::grid::grid_stretch_bound(sides.len());
+        check_cert(
+            SpannerKind::Grid,
+            &ps,
+            Some(bound),
+            &format!("grid {sides:?}"),
+        );
+    }
+}
+
+#[test]
+fn proven_stretch_is_infinite_where_no_theorem_applies() {
+    let ps = random_points(12, 77);
+    assert!(SpannerKind::Theta { cones: 8 }
+        .proven_stretch(&ps)
+        .is_infinite());
+    assert!(SpannerKind::Yao { cones: 6 }
+        .proven_stretch(&ps)
+        .is_infinite());
+    // the cone theorems are Euclidean; the greedy rule holds in any norm
+    let l1 = PointSet::with_norm((0..12).map(|i| ps.point(i).clone()).collect(), Norm::L1);
+    assert!(SpannerKind::Theta { cones: 12 }
+        .proven_stretch(&l1)
+        .is_infinite());
+    assert!(SpannerKind::Yao { cones: 12 }
+        .proven_stretch(&l1)
+        .is_infinite());
+    check_cert(
+        SpannerKind::Greedy { t: 1.5 },
+        &l1,
+        Some(1.5),
+        "greedy under l1",
+    );
+    // √d needs the full box: a grid with a hole is not covered
+    let holey = PointSet::new(
+        [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (0.0, 1.0), (2.0, 1.0)]
+            .iter()
+            .map(|&(x, y)| Point::d2(x, y))
+            .collect(),
+    );
+    assert!(SpannerKind::Grid.proven_stretch(&holey).is_infinite());
 }

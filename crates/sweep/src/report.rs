@@ -32,6 +32,10 @@ pub struct Row {
     pub ok: bool,
     /// Extra context.
     pub note: String,
+    /// Work counters of the row, `(name, count)` — a perf stage's own
+    /// trace-counter delta. Empty (and absent from the JSON) for
+    /// ordinary rows.
+    pub counters: Vec<(String, u64)>,
 }
 
 /// An experiment report: one section of Table 1 or one figure.
@@ -77,13 +81,19 @@ impl std::error::Error for NonFiniteValue {}
 
 impl ToJson for Row {
     fn to_json(&self) -> Value {
-        object(vec![
+        let mut fields = vec![
             ("params", self.params.to_json()),
             ("paper", self.paper.to_json()),
             ("measured", self.measured.to_json()),
             ("ok", self.ok.to_json()),
             ("note", self.note.to_json()),
-        ])
+        ];
+        if !self.counters.is_empty() {
+            let counters = self.counters.iter();
+            let counters = counters.map(|(name, n)| (name.clone(), n.to_json()));
+            fields.push(("counters", Value::Object(counters.collect())));
+        }
+        object(fields)
     }
 }
 
@@ -100,6 +110,14 @@ impl FromJson for Row {
             measured: Option::<f64>::from_json(field("measured")?)?,
             ok: bool::from_json(field("ok")?)?,
             note: String::from_json(field("note")?)?,
+            counters: match value.get("counters") {
+                Some(Value::Object(entries)) => entries
+                    .iter()
+                    .map(|(name, n)| Ok((name.clone(), u64::from_json(n)?)))
+                    .collect::<Result<_, JsonError>>()?,
+                Some(_) => return Err(JsonError::new("row `counters` is not an object")),
+                None => Vec::new(),
+            },
         })
     }
 }
@@ -190,6 +208,7 @@ impl Report {
             measured,
             ok,
             note: note.to_string(),
+            counters: Vec::new(),
         });
         Ok(())
     }
@@ -433,9 +452,11 @@ mod tests {
         r.push("a=1".into(), 1.5, 1.25, true, "note");
         r.push_degenerate("a=2".into(), false, "degenerate");
         r.push_unreferenced("a=3".into(), 0.5, true, "");
+        r.rows[2].counters = vec![("heap_pops".into(), 7), ("evals".into(), 0)];
         let text = gncg_json::to_string_pretty(&r);
         let back = Report::from_json(&gncg_json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, r);
+        assert!(!gncg_json::to_string(&r.rows[0]).contains("counters"));
     }
 
     #[test]

@@ -100,13 +100,16 @@ pub enum Counter {
     /// Jobs executed by persistent `ThreadPool` workers.
     PoolJobs,
     /// Candidate moves/strategies discarded by the geometric pruning
-    /// layer without a cost evaluation. The prune decision is a pure
-    /// function of the candidate and fixed per-agent bounds, so the total
+    /// layer without a cost evaluation, plus the `run_approx` drop
+    /// probes whose row repair was skipped or stopped at the turn's
+    /// cutoff. Each decision is a pure function of the candidate, fixed
+    /// per-agent bounds and the deterministic probe order, so the total
     /// is schedule-invariant.
     MovesPruned,
     /// Candidate moves/strategies that survived pruning and were cost
     /// evaluated by the pruned engine. `MovesPruned + MovesEvaluated`
-    /// equals the candidate count the unpruned oracle evaluates.
+    /// equals the candidate count the unpruned oracle evaluates
+    /// (`run_approx` counts its probes in `BestResponseEvals` instead).
     MovesEvaluated,
     /// Jobs admitted into a `gncg-service` session queue.
     ServiceEnqueued,

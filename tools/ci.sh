@@ -67,6 +67,25 @@ if grep -rnE 'ApproxCertifyOptions|certify_approx_tuned|approx_options|best_sing
     exit 1
 fi
 
+# certify only what the bracket reads: no gncg-game body measures a
+# spanner's stretch (`cert::certify`, `stretch::stretch`: n Dijkstras on
+# the spanner); the bracketed certifier reports the construction's
+# proven bound. Test code may measure it and docs may name it: each
+# file is read up to its first `#[cfg(test)]`, comment lines and files
+# that are test modules are skipped.
+game_bodies() {
+    local tests f
+    tests=$(grep -rhA1 '^#\[cfg(test)\]' crates/game/src | sed -n 's/^mod \([a-z0-9_]*\);$/\1.rs/p' || true)
+    for f in $(find crates/game/src -name '*.rs' | sort); do
+        case " $(echo $tests) " in *" $(basename "$f") "*) continue ;; esac
+        awk '/^ *#\[cfg\(test\)\]/ { exit } /^ *\/\// { next } { print FILENAME ":" FNR ": " $0 }' "$f"
+    done
+}
+if game_bodies | grep -E '\b(cert::certify|stretch::stretch)\b'; then
+    echo 'a gncg-game body measures a spanner stretch (report SpannerKind::proven_stretch)' >&2
+    exit 1
+fi
+
 # pruning is not a setting: every solver runs the pruned engines, so
 # the prune-mode type, its config setter and env knob, and the
 # off-by-default delta-row switch of EvalContext are gone

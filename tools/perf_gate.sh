@@ -15,7 +15,10 @@
 #            certification at n ∈ {1024, 4096, 10000}, gated against
 #            results/PERF_BASELINE_LARGE.json; eight deterministic
 #            counters (the six legacy ones plus the candidate-generation
-#            tallies).
+#            tallies). Each stage row also carries its own counter
+#            delta; the gate prints that ledger next to the stage times
+#            (marking counts that differ from the baseline row), while
+#            the exact check stays on the merged totals.
 #
 # Contract:
 #   - the tier's deterministic trace counters must match the baseline
@@ -154,6 +157,36 @@ if cur_cal is not None and base_cal is not None:
     for name in REQUIRED:
         if name not in cur_names:
             failures.append(f"required stage absent from sweep: {name}")
+
+    # per-stage ledger: which stage a drift in the merged totals came
+    # from ('*' = differs from the baseline row's own count)
+    LEDGER = [
+        ("dijkstra_relaxations", "relax"),
+        ("dijkstra_heap_pops", "pops"),
+        ("best_response_evals", "evals"),
+        ("moves_pruned", "pruned"),
+        ("candidates_generated", "cand_gen"),
+        ("candidates_skipped", "cand_skip"),
+    ]
+    if any("counters" in row for row in cur["rows"]):
+        base_ledger = {r["params"]: r.get("counters", {}) for r in base["rows"]}
+        print(
+            f"{'stage':<40} {'raw s':>8} {'norm':>8} {'base':>8} "
+            + " ".join(f"{short:>12}" for _, short in LEDGER)
+        )
+        for row in cur["rows"]:
+            name, counts = row["params"], row.get("counters", {})
+            theirs = base_ledger.get(name, {})
+            b = base_rows.get(name)
+            cells = []
+            for key, _ in LEDGER:
+                v = counts.get(key)
+                mark = "*" if key in theirs and theirs[key] != v else " "
+                cells.append(f"{'-' if v is None else v:>11}{mark}")
+            print(
+                f"{name:<40} {row['measured']:>8.3f} {row['measured'] / cur_cal:>8.3f} "
+                f"{'-' if b is None else format(b, '.3f'):>8} " + " ".join(cells)
+            )
 
 if failures:
     print(f"PERF GATE FAILED ({tier} tier):")
