@@ -55,6 +55,20 @@
 //! (`gncg_spanner::cert::certify`) stays with Algorithm 1, which plugs
 //! the measured `(k, t)` into its bound.
 //!
+//! # Threads
+//!
+//! Every per-agent pass of [`certify_approx`] — the metric folds, the
+//! edge costs, the union-graph rows and the `hi` recombination — runs
+//! through `gncg-parallel`, one agent per item, with a Dijkstra scratch
+//! and a row rented per worker; the spanner it builds scans its
+//! vertices in parallel too. Each agent's value is computed exactly as
+//! on one thread, and the cross-agent folds (the β maxima, the social
+//! sums) stay sequential in agent order, so the report is bit-identical
+//! at every thread count. The whole pass runs under
+//! [`gncg_parallel::unbudgeted`]: it never degrades, so an exhausted
+//! ambient budget (a job budget only gates the start) cannot cut a
+//! loop short and leave default entries behind.
+//!
 //! # Large-n dynamics ([`run_approx`])
 //!
 //! The companion driver runs improving-move dynamics at `n = 10⁴`
@@ -72,8 +86,10 @@
 //! accepted move's cost equal `cost::agent_cost` on the mutated
 //! network bit-for-bit, and acceptance uses the same
 //! [`gncg_geometry::definitely_less`] margin as every other engine. An
-//! accepted move patches the graph in place (one edge added or
-//! removed) and refills the CSR from it. Skipped far-away candidates
+//! accepted move patches the CSR in place ([`Csr::insert_edge`] /
+//! [`Csr::remove_edge`], which keep its slices sorted, so Dijkstra runs
+//! exactly as on a fresh snapshot); no adjacency-list mirror of the
+//! network is kept. Skipped far-away candidates
 //! are tallied in the deterministic `candidates_skipped` counter, so
 //! the narrowing is visible, not silent.
 //!
@@ -98,14 +114,16 @@ use gncg_geometry::PointSet;
 use gncg_graph::csr::{Csr, DijkstraScratch};
 use gncg_graph::{components, delta};
 use gncg_json::{object, ToJson, Value};
+use gncg_parallel::{parallel_map, parallel_map_with};
 use gncg_spanner::{GridIndex, SpannerKind};
 use gncg_trace::Counter;
 
 /// Above this `n`, [`certify_approx`] switches the per-agent lower
 /// bounds from union-graph Dijkstra rows (`n` sparse Dijkstras on
 /// `H = G ∪ S`, tighter) to the metric floor (the `M`-fold of metric
-/// lower bounds, coarser, no Dijkstras at all): at `n = 10⁴`
-/// single-threaded, the rows would dominate the whole certification.
+/// lower bounds, coarser, no Dijkstras at all): at `n = 10⁴` the rows
+/// would dominate the whole certification, on one thread (the perf
+/// gate's setting) and still on a few.
 pub const UNION_ROWS_CAP: usize = 4096;
 
 /// Spanner behind the lower bounds under [`EvalBackend::Exact`] (the
@@ -240,8 +258,10 @@ pub fn certify_approx(
         EvalBackend::Spanner { kind, pivots } => (kind, pivots),
     };
     let union_rows = net.len() <= UNION_ROWS_CAP;
-    crate::dispatch_model!(cfg.model, M, {
-        certify_approx_generic::<M>(ps, net, alpha, spanner, pivots, union_rows)
+    gncg_parallel::unbudgeted(|| {
+        crate::dispatch_model!(cfg.model, M, {
+            certify_approx_generic::<M>(ps, net, alpha, spanner, pivots, union_rows)
+        })
     })
 }
 
@@ -267,15 +287,13 @@ fn certify_approx_generic<M: CostModel>(
 
     // Per-agent metric folds, in the exact certifier's loop order: the
     // β denominators must relate bitwise to `agent_beta_upper`'s.
-    let lb_fold: Vec<f64> = (0..n)
-        .map(|u| {
-            (0..n)
-                .filter(|&v| v != u)
-                .map(|v| ps.metric_lower_bound(u, v))
-                .fold(M::EMPTY, M::fold)
-        })
-        .collect();
-    let edge_costs: Vec<f64> = (0..n).map(|u| cost::edge_cost(ps, net, alpha, u)).collect();
+    let lb_fold: Vec<f64> = parallel_map(n, |u| {
+        (0..n)
+            .filter(|&v| v != u)
+            .map(|v| ps.metric_lower_bound(u, v))
+            .fold(M::EMPTY, M::fold)
+    });
+    let edge_costs: Vec<f64> = parallel_map(n, |u| cost::edge_cost(ps, net, alpha, u));
     let bought_sums: Vec<f64> = (0..n)
         .map(|u| net.strategy(u).iter().map(|&v| ps.weight(u, v)).sum())
         .collect();
@@ -291,14 +309,17 @@ fn certify_approx_generic<M: CostModel>(
             }
         }
         let hcsr = Csr::from_graph(&h);
-        let mut scratch = gncg_parallel::arena::rent::<DijkstraScratch>();
-        let mut row = gncg_parallel::arena::rent_vec(n, 0.0f64);
-        (0..n)
-            .map(|u| {
-                hcsr.dijkstra_into_slice(u, &mut row, &mut scratch);
-                M::aggregate(&row)
-            })
-            .collect()
+        parallel_map_with(
+            n,
+            || {
+                let scratch = gncg_parallel::arena::rent::<DijkstraScratch>();
+                (scratch, gncg_parallel::arena::rent_vec(n, 0.0f64))
+            },
+            |(scratch, row), u| {
+                hcsr.dijkstra_into_slice(u, row, scratch);
+                M::aggregate(row)
+            },
+        )
     } else {
         // adding the skipped self-term 0.0 is a bitwise identity, so
         // this is pointwise ≤ the self-including exact aggregate
@@ -317,27 +338,25 @@ fn certify_approx_generic<M: CostModel>(
             prow.clone()
         })
         .collect();
-    let dist_hi: Vec<f64> = (0..n)
-        .map(|u| {
-            let mut acc = M::EMPTY;
-            for v in 0..n {
-                let d = if v == u {
-                    0.0
-                } else {
-                    let mut best = f64::INFINITY;
-                    for pr in &pivot_rows {
-                        let est = pr[u] + pr[v];
-                        if est < best {
-                            best = est;
-                        }
+    let dist_hi: Vec<f64> = parallel_map(n, |u| {
+        let mut acc = M::EMPTY;
+        for v in 0..n {
+            let d = if v == u {
+                0.0
+            } else {
+                let mut best = f64::INFINITY;
+                for pr in &pivot_rows {
+                    let est = pr[u] + pr[v];
+                    if est < best {
+                        best = est;
                     }
-                    best
-                };
-                acc = M::fold(acc, d);
-            }
-            acc * (1.0 + guard)
-        })
-        .collect();
+                }
+                best
+            };
+            acc = M::fold(acc, d);
+        }
+        acc * (1.0 + guard)
+    });
     let agent_hi: Vec<f64> = (0..n).map(|u| edge_costs[u] + dist_hi[u]).collect();
 
     // β bracket around the exact certifier's beta_upper. hi: larger
@@ -590,8 +609,7 @@ fn run_approx_generic<M: CostModel>(
     let _span = gncg_trace::span("game.run_approx");
     let n = net.len();
     assert_eq!(n, EdgeWeights::len(ps));
-    let mut g = net.graph(ps);
-    let mut csr = Csr::from_graph(&g);
+    let mut csr = Csr::from_graph(&net.graph(ps));
     let mut scratch = gncg_parallel::arena::rent::<DijkstraScratch>();
     let mut removal = gncg_parallel::arena::rent::<delta::RemovalScratch>();
     let mut row = gncg_parallel::arena::rent_vec(n, 0.0f64);
@@ -638,7 +656,7 @@ fn run_approx_generic<M: CostModel>(
             };
             let adds = targets
                 .iter()
-                .filter(|&&v| v != u && !g.has_edge(u, v))
+                .filter(|&&v| v != u && !csr.has_edge(u, v))
                 .map(|&v| ProbeMove::Add(v));
             let drops = bought.iter().map(|&v| ProbeMove::Drop(v));
             for mv in adds.chain(drops) {
@@ -651,21 +669,21 @@ fn run_approx_generic<M: CostModel>(
             }
 
             if let Some(mv) = best_move {
-                // patch the graph in place: `Graph` keeps its adjacency
-                // sorted, so this equals a fresh `net.graph(ps)`
+                // patch the CSR in place: it keeps every neighbour slice
+                // sorted, so this equals a fresh snapshot of
+                // `net.graph(ps)`
                 match mv {
                     ProbeMove::Add(v) => {
                         net.buy(u, v);
-                        g.add_edge(u, v, ps.dist(u, v));
+                        csr.insert_edge(u, v, ps.dist(u, v));
                     }
                     ProbeMove::Drop(v) => {
                         net.sell(u, v);
                         if !net.owns(v, u) {
-                            g.remove_edge(u, v);
+                            csr.remove_edge(u, v);
                         }
                     }
                 }
-                csr.refill_from_graph(&g);
                 accepted += 1;
                 any = true;
             }

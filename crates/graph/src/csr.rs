@@ -2,16 +2,24 @@
 //!
 //! The adjacency-list [`crate::Graph`] is convenient for the game
 //! engine's incremental edits; the APSP-heavy kernels (γ certification
-//! on large instances, the benchmark sweeps) prefer a frozen,
-//! cache-friendly layout. [`Csr`] is an immutable snapshot with all
-//! neighbour lists in two flat arrays, plus the one production Dijkstra
-//! kernel (full rows, rows bounded at a distance, or rows with their
-//! shortest-path tree), which reuses caller-provided scratch buffers
-//! to avoid per-source allocation.
+//! on large instances, the benchmark sweeps) prefer a cache-friendly
+//! layout. [`Csr`] keeps all neighbour lists in two flat arrays, each
+//! vertex's slice sorted by target — the order [`crate::Graph`] keeps —
+//! plus the one production Dijkstra kernel (full rows, rows bounded at
+//! a distance, or rows with their shortest-path tree), which reuses
+//! caller-provided scratch buffers to avoid per-source allocation.
+//!
+//! A snapshot is taken with [`Csr::from_graph`] / [`Csr::refill_from_graph`];
+//! a single-edge edit is patched into the flat arrays in place
+//! ([`Csr::insert_edge`], [`Csr::remove_edge`]). Both keep the slices
+//! sorted, so a patched CSR equals a fresh snapshot of the identically
+//! edited graph array for array, and Dijkstra pops and relaxes in the
+//! same order on either.
 
 use crate::{DistMatrix, Graph};
 
-/// Immutable CSR snapshot of an undirected weighted graph.
+/// CSR layout of an undirected weighted graph: both directions of every
+/// edge, each vertex's neighbour slice sorted by target.
 #[derive(Debug, Clone, Default)]
 pub struct Csr {
     offsets: Vec<u32>,
@@ -71,9 +79,9 @@ impl Csr {
     }
 
     /// Re-snapshot `g` into this CSR, reusing the three flat buffers —
-    /// the allocation-free refresh for loops that re-freeze a mutating
-    /// graph (e.g. the approx-dynamics probe loop after each accepted
-    /// move).
+    /// the allocation-free refresh for loops that re-freeze a graph
+    /// after many edits (a single-edge edit is cheaper patched in with
+    /// [`Csr::insert_edge`] / [`Csr::remove_edge`]).
     pub fn refill_from_graph(&mut self, g: &Graph) {
         let n = g.len();
         assert!(n <= u32::MAX as usize, "graph too large for CSR u32 ids");
@@ -111,6 +119,80 @@ impl Csr {
         let lo = self.offsets[u] as usize;
         let hi = self.offsets[u + 1] as usize;
         (&self.targets[lo..hi], &self.weights[lo..hi])
+    }
+
+    /// Position of `v` in `u`'s neighbour slice (`Ok`) or where it would
+    /// be inserted to keep the slice sorted (`Err`), as an index into
+    /// the flat arrays.
+    fn locate(&self, u: usize, v: usize) -> Result<usize, usize> {
+        let lo = self.offsets[u] as usize;
+        let hi = self.offsets[u + 1] as usize;
+        self.targets[lo..hi]
+            .binary_search(&(v as u32))
+            .map(|i| lo + i)
+            .map_err(|i| lo + i)
+    }
+
+    /// True iff edge `{u, v}` is present.
+    pub fn has_edge(&self, u: usize, v: usize) -> bool {
+        self.locate(u, v).is_ok()
+    }
+
+    /// Insert or update edge `{u, v}` with weight `w` in place, like
+    /// [`Graph::add_edge`]. Returns `true` if the edge is new. O(n + m):
+    /// one shift of each flat array and of the offsets per direction,
+    /// no graph traversal.
+    pub fn insert_edge(&mut self, u: usize, v: usize, w: f64) -> bool {
+        assert!(u != v, "self-loops are not allowed ({u})");
+        assert!(u < self.len() && v < self.len(), "vertex out of range");
+        assert!(w >= 0.0 && w.is_finite(), "weights must be finite and >= 0");
+        assert!(
+            self.targets.len() + 2 <= u32::MAX as usize,
+            "graph too large for CSR u32 offsets"
+        );
+        let fresh = self.insert_half(u, v, w);
+        self.insert_half(v, u, w);
+        fresh
+    }
+
+    fn insert_half(&mut self, u: usize, v: usize, w: f64) -> bool {
+        match self.locate(u, v) {
+            Ok(pos) => {
+                self.weights[pos] = w;
+                false
+            }
+            Err(pos) => {
+                self.targets.insert(pos, v as u32);
+                self.weights.insert(pos, w);
+                for o in &mut self.offsets[u + 1..] {
+                    *o += 1;
+                }
+                true
+            }
+        }
+    }
+
+    /// Remove edge `{u, v}` in place, like [`Graph::remove_edge`].
+    /// Returns `true` if it existed.
+    pub fn remove_edge(&mut self, u: usize, v: usize) -> bool {
+        assert!(u < self.len() && v < self.len(), "vertex out of range");
+        let removed = self.remove_half(u, v);
+        if removed {
+            self.remove_half(v, u);
+        }
+        removed
+    }
+
+    fn remove_half(&mut self, u: usize, v: usize) -> bool {
+        let Ok(pos) = self.locate(u, v) else {
+            return false;
+        };
+        self.targets.remove(pos);
+        self.weights.remove(pos);
+        for o in &mut self.offsets[u + 1..] {
+            *o -= 1;
+        }
+        true
     }
 
     /// Re-snapshot `g` with vertex `skip` isolated into this CSR's
@@ -222,7 +304,8 @@ impl Csr {
             // SAFETY (here and below): every id in the heap was packed
             // from either `source` (asserted < n by the `dist[source]`
             // write above) or a CSR target, and `from_graph` /
-            // `refill_from_graph*` only emit targets < n, so all `dist`
+            // `refill_from_graph*` only emit targets < n (`insert_edge`
+            // asserts its endpoints are), so all `dist`
             // indices are in bounds. The unchecked loads keep the relax
             // loop — the single hottest loop in the repo — free of
             // per-iteration bound branches.
@@ -238,8 +321,9 @@ impl Csr {
             // Settled scan over the two contiguous CSR slices; the
             // lockstep zip keeps the relax loop free of bounds checks.
             // SAFETY: `u < n` (above) so `u + 1` indexes `offsets`
-            // (length n + 1), and the constructors keep `offsets`
-            // monotone with final entry `targets.len()`, so `lo..hi` is
+            // (length n + 1), and the constructors and the edge patches
+            // keep `offsets` monotone with final entry `targets.len()`,
+            // so `lo..hi` is
             // a valid range of the parallel target/weight arrays.
             let (ts, ws) = unsafe {
                 let lo = *self.offsets.get_unchecked(u) as usize;

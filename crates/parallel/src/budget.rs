@@ -195,6 +195,20 @@ pub fn with_budget<R>(budget: &Budget, f: impl FnOnce() -> R) -> R {
     f()
 }
 
+/// Run `f` shielded from the ambient budget: every parallel loop it
+/// reaches (including nested ones inside worker threads) runs every
+/// item, even when an enclosing [`with_budget`] region is cancelled or
+/// past its deadline.
+///
+/// This is the one entry point for passes documented as non-degrading —
+/// those whose callers check no budget and trust the whole output (the
+/// bracketed certifier, the cone spanners). Without it a parallel loop
+/// under an exhausted ambient budget would leave entries at
+/// `T::default()` and the pass would return a wrong answer silently.
+pub fn unbudgeted<R>(f: impl FnOnce() -> R) -> R {
+    with_budget(&Budget::unlimited(), f)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,5 +261,17 @@ mod tests {
             assert!(current_budget().unwrap().deadline.is_none());
         });
         assert!(current_budget().is_none());
+    }
+
+    #[test]
+    fn unbudgeted_runs_every_item_under_a_cancelled_budget() {
+        let dead = Budget::unlimited();
+        dead.cancel();
+        let (shielded, bare) = with_budget(&dead, || {
+            let shielded = unbudgeted(|| crate::parallel_map(500, |i| i + 1));
+            (shielded, crate::parallel_map(500, |i| i + 1))
+        });
+        assert_eq!(shielded, (1..=500).collect::<Vec<_>>());
+        assert!(bare.iter().all(|&v| v == 0), "the bare loop must stop");
     }
 }

@@ -43,7 +43,9 @@
 //!   worker threads, which inherit the ambient budget. A cancelled loop
 //!   returns early with partial output; the caller checks
 //!   [`Budget::exhausted`] and discards it (see `gncg-game`'s budgeted
-//!   solvers for the degradation pattern).
+//!   solvers for the degradation pattern). Passes that must never
+//!   degrade run under [`unbudgeted`], which shields them from the
+//!   ambient budget.
 //! * **Fault injection.** `GNCG_FAULT_INJECT=<p>` arms [`fault`], which
 //!   probabilistically raises injected panics at chunk boundaries. The
 //!   chunk runners absorb those by retrying the untouched chunk, so an
@@ -55,7 +57,7 @@ pub mod budget;
 pub mod fault;
 pub mod pool;
 
-pub use budget::{current_budget, with_budget, Budget, CancelToken};
+pub use budget::{current_budget, unbudgeted, with_budget, Budget, CancelToken};
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};

@@ -20,6 +20,7 @@
 //! [`cert::distribute`]).
 
 pub mod cert;
+mod cones;
 pub mod greedy;
 pub mod grid;
 pub mod theta;

@@ -7,9 +7,10 @@
 //! most `k` by construction, making it naturally k-distributable (every
 //! point owns its cone edges).
 //!
-//! O(k·n²) construction — the simple scan, within the paper's O(n²)
-//! budget for constant k.
+//! O(k·n²) construction — the cone scan shared with the Yao graph, its
+//! vertices in parallel, within the paper's O(n²) budget for constant k.
 
+use crate::cones::cone_graph;
 use gncg_geometry::PointSet;
 use gncg_graph::Graph;
 
@@ -25,42 +26,9 @@ pub fn theta_stretch_bound(cones: usize) -> f64 {
 pub fn theta_graph(ps: &PointSet, cones: usize) -> Graph {
     assert_eq!(ps.dim(), 2, "theta graphs are implemented for d = 2");
     assert!(cones >= 2);
-    let n = ps.len();
-    let theta = 2.0 * std::f64::consts::PI / cones as f64;
-    let mut g = Graph::new(n);
-    for u in 0..n {
-        // best candidate per cone: (projection length, index)
-        let mut best: Vec<Option<(f64, usize)>> = vec![None; cones];
-        let pu = ps.point(u);
-        for v in 0..n {
-            if v == u {
-                continue;
-            }
-            let pv = ps.point(v);
-            let dx = pv[0] - pu[0];
-            let dy = pv[1] - pu[1];
-            if dx == 0.0 && dy == 0.0 {
-                // co-located point: connect directly with a zero edge
-                if u < v {
-                    g.add_edge(u, v, 0.0);
-                }
-                continue;
-            }
-            let angle = dy.atan2(dx).rem_euclid(2.0 * std::f64::consts::PI);
-            let cone = ((angle / theta) as usize).min(cones - 1);
-            let bisector = (cone as f64 + 0.5) * theta;
-            let proj = dx * bisector.cos() + dy * bisector.sin();
-            match best[cone] {
-                Some((p, _)) if p <= proj => {}
-                _ => best[cone] = Some((proj, v)),
-            }
-        }
-        for slot in best.into_iter().flatten() {
-            let (_, v) = slot;
-            g.add_edge(u, v, ps.dist(u, v));
-        }
-    }
-    g
+    cone_graph(ps, cones, |bisector, dx, dy| {
+        dx * bisector.cos() + dy * bisector.sin()
+    })
 }
 
 #[cfg(test)]

@@ -1,10 +1,11 @@
 //! Yao graphs in the plane.
 //!
-//! Like the Θ-graph, but in each cone the *Euclidean-nearest* point is
-//! selected (rather than nearest bisector projection). For `k` cones of
-//! angle θ = 2π/k < π/3 the Yao graph is a t-spanner with
-//! `t = 1/(1 − 2·sin(θ/2))`.
+//! Like the Θ-graph (the same parallel cone scan), but in each cone the
+//! *Euclidean-nearest* point is selected (rather than nearest bisector
+//! projection). For `k` cones of angle θ = 2π/k < π/3 the Yao graph is a
+//! t-spanner with `t = 1/(1 − 2·sin(θ/2))`.
 
+use crate::cones::cone_graph;
 use gncg_geometry::PointSet;
 use gncg_graph::Graph;
 
@@ -20,39 +21,7 @@ pub fn yao_stretch_bound(cones: usize) -> f64 {
 pub fn yao_graph(ps: &PointSet, cones: usize) -> Graph {
     assert_eq!(ps.dim(), 2, "yao graphs are implemented for d = 2");
     assert!(cones >= 2);
-    let n = ps.len();
-    let theta = 2.0 * std::f64::consts::PI / cones as f64;
-    let mut g = Graph::new(n);
-    for u in 0..n {
-        let mut best: Vec<Option<(f64, usize)>> = vec![None; cones];
-        let pu = ps.point(u);
-        for v in 0..n {
-            if v == u {
-                continue;
-            }
-            let pv = ps.point(v);
-            let dx = pv[0] - pu[0];
-            let dy = pv[1] - pu[1];
-            if dx == 0.0 && dy == 0.0 {
-                if u < v {
-                    g.add_edge(u, v, 0.0);
-                }
-                continue;
-            }
-            let angle = dy.atan2(dx).rem_euclid(2.0 * std::f64::consts::PI);
-            let cone = ((angle / theta) as usize).min(cones - 1);
-            let dist = (dx * dx + dy * dy).sqrt();
-            match best[cone] {
-                Some((d, _)) if d <= dist => {}
-                _ => best[cone] = Some((dist, v)),
-            }
-        }
-        for slot in best.into_iter().flatten() {
-            let (_, v) = slot;
-            g.add_edge(u, v, ps.dist(u, v));
-        }
-    }
-    g
+    cone_graph(ps, cones, |_, dx, dy| (dx * dx + dy * dy).sqrt())
 }
 
 #[cfg(test)]

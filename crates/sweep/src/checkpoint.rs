@@ -100,19 +100,39 @@ impl SweepCheckpoint {
         key: &str,
         unit: impl FnOnce(&mut Report),
     ) -> Range<usize> {
+        self.try_rows(report, key, |report| {
+            unit(report);
+            true
+        })
+        .expect("a unit that always completes is always recorded")
+    }
+
+    /// [`SweepCheckpoint::rows`] for a unit that can come back
+    /// incomplete: when `unit` returns `false`, the rows it pushed are
+    /// taken back out of `report`, nothing is recorded (a rerun
+    /// recomputes the unit), and the result is `None`.
+    pub fn try_rows(
+        &mut self,
+        report: &mut Report,
+        key: &str,
+        unit: impl FnOnce(&mut Report) -> bool,
+    ) -> Option<Range<usize>> {
         let start = report.rows.len();
         if let Some(saved) = self.done_rows.get(key) {
             report.rows.extend(saved.iter().cloned());
             self.resumed += 1;
-            return start..report.rows.len();
+            return Some(start..report.rows.len());
         }
-        unit(report);
+        if !unit(report) {
+            report.rows.truncate(start);
+            return None;
+        }
         let end = report.rows.len();
         self.append_line(object(vec![
             ("key", key.to_json()),
             ("rows", report.rows[start..end].to_json()),
         ]));
-        start..end
+        Some(start..end)
     }
 
     /// Run a unit of work producing a whole [`Report`] — or replay the

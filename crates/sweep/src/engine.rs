@@ -36,6 +36,12 @@
 //! [`SweepCheckpoint`], exactly like the repro binaries; the engine
 //! polls its own run budget *between* units and reports
 //! `interrupted = true` (checkpoint kept) when it trips.
+//!
+//! The *ambient* budget (the one a serve-tier sweep job runs under)
+//! can also trip mid-unit, and then the parallel kernels underneath
+//! return partial output. So a unit whose ambient budget is exhausted
+//! once its steps have run is thrown away: its values are not cached,
+//! not checkpointed and not pushed, and the run reports `interrupted`.
 
 use std::sync::Arc;
 
@@ -151,6 +157,12 @@ fn diameter(m: &DistMatrix) -> f64 {
         .fold(0.0, f64::max)
 }
 
+/// Whether the ambient budget (see module docs) is exhausted: output
+/// computed under it may be partial and must not be kept.
+fn ambient_exhausted() -> bool {
+    gncg_parallel::current_budget().is_some_and(|b| b.exhausted())
+}
+
 /// The network step: cached `(network, distance matrix)` for one unit.
 fn network_step(
     spec: &SweepSpec,
@@ -175,7 +187,7 @@ fn network_step(
     }
     let net = build_network(&unit.method, ps, unit.alpha);
     let matrix = gncg_graph::apsp::all_pairs(&net.graph(ps));
-    if let Some(cache) = cache {
+    if let Some(cache) = cache.filter(|_| !ambient_exhausted()) {
         let _ = cache.put(
             &key,
             &object(vec![
@@ -207,7 +219,7 @@ fn certify_step_direct(
         }
     }
     let report = certify(ps, net, alpha, cfg);
-    if let Some(cache) = cache {
+    if let Some(cache) = cache.filter(|_| !ambient_exhausted()) {
         let _ = cache.put(key, &report.to_json());
     }
     report
@@ -252,17 +264,24 @@ pub fn run_spec(
     let mut interrupted = false;
 
     for unit in &units {
-        if budget.exhausted() {
+        let params = unit.params(&spec.generator);
+        let done = !budget.exhausted()
+            && ckpt
+                .try_rows(&mut report, &params, |report| {
+                    let Some(row) = run_unit(spec, unit, cache.as_ref(), session, &unit_budget)
+                    else {
+                        return false;
+                    };
+                    report
+                        .try_push(params.clone(), None, row.measured, row.ok, &row.note)
+                        .unwrap_or_else(|e| panic!("{e}"));
+                    true
+                })
+                .is_some();
+        if !done {
             interrupted = true;
             break;
         }
-        let params = unit.params(&spec.generator);
-        ckpt.rows(&mut report, &params, |report| {
-            let row = run_unit(spec, unit, cache.as_ref(), session, &unit_budget);
-            report
-                .try_push(params.clone(), None, row.measured, row.ok, &row.note)
-                .unwrap_or_else(|e| panic!("{e}"));
-        });
         units_done += 1;
     }
 
@@ -283,15 +302,20 @@ struct UnitRow {
     note: String,
 }
 
+/// One unit's row, or `None` when the ambient budget ran out during it
+/// (module docs).
 fn run_unit(
     spec: &SweepSpec,
     unit: &SweepUnit,
     cache: Option<&Arc<ResultCache>>,
     session: Option<&Session>,
     unit_budget: &Budget,
-) -> UnitRow {
+) -> Option<UnitRow> {
     let ps = generate_points(&spec.generator, unit.n, unit.seed);
     let (net, matrix) = network_step(spec, unit, &ps, cache.map(Arc::as_ref));
+    if ambient_exhausted() {
+        return None;
+    }
     let diam = diameter(&matrix);
 
     let cfg = if spec.exact {
@@ -349,8 +373,11 @@ fn run_unit(
         ),
     };
 
+    if ambient_exhausted() {
+        return None;
+    }
     let measured = cr.beta_exact.or(Some(cr.beta_upper));
-    UnitRow {
+    Some(UnitRow {
         measured,
         ok: cr.connected,
         note: format!(
@@ -358,7 +385,7 @@ fn run_unit(
             fmt_num(cr.gamma_upper),
             fmt_num(diam)
         ),
-    }
+    })
 }
 
 /// `gncg sweep plan`: the dry-run view — canonical form, content key,

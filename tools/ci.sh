@@ -160,3 +160,9 @@ GNCG_FAULT_INJECT=0.02 cargo test --workspace -q
 # sequential run: all parallel substrates on their 1-thread fallback
 # paths must produce identical results
 GNCG_THREADS=1 cargo test --workspace -q
+
+# thread-count invariance of the approximate pipeline (cone spanners,
+# run_approx, certify_approx) on the parallel path: four workers even
+# on a single-core runner, once plain and once with chunk retries
+GNCG_THREADS=4 cargo test --release -p gncg-game --test thread_invariance -q
+GNCG_THREADS=4 GNCG_FAULT_INJECT=0.02 cargo test --release -p gncg-game --test thread_invariance -q
