@@ -305,10 +305,10 @@ impl Csr {
             // from either `source` (asserted < n by the `dist[source]`
             // write above) or a CSR target, and `from_graph` /
             // `refill_from_graph*` only emit targets < n (`insert_edge`
-            // asserts its endpoints are), so all `dist`
-            // indices are in bounds. The unchecked loads keep the relax
-            // loop — the single hottest loop in the repo — free of
-            // per-iteration bound branches.
+            // asserts its endpoints are), so all `dist` indices are in
+            // bounds. The unchecked loads keep the relax loop — the
+            // single hottest loop in the repo — free of per-iteration
+            // bound branches.
             debug_assert!(u < n);
             if d > unsafe { *dist.get_unchecked(u) } {
                 continue;
@@ -323,8 +323,8 @@ impl Csr {
             // SAFETY: `u < n` (above) so `u + 1` indexes `offsets`
             // (length n + 1), and the constructors and the edge patches
             // keep `offsets` monotone with final entry `targets.len()`,
-            // so `lo..hi` is
-            // a valid range of the parallel target/weight arrays.
+            // so `lo..hi` is a valid range of the parallel target/weight
+            // arrays.
             let (ts, ws) = unsafe {
                 let lo = *self.offsets.get_unchecked(u) as usize;
                 let hi = *self.offsets.get_unchecked(u + 1) as usize;
