@@ -55,11 +55,14 @@ fn main() {
             eprintln!("missing sweep subcommand (run | plan | gc)");
             usage_and_exit()
         });
-        let opts = parse_opts(args.collect());
+        let rest = args.collect();
         match sub.as_str() {
-            "run" => sweep_run(&opts),
-            "plan" => sweep_plan(&opts),
-            "gc" => sweep_gc(),
+            "run" => sweep_run(&parse_opts(rest, &["spec"], &[])),
+            "plan" => sweep_plan(&parse_opts(rest, &["spec"], &[])),
+            "gc" => {
+                parse_opts(rest, &[], &[]);
+                sweep_gc()
+            }
             other => {
                 eprintln!("unknown sweep subcommand {other}");
                 usage_and_exit()
@@ -67,14 +70,46 @@ fn main() {
         }
         return;
     }
-    let opts = parse_opts(args.collect());
+    let rest = args.collect();
     match cmd.as_str() {
-        "generate" => generate(&opts),
-        "build" => build(&opts),
-        "certify" => run_certify(&opts),
-        "dynamics" => run_dynamics(&opts),
-        "serve" => run_serve(&opts),
-        "connect" => run_connect(&opts),
+        "generate" => generate(&parse_opts(
+            rest,
+            &["kind", "n", "seed", "alpha", "out"],
+            &[],
+        )),
+        "build" => build(&parse_opts(
+            rest,
+            &["points", "alpha", "method", "out"],
+            &[],
+        )),
+        "certify" => run_certify(&parse_opts(
+            rest,
+            &["points", "network", "alpha"],
+            &["exact"],
+        )),
+        "dynamics" => run_dynamics(&parse_opts(
+            rest,
+            &["points", "alpha", "steps", "rule"],
+            &[],
+        )),
+        "serve" => run_serve(&parse_opts(rest, &["addr"], &[])),
+        "connect" => run_connect(&parse_opts(
+            rest,
+            &[
+                "job",
+                "points",
+                "network",
+                "alpha",
+                "spec",
+                "steps",
+                "rule",
+                "budget-ms",
+                "addr",
+                "client",
+                "idem",
+            ],
+            &["exact"],
+        )),
         _ => usage_and_exit(),
     }
 }
@@ -86,19 +121,40 @@ fn usage_and_exit() -> ! {
     exit(2);
 }
 
-fn parse_opts(rest: Vec<String>) -> HashMap<String, String> {
+/// Parse `--key value` pairs and bare `--flag`s against a subcommand's
+/// accepted options. An unknown or repeated key, a flag given a value,
+/// or a key without one is a usage error (exit 2) before anything runs
+/// or is written; a flag maps to `"true"`.
+fn parse_opts(rest: Vec<String>, valued: &[&str], flags: &[&str]) -> HashMap<String, String> {
     let mut map = HashMap::new();
     let mut it = rest.into_iter().peekable();
-    while let Some(key) = it.next() {
-        let Some(stripped) = key.strip_prefix("--") else {
-            eprintln!("unexpected argument {key}");
+    while let Some(arg) = it.next() {
+        let Some(key) = arg.strip_prefix("--") else {
+            eprintln!("unexpected argument {arg}");
             usage_and_exit();
         };
-        let value = match it.peek() {
-            Some(v) if !v.starts_with("--") => it.next().unwrap(),
-            _ => "true".to_string(), // boolean flag
+        let value = if flags.contains(&key) {
+            if let Some(v) = it.next_if(|v| !v.starts_with("--")) {
+                eprintln!("option --{key} takes no value (got {v})");
+                usage_and_exit();
+            }
+            "true".to_string()
+        } else if !valued.contains(&key) {
+            eprintln!("unknown option --{key}");
+            usage_and_exit();
+        } else {
+            match it.next_if(|v| !v.starts_with("--")) {
+                Some(v) => v,
+                None => {
+                    eprintln!("option --{key} needs a value");
+                    usage_and_exit();
+                }
+            }
         };
-        map.insert(stripped.to_string(), value);
+        if map.insert(key.to_string(), value).is_some() {
+            eprintln!("option --{key} given twice");
+            usage_and_exit();
+        }
     }
     map
 }

@@ -33,13 +33,13 @@
 //!   deterministic counter delta (`counters`), so the gate can say
 //!   which stage moved; the exact gate compares the merged totals.
 
-use gncg_bench::Report;
 use gncg_game::approx::{self, run_approx, ApproxDynamicsOptions};
 use gncg_game::certify::certify;
 use gncg_game::{best_response, dynamics, EvalBackend, OwnedNetwork, SolverConfig};
 use gncg_geometry::{generators, PointSet};
 use gncg_service::{JobOptions, Session};
 use gncg_spanner::{GridIndex, SpannerKind};
+use gncg_sweep::Report;
 use gncg_trace::{COUNTER_NAMES, DETERMINISTIC_COUNTERS};
 use std::time::Instant;
 

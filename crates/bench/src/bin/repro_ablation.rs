@@ -8,11 +8,11 @@
 //! Prints certified β/γ and network size for each variant.
 
 use gncg_algo::{params::corollary_3_8_params, run_algorithm1, AlgorithmOneParams};
-use gncg_bench::service::run_repro;
 use gncg_game::certify::certify;
 use gncg_game::SolverConfig;
 use gncg_geometry::generators;
 use gncg_spanner::SpannerKind;
+use gncg_sweep::harness::run_repro;
 
 fn main() {
     run_repro(

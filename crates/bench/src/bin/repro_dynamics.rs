@@ -6,9 +6,9 @@
 //! each (rule, order) combination, and how many strategy changes
 //! convergence takes — the empirical companion to the FIP discussion.
 
-use gncg_bench::service::run_repro;
 use gncg_game::{dynamics, OwnedNetwork, SolverConfig};
 use gncg_geometry::generators;
+use gncg_sweep::harness::run_repro;
 
 fn main() {
     let rep = run_repro(

@@ -7,9 +7,9 @@
 //! *claim* by searching random ℝ² instances for response cycles with
 //! canonical state hashing, reporting the first cycles found.
 
-use gncg_bench::service::run_sections;
-use gncg_bench::Report;
 use gncg_game::{best_response, cost, dynamics, instances, moves, SumDistances};
+use gncg_sweep::harness::run_sections;
+use gncg_sweep::Report;
 
 fn main() {
     let claim = "Figure 2/Theorem 3.1: response dynamics can cycle (no FIP); \

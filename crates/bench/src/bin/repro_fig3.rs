@@ -6,10 +6,10 @@
 //! prints the structural statistics the figure conveys.
 
 use gncg_algo::{run_algorithm1, AlgorithmOneParams, Branch};
-use gncg_bench::service::run_repro;
 use gncg_bench::svg;
 use gncg_geometry::generators;
 use gncg_spanner::SpannerKind;
+use gncg_sweep::harness::run_repro;
 
 fn main() {
     let rep = run_repro(

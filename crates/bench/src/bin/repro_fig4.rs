@@ -12,9 +12,9 @@
 
 use gncg_algo::combined::combined_network;
 use gncg_algo::params::{combined_exponent, corollary_3_8_exponent};
-use gncg_bench::log_log_slope;
-use gncg_bench::service::run_repro;
 use gncg_geometry::generators;
+use gncg_sweep::harness::run_repro;
+use gncg_sweep::log_log_slope;
 
 fn main() {
     let rep = run_repro(

@@ -4,10 +4,10 @@
 //! α ∈ o(n).
 
 use gncg_algo::random_points::{build_one_plus_eps, lemma_3_11_bound, quarter_square_counts};
-use gncg_bench::service::run_repro;
 use gncg_game::certify::certify;
 use gncg_game::SolverConfig;
 use gncg_geometry::generators;
+use gncg_sweep::harness::run_repro;
 
 fn main() {
     let rep = run_repro(

@@ -3,9 +3,9 @@
 //! approaching `min{(α+1)/√2, (α²+2α+2)/(2α+2)}` times the optimum as
 //! `d → ∞`.
 
-use gncg_bench::service::run_repro;
 use gncg_game::best_response::ResponseEvaluator;
 use gncg_game::{cost, exact, instances, moves, SumDistances};
+use gncg_sweep::harness::run_repro;
 
 fn main() {
     let rep = run_repro(

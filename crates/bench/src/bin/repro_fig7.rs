@@ -2,10 +2,10 @@
 //! chain in ℝ¹ whose star equilibrium forces a PoA of at least
 //! `(3/5)·α^{2/3} − o(α^{2/3})`.
 
-use gncg_bench::log_log_slope;
-use gncg_bench::service::run_repro;
 use gncg_game::best_response::ResponseEvaluator;
 use gncg_game::{cost, exact, instances, moves, SumDistances};
+use gncg_sweep::harness::run_repro;
+use gncg_sweep::log_log_slope;
 
 fn main() {
     let rep = run_repro(

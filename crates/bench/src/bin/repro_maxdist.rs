@@ -8,13 +8,13 @@
 //! engine, exact values vs certified bounds). Rows are deterministic:
 //! fixed seeds, no budget- or thread-count-sensitive quantities.
 
-use gncg_bench::service::run_repro;
 use gncg_game::certify::certify;
 use gncg_game::prune::oracle;
 use gncg_game::{
     best_response, dynamics, exact, GameSpec, MaxDistance, ModelKind, OwnedNetwork, SolverConfig,
 };
 use gncg_geometry::generators;
+use gncg_sweep::harness::run_repro;
 
 fn main() {
     let rep = run_repro(

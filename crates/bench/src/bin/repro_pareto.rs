@@ -4,8 +4,8 @@
 //! outer frontier of a design portfolio.
 
 use gncg_algo::pareto::{pareto_front, sample_designs};
-use gncg_bench::service::run_repro;
 use gncg_geometry::generators;
+use gncg_sweep::harness::run_repro;
 
 fn main() {
     run_repro(

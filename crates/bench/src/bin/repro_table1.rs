@@ -21,13 +21,13 @@ use gncg_algo::{
     run_algorithm1,
     star::{center_star, corollary_3_3_threshold, star_stability_threshold},
 };
-use gncg_bench::service::run_sections;
-use gncg_bench::Report;
 use gncg_game::{
     best_response, certify::certify, cost, exact, instances, moves, SolverConfig, SumDistances,
 };
 use gncg_geometry::generators;
 use gncg_host::{corollaries as host_cor, hitting_set, poa as host_poa, HostNetwork};
+use gncg_sweep::harness::run_sections;
+use gncg_sweep::Report;
 
 /// One Table 1 row's checks, as a whole report.
 type Section = fn() -> Report;

@@ -1,40 +1,8 @@
-//! Shared infrastructure for the paper-reproduction binaries and the
-//! Criterion benches.
+//! Shared helpers for the paper-reproduction binaries and the test
+//! suites: the SVG plotting helper and the test-support builders.
 //!
-//! The report, checkpoint, and sweep-harness machinery that used to
-//! live here moved to `gncg-sweep` (where the declarative sweep engine
-//! consumes it directly); this crate re-exports everything under its
-//! historical paths so the repro binaries and their tests are
-//! unchanged. What remains native here is the SVG plotting helper.
-
-pub use gncg_sweep::{log_log_slope, results_dir, FitError, NonFiniteValue, Report, Row};
-
-/// Checkpoint/resume for long parameter sweeps (now `gncg_sweep::checkpoint`).
-pub mod checkpoint {
-    pub use gncg_sweep::checkpoint::*;
-}
-
-/// Thin-client sweep harness over `gncg_service` (now `gncg_sweep::harness`).
-pub mod service {
-    pub use gncg_sweep::harness::*;
-}
+//! The report, checkpoint and sweep-harness machinery the binaries run
+//! on lives in `gncg-sweep` (`gncg_sweep::{Report, harness, checkpoint}`).
 
 pub mod svg;
 pub mod testsupport;
-
-#[cfg(test)]
-mod tests {
-    // The moved modules keep their unit tests in gncg-sweep; this shim
-    // pins the re-export surface the repro binaries compile against.
-    #[test]
-    fn reexported_paths_resolve() {
-        let mut r = crate::Report::new("shim", "re-export surface");
-        r.push_unreferenced("x=1".into(), 1.0, true, "");
-        assert!(r.all_ok());
-        let _ = crate::service::INTERRUPTED_EXIT;
-        let _ = crate::checkpoint::SweepCheckpoint::open_at(
-            std::env::temp_dir().join("gncg_shim_probe.checkpoint.json"),
-        );
-        assert!(crate::log_log_slope(&[(1.0, 1.0)]).is_err());
-    }
-}

@@ -75,7 +75,7 @@ pub fn save(
     name: &str,
     title: &str,
 ) -> std::io::Result<std::path::PathBuf> {
-    let dir = crate::results_dir();
+    let dir = gncg_sweep::results_dir();
     std::fs::create_dir_all(&dir)?;
     let path = dir.join(format!("{name}.svg"));
     std::fs::write(&path, render(ps, net, title))?;

@@ -3,7 +3,7 @@
 //! neither `--help` nor a rejected argument runs a sweep.
 
 use gncg_geometry::generators;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn points_file(tag: &str) -> PathBuf {
@@ -63,16 +63,18 @@ fn with_model(sub: &str, model: &str, tag: &str) -> Output {
         gncg_json::to_string(&gncg_json::ToJson::to_json(&star)),
     )
     .unwrap();
-    let out = Command::new(env!("CARGO_BIN_EXE_gncg"))
-        .arg(sub)
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_gncg"));
+    cmd.arg(sub)
         .arg("--points")
         .arg(&points)
         .arg("--network")
         .arg(&network)
-        .args(["--alpha", "2", "--addr", "127.0.0.1:9"])
-        .env(gncg_config::env::MODEL_VAR, model)
-        .output()
-        .expect("gncg runs");
+        .args(["--alpha", "2"])
+        .env(gncg_config::env::MODEL_VAR, model);
+    if sub == "connect" {
+        cmd.args(["--addr", "127.0.0.1:9"]);
+    }
+    let out = cmd.output().expect("gncg runs");
     std::fs::remove_dir_all(points.parent().unwrap()).ok();
     out
 }
@@ -92,6 +94,116 @@ fn certify_and_connect_reject_an_unknown_model() {
     let out = with_model("certify", "MAX", "model_max");
     assert!(out.status.success(), "{out:?}");
     assert!(String::from_utf8_lossy(&out.stdout).contains(r#""model": "maxdist""#));
+}
+
+/// `gncg` with the whitespace-separated `line` as its arguments, run in
+/// `dir` so file options can be bare names.
+fn gncg_in(dir: &Path, line: &str) -> Command {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_gncg"));
+    cmd.args(line.split_whitespace()).current_dir(dir);
+    cmd
+}
+
+/// A scratch directory holding `points.json` (6 points) and
+/// `network.json` (their star).
+fn instance_dir(tag: &str) -> PathBuf {
+    let dir = points_file(tag).parent().unwrap().to_path_buf();
+    let star = gncg_game::OwnedNetwork::center_star(6, 0);
+    std::fs::write(
+        dir.join("network.json"),
+        gncg_json::to_string(&gncg_json::ToJson::to_json(&star)),
+    )
+    .unwrap();
+    dir
+}
+
+fn assert_usage_error(out: &Output, message: &str) {
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(message), "{stderr}");
+    assert!(stderr.contains("usage:"), "{stderr}");
+    assert!(
+        out.stdout.is_empty(),
+        "nothing may run on a rejected option"
+    );
+}
+
+fn file_count(dir: &Path) -> usize {
+    std::fs::read_dir(dir).unwrap().count()
+}
+
+#[test]
+fn unknown_options_and_flag_values_are_usage_errors() {
+    let dir = instance_dir("strict_opts");
+    for (line, message) in [
+        (
+            "generate --kind uniform --n 6 --sed 7 --out p.json",
+            "unknown option --sed",
+        ),
+        (
+            "certify --points points.json --network network.json --alpha 2 --exact false",
+            "option --exact takes no value",
+        ),
+        (
+            "certify --points points.json --network network.json --alpha",
+            "option --alpha needs a value",
+        ),
+        (
+            "generate --kind uniform --n 6 --n 9 --out p.json",
+            "option --n given twice",
+        ),
+        ("sweep gc --all", "unknown option --all"),
+    ] {
+        let out = gncg_in(&dir, line).output().expect("gncg runs");
+        assert_usage_error(&out, message);
+        assert_eq!(file_count(&dir), 2, "{line}: wrote a file");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every option the usage text documents gets past the option parser:
+/// the cheap subcommands run to success, and the ones that would block
+/// or reach a server stop at the first check after parsing.
+#[test]
+fn every_documented_option_is_accepted() {
+    let dir = instance_dir("documented");
+    let spec =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../specs/sweep_chain_exact.sweep.json");
+    std::fs::copy(spec, dir.join("chain.sweep.json")).unwrap();
+    for line in [
+        "generate --kind chain --n 6 --seed 7 --alpha 2 --out gen.json",
+        "build --points points.json --alpha 2 --method star --out built.json",
+        "certify --points points.json --network network.json --alpha 2 --exact",
+        "dynamics --points points.json --alpha 1 --steps 5 --rule single",
+        "sweep plan --spec chain.sweep.json",
+    ] {
+        let out = gncg_in(&dir, line).output().expect("gncg runs");
+        assert!(out.status.success(), "{line}: {out:?}");
+    }
+    // past the parser, each of these fails its first check: the spec
+    // file is missing, the port is out of range (no name lookup), the
+    // model is unknown (before any connection)
+    for (line, code, message) in [
+        ("sweep run --spec missing.sweep.json", 1, "cannot read"),
+        ("serve --addr 127.0.0.1:99999", 1, "cannot bind"),
+        (
+            "connect --job certify --points points.json --network network.json --alpha 2 \
+             --spec chain.sweep.json --exact --steps 5 --rule best --budget-ms 100 \
+             --addr 127.0.0.1:9 --client cli-test --idem k",
+            2,
+            "accepted: sum, maxdist, max",
+        ),
+    ] {
+        let out = gncg_in(&dir, line)
+            .env(gncg_config::env::MODEL_VAR, "maxdst")
+            .output()
+            .expect("gncg runs");
+        assert_eq!(out.status.code(), Some(code), "{line}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(message), "{line}: {stderr}");
+        assert!(!stderr.contains("usage:"), "{line}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Run a repro binary with `GNCG_RESULTS_DIR` pointed at a fresh empty

@@ -12,7 +12,7 @@
 //!   checking the destination is parseable and complete after every one
 //!   of a rapid sequence of overwrites.
 
-use gncg_bench::Report;
+use gncg_sweep::Report;
 use std::path::PathBuf;
 use std::sync::Mutex;
 

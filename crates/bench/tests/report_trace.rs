@@ -5,8 +5,8 @@
 //! parsers are unaffected); with it on, the saved file gains a `trace`
 //! object carrying every counter.
 
-use gncg_bench::Report;
 use gncg_json::Value;
+use gncg_sweep::Report;
 use std::sync::Mutex;
 
 // serializes GNCG_RESULTS_DIR mutation and the process-global trace gate

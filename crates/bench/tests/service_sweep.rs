@@ -11,13 +11,13 @@ use std::path::PathBuf;
 use std::sync::mpsc;
 use std::time::Duration;
 
-use gncg_bench::checkpoint::SweepCheckpoint;
-use gncg_bench::Report;
 use gncg_game::certify::certify;
 use gncg_game::OwnedNetwork;
 use gncg_game::SolverConfig;
 use gncg_geometry::generators;
 use gncg_service::{JobOptions, Session, Shutdown};
+use gncg_sweep::checkpoint::SweepCheckpoint;
+use gncg_sweep::Report;
 
 const UNITS: u64 = 6;
 const CLAIM: &str = "service sweep shutdown/resume fixture";

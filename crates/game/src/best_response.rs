@@ -105,38 +105,13 @@ pub struct ResponseEvaluator<'d> {
 impl ResponseEvaluator<'static> {
     /// Build the evaluator for agent `u` (runs n−1 Dijkstras once).
     pub fn new<W: EdgeWeights + ?Sized>(w: &W, net: &OwnedNetwork, u: usize) -> Self {
-        let n = net.len();
-        assert!(u < n);
-        let mut rest = Graph::new(n);
-        for a in 0..n {
-            if a == u {
-                continue;
-            }
-            for &b in net.strategy(a) {
-                if b != u {
-                    rest.add_edge(a, b, w.weight(a, b));
-                }
-            }
-        }
-        let mut csr = gncg_parallel::arena::rent::<Csr>();
-        csr.refill_from_graph(&rest);
-        let mut dist_rest = gncg_parallel::arena::rent::<DistMatrix>();
-        csr.all_pairs_into(&mut dist_rest);
-        // no full graph in hand here: find the incident owners by the
-        // direct ownership scan
-        let mut fixed_incident: Vec<usize> = Vec::new();
-        for a in 0..n {
-            if a != u && net.strategy(a).contains(&u) {
-                fixed_incident.push(a);
-            }
-        }
-        Self::with_dist_rest(w, net, u, RestDist::Owned(dist_rest), fixed_incident)
+        Self::from_built_graph(w, net, &net.graph(w), u)
     }
 
     /// Build the evaluator for agent `u` against an already-materialized
     /// created network `g` (which must equal `net.graph(w)`), snapshotting
-    /// `G − u` straight out of `g` instead of re-assembling it edge by
-    /// edge. Produces the same distances as [`ResponseEvaluator::new`].
+    /// `G − u` straight out of `g`. Callers that already hold the built
+    /// graph skip [`ResponseEvaluator::new`]'s rebuild.
     pub fn from_built_graph<W: EdgeWeights + ?Sized>(
         w: &W,
         net: &OwnedNetwork,
@@ -704,19 +679,29 @@ mod tests {
             }
             net.buy(0, n - 1);
             let g = net.graph(&ps);
-            let alpha = 0.5 + rng.gen::<f64>() * 2.0;
             for u in 0..n {
-                let fresh = ResponseEvaluator::new(&ps, &net, u);
+                // the oracle: `G − u` assembled edge by edge from the
+                // strategies, incident owners found by the ownership scan
+                let mut rest = Graph::new(n);
+                for a in (0..n).filter(|&a| a != u) {
+                    for &b in net.strategy(a).iter().filter(|&&b| b != u) {
+                        rest.add_edge(a, b, ps.weight(a, b));
+                    }
+                }
+                let fresh = Csr::from_graph(&rest).all_pairs();
+                let owners: Vec<usize> = (0..n)
+                    .filter(|&a| a != u && net.strategy(a).contains(&u))
+                    .collect();
                 let built = ResponseEvaluator::from_built_graph(&ps, &net, &g, u);
-                assert_eq!(fresh.fixed_incident, built.fixed_incident);
-                let current = net.strategy(u);
-                let a = fresh.cost::<SumDistances, _>(alpha, current.iter().copied());
-                let b = built.cost::<SumDistances, _>(alpha, current.iter().copied());
-                assert_eq!(a.to_bits(), b.to_bits(), "trial {trial} agent {u}");
-                assert_eq!(
-                    fresh.best_response::<SumDistances>(alpha),
-                    built.best_response::<SumDistances>(alpha),
-                );
+                assert_eq!(built.fixed_incident, owners, "trial {trial} agent {u}");
+                for x in (0..n).filter(|&x| x != u) {
+                    let bits = |row: &[f64]| row.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(built.dist_rest.row(x)),
+                        bits(fresh.row(x)),
+                        "trial {trial} agent {u} row {x}"
+                    );
+                }
             }
         }
     }

@@ -24,8 +24,8 @@
 //! (counters, spans) or is bypassed entirely (clock reads); the hot
 //! Dijkstra kernels count into local registers unconditionally and make a
 //! single gated call per kernel invocation, so the off-path adds no
-//! per-edge work at all. The `trace_overhead` bench in `gncg-bench`
-//! verifies the off-path is within noise of an uninstrumented build.
+//! per-edge work at all. perfbench's `trace.overhead_ratio` (traced over
+//! untraced time of the same operations) measures the cost end to end.
 //!
 //! Toggling the gate while parallel work is in flight has no data races
 //! but may lose or split counts; [`set_enabled`] exists for tests and

@@ -96,6 +96,17 @@ if grep -rnE 'PruneMode|with_prune|GNCG_PRUNE|env::prune|prune_on|set_delta_upda
     exit 1
 fi
 
+# one measurement artefact per tier: perf_smoke/perf_gate.sh gates the
+# counters and stage times, perfbench/ the end-to-end metrics; the
+# ungated micro-bench targets, their vendored harness crate and the
+# gncg-bench re-export shim of gncg_sweep are gone
+if grep -rnE 'criterion|\[\[bench\]\]|cargo bench|gncg_bench::(service|checkpoint)' \
+    Cargo.toml Cargo.lock vendor src crates tests examples tools .github README.md DESIGN.md \
+    | grep -v '^tools/ci.sh:.*grep -rnE'; then
+    echo 'a retired bench harness or re-export path is back (measure with perf_smoke or perfbench; import gncg_sweep)' >&2
+    exit 1
+fi
+
 # one named oracle: the unpruned engines in gncg_game::prune::oracle are
 # called only inside gncg-game, from test files and by repro_maxdist's
 # consistency row
