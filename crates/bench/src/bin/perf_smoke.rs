@@ -26,16 +26,16 @@
 //! * `large` — the spanner-backed large-n envelope (`perf_smoke_large`
 //!   → `perf_smoke_large.json`, gated against
 //!   `results/PERF_BASELINE_LARGE.json`): grid-candidate improving-move
-//!   dynamics plus bracketed β/γ certification
-//!   ([`approx::certify_approx`] on the stage's spanner with 8 pivots)
-//!   at n ∈ {1024, 4096, 10000}. The n = 10⁴ stage must finish well
+//!   dynamics plus β/γ certification ([`approx::certify_approx`]: the
+//!   exact certifier's rows up to n = 4096, the metric floor and 8
+//!   pivot rows above) at n ∈ {1024, 4096, 10000}. The n = 10⁴ stage must finish well
 //!   under 60 s single-threaded. Each stage row also carries its own
 //!   deterministic counter delta (`counters`), so the gate can say
 //!   which stage moved; the exact gate compares the merged totals.
 
 use gncg_game::approx::{self, run_approx, ApproxDynamicsOptions};
 use gncg_game::certify::certify;
-use gncg_game::{best_response, dynamics, EvalBackend, OwnedNetwork, SolverConfig};
+use gncg_game::{best_response, dynamics, OwnedNetwork, SolverConfig};
 use gncg_geometry::{generators, PointSet};
 use gncg_service::{JobOptions, Session};
 use gncg_spanner::{GridIndex, SpannerKind};
@@ -65,8 +65,8 @@ fn calibration_secs() -> f64 {
 
 /// One large-tier stage: build the stage spanner, adopt its
 /// distributed profile as the start network, run grid-candidate
-/// improving-move dynamics, then certify a β/γ bracket on the same
-/// spanner. Everything inside is deterministic — the
+/// improving-move dynamics, then certify a β/γ bracket on the final
+/// profile. Everything inside is deterministic — the
 /// candidate tallies and Dijkstra counters it adds are gated exactly,
 /// and the row records them as its own ledger.
 fn large_stage(
@@ -85,8 +85,7 @@ fn large_stage(
     let index = GridIndex::with_auto_cell(ps);
     let out = run_approx(ps, &mut net, alpha, &index, dynamics_opts);
     std::hint::black_box(out.moves_accepted);
-    let cfg = SolverConfig::default().with_backend(EvalBackend::Spanner { kind, pivots: 8 });
-    let bracket = approx::certify_approx(ps, &net, alpha, &cfg);
+    let bracket = approx::certify_approx(ps, &net, alpha, &SolverConfig::default());
     assert!(
         bracket.beta_lo <= bracket.beta_hi && bracket.gamma_lo <= bracket.gamma_hi,
         "{name}: certified bracket inverted"
@@ -151,8 +150,8 @@ fn large_tier() {
     );
 
     // stage 3: the headline envelope — the 100×100 integer grid
-    // (Theorem 3.13 geometry), grid spanner with its *proven* √d
-    // stretch certificate, capped probes to hold the stage well under
+    // (Theorem 3.13 geometry), grid spanner start (√d stretch), capped
+    // probes to hold the stage well under
     // the 60 s single-threaded ceiling
     let ps = generators::integer_grid(&[99, 99]);
     large_stage(

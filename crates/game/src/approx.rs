@@ -1,11 +1,12 @@
-//! Spanner-backed approximate evaluation with **certified error bars**.
+//! Bracketed certification at large `n`, and large-n dynamics.
 //!
-//! The exact certifier ([`crate::certify`]) needs the full `n×n`
-//! distance matrix and a per-agent graph clone — fine at `n ≤ 10³`,
-//! hopeless at `n = 10⁴`. This module trades the exact certified
-//! numbers for *brackets* that provably contain them, at
-//! near-linear-in-`n²` cost and without ever materialising a distance
-//! matrix.
+//! The exact certifier ([`crate::certify`]) reads one Dijkstra row per
+//! agent. Up to [`UNION_ROWS_CAP`] agents [`certify_approx`] runs that
+//! same pass ([`crate::certify::certify`]'s bounds pass, on the created
+//! network `G`) and reports its figures; above the cap, where `n` rows
+//! would dominate the run, it trades them for *brackets* that provably
+//! contain them, at near-linear-in-`n²` cost and without ever
+//! materialising a distance matrix.
 //!
 //! # Soundness model
 //!
@@ -21,21 +22,16 @@
 //! / `gamma_upper`) — itself a sound upper bound on the true β/γ, which
 //! is NP-hard. Since `beta_hi ≥ beta_upper ≥ β`, the `hi` ends of the
 //! brackets are sound certificates in their own right; the `lo` ends
-//! measure how loose the approximation is. The bracket property is
-//! enforced by an oracle sweep against the exact backend at `n ≤ 128`
-//! (the `bracket_oracle` test module next to this file).
+//! measure how loose the approximation is.
 //!
-//! The inequalities come in two kinds:
+//! Up to the cap every bracket is degenerate: `lo == hi ==` the exact
+//! certifier's figure, bit for bit, and on a disconnected `G` that
+//! figure is `∞` at both ends, as the exact certifier reports it. Above
+//! the cap the two sides come in two kinds:
 //!
-//! * **Bitwise** (no epsilon): the `lo` sides. Per-agent cost lower
-//!   bounds evaluate distances on the *union graph* `H = G ∪ S` of the
-//!   created network and a geometric spanner `S` (or, beyond
-//!   [`UNION_ROWS_CAP`], on the metric lower bounds directly). `H`'s
-//!   path set contains `G`'s, shared edges have identical weight bits,
-//!   and Dijkstra computes a min over path folds
-//!   ([`gncg_graph::delta`] module docs), so `row_H ≤ row_G` holds
-//!   *bit-for-bit*; monotone IEEE addition pushes the inequality
-//!   through the cost folds unchanged.
+//! * **Bitwise** (no epsilon): the `lo` sides. Each agent's distance
+//!   cost is bounded below by the metric floor, the `M`-fold of its
+//!   metric lower bounds, in the exact certifier's loop order.
 //! * **Guarded** (forward-error inflated): the `hi` sides. Distance
 //!   upper bounds recombine `K` exact pivot rows through the triangle
 //!   inequality `d(u,v) ≤ d(u,p) + d(p,v)`, which is exact in real
@@ -44,25 +40,17 @@
 //!   an order of magnitude above the worst-case fold reassociation
 //!   error of `O(n·ε)` — restores soundness.
 //!
-//! The spanner's stretch bounds the bracket *width*: on connected
-//! inputs `‖u,v‖ ≤ d_H(u,v)` and `d_H(u,v) ≤ d_S(u,v) ≤ t·‖u,v‖`, so
-//! per-distance lo/hi disagree by at most the stretch `t` (times the
-//! pivot-approximation slack). A tighter spanner buys tighter bars.
-//! No bracket side reads `t`, so the report states the construction's
-//! theorem ([`SpannerKind::proven_stretch`]: the Θ/Yao/greedy/grid
-//! bounds of the paper's analysis) instead of measuring it with `n`
-//! more Dijkstras; the measured certificate
-//! (`gncg_spanner::cert::certify`) stays with Algorithm 1, which plugs
-//! the measured `(k, t)` into its bound.
+//! The bracket oracle (the `bracket_oracle` test module next to this
+//! file) checks the equality below the cap and drives the floor/pivot
+//! side at every size against the exact backend at `n ≤ 128`.
 //!
 //! # Threads
 //!
-//! Every per-agent pass of [`certify_approx`] — the metric folds, the
-//! edge costs, the union-graph rows and the `hi` recombination — runs
+//! Every per-agent pass of [`certify_approx`] — the rows and β bounds,
+//! the metric folds, the edge costs and the `hi` recombination — runs
 //! through `gncg-parallel`, one agent per item, with a Dijkstra scratch
-//! and a row rented per worker; the spanner it builds scans its
-//! vertices in parallel too. Each agent's value is computed exactly as
-//! on one thread, and the cross-agent folds (the β maxima, the social
+//! and a row per worker. Each agent's value is computed exactly as on
+//! one thread, and the cross-agent folds (the β maxima, the social
 //! sums) stay sequential in agent order, so the report is bit-identical
 //! at every thread count. The whole pass runs under
 //! [`gncg_parallel::unbudgeted`]: it never degrades, so an exhausted
@@ -114,21 +102,16 @@ use gncg_geometry::PointSet;
 use gncg_graph::csr::{Csr, DijkstraScratch};
 use gncg_graph::{components, delta};
 use gncg_json::{object, ToJson, Value};
-use gncg_parallel::{parallel_map, parallel_map_with};
-use gncg_spanner::{GridIndex, SpannerKind};
+use gncg_parallel::parallel_map;
+use gncg_spanner::GridIndex;
 use gncg_trace::Counter;
 
-/// Above this `n`, [`certify_approx`] switches the per-agent lower
-/// bounds from union-graph Dijkstra rows (`n` sparse Dijkstras on
-/// `H = G ∪ S`, tighter) to the metric floor (the `M`-fold of metric
-/// lower bounds, coarser, no Dijkstras at all): at `n = 10⁴` the rows
+/// Up to this `n`, [`certify_approx`] reports the exact certifier's
+/// figures (`n` sparse Dijkstra rows on `G`); above it, the metric-floor
+/// and pivot brackets (no per-agent rows at all): at `n = 10⁴` the rows
 /// would dominate the whole certification, on one thread (the perf
 /// gate's setting) and still on a few.
 pub const UNION_ROWS_CAP: usize = 4096;
-
-/// Spanner behind the lower bounds under [`EvalBackend::Exact`] (the
-/// bracketed certifier always runs on a spanner).
-const DEFAULT_SPANNER: SpannerKind = SpannerKind::Theta { cones: 12 };
 
 /// Pivot rows behind the upper bounds under [`EvalBackend::Exact`].
 const DEFAULT_PIVOTS: usize = 8;
@@ -143,11 +126,6 @@ pub struct ApproxCertifyReport {
     pub alpha: f64,
     /// Whether the created network is connected.
     pub connected: bool,
-    /// The stretch the spanner's construction provably guarantees on
-    /// this point set ([`SpannerKind::proven_stretch`]); `∞` (JSON
-    /// `null`) when no theorem covers it. No bracket side reads it: it
-    /// states how wide the bars can be (module docs).
-    pub spanner_stretch: f64,
     /// Lower end of the β bracket (≥ 1).
     pub beta_lo: f64,
     /// Upper end of the β bracket — a sound β certificate by itself.
@@ -173,7 +151,6 @@ impl ToJson for ApproxCertifyReport {
             ("n", self.n.to_json()),
             ("alpha", self.alpha.to_json()),
             ("connected", self.connected.to_json()),
-            ("spanner_stretch", self.spanner_stretch.to_json()),
             ("beta_lo", self.beta_lo.to_json()),
             ("beta_hi", self.beta_hi.to_json()),
             ("gamma_lo", self.gamma_lo.to_json()),
@@ -242,47 +219,63 @@ fn farthest_point_pivots(ps: &PointSet, k: usize) -> Vec<usize> {
 /// Produce the bracketed certification report for a profile over a
 /// point set (see module docs for the exact soundness claims).
 ///
-/// Reads the spanner construction and pivot count off `cfg.backend`
-/// (a Θ-graph with 12 cones and 8 pivots when the backend is exact —
-/// bracketed certification always runs on a spanner) and the cost
-/// model off `cfg.model`. The lower bounds come from union-graph rows
-/// up to [`UNION_ROWS_CAP`] agents and from the metric floor above it.
+/// Up to [`UNION_ROWS_CAP`] agents the brackets are the exact
+/// certifier's figures; above it they come from the metric floor and
+/// from pivot rows, whose count is read off `cfg.backend` (8 when the
+/// backend is exact). The cost model is read off `cfg.model`.
 pub fn certify_approx(
     ps: &PointSet,
     net: &OwnedNetwork,
     alpha: f64,
     cfg: &crate::SolverConfig,
 ) -> ApproxCertifyReport {
-    let (spanner, pivots) = match cfg.backend {
-        EvalBackend::Exact => (DEFAULT_SPANNER, DEFAULT_PIVOTS),
-        EvalBackend::Spanner { kind, pivots } => (kind, pivots),
+    let pivots = match cfg.backend {
+        EvalBackend::Exact => DEFAULT_PIVOTS,
+        EvalBackend::Spanner { pivots, .. } => pivots,
     };
-    let union_rows = net.len() <= UNION_ROWS_CAP;
+    let exact_rows = net.len() <= UNION_ROWS_CAP;
     gncg_parallel::unbudgeted(|| {
         crate::dispatch_model!(cfg.model, M, {
-            certify_approx_generic::<M>(ps, net, alpha, spanner, pivots, union_rows)
+            certify_approx_generic::<M>(ps, net, alpha, pivots, exact_rows)
         })
     })
 }
 
-/// Body of [`certify_approx`] under model `M`. `union_rows` picks the
-/// lower-bound side: Dijkstra rows on `H = G ∪ S` when set, the
-/// metric floor otherwise (the oracle sweep drives both at every
-/// size).
+/// Body of [`certify_approx`] under model `M`. `exact_rows` picks the
+/// side: the exact certifier's bounds pass when set, the metric floor
+/// and pivot recombination otherwise (the oracle sweep drives both at
+/// every size).
 fn certify_approx_generic<M: CostModel>(
     ps: &PointSet,
     net: &OwnedNetwork,
     alpha: f64,
-    spanner_kind: SpannerKind,
     pivots: usize,
-    union_rows: bool,
+    exact_rows: bool,
 ) -> ApproxCertifyReport {
     let _span = gncg_trace::span("game.certify_approx");
     let n = net.len();
     assert_eq!(n, EdgeWeights::len(ps));
     let g = net.graph(ps);
-    let connected = components::is_connected(&g);
-    let csr = Csr::from_graph(&g);
+    // γ over the *exact* optimum lower bound (identical value to the
+    // exact backend's — it is polynomial even at 10⁴)
+    let opt_lb = certify::optimum_lower_bound::<PointSet, M>(ps, alpha);
+    let report = |beta: (f64, f64), social: (f64, f64)| ApproxCertifyReport {
+        n,
+        alpha,
+        connected: components::is_connected(&g),
+        beta_lo: beta.0,
+        beta_hi: beta.1,
+        gamma_lo: best_response::ratio(social.0, opt_lb),
+        gamma_hi: best_response::ratio(social.1, opt_lb),
+        social_lo: social.0,
+        social_hi: social.1,
+        opt_lower_bound: opt_lb,
+        model: M::KIND,
+    };
+    if exact_rows {
+        let b = certify::bounds::<PointSet, M>(ps, net, &g, alpha);
+        return report((b.beta_upper, b.beta_upper), (b.social, b.social));
+    }
     let guard = relative_guard(n);
 
     // Per-agent metric folds, in the exact certifier's loop order: the
@@ -298,36 +291,13 @@ fn certify_approx_generic<M: CostModel>(
         .map(|u| net.strategy(u).iter().map(|&v| ps.weight(u, v)).sum())
         .collect();
 
-    // lo: distance-cost lower bounds, bitwise ≤ the exact aggregates
-    let dist_lo: Vec<f64> = if union_rows {
-        let mut h = g.clone();
-        for (a, b, w) in gncg_spanner::build(ps, spanner_kind).edges() {
-            // shared pairs already carry identical weight bits (both
-            // sides are `ps.dist`); `add_edge` would *update* them
-            if !h.has_edge(a, b) {
-                h.add_edge(a, b, w);
-            }
-        }
-        let hcsr = Csr::from_graph(&h);
-        parallel_map_with(
-            n,
-            || {
-                let scratch = gncg_parallel::arena::rent::<DijkstraScratch>();
-                (scratch, gncg_parallel::arena::rent_vec(n, 0.0f64))
-            },
-            |(scratch, row), u| {
-                hcsr.dijkstra_into_slice(u, row, scratch);
-                M::aggregate(row)
-            },
-        )
-    } else {
-        // adding the skipped self-term 0.0 is a bitwise identity, so
-        // this is pointwise ≤ the self-including exact aggregate
-        lb_fold.clone()
-    };
-    let agent_lo: Vec<f64> = (0..n).map(|u| edge_costs[u] + dist_lo[u]).collect();
+    // lo: the metric floor; adding the skipped self-term 0.0 is a
+    // bitwise identity, so this is pointwise ≤ the self-including exact
+    // aggregate
+    let agent_lo: Vec<f64> = (0..n).map(|u| edge_costs[u] + lb_fold[u]).collect();
 
     // hi: triangle-inequality recombination of K exact pivot rows
+    let csr = Csr::from_graph(&g);
     let pivots = farthest_point_pivots(ps, pivots.max(1));
     let mut scratch = gncg_parallel::arena::rent::<DijkstraScratch>();
     let mut prow = gncg_parallel::arena::rent_vec(n, 0.0f64);
@@ -375,30 +345,11 @@ fn certify_approx_generic<M: CostModel>(
         })
         .fold(1.0f64, f64::max);
 
-    // γ bracket over the *exact* optimum lower bound (identical value
-    // to the exact backend's — it is polynomial even at 10⁴), with the
-    // social cost bracketed by the same-order sums of the pointwise
-    // agent bounds.
-    let opt_lb = certify::optimum_lower_bound::<PointSet, M>(ps, alpha);
+    // the social cost is bracketed by the same-order sums of the
+    // pointwise agent bounds
     let social_lo: f64 = agent_lo.iter().sum();
     let social_hi: f64 = agent_hi.iter().sum();
-    let gamma_lo = best_response::ratio(social_lo, opt_lb);
-    let gamma_hi = best_response::ratio(social_hi, opt_lb);
-
-    ApproxCertifyReport {
-        n,
-        alpha,
-        connected,
-        spanner_stretch: spanner_kind.proven_stretch(ps),
-        beta_lo,
-        beta_hi,
-        gamma_lo,
-        gamma_hi,
-        social_lo,
-        social_hi,
-        opt_lower_bound: opt_lb,
-        model: M::KIND,
-    }
+    report((beta_lo, beta_hi), (social_lo, social_hi))
 }
 
 /// Options for the large-n dynamics driver [`run_approx`].
@@ -711,7 +662,7 @@ mod tests {
     use crate::certify::certify;
     use crate::SumDistances;
     use gncg_geometry::generators;
-    use gncg_spanner::cert;
+    use gncg_spanner::{cert, SpannerKind};
 
     pub(super) fn random_net(n: usize, seed: u64) -> OwnedNetwork {
         use rand::{Rng, SeedableRng};
@@ -731,16 +682,22 @@ mod tests {
     }
 
     #[test]
-    fn disconnected_network_reports_infinite_hi_finite_lo() {
+    fn disconnected_network_reports_the_exact_certifiers_infinities() {
         let ps = generators::uniform_unit_square(10, 4);
         let mut net = OwnedNetwork::empty(10);
         net.buy(0, 1); // two agents linked, the rest isolated
         let r = certify_approx(&ps, &net, 1.0, &crate::SolverConfig::default());
         assert!(!r.connected);
-        assert!(r.beta_hi.is_infinite() && r.social_hi.is_infinite());
-        assert!(r.social_lo.is_finite(), "union graph keeps lo finite");
         let exact = certify(&ps, &net, 1.0, &crate::SolverConfig::bounds_only());
         assert!(r.beta_lo <= exact.beta_upper);
+        assert!(exact.social_cost.is_infinite() && exact.beta_upper.is_infinite());
+        for (lo, hi, x) in [
+            (r.beta_lo, r.beta_hi, exact.beta_upper),
+            (r.gamma_lo, r.gamma_hi, exact.gamma_upper),
+            (r.social_lo, r.social_hi, exact.social_cost),
+        ] {
+            assert_eq!((lo.to_bits(), hi.to_bits()), (x.to_bits(), x.to_bits()));
+        }
     }
 
     #[test]

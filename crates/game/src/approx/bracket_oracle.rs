@@ -1,14 +1,16 @@
-//! Oracle sweep for the spanner-backed certification brackets.
+//! Oracle sweep for the bracketed certifier.
 //!
 //! [`super::certify_approx`] claims its β/γ/social brackets *contain*
 //! the exact backend's certified figures (`CertifyReport::beta_upper`
 //! / `gamma_upper` / `social_cost`) — a soundness property, not a
 //! closeness one, so it must hold on every instance: both cost models,
-//! all three general-position spanner constructions, both lower-bound
-//! sides (union rows and metric floor) at every size, dense and sparse
-//! α regimes, and disconnected profiles (where the exact figures are
-//! infinite and the `hi` ends must follow them to ∞). The sweep calls
-//! the private generic body, so it pins the lower-bound side that
+//! both sides (the exact rows and the metric floor with pivot rows) at
+//! every size, dense and sparse α regimes, degenerate geometries, and
+//! disconnected profiles (where the exact figures are infinite and the
+//! `hi` ends must follow them to ∞). On the exact-rows side, the one
+//! [`super::certify_approx`] takes up to `UNION_ROWS_CAP`, every
+//! bracket end must *equal* the exact figure bit for bit. The sweep
+//! calls the private generic body, so it pins the side that
 //! [`super::certify_approx`] itself picks by size.
 //!
 //! At `n ≤ 128` the exact certifier is cheap, so the sweep
@@ -18,13 +20,10 @@
 //! oracle harnesses. Run it alone with
 //! `cargo test --release -p gncg-game --lib approx::bracket_oracle`.
 
-use super::{
-    certify_approx_generic, ApproxCertifyReport, DEFAULT_PIVOTS, DEFAULT_SPANNER, UNION_ROWS_CAP,
-};
+use super::{certify_approx_generic, DEFAULT_PIVOTS, UNION_ROWS_CAP};
 use crate::certify::certify;
 use crate::{ModelKind, OwnedNetwork, SolverConfig};
 use gncg_geometry::{generators, PointSet};
-use gncg_spanner::SpannerKind;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -72,17 +71,10 @@ fn random_network(rng: &mut StdRng, n: usize) -> OwnedNetwork {
     }
 }
 
-fn pick_spanner(rng: &mut StdRng) -> SpannerKind {
-    match rng.gen_range(0..3) {
-        0 => SpannerKind::Greedy { t: 1.5 },
-        1 => SpannerKind::Theta { cones: 12 },
-        _ => SpannerKind::Yao { cones: 12 },
-    }
-}
-
-/// The lower-bound side: a third of the draws take the production rule
-/// (`n ≤ UNION_ROWS_CAP`), the rest pin union rows or the metric floor.
-fn pick_union_rows(rng: &mut StdRng, n: usize) -> bool {
+/// The side: a third of the draws take the production rule
+/// (`n ≤ UNION_ROWS_CAP`), the rest pin the exact rows or the metric
+/// floor with pivot rows.
+fn pick_exact_rows(rng: &mut StdRng, n: usize) -> bool {
     match rng.gen_range(0..3) {
         0 => n <= UNION_ROWS_CAP,
         1 => true,
@@ -90,28 +82,18 @@ fn pick_union_rows(rng: &mut StdRng, n: usize) -> bool {
     }
 }
 
-/// `lo ≤ x ≤ hi` with infinities handled the way the report promises:
-/// an infinite exact figure forces an infinite `hi`.
-fn assert_bracketed(lo: f64, x: f64, hi: f64, what: &str, ctx: &str) {
-    assert!(
-        lo <= x && x <= hi,
-        "{ctx}: {what} bracket [{lo}, {hi}] misses exact {x}"
-    );
-}
-
-/// Certify one instance both ways, check every claim the bracketed
-/// report makes about the exact one, and return the bracketed report.
-#[allow(clippy::too_many_arguments)]
+/// Certify one instance both ways and check every claim the bracketed
+/// report makes about the exact one: containment on both sides, and
+/// bit equality on the exact-rows side.
 fn check_case(
     ps: &PointSet,
     net: &OwnedNetwork,
     alpha: f64,
     model: ModelKind,
-    spanner: SpannerKind,
     pivots: usize,
-    union_rows: bool,
+    exact_rows: bool,
     ctx: &str,
-) -> ApproxCertifyReport {
+) {
     let exact = certify(
         ps,
         net,
@@ -119,7 +101,7 @@ fn check_case(
         &SolverConfig::bounds_only().with_model(model),
     );
     let approx = crate::dispatch_model!(model, M, {
-        certify_approx_generic::<M>(ps, net, alpha, spanner, pivots, union_rows)
+        certify_approx_generic::<M>(ps, net, alpha, pivots, exact_rows)
     });
 
     assert_eq!(approx.n, exact.n);
@@ -132,42 +114,36 @@ fn check_case(
         exact.opt_lower_bound.to_bits(),
         "{ctx}: opt lower bound diverged"
     );
-    assert_bracketed(
-        approx.beta_lo,
-        exact.beta_upper,
-        approx.beta_hi,
-        "beta",
-        ctx,
-    );
-    assert_bracketed(
-        approx.gamma_lo,
-        exact.gamma_upper,
-        approx.gamma_hi,
-        "gamma",
-        ctx,
-    );
-    assert_bracketed(
-        approx.social_lo,
-        exact.social_cost,
-        approx.social_hi,
-        "social",
-        ctx,
-    );
+    let brackets = [
+        ("beta", approx.beta_lo, exact.beta_upper, approx.beta_hi),
+        ("gamma", approx.gamma_lo, exact.gamma_upper, approx.gamma_hi),
+        (
+            "social",
+            approx.social_lo,
+            exact.social_cost,
+            approx.social_hi,
+        ),
+    ];
+    for (what, lo, x, hi) in brackets {
+        assert!(
+            lo <= x && x <= hi,
+            "{ctx}: {what} bracket [{lo}, {hi}] misses exact {x}"
+        );
+        if exact_rows {
+            assert_eq!(
+                (lo.to_bits(), hi.to_bits()),
+                (x.to_bits(), x.to_bits()),
+                "{ctx}: {what} bracket [{lo}, {hi}] is not the exact {x}"
+            );
+        }
+    }
     assert!(approx.beta_lo >= 1.0, "{ctx}: beta_lo below the floor");
-    // the report states the construction's theorem, not a measurement
-    assert_eq!(
-        approx.spanner_stretch.to_bits(),
-        spanner.proven_stretch(ps).to_bits(),
-        "{ctx}: reported stretch is not the proven bound"
-    );
-    assert!(approx.spanner_stretch >= 1.0, "{ctx}: stretch below 1");
     if !exact.connected {
         assert!(
             approx.beta_hi.is_infinite() && approx.social_hi.is_infinite(),
             "{ctx}: disconnected instance must push the hi bars to ∞"
         );
     }
-    approx
 }
 
 fn bracket_sweep_model(model: ModelKind, seed_base: u64, cases: u64) {
@@ -183,14 +159,13 @@ fn bracket_sweep_model(model: ModelKind, seed_base: u64, cases: u64) {
         let ps = generators::uniform_unit_square(n, rng.gen());
         let net = random_network(&mut rng, n);
         let alpha = pick_alpha(&mut rng);
-        let spanner = pick_spanner(&mut rng);
-        let union_rows = pick_union_rows(&mut rng, n);
+        let exact_rows = pick_exact_rows(&mut rng, n);
         let pivots = rng.gen_range(1..12);
         let ctx = format!(
-            "case {case} (model {model:?}, n {n}, alpha {alpha}, {spanner:?}, \
-             union_rows {union_rows}, pivots {pivots})"
+            "case {case} (model {model:?}, n {n}, alpha {alpha}, \
+             exact_rows {exact_rows}, pivots {pivots})"
         );
-        check_case(&ps, &net, alpha, model, spanner, pivots, union_rows, &ctx);
+        check_case(&ps, &net, alpha, model, pivots, exact_rows, &ctx);
     }
 }
 
@@ -204,36 +179,25 @@ fn brackets_contain_exact_certified_figures() {
 
 #[test]
 fn brackets_contain_certified_values_on_default_backend() {
-    // the exact backend's spanner and pivots on fixed sparse trees,
-    // both lower-bound sides each
+    // the exact backend's pivot count on fixed sparse trees, both
+    // sides each
     for seed in 0..3u64 {
         let n = 24;
         let ps = generators::uniform_unit_square(n, seed + 30);
         let net = super::tests::random_net(n, seed);
         let alpha = 0.4 + seed as f64;
-        for union_rows in [true, false] {
-            let ctx = format!("seed {seed} union_rows {union_rows}");
-            let r = check_case(
-                &ps,
-                &net,
-                alpha,
-                ModelKind::SumDistances,
-                DEFAULT_SPANNER,
-                DEFAULT_PIVOTS,
-                union_rows,
-                &ctx,
-            );
-            assert!(r.spanner_stretch.is_finite(), "{ctx}");
+        for exact_rows in [true, false] {
+            let ctx = format!("seed {seed} exact_rows {exact_rows}");
+            let model = ModelKind::SumDistances;
+            check_case(&ps, &net, alpha, model, DEFAULT_PIVOTS, exact_rows, &ctx);
         }
     }
 }
 
 #[test]
 fn brackets_hold_on_degenerate_geometries() {
-    // collinear and coincident points break general position for the
-    // cone constructions' angular sweeps and push many metric lower
-    // bounds to zero — the ratio edge cases (`den = 0`) must stay
-    // bracketed
+    // collinear and coincident points push many metric lower bounds to
+    // zero — the ratio edge cases (`den = 0`) must stay bracketed
     for model in models() {
         for (label, ps) in [
             ("line", generators::line(24, 23.0)),
@@ -248,20 +212,8 @@ fn brackets_hold_on_degenerate_geometries() {
                 let net = random_network(&mut rng, n);
                 let alpha = pick_alpha(&mut rng);
                 let ctx = format!("{label} trial {trial} (model {model:?}, alpha {alpha})");
-                // the greedy spanner tolerates degenerate geometry in
-                // any dimension; cone constructions assume general
-                // position, so they are not swept here
-                let union_rows = pick_union_rows(&mut rng, n);
-                check_case(
-                    &ps,
-                    &net,
-                    alpha,
-                    model,
-                    SpannerKind::Greedy { t: 1.5 },
-                    DEFAULT_PIVOTS,
-                    union_rows,
-                    &ctx,
-                );
+                let exact_rows = pick_exact_rows(&mut rng, n);
+                check_case(&ps, &net, alpha, model, DEFAULT_PIVOTS, exact_rows, &ctx);
             }
         }
     }

@@ -20,7 +20,7 @@
 
 use crate::best_response::{self, ResponseEvaluator};
 use crate::outcome::{self, DegradeReason, Regime};
-use crate::{exact, moves, CostModel, EdgeWeights, EvalContext, ModelKind, OwnedNetwork};
+use crate::{cost, exact, moves, CostModel, EdgeWeights, ModelKind, OwnedNetwork};
 use gncg_graph::Graph;
 use gncg_json::{field, object, FromJson, JsonError, ToJson, Value};
 
@@ -236,13 +236,9 @@ pub fn agent_beta_upper<W: EdgeWeights + ?Sized, M: CostModel>(
         .fold(M::EMPTY, M::fold);
     // components of the created network minus u's bought edges (an edge
     // survives when the other endpoint buys it too)
-    let mut g_minus = g.clone();
-    for &v in net.strategy(u) {
-        if !net.owns(v, u) {
-            g_minus.remove_edge(u, v);
-        }
-    }
-    let (labels, k) = gncg_graph::components::components(&g_minus);
+    let sole = |v: usize| net.owns(u, v) && !net.owns(v, u);
+    let (labels, k) =
+        gncg_graph::components::components(g, |a, b| !(a == u && sole(b) || b == u && sole(a)));
     if k > 1 {
         let mut min_into = vec![f64::INFINITY; k];
         for (v, &c) in labels.iter().enumerate() {
@@ -263,23 +259,51 @@ pub fn agent_beta_upper<W: EdgeWeights + ?Sized, M: CostModel>(
 }
 
 /// Sound upper bound on β for the whole profile under model `M` (the
-/// max over agents of [`agent_beta_upper`], computed off one shared
-/// evaluation context). Polynomial; this is the certified-regime
-/// fallback of the budgeted β solvers.
+/// max over agents of [`agent_beta_upper`]). Polynomial; this is the
+/// certified-regime fallback of the budgeted β solvers.
 pub fn beta_upper<W: EdgeWeights + ?Sized, M: CostModel>(
     w: &W,
     net: &OwnedNetwork,
     alpha: f64,
 ) -> f64 {
-    let n = net.len();
-    let mut ctx = EvalContext::new(w, net, alpha);
-    ctx.ensure_all_rows();
-    let costs: Vec<f64> = (0..n).map(|u| ctx.agent_cost_cached::<M>(u)).collect();
-    let (g, costs) = (ctx.graph(), &costs);
-    let ups = gncg_parallel::parallel_map(n, |u| {
+    bounds::<W, M>(w, net, &net.graph(w), alpha).beta_upper
+}
+
+/// The polynomial certified figures of a profile under model `M`.
+pub(crate) struct Bounds {
+    /// Each agent's exact `M`-cost on the created network.
+    pub(crate) costs: Vec<f64>,
+    /// `SC(G)`: the agent costs summed in agent order.
+    pub(crate) social: f64,
+    /// `max(1, max_u agent_beta_upper(u))`.
+    pub(crate) beta_upper: f64,
+}
+
+/// The one bounds pass behind [`certify`], [`beta_upper`] and
+/// [`crate::approx::certify_approx`]: one streamed Dijkstra row per
+/// agent on the created network `g` (`net.graph(w)`, no `n×n` matrix),
+/// each agent's cost (the same sum as [`cost::agent_cost`]) fed into
+/// [`agent_beta_upper`]. Agents run in parallel; the cross-agent folds
+/// are sequential in agent order, so the figures are bit-identical at
+/// every thread count.
+pub(crate) fn bounds<W: EdgeWeights + ?Sized, M: CostModel>(
+    w: &W,
+    net: &OwnedNetwork,
+    g: &Graph,
+    alpha: f64,
+) -> Bounds {
+    let dists = gncg_graph::apsp::distance_aggregates(g, |row| M::aggregate(row));
+    let costs: Vec<f64> = (0..net.len())
+        .map(|u| cost::edge_cost(w, net, alpha, u) + dists[u])
+        .collect();
+    let ups = gncg_parallel::parallel_map(net.len(), |u| {
         agent_beta_upper::<W, M>(w, net, g, alpha, u, costs[u])
     });
-    ups.into_iter().fold(1.0f64, f64::max)
+    Bounds {
+        social: costs.iter().sum(),
+        beta_upper: ups.into_iter().fold(1.0f64, f64::max),
+        costs,
+    }
 }
 
 /// Produce the full certification report, running the *exponential*
@@ -316,20 +340,14 @@ fn certify_generic<W: EdgeWeights + ?Sized, M: CostModel>(
     let budget = &cfg.budget;
     let n = net.len();
     assert_eq!(n, w.len());
-    // one shared evaluation context: the graph is built once and every
-    // agent's distance row is computed once (in parallel), instead of a
-    // full rebuild + Dijkstra per bound and per witness probe
-    let mut ctx = EvalContext::new(w, net, alpha);
-    ctx.ensure_all_rows();
-    let connected = gncg_graph::components::is_connected(ctx.graph());
-    let costs: Vec<f64> = (0..n).map(|u| ctx.agent_cost_cached::<M>(u)).collect();
-    let social: f64 = costs.iter().sum();
-    let (g, costs) = (ctx.graph(), &costs);
-
-    let beta_uppers = gncg_parallel::parallel_map(n, |u| {
-        agent_beta_upper::<W, M>(w, net, g, alpha, u, costs[u])
-    });
-    let beta_upper = beta_uppers.into_iter().fold(1.0f64, f64::max);
+    // the graph is built once; the witness probes start from it too
+    let g = &net.graph(w);
+    let connected = gncg_graph::components::is_connected(g);
+    let Bounds {
+        costs,
+        social,
+        beta_upper,
+    } = bounds::<W, M>(w, net, g, alpha);
 
     let mut degrade_reasons = Vec::new();
     let mut record = |what: &str, reason: DegradeReason| {
@@ -468,6 +486,52 @@ mod tests {
         assert!(ge <= r.gamma_upper + 1e-9);
         assert!(ge >= 1.0 - 1e-9);
         assert!(r.opt_exact.unwrap() >= r.opt_lower_bound - 1e-9);
+    }
+
+    #[test]
+    fn agent_beta_upper_matches_a_graph_minus_the_agents_edges() {
+        // reference: clone G, remove u's sole-bought edges, label the
+        // components of the copy; mutual buys keep their edge
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(13);
+        for trial in 0..20 {
+            let n = rng.gen_range(2..14);
+            let ps = generators::uniform_unit_square(n, 300 + trial);
+            let mut net = OwnedNetwork::empty(n);
+            for _ in 0..rng.gen_range(0..2 * n) {
+                let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                if a != b {
+                    net.buy(a, b);
+                }
+            }
+            let alpha = rng.gen_range(0.1..4.0);
+            let g = net.graph(&ps);
+            for u in 0..n {
+                let now = crate::cost::agent_cost::<_, crate::SumDistances>(&ps, &net, alpha, u);
+                let mut g_minus = g.clone();
+                for &v in net.strategy(u) {
+                    if !net.owns(v, u) {
+                        g_minus.remove_edge(u, v);
+                    }
+                }
+                let (labels, k) = gncg_graph::components::components(&g_minus, |_, _| true);
+                let mut connect = vec![f64::INFINITY; k];
+                for (v, &c) in labels.iter().enumerate() {
+                    if v != u && ps.dist(u, v) < connect[c] {
+                        connect[c] = ps.dist(u, v);
+                    }
+                }
+                let mut lb: f64 = (0..n).filter(|&v| v != u).map(|v| ps.dist(u, v)).sum();
+                for (c, &m) in connect.iter().enumerate() {
+                    if k > 1 && c != labels[u] && m.is_finite() {
+                        lb += alpha * m;
+                    }
+                }
+                let got = agent_beta_upper::<_, crate::SumDistances>(&ps, &net, &g, alpha, u, now);
+                let want = best_response::ratio(now, lb);
+                assert_eq!(got.to_bits(), want.to_bits(), "trial {trial} agent {u}");
+            }
+        }
     }
 
     #[test]

@@ -22,19 +22,19 @@
 //!   exact→certified degradation ladder,
 //! * [`dynamics`] — (best-)response dynamics with cycle detection
 //!   (the Theorem 3.1 FIP study),
-//! * [`eval`] — the incremental [`EvalContext`] the dynamics and
-//!   certifier run on (delta-rebuilt graph, cached distance rows),
-//! * [`approx`] — spanner-backed approximate evaluation with
-//!   *certified error bars* (β/γ brackets proven to contain the exact
-//!   backend's figures) and grid-candidate dynamics for `n = 10⁴`,
+//! * [`eval`] — the incremental [`EvalContext`] the dynamics run on
+//!   (delta-rebuilt graph, cached distance rows),
+//! * [`approx`] — certification with *certified error bars* (β/γ
+//!   brackets equal to the exact backend's figures up to 4096 agents,
+//!   proven to contain them above) and grid-candidate dynamics for
+//!   `n = 10⁴`,
 //! * [`prune`] — geometric move pruning: sound lower bounds that
 //!   discard candidates bit-identically, with the unpruned engines kept
 //!   as one named oracle ([`prune::oracle`]),
 //! * [`solver_config`] — the unified builder-style [`SolverConfig`]
 //!   accepted by every solver entry point (model × formation × backend
 //!   × budget × certify flags × cache policy), with the
-//!   [`EvalBackend`] choice of spanner and pivots for the bracketed
-//!   certifier,
+//!   [`EvalBackend`] pivot count of the bracketed certifier,
 //! * [`model`] — the cost-model abstraction ([`CostModel`],
 //!   [`SumDistances`]/[`MaxDistance`]) and edge-formation rules
 //!   ([`EdgeFormation`], [`GameSpec`]) every engine is generic over,

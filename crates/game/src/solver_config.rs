@@ -26,19 +26,19 @@ use crate::ModelKind;
 use gncg_parallel::Budget;
 use gncg_spanner::SpannerKind;
 
-/// Which evaluation the bracketed certifier
-/// ([`crate::approx::certify_approx`]) runs on: the spanner behind its
-/// lower bounds and the number of pivot rows behind its upper bounds.
+/// The pivot count of the bracketed certifier
+/// ([`crate::approx::certify_approx`]): how many exact rows back its
+/// distance upper bounds above [`crate::approx::UNION_ROWS_CAP`] agents.
+/// Up to the cap it reports the exact certifier's figures and reads no
+/// backend.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EvalBackend {
-    /// Exact evaluation and exact certified bounds; the bracketed
-    /// certifier, which always runs on a spanner, then uses a Θ-graph
-    /// with 12 cones and 8 pivot rows.
+    /// Exact evaluation; the bracketed certifier then uses 8 pivot rows.
     Exact,
-    /// Spanner-backed approximate evaluation with certified error bars.
+    /// Approximate evaluation with certified error bars.
     Spanner {
-        /// Spanner backing the lower bounds (and the reported stretch
-        /// certificate).
+        /// Read by no certifier: the bracketed certifier builds no
+        /// spanner.
         kind: SpannerKind,
         /// Pivot rows for the distance upper bounds.
         pivots: usize,
@@ -93,8 +93,8 @@ pub struct SolverConfig {
     pub model: ModelKind,
     /// Who must agree before an edge exists (dynamics only).
     pub formation: EdgeFormation,
-    /// Exact or spanner-backed evaluation (bracketed certification
-    /// only).
+    /// Exact or approximate evaluation (the bracketed certifier's pivot
+    /// count above its cap; nothing else reads it).
     pub backend: EvalBackend,
     /// Budget for the *exponential* solver parts. Defaults to
     /// `GNCG_BUDGET_MS` ([`Budget::from_env`], unlimited when unset).

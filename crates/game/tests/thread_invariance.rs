@@ -18,7 +18,7 @@
 //! `GNCG_THREADS=1` leg) is kept.
 
 use gncg_game::approx::{certify_approx, run_approx, ApproxDynamicsOptions, ApproxDynamicsResult};
-use gncg_game::{EvalBackend, ModelKind, OwnedNetwork, SolverConfig};
+use gncg_game::{ModelKind, OwnedNetwork, SolverConfig};
 use gncg_geometry::{generators, PointSet};
 use gncg_parallel::{with_budget, with_max_threads, Budget};
 use gncg_spanner::{cert, GridIndex, SpannerKind};
@@ -47,10 +47,7 @@ fn fingerprint(ps: &PointSet, kind: SpannerKind, model: ModelKind) -> Fingerprin
         .with_model(model)
         .with_rounds(2);
     let dynamics = run_approx(ps, &mut net, 0.8, &index, opts);
-    let cfg = SolverConfig::default()
-        .with_model(model)
-        .with_backend(EvalBackend::Spanner { kind, pivots: 6 });
-    let r = certify_approx(ps, &net, 0.8, &cfg);
+    let r = certify_approx(ps, &net, 0.8, &SolverConfig::default().with_model(model));
     let delta = gncg_trace::snapshot().counters_since(&before);
     Fingerprint {
         spanner: spanner
@@ -66,7 +63,6 @@ fn fingerprint(ps: &PointSet, kind: SpannerKind, model: ModelKind) -> Fingerprin
             ("n", r.n as u64),
             ("alpha", r.alpha.to_bits()),
             ("connected", r.connected as u64),
-            ("spanner_stretch", r.spanner_stretch.to_bits()),
             ("beta_lo", r.beta_lo.to_bits()),
             ("beta_hi", r.beta_hi.to_bits()),
             ("gamma_lo", r.gamma_lo.to_bits()),

@@ -49,7 +49,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use gncg_game::approx::ApproxCertifyReport;
 use gncg_game::best_response::BestResponse;
 use gncg_game::certify::CertifyReport;
 use gncg_game::exact::ExactOptimum;
@@ -755,29 +754,6 @@ impl Session {
         })
     }
 
-    /// Submit a spanner-backed *bracketed* certification job
-    /// ([`gncg_game::approx::certify_approx`]) — the large-n
-    /// counterpart of [`Session::submit_certify`], sharing its job
-    /// kind, lane, and admission behaviour. Takes a concrete point set
-    /// (the spanner and grid constructions are geometric; a bare
-    /// [`EdgeWeights`] oracle is not enough). The computation is
-    /// polynomial with no exponential part to degrade, so the job
-    /// budget only gates the start: a budget cancelled before dispatch
-    /// resolves the handle to [`JobError::Cancelled`], exactly like
-    /// every other kind.
-    pub fn submit_certify_approx(
-        &self,
-        ps: Arc<gncg_geometry::PointSet>,
-        net: OwnedNetwork,
-        alpha: f64,
-        cfg: SolverConfig,
-        job: JobOptions,
-    ) -> Result<JobHandle<ApproxCertifyReport>, SubmitError> {
-        self.submit_raw(JobKind::Certify, job, move |_, _| {
-            gncg_game::approx::certify_approx(&ps, &net, alpha, &cfg)
-        })
-    }
-
     /// Submit an exact best-response job for agent `u`. The job budget
     /// replaces `cfg.budget`; the cost model in `cfg` is honored
     /// (default `ModelKind::SumDistances` — chain
@@ -978,43 +954,6 @@ mod tests {
             report.gamma_exact.unwrap().to_bits(),
             direct.gamma_exact.unwrap().to_bits()
         );
-    }
-
-    #[test]
-    fn certify_approx_job_matches_direct_call_and_brackets_exact() {
-        let ps = Arc::new(generators::uniform_unit_square(20, 5));
-        let net = OwnedNetwork::center_star(20, 0);
-        let direct = gncg_game::approx::certify_approx(&ps, &net, 1.5, &SolverConfig::default());
-        let session = Session::builder().threads(2).build();
-        let handle = session
-            .submit_certify_approx(
-                Arc::clone(&ps),
-                net.clone(),
-                1.5,
-                SolverConfig::default(),
-                JobOptions::default(),
-            )
-            .expect("admitted");
-        let report = handle.wait().expect("job succeeded");
-        assert_eq!(report.beta_lo.to_bits(), direct.beta_lo.to_bits());
-        assert_eq!(report.beta_hi.to_bits(), direct.beta_hi.to_bits());
-        assert_eq!(report.social_hi.to_bits(), direct.social_hi.to_bits());
-        // the bracket really contains the exact certified figure
-        let exact = gncg_game::certify::certify(&*ps, &net, 1.5, &SolverConfig::bounds_only());
-        assert!(report.beta_lo <= exact.beta_upper && exact.beta_upper <= report.beta_hi);
-        // a dead budget still cancels before start, like every kind
-        let dead = Budget::unlimited();
-        dead.cancel();
-        let cancelled = session
-            .submit_certify_approx(
-                Arc::clone(&ps),
-                net,
-                1.5,
-                SolverConfig::default(),
-                JobOptions::with_budget(&dead),
-            )
-            .expect("admitted");
-        assert_eq!(cancelled.wait(), Err(JobError::Cancelled));
     }
 
     #[test]

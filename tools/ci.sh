@@ -67,12 +67,13 @@ if grep -rnE 'ApproxCertifyOptions|certify_approx_tuned|approx_options|best_sing
     exit 1
 fi
 
-# certify only what the bracket reads: no gncg-game body measures a
-# spanner's stretch (`cert::certify`, `stretch::stretch`: n Dijkstras on
-# the spanner); the bracketed certifier reports the construction's
-# proven bound. Test code may measure it and docs may name it: each
-# file is read up to its first `#[cfg(test)]`, comment lines and files
-# that are test modules are skipped.
+# certify only what the bracket reads: no gncg-game body builds a
+# spanner (`gncg_spanner::build`) or measures a stretch (`cert::certify`,
+# `stretch::stretch`: n Dijkstras on the spanner); the bracketed
+# certifier reads the created network's rows and pivot rows only. Test
+# code may build and measure spanners and docs may name them: each file
+# is read up to its first `#[cfg(test)]`, comment lines and files that
+# are test modules are skipped.
 game_bodies() {
     local tests f
     tests=$(grep -rhA1 '^#\[cfg(test)\]' crates/game/src | sed -n 's/^mod \([a-z0-9_]*\);$/\1.rs/p' || true)
@@ -81,8 +82,8 @@ game_bodies() {
         awk '/^ *#\[cfg\(test\)\]/ { exit } /^ *\/\// { next } { print FILENAME ":" FNR ": " $0 }' "$f"
     done
 }
-if game_bodies | grep -E '\b(cert::certify|stretch::stretch)\b'; then
-    echo 'a gncg-game body measures a spanner stretch (report SpannerKind::proven_stretch)' >&2
+if game_bodies | grep -E '\b(cert::certify|stretch::stretch)\b|gncg_spanner::(\{[^}]*)?\bbuild'; then
+    echo 'a gncg-game body builds a spanner or measures a stretch (certify from the created network alone)' >&2
     exit 1
 fi
 

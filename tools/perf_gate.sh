@@ -10,11 +10,12 @@
 #
 # Tiers:
 #   legacy — `perf_smoke` with no argument, gated against
-#            results/PERF_BASELINE.json; six deterministic counters.
+#            results/PERF_BASELINE.json; nine deterministic counters
+#            (six shared ones plus the pool/service job tallies).
 #   large  — `perf_smoke large`: spanner-backed dynamics + bracketed
 #            certification at n ∈ {1024, 4096, 10000}, gated against
 #            results/PERF_BASELINE_LARGE.json; eight deterministic
-#            counters (the six legacy ones plus the candidate-generation
+#            counters (the six shared ones plus the candidate-generation
 #            tallies). Each stage row also carries its own counter
 #            delta; the gate prints that ledger next to the stage times
 #            (marking counts that differ from the baseline row), while
@@ -105,6 +106,8 @@ REQUIRED = ["service dispatch x512"]
 if tier == "large":
     DETERMINISTIC += ["candidates_generated", "candidates_skipped"]
     REQUIRED = ["approx dynamics+certify n=10000 grid"]
+else:
+    DETERMINISTIC += ["pool_jobs", "service_enqueued", "service_dequeued"]
 
 failures = []
 
