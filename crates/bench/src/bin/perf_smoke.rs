@@ -47,6 +47,27 @@ use std::time::Instant;
 /// median is one batch).
 const DISPATCH_BATCHES: usize = 15;
 
+/// Timed runs behind the legacy best-response and certify rows (odd, so
+/// the median is one run).
+const STAGE_RUNS: usize = 5;
+
+/// Median wall seconds of [`STAGE_RUNS`] runs of `f`. Only the first
+/// run is traced, so the stage adds its deterministic counters exactly
+/// once, as a single run would.
+fn median_run_secs(mut f: impl FnMut()) -> f64 {
+    let mut secs: Vec<f64> = (0..STAGE_RUNS)
+        .map(|run| {
+            gncg_trace::set_enabled(run == 0);
+            let t0 = Instant::now();
+            f();
+            t0.elapsed().as_secs_f64()
+        })
+        .collect();
+    gncg_trace::set_enabled(true);
+    secs.sort_by(f64::total_cmp);
+    secs[STAGE_RUNS / 2]
+}
+
 /// Fixed-size pure-CPU loop; its wall time is the unit every stage's
 /// time is expressed in.
 fn calibration_secs() -> f64 {
@@ -239,14 +260,16 @@ fn legacy_tier() {
         "raw wall seconds; normalize by calibration_secs",
     );
 
-    // stage 3: exact best-response enumeration (2^17 strategy evals)
+    // stage 3: exact best-response enumeration (2^17 strategy evals);
+    // one run of stage 3 or 4 is too noisy to gate on, so each row is
+    // the median of STAGE_RUNS runs
     let ps = generators::uniform_unit_square(18, 3);
     let net = OwnedNetwork::center_star(18, 0);
-    let t0 = Instant::now();
-    let br = best_response::exact_best_response(&ps, &net, 1.0, 1, &SolverConfig::default())
-        .expect_exact("best response");
-    std::hint::black_box(br.cost);
-    let br_s = t0.elapsed().as_secs_f64();
+    let br_s = median_run_secs(|| {
+        let br = best_response::exact_best_response(&ps, &net, 1.0, 1, &SolverConfig::default())
+            .expect_exact("best response");
+        std::hint::black_box(br.cost);
+    });
     report.push_unreferenced(
         "exact best response n=18".into(),
         br_s,
@@ -257,10 +280,10 @@ fn legacy_tier() {
     // stage 4: certified bounds + witness probing
     let ps = generators::uniform_unit_square(96, 2);
     let net = OwnedNetwork::center_star(96, 0);
-    let t0 = Instant::now();
-    let r = certify(&ps, &net, 2.0, &SolverConfig::default());
-    std::hint::black_box(r.beta_upper);
-    let cert_s = t0.elapsed().as_secs_f64();
+    let cert_s = median_run_secs(|| {
+        let r = certify(&ps, &net, 2.0, &SolverConfig::default());
+        std::hint::black_box(r.beta_upper);
+    });
     report.push_unreferenced(
         "certify bounds n=96".into(),
         cert_s,

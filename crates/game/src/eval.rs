@@ -318,7 +318,12 @@ mod tests {
         let mut ctx = EvalContext::new(&ps, &net, 1.3);
         ctx.ensure_all_rows();
         for u in 0..11 {
-            let row_sum = ctx.cached_full_matrix().expect("all rows valid").row_sum(u);
+            let row_sum: f64 = ctx
+                .cached_full_matrix()
+                .expect("all rows valid")
+                .row(u)
+                .iter()
+                .sum();
             assert_eq!(
                 ctx.agent_cost_cached::<SumDistances>(u).to_bits(),
                 (ctx.edge_cost(u) + row_sum).to_bits(),

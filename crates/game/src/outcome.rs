@@ -76,11 +76,6 @@ pub enum Outcome<T> {
 }
 
 impl<T> Outcome<T> {
-    /// Did the exact path complete?
-    pub fn is_exact(&self) -> bool {
-        matches!(self, Outcome::Exact(_))
-    }
-
     /// The exact value, panicking with the degrade reason when the solve
     /// degraded. For callers (tests, benches, small-instance tools) that
     /// require the exact answer and treat degradation as a bug.
@@ -207,14 +202,12 @@ mod tests {
     #[test]
     fn outcome_accessors() {
         let e: Outcome<u32> = Outcome::Exact(5);
-        assert!(e.is_exact());
         assert_eq!(e.certified_bound(), None);
         assert_eq!(e.exact(), Some(5));
         let d: Outcome<u32> = Outcome::Degraded {
             certified_bound: 2.5,
             reason: DegradeReason::BudgetExhausted,
         };
-        assert!(!d.is_exact());
         assert_eq!(d.certified_bound(), Some(2.5));
         assert_eq!(d.reason(), Some(&DegradeReason::BudgetExhausted));
         assert_eq!(d.exact(), None);

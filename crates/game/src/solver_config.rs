@@ -7,8 +7,8 @@
 //! reads the axes it understands and ignores the rest, so one config
 //! value can drive a whole experiment (dynamics → certify → exact
 //! validation) without re-translation. The solver bodies read the
-//! config directly; the only derived view is [`GameSpec`] (the
-//! `model × formation` pair the serve tier puts on the wire). Geometric
+//! config directly; the serve tier lifts its wire [`GameSpec`] (the
+//! `model × formation` pair) into one with `From`. Geometric
 //! pruning is not an axis: every solver runs the pruned engines, whose
 //! unpruned oracle is [`crate::prune::oracle`].
 //!
@@ -213,15 +213,6 @@ impl SolverConfig {
         self.cache = CachePolicy::Disabled;
         self
     }
-
-    /// The `model × formation` pair as a [`GameSpec`] (the serve wire
-    /// type).
-    pub fn game_spec(&self) -> GameSpec {
-        GameSpec {
-            model: self.model,
-            formation: self.formation,
-        }
-    }
 }
 
 impl From<GameSpec> for SolverConfig {
@@ -278,6 +269,6 @@ mod tests {
     fn game_spec_round_trips() {
         let spec = GameSpec::bilateral(ModelKind::MaxDistance);
         let cfg = SolverConfig::from(spec);
-        assert_eq!(cfg.game_spec(), spec);
+        assert_eq!((cfg.model, cfg.formation), (spec.model, spec.formation));
     }
 }

@@ -164,7 +164,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
         for _ in 0..10 {
             let pts: Vec<Point> = (0..80)
-                .map(|_| Point::d3(rng.gen::<f64>(), rng.gen::<f64>(), rng.gen::<f64>()))
+                .map(|_| Point::new(vec![rng.gen::<f64>(), rng.gen::<f64>(), rng.gen::<f64>()]))
                 .collect();
             let ps = PointSet::new(pts);
             let fast = closest_pair_distance(&ps).unwrap();

@@ -143,36 +143,6 @@ pub fn cross_polytope_x(alpha: f64) -> f64 {
     }
 }
 
-/// `k` Gaussian clusters of `per_cluster` points each; cluster centres are
-/// uniform in `[0,extent]ᵈⁱᵐ`, points are centre + N(0, σ²) per axis.
-/// Models the "large cluster of closely located points" branch of
-/// Algorithm 1.
-pub fn gaussian_clusters(
-    k: usize,
-    per_cluster: usize,
-    dim: usize,
-    sigma: f64,
-    extent: f64,
-    seed: u64,
-) -> PointSet {
-    assert!(k >= 1 && per_cluster >= 1 && dim >= 1);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let centres: Vec<Vec<f64>> = (0..k)
-        .map(|_| (0..dim).map(|_| rng.gen::<f64>() * extent).collect())
-        .collect();
-    let mut pts = Vec::with_capacity(k * per_cluster);
-    for c in &centres {
-        for _ in 0..per_cluster {
-            let coords = c
-                .iter()
-                .map(|&x| x + sigma * sample_standard_normal(&mut rng))
-                .collect();
-            pts.push(Point::new(coords));
-        }
-    }
-    PointSet::new(pts)
-}
-
 /// `n` points evenly spaced on a circle of radius `r` in ℝ².
 pub fn circle(n: usize, r: f64) -> PointSet {
     assert!(n >= 1 && r > 0.0);
@@ -361,13 +331,6 @@ mod tests {
         let b = (2f64.sqrt() - 1.0 + threshold) / 2.0;
         let lo = cross_polytope_x(b);
         assert!((lo - ((b * b + 2.0 * b - 1.0) / 2.0).sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn gaussian_clusters_shape() {
-        let ps = gaussian_clusters(3, 10, 2, 0.01, 100.0, 5);
-        assert_eq!(ps.len(), 30);
-        assert_eq!(ps.dim(), 2);
     }
 
     #[test]

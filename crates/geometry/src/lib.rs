@@ -4,8 +4,7 @@
 //! Provides:
 //! * [`Point`] — a point in ℝᵈ with p-norm distances ([`norm`]),
 //! * [`PointSet`] — the agent set `P` of the game, with the quantities the
-//!   paper uses throughout: `w_max`, `w_min`, aspect ratio `r`, direct
-//!   distance sums `‖u, P‖`,
+//!   paper uses throughout: `w_max`, `w_min`, aspect ratio `r`,
 //! * [`generators`] — deterministic builders for every instance family the
 //!   paper evaluates (uniform random, integer grids, the Theorem 2.1 / 4.4
 //!   triangle clusters, the Theorem 4.1 cross-polytope, the Theorem 4.3
@@ -38,12 +37,6 @@ pub fn definitely_less(a: f64, b: f64) -> bool {
     a < b - EPS * b.abs().max(a.abs()).max(1.0)
 }
 
-/// `a` equals `b` up to relative tolerance [`EPS`].
-#[inline]
-pub fn approx_eq(a: f64, b: f64) -> bool {
-    (a - b).abs() <= EPS * a.abs().max(b.abs()).max(1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -60,13 +53,5 @@ mod tests {
         let a = 0.1 + 0.2; // 0.30000000000000004
         assert!(!definitely_less(0.3, a));
         assert!(!definitely_less(a, 0.3));
-    }
-
-    #[test]
-    fn approx_eq_basic() {
-        assert!(approx_eq(0.1 + 0.2, 0.3));
-        assert!(!approx_eq(0.3, 0.31));
-        assert!(approx_eq(0.0, 0.0));
-        assert!(approx_eq(1e12, 1e12 + 1e-3));
     }
 }

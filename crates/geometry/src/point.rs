@@ -46,11 +46,6 @@ impl Point {
         Self::new(vec![x, y])
     }
 
-    /// Convenience constructor for ℝ³.
-    pub fn d3(x: f64, y: f64, z: f64) -> Self {
-        Self::new(vec![x, y, z])
-    }
-
     /// The origin of ℝᵈ.
     pub fn origin(dim: usize) -> Self {
         Self::new(vec![0.0; dim])
@@ -72,12 +67,6 @@ impl Point {
     #[inline]
     pub fn distance(&self, other: &Point, norm: Norm) -> f64 {
         norm.distance(&self.coords, &other.coords)
-    }
-
-    /// Euclidean (2-norm) distance — the paper's `‖u, v‖`.
-    #[inline]
-    pub fn euclidean(&self, other: &Point) -> f64 {
-        Norm::L2.distance(&self.coords, &other.coords)
     }
 }
 
@@ -102,20 +91,12 @@ mod tests {
     fn constructors_and_dim() {
         assert_eq!(Point::d1(1.0).dim(), 1);
         assert_eq!(Point::d2(1.0, 2.0).dim(), 2);
-        assert_eq!(Point::d3(1.0, 2.0, 3.0).dim(), 3);
         assert_eq!(Point::origin(7).dim(), 7);
     }
 
     #[test]
-    fn euclidean_distance() {
-        let a = Point::d2(0.0, 0.0);
-        let b = Point::d2(1.0, 1.0);
-        assert!((a.euclidean(&b) - 2f64.sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
     fn indexing() {
-        let p = Point::d3(1.0, 2.0, 3.0);
+        let p = Point::new(vec![1.0, 2.0, 3.0]);
         assert_eq!(p[0], 1.0);
         assert_eq!(p[2], 3.0);
     }

@@ -1,6 +1,5 @@
 //! The agent set `P` of the game, with the derived quantities the paper
-//! uses: pairwise distances, `w_max`, `w_min`, aspect ratio `r`, and the
-//! direct distance sums `‖u, P‖`.
+//! uses: pairwise distances, `w_max`, `w_min` and the aspect ratio `r`.
 
 use crate::{closest_pair, Norm, Point};
 use gncg_json::{field, object, FromJson, JsonError, ToJson, Value};
@@ -97,15 +96,6 @@ impl PointSet {
         self.points[i].distance(&self.points[j], self.norm)
     }
 
-    /// Full n×n distance matrix (row-major). O(n²) time and space; only
-    /// computed where the game engine actually needs all pairs.
-    pub fn distance_matrix(&self) -> Vec<Vec<f64>> {
-        let n = self.len();
-        (0..n)
-            .map(|i| (0..n).map(|j| self.dist(i, j)).collect())
-            .collect()
-    }
-
     /// Longest pairwise distance `w_max`.
     pub fn w_max(&self) -> f64 {
         let n = self.len();
@@ -151,24 +141,6 @@ impl PointSet {
     pub fn aspect_ratio(&self) -> Option<f64> {
         let wmin = self.w_min()?;
         Some(self.w_max() / wmin)
-    }
-
-    /// Direct distance sum `‖u, P‖ = Σ_v ‖u, v‖` — the unconditional lower
-    /// bound on any strategy's distance cost used throughout the paper.
-    pub fn direct_distance_sum(&self, u: usize) -> f64 {
-        (0..self.len()).map(|v| self.dist(u, v)).sum()
-    }
-
-    /// Sum of all pairwise distances Σ_{u<v} ‖u, v‖.
-    pub fn total_pairwise_distance(&self) -> f64 {
-        let n = self.len();
-        let mut total = 0.0;
-        for i in 0..n {
-            for j in (i + 1)..n {
-                total += self.dist(i, j);
-            }
-        }
-        total
     }
 
     /// Index of the point of `candidates` closest to `u` (smallest index
@@ -228,33 +200,6 @@ mod tests {
         let ps = PointSet::new(vec![Point::d1(3.0)]);
         assert!(ps.w_min().is_none());
         assert_eq!(ps.w_max(), 0.0);
-    }
-
-    #[test]
-    fn distance_matrix_symmetric_zero_diagonal() {
-        let ps = unit_square();
-        let m = ps.distance_matrix();
-        for (i, row) in m.iter().enumerate() {
-            assert_eq!(row[i], 0.0);
-            for (j, &x) in row.iter().enumerate() {
-                assert_eq!(x, m[j][i]);
-            }
-        }
-    }
-
-    #[test]
-    fn direct_distance_sum_square_corner() {
-        let ps = unit_square();
-        // corner 0: distances 1, 1, sqrt(2)
-        let s = ps.direct_distance_sum(0);
-        assert!((s - (2.0 + 2f64.sqrt())).abs() < 1e-12);
-    }
-
-    #[test]
-    fn total_pairwise_distance_square() {
-        let ps = unit_square();
-        // 4 sides of length 1 + 2 diagonals sqrt(2)
-        assert!((ps.total_pairwise_distance() - (4.0 + 2.0 * 2f64.sqrt())).abs() < 1e-12);
     }
 
     #[test]

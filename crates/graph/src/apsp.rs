@@ -168,7 +168,12 @@ mod tests {
                     g.add_edge(u, v, 0.05 + rng.gen::<f64>() * 4.0);
                 }
             }
-            assert_eq!(all_pairs(&g).to_rows(), all_pairs_rows(&g));
+            let m = all_pairs(&g);
+            let rows = all_pairs_rows(&g);
+            assert_eq!(m.len(), rows.len());
+            for (u, row) in rows.iter().enumerate() {
+                assert_eq!(m.row(u), &row[..]);
+            }
         }
     }
 }

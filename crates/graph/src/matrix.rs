@@ -105,19 +105,6 @@ impl DistMatrix {
         &self.data
     }
 
-    /// Sum of row `u` — the distance cost `d_G(u, P)` when the matrix
-    /// holds shortest-path distances.
-    #[inline]
-    pub fn row_sum(&self, u: usize) -> f64 {
-        self.row(u).iter().sum()
-    }
-
-    /// Copy out as ragged rows (legacy interchange shape, used by the
-    /// property-test oracle).
-    pub fn to_rows(&self) -> Vec<Vec<f64>> {
-        (0..self.n).map(|u| self.row(u).to_vec()).collect()
-    }
-
     /// Fill the listed rows in parallel, each via `f(scratch, u, row)`,
     /// with one persistent `scratch` per worker thread.
     ///
@@ -181,14 +168,9 @@ mod tests {
     #[test]
     fn from_flat_roundtrip() {
         let m = DistMatrix::from_flat(2, vec![0.0, 3.0, 3.0, 0.0]);
-        assert_eq!(m.to_rows(), vec![vec![0.0, 3.0], vec![3.0, 0.0]]);
+        assert_eq!(m.row(0), &[0.0, 3.0]);
+        assert_eq!(m.row(1), &[3.0, 0.0]);
         assert_eq!(m.as_flat(), &[0.0, 3.0, 3.0, 0.0]);
-    }
-
-    #[test]
-    fn row_sum() {
-        let m = DistMatrix::from_rows(vec![vec![0.0, 2.0, 4.0]; 3]);
-        assert_eq!(m.row_sum(1), 6.0);
     }
 
     #[test]

@@ -41,24 +41,6 @@ impl HostNetwork {
         Self { w }
     }
 
-    /// Euclidean host: weights are pairwise distances of a point set
-    /// (with an optional floor to keep weights positive for co-located
-    /// points).
-    pub fn from_points(ps: &gncg_geometry::PointSet) -> Self {
-        let n = ps.len();
-        let mut w = DistMatrix::filled(n, 0.0);
-        for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    let d = ps.dist(i, j);
-                    assert!(d > 0.0, "host networks need distinct points");
-                    w.set(i, j, d);
-                }
-            }
-        }
-        Self { w }
-    }
-
     /// Random *metric* host: sample a random weighted graph and take its
     /// metric closure.
     pub fn random_metric(n: usize, seed: u64) -> Self {
@@ -93,19 +75,6 @@ impl HostNetwork {
             }
         }
         Self::from_dist_matrix(w)
-    }
-
-    /// Tree metric host: distances in a random weighted tree (the GNCG
-    /// variant whose PoS is 1 in Bilò et al.).
-    pub fn random_tree_metric(n: usize, seed: u64) -> Self {
-        assert!(n >= 2);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut g = Graph::new(n);
-        for v in 1..n {
-            let parent = rng.gen_range(0..v);
-            g.add_edge(parent, v, 0.1 + rng.gen::<f64>());
-        }
-        Self::from_dist_matrix(apsp::all_pairs(&g))
     }
 
     /// Number of nodes.
@@ -188,12 +157,6 @@ mod tests {
     }
 
     #[test]
-    fn tree_metric_is_metric() {
-        let h = HostNetwork::random_tree_metric(15, 3);
-        assert!(h.is_metric());
-    }
-
-    #[test]
     fn metric_closure_lower_bounds_weights() {
         let h = HostNetwork::random_nonmetric(10, 0.1, 10.0, 9);
         let cl = h.metric_closure();
@@ -217,14 +180,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn from_points_roundtrip() {
-        let ps = gncg_geometry::generators::uniform_unit_square(8, 2);
-        let h = HostNetwork::from_points(&ps);
-        assert!(h.is_metric());
-        assert!((h.weight(0, 1) - ps.dist(0, 1)).abs() < 1e-12);
     }
 
     #[test]

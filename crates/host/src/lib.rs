@@ -1,8 +1,9 @@
 //! The Generalized Network Creation Game on weighted host networks
 //! (Section 5 of the paper) and the Theorem 2.2 hardness reduction.
 //!
-//! * [`host`] — complete weighted host networks: builders (random metric,
-//!   random non-metric, tree metric), metric closure, metricity checks,
+//! * [`host`] — complete weighted host networks: builders (from a weight
+//!   matrix, random metric, random non-metric), metric closure,
+//!   metricity checks,
 //! * [`hm_filter`] — the `H_M` long-edge filter that turns an arbitrary
 //!   host into a metric one (Section 5.1),
 //! * [`corollaries`] — Corollary 5.1 (shortest-path subnetwork is an

@@ -9,7 +9,7 @@
 //!   wall-clock deadline). Once observed cancelled it stays cancelled.
 //! * A [`Budget`] bundles a deadline with a token. [`with_budget`]
 //!   installs it as the *ambient* budget of the calling thread; every
-//!   `parallel_map`/`parallel_for`/`parallel_reduce` variant polls the
+//!   `parallel_map`/`parallel_for_with`/`parallel_reduce` variant polls the
 //!   ambient budget once per chunk (and re-installs it inside its worker
 //!   threads, so nested parallel loops — e.g. the exact best-response
 //!   enumeration running inside a per-agent map — inherit it).

@@ -7,9 +7,9 @@
 //! crate provides a small, predictable substrate built on
 //! `std::thread::scope` and atomics:
 //!
-//! * [`parallel_map`] / [`parallel_for`]: self-scheduling loops over
-//!   `0..n` using an atomic chunk counter (dynamic load balancing without
-//!   work stealing).
+//! * [`parallel_map`]: a self-scheduling loop over `0..n` using an
+//!   atomic chunk counter (dynamic load balancing without work
+//!   stealing).
 //! * [`parallel_map_with`] / [`parallel_for_with`] /
 //!   [`parallel_reduce_with`]: the same loops, but each worker thread
 //!   owns a persistent scratch state across every chunk it claims — the
@@ -338,16 +338,9 @@ where
     out
 }
 
-/// Execute `f(i)` for side effects, for every `i` in `0..n`.
-pub fn parallel_for<F>(n: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    parallel_for_with(n, || (), move |(), i| f(i));
-}
-
-/// Like [`parallel_for`], but with a per-worker persistent scratch state
-/// (see [`parallel_map_with`]). Panics in `f` propagate after all
+/// Execute `f(scratch, i)` for side effects, for every `i` in `0..n`,
+/// with a per-worker persistent scratch state (see
+/// [`parallel_map_with`]). Panics in `f` propagate after all
 /// workers stopped; a cancelled ambient [`Budget`] makes the loop return
 /// early with some items never executed.
 pub fn parallel_for_with<S, Init, F>(n: usize, init: Init, f: F)
@@ -579,11 +572,16 @@ mod tests {
         assert_eq!(parallel_map(1, |i| i + 41), vec![41]);
     }
 
+    /// [`parallel_for_with`] without scratch state.
+    fn par_for(n: usize, f: impl Fn(usize) + Sync) {
+        parallel_for_with(n, || (), |(), i| f(i));
+    }
+
     #[test]
     fn for_counts_every_index() {
         let n = 997; // prime, not a multiple of chunk size
         let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        parallel_for(n, |i| {
+        par_for(n, |i| {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         for h in &hits {
@@ -713,7 +711,7 @@ mod tests {
     #[test]
     fn for_panic_propagates_without_hanging() {
         let r = std::panic::catch_unwind(|| {
-            parallel_for(1000, |i| {
+            par_for(1000, |i| {
                 if i == 13 {
                     panic!("for boom");
                 }
@@ -748,7 +746,7 @@ mod tests {
         let executed = AtomicUsize::new(0);
         let n = 100_000;
         let r = std::panic::catch_unwind(|| {
-            parallel_for(n, |i| {
+            par_for(n, |i| {
                 if i == 0 {
                     panic!("early boom");
                 }

@@ -3,10 +3,10 @@
 //!
 //! Repro binaries and the CLI used to call the solver crates directly,
 //! each invocation owning the whole process. A [`Session`] instead keeps
-//! one [`ThreadPool`] alive and accepts typed jobs — certification, best
-//! responses, exact optima, dynamics runs, whole sweeps — that run
-//! concurrently and resolve through [`JobHandle`]s to the *same* result
-//! types the direct calls return ([`CertifyReport`], [`Outcome`], …).
+//! one [`ThreadPool`] alive and accepts typed jobs — certification,
+//! dynamics runs, whole sweeps — that run concurrently and resolve
+//! through [`JobHandle`]s to the *same* result types the direct calls
+//! return ([`CertifyReport`], [`dynamics::Outcome`], …).
 //! Because every kernel underneath is deterministic-by-construction
 //! (fixed chunk reductions, canonical tie-breaks), results are
 //! bit-identical to the sequential path no matter how jobs interleave.
@@ -14,19 +14,19 @@
 //! # Admission control and backpressure
 //!
 //! Jobs enter one of two bounded lanes by [`Priority`]: `Interactive`
-//! (small certify/best-response probes) or `Batch` (exact optima,
-//! sweeps). A full lane rejects at submit time with
-//! [`SubmitError::QueueFull`] — callers see backpressure instead of the
-//! engine buffering unboundedly. Dispatch prefers the interactive lane
-//! but lets a batch job through after every few interactive ones, so a
-//! long sweep neither starves probes nor is starved by them.
+//! (certify probes, dynamics runs) or `Batch` (sweeps). A full lane
+//! rejects at submit time with [`SubmitError::QueueFull`] — callers see
+//! backpressure instead of the engine buffering unboundedly. Dispatch
+//! prefers the interactive lane but lets a batch job through after
+//! every few interactive ones, so a long sweep neither starves probes
+//! nor is starved by them.
 //!
 //! # Budgets, cancellation, shutdown
 //!
 //! Every job carries its own [`Budget`] (defaulting to the session's
 //! configured budget): [`JobHandle::cancel`] trips its token, a queued
 //! job whose budget is already exhausted resolves to
-//! [`JobError::Cancelled`] without running, and solver jobs thread the
+//! [`JobError::Cancelled`] without running, and certify jobs thread the
 //! budget into their [`SolverConfig`] so mid-flight cancellation
 //! degrades along the existing exact→certified ladder rather than
 //! aborting. [`Session::shutdown`] either drains
@@ -49,10 +49,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use gncg_game::best_response::BestResponse;
 use gncg_game::certify::CertifyReport;
-use gncg_game::exact::ExactOptimum;
-use gncg_game::{dynamics, EdgeWeights, Outcome, OwnedNetwork, SolverConfig};
+use gncg_game::{dynamics, EdgeWeights, OwnedNetwork, SolverConfig};
 use gncg_json::{FromJson, ToJson};
 use gncg_parallel::pool::ThreadPool;
 use gncg_parallel::{with_budget, with_max_threads, Budget};
@@ -63,10 +61,10 @@ pub type SharedWeights = Arc<dyn EdgeWeights + Send + Sync>;
 /// Which lane a job is dispatched from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Priority {
-    /// Small, latency-sensitive work (certify probes, best responses).
+    /// Small, latency-sensitive work (certify probes, dynamics runs).
     Interactive,
-    /// Long-running work (exact optima, sweeps) that must not crowd out
-    /// the interactive lane.
+    /// Long-running work (sweeps) that must not crowd out the
+    /// interactive lane.
     Batch,
 }
 
@@ -75,10 +73,6 @@ pub enum Priority {
 pub enum JobKind {
     /// A (β, γ) certification of one profile.
     Certify,
-    /// An exact best response for one agent.
-    BestResponse,
-    /// An exact social optimum.
-    ExactOpt,
     /// A response-dynamics run.
     Dynamics,
     /// A caller-supplied sweep closure (typically a checkpointing
@@ -91,24 +85,22 @@ impl JobKind {
     pub fn span_name(self) -> &'static str {
         match self {
             JobKind::Certify => "service.job.certify",
-            JobKind::BestResponse => "service.job.best_response",
-            JobKind::ExactOpt => "service.job.exact_opt",
             JobKind::Dynamics => "service.job.dynamics",
             JobKind::Sweep => "service.job.sweep",
         }
     }
 
-    /// The lane jobs of this kind default to.
-    pub fn default_priority(self) -> Priority {
+    /// The lane jobs of this kind are dispatched from.
+    pub fn priority(self) -> Priority {
         match self {
-            JobKind::Certify | JobKind::BestResponse | JobKind::Dynamics => Priority::Interactive,
-            JobKind::ExactOpt | JobKind::Sweep => Priority::Batch,
+            JobKind::Certify | JobKind::Dynamics => Priority::Interactive,
+            JobKind::Sweep => Priority::Batch,
         }
     }
 
     /// The `(ambient, cancel_on_exhaust)` budget wiring the typed
-    /// `submit_*` methods use for this kind. Solver kinds carry the
-    /// budget inside their options (`ambient = false`) so the poly-time
+    /// `submit_*` methods use for this kind. Certification carries the
+    /// budget inside its options (`ambient = false`) so the poly-time
     /// fallback bounds stay sound; dynamics installs it ambiently and
     /// maps exhaustion to [`JobError::Cancelled`] (a truncated
     /// trajectory is partial garbage); sweeps install it ambiently but
@@ -116,7 +108,7 @@ impl JobKind {
     /// ([`Session::submit_observed`]) get identical semantics per kind.
     pub fn budget_wiring(self) -> (bool, bool) {
         match self {
-            JobKind::Certify | JobKind::BestResponse | JobKind::ExactOpt => (false, false),
+            JobKind::Certify => (false, false),
             JobKind::Dynamics => (true, true),
             JobKind::Sweep => (true, false),
         }
@@ -168,31 +160,20 @@ impl std::fmt::Display for SubmitError {
     }
 }
 
-/// Per-submission knobs. `Default` means: the kind's default lane and
-/// the session's default budget.
+/// Per-submission knobs. `Default` means the session's default budget.
+/// A job's lane follows from its kind ([`JobKind::priority`]).
 #[derive(Debug, Clone, Default)]
 pub struct JobOptions {
-    /// Override the lane (default: [`JobKind::default_priority`]).
-    pub priority: Option<Priority>,
     /// Override the job budget (default: the session's configured
     /// budget, unlimited unless `GNCG_BUDGET_MS`/the builder set one).
     pub budget: Option<Budget>,
 }
 
 impl JobOptions {
-    /// Options pinning the job to a lane.
-    pub fn with_priority(priority: Priority) -> Self {
-        Self {
-            priority: Some(priority),
-            ..Self::default()
-        }
-    }
-
     /// Options running the job under (a clone of) `budget`.
     pub fn with_budget(budget: &Budget) -> Self {
         Self {
             budget: Some(budget.clone()),
-            ..Self::default()
         }
     }
 }
@@ -245,13 +226,11 @@ impl<T> HandleState<T> {
 pub struct JobHandle<T> {
     state: Arc<HandleState<T>>,
     budget: Budget,
-    kind: JobKind,
 }
 
 impl<T> std::fmt::Debug for JobHandle<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("JobHandle")
-            .field("kind", &self.kind)
             .field("done", &self.is_done())
             .finish()
     }
@@ -261,13 +240,12 @@ impl<T> JobHandle<T> {
     /// A handle born resolved: [`JobHandle::wait`] returns `value`
     /// immediately. Used by the cache-aware submits, where a hit never
     /// enters the queue — the caller still gets the uniform handle API.
-    fn resolved(kind: JobKind, value: T) -> Self {
+    fn resolved(value: T) -> Self {
         let state = HandleState::new();
         state.fulfill(Ok(value));
         Self {
             state,
             budget: Budget::unlimited(),
-            kind,
         }
     }
 
@@ -297,15 +275,10 @@ impl<T> JobHandle<T> {
 
     /// Request cancellation: trips the job's budget token. A job still
     /// queued resolves to [`JobError::Cancelled`] without running; a
-    /// running solver job degrades along the exact→certified ladder; a
+    /// running certify job degrades along the exact→certified ladder; a
     /// running sweep observes it via [`JobCtx::cancelled`].
     pub fn cancel(&self) {
         self.budget.cancel();
-    }
-
-    /// The job's kind.
-    pub fn kind(&self) -> JobKind {
-        self.kind
     }
 }
 
@@ -320,7 +293,7 @@ pub enum Shutdown {
     Drain,
     /// Stop admitting and cancel every outstanding budget: queued jobs
     /// resolve to [`JobError::Cancelled`] without running, running
-    /// solver jobs degrade, running sweeps checkpoint and return early.
+    /// certify jobs degrade, running sweeps checkpoint and return early.
     Cancel,
 }
 
@@ -417,7 +390,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Run one job body under the service's panic/cancellation envelope and
 /// return its resolution. `ambient` installs the job budget as the
-/// ambient budget (dynamics, sweeps); solver jobs instead carry the
+/// ambient budget (dynamics, sweeps); certify jobs instead carry the
 /// budget inside their options so the poly-time fallback bounds stay
 /// sound. `cancel_on_exhaust` maps a post-run exhausted budget to
 /// [`JobError::Cancelled`] (dynamics — a cancelled trajectory is
@@ -659,9 +632,9 @@ impl Session {
     /// without parking a waiter thread per job.
     ///
     /// `work` receives the job's [`JobCtx`] and (a clone of) its
-    /// [`Budget`]; solver callers must thread the budget into their
-    /// `*Options` exactly as the typed submits do, or the degradation
-    /// ladder will not engage.
+    /// [`Budget`]; certify callers must thread the budget into their
+    /// [`SolverConfig`] exactly as the typed submits do, or the
+    /// degradation ladder will not engage.
     pub fn submit_observed<T, F, D>(
         &self,
         kind: JobKind,
@@ -675,7 +648,7 @@ impl Session {
         D: FnOnce(&Result<T, JobError>) + Send + 'static,
     {
         let (ambient, cancel_on_exhaust) = kind.budget_wiring();
-        let priority = job.priority.unwrap_or_else(|| kind.default_priority());
+        let priority = kind.priority();
         let budget = job.budget.unwrap_or_else(|| self.default_budget());
         let state = HandleState::new();
         let run_state = Arc::clone(&state);
@@ -692,11 +665,7 @@ impl Session {
                 run_state.fulfill(result);
             }),
         )?;
-        Ok(JobHandle {
-            state,
-            budget,
-            kind,
-        })
+        Ok(JobHandle { state, budget })
     }
 
     /// Submit a (β, γ) certification job. The job budget replaces
@@ -742,7 +711,7 @@ impl Session {
         };
         if let Some(payload) = cache.get(&key) {
             if let Ok(report) = CertifyReport::from_json(&payload) {
-                return Ok(JobHandle::resolved(JobKind::Certify, report));
+                return Ok(JobHandle::resolved(report));
             }
             // Hash-valid but schema-incompatible (e.g. written by a
             // different version): recompute and overwrite below.
@@ -751,46 +720,6 @@ impl Session {
             let report = gncg_game::certify::certify(&*w, &net, alpha, &cfg.with_budget(budget));
             let _ = cache.put(&key, &report.to_json());
             report
-        })
-    }
-
-    /// Submit an exact best-response job for agent `u`. The job budget
-    /// replaces `cfg.budget`; the cost model in `cfg` is honored
-    /// (default `ModelKind::SumDistances` — chain
-    /// [`SolverConfig::with_model`] to thread the `GNCG_MODEL` choice
-    /// through).
-    pub fn submit_best_response(
-        &self,
-        w: SharedWeights,
-        net: OwnedNetwork,
-        alpha: f64,
-        u: usize,
-        cfg: SolverConfig,
-        job: JobOptions,
-    ) -> Result<JobHandle<Outcome<BestResponse>>, SubmitError> {
-        self.submit_raw(JobKind::BestResponse, job, move |_, budget| {
-            gncg_game::best_response::exact_best_response(
-                &*w,
-                &net,
-                alpha,
-                u,
-                &cfg.with_budget(budget),
-            )
-        })
-    }
-
-    /// Submit an exact social-optimum job (batch lane by default). The
-    /// job budget replaces `cfg.budget`; the cost model in `cfg` is
-    /// honored.
-    pub fn submit_exact_optimum(
-        &self,
-        w: SharedWeights,
-        alpha: f64,
-        cfg: SolverConfig,
-        job: JobOptions,
-    ) -> Result<JobHandle<Outcome<ExactOptimum>>, SubmitError> {
-        self.submit_raw(JobKind::ExactOpt, job, move |_, budget| {
-            gncg_game::exact::exact_social_optimum(&*w, alpha, &cfg.with_budget(budget))
         })
     }
 
@@ -1033,13 +962,16 @@ mod tests {
         let session = Session::builder().threads(1).build();
         let order = Arc::new(Mutex::new(Vec::new()));
         let (block_tx, block_rx) = std::sync::mpsc::channel::<()>();
+        // certify-kind jobs run in the interactive lane
         let blocker = session
-            .submit_sweep(
-                JobOptions::with_priority(Priority::Interactive),
-                move |_| {
+            .submit_observed(
+                JobKind::Certify,
+                JobOptions::default(),
+                move |_, _| {
                     block_rx.recv().ok();
                     0usize
                 },
+                |_| {},
             )
             .expect("admitted");
         let mut handles = Vec::new();
@@ -1047,19 +979,21 @@ mod tests {
             let order = Arc::clone(&order);
             handles.push(
                 session
-                    .submit_sweep(
-                        JobOptions::with_priority(Priority::Interactive),
-                        move |_| {
+                    .submit_observed(
+                        JobKind::Certify,
+                        JobOptions::default(),
+                        move |_, _| {
                             order.lock().unwrap().push(format!("i{i}"));
                             i
                         },
+                        |_| {},
                     )
                     .expect("admitted"),
             );
         }
         let border = Arc::clone(&order);
         let batch = session
-            .submit_sweep(JobOptions::with_priority(Priority::Batch), move |_| {
+            .submit_sweep(JobOptions::default(), move |_| {
                 border.lock().unwrap().push("batch".to_string());
                 99usize
             })

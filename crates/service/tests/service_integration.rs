@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use gncg_game::certify::certify;
-use gncg_game::{best_response, dynamics, exact, OwnedNetwork, SolverConfig};
+use gncg_game::{dynamics, exact, OwnedNetwork, SolverConfig};
 use gncg_geometry::generators;
 use gncg_service::{JobError, JobOptions, Session};
 
@@ -18,23 +18,26 @@ const SEEDS: [u64; 3] = [11, 22, 33];
 
 #[test]
 fn concurrent_mixed_load_bit_identical_to_sequential() {
-    // sequential reference: every job kind, run directly
+    // sequential reference: every job kind, run directly; the sweep
+    // kind's body is the exact social optimum of each instance
+    let optima = || -> Vec<f64> {
+        SEEDS
+            .iter()
+            .map(|&seed| {
+                let ps = generators::uniform_unit_square(6, seed);
+                exact::exact_social_optimum(&ps, 1.5, &SolverConfig::default())
+                    .expect_exact("social optimum")
+                    .social_cost
+            })
+            .collect()
+    };
+    let seq_opt = optima();
     let mut seq_certify = Vec::new();
-    let mut seq_br = Vec::new();
-    let mut seq_opt = Vec::new();
     let mut seq_dyn = Vec::new();
     for &seed in &SEEDS {
         let ps = generators::uniform_unit_square(6, seed);
         let net = OwnedNetwork::center_star(6, 0);
         seq_certify.push(certify(&ps, &net, 1.5, &SolverConfig::exact()));
-        seq_br.push(
-            best_response::exact_best_response(&ps, &net, 1.5, 1, &SolverConfig::default())
-                .expect_exact("best response"),
-        );
-        seq_opt.push(
-            exact::exact_social_optimum(&ps, 1.5, &SolverConfig::default())
-                .expect_exact("social optimum"),
-        );
         seq_dyn.push(dynamics::run_spec(
             &ps,
             &net,
@@ -46,11 +49,13 @@ fn concurrent_mixed_load_bit_identical_to_sequential() {
         ));
     }
 
-    // concurrent: all twelve jobs in flight on one session
+    // concurrent: all seven jobs in flight on one session, the sweep
+    // in the batch lane among the interactive certify and dynamics jobs
     let session = Session::builder().threads(4).build();
+    let h_sweep = session
+        .submit_sweep(JobOptions::default(), move |_ctx| optima())
+        .expect("admitted");
     let mut h_certify = Vec::new();
-    let mut h_br = Vec::new();
-    let mut h_opt = Vec::new();
     let mut h_dyn = Vec::new();
     for &seed in &SEEDS {
         let ps = Arc::new(generators::uniform_unit_square(6, seed));
@@ -62,28 +67,6 @@ fn concurrent_mixed_load_bit_identical_to_sequential() {
                     net.clone(),
                     1.5,
                     SolverConfig::exact(),
-                    JobOptions::default(),
-                )
-                .expect("admitted"),
-        );
-        h_br.push(
-            session
-                .submit_best_response(
-                    ps.clone(),
-                    net.clone(),
-                    1.5,
-                    1,
-                    SolverConfig::default(),
-                    JobOptions::default(),
-                )
-                .expect("admitted"),
-        );
-        h_opt.push(
-            session
-                .submit_exact_optimum(
-                    ps.clone(),
-                    1.5,
-                    SolverConfig::default(),
                     JobOptions::default(),
                 )
                 .expect("admitted"),
@@ -116,15 +99,11 @@ fn concurrent_mixed_load_bit_identical_to_sequential() {
             want.gamma_exact.map(f64::to_bits)
         );
     }
-    for (h, want) in h_br.into_iter().zip(&seq_br) {
-        let got = h.wait().expect("best-response job").expect_exact("exact");
-        assert_eq!(got.cost.to_bits(), want.cost.to_bits());
-        assert_eq!(got.strategy, want.strategy);
-    }
-    for (h, want) in h_opt.into_iter().zip(&seq_opt) {
-        let got = h.wait().expect("optimum job").expect_exact("exact");
-        assert_eq!(got.social_cost.to_bits(), want.social_cost.to_bits());
-    }
+    let got_opt = h_sweep.wait().expect("sweep job");
+    assert_eq!(
+        got_opt.iter().map(|c| c.to_bits()).collect::<Vec<_>>(),
+        seq_opt.iter().map(|c| c.to_bits()).collect::<Vec<_>>()
+    );
     for (h, want) in h_dyn.into_iter().zip(&seq_dyn) {
         match (h.wait().expect("dynamics job"), want) {
             (
@@ -202,16 +181,6 @@ fn model_choice_threads_through_typed_submits() {
             JobOptions::default(),
         )
         .expect("admitted");
-    let h_br = session
-        .submit_best_response(
-            ps.clone(),
-            net.clone(),
-            1.5,
-            1,
-            max_cfg.clone(),
-            JobOptions::default(),
-        )
-        .expect("admitted");
     let h_dyn = session
         .submit_dynamics(
             ps.clone(),
@@ -235,12 +204,6 @@ fn model_choice_threads_through_typed_submits() {
         got_cert.beta_upper.to_bits(),
         want_cert.beta_upper.to_bits()
     );
-
-    let want_br =
-        best_response::exact_best_response(&*ps, &net, 1.5, 1, &max_cfg).expect_exact("br");
-    let got_br = h_br.wait().expect("br job").expect_exact("br");
-    assert_eq!(got_br.cost.to_bits(), want_br.cost.to_bits());
-    assert_eq!(got_br.strategy, want_br.strategy);
 
     let want_dyn = dynamics::run_spec(
         &*ps,

@@ -47,15 +47,6 @@ pub enum SpannerKind {
     Complete,
 }
 
-/// Build the selected spanner over (a subset of) a point set.
-///
-/// `subset` holds the point indices to span; the returned graph is over
-/// `0..subset.len()` in subset order.
-pub fn build_on_subset(ps: &PointSet, subset: &[usize], kind: SpannerKind) -> Graph {
-    let sub = sub_pointset(ps, subset);
-    build(&sub, kind)
-}
-
 /// Build the selected spanner over the full point set.
 pub fn build(ps: &PointSet, kind: SpannerKind) -> Graph {
     match kind {
@@ -93,15 +84,6 @@ mod tests {
             let g = build(&ps, kind);
             assert!(gncg_graph::components::is_connected(&g), "{kind:?}");
         }
-    }
-
-    #[test]
-    fn subset_build_uses_local_indices() {
-        let ps = generators::uniform_unit_square(20, 4);
-        let subset: Vec<usize> = (5..15).collect();
-        let g = build_on_subset(&ps, &subset, SpannerKind::Greedy { t: 2.0 });
-        assert_eq!(g.len(), 10);
-        assert!(gncg_graph::components::is_connected(&g));
     }
 
     #[test]

@@ -117,6 +117,42 @@ if grep -rn --include='*.rs' 'prune::oracle' src crates tests examples \
     exit 1
 fi
 
+# Session keeps only the job kinds some route reaches (certify,
+# dynamics, sweep), and the public functions only their own tests
+# called are gone
+if grep -rnE 'submit_best_response|submit_exact_optimum|JobKind::(BestResponse|ExactOpt)|gaussian_clusters|random_tree_metric|hm_metric|build_on_subset' \
+    src crates tests examples tools README.md DESIGN.md \
+    | grep -v '^tools/ci.sh:.*grep -rnE'; then
+    echo 'a removed job kind or test-only public function is back' >&2
+    exit 1
+fi
+
+# no test-only public functions: every `pub fn` of src and crates/*/src
+# must be named by production code (src, crates/*/src, examples,
+# perfbench/src; each file read up to its first `#[cfg(test)]`, without
+# comments and `#[cfg(test)] mod x;` files) other than its own
+# definition, or be listed with its reason in tools/test_only_pub.txt;
+# a listed name that production code now reaches must leave the list
+prod_code() {
+    local tests f
+    tests=$(grep -rhA1 '^ *#\[cfg(test)\]' "$@" | sed -n 's/^ *mod \([a-z0-9_]*\);$/\1.rs/p' || true)
+    for f in $(find "$@" -name '*.rs' | sort); do
+        case " $(echo $tests) " in *" $(basename "$f") "*) continue ;; esac
+        awk '/^ *#\[cfg\(test\)\]/ { exit } /^ *\/\// { next } { sub(/[ \t]\/\/ .*$/, ""); print }' "$f"
+    done
+}
+pub_fns=$(prod_code src crates/*/src | grep -oE '\bpub (const |unsafe )?fn [a-z0-9_]+' | sed 's/.* //' | sort -u)
+prod_names=$(prod_code src crates/*/src examples perfbench/src | sed -E 's/\bfn [a-z0-9_]+//g' \
+    | grep -oE '[A-Za-z_][A-Za-z0-9_]*' | sort -u)
+test_only=$(comm -23 <(echo "$pub_fns") <(echo "$prod_names"))
+allowed=$(sed 's/#.*//' tools/test_only_pub.txt | tr -d ' \t' | grep -v '^$' | sort -u)
+if [[ "$test_only" != "$allowed" ]]; then
+    echo 'test-only public functions differ from tools/test_only_pub.txt:' >&2
+    diff <(echo "$allowed") <(echo "$test_only") | grep '^[<>]' \
+        | sed 's/^>/  unlisted (delete it or list it with a reason):/; s/^</  listed but reached by production code or gone:/' >&2
+    exit 1
+fi
+
 # cache discipline: GNCG_CACHE_DIR / GNCG_CACHE are parsed solely by
 # gncg-config (env::cache_dir / env::cache_on); tests and embedders
 # steer the cache programmatically through
