@@ -47,8 +47,8 @@ use std::time::Instant;
 /// median is one batch).
 const DISPATCH_BATCHES: usize = 15;
 
-/// Timed runs behind the legacy best-response and certify rows (odd, so
-/// the median is one run).
+/// Timed runs behind each legacy solver row (odd, so the median is one
+/// run).
 const STAGE_RUNS: usize = 5;
 
 /// Median wall seconds of [`STAGE_RUNS`] runs of `f`. Only the first
@@ -224,13 +224,15 @@ fn legacy_tier() {
     );
     report.set_calibration(calib);
 
-    // stage 1: parallel APSP over the complete created network
+    // stage 1: parallel APSP over the complete created network; one
+    // run of any solver stage is too noisy to gate on, so each of the
+    // rows 1-4 is the median of STAGE_RUNS runs
     let ps = generators::uniform_unit_square(160, 11);
     let g = OwnedNetwork::complete(160).graph(&ps);
-    let t0 = Instant::now();
-    let m = gncg_graph::apsp::all_pairs(&g);
-    std::hint::black_box(m.row(0)[159]);
-    let apsp_s = t0.elapsed().as_secs_f64();
+    let apsp_s = median_run_secs(|| {
+        let m = gncg_graph::apsp::all_pairs(&g);
+        std::hint::black_box(m.row(0)[159]);
+    });
     report.push_unreferenced(
         "apsp complete n=160".into(),
         apsp_s,
@@ -241,18 +243,18 @@ fn legacy_tier() {
     // stage 2: improving-response dynamics (single-move rule)
     let ps = generators::uniform_unit_square(48, 5);
     let start = OwnedNetwork::center_star(48, 0);
-    let t0 = Instant::now();
-    let out = dynamics::run_spec(
-        &ps,
-        &start,
-        1.0,
-        dynamics::ResponseRule::BestSingleMove,
-        dynamics::AgentOrder::RoundRobin,
-        4000,
-        &SolverConfig::default(),
-    );
-    std::hint::black_box(matches!(out, dynamics::Outcome::Converged { .. }));
-    let dyn_s = t0.elapsed().as_secs_f64();
+    let dyn_s = median_run_secs(|| {
+        let out = dynamics::run_spec(
+            &ps,
+            &start,
+            1.0,
+            dynamics::ResponseRule::BestSingleMove,
+            dynamics::AgentOrder::RoundRobin,
+            4000,
+            &SolverConfig::default(),
+        );
+        std::hint::black_box(matches!(out, dynamics::Outcome::Converged { .. }));
+    });
     report.push_unreferenced(
         "single-move dynamics n=48".into(),
         dyn_s,
@@ -260,9 +262,7 @@ fn legacy_tier() {
         "raw wall seconds; normalize by calibration_secs",
     );
 
-    // stage 3: exact best-response enumeration (2^17 strategy evals);
-    // one run of stage 3 or 4 is too noisy to gate on, so each row is
-    // the median of STAGE_RUNS runs
+    // stage 3: exact best-response enumeration (2^17 strategy evals)
     let ps = generators::uniform_unit_square(18, 3);
     let net = OwnedNetwork::center_star(18, 0);
     let br_s = median_run_secs(|| {

@@ -12,12 +12,10 @@
 //! | `GNCG_THREADS`              | [`env::threads`]               | parsed `usize`, unparsable ⇒ unset; cached at first read |
 //! | `GNCG_BUDGET_MS`            | [`env::budget_ms`]             | parsed `u64`, unparsable ⇒ unset; cached at first read |
 //! | `GNCG_FAULT_INJECT`         | [`env::fault_inject`]          | parsed `f64`, unparsable ⇒ unset; cached at first read |
-//! | `GNCG_FAULT_INJECT_DELAY_MS`| [`env::fault_inject_delay_ms`] | parsed `u64`, unparsable ⇒ unset; cached at first read |
 //! | `GNCG_TRACE`                | [`env::trace`]                 | on iff `"1"` or case-insensitive `"true"`; cached at first read |
 //! | `GNCG_ARENA_DEBUG`          | [`env::arena_debug`]           | on iff `"1"` or case-insensitive `"true"` (same rule as `GNCG_TRACE`); cached at first read |
 //! | `GNCG_RESULTS_DIR`          | [`env::results_dir`]           | path override; **re-read on every call** (tests retarget it at runtime) |
 //! | `GNCG_CACHE_DIR`            | [`env::cache_dir`]             | content-addressed result-cache directory; unset ⇒ cache off; **re-read on every call** (tests retarget it at runtime) |
-//! | `GNCG_CACHE`                | [`env::cache_on`]              | off iff `"0"`/`"false"`/`"off"` (case-insensitive); **re-read on every call** |
 //! | `GNCG_MODEL`                | [`env::model`]                 | `"sum"`/`""` ⇒ [`ModelKind::SumDistances`], `"maxdist"`/`"max"` ⇒ [`ModelKind::MaxDistance`] (any case), unset ⇒ no choice, anything else ⇒ error; cached at first read |
 //! | `GNCG_NET_FAULT_INJECT`     | [`env::net_fault_inject`]      | parsed `f64`, unparsable ⇒ unset; cached at first read |
 //! | `GNCG_SERVE_ADDR`           | [`env::serve_addr`]            | listen/connect address, default `127.0.0.1:7117`; cached at first read |
@@ -98,23 +96,9 @@ pub mod parse {
         value.is_some_and(|v| v == "1" || v.eq_ignore_ascii_case("true"))
     }
 
-    /// `GNCG_CACHE` semantics: the result cache defaults **on** (it only
-    /// activates when `GNCG_CACHE_DIR` is also set); only an explicit
-    /// `"0"`, `"false"`, or `"off"` (case-insensitive) disables it, so a
-    /// typo can never silently disable dedup on a shared cache
-    /// directory.
-    pub fn cache_on(value: Option<&str>) -> bool {
-        match value {
-            Some(v) => {
-                !(v == "0" || v.eq_ignore_ascii_case("false") || v.eq_ignore_ascii_case("off"))
-            }
-            None => true,
-        }
-    }
-
     /// Numeric semantics shared by `GNCG_THREADS`, `GNCG_BUDGET_MS`,
-    /// `GNCG_FAULT_INJECT`, `GNCG_FAULT_INJECT_DELAY_MS`: a set but
-    /// unparsable value behaves like an unset one.
+    /// `GNCG_FAULT_INJECT`: a set but unparsable value behaves like an
+    /// unset one.
     pub fn number<T: std::str::FromStr>(value: Option<&str>) -> Option<T> {
         value.and_then(|v| v.parse().ok())
     }
@@ -172,13 +156,6 @@ pub mod env {
         *CACHE.get_or_init(|| parse::number(read("GNCG_FAULT_INJECT").as_deref()))
     }
 
-    /// `GNCG_FAULT_INJECT_DELAY_MS`: optional injected delay. Cached at
-    /// first read.
-    pub fn fault_inject_delay_ms() -> Option<u64> {
-        static CACHE: OnceLock<Option<u64>> = OnceLock::new();
-        *CACHE.get_or_init(|| parse::number(read("GNCG_FAULT_INJECT_DELAY_MS").as_deref()))
-    }
-
     /// `GNCG_TRACE`: observability gate. Cached at first read.
     pub fn trace() -> bool {
         static CACHE: OnceLock<bool> = OnceLock::new();
@@ -213,14 +190,6 @@ pub mod env {
     /// this is re-read on every call.
     pub fn cache_dir() -> Option<PathBuf> {
         read("GNCG_CACHE_DIR").map(PathBuf::from)
-    }
-
-    /// `GNCG_CACHE`: result-cache kill switch (default on; the cache
-    /// still needs [`cache_dir`] to be set before it does anything).
-    ///
-    /// **Deliberately uncached**: robustness tests flip it at runtime.
-    pub fn cache_on() -> bool {
-        parse::cache_on(read("GNCG_CACHE").as_deref())
     }
 
     /// Name of the variable [`model`] reads — for tests that set it on
@@ -347,19 +316,6 @@ mod tests {
         assert!(!parse::trace_on(Some("yes")));
         assert!(!parse::trace_on(Some("")));
         assert!(!parse::trace_on(None));
-    }
-
-    #[test]
-    fn cache_parse_rules_are_frozen() {
-        // Frozen rule: default on, only an explicit "0"/"false"/"off"
-        // (case-insensitive) disables.
-        assert!(parse::cache_on(None));
-        assert!(parse::cache_on(Some("1")));
-        assert!(parse::cache_on(Some("")));
-        assert!(parse::cache_on(Some("anything")));
-        assert!(!parse::cache_on(Some("0")));
-        assert!(!parse::cache_on(Some("false")));
-        assert!(!parse::cache_on(Some("Off")));
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //!   as one named oracle ([`prune::oracle`]),
 //! * [`solver_config`] — the unified builder-style [`SolverConfig`]
 //!   accepted by every solver entry point (model × formation × backend
-//!   × budget × certify flags × cache policy), with the
+//!   × budget × certify flags), with the
 //!   [`EvalBackend`] pivot count of the bracketed certifier,
 //! * [`model`] — the cost-model abstraction ([`CostModel`],
 //!   [`SumDistances`]/[`MaxDistance`]) and edge-formation rules
@@ -61,7 +61,7 @@ pub use eval::EvalContext;
 pub use model::{CostModel, EdgeFormation, GameSpec, MaxDistance, ModelKind, SumDistances};
 pub use network::OwnedNetwork;
 pub use outcome::{DegradeReason, Outcome, Regime};
-pub use solver_config::{CachePolicy, EvalBackend, SolverConfig};
+pub use solver_config::{EvalBackend, SolverConfig};
 
 use gncg_geometry::PointSet;
 use gncg_graph::DistMatrix;

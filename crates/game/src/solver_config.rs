@@ -17,7 +17,7 @@
 //! `SolverConfig::default()` is the paper's game (sum-of-distances
 //! objective, unilateral edge formation), the exact evaluation backend,
 //! the `GNCG_BUDGET_MS` budget (unlimited when unset), witness search
-//! on, exact enumeration off, caching off. Call
+//! on, exact enumeration off. Call
 //! [`SolverConfig::unbudgeted`] to pin an unlimited budget regardless
 //! of the environment.
 
@@ -43,41 +43,6 @@ pub enum EvalBackend {
         /// Pivot rows for the distance upper bounds.
         pivots: usize,
     },
-}
-
-/// Whether (and under which content key) a submit-layer result may be
-/// served from / written to the content-addressed result cache.
-///
-/// The policy carries only the *key*; the cache handle itself is
-/// attached to the executing `Session` (one cache per process), so a
-/// `SolverConfig` stays a plain value that can cross threads and be
-/// serialized into job descriptions. The caller owns the soundness of
-/// the key — it must be the content address of the canonical instance
-/// + options (see `gncg_json::canon::content_key`).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub enum CachePolicy {
-    /// Never consult or populate the cache.
-    #[default]
-    Disabled,
-    /// Serve from / write back to the attached result cache under this
-    /// content key. Silently equivalent to [`CachePolicy::Disabled`]
-    /// when no cache is attached or the job runs under a limited budget
-    /// (budgeted results can degrade nondeterministically and must
-    /// never be cached — the cache-consistency rule).
-    Keyed {
-        /// Content address of the canonical instance + options.
-        key: String,
-    },
-}
-
-impl CachePolicy {
-    /// The content key, when caching is requested.
-    pub fn key(&self) -> Option<&str> {
-        match self {
-            CachePolicy::Disabled => None,
-            CachePolicy::Keyed { key } => Some(key),
-        }
-    }
 }
 
 /// Unified options for every solver entry point — see the module docs
@@ -106,8 +71,6 @@ pub struct SolverConfig {
     pub exact_gamma: bool,
     /// Certifier: compute the local-search instability witness.
     pub witness: bool,
-    /// Submit-layer result caching (see [`CachePolicy`]).
-    pub cache: CachePolicy,
 }
 
 impl Default for SolverConfig {
@@ -120,7 +83,6 @@ impl Default for SolverConfig {
             exact_beta: false,
             exact_gamma: false,
             witness: true,
-            cache: CachePolicy::Disabled,
         }
     }
 }
@@ -200,19 +162,6 @@ impl SolverConfig {
         self.witness = on;
         self
     }
-
-    /// Request content-addressed caching under `key` (see
-    /// [`CachePolicy::Keyed`] for when the request is honoured).
-    pub fn with_cache_key(mut self, key: impl Into<String>) -> Self {
-        self.cache = CachePolicy::Keyed { key: key.into() };
-        self
-    }
-
-    /// Disable caching.
-    pub fn without_cache(mut self) -> Self {
-        self.cache = CachePolicy::Disabled;
-        self
-    }
 }
 
 impl From<GameSpec> for SolverConfig {
@@ -236,7 +185,6 @@ mod tests {
         assert_eq!(cfg.formation, EdgeFormation::Unilateral);
         assert_eq!(cfg.backend, EvalBackend::Exact);
         assert!(!cfg.exact_beta && !cfg.exact_gamma && cfg.witness);
-        assert_eq!(cfg.cache, CachePolicy::Disabled);
     }
 
     #[test]
@@ -256,13 +204,10 @@ mod tests {
             .with_budget(&budget)
             .with_exact_beta(true)
             .with_exact_gamma(true)
-            .with_witness(false)
-            .with_cache_key("k123");
+            .with_witness(false);
         assert_eq!(cfg.model, ModelKind::MaxDistance);
         assert_eq!(cfg.formation, EdgeFormation::Bilateral);
         assert!(cfg.exact_beta && cfg.exact_gamma && !cfg.witness);
-        assert_eq!(cfg.cache.key(), Some("k123"));
-        assert_eq!(cfg.without_cache().cache.key(), None);
     }
 
     #[test]

@@ -46,12 +46,6 @@ impl DistMatrix {
         self.data.resize(n * n, value);
     }
 
-    /// Adopt a flat row-major buffer of length n².
-    pub fn from_flat(n: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), n * n, "flat buffer must have n^2 entries");
-        Self { n, data }
-    }
-
     /// Build from ragged rows (the legacy `Vec<Vec<f64>>` shape).
     pub fn from_rows(rows: Vec<Vec<f64>>) -> Self {
         let n = rows.len();
@@ -166,11 +160,9 @@ mod tests {
     }
 
     #[test]
-    fn from_flat_roundtrip() {
-        let m = DistMatrix::from_flat(2, vec![0.0, 3.0, 3.0, 0.0]);
-        assert_eq!(m.row(0), &[0.0, 3.0]);
-        assert_eq!(m.row(1), &[3.0, 0.0]);
-        assert_eq!(m.as_flat(), &[0.0, 3.0, 3.0, 0.0]);
+    fn as_flat_is_row_major() {
+        let m = DistMatrix::from_rows(vec![vec![0.0, 3.0], vec![4.0, 0.0]]);
+        assert_eq!(m.as_flat(), &[0.0, 3.0, 4.0, 0.0]);
     }
 
     #[test]

@@ -5,9 +5,8 @@
 //! chunk boundary of the parallel loops and every pool job pickup rolls
 //! a deterministic-seedless RNG and, with probability `p`, raises an
 //! *injected fault*: a real `panic!` carrying the [`InjectedFault`]
-//! payload (optionally preceded by a delay when
-//! `GNCG_FAULT_INJECT_DELAY_MS` is also set). The chunk runners catch
-//! every panic, classify the payload, and
+//! payload. The chunk runners catch every panic, classify the payload,
+//! and
 //!
 //! * **absorb** injected faults by retrying the (not-yet-started) chunk,
 //!   so results are bit-identical to an uninjected run, while
@@ -36,9 +35,6 @@ pub struct InjectedFault;
 
 /// Injection probability as `f64` bits; `0` (i.e. `0.0`) means disabled.
 static PROBABILITY: AtomicU64 = AtomicU64::new(0);
-/// Optional injected delay in milliseconds (half the injected faults
-/// sleep instead of panicking when this is non-zero).
-static DELAY_MS: AtomicU64 = AtomicU64::new(0);
 /// Cheap process-global RNG state for the injection rolls.
 static RNG: AtomicU64 = AtomicU64::new(0x9e3779b97f4a7c15);
 
@@ -47,9 +43,6 @@ fn init_from_env() {
     INIT.get_or_init(|| {
         if let Some(p) = gncg_config::env::fault_inject() {
             set_injection_probability(p);
-        }
-        if let Some(ms) = gncg_config::env::fault_inject_delay_ms() {
-            DELAY_MS.store(ms, Ordering::Relaxed);
         }
     });
 }
@@ -102,8 +95,8 @@ pub(crate) fn suppress() -> SuppressGuard {
     SuppressGuard { prev }
 }
 
-/// A fault point: with the configured probability, sleep and/or panic
-/// with an [`InjectedFault`] payload. Callers must place this where an
+/// A fault point: with the configured probability, panic with an
+/// [`InjectedFault`] payload. Callers must place this where an
 /// unwind-and-retry cannot re-run completed side effects.
 pub fn fault_point() {
     let p = injection_probability();
@@ -115,11 +108,6 @@ pub fn fault_point() {
         return;
     }
     gncg_trace::incr(gncg_trace::Counter::FaultsInjected);
-    let delay = DELAY_MS.load(Ordering::Relaxed);
-    if delay > 0 && roll & 1 == 0 {
-        std::thread::sleep(std::time::Duration::from_millis(delay));
-        return;
-    }
     std::panic::panic_any(InjectedFault);
 }
 

@@ -3,10 +3,12 @@
 //! One file per entry, named by the content key (the SHA-256 of the
 //! canonical instance + options JSON, see `gncg_json::canon`), so two
 //! sweeps that describe the same computation — whatever their field
-//! order, float spelling, or range syntax — share the entry. The cache
-//! stores only *deterministic, budget-free* computations: a unit that
-//! carries a wall-clock budget can degrade nondeterministically, so the
-//! sweep engine bypasses the cache entirely (no get, no put) for it.
+//! order, float spelling, or range syntax — share the entry. The sweep
+//! engine (`gncg_sweep::engine`) is the only code that gets from or
+//! puts to it. The cache stores only *deterministic, budget-free*
+//! computations: a unit that carries a wall-clock budget can degrade
+//! nondeterministically, so the engine bypasses the cache entirely (no
+//! get, no put) for it.
 //!
 //! # Entry format and self-verification
 //!
@@ -52,8 +54,8 @@ use gncg_json::{canon, Value};
 static DIR_OVERRIDE: Mutex<Option<PathBuf>> = Mutex::new(None);
 
 /// Install (`Some`) or clear (`None`) the process-wide cache directory.
-/// While installed, [`ResultCache::from_env`] uses it and ignores the
-/// environment knobs entirely.
+/// While installed, [`ResultCache::from_env`] uses it and ignores
+/// `GNCG_CACHE_DIR`.
 pub fn set_process_cache_dir(dir: Option<PathBuf>) {
     *DIR_OVERRIDE.lock().unwrap() = dir;
 }
@@ -79,17 +81,15 @@ impl ResultCache {
 
     /// The cache the process asks for: the [`set_process_cache_dir`]
     /// override when installed, else `Some` iff `GNCG_CACHE_DIR` is set
-    /// and `GNCG_CACHE` does not disable it. The env knobs are dynamic
-    /// (re-read per call) via `gncg_config::env`. Returns `None` (cache
-    /// off) if the directory cannot be created.
+    /// (re-read per call via `gncg_config::env`; unsetting it turns the
+    /// cache off). Returns `None` (cache off) if the directory cannot
+    /// be created.
     pub fn from_env() -> Option<Self> {
-        if let Some(dir) = DIR_OVERRIDE.lock().unwrap().clone() {
-            return Self::at(dir).ok();
-        }
-        if !gncg_config::env::cache_on() {
-            return None;
-        }
-        let dir = gncg_config::env::cache_dir()?;
+        let dir = DIR_OVERRIDE
+            .lock()
+            .unwrap()
+            .clone()
+            .or_else(gncg_config::env::cache_dir)?;
         Self::at(dir).ok()
     }
 
@@ -363,14 +363,5 @@ mod tests {
         )
         .unwrap();
         assert!(cache.get(&other).is_none());
-    }
-
-    #[test]
-    fn from_env_respects_kill_switch() {
-        // parse-rule level (the env accessors themselves are covered by
-        // gncg-config's dynamic-read tests; mutating the process env in
-        // a parallel test harness would race other tests).
-        assert!(gncg_config::parse::cache_on(None));
-        assert!(!gncg_config::parse::cache_on(Some("0")));
     }
 }

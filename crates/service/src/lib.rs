@@ -41,6 +41,13 @@
 //! every other job are untouched. Each job opens a `service.job.*` trace
 //! span, and the service keeps deterministic admission counters
 //! (`service_enqueued`, `service_dequeued`, `service_rejected`).
+//!
+//! # Result cache
+//!
+//! A [`Session`] holds no cache: every submit runs its job. The
+//! content-addressed [`cache::ResultCache`] lives here so the tiers
+//! above share one type, but only the sweep engine (`gncg-sweep`) gets
+//! from or puts to it, before and after the certify job it submits.
 
 pub mod cache;
 
@@ -51,7 +58,6 @@ use std::time::Duration;
 
 use gncg_game::certify::CertifyReport;
 use gncg_game::{dynamics, EdgeWeights, OwnedNetwork, SolverConfig};
-use gncg_json::{FromJson, ToJson};
 use gncg_parallel::pool::ThreadPool;
 use gncg_parallel::{with_budget, with_max_threads, Budget};
 
@@ -237,18 +243,6 @@ impl<T> std::fmt::Debug for JobHandle<T> {
 }
 
 impl<T> JobHandle<T> {
-    /// A handle born resolved: [`JobHandle::wait`] returns `value`
-    /// immediately. Used by the cache-aware submits, where a hit never
-    /// enters the queue — the caller still gets the uniform handle API.
-    fn resolved(value: T) -> Self {
-        let state = HandleState::new();
-        state.fulfill(Ok(value));
-        Self {
-            state,
-            budget: Budget::unlimited(),
-        }
-    }
-
     /// Block until the job resolves and take its result.
     pub fn wait(self) -> Result<T, JobError> {
         let mut slot = self.state.slot.lock().unwrap_or_else(|p| p.into_inner());
@@ -495,7 +489,6 @@ impl SessionBuilder {
             }),
             pool: ThreadPool::new(threads),
             default_budget_ms: self.default_budget_ms,
-            result_cache: Mutex::new(None),
         }
     }
 }
@@ -505,10 +498,6 @@ pub struct Session {
     shared: Arc<Shared>,
     pool: ThreadPool,
     default_budget_ms: Option<u64>,
-    /// The content-addressed result cache consulted by submits whose
-    /// [`SolverConfig`] carries a [`gncg_game::CachePolicy::Keyed`]
-    /// policy (see [`Session::attach_result_cache`]).
-    result_cache: Mutex<Option<Arc<cache::ResultCache>>>,
 }
 
 impl Session {
@@ -540,24 +529,6 @@ impl Session {
             Some(ms) => Budget::with_limit(Duration::from_millis(ms)),
             None => Budget::unlimited(),
         }
-    }
-
-    /// Attach a content-addressed result cache. Once attached, any
-    /// [`Session::submit_certify`] whose [`SolverConfig`] carries
-    /// [`gncg_game::CachePolicy::Keyed`] is served from / written back
-    /// to this cache (subject to the cache-consistency rule — see
-    /// [`gncg_game::CachePolicy`]). Attaching replaces any previous
-    /// cache; with none attached, keyed submits silently run uncached.
-    pub fn attach_result_cache(&self, cache: Arc<cache::ResultCache>) {
-        *self.result_cache.lock().unwrap_or_else(|p| p.into_inner()) = Some(cache);
-    }
-
-    /// The currently attached result cache, if any.
-    fn attached_cache(&self) -> Option<Arc<cache::ResultCache>> {
-        self.result_cache
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .clone()
     }
 
     /// Admission: reserve a slot in the right lane and hand the pool a
@@ -672,15 +643,6 @@ impl Session {
     /// `cfg.budget`, so [`JobHandle::cancel`] degrades the report along
     /// the exact→certified ladder exactly as a direct budgeted
     /// [`gncg_game::certify::certify`] call would.
-    ///
-    /// When `cfg.cache` is [`gncg_game::CachePolicy::Keyed`] and a
-    /// cache is attached ([`Session::attach_result_cache`]), the job
-    /// runs through the content-addressed result cache: on a valid
-    /// cached entry the returned handle is born resolved (nothing is
-    /// queued); on a miss the report is written back from the worker.
-    /// The *caller* owns the soundness of the key (it must be the
-    /// content address of the canonical instance + options, see
-    /// `gncg_json::canon::content_key`).
     pub fn submit_certify(
         &self,
         w: SharedWeights,
@@ -689,37 +651,8 @@ impl Session {
         cfg: SolverConfig,
         job: JobOptions,
     ) -> Result<JobHandle<CertifyReport>, SubmitError> {
-        // Cache-consistency rule: the cache stores only deterministic,
-        // budget-free results, so it is bypassed entirely (no get, no
-        // put) whenever the job runs under a limited budget — budgeted
-        // certification can degrade along the exact→certified ladder at
-        // a nondeterministic point, and such a report must never be
-        // served to a later caller that asked for the unbudgeted answer.
-        let cached = cfg.cache.key().and_then(|key| {
-            let budget_limited = job
-                .budget
-                .as_ref()
-                .map(|b| b.deadline.is_some())
-                .unwrap_or_else(|| self.default_budget().deadline.is_some());
-            let cache = self.attached_cache().filter(|_| !budget_limited)?;
-            Some((cache, key.to_string()))
-        });
-        let Some((cache, key)) = cached else {
-            return self.submit_raw(JobKind::Certify, job, move |_, budget| {
-                gncg_game::certify::certify(&*w, &net, alpha, &cfg.with_budget(budget))
-            });
-        };
-        if let Some(payload) = cache.get(&key) {
-            if let Ok(report) = CertifyReport::from_json(&payload) {
-                return Ok(JobHandle::resolved(report));
-            }
-            // Hash-valid but schema-incompatible (e.g. written by a
-            // different version): recompute and overwrite below.
-        }
         self.submit_raw(JobKind::Certify, job, move |_, budget| {
-            let report = gncg_game::certify::certify(&*w, &net, alpha, &cfg.with_budget(budget));
-            let _ = cache.put(&key, &report.to_json());
-            report
+            gncg_game::certify::certify(&*w, &net, alpha, &cfg.with_budget(budget))
         })
     }
 

@@ -8,27 +8,31 @@
 //! spec's deterministic order. Each unit is two cacheable steps:
 //!
 //! 1. **network** — generate the instance points (cheap, always done
-//!    inline), then build the network and its all-pairs distance matrix
-//!    (cached under [`crate::spec::network_key`]);
+//!    inline), then build the network and measure its diameter
+//!    (cached under [`crate::spec::network_key`] as
+//!    `{network, diameter}`);
 //! 2. **certify** — the (β, γ) certification (cached under
-//!    [`crate::spec::certify_key`]); with a session this goes through
-//!    `Session::submit_certify` with a keyed `SolverConfig`, without
-//!    one it runs inline —
-//!    the serve tier uses the inline path so a sweep executing *inside*
-//!    a session job never submits nested jobs (deadlock at one worker).
+//!    [`crate::spec::certify_key`]). On a miss it runs inline, or as a
+//!    `Session::submit_certify` job when a session is given — the
+//!    serve tier uses the inline path so a sweep executing *inside* a
+//!    session job never submits nested jobs (deadlock at one worker).
 //!
-//! Both paths produce bit-identical reports: every kernel underneath is
-//! deterministic and the cache only ever serves bytes a run of either
-//! path would have produced.
+//! The engine is the only code that gets from or puts to the result
+//! cache: the session runs every job it is given and holds no cache,
+//! so a warm unit submits no job at all. Both paths produce
+//! bit-identical reports: every kernel underneath is deterministic and
+//! the cache only ever serves bytes a run of either path would have
+//! produced.
 //!
 //! # Cache consistency
 //!
 //! A unit with a wall-clock budget (`job.budget_ms` set) can degrade
 //! nondeterministically, so the cache is bypassed entirely for it — no
-//! get, no put (the session path enforces the same rule independently).
-//! Budget-free units always pass an explicitly unlimited budget to the
-//! certifier so the ambient `GNCG_BUDGET_MS` cannot leak
-//! nondeterminism into a cacheable result.
+//! get, no put. Budget-free units always pass an explicitly unlimited
+//! budget to the certifier so the ambient `GNCG_BUDGET_MS` cannot leak
+//! nondeterminism into a cacheable result. An entry whose payload does
+//! not decode (an older shape, such as a network entry that carried
+//! the whole distance matrix) is a miss and is overwritten.
 //!
 //! # Checkpoint/resume
 //!
@@ -48,7 +52,7 @@ use std::sync::Arc;
 use gncg_game::certify::{certify, CertifyReport};
 use gncg_game::{OwnedNetwork, SolverConfig};
 use gncg_geometry::{generators, PointSet};
-use gncg_graph::DistMatrix;
+use gncg_graph::{apsp, Graph};
 use gncg_json::{canon, object, FromJson, ToJson, Value};
 use gncg_parallel::Budget;
 use gncg_service::cache::ResultCache;
@@ -116,44 +120,19 @@ pub fn build_network(method: &str, ps: &PointSet, alpha: f64) -> OwnedNetwork {
     }
 }
 
-/// Encode a distance matrix as `{"n": N, "bits": "<16N² hex chars>"}`.
-///
-/// Bit-pattern hex rather than JSON numbers because distance matrices
-/// legitimately contain `+inf` (disconnected pairs), which the JSON
-/// number writer canonicalizes to `null`; a bit-exact encoding keeps
-/// the cached matrix byte-faithful to the computed one.
-fn matrix_to_json(m: &DistMatrix) -> Value {
-    let mut bits = String::with_capacity(16 * m.as_flat().len());
-    for &x in m.as_flat() {
-        bits.push_str(&format!("{:016x}", x.to_bits()));
-    }
-    object(vec![
-        ("n", Value::Number(m.len() as f64)),
-        ("bits", Value::String(bits)),
-    ])
-}
-
-fn matrix_from_json(v: &Value) -> Option<DistMatrix> {
-    let n = v.get("n")?.as_u64()? as usize;
-    let bits = v.get("bits")?.as_str()?;
-    if bits.len() != 16 * n * n || !bits.is_ascii() {
-        return None;
-    }
-    let mut data = Vec::with_capacity(n * n);
-    for chunk in bits.as_bytes().chunks_exact(16) {
-        let hex = std::str::from_utf8(chunk).ok()?;
-        data.push(f64::from_bits(u64::from_str_radix(hex, 16).ok()?));
-    }
-    Some(DistMatrix::from_flat(n, data))
-}
-
-/// Largest finite pairwise distance (the network diameter; 0 for a
-/// single vertex, skipping `+inf` rows of disconnected pairs).
-fn diameter(m: &DistMatrix) -> f64 {
-    m.as_flat()
-        .iter()
-        .copied()
-        .filter(|x| x.is_finite())
+/// Largest finite shortest-path distance of `g` (the network diameter;
+/// 0 for a single vertex, skipping the `+inf` of disconnected pairs),
+/// taken row by row without a distance matrix. Max is exact, so this is
+/// bit-identical to the maximum over the full matrix.
+fn diameter(g: &Graph) -> f64 {
+    let finite_max = |row: &[f64]| {
+        row.iter()
+            .copied()
+            .filter(|x| x.is_finite())
+            .fold(0.0, f64::max)
+    };
+    apsp::distance_aggregates(g, finite_max)
+        .into_iter()
         .fold(0.0, f64::max)
 }
 
@@ -163,62 +142,67 @@ fn ambient_exhausted() -> bool {
     gncg_parallel::current_budget().is_some_and(|b| b.exhausted())
 }
 
-/// The network step: cached `(network, distance matrix)` for one unit.
+/// The network step: cached `(network, diameter)` for one unit.
 fn network_step(
     spec: &SweepSpec,
     unit: &SweepUnit,
     ps: &PointSet,
     cache: Option<&ResultCache>,
-) -> (OwnedNetwork, DistMatrix) {
+) -> (OwnedNetwork, f64) {
     let key = network_key(&spec.generator, unit.n, unit.seed, &unit.method, unit.alpha);
-    if let Some(cache) = cache {
-        if let Some(payload) = cache.get(&key) {
-            let decoded = payload.get("network").and_then(|nv| {
-                let net = OwnedNetwork::from_json(nv).ok()?;
-                let matrix = matrix_from_json(payload.get("matrix")?)?;
-                (matrix.len() == net.len()).then_some((net, matrix))
-            });
-            if let Some(hit) = decoded {
-                return hit;
-            }
-            // Hash-valid but schema-incompatible: fall through and
-            // overwrite with a freshly computed entry.
-        }
+    let hit = cache.and_then(|c| c.get(&key)).and_then(|payload| {
+        let net = OwnedNetwork::from_json(payload.get("network")?).ok()?;
+        Some((net, payload.get("diameter")?.as_f64()?))
+    });
+    // A hash-valid but schema-incompatible entry (an older shape) is a
+    // miss: it is recomputed and overwritten below.
+    if let Some(hit) = hit {
+        return hit;
     }
     let net = build_network(&unit.method, ps, unit.alpha);
-    let matrix = gncg_graph::apsp::all_pairs(&net.graph(ps));
+    let diam = diameter(&net.graph(ps));
     if let Some(cache) = cache.filter(|_| !ambient_exhausted()) {
         let _ = cache.put(
             &key,
             &object(vec![
                 ("network", net.to_json()),
-                ("matrix", matrix_to_json(&matrix)),
+                ("diameter", Value::Number(diam)),
             ]),
         );
     }
-    (net, matrix)
+    (net, diam)
 }
 
-/// The certify step, inline (no session): same cache discipline as
-/// the session's keyed-cache certify path.
-fn certify_step_direct(
-    spec: &SweepSpec,
+/// The certify step: the cached report under `key`, else one computed
+/// inline (`session: None`) or by a session job, written back unless
+/// the ambient budget ran out meanwhile. The one place the sweep tier
+/// reads or writes certify entries.
+fn certify_step(
     key: &str,
     ps: &PointSet,
     net: &OwnedNetwork,
     alpha: f64,
-    cfg: &SolverConfig,
+    cfg: SolverConfig,
     cache: Option<&ResultCache>,
+    session: Option<&Session>,
 ) -> CertifyReport {
-    debug_assert!(cache.is_none() || spec.budget_ms.is_none());
-    if let Some(cache) = cache {
-        if let Some(payload) = cache.get(key) {
-            if let Ok(report) = CertifyReport::from_json(&payload) {
-                return report;
-            }
-        }
+    let hit = cache
+        .and_then(|c| c.get(key))
+        .and_then(|payload| CertifyReport::from_json(&payload).ok());
+    if let Some(report) = hit {
+        return report;
     }
-    let report = certify(ps, net, alpha, cfg);
+    let report = match session {
+        Some(session) => {
+            let job = JobOptions::with_budget(&cfg.budget);
+            session
+                .submit_certify(Arc::new(ps.clone()), net.clone(), alpha, cfg, job)
+                .unwrap_or_else(|e| panic!("sweep unit rejected by the service: {e}"))
+                .wait()
+                .unwrap_or_else(|e| panic!("sweep unit failed: {e}"))
+        }
+        None => certify(ps, net, alpha, &cfg),
+    };
     if let Some(cache) = cache.filter(|_| !ambient_exhausted()) {
         let _ = cache.put(key, &report.to_json());
     }
@@ -244,11 +228,6 @@ pub fn run_spec(
 ) -> SweepOutcome {
     // The cache-consistency rule: budgeted units are never cached.
     let cache = cache.filter(|_| spec.budget_ms.is_none());
-    // Session path: the cache is consulted from inside the session's
-    // keyed certify submits, so attach it up front.
-    if let (Some(cache), Some(session)) = (&cache, session) {
-        session.attach_result_cache(Arc::clone(cache));
-    }
     let unit_budget = match spec.budget_ms {
         Some(ms) => Budget::with_limit(std::time::Duration::from_millis(ms)),
         None => Budget::unlimited(),
@@ -268,7 +247,7 @@ pub fn run_spec(
         let done = !budget.exhausted()
             && ckpt
                 .try_rows(&mut report, &params, |report| {
-                    let Some(row) = run_unit(spec, unit, cache.as_ref(), session, &unit_budget)
+                    let Some(row) = run_unit(spec, unit, cache.as_deref(), session, &unit_budget)
                     else {
                         return false;
                     };
@@ -307,16 +286,15 @@ struct UnitRow {
 fn run_unit(
     spec: &SweepSpec,
     unit: &SweepUnit,
-    cache: Option<&Arc<ResultCache>>,
+    cache: Option<&ResultCache>,
     session: Option<&Session>,
     unit_budget: &Budget,
 ) -> Option<UnitRow> {
     let ps = generate_points(&spec.generator, unit.n, unit.seed);
-    let (net, matrix) = network_step(spec, unit, &ps, cache.map(Arc::as_ref));
+    let (net, diam) = network_step(spec, unit, &ps, cache);
     if ambient_exhausted() {
         return None;
     }
-    let diam = diameter(&matrix);
 
     let cfg = if spec.exact {
         SolverConfig::exact()
@@ -341,37 +319,7 @@ fn run_unit(
         spec.budget_ms,
     );
 
-    let cr = match session {
-        Some(session) => {
-            // The run's cache was attached to the session up front; a
-            // keyed config routes this certify through it (the session
-            // re-checks the budget-bypass rule independently).
-            let job_cfg = match cache {
-                Some(_) => cfg.with_cache_key(&key),
-                None => cfg,
-            };
-            session
-                .submit_certify(
-                    Arc::new(ps.clone()),
-                    net.clone(),
-                    unit.alpha,
-                    job_cfg,
-                    JobOptions::with_budget(unit_budget),
-                )
-                .unwrap_or_else(|e| panic!("sweep unit rejected by the service: {e}"))
-                .wait()
-                .unwrap_or_else(|e| panic!("sweep unit failed: {e}"))
-        }
-        None => certify_step_direct(
-            spec,
-            &key,
-            &ps,
-            &net,
-            unit.alpha,
-            &cfg,
-            cache.map(Arc::as_ref),
-        ),
-    };
+    let cr = certify_step(&key, &ps, &net, unit.alpha, cfg, cache, session);
 
     if ambient_exhausted() {
         return None;
@@ -437,26 +385,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn matrix_bits_roundtrip_including_inf() {
-        let m = DistMatrix::from_flat(2, vec![0.0, f64::INFINITY, 1.0625e-3, f64::MAX]);
-        let v = matrix_to_json(&m);
-        let back = matrix_from_json(&v).expect("decodes");
-        assert_eq!(back.as_flat(), m.as_flat());
-        // truncated bits are rejected, not mis-decoded
-        let mut bad = v.clone();
-        if let Value::Object(entries) = &mut bad {
-            for (k, val) in entries.iter_mut() {
-                if k == "bits" {
-                    if let Value::String(s) = val {
-                        s.truncate(s.len() - 1);
-                    }
-                }
-            }
-        }
-        assert!(matrix_from_json(&bad).is_none());
-    }
-
-    #[test]
     fn generators_are_deterministic() {
         for g in ["uniform", "grid", "cluster", "chain"] {
             let a = generate_points(g, 9, 3);
@@ -472,9 +400,11 @@ mod tests {
 
     #[test]
     fn diameter_skips_disconnected_pairs() {
-        let m = DistMatrix::from_flat(2, vec![0.0, f64::INFINITY, f64::INFINITY, 0.0]);
-        assert_eq!(diameter(&m), 0.0);
-        let m = DistMatrix::from_flat(2, vec![0.0, 2.5, 2.5, 0.0]);
-        assert_eq!(diameter(&m), 2.5);
+        assert_eq!(diameter(&Graph::new(2)), 0.0);
+        let mut g = Graph::new(3);
+        g.add_edge(0, 1, 2.5);
+        assert_eq!(diameter(&g), 2.5);
+        g.add_edge(1, 2, 1.0);
+        assert_eq!(diameter(&g), 3.5);
     }
 }

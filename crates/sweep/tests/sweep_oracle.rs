@@ -1,16 +1,19 @@
-//! The replay oracle (ISSUE 9 acceptance): every committed
-//! `specs/*.sweep.json` must reproduce its committed `results/<id>.json`
-//! **byte-for-byte** in all three execution regimes —
+//! The replay oracle: every committed `specs/*.sweep.json` must
+//! reproduce its committed `results/<id>.json` **byte-for-byte** in
+//! every execution regime —
 //!
 //! * **direct**: no cache, engine inline on this thread;
 //! * **cold**: a fresh content-addressed cache, units submitted through
-//!   a [`Session`] (the `gncg sweep run` path);
-//! * **warm**: the same cache again, engine inline (every unit a hit).
+//!   a [`Session`] (the `gncg sweep run` path), at 1 and at 4 session
+//!   threads;
+//! * **warm**: the same cache again, through the session and then
+//!   inline (every unit a hit).
 //!
-//! The comparison is against the bytes in git, so any drift — in a
-//! generator, a solver kernel, the canonical JSON printer, the report
-//! shape, or the cache — fails this suite before it can silently
-//! rewrite the repository's reproduction artifacts.
+//! The committed specs cover both cost models. The comparison is
+//! against the bytes in git, so any drift — in a generator, a solver
+//! kernel, the canonical JSON printer, the report shape, or the cache —
+//! fails this suite before it can silently rewrite the repository's
+//! reproduction artifacts.
 
 use std::fs;
 use std::path::PathBuf;
@@ -111,52 +114,45 @@ fn every_committed_spec_replays_its_results_byte_for_byte() {
             path.display()
         );
 
-        // -- cold: fresh cache, units through a Session --------------
-        let cache_dir = scratch("cache", &spec.id);
-        let cache = Arc::new(ResultCache::at(&cache_dir).unwrap());
-        let session = Session::new();
-        let cold = run_spec(
-            &spec,
-            Some(Arc::clone(&cache)),
-            Some(&session),
-            &Budget::unlimited(),
-            Some(scratch("cold", &spec.id).join("ckpt.json")),
-        );
-        assert!(!cold.interrupted);
-        assert_eq!(
-            report_bytes(&cold.report),
-            committed,
-            "{}: cold-cache run diverged from committed results",
-            path.display()
-        );
-        let entries_after_cold = cache.entry_count().unwrap();
-        assert!(
-            entries_after_cold > 0,
-            "{}: cold run cached nothing",
-            path.display()
-        );
+        for threads in [1usize, 4] {
+            // -- cold: fresh cache, units through a Session ----------
+            let cache_dir = scratch(&format!("cache{threads}"), &spec.id);
+            let cache = Arc::new(ResultCache::at(&cache_dir).unwrap());
+            let session = Session::builder().threads(threads).build();
+            let run = |regime: &str, session: Option<&Session>| {
+                let out = run_spec(
+                    &spec,
+                    Some(Arc::clone(&cache)),
+                    session,
+                    &Budget::unlimited(),
+                    Some(scratch(&format!("{regime}{threads}"), &spec.id).join("ckpt.json")),
+                );
+                assert!(!out.interrupted);
+                assert_eq!(
+                    report_bytes(&out.report),
+                    committed,
+                    "{}: {regime} run at {threads} session threads diverged from committed results",
+                    path.display()
+                );
+            };
+            run("cold", Some(&session));
+            let entries_after_cold = cache.entry_count().unwrap();
+            assert!(
+                entries_after_cold > 0,
+                "{}: cold run cached nothing",
+                path.display()
+            );
 
-        // -- warm: same cache, inline (every unit a hit) -------------
-        let warm = run_spec(
-            &spec,
-            Some(Arc::clone(&cache)),
-            None,
-            &Budget::unlimited(),
-            Some(scratch("warm", &spec.id).join("ckpt.json")),
-        );
-        assert!(!warm.interrupted);
-        assert_eq!(
-            report_bytes(&warm.report),
-            committed,
-            "{}: warm-cache run diverged from committed results",
-            path.display()
-        );
-        assert_eq!(
-            cache.entry_count().unwrap(),
-            entries_after_cold,
-            "{}: warm run missed entries it should have hit",
-            path.display()
-        );
-        let _ = fs::remove_dir_all(&cache_dir);
+            // -- warm: same cache, session then inline (all hits) ----
+            run("warm_session", Some(&session));
+            run("warm_inline", None);
+            assert_eq!(
+                cache.entry_count().unwrap(),
+                entries_after_cold,
+                "{}: warm runs missed entries they should have hit",
+                path.display()
+            );
+            let _ = fs::remove_dir_all(&cache_dir);
+        }
     }
 }

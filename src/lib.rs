@@ -25,7 +25,7 @@ pub mod prelude {
     pub use gncg_algo::{build_beta_beta_network, AlgorithmOneParams, AlgorithmOneResult};
     pub use gncg_game::certify::{certify, CertifyReport};
     pub use gncg_game::network::OwnedNetwork;
-    pub use gncg_game::{CachePolicy, Outcome, SolverConfig};
+    pub use gncg_game::{Outcome, SolverConfig};
     pub use gncg_geometry::generators;
     pub use gncg_geometry::{Norm, Point, PointSet};
 }

@@ -153,13 +153,24 @@ if [[ "$test_only" != "$allowed" ]]; then
     exit 1
 fi
 
-# cache discipline: GNCG_CACHE_DIR / GNCG_CACHE are parsed solely by
-# gncg-config (env::cache_dir / env::cache_on); tests and embedders
-# steer the cache programmatically through
+# cache discipline: the cache directory variable is parsed solely by
+# gncg-config (env::cache_dir), the one cache env knob; tests and
+# embedders steer the cache programmatically through
 # gncg_service::cache::set_process_cache_dir, never by re-reading env
 if grep -rn --include='*.rs' -F '"GNCG_CACHE' src crates tests examples \
     | grep -v '^crates/config/src/'; then
-    echo 'GNCG_CACHE* literals outside crates/config/src (use gncg_config / set_process_cache_dir)' >&2
+    echo 'a cache env literal outside crates/config/src (use gncg_config / set_process_cache_dir)' >&2
+    exit 1
+fi
+
+# one cached path: the sweep engine alone gets from and puts to the
+# result cache, so the cache axis of SolverConfig, the session-attached
+# cache and its born-resolved handles, the cache kill switch, the
+# fault-injection stall and the matrix-carrying network entry are gone
+if grep -rnE 'CachePolicy|with_cache_key|without_cache|attach_result_cache|JobHandle::resolved|cache_on|fault_inject_delay|FAULT_INJECT_DELAY|matrix_to_json|GNCG_CACHE([^_]|$)' \
+    src crates tests examples tools .github README.md DESIGN.md \
+    | grep -v '^tools/ci.sh:.*grep -rn'; then
+    echo 'a removed cache or fault-injection name is back (the sweep engine is the one cached path)' >&2
     exit 1
 fi
 
