@@ -43,9 +43,14 @@ use gncg_sweep::Report;
 use gncg_trace::{COUNTER_NAMES, DETERMINISTIC_COUNTERS};
 use std::time::Instant;
 
-/// Timed 512-job batches behind the legacy dispatch row (odd, so the
-/// median is one batch).
-const DISPATCH_BATCHES: usize = 15;
+/// Timed samples behind the legacy dispatch row (odd, so the median is
+/// one sample).
+const DISPATCH_SAMPLES: usize = 15;
+
+/// 512-job batches per dispatch sample. One batch takes 0.5–1 ms, too
+/// short to time against a 1.5× gate (one descheduling moves it); a
+/// sample of 64 takes 30–60 ms.
+const BATCHES_PER_SAMPLE: usize = 64;
 
 /// Timed runs behind each legacy solver row (odd, so the median is one
 /// run).
@@ -296,40 +301,48 @@ fn legacy_tier() {
     // of the deterministic counters, so the stage isolates admission +
     // queueing + handle-resolution cost per job. The batch lane must
     // hold all 512 jobs at once: this stage measures dispatch, not
-    // admission-control rejections. One batch takes well under a
-    // millisecond, too short to time against a 1.5× gate, so the row is
-    // the median of DISPATCH_BATCHES timed batches.
+    // admission-control rejections. The row is seconds per batch: the
+    // median over DISPATCH_SAMPLES samples of the mean over
+    // BATCHES_PER_SAMPLE batches. Only each sample's first batch is
+    // traced, so the job counters stay DISPATCH_SAMPLES · 512.
     let session = Session::builder().queue_capacity(4, 512).build();
-    let mut batch_s: Vec<f64> = (0..DISPATCH_BATCHES)
+    let dispatch_batch = || {
+        let mut handles = Vec::with_capacity(512);
+        for i in 0..512u64 {
+            handles.push(
+                session
+                    .submit_sweep(JobOptions::default(), move |_ctx| {
+                        let mut x = i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                        for _ in 0..64 {
+                            x = x
+                                .wrapping_mul(6364136223846793005)
+                                .wrapping_add(1442695040888963407);
+                        }
+                        std::hint::black_box(x)
+                    })
+                    .expect("perf_smoke service job admitted"),
+            );
+        }
+        for h in handles {
+            h.wait().expect("perf_smoke service job completed");
+        }
+        session.wait_idle();
+    };
+    let mut sample_s: Vec<f64> = (0..DISPATCH_SAMPLES)
         .map(|_| {
             let t0 = Instant::now();
-            let mut handles = Vec::with_capacity(512);
-            for i in 0..512u64 {
-                handles.push(
-                    session
-                        .submit_sweep(JobOptions::default(), move |_ctx| {
-                            let mut x = i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                            for _ in 0..64 {
-                                x = x
-                                    .wrapping_mul(6364136223846793005)
-                                    .wrapping_add(1442695040888963407);
-                            }
-                            std::hint::black_box(x)
-                        })
-                        .expect("perf_smoke service job admitted"),
-                );
+            for batch in 0..BATCHES_PER_SAMPLE {
+                gncg_trace::set_enabled(batch == 0);
+                dispatch_batch();
             }
-            for h in handles {
-                h.wait().expect("perf_smoke service job completed");
-            }
-            session.wait_idle();
             t0.elapsed().as_secs_f64()
         })
         .collect();
-    batch_s.sort_by(f64::total_cmp);
+    gncg_trace::set_enabled(true);
+    sample_s.sort_by(f64::total_cmp);
     report.push_unreferenced(
         "service dispatch x512".into(),
-        batch_s[DISPATCH_BATCHES / 2],
+        sample_s[DISPATCH_SAMPLES / 2] / BATCHES_PER_SAMPLE as f64,
         true,
         "raw wall seconds; normalize by calibration_secs",
     );

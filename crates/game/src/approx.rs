@@ -1,7 +1,7 @@
 //! Bracketed certification at large `n`, and large-n dynamics.
 //!
 //! The exact certifier ([`crate::certify`]) reads one Dijkstra row per
-//! agent. Up to [`UNION_ROWS_CAP`] agents [`certify_approx`] runs that
+//! agent. Up to [`EXACT_ROWS_CAP`] agents [`certify_approx`] runs that
 //! same pass ([`crate::certify::certify`]'s bounds pass, on the created
 //! network `G`) and reports its figures; above the cap, where `n` rows
 //! would dominate the run, it trades them for *brackets* that provably
@@ -111,7 +111,7 @@ use gncg_trace::Counter;
 /// and pivot brackets (no per-agent rows at all): at `n = 10⁴` the rows
 /// would dominate the whole certification, on one thread (the perf
 /// gate's setting) and still on a few.
-pub const UNION_ROWS_CAP: usize = 4096;
+pub const EXACT_ROWS_CAP: usize = 4096;
 
 /// Pivot rows behind the upper bounds under [`EvalBackend::Exact`].
 const DEFAULT_PIVOTS: usize = 8;
@@ -219,7 +219,7 @@ fn farthest_point_pivots(ps: &PointSet, k: usize) -> Vec<usize> {
 /// Produce the bracketed certification report for a profile over a
 /// point set (see module docs for the exact soundness claims).
 ///
-/// Up to [`UNION_ROWS_CAP`] agents the brackets are the exact
+/// Up to [`EXACT_ROWS_CAP`] agents the brackets are the exact
 /// certifier's figures; above it they come from the metric floor and
 /// from pivot rows, whose count is read off `cfg.backend` (8 when the
 /// backend is exact). The cost model is read off `cfg.model`.
@@ -233,7 +233,7 @@ pub fn certify_approx(
         EvalBackend::Exact => DEFAULT_PIVOTS,
         EvalBackend::Spanner { pivots, .. } => pivots,
     };
-    let exact_rows = net.len() <= UNION_ROWS_CAP;
+    let exact_rows = net.len() <= EXACT_ROWS_CAP;
     gncg_parallel::unbudgeted(|| {
         crate::dispatch_model!(cfg.model, M, {
             certify_approx_generic::<M>(ps, net, alpha, pivots, exact_rows)

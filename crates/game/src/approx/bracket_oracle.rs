@@ -8,7 +8,7 @@
 //! every size, dense and sparse α regimes, degenerate geometries, and
 //! disconnected profiles (where the exact figures are infinite and the
 //! `hi` ends must follow them to ∞). On the exact-rows side, the one
-//! [`super::certify_approx`] takes up to `UNION_ROWS_CAP`, every
+//! [`super::certify_approx`] takes up to `EXACT_ROWS_CAP`, every
 //! bracket end must *equal* the exact figure bit for bit. The sweep
 //! calls the private generic body, so it pins the side that
 //! [`super::certify_approx`] itself picks by size.
@@ -20,7 +20,7 @@
 //! oracle harnesses. Run it alone with
 //! `cargo test --release -p gncg-game --lib approx::bracket_oracle`.
 
-use super::{certify_approx_generic, DEFAULT_PIVOTS, UNION_ROWS_CAP};
+use super::{certify_approx_generic, DEFAULT_PIVOTS, EXACT_ROWS_CAP};
 use crate::certify::certify;
 use crate::{ModelKind, OwnedNetwork, SolverConfig};
 use gncg_geometry::{generators, PointSet};
@@ -72,11 +72,11 @@ fn random_network(rng: &mut StdRng, n: usize) -> OwnedNetwork {
 }
 
 /// The side: a third of the draws take the production rule
-/// (`n ≤ UNION_ROWS_CAP`), the rest pin the exact rows or the metric
+/// (`n ≤ EXACT_ROWS_CAP`), the rest pin the exact rows or the metric
 /// floor with pivot rows.
 fn pick_exact_rows(rng: &mut StdRng, n: usize) -> bool {
     match rng.gen_range(0..3) {
-        0 => n <= UNION_ROWS_CAP,
+        0 => n <= EXACT_ROWS_CAP,
         1 => true,
         _ => false,
     }

@@ -12,9 +12,9 @@
 //!   or disappear are touched (an edge survives a sell when the other
 //!   endpoint still buys it);
 //! * distance rows are **invalidated, not recomputed**: a changed edge
-//!   set marks every row stale, a pure ownership change marks none, and
-//!   stale rows are refreshed lazily — one CSR Dijkstra per *requested*
-//!   row, or all stale rows at once in parallel with per-worker scratch;
+//!   set marks the matrix stale, a pure ownership change keeps it, and
+//!   [`EvalContext::ensure_all_rows`] refills a stale matrix with one
+//!   parallel CSR Dijkstra per row;
 //! * edge costs are recomputed only for the moving agent, in the same
 //!   sorted order as [`crate::cost::edge_cost`], so every number the
 //!   context hands out is bit-identical to the from-scratch path (the
@@ -22,7 +22,7 @@
 //!   property-test oracle).
 
 use crate::{cost, CostModel, EdgeWeights, OwnedNetwork};
-use gncg_graph::csr::{Csr, DijkstraScratch};
+use gncg_graph::csr::Csr;
 use gncg_graph::{DistMatrix, Graph};
 use std::collections::BTreeSet;
 
@@ -33,20 +33,16 @@ pub struct EvalContext<'w, W: EdgeWeights + ?Sized> {
     alpha: f64,
     net: OwnedNetwork,
     graph: Graph,
-    /// Frozen CSR snapshot of `graph`; dropped whenever the edge set
-    /// changes and rebuilt on the next row refresh.
-    csr: Option<Csr>,
-    /// Row `u` holds `d_G(u, ·)` when `row_valid[u]`.
+    /// `d_G(·, ·)` of the current graph when `dist_valid`.
     dist: DistMatrix,
-    row_valid: Vec<bool>,
+    dist_valid: bool,
     /// `α·‖u, S_u‖` per agent, always current.
     edge_costs: Vec<f64>,
-    scratch: DijkstraScratch,
 }
 
 impl<'w, W: EdgeWeights + ?Sized> EvalContext<'w, W> {
-    /// Build the context for `net`. No distances are computed yet — rows
-    /// fill lazily on first use.
+    /// Build the context for `net`. No distances are computed yet — the
+    /// matrix fills on the first [`EvalContext::ensure_all_rows`].
     pub fn new(w: &'w W, net: &OwnedNetwork, alpha: f64) -> Self {
         let n = net.len();
         assert_eq!(n, w.len());
@@ -57,25 +53,10 @@ impl<'w, W: EdgeWeights + ?Sized> EvalContext<'w, W> {
             alpha,
             net: net.clone(),
             graph,
-            csr: None,
             dist: DistMatrix::filled(n, f64::INFINITY),
-            row_valid: vec![false; n],
+            dist_valid: false,
             edge_costs,
-            scratch: DijkstraScratch::default(),
         }
-    }
-
-    /// Number of agents.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.net.len()
-    }
-
-    /// True iff there is exactly one agent (never, profiles are
-    /// non-empty).
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        false
     }
 
     /// The edge-price factor α.
@@ -121,13 +102,9 @@ impl<'w, W: EdgeWeights + ?Sized> EvalContext<'w, W> {
             // (false when v already bought it: weight is unchanged)
             edges_changed |= self.graph.add_edge(u, v, self.w.weight(u, v));
         }
-        if edges_changed {
-            self.csr = None;
-            if gncg_trace::enabled() {
-                let live = self.row_valid.iter().filter(|&&v| v).count() as u64;
-                gncg_trace::add(gncg_trace::Counter::RowInvalidations, live);
-            }
-            self.row_valid.fill(false);
+        if edges_changed && self.dist_valid {
+            gncg_trace::add(gncg_trace::Counter::RowInvalidations, self.net.len() as u64);
+            self.dist_valid = false;
         }
         // same expression (and summation order) as cost::edge_cost
         self.edge_costs[u] = self.alpha
@@ -140,96 +117,33 @@ impl<'w, W: EdgeWeights + ?Sized> EvalContext<'w, W> {
         old
     }
 
-    fn take_csr(&mut self) -> Csr {
-        match self.csr.take() {
-            Some(c) => c,
-            None => Csr::from_graph(&self.graph),
-        }
-    }
-
-    /// Make row `u` valid (one CSR Dijkstra if stale).
-    pub fn ensure_row(&mut self, u: usize) {
-        if self.row_valid[u] {
-            return;
-        }
-        let csr = self.take_csr();
-        csr.dijkstra_into_slice(u, self.dist.row_mut(u), &mut self.scratch);
-        self.csr = Some(csr);
-        self.row_valid[u] = true;
-    }
-
-    /// Make every row valid, refreshing all stale rows in parallel with
-    /// one persistent Dijkstra scratch per worker.
+    /// Make the distance matrix current: a no-op unless an edge changed
+    /// since the last call, else every row is refilled in parallel.
     pub fn ensure_all_rows(&mut self) {
-        let stale: Vec<usize> = (0..self.len()).filter(|&u| !self.row_valid[u]).collect();
-        if stale.is_empty() {
+        if self.dist_valid {
             return;
         }
         let _span = gncg_trace::span("eval.refresh_rows");
-        let csr = self.take_csr();
-        self.dist.par_fill_rows_with(
-            &stale,
-            gncg_parallel::arena::rent::<DijkstraScratch>,
-            |scratch, u, row| csr.dijkstra_into_slice(u, row, scratch),
-        );
-        self.csr = Some(csr);
-        for u in stale {
-            self.row_valid[u] = true;
-        }
+        Csr::from_graph(&self.graph).all_pairs_into(&mut self.dist);
+        self.dist_valid = true;
     }
 
-    /// The full distance matrix `d_G(·, ·)` when every row is valid
-    /// (i.e. after [`EvalContext::ensure_all_rows`] with no edge change
+    /// The full distance matrix `d_G(·, ·)` when it is current (i.e.
+    /// after [`EvalContext::ensure_all_rows`] with no edge change
     /// since), else `None`. Leaf agents' response evaluators borrow this
     /// as their rest distances instead of running a per-agent APSP — see
     /// [`crate::best_response::ResponseEvaluator::with_shared_rest`].
     pub fn cached_full_matrix(&self) -> Option<&DistMatrix> {
-        if self.row_valid.iter().all(|&v| v) {
-            Some(&self.dist)
-        } else {
-            None
-        }
+        self.dist_valid.then_some(&self.dist)
     }
 
-    /// Distance cost of agent `u` under model `M` — the `M`-aggregate
-    /// of the cached row (refreshed if stale).
-    pub fn distance_cost<M: CostModel>(&mut self, u: usize) -> f64 {
-        self.ensure_row(u);
-        M::aggregate(self.dist.row(u))
-    }
-
-    /// Edge cost `α·‖u, S_u‖` of agent `u` (cached, always current).
-    #[inline]
-    pub fn edge_cost(&self, u: usize) -> f64 {
-        self.edge_costs[u]
-    }
-
-    /// Full cost of agent `u` under model `M` (row refreshed if stale) —
-    /// bit-identical to [`crate::cost::agent_cost`] on the same profile.
-    pub fn agent_cost<M: CostModel>(&mut self, u: usize) -> f64 {
-        self.edge_costs[u] + self.distance_cost::<M>(u)
-    }
-
-    /// Full cost of agent `u` under model `M`, assuming its row is
-    /// already valid (e.g. after [`EvalContext::ensure_all_rows`]);
-    /// usable through a shared reference inside parallel sections.
+    /// Full cost of agent `u` under model `M` — bit-identical to
+    /// [`crate::cost::agent_cost`] on the same profile. The matrix must
+    /// be current ([`EvalContext::ensure_all_rows`]); usable through a
+    /// shared reference inside parallel sections.
     pub fn agent_cost_cached<M: CostModel>(&self, u: usize) -> f64 {
-        assert!(self.row_valid[u], "distance row {u} is stale");
+        assert!(self.dist_valid, "distance matrix is stale");
         self.edge_costs[u] + M::aggregate(self.dist.row(u))
-    }
-
-    /// Cost vector of all agents under model `M` (stale rows refreshed
-    /// in parallel).
-    pub fn all_costs<M: CostModel>(&mut self) -> Vec<f64> {
-        self.ensure_all_rows();
-        (0..self.len())
-            .map(|u| self.agent_cost_cached::<M>(u))
-            .collect()
-    }
-
-    /// Social cost `SC(G(s)) = Σ_u cost(u)` under model `M`.
-    pub fn social_cost<M: CostModel>(&mut self) -> f64 {
-        self.all_costs::<M>().iter().sum()
     }
 }
 
@@ -261,24 +175,29 @@ mod tests {
             .collect()
     }
 
+    /// Every agent's cost through the context (matrix refreshed first).
+    fn costs<M: CostModel>(ctx: &mut EvalContext<gncg_geometry::PointSet>) -> Vec<f64> {
+        ctx.ensure_all_rows();
+        (0..ctx.network().len())
+            .map(|u| ctx.agent_cost_cached::<M>(u))
+            .collect()
+    }
+
     #[test]
     fn fresh_context_matches_oracle() {
         let ps = generators::uniform_unit_square(12, 3);
         let net = random_profile(&mut rand::rngs::StdRng::seed_from_u64(8), 12);
         let mut ctx = EvalContext::new(&ps, &net, 1.7);
-        for u in 0..12 {
-            let a = ctx.agent_cost::<SumDistances>(u);
+        let all = costs::<SumDistances>(&mut ctx);
+        for (u, a) in all.iter().enumerate() {
             let b = cost::agent_cost::<_, SumDistances>(&ps, &net, 1.7, u);
             assert_eq!(a.to_bits(), b.to_bits(), "agent {u}");
         }
         assert_eq!(
-            ctx.social_cost::<SumDistances>().to_bits(),
+            all.iter().sum::<f64>().to_bits(),
             cost::social_cost::<_, SumDistances>(&ps, &net, 1.7).to_bits()
         );
-        assert_eq!(
-            ctx.all_costs::<SumDistances>(),
-            cost::all_costs::<_, SumDistances>(&ps, &net, 1.7)
-        );
+        assert_eq!(all, cost::all_costs::<_, SumDistances>(&ps, &net, 1.7));
     }
 
     #[test]
@@ -298,13 +217,13 @@ mod tests {
                 assert_eq!(ctx.graph(), &reference, "trial {trial} step {step}");
                 // spot-check one agent's cost against the oracle
                 let probe = rng.gen_range(0..n);
-                let a = ctx.agent_cost::<SumDistances>(probe);
+                let a = costs::<SumDistances>(&mut ctx)[probe];
                 let b = cost::agent_cost::<_, SumDistances>(&ps, ctx.network(), 2.0, probe);
                 assert_eq!(a.to_bits(), b.to_bits(), "trial {trial} step {step}");
             }
             let net = ctx.network().clone();
             assert_eq!(
-                ctx.all_costs::<SumDistances>(),
+                costs::<SumDistances>(&mut ctx),
                 cost::all_costs::<_, SumDistances>(&ps, &net, 2.0)
             );
         }
@@ -326,11 +245,11 @@ mod tests {
                 .sum();
             assert_eq!(
                 ctx.agent_cost_cached::<SumDistances>(u).to_bits(),
-                (ctx.edge_cost(u) + row_sum).to_bits(),
+                (cost::edge_cost(&ps, &net, 1.3, u) + row_sum).to_bits(),
                 "sum instantiation must be the plain row sum (agent {u})"
             );
             assert_eq!(
-                ctx.agent_cost::<MaxDistance>(u).to_bits(),
+                ctx.agent_cost_cached::<MaxDistance>(u).to_bits(),
                 cost::agent_cost::<_, MaxDistance>(&ps, &net, 1.3, u).to_bits(),
                 "agent {u}"
             );
@@ -348,9 +267,9 @@ mod tests {
         let mut ctx = EvalContext::new(&ps, &net, 1.0);
         ctx.ensure_all_rows();
         ctx.apply_move(0, BTreeSet::new());
-        assert!(ctx.row_valid.iter().all(|&v| v), "graph did not change");
+        assert!(ctx.cached_full_matrix().is_some(), "graph did not change");
         assert_eq!(
-            ctx.agent_cost::<SumDistances>(0).to_bits(),
+            ctx.agent_cost_cached::<SumDistances>(0).to_bits(),
             cost::agent_cost::<_, SumDistances>(&ps, ctx.network(), 1.0, 0).to_bits()
         );
     }
@@ -362,9 +281,12 @@ mod tests {
         let mut ctx = EvalContext::new(&ps, &net, 1.0);
         ctx.ensure_all_rows();
         ctx.apply_move(0, [2].into_iter().collect());
-        assert!(ctx.row_valid.iter().all(|&v| !v));
+        assert!(ctx.cached_full_matrix().is_none());
         assert_eq!(
-            ctx.social_cost::<SumDistances>().to_bits(),
+            costs::<SumDistances>(&mut ctx)
+                .iter()
+                .sum::<f64>()
+                .to_bits(),
             cost::social_cost::<_, SumDistances>(&ps, ctx.network(), 1.0).to_bits()
         );
     }
@@ -375,7 +297,8 @@ mod tests {
         let net = OwnedNetwork::forward_path(3);
         let mut ctx = EvalContext::new(&ps, &net, 1.0);
         ctx.apply_move(1, BTreeSet::new()); // 2 now isolated
-        assert!(ctx.agent_cost::<SumDistances>(2).is_infinite());
-        assert!(ctx.social_cost::<SumDistances>().is_infinite());
+        let all = costs::<SumDistances>(&mut ctx);
+        assert!(all[2].is_infinite());
+        assert!(all.iter().sum::<f64>().is_infinite());
     }
 }

@@ -28,7 +28,7 @@ use gncg_spanner::SpannerKind;
 
 /// The pivot count of the bracketed certifier
 /// ([`crate::approx::certify_approx`]): how many exact rows back its
-/// distance upper bounds above [`crate::approx::UNION_ROWS_CAP`] agents.
+/// distance upper bounds above [`crate::approx::EXACT_ROWS_CAP`] agents.
 /// Up to the cap it reports the exact certifier's figures and reads no
 /// backend.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -4,15 +4,13 @@
 //! Provides:
 //! * [`Point`] — a point in ℝᵈ with p-norm distances ([`norm`]),
 //! * [`PointSet`] — the agent set `P` of the game, with the quantities the
-//!   paper uses throughout: `w_max`, `w_min`, aspect ratio `r`,
+//!   paper uses throughout: `w_max`, `w_min` (each one O(n²) scan over
+//!   all pairs), aspect ratio `r`,
 //! * [`generators`] — deterministic builders for every instance family the
 //!   paper evaluates (uniform random, integer grids, the Theorem 2.1 / 4.4
 //!   triangle clusters, the Theorem 4.1 cross-polytope, the Theorem 4.3
-//!   geometric chain, …),
-//! * [`closest_pair`] — grid-hashing closest pair, used for aspect-ratio
-//!   computations on large point sets.
+//!   geometric chain, …).
 
-pub mod closest_pair;
 pub mod generators;
 pub mod norm;
 pub mod point;

@@ -50,13 +50,6 @@ impl Norm {
             }
         }
     }
-
-    /// Norm of the vector `a` itself.
-    #[inline]
-    pub fn length(&self, a: &[f64]) -> f64 {
-        let zero = vec![0.0; a.len()];
-        self.distance(a, &zero)
-    }
 }
 
 // Serialized like serde's externally tagged enums: unit variants are bare

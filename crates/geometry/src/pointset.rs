@@ -1,7 +1,7 @@
 //! The agent set `P` of the game, with the derived quantities the paper
 //! uses: pairwise distances, `w_max`, `w_min` and the aspect ratio `r`.
 
-use crate::{closest_pair, Norm, Point};
+use crate::{Norm, Point};
 use gncg_json::{field, object, FromJson, JsonError, ToJson, Value};
 
 /// An ordered set of n points in ℝᵈ together with the norm that defines
@@ -108,18 +108,11 @@ impl PointSet {
         best
     }
 
-    /// Shortest *positive* pairwise distance `w_min`.
-    ///
-    /// Uses grid-hashing closest pair under the 2-norm; falls back to the
-    /// quadratic scan for other norms. Returns `None` if all points
-    /// coincide (or n == 1).
+    /// Shortest *positive* pairwise distance `w_min`: coincident points
+    /// are skipped, because the game defines `w_min` over distinct
+    /// locations (the co-located cluster instances rely on this).
+    /// Returns `None` if all points coincide (or n == 1).
     pub fn w_min(&self) -> Option<f64> {
-        if self.len() < 2 {
-            return None;
-        }
-        if matches!(self.norm, Norm::L2) {
-            return closest_pair::closest_pair_distance(self);
-        }
         let n = self.len();
         let mut best = f64::INFINITY;
         for i in 0..n {
@@ -130,11 +123,7 @@ impl PointSet {
                 }
             }
         }
-        if best.is_finite() {
-            Some(best)
-        } else {
-            None
-        }
+        best.is_finite().then_some(best)
     }
 
     /// Aspect ratio `r = w_max / w_min` (None when all points coincide).
@@ -200,6 +189,75 @@ mod tests {
         let ps = PointSet::new(vec![Point::d1(3.0)]);
         assert!(ps.w_min().is_none());
         assert_eq!(ps.w_max(), 0.0);
+    }
+
+    #[test]
+    fn w_min_skips_coincident_pairs() {
+        let ps = PointSet::new(vec![
+            Point::d2(0.0, 0.0),
+            Point::d2(0.0, 0.0),
+            Point::d2(3.0, 0.0),
+        ]);
+        assert_eq!(ps.w_min(), Some(3.0));
+    }
+
+    #[test]
+    fn w_min_in_three_dimensions() {
+        // a 3×3×3 lattice of spacing 2 plus one point 0.25 above a corner
+        let mut pts = Vec::new();
+        for x in 0..3 {
+            for y in 0..3 {
+                for z in 0..3 {
+                    pts.push(Point::new(vec![
+                        2.0 * x as f64,
+                        2.0 * y as f64,
+                        2.0 * z as f64,
+                    ]));
+                }
+            }
+        }
+        pts.push(Point::new(vec![4.0, 4.0, 4.25]));
+        assert_eq!(PointSet::new(pts).w_min(), Some(0.25));
+    }
+
+    #[test]
+    fn w_min_finds_tiny_separations() {
+        // two tight clusters far apart, and a pair 1e-9 apart in a line
+        let mut pts = Vec::new();
+        for i in 0..20 {
+            pts.push(Point::d2(i as f64 * 1e-3, 0.0));
+            pts.push(Point::d2(1000.0 + i as f64 * 1e-3, 5.0));
+        }
+        let w = PointSet::new(pts).w_min().unwrap();
+        assert!((w - 1e-3).abs() < 1e-12, "{w}");
+        let mut line: Vec<Point> = (0..100).map(|i| Point::d1(i as f64 * 2.0)).collect();
+        line.push(Point::d1(50.0 + 1e-9));
+        let w = PointSet::new(line).w_min().unwrap();
+        assert!((w - 1e-9).abs() < 1e-14, "{w}");
+    }
+
+    #[test]
+    fn w_min_spans_extreme_scales() {
+        // 300 orders of magnitude between the closest and farthest pair
+        let ps = PointSet::new(vec![
+            Point::d2(0.0, 0.0),
+            Point::d2(1e-150, 0.0),
+            Point::d2(1e150, 0.0),
+        ]);
+        assert_eq!(ps.w_min(), Some(ps.dist(0, 1)));
+        assert!((ps.w_min().unwrap() / 1e-150 - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn w_min_ignores_an_overflowing_distance() {
+        // ‖(0,0), (1e200,0)‖ overflows to ∞; the closest pair is (5, 6)
+        let ps = PointSet::new(vec![
+            Point::d2(0.0, 0.0),
+            Point::d2(1e200, 0.0),
+            Point::d2(5.0, 0.0),
+            Point::d2(6.0, 0.0),
+        ]);
+        assert_eq!(ps.w_min(), Some(1.0));
     }
 
     #[test]

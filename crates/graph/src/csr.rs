@@ -371,10 +371,7 @@ impl Csr {
     pub fn all_pairs_into(&self, m: &mut DistMatrix) {
         let n = self.len();
         m.reshape(n, f64::INFINITY);
-        let mut rows = gncg_parallel::arena::rent::<Vec<usize>>();
-        rows.extend(0..n);
         m.par_fill_rows_with(
-            &rows,
             gncg_parallel::arena::rent::<DijkstraScratch>,
             |scratch, u, row| self.dijkstra_into_slice(u, row, scratch),
         );

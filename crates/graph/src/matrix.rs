@@ -75,12 +75,6 @@ impl DistMatrix {
         &self.data[u * self.n..(u + 1) * self.n]
     }
 
-    /// Mutable row `u`.
-    #[inline]
-    pub fn row_mut(&mut self, u: usize) -> &mut [f64] {
-        &mut self.data[u * self.n..(u + 1) * self.n]
-    }
-
     /// Entry `d[u][v]`.
     #[inline]
     pub fn get(&self, u: usize, v: usize) -> f64 {
@@ -99,32 +93,20 @@ impl DistMatrix {
         &self.data
     }
 
-    /// Fill the listed rows in parallel, each via `f(scratch, u, row)`,
-    /// with one persistent `scratch` per worker thread.
-    ///
-    /// The rows in `rows` must be pairwise distinct: each is handed out
-    /// to exactly one closure invocation as `&mut [f64]`. Duplicates
-    /// would alias mutable slices across threads.
-    pub fn par_fill_rows_with<S, Init, F>(&mut self, rows: &[usize], init: Init, f: F)
+    /// Fill every row in parallel, each via `f(scratch, u, row)`, with
+    /// one persistent `scratch` per worker thread.
+    pub fn par_fill_rows_with<S, Init, F>(&mut self, init: Init, f: F)
     where
         Init: Fn() -> S + Sync,
         F: Fn(&mut S, usize, &mut [f64]) + Sync,
     {
         let n = self.n;
-        debug_assert!(
-            {
-                let mut seen = vec![false; n];
-                rows.iter().all(|&u| !std::mem::replace(&mut seen[u], true))
-            },
-            "rows passed to par_fill_rows_with must be distinct"
-        );
         let ptr = RowsPtr(self.data.as_mut_ptr());
         let ptr = &ptr;
-        gncg_parallel::parallel_for_with(rows.len(), init, move |scratch, i| {
-            let u = rows[i];
-            // SAFETY: rows are distinct (caller contract), so each row
-            // slice is written by exactly one closure invocation, and
-            // u < n keeps the slice in bounds.
+        gncg_parallel::parallel_for_with(n, init, move |scratch, u| {
+            // SAFETY: the loop hands out each index u < n exactly once,
+            // so each row slice is written by exactly one closure
+            // invocation and stays in bounds.
             let row = unsafe { std::slice::from_raw_parts_mut(ptr.0.add(u * n), n) };
             f(scratch, u, row);
         });
@@ -171,17 +153,15 @@ mod tests {
         assert!(m.get(2, 2).is_infinite());
         m.set(2, 2, 0.0);
         assert_eq!(m[2][2], 0.0);
-        m.row_mut(0).fill(1.5);
-        assert_eq!(m.row(0), &[1.5, 1.5, 1.5]);
+        m.reshape(2, 1.5);
+        assert_eq!(m.as_flat(), &[1.5; 4]);
     }
 
     #[test]
     fn par_fill_rows_writes_disjoint_rows() {
         let n = 64;
         let mut m = DistMatrix::filled(n, -1.0);
-        let rows: Vec<usize> = (0..n).collect();
         m.par_fill_rows_with(
-            &rows,
             || 0usize,
             |_, u, row| {
                 for (v, x) in row.iter_mut().enumerate() {
@@ -194,16 +174,6 @@ mod tests {
                 assert_eq!(m.get(u, v), (u * n + v) as f64);
             }
         }
-    }
-
-    #[test]
-    fn par_fill_subset_leaves_other_rows() {
-        let mut m = DistMatrix::filled(8, 7.0);
-        m.par_fill_rows_with(&[1, 5], || (), |(), u, row| row.fill(u as f64));
-        assert_eq!(m.row(1), &[1.0; 8]);
-        assert_eq!(m.row(5), &[5.0; 8]);
-        assert_eq!(m.row(0), &[7.0; 8]);
-        assert_eq!(m.row(7), &[7.0; 8]);
     }
 
     #[test]

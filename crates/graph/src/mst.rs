@@ -69,59 +69,6 @@ pub fn euclidean_mst_weight(ps: &PointSet) -> f64 {
         .sum()
 }
 
-/// MST of an explicit (connected) graph: Prim over adjacency lists,
-/// O(m log n) with a lazy heap. Panics if the graph is disconnected.
-pub fn graph_mst(g: &Graph) -> Graph {
-    use std::cmp::Ordering;
-    use std::collections::BinaryHeap;
-
-    #[derive(PartialEq)]
-    struct E(f64, usize, usize); // (weight, from, to)
-    impl Eq for E {}
-    impl Ord for E {
-        fn cmp(&self, o: &Self) -> Ordering {
-            o.0.partial_cmp(&self.0)
-                .unwrap_or(Ordering::Equal)
-                .then_with(|| o.2.cmp(&self.2))
-        }
-    }
-    impl PartialOrd for E {
-        fn partial_cmp(&self, o: &Self) -> Option<Ordering> {
-            Some(self.cmp(o))
-        }
-    }
-
-    let n = g.len();
-    let mut out = Graph::new(n);
-    if n == 1 {
-        return out;
-    }
-    let mut in_tree = vec![false; n];
-    let mut heap = BinaryHeap::new();
-    in_tree[0] = true;
-    for &(v, w) in g.neighbors(0) {
-        heap.push(E(w, 0, v));
-    }
-    let mut added = 0;
-    while let Some(E(w, u, v)) = heap.pop() {
-        if in_tree[v] {
-            continue;
-        }
-        in_tree[v] = true;
-        out.add_edge(u, v, w);
-        added += 1;
-        if added == n - 1 {
-            return out;
-        }
-        for &(x, wx) in g.neighbors(v) {
-            if !in_tree[x] {
-                heap.push(E(wx, v, x));
-            }
-        }
-    }
-    panic!("graph_mst: input graph is disconnected");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,38 +149,6 @@ mod tests {
         let ps = PointSet::new(vec![Point::d1(0.0)]);
         assert_eq!(euclidean_mst(&ps).num_edges(), 0);
         assert_eq!(euclidean_mst_weight(&ps), 0.0);
-    }
-
-    #[test]
-    fn graph_mst_matches_dense_on_complete_graph() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(4);
-        let n = 15;
-        let mut w = vec![vec![0.0; n]; n];
-        for (i, row) in w.iter_mut().enumerate() {
-            for x in row.iter_mut().skip(i + 1) {
-                *x = rng.gen::<f64>() * 10.0 + 0.1;
-            }
-        }
-        let upper = w.clone();
-        for (i, row) in w.iter_mut().enumerate() {
-            for (j, x) in row.iter_mut().enumerate().take(i) {
-                *x = upper[j][i];
-            }
-        }
-        let dense = prim_dense(n, |i, j| w[i][j]);
-        let dense_total: f64 = dense.iter().map(|&(_, _, x)| x).sum();
-        let g = Graph::complete(n, |i, j| w[i][j]);
-        let sparse = graph_mst(&g);
-        assert!((sparse.total_weight() - dense_total).abs() < 1e-9);
-        assert_eq!(sparse.num_edges(), n - 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "disconnected")]
-    fn graph_mst_panics_on_disconnected() {
-        let g = Graph::from_edges(4, &[(0, 1, 1.0), (2, 3, 1.0)]);
-        graph_mst(&g);
     }
 
     #[test]

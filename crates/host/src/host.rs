@@ -92,11 +92,6 @@ impl HostNetwork {
         self.w.get(u, v)
     }
 
-    /// The full weight matrix.
-    pub fn matrix(&self) -> &DistMatrix {
-        &self.w
-    }
-
     /// Metric closure: `d_H(u, v)` over the complete host.
     pub fn metric_closure(&self) -> DistMatrix {
         let n = self.len();

@@ -5,10 +5,10 @@
 //! cleanly* instead of either aborting the sweep or running forever.
 //! The substrate's contract:
 //!
-//! * A [`CancelToken`] is a shared latch (`AtomicBool` plus an optional
-//!   wall-clock deadline). Once observed cancelled it stays cancelled.
-//! * A [`Budget`] bundles a deadline with a token. [`with_budget`]
-//!   installs it as the *ambient* budget of the calling thread; every
+//! * A [`Budget`] is a shared latch (`AtomicBool` plus an optional
+//!   wall-clock deadline); cloning shares it. Once observed exhausted it
+//!   stays exhausted. [`with_budget`] installs it as the *ambient*
+//!   budget of the calling thread; every
 //!   `parallel_map`/`parallel_for_with`/`parallel_reduce` variant polls the
 //!   ambient budget once per chunk (and re-installs it inside its worker
 //!   threads, so nested parallel loops — e.g. the exact best-response
@@ -29,73 +29,22 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A shared cancellation latch: an atomic flag plus an optional deadline.
+/// A work budget: a cancellation latch plus an optional wall-clock
+/// deadline. Passed (by reference) to budgeted solvers; installed as the
+/// ambient budget of a region via [`with_budget`].
 ///
 /// Cloning shares the underlying state; cancelling any clone cancels all
 /// of them. Deadline expiry latches the flag on first observation, so
 /// after a deadline has been seen once, checks are a single atomic load.
 #[derive(Debug, Clone, Default)]
-pub struct CancelToken {
-    inner: Arc<TokenInner>,
+pub struct Budget {
+    inner: Arc<BudgetInner>,
 }
 
 #[derive(Debug, Default)]
-struct TokenInner {
+struct BudgetInner {
     cancelled: AtomicBool,
     deadline: Option<Instant>,
-}
-
-impl CancelToken {
-    /// A token that only cancels when [`CancelToken::cancel`] is called.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A token that additionally auto-cancels at `deadline`.
-    pub fn with_deadline(deadline: Instant) -> Self {
-        Self {
-            inner: Arc::new(TokenInner {
-                cancelled: AtomicBool::new(false),
-                deadline: Some(deadline),
-            }),
-        }
-    }
-
-    /// Request cancellation. Idempotent; visible to all clones.
-    pub fn cancel(&self) {
-        self.inner.cancelled.store(true, Ordering::SeqCst);
-    }
-
-    /// Has cancellation been requested or the deadline passed?
-    pub fn is_cancelled(&self) -> bool {
-        if self.inner.cancelled.load(Ordering::Relaxed) {
-            return true;
-        }
-        if let Some(dl) = self.inner.deadline {
-            if Instant::now() >= dl {
-                self.inner.cancelled.store(true, Ordering::SeqCst);
-                return true;
-            }
-        }
-        false
-    }
-
-    /// The deadline, if this token carries one.
-    pub fn deadline(&self) -> Option<Instant> {
-        self.inner.deadline
-    }
-}
-
-/// A work budget: an optional wall-clock deadline plus a cancellation
-/// token. Passed (by reference) to budgeted solvers; installed as the
-/// ambient budget of a region via [`with_budget`].
-#[derive(Debug, Clone, Default)]
-pub struct Budget {
-    /// Wall-clock instant after which the budget counts as exhausted.
-    pub deadline: Option<Instant>,
-    /// Cooperative cancellation flag shared with every worker polling
-    /// this budget.
-    pub cancel: CancelToken,
 }
 
 impl Budget {
@@ -107,10 +56,11 @@ impl Budget {
 
     /// A budget expiring `limit` from now.
     pub fn with_limit(limit: Duration) -> Self {
-        let deadline = Instant::now() + limit;
         Self {
-            deadline: Some(deadline),
-            cancel: CancelToken::with_deadline(deadline),
+            inner: Arc::new(BudgetInner {
+                cancelled: AtomicBool::new(false),
+                deadline: Some(Instant::now() + limit),
+            }),
         }
     }
 
@@ -126,29 +76,23 @@ impl Budget {
     }
 
     /// Request cancellation of everything running under this budget.
+    /// Idempotent; visible to all clones.
     pub fn cancel(&self) {
-        self.cancel.cancel();
+        self.inner.cancelled.store(true, Ordering::SeqCst);
     }
 
     /// Cancelled, or past the deadline? Latches once true.
     pub fn exhausted(&self) -> bool {
-        if self.cancel.is_cancelled() {
+        if self.inner.cancelled.load(Ordering::Relaxed) {
             return true;
         }
-        match self.deadline {
+        match self.inner.deadline {
             Some(dl) if Instant::now() >= dl => {
-                self.cancel.cancel();
+                self.cancel();
                 true
             }
             _ => false,
         }
-    }
-
-    /// Time left before the deadline (`None` when unlimited; zero once
-    /// exhausted).
-    pub fn remaining(&self) -> Option<Duration> {
-        self.deadline
-            .map(|dl| dl.saturating_duration_since(Instant::now()))
     }
 }
 
@@ -213,29 +157,41 @@ pub fn unbudgeted<R>(f: impl FnOnce() -> R) -> R {
 mod tests {
     use super::*;
 
-    #[test]
-    fn token_cancel_is_shared_and_latched() {
-        let t = CancelToken::new();
-        let t2 = t.clone();
-        assert!(!t.is_cancelled());
-        t2.cancel();
-        assert!(t.is_cancelled());
-        assert!(t.is_cancelled());
+    /// A budget whose deadline is `at`.
+    fn due_at(at: Instant) -> Budget {
+        Budget {
+            inner: Arc::new(BudgetInner {
+                cancelled: AtomicBool::new(false),
+                deadline: Some(at),
+            }),
+        }
     }
 
     #[test]
-    fn deadline_token_expires() {
-        let t = CancelToken::with_deadline(Instant::now() - Duration::from_millis(1));
-        assert!(t.is_cancelled());
-        let far = CancelToken::with_deadline(Instant::now() + Duration::from_secs(3600));
-        assert!(!far.is_cancelled());
+    fn cancel_is_shared_and_latched() {
+        let b = Budget::unlimited();
+        let b2 = b.clone();
+        assert!(!b.exhausted());
+        b2.cancel();
+        assert!(b.exhausted());
+        assert!(b.exhausted());
+    }
+
+    #[test]
+    fn deadline_budget_expires_and_latches() {
+        let b = due_at(Instant::now() - Duration::from_millis(1));
+        let b2 = b.clone();
+        assert!(b.exhausted());
+        assert!(b2.inner.cancelled.load(Ordering::Relaxed), "expiry latches");
+        let far = due_at(Instant::now() + Duration::from_secs(3600));
+        assert!(!far.exhausted());
     }
 
     #[test]
     fn unlimited_budget_never_exhausts() {
         let b = Budget::unlimited();
         assert!(!b.exhausted());
-        assert!(b.remaining().is_none());
+        assert!(b.inner.deadline.is_none());
         b.cancel();
         assert!(b.exhausted());
     }
@@ -245,7 +201,6 @@ mod tests {
         let b = Budget::with_limit(Duration::from_millis(0));
         std::thread::sleep(Duration::from_millis(2));
         assert!(b.exhausted());
-        assert_eq!(b.remaining(), Some(Duration::ZERO));
     }
 
     #[test]
@@ -256,9 +211,9 @@ mod tests {
             assert!(current_budget().is_some());
             let inner = Budget::with_limit(Duration::from_secs(3600));
             with_budget(&inner, || {
-                assert!(current_budget().unwrap().deadline.is_some());
+                assert!(current_budget().unwrap().inner.deadline.is_some());
             });
-            assert!(current_budget().unwrap().deadline.is_none());
+            assert!(current_budget().unwrap().inner.deadline.is_none());
         });
         assert!(current_budget().is_none());
     }

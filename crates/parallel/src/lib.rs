@@ -38,7 +38,7 @@
 //!   [`pool::ThreadPool::wait`]). A panicking job can no longer strand
 //!   `wait()` or leave a scoped loop half-famished.
 //! * **Cancellation budgets.** [`with_budget`] installs a [`Budget`]
-//!   (shared [`CancelToken`] + optional deadline) that every loop
+//!   (a shared cancellation latch + optional deadline) that every loop
 //!   variant polls once per chunk — including nested loops spawned from
 //!   worker threads, which inherit the ambient budget. A cancelled loop
 //!   returns early with partial output; the caller checks
@@ -57,7 +57,7 @@ pub mod budget;
 pub mod fault;
 pub mod pool;
 
-pub use budget::{current_budget, unbudgeted, with_budget, Budget, CancelToken};
+pub use budget::{current_budget, unbudgeted, with_budget, Budget};
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};

@@ -70,11 +70,6 @@ impl ThreadPool {
         Self { inner, workers }
     }
 
-    /// Number of worker threads.
-    pub fn threads(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Submit a job. The job runs on some worker at an unspecified time.
     pub fn submit<F: FnOnce() + Send + 'static>(&self, f: F) {
         self.inner.pending.fetch_add(1, Ordering::SeqCst);

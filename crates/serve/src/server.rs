@@ -657,9 +657,9 @@ fn handle_submit(
     let submitted = inner.session.submit_observed(
         kind,
         job_opts,
-        move |_, budget| {
+        move |ctx| {
             notify_started(&started_inner, &started_key);
-            spec.execute(budget)
+            spec.execute(ctx.budget())
         },
         move |result: &Result<Value, JobError>| {
             deliver_result(&done_inner, &done_key, result);

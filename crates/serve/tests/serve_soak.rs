@@ -117,9 +117,9 @@ fn soak_128_faulted_clients_are_bit_identical_to_direct_calls() {
     // the fault plan actually exercised the wire
     let snap = gncg_trace::snapshot();
     assert!(
-        snap.counter(gncg_trace::Counter::ServeFramesRx) > 0
-            && snap.counter(gncg_trace::Counter::ServeFramesTx) > 0
-            && snap.counter(gncg_trace::Counter::ServeEnqueued) >= CLIENTS as u64,
+        snap.counters[gncg_trace::Counter::ServeFramesRx as usize] > 0
+            && snap.counters[gncg_trace::Counter::ServeFramesTx as usize] > 0
+            && snap.counters[gncg_trace::Counter::ServeEnqueued as usize] >= CLIENTS as u64,
         "soak moved no frames?"
     );
 

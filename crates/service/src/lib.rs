@@ -59,7 +59,7 @@ use std::time::Duration;
 use gncg_game::certify::CertifyReport;
 use gncg_game::{dynamics, EdgeWeights, OwnedNetwork, SolverConfig};
 use gncg_parallel::pool::ThreadPool;
-use gncg_parallel::{with_budget, with_max_threads, Budget};
+use gncg_parallel::{with_budget, Budget};
 
 /// Shared-ownership edge-weight oracle a job can be built over.
 pub type SharedWeights = Arc<dyn EdgeWeights + Send + Sync>;
@@ -319,9 +319,6 @@ struct Shared {
     idle_cond: Condvar,
     interactive_cap: usize,
     batch_cap: usize,
-    /// Per-job cap on nested parallelism (see
-    /// [`SessionBuilder::job_threads`]).
-    job_threads: Option<usize>,
 }
 
 /// After this many consecutive interactive dispatches with batch work
@@ -365,10 +362,7 @@ fn run_next(shared: &Shared) {
     let ctx = JobCtx {
         budget: ticket.budget.clone(),
     };
-    match shared.job_threads {
-        Some(k) => with_max_threads(k, || (ticket.run)(&ctx)),
-        None => (ticket.run)(&ctx),
-    }
+    (ticket.run)(&ctx);
     shared.finish(ticket.id);
 }
 
@@ -420,7 +414,6 @@ fn run_envelope<T>(
 #[derive(Debug, Clone)]
 pub struct SessionBuilder {
     threads: Option<usize>,
-    job_threads: Option<usize>,
     default_budget_ms: Option<u64>,
     interactive_cap: usize,
     batch_cap: usize,
@@ -430,7 +423,6 @@ impl Default for SessionBuilder {
     fn default() -> Self {
         Self {
             threads: None,
-            job_threads: None,
             default_budget_ms: None,
             interactive_cap: 256,
             batch_cap: 64,
@@ -442,22 +434,6 @@ impl SessionBuilder {
     /// Number of pool workers (default: [`gncg_parallel::num_threads`]).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
-        self
-    }
-
-    /// Cap the *nested* parallelism of each job: a job's internal
-    /// `parallel_*` loops use at most `k` workers, so `threads`
-    /// concurrent jobs occupy ≈ `threads · k` cores instead of
-    /// `threads · num_threads()`.
-    pub fn job_threads(mut self, k: usize) -> Self {
-        self.job_threads = Some(k);
-        self
-    }
-
-    /// Default per-job budget in milliseconds (each job gets a fresh
-    /// deadline that far in the future at submit time).
-    pub fn default_budget_ms(mut self, ms: u64) -> Self {
-        self.default_budget_ms = Some(ms);
         self
     }
 
@@ -485,7 +461,6 @@ impl SessionBuilder {
                 idle_cond: Condvar::new(),
                 interactive_cap: self.interactive_cap,
                 batch_cap: self.batch_cap,
-                job_threads: self.job_threads,
             }),
             pool: ThreadPool::new(threads),
             default_budget_ms: self.default_budget_ms,
@@ -515,11 +490,6 @@ impl Session {
     /// Start building a custom session.
     pub fn builder() -> SessionBuilder {
         SessionBuilder::default()
-    }
-
-    /// Number of pool workers.
-    pub fn threads(&self) -> usize {
-        self.pool.threads()
     }
 
     /// The budget a job submitted *now* with default [`JobOptions`]
@@ -584,7 +554,7 @@ impl Session {
         &self,
         kind: JobKind,
         job: JobOptions,
-        work: impl FnOnce(&JobCtx, &Budget) -> T + Send + 'static,
+        work: impl FnOnce(&JobCtx) -> T + Send + 'static,
     ) -> Result<JobHandle<T>, SubmitError> {
         self.submit_observed(kind, job, work, |_| {})
     }
@@ -602,10 +572,9 @@ impl Session {
     /// is the hook the `gncg-serve` wire layer uses to stream results
     /// without parking a waiter thread per job.
     ///
-    /// `work` receives the job's [`JobCtx`] and (a clone of) its
-    /// [`Budget`]; certify callers must thread the budget into their
-    /// [`SolverConfig`] exactly as the typed submits do, or the
-    /// degradation ladder will not engage.
+    /// `work` receives the job's [`JobCtx`]; certify callers must thread
+    /// [`JobCtx::budget`] into their [`SolverConfig`] exactly as the
+    /// typed submits do, or the degradation ladder will not engage.
     pub fn submit_observed<T, F, D>(
         &self,
         kind: JobKind,
@@ -615,7 +584,7 @@ impl Session {
     ) -> Result<JobHandle<T>, SubmitError>
     where
         T: Send + 'static,
-        F: FnOnce(&JobCtx, &Budget) -> T + Send + 'static,
+        F: FnOnce(&JobCtx) -> T + Send + 'static,
         D: FnOnce(&Result<T, JobError>) + Send + 'static,
     {
         let (ambient, cancel_on_exhaust) = kind.budget_wiring();
@@ -623,15 +592,12 @@ impl Session {
         let budget = job.budget.unwrap_or_else(|| self.default_budget());
         let state = HandleState::new();
         let run_state = Arc::clone(&state);
-        let run_budget = budget.clone();
         self.admit(
             kind,
             priority,
             budget.clone(),
             Box::new(move |ctx| {
-                let result = run_envelope(ctx, ambient, cancel_on_exhaust, |ctx| {
-                    work(ctx, &run_budget)
-                });
+                let result = run_envelope(ctx, ambient, cancel_on_exhaust, work);
                 done(&result);
                 run_state.fulfill(result);
             }),
@@ -651,8 +617,8 @@ impl Session {
         cfg: SolverConfig,
         job: JobOptions,
     ) -> Result<JobHandle<CertifyReport>, SubmitError> {
-        self.submit_raw(JobKind::Certify, job, move |_, budget| {
-            gncg_game::certify::certify(&*w, &net, alpha, &cfg.with_budget(budget))
+        self.submit_raw(JobKind::Certify, job, move |ctx| {
+            gncg_game::certify::certify(&*w, &net, alpha, &cfg.with_budget(ctx.budget()))
         })
     }
 
@@ -672,7 +638,7 @@ impl Session {
         cfg: SolverConfig,
         job: JobOptions,
     ) -> Result<JobHandle<dynamics::Outcome>, SubmitError> {
-        self.submit_raw(JobKind::Dynamics, job, move |_, _| {
+        self.submit_raw(JobKind::Dynamics, job, move |_| {
             dynamics::run_spec(
                 &*w,
                 &start,
@@ -695,7 +661,7 @@ impl Session {
         T: Send + 'static,
         F: FnOnce(&JobCtx) -> T + Send + 'static,
     {
-        self.submit_raw(JobKind::Sweep, job, move |ctx, _| f(ctx))
+        self.submit_raw(JobKind::Sweep, job, f)
     }
 
     /// Block until every admitted job has resolved. Also waits for the
@@ -900,7 +866,7 @@ mod tests {
             .submit_observed(
                 JobKind::Certify,
                 JobOptions::default(),
-                move |_, _| {
+                move |_| {
                     block_rx.recv().ok();
                     0usize
                 },
@@ -915,7 +881,7 @@ mod tests {
                     .submit_observed(
                         JobKind::Certify,
                         JobOptions::default(),
-                        move |_, _| {
+                        move |_| {
                             order.lock().unwrap().push(format!("i{i}"));
                             i
                         },
@@ -1063,7 +1029,7 @@ mod tests {
             .submit_observed(
                 JobKind::Sweep,
                 JobOptions::default(),
-                |_, _| 40 + 2,
+                |_| 40 + 2,
                 move |r| {
                     assert_eq!(r, &Ok(42));
                     c.fetch_add(1, Ordering::SeqCst);
@@ -1090,7 +1056,7 @@ mod tests {
             .submit_observed(
                 JobKind::Sweep,
                 JobOptions::with_budget(&dead),
-                |_, _| 1,
+                |_| 1,
                 move |r| {
                     assert_eq!(r, &Err(JobError::Cancelled));
                     cs.fetch_add(1, Ordering::SeqCst);
@@ -1104,7 +1070,7 @@ mod tests {
             .submit_observed(
                 JobKind::Sweep,
                 JobOptions::default(),
-                |_, _| -> i32 { panic!("observed boom") },
+                |_| -> i32 { panic!("observed boom") },
                 move |r| {
                     assert!(matches!(r, Err(JobError::Panicked(m)) if m.contains("observed boom")));
                     ps.fetch_add(1, Ordering::SeqCst);
@@ -1138,12 +1104,12 @@ mod tests {
             .submit_observed(
                 JobKind::Certify,
                 JobOptions::default(),
-                move |_, budget| {
+                move |ctx| {
                     gncg_game::certify::certify(
                         &*wo,
                         &no,
                         1.5,
-                        &SolverConfig::exact().with_budget(budget),
+                        &SolverConfig::exact().with_budget(ctx.budget()),
                     )
                 },
                 |_| {},
@@ -1156,16 +1122,5 @@ mod tests {
             observed.beta_exact.unwrap().to_bits()
         );
         assert_eq!(typed.social_cost.to_bits(), observed.social_cost.to_bits());
-    }
-
-    #[test]
-    fn job_threads_cap_reaches_job_bodies() {
-        let session = Session::builder().threads(2).job_threads(1).build();
-        let handle = session
-            .submit_sweep(JobOptions::default(), |_| {
-                gncg_parallel::current_max_threads()
-            })
-            .expect("admitted");
-        assert_eq!(handle.wait(), Ok(Some(1)));
     }
 }

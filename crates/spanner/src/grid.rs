@@ -108,12 +108,6 @@ impl GridIndex {
         Self::build(ps, cell)
     }
 
-    /// The cell side length.
-    #[inline]
-    pub fn cell(&self) -> f64 {
-        self.cell
-    }
-
     fn key_of(coords: &[f64], cell: f64) -> Vec<i64> {
         coords.iter().map(|&c| (c / cell).floor() as i64).collect()
     }

@@ -363,11 +363,6 @@ pub struct TraceSnapshot {
 }
 
 impl TraceSnapshot {
-    /// Total for one counter.
-    pub fn counter(&self, c: Counter) -> u64 {
-        self.counters[c as usize]
-    }
-
     /// Per-counter difference `self − earlier` (saturating), spans and
     /// histogram dropped. For before/after measurements in tests.
     pub fn counters_since(&self, earlier: &TraceSnapshot) -> [u64; NUM_COUNTERS] {
@@ -491,10 +486,10 @@ mod tests {
         incr(Counter::BestResponseEvals);
         record_dijkstra(7, 3);
         let s = snapshot();
-        assert_eq!(s.counter(Counter::DijkstraRelaxations), 8);
-        assert_eq!(s.counter(Counter::DijkstraHeapPops), 7);
-        assert_eq!(s.counter(Counter::BestResponseEvals), 1);
-        assert_eq!(s.counter(Counter::ChunkClaims), 0);
+        assert_eq!(s.counters[Counter::DijkstraRelaxations as usize], 8);
+        assert_eq!(s.counters[Counter::DijkstraHeapPops as usize], 7);
+        assert_eq!(s.counters[Counter::BestResponseEvals as usize], 1);
+        assert_eq!(s.counters[Counter::ChunkClaims as usize], 0);
         set_enabled(false);
     }
 
@@ -533,7 +528,7 @@ mod tests {
             }
         });
         let s = snapshot();
-        assert_eq!(s.counter(Counter::BestResponseEvals), 400);
+        assert_eq!(s.counters[Counter::BestResponseEvals as usize], 400);
         set_enabled(false);
     }
 

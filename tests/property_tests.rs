@@ -196,8 +196,9 @@ fn eval_context_matches_from_scratch_rebuild() {
                 &ctx.network().graph(&ps),
                 "case {case} step {step}: delta-rebuilt graph diverged"
             );
+            ctx.ensure_all_rows();
             for a in 0..n {
-                let inc = ctx.agent_cost::<SumDistances>(a);
+                let inc = ctx.agent_cost_cached::<SumDistances>(a);
                 let oracle = cost::agent_cost::<_, SumDistances>(&ps, ctx.network(), alpha, a);
                 assert_eq!(
                     inc.to_bits(),
@@ -206,7 +207,9 @@ fn eval_context_matches_from_scratch_rebuild() {
                 );
             }
         }
-        let social = ctx.social_cost::<SumDistances>();
+        let social: f64 = (0..n)
+            .map(|a| ctx.agent_cost_cached::<SumDistances>(a))
+            .sum();
         let oracle = cost::social_cost::<_, SumDistances>(&ps, &ctx.network().clone(), alpha);
         assert_eq!(social.to_bits(), oracle.to_bits(), "case {case}");
     }

@@ -47,23 +47,22 @@ if grep -rnE --include='*.rs' '"GNCG_(SERVE_[A-Z_]+|NET_FAULT_INJECT)"' src crat
     exit 1
 fi
 
-# one reader per knob: the snapshot config struct, the env-selected
-# evaluation backend and its bracket helper were removed because
-# nothing read them; solver settings travel in SolverConfig only
-if grep -rnE 'GncgConfig|EvalBackendKind|GNCG_EVAL_BACKEND|certify_bracket' \
-    src crates tests examples tools | grep -v '^tools/ci.sh:.*grep -rnE'; then
-    echo 'a removed config snapshot / eval-backend name is back (solver settings go in SolverConfig)' >&2
-    exit 1
-fi
-
-# one route into each solver: the bracketed certifier's option struct
-# and its tuned twin, the uncalled grid move engine and the retired
-# dynamics speed-up harness are gone; settings reach solvers through
-# SolverConfig
-if grep -rnE 'ApproxCertifyOptions|certify_approx_tuned|approx_options|best_single_move_grid|bench_dynamics' \
-    src crates tests examples tools .github README.md DESIGN.md \
-    | grep -v '^tools/ci.sh:.*grep -rnE'; then
-    echo 'a removed solver-settings route is back (use SolverConfig or an explicit argument)' >&2
+# removed names stay removed: each line of tools/removed_names.txt is an
+# ERE for names an earlier change deleted (one implementation per
+# computation, one route per setting), with its reason after ` # `
+removed_hits=0
+while IFS= read -r line; do
+    pattern=${line%% #*}
+    pattern=${pattern%"${pattern##*[![:space:]]}"}
+    [[ -z "$pattern" || "$pattern" == \#* ]] && continue
+    if grep -rnE -- "$pattern" \
+        Cargo.toml Cargo.lock vendor src crates tests examples tools .github README.md DESIGN.md \
+        | grep -vE '^tools/(removed_names\.txt:|ci\.sh:.*grep -rn)'; then
+        echo "a removed name is back: /$pattern/ (${line#*# })" >&2
+        removed_hits=1
+    fi
+done < tools/removed_names.txt
+if ((removed_hits)); then
     exit 1
 fi
 
@@ -87,27 +86,6 @@ if game_bodies | grep -E '\b(cert::certify|stretch::stretch)\b|gncg_spanner::(\{
     exit 1
 fi
 
-# pruning is not a setting: every solver runs the pruned engines, so
-# the prune-mode type, its config setter and env knob, and the
-# off-by-default delta-row switch of EvalContext are gone
-if grep -rnE 'PruneMode|with_prune|GNCG_PRUNE|env::prune|prune_on|set_delta_updates' \
-    src crates tests examples tools .github README.md DESIGN.md \
-    | grep -v '^tools/ci.sh:.*grep -rnE'; then
-    echo 'a removed prune setting is back (the pruned engines are the only production path)' >&2
-    exit 1
-fi
-
-# one measurement artefact per tier: perf_smoke/perf_gate.sh gates the
-# counters and stage times, perfbench/ the end-to-end metrics; the
-# ungated micro-bench targets, their vendored harness crate and the
-# gncg-bench re-export shim of gncg_sweep are gone
-if grep -rnE 'criterion|\[\[bench\]\]|cargo bench|gncg_bench::(service|checkpoint)' \
-    Cargo.toml Cargo.lock vendor src crates tests examples tools .github README.md DESIGN.md \
-    | grep -v '^tools/ci.sh:.*grep -rnE'; then
-    echo 'a retired bench harness or re-export path is back (measure with perf_smoke or perfbench; import gncg_sweep)' >&2
-    exit 1
-fi
-
 # one named oracle: the unpruned engines in gncg_game::prune::oracle are
 # called only inside gncg-game, from test files and by repro_maxdist's
 # consistency row
@@ -117,32 +95,64 @@ if grep -rn --include='*.rs' 'prune::oracle' src crates tests examples \
     exit 1
 fi
 
-# Session keeps only the job kinds some route reaches (certify,
-# dynamics, sweep), and the public functions only their own tests
-# called are gone
-if grep -rnE 'submit_best_response|submit_exact_optimum|JobKind::(BestResponse|ExactOpt)|gaussian_clusters|random_tree_metric|hm_metric|build_on_subset' \
-    src crates tests examples tools README.md DESIGN.md \
-    | grep -v '^tools/ci.sh:.*grep -rnE'; then
-    echo 'a removed job kind or test-only public function is back' >&2
-    exit 1
-fi
-
 # no test-only public functions: every `pub fn` of src and crates/*/src
 # must be named by production code (src, crates/*/src, examples,
 # perfbench/src; each file read up to its first `#[cfg(test)]`, without
-# comments and `#[cfg(test)] mod x;` files) other than its own
-# definition, or be listed with its reason in tools/test_only_pub.txt;
-# a listed name that production code now reaches must leave the list
+# `#[cfg(test)] mod x;` files) other than its own definition, or be
+# listed with its reason in tools/test_only_pub.txt; a listed name that
+# production code now reaches must leave the list. A reference counts
+# only when it is call- or path-shaped (`name(`, `.name(`, `name::<`,
+# `::name`) in code: comments, string and char literals and `use`
+# items are blanked first, so a field, a local or a panic message
+# sharing a method's name does not hide it.
+rust_code='
+    st == 0 && !in_use && /^ *#\[cfg\(test\)\]/ { exit }
+    {
+        out = ""; i = 1; n = length($0)
+        while (i <= n) {
+            c = substr($0, i, 1)
+            if (st == 1) {                              # "…" literal
+                if (c == "\\") i++
+                else if (c == "\"") st = 0
+                i++; continue
+            }
+            if (st == 2) {                              # r#"…"# literal
+                if (c == "\"" && substr($0, i + 1, hashes) == closer) { st = 0; i += hashes }
+                i++; continue
+            }
+            if (st == 3) {                              # /* … */ comment
+                if (substr($0, i, 2) == "*/") { st = 0; i++ }
+                i++; continue
+            }
+            if (substr($0, i, 2) == "//") break
+            if (substr($0, i, 2) == "/*") { st = 3; i += 2; continue }
+            if (c == "\"") { st = 1; out = out " "; i++; continue }
+            if (c == "r" && match(substr($0, i), /^r#*"/) \
+                && (i == 1 || substr($0, i - 1, 1) !~ /[A-Za-z0-9_]/)) {
+                hashes = RLENGTH - 2; closer = substr("########", 1, hashes)
+                st = 2; out = out " "; i += RLENGTH; continue
+            }
+            if (c == "\047" && substr($0, i + 1, 1) == "\\") {
+                i += 3; i += index(substr($0, i), "\047"); out = out " "; continue
+            }
+            if (c == "\047" && substr($0, i + 2, 1) == "\047") { i += 3; out = out " "; continue }
+            out = out c; i++
+        }
+        if (!in_use && out ~ /^ *(pub(\([a-z]+\))? +)?use /) in_use = 1
+        if (in_use) { if (out ~ /;/) in_use = 0; next }
+        print out
+    }'
 prod_code() {
     local tests f
     tests=$(grep -rhA1 '^ *#\[cfg(test)\]' "$@" | sed -n 's/^ *mod \([a-z0-9_]*\);$/\1.rs/p' || true)
     for f in $(find "$@" -name '*.rs' | sort); do
         case " $(echo $tests) " in *" $(basename "$f") "*) continue ;; esac
-        awk '/^ *#\[cfg\(test\)\]/ { exit } /^ *\/\// { next } { sub(/[ \t]\/\/ .*$/, ""); print }' "$f"
+        awk "$rust_code" "$f"
     done
 }
 pub_fns=$(prod_code src crates/*/src | grep -oE '\bpub (const |unsafe )?fn [a-z0-9_]+' | sed 's/.* //' | sort -u)
 prod_names=$(prod_code src crates/*/src examples perfbench/src | sed -E 's/\bfn [a-z0-9_]+//g' \
+    | grep -oE '::[A-Za-z_][A-Za-z0-9_]*|[A-Za-z_][A-Za-z0-9_]*[[:space:]]*(\(|::<)' \
     | grep -oE '[A-Za-z_][A-Za-z0-9_]*' | sort -u)
 test_only=$(comm -23 <(echo "$pub_fns") <(echo "$prod_names"))
 allowed=$(sed 's/#.*//' tools/test_only_pub.txt | tr -d ' \t' | grep -v '^$' | sort -u)
@@ -160,17 +170,6 @@ fi
 if grep -rn --include='*.rs' -F '"GNCG_CACHE' src crates tests examples \
     | grep -v '^crates/config/src/'; then
     echo 'a cache env literal outside crates/config/src (use gncg_config / set_process_cache_dir)' >&2
-    exit 1
-fi
-
-# one cached path: the sweep engine alone gets from and puts to the
-# result cache, so the cache axis of SolverConfig, the session-attached
-# cache and its born-resolved handles, the cache kill switch, the
-# fault-injection stall and the matrix-carrying network entry are gone
-if grep -rnE 'CachePolicy|with_cache_key|without_cache|attach_result_cache|JobHandle::resolved|cache_on|fault_inject_delay|FAULT_INJECT_DELAY|matrix_to_json|GNCG_CACHE([^_]|$)' \
-    src crates tests examples tools .github README.md DESIGN.md \
-    | grep -v '^tools/ci.sh:.*grep -rn'; then
-    echo 'a removed cache or fault-injection name is back (the sweep engine is the one cached path)' >&2
     exit 1
 fi
 
@@ -199,7 +198,7 @@ if grep -rnE --include='*.rs' '^use gncg_graph::[^;]*dijkstra|gncg_graph::dijkst
     exit 1
 fi
 if grep -rnE --include='*.rs' 'heap\.pop\(\)' src crates tests examples \
-    | grep -vE '^crates/graph/src/(csr|delta|dijkstra|heap4|mst)\.rs:'; then
+    | grep -vE '^crates/graph/src/(csr|delta|dijkstra|heap4)\.rs:'; then
     echo 'a heap.pop() relaxation loop outside the gncg-graph kernels' >&2
     exit 1
 fi
