@@ -44,7 +44,7 @@ pub fn star_stability_threshold(ps: &PointSet, center: usize) -> f64 {
 /// The centre minimizing the Lemma 3.2 threshold (ties to the smaller
 /// index).
 pub fn best_star_center(ps: &PointSet) -> usize {
-    gncg_parallel::min_by_cost(ps.len(), |c| star_stability_threshold(ps, c))
+    gncg_parallel::min_by_cost(ps.len(), || (), |(), c| star_stability_threshold(ps, c))
         .map(|(c, _)| c)
         .unwrap_or(0)
 }

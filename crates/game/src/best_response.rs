@@ -10,9 +10,9 @@
 //!    `d(u, v) = min_{x ∈ N} (‖u,x‖ + D[x][v])` where `N` is `u`'s
 //!    incident neighbour set (bought ∪ bought-towards-u). `D` is computed
 //!    once per agent, each candidate subset costs O(|N|·n).
-//! 2. **Parallel enumeration** over the mask space with
-//!    `gncg_parallel::parallel_reduce_with`, one [`ResponseScratch`] per
-//!    worker so candidate evaluation performs zero heap allocations.
+//! 2. **Parallel enumeration** over the mask space with the argmin
+//!    `gncg_parallel::min_by_cost`, one [`ResponseScratch`] per worker
+//!    so candidate evaluation performs zero heap allocations.
 //!
 //! The enumeration prunes masks that provably cannot win (see
 //! [`ResponseEvaluator::best_response`]); the plain enumeration it must
@@ -385,11 +385,13 @@ impl<'d> ResponseEvaluator<'d> {
         };
 
         let total_masks = 1u64 << m;
-        let (best_mask, best_cost) = gncg_parallel::parallel_reduce_with(
+        // A pruned mask costs +∞ here. Pruning fires only when ub₀ is
+        // finite, and the mask attaining ub₀ is never pruned, so the
+        // winner is finite then and no pruned mask is ever selected.
+        let (best_mask, best_cost) = gncg_parallel::min_by_cost(
             total_masks as usize,
             gncg_parallel::arena::rent::<ResponseScratch>,
-            || (u64::MAX, f64::INFINITY),
-            |scratch, acc, i| {
+            |scratch, i| {
                 let mask = i as u64;
                 // Buy cost in ascending bit order — the exact fl value
                 // `cost_with` would accumulate for this mask.
@@ -401,25 +403,13 @@ impl<'d> ResponseEvaluator<'d> {
                 }
                 if alpha * buy > ub0 {
                     gncg_trace::incr(gncg_trace::Counter::MovesPruned);
-                    return acc;
+                    return f64::INFINITY;
                 }
                 gncg_trace::incr(gncg_trace::Counter::MovesEvaluated);
-                let c =
-                    self.cost_with_cutoff::<M, _>(alpha, mask_members(others, mask), ub0, scratch);
-                if c < acc.1 || (c == acc.1 && mask < acc.0) {
-                    (mask, c)
-                } else {
-                    acc
-                }
+                self.cost_with_cutoff::<M, _>(alpha, mask_members(others, mask), ub0, scratch)
             },
-            |a, b| {
-                if b.1 < a.1 || (b.1 == a.1 && b.0 < a.0) {
-                    b
-                } else {
-                    a
-                }
-            },
-        );
+        )
+        .map_or((u64::MAX, f64::INFINITY), |(i, c)| (i as u64, c));
 
         BestResponse {
             cost: best_cost,

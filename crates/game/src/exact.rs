@@ -105,25 +105,9 @@ pub(crate) fn exact_social_optimum_raw<W: EdgeWeights + ?Sized, M: CostModel>(
         cost::social_cost_of_graph::<M>(&g, alpha)
     };
 
-    let (best_mask, best_cost) = gncg_parallel::parallel_reduce(
-        masks as usize,
-        || (u64::MAX, f64::INFINITY),
-        |acc, i| {
-            let c = eval(i as u64);
-            if c < acc.1 || (c == acc.1 && (i as u64) < acc.0) {
-                (i as u64, c)
-            } else {
-                acc
-            }
-        },
-        |a, b| {
-            if b.1 < a.1 || (b.1 == a.1 && b.0 < a.0) {
-                b
-            } else {
-                a
-            }
-        },
-    );
+    let (best_mask, best_cost) =
+        gncg_parallel::min_by_cost(masks as usize, || (), |(), i| eval(i as u64))
+            .map_or((u64::MAX, f64::INFINITY), |(i, c)| (i as u64, c));
 
     let mut graph = Graph::new(n);
     for (bit, &(u, v)) in pairs.iter().enumerate() {

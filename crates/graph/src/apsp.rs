@@ -58,24 +58,16 @@ pub fn total_distance(g: &Graph) -> f64 {
 
 /// `Σ_u f(d_G(u, ·))` without materializing the matrix — the total
 /// behind [`total_distance`] (`f` = row sum) and the max-distance
-/// social cost (`f` = row maximum, i.e. Σ_u ecc(u)).
+/// social cost (`f` = row maximum, i.e. Σ_u ecc(u)). The per-agent
+/// aggregates are summed left to right in agent order, so the total is
+/// bit-identical at every thread count.
 pub fn total_row_aggregate<F>(g: &Graph, f: F) -> f64
 where
     F: Fn(&[f64]) -> f64 + Sync,
 {
-    let _span = gncg_trace::span("graph.apsp");
-    let csr = Csr::from_graph(g);
-    let n = csr.len();
-    gncg_parallel::parallel_reduce_with(
-        n,
-        || (DijkstraScratch::default(), vec![f64::INFINITY; n]),
-        || 0.0,
-        |(scratch, row), acc, u| {
-            csr.dijkstra_into_slice(u, row, scratch);
-            acc + f(row)
-        },
-        |a, b| a + b,
-    )
+    distance_aggregates(g, f)
+        .into_iter()
+        .fold(0.0, |acc, x| acc + x)
 }
 
 #[cfg(test)]

@@ -363,14 +363,17 @@ impl Csr {
     }
 
     /// APSP into a caller-owned (typically arena-rented) matrix, reshaped
-    /// to n×n. Allocation-free once the buffers reach steady-state size,
+    /// to n×n. Each row's Dijkstra writes every entry of its row, and the
+    /// reshape writes only entries past the buffer's old length, so a
+    /// matrix refilled at its size (the `EvalContext` refresh) is written
+    /// once. Allocation-free once the buffers reach steady-state size,
     /// and span-free: the per-evaluation rest-graph path calls this a few
     /// thousand times per dynamics run, where per-call span bookkeeping
     /// is measurable; callers that want attribution (e.g. [`Csr::all_pairs`])
     /// open their own span.
     pub fn all_pairs_into(&self, m: &mut DistMatrix) {
         let n = self.len();
-        m.reshape(n, f64::INFINITY);
+        m.reshape(n);
         m.par_fill_rows_with(
             gncg_parallel::arena::rent::<DijkstraScratch>,
             |scratch, u, row| self.dijkstra_into_slice(u, row, scratch),

@@ -36,14 +36,16 @@ impl DistMatrix {
         }
     }
 
-    /// Resize to n×n reusing the backing buffer, with every entry set to
-    /// `value`. Allocation-free once the buffer has grown to its steady
-    ///-state size — the reuse half of arena-rented matrices (see the
+    /// Resize to n×n reusing the backing buffer, for a caller that then
+    /// overwrites every row. Only entries past the old length are
+    /// written (with `INFINITY`); the others keep their old values, so a
+    /// matrix refilled at the same size costs no extra pass.
+    /// Allocation-free once the buffer has grown to its steady-state
+    /// size — the reuse half of arena-rented matrices (see the
     /// [`gncg_parallel::arena::Scratch`] impl below).
-    pub fn reshape(&mut self, n: usize, value: f64) {
+    pub fn reshape(&mut self, n: usize) {
         self.n = n;
-        self.data.clear();
-        self.data.resize(n * n, value);
+        self.data.resize(n * n, f64::INFINITY);
     }
 
     /// Build from ragged rows (the legacy `Vec<Vec<f64>>` shape).
@@ -103,7 +105,7 @@ impl DistMatrix {
         let n = self.n;
         let ptr = RowsPtr(self.data.as_mut_ptr());
         let ptr = &ptr;
-        gncg_parallel::parallel_for_with(n, init, move |scratch, u| {
+        gncg_parallel::parallel_map_with(n, init, move |scratch, u| {
             // SAFETY: the loop hands out each index u < n exactly once,
             // so each row slice is written by exactly one closure
             // invocation and stays in bounds.
@@ -153,8 +155,13 @@ mod tests {
         assert!(m.get(2, 2).is_infinite());
         m.set(2, 2, 0.0);
         assert_eq!(m[2][2], 0.0);
-        m.reshape(2, 1.5);
-        assert_eq!(m.as_flat(), &[1.5; 4]);
+        // reshape keeps the leading entries and fills new ones with
+        // INFINITY: the caller overwrites every row
+        m.reshape(2);
+        assert_eq!(m.len(), 2);
+        assert_eq!(m.as_flat().len(), 4);
+        m.reshape(4);
+        assert!(m.as_flat()[9..].iter().all(|x| x.is_infinite()));
     }
 
     #[test]

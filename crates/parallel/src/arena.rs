@@ -22,8 +22,8 @@
 //! * **Thread affinity.** A [`Lease`] is `!Send`: it returns to the
 //!   pool of the thread that rented it. Worker threads spawned by
 //!   [`crate::parallel_map_with`] each grow their own small pool that
-//!   dies with the thread; the persistent main thread and
-//!   [`crate::pool::ThreadPool`] workers reuse across calls.
+//!   dies with the thread; the persistent main thread and the workers
+//!   of a `gncg-service` `Session` reuse across calls.
 //!
 //! Debug tripwires (`GNCG_ARENA_DEBUG=1`, read once through
 //! [`gncg_config::env::arena_debug`]): every lease carries a token

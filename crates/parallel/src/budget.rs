@@ -8,14 +8,15 @@
 //! * A [`Budget`] is a shared latch (`AtomicBool` plus an optional
 //!   wall-clock deadline); cloning shares it. Once observed exhausted it
 //!   stays exhausted. [`with_budget`] installs it as the *ambient*
-//!   budget of the calling thread; every
-//!   `parallel_map`/`parallel_for_with`/`parallel_reduce` variant polls the
-//!   ambient budget once per chunk (and re-installs it inside its worker
-//!   threads, so nested parallel loops — e.g. the exact best-response
-//!   enumeration running inside a per-agent map — inherit it).
+//!   budget of the calling thread; the chunk runner behind
+//!   `parallel_map` and `min_by_cost` polls the ambient budget once per
+//!   chunk (and re-installs it inside its worker threads, so nested
+//!   parallel loops — e.g. the exact best-response enumeration running
+//!   inside a per-agent map — inherit it).
 //! * A cancelled loop stops claiming chunks and returns early with
 //!   whatever it has: `parallel_map` leaves unprocessed entries at
-//!   `T::default()`, reductions return the partial fold. The caller is
+//!   `T::default()`, `min_by_cost` returns the best of the items that
+//!   ran. The caller is
 //!   responsible for checking [`Budget::exhausted`] afterwards and
 //!   discarding partial output — the budgeted solvers in `gncg-game` do
 //!   exactly that and fall back to certified bounds.

@@ -10,14 +10,18 @@
 //! * [`parallel_map`]: a self-scheduling loop over `0..n` using an
 //!   atomic chunk counter (dynamic load balancing without work
 //!   stealing).
-//! * [`parallel_map_with`] / [`parallel_for_with`] /
-//!   [`parallel_reduce_with`]: the same loops, but each worker thread
-//!   owns a persistent scratch state across every chunk it claims — the
+//! * [`parallel_map_with`]: the same loop, but each worker thread owns a
+//!   persistent scratch state across every chunk it claims — the
 //!   backbone for reusable Dijkstra workspaces, where per-call
-//!   allocation would otherwise dominate.
-//! * [`parallel_reduce`]: fold-then-combine reduction — each worker folds
-//!   locally, partial results are combined at the end.
-//! * [`min_by_cost`]: parallel argmin used by the exact solvers.
+//!   allocation would otherwise dominate. A loop run for its side
+//!   effects maps to `()`.
+//! * [`min_by_cost`]: parallel argmin with per-worker scratch, ties to
+//!   the lowest index, used by the exact solvers.
+//!
+//! Both run on one private chunk runner. Neither combines partial
+//! results in an order that depends on scheduling, so every output is
+//! bit-identical at every thread count: a sum over items is a
+//! [`parallel_map`] followed by a sequential fold.
 //!
 //! All entry points take the number of threads from [`num_threads`], which
 //! honours the `GNCG_THREADS` environment variable so benchmarks can run
@@ -31,15 +35,15 @@
 //! Long unattended sweeps must degrade, not hang. The substrate's
 //! failure contract:
 //!
-//! * **Panic isolation.** Every chunk body and every [`pool::ThreadPool`]
-//!   job runs under `catch_unwind`. The first panic payload is recorded,
-//!   the remaining workers stop claiming chunks, and the panic is
-//!   re-raised on the *calling* thread at scope exit (resp. at
-//!   [`pool::ThreadPool::wait`]). A panicking job can no longer strand
-//!   `wait()` or leave a scoped loop half-famished.
+//! * **Panic isolation.** Every chunk body runs under `catch_unwind`.
+//!   The first panic payload is recorded, the remaining workers stop
+//!   claiming chunks, and the panic is re-raised on the *calling* thread
+//!   at scope exit, so a panicking item cannot leave a scoped loop
+//!   half-famished. (`gncg-service`'s `Session` workers apply the same
+//!   policy per job.)
 //! * **Cancellation budgets.** [`with_budget`] installs a [`Budget`]
-//!   (a shared cancellation latch + optional deadline) that every loop
-//!   variant polls once per chunk — including nested loops spawned from
+//!   (a shared cancellation latch + optional deadline) that the chunk
+//!   runner polls once per chunk — including nested loops spawned from
 //!   worker threads, which inherit the ambient budget. A cancelled loop
 //!   returns early with partial output; the caller checks
 //!   [`Budget::exhausted`] and discards it (see `gncg-game`'s budgeted
@@ -48,14 +52,13 @@
 //!   ambient budget.
 //! * **Fault injection.** `GNCG_FAULT_INJECT=<p>` arms [`fault`], which
 //!   probabilistically raises injected panics at chunk boundaries. The
-//!   chunk runners absorb those by retrying the untouched chunk, so an
+//!   chunk runner absorbs those by retrying the untouched chunk, so an
 //!   injected run produces bit-identical results — it soaks the
 //!   catch/record/re-raise machinery itself.
 
 pub mod arena;
 pub mod budget;
 pub mod fault;
-pub mod pool;
 
 pub use budget::{current_budget, unbudgeted, with_budget, Budget};
 
@@ -132,8 +135,8 @@ pub fn current_max_threads() -> Option<usize> {
 /// inside worker threads) capped at `limit` worker threads. The results
 /// are bit-identical to an uncapped run — the loops' outputs never
 /// depend on the thread count — only the degree of parallelism changes.
-/// The job-service `Session` uses this to stop concurrent jobs from
-/// multiplying into `jobs × num_threads` threads.
+/// The thread-invariance and golden-digest tests use it to run the
+/// sequential fallback.
 pub fn with_max_threads<R>(limit: usize, f: impl FnOnce() -> R) -> R {
     let _guard = enter_max_threads(limit);
     f()
@@ -253,6 +256,72 @@ fn run_worker_chunks<F: FnMut(usize, usize)>(
     }
 }
 
+/// The one chunk loop behind every entry point: runs `item(state, i)`
+/// for every `i` in `0..n` and returns `finish(state)` of each worker,
+/// in spawn order. `init` builds one state per worker thread (one on the
+/// sequential fallback), reused across every chunk that worker claims;
+/// `finish` runs on the worker, so a state holding arena leases returns
+/// them to the thread that rented them.
+///
+/// Falls back to a sequential loop when `n` is small or only one thread
+/// is available. The ambient [`Budget`] is polled once per chunk on both
+/// paths; under a cancelled budget some items never run. The first
+/// panic of an item is re-raised here after every worker stopped.
+fn run_chunks<S, R, Init, F, Fin>(n: usize, init: Init, item: F, finish: Fin) -> Vec<R>
+where
+    R: Send,
+    Init: Fn() -> S + Sync,
+    F: Fn(&mut S, usize) + Sync,
+    Fin: Fn(S) -> R + Sync,
+{
+    let threads = effective_threads();
+    let budget = current_budget();
+    if threads <= 1 || n <= DEFAULT_CHUNK {
+        let mut state = init();
+        for i in 0..n {
+            if i % DEFAULT_CHUNK == 0 {
+                if let Some(b) = budget.as_ref() {
+                    gncg_trace::incr(gncg_trace::Counter::BudgetPolls);
+                    if b.exhausted() {
+                        break;
+                    }
+                }
+            }
+            item(&mut state, i);
+        }
+        return vec![finish(state)];
+    }
+    let counter = AtomicUsize::new(0);
+    let slot = PanicSlot::new();
+    let cap = current_max_threads();
+    let (counter, slot, budget, init, item, finish) =
+        (&counter, &slot, &budget, &init, &item, &finish);
+    let results = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads.min(n.div_ceil(DEFAULT_CHUNK)))
+            .map(|_| {
+                s.spawn(move || {
+                    let _cap = cap.map(enter_max_threads);
+                    let _ambient = budget.as_ref().map(|b| budget::enter_ambient(b.clone()));
+                    let _trace = gncg_trace::worker_guard();
+                    let mut state = init();
+                    run_worker_chunks(counter, n, slot, budget.as_ref(), |start, end| {
+                        for i in start..end {
+                            item(&mut state, i);
+                        }
+                    });
+                    finish(state)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("worker thread panicked"))
+            .collect()
+    });
+    slot.propagate();
+    results
+}
+
 /// Execute `f(i)` for every `i` in `0..n`, writing results into a `Vec`.
 ///
 /// Work is distributed dynamically in chunks of [`DEFAULT_CHUNK`]; each
@@ -283,240 +352,57 @@ where
 /// buffer — amortizes over the whole loop instead of being rebuilt per
 /// item. The scratch must not influence results (it is scratch, not
 /// state): the output must equal `(0..n).map(|i| f(&mut fresh, i))`.
+/// A loop run for its side effects maps to `()`.
 pub fn parallel_map_with<T, S, Init, F>(n: usize, init: Init, f: F) -> Vec<T>
 where
     T: Send + Default + Clone,
     Init: Fn() -> S + Sync,
     F: Fn(&mut S, usize) -> T + Sync,
 {
-    let threads = effective_threads();
-    let budget = current_budget();
-    if threads <= 1 || n <= DEFAULT_CHUNK {
-        let mut scratch = init();
-        let mut out = vec![T::default(); n];
-        for (i, slot) in out.iter_mut().enumerate() {
-            if i % DEFAULT_CHUNK == 0 {
-                if let Some(b) = budget.as_ref() {
-                    gncg_trace::incr(gncg_trace::Counter::BudgetPolls);
-                    if b.exhausted() {
-                        break;
-                    }
-                }
-            }
-            *slot = f(&mut scratch, i);
-        }
-        return out;
-    }
     let mut out = vec![T::default(); n];
-    {
-        let counter = AtomicUsize::new(0);
-        let slot = PanicSlot::new();
-        let cap = current_max_threads();
-        let out_slices = SliceCells::new(&mut out);
-        let out_slices = &out_slices;
-        let (counter, slot, budget, init, f) = (&counter, &slot, &budget, &init, &f);
-        std::thread::scope(|s| {
-            for _ in 0..threads.min(n.div_ceil(DEFAULT_CHUNK)) {
-                s.spawn(move || {
-                    let _cap = cap.map(enter_max_threads);
-                    let _ambient = budget.as_ref().map(|b| budget::enter_ambient(b.clone()));
-                    let _trace = gncg_trace::worker_guard();
-                    let mut scratch = init();
-                    run_worker_chunks(counter, n, slot, budget.as_ref(), |start, end| {
-                        for i in start..end {
-                            // SAFETY: each index is claimed by exactly one
-                            // worker via the atomic counter; a retried
-                            // chunk re-writes only its own indices.
-                            unsafe { out_slices.write(i, f(&mut scratch, i)) };
-                        }
-                    });
-                });
-            }
-        });
-        slot.propagate();
-    }
+    let cells = SliceCells::new(&mut out);
+    run_chunks(
+        n,
+        init,
+        // SAFETY: each index is claimed by exactly one worker via the
+        // atomic counter; a retried chunk re-writes only its own indices.
+        |scratch, i| unsafe { cells.write(i, f(scratch, i)) },
+        drop,
+    );
     out
 }
 
-/// Execute `f(scratch, i)` for side effects, for every `i` in `0..n`,
-/// with a per-worker persistent scratch state (see
-/// [`parallel_map_with`]). Panics in `f` propagate after all
-/// workers stopped; a cancelled ambient [`Budget`] makes the loop return
-/// early with some items never executed.
-pub fn parallel_for_with<S, Init, F>(n: usize, init: Init, f: F)
+/// Parallel argmin: returns `(index, cost)` minimizing `cost(scratch, i)`
+/// over `0..n`, breaking ties towards the smaller index, with one
+/// persistent scratch per worker (see [`parallel_map_with`]).
+///
+/// Each worker keeps the best `(index, cost)` of the items it ran; the
+/// order `c < c' || (c == c' && i < i')` is total on non-NaN costs, so the
+/// combined winner does not depend on which worker ran which chunk.
+/// Returns `None` when `n == 0` or every cost is NaN. Under a cancelled
+/// ambient [`Budget`] the winner covers only the items that ran — a
+/// partial result the caller must discard after checking
+/// [`Budget::exhausted`].
+pub fn min_by_cost<S, Init, F>(n: usize, init: Init, cost: F) -> Option<(usize, f64)>
 where
     Init: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) + Sync,
+    F: Fn(&mut S, usize) -> f64 + Sync,
 {
-    let threads = effective_threads();
-    let budget = current_budget();
-    if threads <= 1 || n <= DEFAULT_CHUNK {
-        let mut scratch = init();
-        for i in 0..n {
-            if i % DEFAULT_CHUNK == 0 {
-                if let Some(b) = budget.as_ref() {
-                    gncg_trace::incr(gncg_trace::Counter::BudgetPolls);
-                    if b.exhausted() {
-                        return;
-                    }
-                }
-            }
-            f(&mut scratch, i);
-        }
-        return;
-    }
-    let counter = AtomicUsize::new(0);
-    let slot = PanicSlot::new();
-    let cap = current_max_threads();
-    let (counter, slot, budget, init, f) = (&counter, &slot, &budget, &init, &f);
-    std::thread::scope(|s| {
-        for _ in 0..threads.min(n.div_ceil(DEFAULT_CHUNK)) {
-            s.spawn(move || {
-                let _cap = cap.map(enter_max_threads);
-                let _ambient = budget.as_ref().map(|b| budget::enter_ambient(b.clone()));
-                let _trace = gncg_trace::worker_guard();
-                let mut scratch = init();
-                run_worker_chunks(counter, n, slot, budget.as_ref(), |start, end| {
-                    for i in start..end {
-                        f(&mut scratch, i);
-                    }
-                });
-            });
-        }
-    });
-    slot.propagate();
-}
-
-/// Parallel fold-then-combine reduction over `0..n`.
-///
-/// Each worker folds its chunks into a local accumulator created by
-/// `identity`; the per-worker accumulators are combined sequentially with
-/// `combine` at the end. `combine` must be associative and commutative for
-/// the result to be deterministic up to floating-point reassociation.
-pub fn parallel_reduce<T, Id, F, C>(n: usize, identity: Id, fold: F, combine: C) -> T
-where
-    T: Send,
-    Id: Fn() -> T + Sync,
-    F: Fn(T, usize) -> T + Sync,
-    C: Fn(T, T) -> T,
-{
-    parallel_reduce_with(n, || (), identity, move |(), acc, i| fold(acc, i), combine)
-}
-
-/// Like [`parallel_reduce`], but each worker also owns a persistent
-/// scratch state (see [`parallel_map_with`]). The exact best-response
-/// enumerator uses this to fold over 2^k strategy subsets with a single
-/// reusable neighbour buffer per worker.
-///
-/// Panics in `fold` propagate after all workers stopped. Under a
-/// cancelled ambient [`Budget`] the reduction covers only the chunks
-/// claimed before cancellation — a *partial* fold the caller must
-/// discard after checking [`Budget::exhausted`].
-pub fn parallel_reduce_with<T, S, SInit, Id, F, C>(
-    n: usize,
-    init: SInit,
-    identity: Id,
-    fold: F,
-    combine: C,
-) -> T
-where
-    T: Send,
-    SInit: Fn() -> S + Sync,
-    Id: Fn() -> T + Sync,
-    F: Fn(&mut S, T, usize) -> T + Sync,
-    C: Fn(T, T) -> T,
-{
-    let threads = effective_threads();
-    let budget = current_budget();
-    if threads <= 1 || n <= DEFAULT_CHUNK {
-        let mut scratch = init();
-        let mut acc = identity();
-        for i in 0..n {
-            if i % DEFAULT_CHUNK == 0 {
-                if let Some(b) = budget.as_ref() {
-                    gncg_trace::incr(gncg_trace::Counter::BudgetPolls);
-                    if b.exhausted() {
-                        return acc;
-                    }
-                }
-            }
-            acc = fold(&mut scratch, acc, i);
-        }
-        return acc;
-    }
-    let counter = AtomicUsize::new(0);
-    let slot = PanicSlot::new();
-    let workers = threads.min(n.div_ceil(DEFAULT_CHUNK));
-    let cap = current_max_threads();
-    let (counter, slot, budget, init, identity, fold) =
-        (&counter, &slot, &budget, &init, &identity, &fold);
-    let partials: Vec<T> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(move || {
-                    let _cap = cap.map(enter_max_threads);
-                    let _ambient = budget.as_ref().map(|b| budget::enter_ambient(b.clone()));
-                    let _trace = gncg_trace::worker_guard();
-                    let mut scratch = init();
-                    // the accumulator lives in an Option so a panic that
-                    // unwinds mid-fold (consuming it) leaves a recoverable
-                    // state; the lost partial does not matter because the
-                    // recorded panic is re-raised before combining
-                    let mut acc = Some(identity());
-                    run_worker_chunks(counter, n, slot, budget.as_ref(), |start, end| {
-                        let mut a = acc.take().expect("accumulator present");
-                        for i in start..end {
-                            a = fold(&mut scratch, a, i);
-                        }
-                        acc = Some(a);
-                    });
-                    acc.unwrap_or_else(identity)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"))
-            .collect()
-    });
-    slot.propagate();
-    let mut it = partials.into_iter();
-    let first = it.next().expect("at least one worker");
-    it.fold(first, combine)
-}
-
-/// Parallel argmin: returns `(index, cost)` minimizing `cost(i)` over
-/// `0..n`, breaking ties towards the smaller index (deterministic).
-///
-/// Returns `None` when `n == 0` or every cost is NaN.
-pub fn min_by_cost<F>(n: usize, cost: F) -> Option<(usize, f64)>
-where
-    F: Fn(usize) -> f64 + Sync,
-{
-    let best = parallel_reduce(
+    let better = |(i, c): (usize, f64), (bi, bc): (usize, f64)| c < bc || (c == bc && i < bi);
+    run_chunks(
         n,
-        || (usize::MAX, f64::INFINITY),
-        |acc, i| {
-            let c = cost(i);
-            if c < acc.1 || (c == acc.1 && i < acc.0) {
-                (i, c)
-            } else {
-                acc
+        || (init(), (usize::MAX, f64::INFINITY)),
+        |(scratch, best), i| {
+            let c = cost(scratch, i);
+            if better((i, c), *best) {
+                *best = (i, c);
             }
         },
-        |a, b| {
-            if b.1 < a.1 || (b.1 == a.1 && b.0 < a.0) {
-                b
-            } else {
-                a
-            }
-        },
-    );
-    if best.0 == usize::MAX {
-        None
-    } else {
-        Some(best)
-    }
+        |(_, best)| best,
+    )
+    .into_iter()
+    .reduce(|a, b| if better(b, a) { b } else { a })
+    .filter(|&(i, _)| i != usize::MAX)
 }
 
 /// Cell wrapper allowing disjoint-index writes into a slice from multiple
@@ -528,7 +414,12 @@ struct SliceCells<'a, T> {
     _marker: std::marker::PhantomData<&'a mut [T]>,
 }
 
+// SAFETY: the only field other threads use is `ptr`, through `write`,
+// which moves a `T` in and drops the `T` it replaces on the writing
+// thread: sound for `T: Send` when no two threads write one index (the
+// contract of `write`). `len` and the marker are plain data.
 unsafe impl<T: Send> Sync for SliceCells<'_, T> {}
+// SAFETY: as for `Sync`; moving the wrapper moves only the pointer.
 unsafe impl<T: Send> Send for SliceCells<'_, T> {}
 
 impl<'a, T> SliceCells<'a, T> {
@@ -540,11 +431,13 @@ impl<'a, T> SliceCells<'a, T> {
         }
     }
 
+    /// Overwrite (and drop) the value at index `i`.
+    ///
     /// # Safety
-    /// `i < len` and no other thread writes index `i`.
+    /// `i < len` and no other thread accesses index `i` meanwhile.
     unsafe fn write(&self, i: usize, value: T) {
         debug_assert!(i < self.len);
-        unsafe { self.ptr.add(i).write(value) };
+        unsafe { *self.ptr.add(i) = value };
     }
 }
 
@@ -572,9 +465,14 @@ mod tests {
         assert_eq!(parallel_map(1, |i| i + 41), vec![41]);
     }
 
-    /// [`parallel_for_with`] without scratch state.
+    /// [`parallel_map_with`] run for its side effects, without scratch.
     fn par_for(n: usize, f: impl Fn(usize) + Sync) {
-        parallel_for_with(n, || (), |(), i| f(i));
+        parallel_map_with(n, || (), |(), i| f(i));
+    }
+
+    /// [`min_by_cost`] without scratch state.
+    fn argmin(n: usize, cost: impl Fn(usize) -> f64 + Sync) -> Option<(usize, f64)> {
+        min_by_cost(n, || (), |(), i| cost(i))
     }
 
     #[test]
@@ -590,35 +488,30 @@ mod tests {
     }
 
     #[test]
-    fn reduce_sum() {
-        let n = 12345usize;
-        let total = parallel_reduce(n, || 0u64, |acc, i| acc + i as u64, |a, b| a + b);
-        assert_eq!(total, (n as u64 * (n as u64 - 1)) / 2);
-    }
-
-    #[test]
-    fn reduce_empty_returns_identity() {
-        let total = parallel_reduce(0, || 7u64, |acc, i| acc + i as u64, |a, b| a + b);
-        assert_eq!(total, 7);
-    }
-
-    #[test]
     fn min_by_cost_finds_argmin() {
         let costs: Vec<f64> = (0..500).map(|i| ((i as f64) - 250.5).abs()).collect();
-        let (idx, c) = min_by_cost(costs.len(), |i| costs[i]).unwrap();
+        let (idx, c) = argmin(costs.len(), |i| costs[i]).unwrap();
         assert_eq!(idx, 250);
         assert!((c - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn min_by_cost_tie_breaks_to_smaller_index() {
-        let (idx, _) = min_by_cost(100, |_| 1.0).unwrap();
+        let (idx, _) = argmin(100, |_| 1.0).unwrap();
         assert_eq!(idx, 0);
+        // a tie at +inf still resolves to the smallest index, and a NaN
+        // never wins
+        assert_eq!(argmin(40, |_| f64::INFINITY), Some((0, f64::INFINITY)));
+        assert_eq!(
+            argmin(40, |i| if i < 30 { f64::NAN } else { 2.0 }),
+            Some((30, 2.0))
+        );
     }
 
     #[test]
     fn min_by_cost_empty() {
-        assert!(min_by_cost(0, |_| 0.0).is_none());
+        assert!(argmin(0, |_| 0.0).is_none());
+        assert!(argmin(50, |_| f64::NAN).is_none());
     }
 
     #[test]
@@ -660,35 +553,22 @@ mod tests {
     }
 
     #[test]
-    fn for_with_scratch_accumulates_independently() {
-        let n = 500;
-        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        parallel_for_with(
-            n,
-            || 0usize, // per-worker counter; unused in results
-            |local, i| {
-                *local += 1;
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            },
-        );
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn reduce_with_matches_reduce() {
+    fn min_by_cost_reuses_scratch_per_worker() {
+        let inits = AtomicUsize::new(0);
         let n = 4321usize;
-        let plain = parallel_reduce(n, || 0u64, |acc, i| acc + i as u64, |a, b| a + b);
-        let with = parallel_reduce_with(
+        let best = min_by_cost(
             n,
-            || vec![0u64; 8],
-            || 0u64,
-            |scratch, acc, i| {
-                scratch[i % 8] = i as u64;
-                acc + i as u64
+            || {
+                inits.fetch_add(1, Ordering::Relaxed);
+                vec![0u64; 8]
             },
-            |a, b| a + b,
+            |scratch, i| {
+                scratch[i % 8] = i as u64;
+                ((i as f64) - 3000.0).abs()
+            },
         );
-        assert_eq!(plain, with);
+        assert_eq!(best, Some((3000, 0.0)));
+        assert!(inits.load(Ordering::Relaxed) <= num_threads().max(1));
     }
 
     // --- panic isolation ---------------------------------------------------
@@ -721,19 +601,14 @@ mod tests {
     }
 
     #[test]
-    fn reduce_panic_propagates_without_hanging() {
+    fn min_by_cost_panic_propagates_without_hanging() {
         let r = std::panic::catch_unwind(|| {
-            parallel_reduce(
-                1000,
-                || 0u64,
-                |acc, i| {
-                    if i == 999 {
-                        panic!("reduce boom");
-                    }
-                    acc + i as u64
-                },
-                |a, b| a + b,
-            )
+            argmin(1000, |i| {
+                if i == 999 {
+                    panic!("argmin boom");
+                }
+                i as f64
+            })
         });
         assert!(r.is_err());
     }
@@ -803,13 +678,11 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_reduce_returns_partial_fold() {
+    fn cancelled_min_by_cost_runs_nothing() {
         let budget = Budget::unlimited();
         budget.cancel();
-        let total = with_budget(&budget, || {
-            parallel_reduce(10_000, || 0u64, |acc, i| acc + i as u64, |a, b| a + b)
-        });
-        assert_eq!(total, 0, "pre-cancelled reduce must fold nothing");
+        let best = with_budget(&budget, || argmin(10_000, |i| i as f64));
+        assert_eq!(best, None, "pre-cancelled argmin must run no item");
     }
 
     #[test]
@@ -820,8 +693,8 @@ mod tests {
                 // visible on worker threads...
                 let outer = current_budget().is_some() as usize;
                 // ...and inside loops nested in a worker
-                let inner: usize = parallel_reduce(40, || 0usize, |acc, _| acc + 1, |a, b| a + b);
-                outer + (inner == 40) as usize
+                let inner = parallel_map(40, |_| current_budget().is_some() as usize);
+                outer + (inner.iter().sum::<usize>() == 40) as usize
             })
         });
         assert!(seen.iter().all(|&s| s == 2));
@@ -835,10 +708,10 @@ mod tests {
         let before = fault::injection_probability();
         fault::set_injection_probability(0.5);
         let par = parallel_map(5000, |i| i as u64 * 7);
-        let red = parallel_reduce(3000, || 0u64, |acc, i| acc + i as u64, |a, b| a + b);
+        let best = argmin(3000, |i| ((i as f64) - 1234.0).abs());
         fault::set_injection_probability(before);
         assert_eq!(par, (0..5000).map(|i| i as u64 * 7).collect::<Vec<_>>());
-        assert_eq!(red, (0..3000u64).sum::<u64>());
+        assert_eq!(best, Some((1234, 0.0)));
     }
 
     #[test]
@@ -885,9 +758,10 @@ mod tests {
 
     #[test]
     fn max_threads_one_forces_sequential_fallback() {
-        let out = with_max_threads(1, || {
-            parallel_reduce(10_000, || 0u64, |acc, i| acc + i as u64, |a, b| a + b)
+        let main = std::thread::current().id();
+        let on_caller = with_max_threads(1, || {
+            parallel_map(10_000, |_| std::thread::current().id() == main)
         });
-        assert_eq!(out, (0..10_000u64).sum::<u64>());
+        assert!(on_caller.iter().all(|&b| b));
     }
 }

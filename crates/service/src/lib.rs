@@ -3,12 +3,12 @@
 //!
 //! Repro binaries and the CLI used to call the solver crates directly,
 //! each invocation owning the whole process. A [`Session`] instead keeps
-//! one [`ThreadPool`] alive and accepts typed jobs — certification,
+//! its own worker threads alive and accepts typed jobs — certification,
 //! dynamics runs, whole sweeps — that run concurrently and resolve
 //! through [`JobHandle`]s to the *same* result types the direct calls
 //! return ([`CertifyReport`], [`dynamics::Outcome`], …).
 //! Because every kernel underneath is deterministic-by-construction
-//! (fixed chunk reductions, canonical tie-breaks), results are
+//! (per-index maps, sequential folds, lowest-index tie-breaks), results are
 //! bit-identical to the sequential path no matter how jobs interleave.
 //!
 //! # Admission control and backpressure
@@ -37,10 +37,14 @@
 //! # Fault isolation and observability
 //!
 //! Each job runs under `catch_unwind`: a panicking job resolves its own
-//! handle to [`JobError::Panicked`] and *nothing else* — the pool and
-//! every other job are untouched. Each job opens a `service.job.*` trace
-//! span, and the service keeps deterministic admission counters
-//! (`service_enqueued`, `service_dequeued`, `service_rejected`).
+//! handle to [`JobError::Panicked`] and *nothing else* — the workers and
+//! every other job are untouched. A panic that escapes that envelope (an
+//! observer's, see [`Session::submit_observed`]) is caught by the worker,
+//! which stays alive, and is re-raised from [`Session::wait_idle`]. Each
+//! job opens a `service.job.*` trace span, and the service keeps
+//! deterministic admission counters (`service_enqueued`,
+//! `service_dequeued`, `service_rejected`, and `pool_jobs` for the
+//! tickets its workers run).
 //!
 //! # Result cache
 //!
@@ -52,14 +56,14 @@
 pub mod cache;
 
 use std::collections::{HashMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use gncg_game::certify::CertifyReport;
 use gncg_game::{dynamics, EdgeWeights, OwnedNetwork, SolverConfig};
-use gncg_parallel::pool::ThreadPool;
-use gncg_parallel::{with_budget, Budget};
+use gncg_parallel::{fault, with_budget, Budget};
 
 /// Shared-ownership edge-weight oracle a job can be built over.
 pub type SharedWeights = Arc<dyn EdgeWeights + Send + Sync>;
@@ -125,7 +129,7 @@ impl JobKind {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobError {
     /// The job's body panicked; the payload's message. Only this job is
-    /// affected — the pool and all other jobs keep running.
+    /// affected — the workers and all other jobs keep running.
     Panicked(String),
     /// The job's budget was exhausted/cancelled before it started (or,
     /// for dynamics, before it finished).
@@ -309,13 +313,38 @@ struct Lanes {
     active_budgets: HashMap<u64, Budget>,
     /// `Some` once any [`Session::shutdown`] call has started. Holds the
     /// *strongest* mode requested so far ([`Shutdown::Cancel`] wins);
-    /// admission rejects whenever this is set.
+    /// admission rejects whenever this is set, and workers exit once it
+    /// is set and both lanes are empty.
     shutdown_mode: Option<Shutdown>,
     next_id: u64,
+    /// The first panic that escaped a job's envelope since the last
+    /// [`Session::wait_idle`], which re-raises it.
+    escaped: Option<Box<dyn std::any::Any + Send>>,
+}
+
+impl Lanes {
+    /// The highest-priority eligible ticket, if any is queued.
+    fn pop(&mut self) -> Option<Ticket> {
+        let take_batch = !self.batch.is_empty()
+            && (self.interactive.is_empty() || self.interactive_streak >= MAX_INTERACTIVE_STREAK);
+        if take_batch {
+            self.interactive_streak = 0;
+            self.batch.pop_front()
+        } else if let Some(t) = self.interactive.pop_front() {
+            self.interactive_streak += 1;
+            Some(t)
+        } else {
+            None
+        }
+    }
 }
 
 struct Shared {
     lanes: Mutex<Lanes>,
+    /// Signalled when a ticket is queued or shutdown begins: wakes the
+    /// workers blocked in [`Shared::next_ticket`].
+    work_cond: Condvar,
+    /// Signalled when the last outstanding job resolves.
     idle_cond: Condvar,
     interactive_cap: usize,
     batch_cap: usize,
@@ -326,44 +355,67 @@ struct Shared {
 const MAX_INTERACTIVE_STREAK: u32 = 3;
 
 impl Shared {
-    fn pop(&self) -> Option<Ticket> {
-        let mut lanes = self.lanes.lock().unwrap_or_else(|p| p.into_inner());
-        let take_batch = !lanes.batch.is_empty()
-            && (lanes.interactive.is_empty() || lanes.interactive_streak >= MAX_INTERACTIVE_STREAK);
-        if take_batch {
-            lanes.interactive_streak = 0;
-            lanes.batch.pop_front()
-        } else if let Some(t) = lanes.interactive.pop_front() {
-            lanes.interactive_streak += 1;
-            Some(t)
-        } else {
-            None
+    fn lock(&self) -> MutexGuard<'_, Lanes> {
+        self.lanes.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Block until a ticket is queued and take it; `None` once shutdown
+    /// has begun and both lanes are empty (no admission can refill them).
+    fn next_ticket(&self) -> Option<Ticket> {
+        let mut lanes = self.lock();
+        loop {
+            if let Some(t) = lanes.pop() {
+                return Some(t);
+            }
+            if lanes.shutdown_mode.is_some() {
+                return None;
+            }
+            lanes = self
+                .work_cond
+                .wait(lanes)
+                .unwrap_or_else(|p| p.into_inner());
         }
     }
 
-    fn finish(&self, id: u64) {
-        let mut lanes = self.lanes.lock().unwrap_or_else(|p| p.into_inner());
+    fn finish(&self, id: u64, escaped: Option<Box<dyn std::any::Any + Send>>) {
+        let mut lanes = self.lock();
         lanes.active_budgets.remove(&id);
         lanes.outstanding -= 1;
+        if lanes.escaped.is_none() {
+            lanes.escaped = escaped;
+        }
         if lanes.outstanding == 0 {
             self.idle_cond.notify_all();
         }
     }
 }
 
-/// One ticket per admitted job is submitted to the pool; each pool
-/// worker invocation dispatches the highest-priority eligible job.
-fn run_next(shared: &Shared) {
-    let Some(ticket) = shared.pop() else {
-        return;
-    };
-    gncg_trace::incr(gncg_trace::Counter::ServiceDequeued);
-    let _span = gncg_trace::span(ticket.kind.span_name());
-    let ctx = JobCtx {
-        budget: ticket.budget.clone(),
-    };
-    (ticket.run)(&ctx);
-    shared.finish(ticket.id);
+/// One session worker: runs tickets in dispatch order until shutdown
+/// empties the lanes. A panic that escapes a ticket's envelope is caught
+/// here, so the worker survives it and the job still counts as finished.
+fn worker_loop(shared: &Shared) {
+    while let Some(Ticket {
+        run,
+        budget,
+        kind,
+        id,
+    }) = shared.next_ticket()
+    {
+        // an injected fault at pickup is absorbed and the ticket still
+        // runs: it soaks this catch without losing work
+        let _ = catch_unwind(fault::fault_point);
+        gncg_trace::incr(gncg_trace::Counter::PoolJobs);
+        gncg_trace::incr(gncg_trace::Counter::ServiceDequeued);
+        let escaped = catch_unwind(AssertUnwindSafe(|| {
+            let _span = gncg_trace::span(kind.span_name());
+            run(&JobCtx { budget });
+        }))
+        .err();
+        // the worker outlives every job, so this job's counters must
+        // merge before `wait_idle` can observe the job finished
+        gncg_trace::flush_thread();
+        shared.finish(id, escaped);
+    }
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -431,7 +483,8 @@ impl Default for SessionBuilder {
 }
 
 impl SessionBuilder {
-    /// Number of pool workers (default: [`gncg_parallel::num_threads`]).
+    /// Number of session workers, at least 1 (default:
+    /// [`gncg_parallel::num_threads`]).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
         self
@@ -444,25 +497,34 @@ impl SessionBuilder {
         self
     }
 
-    /// Build the session (spawns the worker pool).
+    /// Build the session (spawns its workers).
     pub fn build(self) -> Session {
         let threads = self.threads.unwrap_or_else(gncg_parallel::num_threads);
-        Session {
-            shared: Arc::new(Shared {
-                lanes: Mutex::new(Lanes {
-                    interactive: VecDeque::new(),
-                    batch: VecDeque::new(),
-                    interactive_streak: 0,
-                    outstanding: 0,
-                    active_budgets: HashMap::new(),
-                    shutdown_mode: None,
-                    next_id: 0,
-                }),
-                idle_cond: Condvar::new(),
-                interactive_cap: self.interactive_cap,
-                batch_cap: self.batch_cap,
+        let shared = Arc::new(Shared {
+            lanes: Mutex::new(Lanes {
+                interactive: VecDeque::new(),
+                batch: VecDeque::new(),
+                interactive_streak: 0,
+                outstanding: 0,
+                active_budgets: HashMap::new(),
+                shutdown_mode: None,
+                next_id: 0,
+                escaped: None,
             }),
-            pool: ThreadPool::new(threads),
+            work_cond: Condvar::new(),
+            idle_cond: Condvar::new(),
+            interactive_cap: self.interactive_cap,
+            batch_cap: self.batch_cap,
+        });
+        let workers = (0..threads.max(1))
+            .map(|_| {
+                let shared = Arc::clone(&shared);
+                std::thread::spawn(move || worker_loop(&shared))
+            })
+            .collect();
+        Session {
+            shared,
+            workers,
             default_budget_ms: self.default_budget_ms,
         }
     }
@@ -471,7 +533,7 @@ impl SessionBuilder {
 /// A long-lived concurrent job engine (see the crate docs).
 pub struct Session {
     shared: Arc<Shared>,
-    pool: ThreadPool,
+    workers: Vec<JoinHandle<()>>,
     default_budget_ms: Option<u64>,
 }
 
@@ -501,8 +563,8 @@ impl Session {
         }
     }
 
-    /// Admission: reserve a slot in the right lane and hand the pool a
-    /// dispatch ticket.
+    /// Admission: queue the job's ticket in the right lane and wake a
+    /// worker.
     fn admit(
         &self,
         kind: JobKind,
@@ -511,7 +573,7 @@ impl Session {
         run: Box<dyn FnOnce(&JobCtx) + Send>,
     ) -> Result<(), SubmitError> {
         {
-            let mut lanes = self.shared.lanes.lock().unwrap_or_else(|p| p.into_inner());
+            let mut lanes = self.shared.lock();
             if lanes.shutdown_mode.is_some() {
                 gncg_trace::incr(gncg_trace::Counter::ServiceRejected);
                 return Err(SubmitError::ShuttingDown);
@@ -543,8 +605,7 @@ impl Session {
             }
         }
         gncg_trace::incr(gncg_trace::Counter::ServiceEnqueued);
-        let shared = Arc::clone(&self.shared);
-        self.pool.submit(move || run_next(&shared));
+        self.shared.work_cond.notify_one();
         Ok(())
     }
 
@@ -564,7 +625,9 @@ impl Session {
     /// with the job's resolution — including jobs cancelled before they
     /// start and jobs that panic. The observer runs *before* the handle
     /// fulfills, so a caller that both observes and waits sees the
-    /// callback strictly first.
+    /// callback strictly first. If the observer itself panics, the
+    /// handle still fulfills, and the panic is re-raised from the next
+    /// [`Session::wait_idle`] (or [`Session::shutdown`]).
     ///
     /// The budget wiring (`ambient`, `cancel_on_exhaust`) is derived
     /// from the kind via [`JobKind::budget_wiring`], so an observed
@@ -598,8 +661,11 @@ impl Session {
             budget.clone(),
             Box::new(move |ctx| {
                 let result = run_envelope(ctx, ambient, cancel_on_exhaust, work);
-                done(&result);
+                let observed = catch_unwind(AssertUnwindSafe(|| done(&result)));
                 run_state.fulfill(result);
+                if let Err(payload) = observed {
+                    resume_unwind(payload);
+                }
             }),
         )?;
         Ok(JobHandle { state, budget })
@@ -664,13 +730,17 @@ impl Session {
         self.submit_raw(JobKind::Sweep, job, f)
     }
 
-    /// Block until every admitted job has resolved. Also waits for the
-    /// pool's dispatch tickets to fully retire, so worker-thread trace
-    /// counters (e.g. `service_dequeued`) are flushed into the
-    /// process-wide totals before this returns.
+    /// Block until every admitted job has resolved. Workers flush their
+    /// trace counters before a job counts as resolved, so worker-thread
+    /// counters (e.g. `service_dequeued`) are in the process-wide totals
+    /// when this returns.
+    ///
+    /// If a panic escaped a job's envelope (an observer's) since the
+    /// last call, the first such panic is re-raised here once the
+    /// session is idle; the session stays usable.
     pub fn wait_idle(&self) {
-        {
-            let mut lanes = self.shared.lanes.lock().unwrap_or_else(|p| p.into_inner());
+        let escaped = {
+            let mut lanes = self.shared.lock();
             while lanes.outstanding > 0 {
                 lanes = self
                     .shared
@@ -678,8 +748,11 @@ impl Session {
                     .wait(lanes)
                     .unwrap_or_else(|p| p.into_inner());
             }
+            lanes.escaped.take()
+        };
+        if let Some(payload) = escaped {
+            resume_unwind(payload);
         }
-        self.pool.wait();
     }
 
     /// Shut the session down: stop admitting, then either drain or
@@ -708,7 +781,7 @@ impl Session {
     /// the wait.
     pub fn shutdown(&self, mode: Shutdown) {
         {
-            let mut lanes = self.shared.lanes.lock().unwrap_or_else(|p| p.into_inner());
+            let mut lanes = self.shared.lock();
             let escalate = match (lanes.shutdown_mode, mode) {
                 (None, m) => {
                     lanes.shutdown_mode = Some(m);
@@ -729,6 +802,8 @@ impl Session {
                 }
             }
         }
+        // idle workers wake to exit once the lanes drain
+        self.shared.work_cond.notify_all();
         self.wait_idle();
     }
 }
@@ -742,8 +817,13 @@ impl Default for Session {
 impl Drop for Session {
     fn drop(&mut self) {
         // a dropped session must not abandon admitted jobs: their
-        // handles would never resolve
-        self.shutdown(Shutdown::Drain);
+        // handles would never resolve. An escaped panic no `wait_idle`
+        // took is dropped here, since Drop must not panic; workers catch
+        // every job's panic, so their joins cannot fail.
+        let _ = catch_unwind(AssertUnwindSafe(|| self.shutdown(Shutdown::Drain)));
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
+        }
     }
 }
 
@@ -800,7 +880,7 @@ mod tests {
             other => panic!("expected panic, got {other:?}"),
         }
         assert_eq!(good.wait(), Ok(42));
-        // the pool stays healthy for later submissions
+        // the workers stay healthy for later submissions
         let again = session
             .submit_sweep(JobOptions::default(), |_| 7)
             .expect("admitted");
@@ -832,7 +912,7 @@ mod tests {
             .expect("admitted");
         // wait until the blocker has been dequeued, so the lane is empty
         while !{
-            let lanes = session.shared.lanes.lock().unwrap();
+            let lanes = session.shared.lock();
             lanes.batch.is_empty()
         } {
             std::thread::yield_now();
@@ -1063,7 +1143,7 @@ mod tests {
                 },
             )
             .expect("admitted");
-        // panicking body: the observer sees Panicked, pool survives
+        // panicking body: the observer sees Panicked, the worker survives
         let panicked_seen = Arc::new(AtomicUsize::new(0));
         let ps = Arc::clone(&panicked_seen);
         let h2 = session

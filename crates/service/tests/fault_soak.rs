@@ -1,12 +1,14 @@
 //! Fault soak: with injected faults firing at the `GNCG_FAULT_INJECT`
 //! soak probability, every service job still completes with the
 //! bit-identical result (the chunk runners absorb and retry injected
-//! faults deterministically) and the pool stays healthy for jobs
-//! submitted afterwards.
+//! faults deterministically), the session's workers stay healthy for
+//! jobs submitted afterwards, and a fault at every ticket pickup loses
+//! no job.
 //!
 //! One test in its own binary: the injection probability is a process
 //! global, and no other test should run concurrently with it raised.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use gncg_game::certify::certify;
@@ -51,7 +53,7 @@ fn fault_soak_all_jobs_succeed_and_pool_stays_healthy() {
     }
     fault::set_injection_probability(before);
 
-    // pool is still healthy: a fresh job on the same session completes
+    // the workers are still healthy: a fresh job on the same session completes
     let ps = Arc::new(generators::uniform_unit_square(12, 99));
     let net = OwnedNetwork::center_star(12, 0);
     let h = session
@@ -65,4 +67,19 @@ fn fault_soak_all_jobs_succeed_and_pool_stays_healthy() {
         .expect("admitted after soak");
     assert!(h.wait().is_ok());
     session.wait_idle();
+
+    // a fault at every ticket pickup is absorbed: no job is lost
+    fault::set_injection_probability(1.0);
+    let ran = Arc::new(AtomicUsize::new(0));
+    for _ in 0..40 {
+        let ran = Arc::clone(&ran);
+        session
+            .submit_sweep(JobOptions::default(), move |_| {
+                ran.fetch_add(1, Ordering::SeqCst);
+            })
+            .expect("admitted");
+    }
+    session.wait_idle();
+    fault::set_injection_probability(before);
+    assert_eq!(ran.load(Ordering::SeqCst), 40);
 }

@@ -97,7 +97,8 @@ pub enum Counter {
     FaultsInjected,
     /// Chunk retries caused by injected faults.
     FaultRetries,
-    /// Jobs executed by persistent `ThreadPool` workers.
+    /// Jobs run by `gncg-service` `Session` workers (one per dispatched
+    /// ticket).
     PoolJobs,
     /// Candidate moves/strategies discarded by the geometric pruning
     /// layer without a cost evaluation, plus the `run_approx` drop
@@ -238,7 +239,7 @@ fn add_unchecked(counter: Counter, n: u64) {
 
 /// Merge this thread's local tallies into the process-wide totals and
 /// zero the locals. Workers do this at scope exit (via [`worker_guard`])
-/// or per pool job; [`snapshot`] does it for the calling thread.
+/// or per `Session` job; [`snapshot`] does it for the calling thread.
 pub fn flush_thread() {
     if !enabled() {
         return;
