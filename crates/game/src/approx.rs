@@ -57,14 +57,30 @@
 //! ambient budget (a job budget only gates the start) cannot cut a
 //! loop short and leave default entries behind.
 //!
+//! [`run_approx`] parallelises only its base rows: each window of
+//! [`ROW_WINDOW`] agents has its rows filled through `gncg-parallel`,
+//! also under [`gncg_parallel::unbudgeted`]. Turns, probes and the
+//! forward repairs run in agent order on the calling thread. Every
+//! row equals a fresh Dijkstra, so the run is bit-identical at every
+//! thread count; the window is a constant, so the Dijkstra counters are
+//! too.
+//!
 //! # Large-n dynamics ([`run_approx`])
 //!
 //! The companion driver runs improving-move dynamics at `n = 10⁴`
 //! without an `EvalContext`. Approximation enters **only** in the
 //! search neighbourhood: candidates are the [`GridIndex`]'s nearest
 //! neighbours, but every probed move is costed *exactly*. Each agent's
-//! turn computes one base row; each probe copies it and repairs the
-//! copy for its single-edge delta — [`gncg_graph::delta::repair_removal`]
+//! turn reads its base row, the exact Dijkstra row on the network its
+//! turn starts from. The rows come in windows of [`ROW_WINDOW`] agents:
+//! the window's rows are filled in parallel on the network at its
+//! start, and each move an agent of the window accepts repairs the rows
+//! of the agents after it in the window, before their turns — a drop by
+//! [`gncg_graph::delta::repair_removal`] on the CSR that still holds the
+//! edge, an add by [`gncg_graph::delta::repair_insertions`] on the CSR
+//! that has gained it; a drop of an edge the other endpoint also buys
+//! changes no row. Each probe copies the base row and repairs the copy
+//! for its single-edge delta — [`gncg_graph::delta::repair_removal`]
 //! for a drop, [`gncg_graph::delta::repair_insertions`] (on the current
 //! CSR, the new edge touching the row's source) for an add. Both are
 //! bit-identical to a fresh Dijkstra on the mutated graph; their named
@@ -102,7 +118,7 @@ use gncg_geometry::PointSet;
 use gncg_graph::csr::{Csr, DijkstraScratch};
 use gncg_graph::{components, delta};
 use gncg_json::{object, ToJson, Value};
-use gncg_parallel::parallel_map;
+use gncg_parallel::{parallel_map, parallel_map_with};
 use gncg_spanner::GridIndex;
 use gncg_trace::Counter;
 
@@ -112,6 +128,14 @@ use gncg_trace::Counter;
 /// would dominate the whole certification, on one thread (the perf
 /// gate's setting) and still on a few.
 pub const EXACT_ROWS_CAP: usize = 4096;
+
+/// Agents per window of [`run_approx`]'s base rows: each window's rows
+/// are computed in parallel on the network at its start, then repaired
+/// forward for the moves its earlier agents accept. A constant, not the
+/// thread count, so the Dijkstra counters are the same at every thread
+/// count; a window spans several `gncg_parallel::DEFAULT_CHUNK`s, so
+/// its fill runs on more than one worker.
+pub const ROW_WINDOW: usize = 64;
 
 /// Pivot rows behind the upper bounds under [`EvalBackend::Exact`].
 const DEFAULT_PIVOTS: usize = 8;
@@ -538,6 +562,13 @@ fn strategy_edge_sum(
 /// in `candidates_generated`/`candidates_skipped`. Accepted moves use
 /// the same `definitely_less` strict-improvement margin as the exact
 /// engines, so the run can never cycle through float noise.
+///
+/// The agents' base rows are filled in parallel, [`ROW_WINDOW`] at a
+/// time (never past the `agent_probes` cap), and repaired forward for
+/// the moves accepted inside the window; turns run in agent order. The
+/// result, the final network and every deterministic counter but the
+/// Dijkstra pops and relaxations equal those of a driver that runs a
+/// fresh Dijkstra at every turn, at every thread count.
 pub fn run_approx(
     ps: &PointSet,
     net: &mut OwnedNetwork,
@@ -561,11 +592,10 @@ fn run_approx_generic<M: CostModel>(
     let n = net.len();
     assert_eq!(n, EdgeWeights::len(ps));
     let mut csr = Csr::from_graph(&net.graph(ps));
-    let mut scratch = gncg_parallel::arena::rent::<DijkstraScratch>();
     let mut removal = gncg_parallel::arena::rent::<delta::RemovalScratch>();
-    let mut row = gncg_parallel::arena::rent_vec(n, 0.0f64);
     let mut what_if = gncg_parallel::arena::rent_vec(n, 0.0f64);
     let mut bought = gncg_parallel::arena::rent::<Vec<usize>>();
+    let mut rows: Vec<Vec<f64>> = Vec::new();
     let mut rounds = 0usize;
     let mut probed = 0u64;
     let mut accepted = 0u64;
@@ -578,11 +608,21 @@ fn run_approx_generic<M: CostModel>(
             if opts.agent_probes != 0 && probed >= opts.agent_probes as u64 {
                 break 'run;
             }
+            let i = u % ROW_WINDOW;
+            if i == 0 {
+                // no row is computed for an agent the probe cap never reaches
+                let mut len = ROW_WINDOW.min(n - u);
+                if opts.agent_probes != 0 {
+                    len = len.min(opts.agent_probes - probed as usize);
+                }
+                rows = window_rows(&csr, u, len);
+            }
             probed += 1;
-            csr.dijkstra_into_slice(u, &mut row, &mut scratch);
+            let (done, pending) = rows.split_at_mut(i + 1);
+            let row = &done[i];
             bought.clear();
             bought.extend(net.strategy(u).iter().copied());
-            let base = M::aggregate(&row);
+            let base = M::aggregate(row);
             let current = alpha * strategy_edge_sum(ps, u, &bought, None, None) + base;
 
             let k = opts.probe_budget.min(n.saturating_sub(1));
@@ -601,7 +641,7 @@ fn run_approx_generic<M: CostModel>(
                 csr: &csr,
                 alpha,
                 u,
-                row: &row,
+                row,
                 base,
                 bought: &bought,
             };
@@ -620,21 +660,7 @@ fn run_approx_generic<M: CostModel>(
             }
 
             if let Some(mv) = best_move {
-                // patch the CSR in place: it keeps every neighbour slice
-                // sorted, so this equals a fresh snapshot of
-                // `net.graph(ps)`
-                match mv {
-                    ProbeMove::Add(v) => {
-                        net.buy(u, v);
-                        csr.insert_edge(u, v, ps.dist(u, v));
-                    }
-                    ProbeMove::Drop(v) => {
-                        net.sell(u, v);
-                        if !net.owns(v, u) {
-                            csr.remove_edge(u, v);
-                        }
-                    }
-                }
+                apply_move(ps, net, &mut csr, u, mv, pending, &mut removal);
                 accepted += 1;
                 any = true;
             }
@@ -651,6 +677,62 @@ fn run_approx_generic<M: CostModel>(
         moves_accepted: accepted,
         converged,
     }
+}
+
+/// Applies `u`'s accepted move to `net` and patches `csr` in place (it
+/// keeps every neighbour slice sorted, so this equals a fresh snapshot
+/// of `net.graph(ps)`). `pending` holds the exact rows of agents
+/// `u + 1..` on the old network; each is repaired to its exact row on
+/// the new one.
+fn apply_move(
+    ps: &PointSet,
+    net: &mut OwnedNetwork,
+    csr: &mut Csr,
+    u: usize,
+    mv: ProbeMove,
+    pending: &mut [Vec<f64>],
+    removal: &mut delta::RemovalScratch,
+) {
+    match mv {
+        ProbeMove::Add(v) => {
+            let w = ps.dist(u, v);
+            net.buy(u, v);
+            csr.insert_edge(u, v, w);
+            for row in pending {
+                delta::repair_insertions(csr, row, &[(u, v, w)]);
+            }
+        }
+        ProbeMove::Drop(v) => {
+            net.sell(u, v);
+            if net.owns(v, u) {
+                return; // v still pays for the edge: the network is unchanged
+            }
+            // a removal repair reads the CSR that still holds the edge
+            let w = ps.dist(u, v);
+            for (src, row) in (u + 1..).zip(pending) {
+                delta::repair_removal(csr, src, row, u, v, w, removal, |_, _| true);
+            }
+            csr.remove_edge(u, v);
+        }
+    }
+}
+
+/// The exact base rows of agents `first..first + len` on `csr`, one
+/// Dijkstra per agent across the workers. The fill runs under
+/// [`gncg_parallel::unbudgeted`]: a cancelled ambient budget would
+/// otherwise leave rows unfilled.
+fn window_rows(csr: &Csr, first: usize, len: usize) -> Vec<Vec<f64>> {
+    gncg_parallel::unbudgeted(|| {
+        parallel_map_with(
+            len,
+            gncg_parallel::arena::rent::<DijkstraScratch>,
+            |scratch, i| {
+                let mut row = vec![0.0; csr.len()];
+                csr.dijkstra_into_slice(first + i, &mut row, scratch);
+                row
+            },
+        )
+    })
 }
 
 #[cfg(test)]

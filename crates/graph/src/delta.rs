@@ -895,4 +895,65 @@ mod tests {
             );
         }
     }
+
+    #[test]
+    fn chained_repairs_follow_a_patched_csr_bitwise() {
+        // One row, from a source no edit touches, repaired through a
+        // sequence of single-edge removals and insertions, each against
+        // the CSR of its moment: a removal before the CSR loses the
+        // edge, an insertion after it gains it. Zero-weight edges
+        // (coincident points) make both arcs tight. After every step
+        // the row must equal a fresh Dijkstra on the edited graph.
+        let mut rng = Lcg(0xc4a1);
+        let weight = |rng: &mut Lcg| {
+            if rng.below(4) == 0 {
+                0.0
+            } else {
+                0.05 + rng.unit()
+            }
+        };
+        let mut steps = [0usize; 2];
+        for case in 0..80 {
+            let n = 5 + case % 27;
+            let mut g = Graph::new(n);
+            for v in 1..n {
+                let u = rng.below(v);
+                g.add_edge(u, v, weight(&mut rng));
+            }
+            for _ in 0..n / 2 {
+                let (a, b) = (rng.below(n), rng.below(n));
+                if a != b {
+                    g.add_edge(a, b, weight(&mut rng));
+                }
+            }
+            let source = rng.below(n);
+            let mut csr = Csr::from_graph(&g);
+            let mut row = fresh_row(&g, source);
+            let mut scratch = RemovalScratch::default();
+            for step in 0..24 {
+                let (a, b) = (rng.below(n), rng.below(n));
+                if a == b || a == source || b == source {
+                    continue;
+                }
+                let what = format!("case {case} step {step}: ({a},{b}) from {source}");
+                if let Some(w) = g.edge_weight(a, b) {
+                    let all = |_, _| true;
+                    let finished =
+                        repair_removal(&csr, source, &mut row, a, b, w, &mut scratch, all);
+                    assert!(finished, "{what}: an unbounded repair stopped");
+                    assert!(csr.remove_edge(a, b));
+                    g.remove_edge(a, b);
+                    steps[0] += 1;
+                } else {
+                    let w = weight(&mut rng);
+                    assert!(csr.insert_edge(a, b, w));
+                    g.add_edge(a, b, w);
+                    repair_insertions(&csr, &mut row, &[(a, b, w)]);
+                    steps[1] += 1;
+                }
+                assert_eq!(bits(&row), bits(&fresh_row(&g, source)), "{what}");
+            }
+        }
+        assert!(steps[0] > 200 && steps[1] > 200, "{steps:?}");
+    }
 }

@@ -224,3 +224,6 @@ GNCG_THREADS=1 cargo test --workspace -q
 # on a single-core runner, once plain and once with chunk retries
 GNCG_THREADS=4 cargo test --release -p gncg-game --test thread_invariance -q
 GNCG_THREADS=4 GNCG_FAULT_INJECT=0.02 cargo test --release -p gncg-game --test thread_invariance -q
+# run_approx's parallel base-row windows against the full-Dijkstra
+# reference, with chunk retries running through the window fill
+GNCG_THREADS=4 GNCG_FAULT_INJECT=0.02 cargo test --release -p gncg-game --test approx_probe_oracle -q
