@@ -48,7 +48,6 @@ pub mod cost;
 pub mod dynamics;
 pub mod eval;
 pub mod exact;
-pub mod greedy_eq;
 pub mod instances;
 pub mod model;
 pub mod moves;

@@ -14,9 +14,7 @@
 
 use gncg_game::best_response::{self, ResponseEvaluator};
 use gncg_game::prune::oracle;
-use gncg_game::{
-    certify, cost, dynamics, exact, greedy_eq, OwnedNetwork, SolverConfig, SumDistances,
-};
+use gncg_game::{certify, cost, dynamics, exact, OwnedNetwork, SolverConfig, SumDistances};
 use gncg_geometry::generators;
 use gncg_graph::csr::{Csr, DijkstraScratch};
 use gncg_trace::Counter;
@@ -195,8 +193,8 @@ fn exact_best_response_counts_every_mask() {
 }
 
 /// Every solver that searches moves runs the pruned engines: the
-/// certifier's witness search, the exact best response, `is_nash`,
-/// `greedy_instability` and both `run_spec` rules each prune, while the
+/// certifier's witness search, the exact best response, `is_nash` and
+/// both `run_spec` rules each prune, while the
 /// same computation on the unpruned oracle ([`oracle`], or
 /// `run_ordered_reference` for the dynamics) prunes nothing and gives
 /// the same result.
@@ -210,7 +208,7 @@ fn every_move_search_prunes_and_matches_its_oracle() {
         net.buy(a, a - 1);
     }
     // expensive edges: every probe below, the single-move search of
-    // `greedy_instability` included, has candidates to prune
+    // the dynamics included, has candidates to prune
     let alpha = 32.0;
     let cfg = SolverConfig::default();
     assert!(cfg.witness, "the default config searches a witness");
@@ -227,7 +225,7 @@ fn every_move_search_prunes_and_matches_its_oracle() {
         format!("{out:?}")
     };
     type Probe<'a> = &'a dyn Fn() -> String;
-    let probes: [(&str, Probe, Probe); 6] = [
+    let probes: [(&str, Probe, Probe); 5] = [
         (
             "certify (witness)",
             &|| {
@@ -265,23 +263,6 @@ fn every_move_search_prunes_and_matches_its_oracle() {
                         !gncg_geometry::definitely_less(br.cost, now(u))
                     })
                     .to_string()
-            },
-        ),
-        (
-            "greedy_instability",
-            &|| {
-                let f = greedy_eq::greedy_instability(&ps, &net, alpha);
-                f.to_bits().to_string()
-            },
-            &|| {
-                let f =
-                    fold(
-                        &|u| match oracle::best_single_move::<SumDistances>(&eval(u), &net, alpha) {
-                            Some(m) => best_response::ratio(now(u), m.cost),
-                            None => 1.0,
-                        },
-                    );
-                f.to_bits().to_string()
             },
         ),
         (

@@ -39,20 +39,21 @@ impl gncg_parallel::arena::Scratch for Csr {
     }
 }
 
-/// Reusable scratch space for the [`Csr`] Dijkstra kernel.
+/// Reusable scratch space for the [`Csr`] Dijkstra kernel: its indexed
+/// queue, sized to the largest graph it has served.
 #[derive(Debug, Default)]
 pub struct DijkstraScratch {
-    heap: crate::heap4::QuadHeap,
+    heap: crate::heap4::IndexedHeap,
 }
 
 /// Arena recycling for per-worker Dijkstra scratch: hot loops rent a
 /// scratch with `gncg_parallel::arena::rent::<DijkstraScratch>()`
-/// instead of constructing one per call. The kernel clears the heap
-/// before it starts (a bounded run leaves entries queued), so a
-/// recycled scratch is indistinguishable from a fresh one.
+/// instead of constructing one per call. The kernel resets the queue
+/// for its graph before it starts (a bounded run leaves nodes queued),
+/// so a recycled scratch is indistinguishable from a fresh one.
 impl gncg_parallel::arena::Scratch for DijkstraScratch {
     fn reset(&mut self) {
-        self.heap.clear();
+        self.heap.reset(0);
     }
 }
 
@@ -62,9 +63,10 @@ impl gncg_parallel::arena::Scratch for DijkstraScratch {
 /// — and over sign-positive doubles the u64 bit pattern is strictly
 /// monotone in the value, so the packed integer compare orders entries
 /// by distance with ties broken toward the smaller node id: exactly the
-/// order the legacy float comparator imposed, and since `(bits, node)`
-/// pairs are distinct across live entries the pop sequence is
-/// bit-for-bit the legacy one regardless of heap arity.
+/// order the legacy float comparator imposed. The queue holds one key
+/// per node, its current tentative distance, so the pop sequence is the
+/// sorted order of those keys — bit-for-bit the legacy one, whatever the
+/// heap's arity.
 #[inline]
 pub(crate) fn pack_key(bits: u64, node: u32) -> u128 {
     ((bits as u128) << 32) | node as u128
@@ -235,7 +237,7 @@ impl Csr {
     }
 
     /// [`Csr::dijkstra_into_slice`] that ends the search at the first
-    /// settled pop beyond `bound`. Every vertex at distance `≤ bound`
+    /// pop beyond `bound`. Every vertex at distance `≤ bound`
     /// gets its exact row entry; every other entry is `> bound` (a
     /// tentative distance or `INFINITY`), so `dist[v] > bound` decides
     /// `d(source, v) > bound` exactly.
@@ -285,21 +287,19 @@ impl Csr {
         let n = self.len();
         assert_eq!(dist.len(), n, "distance row must have n entries");
         dist.fill(f64::INFINITY);
-        scratch.heap.clear();
+        let heap = &mut scratch.heap;
+        heap.reset(n);
         dist[source] = 0.0;
-        scratch.heap.push(pack_key(0.0f64.to_bits(), source as u32));
+        heap.push_or_decrease(pack_key(0.0f64.to_bits(), source as u32));
         // work tallies live in registers; one gated trace call per kernel
         // invocation keeps the off-path free of per-edge instrumentation
-        let (mut pops, mut relaxed) = (0u64, 0u64);
-        while let Some(key) = scratch.heap.pop() {
-            pops += 1;
+        let (mut settled, mut relaxed) = (0u64, 0u64);
+        while let Some(key) = heap.pop() {
             let u = key as u32 as usize;
             let d = f64::from_bits((key >> 32) as u64);
-            // Stale-entry scan in place of a settled bitmap: a node is
-            // re-popped only through an entry that was pushed before a
-            // strictly better one, so `d > dist[u]` flags exactly the
-            // entries a `done[u]` bit would have skipped — without the
-            // O(n) bitmap reset per source.
+            // Each node is queued once, under its current tentative
+            // distance (`push_or_decrease` lowers a queued key in place),
+            // so every pop settles `u` at `d == dist[u]`.
             //
             // SAFETY (here and below): every id in the heap was packed
             // from either `source` (asserted < n by the `dist[source]`
@@ -310,14 +310,13 @@ impl Csr {
             // single hottest loop in the repo — free of per-iteration
             // bound branches.
             debug_assert!(u < n);
-            if d > unsafe { *dist.get_unchecked(u) } {
-                continue;
-            }
+            debug_assert!(d == dist[u]);
             // pops come in non-decreasing distance order: everything
             // still queued is at least as far
             if BOUNDED && d > bound {
                 break;
             }
+            settled += 1;
             // Settled scan over the two contiguous CSR slices; the
             // lockstep zip keeps the relax loop free of bounds checks.
             // SAFETY: `u < n` (above) so `u + 1` indexes `offsets`
@@ -345,11 +344,11 @@ impl Csr {
                         pred[v] = u;
                     }
                     debug_assert!(nd.to_bits() >> 63 == 0, "negative tentative distance");
-                    scratch.heap.push(pack_key(nd.to_bits(), v as u32));
+                    heap.push_or_decrease(pack_key(nd.to_bits(), v as u32));
                 }
             }
         }
-        gncg_trace::record_dijkstra(pops, relaxed);
+        gncg_trace::record_dijkstra(settled, relaxed);
     }
 
     /// Parallel APSP into a flat [`DistMatrix`], one persistent Dijkstra

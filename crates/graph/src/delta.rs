@@ -39,16 +39,18 @@
 //! exceeds a cutoff.
 
 use crate::csr::{pack_key, Csr};
-use crate::heap4::QuadHeap;
+use crate::heap4::IndexedHeap;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
-// The queues below use the same packed `(distance bits, node id)`
-// integer keys as the Dijkstra kernels in [`crate::csr`] /
-// [`crate::dijkstra`]: smallest distance first, ties broken by
-// smallest node id. The settled-pop and relaxation tallies recorded
-// here count work that is schedule-independent (each node settles at
-// most once, at its exact min-over-path-folds distance), so heap
-// shape and key encoding cannot perturb the deterministic trace
-// counters.
+// The repairs queue on the CSR kernel's indexed heap, with the same
+// packed `(distance bits, node id)` integer keys as the Dijkstra
+// kernels in [`crate::csr`] / [`crate::dijkstra`]: smallest distance
+// first, ties broken by smallest node id, one queued key per node. The
+// settled-pop and relaxation tallies recorded here count work that is
+// schedule-independent (each node settles at most once, at its exact
+// min-over-path-folds distance), so heap shape and key encoding cannot
+// perturb the deterministic trace counters.
 
 /// Repairs a shortest-path row in place after edge *insertions*.
 ///
@@ -68,33 +70,32 @@ use crate::heap4::QuadHeap;
 /// Distances only decrease under insertion, and any improvement
 /// cascades from an endpoint of a new edge, so the repair seeds a
 /// heap with the endpoints the new edges improve and runs the
-/// standard lazy-deletion relaxation loop from there. The result is
-/// bit-identical to a fresh Dijkstra on the new graph (see module
-/// docs); the cost is proportional to the region whose distances
-/// actually changed.
+/// standard relaxation loop from there, each improved node queued once
+/// under its current distance. The result is bit-identical to a fresh
+/// Dijkstra on the new graph (see module docs); the cost is
+/// proportional to the region whose distances actually changed.
 pub fn repair_insertions(csr: &Csr, row: &mut [f64], inserted: &[(usize, usize, f64)]) {
     debug_assert_eq!(row.len(), csr.len());
-    let mut heap = gncg_parallel::arena::rent::<QuadHeap>();
+    let mut heap = gncg_parallel::arena::rent::<IndexedHeap>();
+    heap.reset(row.len());
     let mut pops = 0u64;
     let mut relaxed = 0u64;
     for &(a, b, w) in inserted {
         let via_a = row[a] + w;
         if via_a < row[b] {
             row[b] = via_a;
-            heap.push(pack_key(via_a.to_bits(), b as u32));
+            heap.push_or_decrease(pack_key(via_a.to_bits(), b as u32));
         }
         let via_b = row[b] + w;
         if via_b < row[a] {
             row[a] = via_b;
-            heap.push(pack_key(via_b.to_bits(), a as u32));
+            heap.push_or_decrease(pack_key(via_b.to_bits(), a as u32));
         }
     }
     while let Some(key) = heap.pop() {
         let u = key as u32 as usize;
         let dist = f64::from_bits((key >> 32) as u64);
-        if dist > row[u] {
-            continue; // stale entry: a shorter fold already landed
-        }
+        debug_assert!(dist == row[u], "a queued key is its node's row entry");
         pops += 1;
         let (targets, weights) = csr.neighbors(u);
         for (&t, &w) in targets.iter().zip(weights) {
@@ -103,7 +104,7 @@ pub fn repair_insertions(csr: &Csr, row: &mut [f64], inserted: &[(usize, usize, 
             let nd = dist + w;
             if nd < row[v] {
                 row[v] = nd;
-                heap.push(pack_key(nd.to_bits(), t));
+                heap.push_or_decrease(pack_key(nd.to_bits(), t));
             }
         }
     }
@@ -136,7 +137,7 @@ pub fn removal_keeps_row(row: &[f64], removed: &[(usize, usize, f64)]) -> bool {
 /// member's old distance by vertex, for the budget.
 #[derive(Debug, Default)]
 pub struct RemovalScratch {
-    heap: QuadHeap,
+    heap: IndexedHeap,
     affected: Vec<(u32, f64)>,
     old: Vec<f64>,
 }
@@ -144,7 +145,7 @@ pub struct RemovalScratch {
 /// Arena recycling, so probe loops can rent one per worker.
 impl gncg_parallel::arena::Scratch for RemovalScratch {
     fn reset(&mut self) {
-        self.heap.clear();
+        self.heap.reset(0);
         self.affected.clear();
     }
 }
@@ -167,7 +168,8 @@ impl gncg_parallel::arena::Scratch for RemovalScratch {
 ///    coincident points both arcs are tight, and a naive closure would
 ///    reset the source to ∞;
 /// 3. resets `A` to ∞, seeds each member from its neighbours outside
-///    `A`, and runs the lazy-deletion relaxation loop from there.
+///    `A`, and runs the relaxation loop from there, each member queued
+///    once under its current distance.
 ///
 /// # The budget
 ///
@@ -280,25 +282,23 @@ pub fn repair_removal(
         }
         entry.1 = seed;
     }
-    heap.clear();
+    heap.reset(row.len());
     let (mut pops, mut relaxed) = (0u64, 0u64);
     for &(x, seed) in affected.iter() {
         if seed < f64::INFINITY {
             relaxed += 1;
             row[x as usize] = seed;
-            heap.push(pack_key(seed.to_bits(), x));
+            heap.push_or_decrease(pack_key(seed.to_bits(), x));
         }
     }
     let mut finished = true;
     while let Some(key) = heap.pop() {
         let x = key as u32 as usize;
         let dist = f64::from_bits((key >> 32) as u64);
-        if dist > row[x] {
-            continue; // stale entry: a shorter fold already landed
-        }
+        debug_assert!(dist == row[x], "a queued key is its node's row entry");
         pops += 1;
         if !budget(old[x], dist) {
-            heap.clear();
+            heap.reset(0);
             finished = false;
             break;
         }
@@ -309,7 +309,7 @@ pub fn repair_removal(
             if nd < row[y] && !removed(x, y) {
                 relaxed += 1;
                 row[y] = nd;
-                heap.push(pack_key(nd.to_bits(), t));
+                heap.push_or_decrease(pack_key(nd.to_bits(), t));
             }
         }
     }
@@ -370,8 +370,10 @@ pub fn max_cutoff(offset: f64, base: f64, cutoff: f64) -> impl FnMut(f64, f64) -
 /// min-over-path-folds argument in the module docs. It costs a full
 /// Dijkstra, so probe loops repair a copy of the base row instead
 /// ([`repair_removal`] / [`repair_insertions`]); this kernel is their
-/// oracle. The caller must ensure `added` edges do not duplicate CSR
-/// edges and `removed` pairs are distinct (standard for simple graphs).
+/// oracle, and queues on a lazy-deletion `BinaryHeap` that shares no
+/// code with their indexed heap. The caller must ensure `added` edges
+/// do not duplicate CSR edges and `removed` pairs are distinct
+/// (standard for simple graphs).
 pub fn dijkstra_modified(
     csr: &Csr,
     source: usize,
@@ -383,11 +385,11 @@ pub fn dijkstra_modified(
     debug_assert_eq!(row.len(), n);
     row.fill(f64::INFINITY);
     row[source] = 0.0;
-    let mut heap = gncg_parallel::arena::rent::<QuadHeap>();
-    heap.push(pack_key(0.0f64.to_bits(), source as u32));
+    let mut heap = BinaryHeap::new();
+    heap.push(Reverse(pack_key(0.0f64.to_bits(), source as u32)));
     let mut pops = 0u64;
     let mut relaxed = 0u64;
-    while let Some(key) = heap.pop() {
+    while let Some(Reverse(key)) = heap.pop() {
         let u = key as u32 as usize;
         let dist = f64::from_bits((key >> 32) as u64);
         if dist > row[u] {
@@ -406,7 +408,7 @@ pub fn dijkstra_modified(
             let nd = dist + w;
             if nd < row[v] {
                 row[v] = nd;
-                heap.push(pack_key(nd.to_bits(), t));
+                heap.push(Reverse(pack_key(nd.to_bits(), t)));
             }
         }
         for &(a, b, w) in added {
@@ -421,7 +423,7 @@ pub fn dijkstra_modified(
             let nd = dist + w;
             if nd < row[v] {
                 row[v] = nd;
-                heap.push(pack_key(nd.to_bits(), v as u32));
+                heap.push(Reverse(pack_key(nd.to_bits(), v as u32)));
             }
         }
     }
@@ -778,6 +780,56 @@ mod tests {
             stopped[0] > 50 && stopped[1] > 50 && at_cutoff > 0,
             "{stopped:?} / {at_cutoff}"
         );
+    }
+
+    #[test]
+    fn aborted_removal_repair_leaves_the_scratch_ready_for_a_full_one() {
+        // One scratch across graphs of shrinking and growing size. Each
+        // case first runs a repair whose budget stops it at its second
+        // settle, with members still queued, then a full repair of
+        // another removal on the same scratch, which must match a fresh
+        // Dijkstra bitwise.
+        let mut rng = Lcg(0xab07);
+        let mut scratch = RemovalScratch::default();
+        let mut left_queued = 0usize;
+        for case in 0..300 {
+            let n = 3 + (case * 7) % 37;
+            let mut g = Graph::new(n);
+            for v in 1..n {
+                let u = rng.below(v);
+                g.add_edge(u, v, [0.0, 0.5, 1.0][rng.below(3)]);
+            }
+            for _ in 0..n / 3 {
+                let (a, b) = (rng.below(n), rng.below(n));
+                if a != b {
+                    g.add_edge(a, b, [0.5, 1.0][rng.below(2)]);
+                }
+            }
+            let csr = Csr::from_graph(&g);
+            let edges = g.edges();
+            let source = rng.below(n);
+            let (a, b, w) = edges[rng.below(edges.len())];
+            let mut row = fresh_row(&g, source);
+            let mut settles = 0;
+            let stop_second = |_, _| {
+                settles += 1;
+                settles < 2
+            };
+            if !repair_removal(&csr, source, &mut row, a, b, w, &mut scratch, stop_second) {
+                assert!(scratch.heap.is_empty(), "case {case}: keys left queued");
+                let seeded = scratch.affected.iter().filter(|e| e.1.is_finite()).count();
+                left_queued += usize::from(seeded > 2);
+            }
+            let (a, b, w) = edges[rng.below(edges.len())];
+            let mut row = fresh_row(&g, source);
+            let all = |_, _| true;
+            let finished = repair_removal(&csr, source, &mut row, a, b, w, &mut scratch, all);
+            assert!(finished, "case {case}: an unbounded repair stopped");
+            let mut h = g.clone();
+            h.remove_edge(a, b);
+            assert_eq!(bits(&row), bits(&fresh_row(&h, source)), "case {case}");
+        }
+        assert!(left_queued > 20, "{left_queued} aborts left members queued");
     }
 
     #[test]

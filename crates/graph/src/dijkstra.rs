@@ -2,10 +2,14 @@
 //!
 //! Production code runs the CSR kernel ([`crate::csr::Csr`]); this
 //! module keeps one independent relaxation loop over [`Graph`] as the
-//! named oracle the kernel is tested against.
+//! named oracle the kernel is tested against. It queues on a
+//! lazy-deletion `std` [`BinaryHeap`] (a node may be queued more than
+//! once; stale entries are skipped when popped), so it shares no queue
+//! code with the kernel's indexed heap.
 
-use crate::heap4::QuadHeap;
 use crate::Graph;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Queue keys pack the raw IEEE bits of the tentative distance above
 /// the node id: `bits << 64 | node`. Pushed distances are sums of
@@ -37,11 +41,11 @@ pub fn tree(g: &Graph, source: usize) -> (Vec<f64>, Vec<usize>) {
     assert!(source < n);
     let mut dist = vec![f64::INFINITY; n];
     let mut pred = vec![usize::MAX; n];
-    let mut heap = gncg_parallel::arena::rent::<QuadHeap>();
+    let mut heap = BinaryHeap::new();
     dist[source] = 0.0;
-    heap.push(pack_key(0.0f64.to_bits(), source));
+    heap.push(Reverse(pack_key(0.0f64.to_bits(), source)));
     let (mut pops, mut relaxed) = (0u64, 0u64);
-    while let Some(key) = heap.pop() {
+    while let Some(Reverse(key)) = heap.pop() {
         pops += 1;
         let (d, u) = unpack_key(key);
         if d > dist[u] {
@@ -53,7 +57,7 @@ pub fn tree(g: &Graph, source: usize) -> (Vec<f64>, Vec<usize>) {
                 relaxed += 1;
                 dist[v] = nd;
                 pred[v] = u;
-                heap.push(pack_key(nd.to_bits(), v));
+                heap.push(Reverse(pack_key(nd.to_bits(), v)));
             }
         }
     }

@@ -3,8 +3,10 @@
 //!
 //! * [`Graph`] — adjacency-list weighted graph over vertices `0..n`,
 //! * [`csr`] — frozen CSR snapshots and the one production Dijkstra
-//!   kernel (4-ary heap over packed keys; full, bounded, or with
-//!   predecessors) with reusable [`csr::DijkstraScratch`],
+//!   kernel (full, bounded, or with predecessors) with reusable
+//!   [`csr::DijkstraScratch`],
+//! * [`heap4`] — the indexed 4-ary decrease-key heap over packed keys
+//!   that the kernel and the delta repairs queue on,
 //! * [`delta`] — incremental row repairs after edge edits, with
 //!   [`delta::dijkstra_modified`] as their oracle,
 //! * [`dijkstra`] — the adjacency-list Dijkstra oracle (`tree`,

@@ -5,7 +5,10 @@
 //! * the recorded predecessors are the oracle's, so every rebuilt path
 //!   is identical;
 //! * a bounded run is exact on every vertex the oracle puts within the
-//!   bound and reports everything else as beyond it.
+//!   bound and reports everything else as beyond it;
+//! * a scratch shared across graphs of growing and shrinking size, and
+//!   across bounded runs that leave nodes queued, gives the same rows
+//!   and predecessors as a fresh scratch.
 //!
 //! Inputs cover real weights, integer weights whose metric-closure
 //! edges tie with multi-hop paths, and zero-weight edges between
@@ -187,4 +190,45 @@ fn kernel_matches_oracle_on_hand_built_graphs() {
     let (dist, pred) = dijkstra::tree(&split, 0);
     assert!(dist[1] == 1.0 && dist[2].is_infinite() && dist[3].is_infinite());
     assert_eq!(path_from_tree(&pred, 0, 2), None);
+}
+
+/// Full row and predecessors from `source` on a fresh scratch.
+fn fresh_tree(csr: &Csr, source: usize) -> (Vec<u64>, Vec<usize>) {
+    let n = csr.len();
+    let (mut row, mut pred) = (vec![0.0; n], vec![0; n]);
+    csr.dijkstra_tree(source, &mut row, &mut pred, &mut DijkstraScratch::default());
+    (row.iter().map(|d| d.to_bits()).collect(), pred)
+}
+
+#[test]
+fn one_scratch_across_graph_sizes_matches_fresh_scratch() {
+    let mut rng = StdRng::seed_from_u64(0x5c4a);
+    let mut shared = DijkstraScratch::default();
+    let bits = |row: &[f64]| row.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+    for &n in &[40usize, 7, 90, 2, 33, 120, 12, 64] {
+        let g = match n % 3 {
+            0 => real_weights(n, &mut rng),
+            1 => integer_closure(n, &mut rng),
+            _ => coincident_points(n.max(6), &mut rng),
+        };
+        let csr = Csr::from_graph(&g);
+        let n = csr.len();
+        for s in 0..n {
+            let (want_row, want_pred) = fresh_tree(&csr, s);
+            // a bounded run first, stopping with nodes still queued
+            let bound = f64::from_bits(want_row[(s + 1) % n]) * 0.5;
+            let mut row = vec![0.0; n];
+            csr.dijkstra_bounded(s, &mut row, bound, &mut shared);
+            let mut fresh = vec![0.0; n];
+            csr.dijkstra_bounded(s, &mut fresh, bound, &mut DijkstraScratch::default());
+            assert_eq!(bits(&row), bits(&fresh), "n {n}: bounded row from {s}");
+            csr.dijkstra_into_slice(s, &mut row, &mut shared);
+            assert_eq!(bits(&row), want_row, "n {n}: full row from {s}");
+            let mut pred = vec![0; n];
+            csr.dijkstra_bounded(s, &mut row, bound, &mut shared);
+            csr.dijkstra_tree(s, &mut row, &mut pred, &mut shared);
+            assert_eq!(bits(&row), want_row, "n {n}: tree row from {s}");
+            assert_eq!(pred, want_pred, "n {n}: predecessors from {s}");
+        }
+    }
 }

@@ -83,7 +83,9 @@ pub fn set_enabled(on: bool) {
 pub enum Counter {
     /// Successful edge relaxations (`nd < dist[v]`) in any Dijkstra kernel.
     DijkstraRelaxations = 0,
-    /// Binary-heap pops in any Dijkstra kernel (including stale entries).
+    /// Heap pops in any Dijkstra kernel: the vertices it settles, since
+    /// the production kernels' indexed heap queues each vertex once (the
+    /// lazy-heap oracles also count the stale entries they pop).
     DijkstraHeapPops,
     /// Exact strategy evaluations (`ResponseEvaluator::cost_with` calls).
     BestResponseEvals,
@@ -252,6 +254,17 @@ pub fn flush_thread() {
             }
         }
     });
+}
+
+/// Take `delta`, a [`TraceSnapshot::counters_since`] result, back out
+/// of the process-wide counter totals: a tool that repeats a measured
+/// run for its timing keeps the counters of one run. Call between
+/// parallel regions, like [`reset`].
+pub fn retract(delta: &[u64; NUM_COUNTERS]) {
+    flush_thread();
+    for (global, &d) in GLOBAL.iter().zip(delta) {
+        global.fetch_sub(d, Ordering::Relaxed);
+    }
 }
 
 /// RAII guard that flushes the current thread's counters when dropped.
@@ -491,6 +504,23 @@ mod tests {
         assert_eq!(s.counters[Counter::DijkstraHeapPops as usize], 7);
         assert_eq!(s.counters[Counter::BestResponseEvals as usize], 1);
         assert_eq!(s.counters[Counter::ChunkClaims as usize], 0);
+        set_enabled(false);
+    }
+
+    #[test]
+    fn retract_takes_a_repeated_run_back_out() {
+        let _g = locked();
+        set_enabled(true);
+        reset();
+        let run = || {
+            record_dijkstra(7, 3);
+            incr(Counter::BudgetPolls);
+        };
+        run();
+        let once = snapshot();
+        run();
+        retract(&snapshot().counters_since(&once));
+        assert_eq!(snapshot().counters, once.counters);
         set_enabled(false);
     }
 

@@ -42,10 +42,12 @@
 # The sweep runs under GNCG_THREADS=1 so the time ratios are comparable
 # across machines with different core counts.
 #
-# To refresh a baseline after an intentional perf/workload change:
+# To refresh a baseline after an intentional perf/workload change (the
+# run writes outside results/, whose perf_smoke.json is a committed
+# report of its own):
 #   cargo build --release -p gncg-bench --bin perf_smoke
-#   GNCG_THREADS=1 GNCG_RESULTS_DIR=results ./target/release/perf_smoke
-#   mv results/perf_smoke.json results/PERF_BASELINE.json
+#   GNCG_THREADS=1 GNCG_RESULTS_DIR=target/perf-refresh ./target/release/perf_smoke
+#   mv target/perf-refresh/perf_smoke.json results/PERF_BASELINE.json
 # (for the large tier: `perf_smoke large`, perf_smoke_large.json,
 #  results/PERF_BASELINE_LARGE.json)
 set -euo pipefail
