@@ -31,7 +31,7 @@
 //! tmp/quarantine debris from the cache directory. A remote sweep is
 //! `connect --job sweep --spec FILE`.
 
-use gncg_algo as algo;
+use gncg_config::ServeConfig;
 use gncg_game::{dynamics, GameSpec, ModelKind, OwnedNetwork, SolverConfig};
 use gncg_geometry::{generators, PointSet};
 use gncg_parallel::Budget;
@@ -45,6 +45,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 fn main() {
+    if let Err(e) = gncg_config::env::check() {
+        eprintln!("{e}");
+        exit(2);
+    }
     let mut args = std::env::args().skip(1);
     let cmd = match args.next() {
         Some(c) => c,
@@ -173,6 +177,12 @@ fn parse_num<T: std::str::FromStr>(s: &str, what: &str) -> T {
     })
 }
 
+/// The number given as `--key`, or `default` when the option is absent.
+fn opt_num<T: std::str::FromStr>(opts: &HashMap<String, String>, key: &str, default: T) -> T {
+    opts.get(key)
+        .map_or(default, |s| parse_num(s, &format!("--{key}")))
+}
+
 /// `--rule best|single` (default `single`); anything else is a usage
 /// error, never a silent fallback.
 fn parse_rule(opts: &HashMap<String, String>) -> dynamics::ResponseRule {
@@ -197,24 +207,17 @@ fn env_model() -> ModelKind {
         })
 }
 
-fn load_points(path: &str) -> PointSet {
-    let data = std::fs::read_to_string(path).unwrap_or_else(|e| {
+fn read_file(path: &str) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("cannot read {path}: {e}");
-        exit(1);
-    });
-    gncg_json::from_str(&data).unwrap_or_else(|e| {
-        eprintln!("cannot parse point set {path}: {e}");
         exit(1);
     })
 }
 
-fn load_network(path: &str) -> OwnedNetwork {
-    let data = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        exit(1);
-    });
-    gncg_json::from_str(&data).unwrap_or_else(|e| {
-        eprintln!("cannot parse network {path}: {e}");
+/// The JSON file at `path`, parsed as a `what`; exit 1 on failure.
+fn load_json<T: gncg_json::FromJson>(path: &str, what: &str) -> T {
+    gncg_json::from_str(&read_file(path)).unwrap_or_else(|e| {
+        eprintln!("cannot parse {what} {path}: {e}");
         exit(1);
     })
 }
@@ -231,32 +234,14 @@ fn save_json<T: gncg_json::ToJson>(value: &T, path: &str) {
 fn generate(opts: &HashMap<String, String>) {
     let kind = req(opts, "kind");
     let n: usize = parse_num(req(opts, "n"), "--n");
-    let seed: u64 = opts
-        .get("seed")
-        .map(|s| parse_num(s, "--seed"))
-        .unwrap_or(0);
+    let seed: u64 = opt_num(opts, "seed", 0);
     let out = req(opts, "out");
     let ps = match kind {
-        "uniform" => generators::uniform_unit_square(n, seed),
-        "grid" => {
-            let side = (n as f64).sqrt().ceil() as usize;
-            generators::integer_grid(&[side.saturating_sub(1), side.saturating_sub(1)])
-        }
-        "cluster" => generators::cluster_with_outliers(
-            n.saturating_sub(n / 10).max(1),
-            n / 10,
-            2,
-            0.05,
-            5.0,
-            8.0,
-            seed,
-        ),
-        "chain" => {
-            let alpha: f64 = opts
-                .get("alpha")
-                .map(|s| parse_num(s, "--alpha"))
-                .unwrap_or(2.0);
-            generators::geometric_chain(n.max(2) - 1, alpha)
+        // the one generator the CLI parameterizes: --alpha is the chain's
+        // growth factor (the sweep engine fixes it at 2)
+        "chain" => generators::geometric_chain(n.max(2) - 1, opt_num(opts, "alpha", 2.0)),
+        kind if gncg_sweep::spec::GENERATORS.contains(&kind) => {
+            gncg_sweep::engine::generate_points(kind, n, seed)
         }
         other => {
             eprintln!("unknown kind {other}");
@@ -267,31 +252,18 @@ fn generate(opts: &HashMap<String, String>) {
     save_json(&ps, out);
 }
 
+/// `gncg build`: the sweep engine's method table, so a method builds
+/// the same network from the CLI and from a sweep spec.
 fn build(opts: &HashMap<String, String>) {
-    let ps = load_points(req(opts, "points"));
-    let alpha: f64 = parse_num(req(opts, "alpha"), "--alpha");
     let method = req(opts, "method");
+    if !gncg_sweep::spec::METHODS.contains(&method) {
+        eprintln!("unknown method {method}");
+        usage_and_exit()
+    }
+    let ps: PointSet = load_json(req(opts, "points"), "point set");
+    let alpha: f64 = parse_num(req(opts, "alpha"), "--alpha");
     let out = req(opts, "out");
-    let net = match method {
-        "combined" => algo::build_beta_beta_network(&ps, alpha),
-        "alg1" => {
-            let params = algo::params::corollary_3_8_params(alpha, ps.len().max(2));
-            let res = algo::run_algorithm1(&ps, alpha, params);
-            println!("algorithm 1 branch: {:?}", res.branch);
-            res.network
-        }
-        "mst" => algo::mst_network::mst_network(&ps),
-        "complete" => algo::complete::complete_network(ps.len()),
-        "star" => {
-            let c = algo::star::best_star_center(&ps);
-            println!("best star centre: {c}");
-            algo::star::center_star(ps.len(), c)
-        }
-        other => {
-            eprintln!("unknown method {other}");
-            usage_and_exit()
-        }
-    };
+    let net = gncg_sweep::engine::build_network(method, &ps, alpha);
     println!("built network with {} bought edges", net.bought_edges());
     save_json(&net, out);
 }
@@ -299,8 +271,8 @@ fn build(opts: &HashMap<String, String>) {
 fn run_certify(opts: &HashMap<String, String>) {
     // binaries honor the env model choice; library defaults stay sum
     let model = env_model();
-    let ps = load_points(req(opts, "points"));
-    let net = load_network(req(opts, "network"));
+    let ps: PointSet = load_json(req(opts, "points"), "point set");
+    let net = load_json(req(opts, "network"), "network");
     let alpha: f64 = parse_num(req(opts, "alpha"), "--alpha");
     let options = if opts.contains_key("exact") {
         SolverConfig::exact()
@@ -326,12 +298,9 @@ fn run_certify(opts: &HashMap<String, String>) {
 
 fn run_dynamics(opts: &HashMap<String, String>) {
     let model = env_model();
-    let ps = load_points(req(opts, "points"));
+    let ps: PointSet = load_json(req(opts, "points"), "point set");
     let alpha: f64 = parse_num(req(opts, "alpha"), "--alpha");
-    let steps: usize = opts
-        .get("steps")
-        .map(|s| parse_num(s, "--steps"))
-        .unwrap_or(500);
+    let steps: usize = opt_num(opts, "steps", 500);
     let rule = parse_rule(opts);
     let start = OwnedNetwork::center_star(ps.len(), 0);
     let session = Session::new();
@@ -377,11 +346,19 @@ fn run_dynamics(opts: &HashMap<String, String>) {
     }
 }
 
+/// The serve tier's one setting: `--addr`, else `GNCG_SERVE_ADDR`, else
+/// [`ServeConfig::DEFAULT_ADDR`].
+fn serve_config(opts: &HashMap<String, String>) -> ServeConfig {
+    let addr = opts
+        .get("addr")
+        .cloned()
+        .or_else(gncg_config::env::serve_addr)
+        .unwrap_or_else(|| ServeConfig::DEFAULT_ADDR.to_string());
+    ServeConfig { addr }
+}
+
 fn run_serve(opts: &HashMap<String, String>) {
-    let mut cfg = gncg_config::env::serve().clone();
-    if let Some(addr) = opts.get("addr") {
-        cfg.addr = addr.clone();
-    }
+    let cfg = serve_config(opts);
     if !gncg_serve::signal::install_sigterm_handler() {
         eprintln!("warning: SIGTERM handler install failed; drain via client disconnects only");
     }
@@ -410,11 +387,7 @@ fn run_serve(opts: &HashMap<String, String>) {
 }
 
 fn load_sweep_spec(path: &str) -> SweepSpec {
-    let data = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        exit(1);
-    });
-    SweepSpec::parse(&data).unwrap_or_else(|e| {
+    SweepSpec::parse(&read_file(path)).unwrap_or_else(|e| {
         eprintln!("cannot parse {path}: {e}");
         exit(2);
     })
@@ -479,11 +452,7 @@ fn sweep_gc() {
 }
 
 fn run_connect(opts: &HashMap<String, String>) {
-    let cfg = gncg_config::env::serve();
-    let addr = opts
-        .get("addr")
-        .cloned()
-        .unwrap_or_else(|| cfg.addr.clone());
+    let addr = serve_config(opts).addr;
     let client_id = opts
         .get("client")
         .cloned()
@@ -492,21 +461,18 @@ fn run_connect(opts: &HashMap<String, String>) {
     let model = env_model();
     let spec = match opts.get("job").map(|s| s.as_str()).unwrap_or("certify") {
         "certify" => JobSpec::Certify {
-            network: load_network(req(opts, "network")),
-            points: load_points(req(opts, "points")),
+            network: load_json(req(opts, "network"), "network"),
+            points: load_json(req(opts, "points"), "point set"),
             alpha: parse_num(req(opts, "alpha"), "--alpha"),
             exact: opts.contains_key("exact"),
             model,
             budget_ms,
         },
         "dynamics" => JobSpec::Dynamics {
-            points: load_points(req(opts, "points")),
+            points: load_json(req(opts, "points"), "point set"),
             alpha: parse_num(req(opts, "alpha"), "--alpha"),
             rule: parse_rule(opts),
-            steps: opts
-                .get("steps")
-                .map(|s| parse_num(s, "--steps"))
-                .unwrap_or(500),
+            steps: opt_num(opts, "steps", 500),
             spec: GameSpec::with_model(model),
             start: None,
             budget_ms,

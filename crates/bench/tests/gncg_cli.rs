@@ -2,6 +2,7 @@
 //! understand is a usage error (exit 2), never a silent fallback, and
 //! neither `--help` nor a rejected argument runs a sweep.
 
+use gncg_config::env::MODEL_VAR;
 use gncg_geometry::generators;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -52,9 +53,9 @@ fn dynamics_accepts_best_single_and_absent() {
     std::fs::remove_dir_all(points.parent().unwrap()).ok();
 }
 
-/// `gncg <sub>` on a 6-point star with `GNCG_MODEL=<model>`; `connect`
+/// `gncg <sub>` on a 6-point star with `<var>=<value>`; `connect`
 /// targets a port nothing should listen on.
-fn with_model(sub: &str, model: &str, tag: &str) -> Output {
+fn with_env(sub: &str, var: &str, value: &str, tag: &str) -> Output {
     let points = points_file(tag);
     let network = points.with_file_name("network.json");
     let star = gncg_game::OwnedNetwork::center_star(6, 0);
@@ -70,7 +71,7 @@ fn with_model(sub: &str, model: &str, tag: &str) -> Output {
         .arg("--network")
         .arg(&network)
         .args(["--alpha", "2"])
-        .env(gncg_config::env::MODEL_VAR, model);
+        .env(var, value);
     if sub == "connect" {
         cmd.args(["--addr", "127.0.0.1:9"]);
     }
@@ -82,7 +83,7 @@ fn with_model(sub: &str, model: &str, tag: &str) -> Output {
 #[test]
 fn certify_and_connect_reject_an_unknown_model() {
     for sub in ["certify", "connect"] {
-        let out = with_model(sub, "maxdst", &format!("model_typo_{sub}"));
+        let out = with_env(sub, MODEL_VAR, "maxdst", &format!("model_typo_{sub}"));
         assert_eq!(out.status.code(), Some(2), "{sub}: {out:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(
@@ -91,9 +92,30 @@ fn certify_and_connect_reject_an_unknown_model() {
         );
         assert!(out.stdout.is_empty(), "{sub}: nothing may run on a typo");
     }
-    let out = with_model("certify", "MAX", "model_max");
+    let out = with_env("certify", MODEL_VAR, "MAX", "model_max");
     assert!(out.status.success(), "{out:?}");
     assert!(String::from_utf8_lossy(&out.stdout).contains(r#""model": "maxdist""#));
+}
+
+#[test]
+fn an_unparsable_env_value_exits_2_before_any_work() {
+    let out = with_env("certify", "GNCG_THREADS", "four", "threads_typo");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(r#"GNCG_THREADS="four""#), "{stderr}");
+    assert!(out.stdout.is_empty(), "nothing may run on a bad value");
+
+    let (out, dir) = repro(
+        env!("CARGO_BIN_EXE_repro_fig7"),
+        &[],
+        &[("GNCG_TRACE", "yes")],
+        "fig7_trace_typo",
+    );
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(r#"GNCG_TRACE="yes""#), "{stderr}");
+    assert!(out.stdout.is_empty(), "nothing may run on a bad value");
+    assert_nothing_written(&dir);
 }
 
 /// `gncg` with the whitespace-separated `line` as its arguments, run in
@@ -195,7 +217,7 @@ fn every_documented_option_is_accepted() {
         ),
     ] {
         let out = gncg_in(&dir, line)
-            .env(gncg_config::env::MODEL_VAR, "maxdst")
+            .env(MODEL_VAR, "maxdst")
             .output()
             .expect("gncg runs");
         assert_eq!(out.status.code(), Some(code), "{line}: {out:?}");
@@ -207,12 +229,13 @@ fn every_documented_option_is_accepted() {
 }
 
 /// Run a repro binary with `GNCG_RESULTS_DIR` pointed at a fresh empty
-/// directory; returns the output and the directory.
-fn repro(bin: &str, args: &[&str], tag: &str) -> (Output, PathBuf) {
+/// directory and `env` set; returns the output and the directory.
+fn repro(bin: &str, args: &[&str], env: &[(&str, &str)], tag: &str) -> (Output, PathBuf) {
     let dir = std::env::temp_dir().join(format!("gncg_cli_{tag}_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let out = Command::new(bin)
         .args(args)
+        .envs(env.iter().copied())
         .env("GNCG_RESULTS_DIR", &dir)
         .output()
         .expect("repro binary runs");
@@ -227,7 +250,12 @@ fn assert_nothing_written(dir: &PathBuf) {
 
 #[test]
 fn repro_help_prints_usage_without_running() {
-    let (out, dir) = repro(env!("CARGO_BIN_EXE_repro_fig7"), &["--help"], "fig7_help");
+    let (out, dir) = repro(
+        env!("CARGO_BIN_EXE_repro_fig7"),
+        &["--help"],
+        &[],
+        "fig7_help",
+    );
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("usage: repro_fig7"), "{stdout}");
@@ -236,7 +264,12 @@ fn repro_help_prints_usage_without_running() {
 
 #[test]
 fn repro_rejects_unknown_arguments() {
-    let (out, dir) = repro(env!("CARGO_BIN_EXE_repro_fig7"), &["--bogus"], "fig7_bogus");
+    let (out, dir) = repro(
+        env!("CARGO_BIN_EXE_repro_fig7"),
+        &["--bogus"],
+        &[],
+        "fig7_bogus",
+    );
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown argument '--bogus'"), "{stderr}");
@@ -248,6 +281,7 @@ fn repro_table1_accepts_only_its_section_names() {
     let (out, dir) = repro(
         env!("CARGO_BIN_EXE_repro_table1"),
         &["thm_9_9"],
+        &[],
         "table1_bad_section",
     );
     assert_eq!(out.status.code(), Some(2), "{out:?}");

@@ -9,23 +9,24 @@
 //!
 //! | variable                    | accessor                       | semantics |
 //! |-----------------------------|--------------------------------|-----------|
-//! | `GNCG_THREADS`              | [`env::threads`]               | parsed `usize`, unparsable ⇒ unset; cached at first read |
-//! | `GNCG_BUDGET_MS`            | [`env::budget_ms`]             | parsed `u64`, unparsable ⇒ unset; cached at first read |
-//! | `GNCG_FAULT_INJECT`         | [`env::fault_inject`]          | parsed `f64`, unparsable ⇒ unset; cached at first read |
-//! | `GNCG_TRACE`                | [`env::trace`]                 | on iff `"1"` or case-insensitive `"true"`; cached at first read |
-//! | `GNCG_ARENA_DEBUG`          | [`env::arena_debug`]           | on iff `"1"` or case-insensitive `"true"` (same rule as `GNCG_TRACE`); cached at first read |
+//! | `GNCG_THREADS`              | [`env::threads`]               | `usize`; cached at first read |
+//! | `GNCG_BUDGET_MS`            | [`env::budget_ms`]             | `u64`; cached at first read |
+//! | `GNCG_FAULT_INJECT`         | [`env::fault_inject`]          | probability in `[0, 1]`; cached at first read |
+//! | `GNCG_TRACE`                | [`env::trace`]                 | flag: `1`/`true` on, `0`/`false` off (any case); cached at first read |
+//! | `GNCG_ARENA_DEBUG`          | [`env::arena_debug`]           | flag, same rule as `GNCG_TRACE`; cached at first read |
 //! | `GNCG_RESULTS_DIR`          | [`env::results_dir`]           | path override; **re-read on every call** (tests retarget it at runtime) |
 //! | `GNCG_CACHE_DIR`            | [`env::cache_dir`]             | content-addressed result-cache directory; unset ⇒ cache off; **re-read on every call** (tests retarget it at runtime) |
 //! | `GNCG_MODEL`                | [`env::model`]                 | `"sum"`/`""` ⇒ [`ModelKind::SumDistances`], `"maxdist"`/`"max"` ⇒ [`ModelKind::MaxDistance`] (any case), unset ⇒ no choice, anything else ⇒ error; cached at first read |
-//! | `GNCG_NET_FAULT_INJECT`     | [`env::net_fault_inject`]      | parsed `f64`, unparsable ⇒ unset; cached at first read |
-//! | `GNCG_SERVE_ADDR`           | [`env::serve_addr`]            | listen/connect address, default `127.0.0.1:7117`; cached at first read |
-//! | `GNCG_SERVE_MAX_CONNS`      | ([`ServeConfig`])              | parsed `usize`, default 512; cached at first read |
-//! | `GNCG_SERVE_QUOTA`          | ([`ServeConfig`])              | per-client outstanding-job quota, default 16; cached at first read |
-//! | `GNCG_SERVE_MAX_FRAME`      | ([`ServeConfig`])              | frame-size cap in bytes, default 16 MiB; cached at first read |
-//! | `GNCG_SERVE_WRITE_TIMEOUT_MS` | ([`ServeConfig`])            | per-connection write timeout, default 2000; cached at first read |
-//! | `GNCG_SERVE_OUTBUF`         | ([`ServeConfig`])              | bounded outbound buffer in frames, default 1024; cached at first read |
-//! | `GNCG_SERVE_TIMEOUT_MS`     | ([`ServeConfig`])              | client per-request deadline, default 30000; cached at first read |
-//! | `GNCG_SERVE_RETRIES`        | ([`ServeConfig`])              | client resubmission cap, default 16; cached at first read |
+//! | `GNCG_NET_FAULT_INJECT`     | [`env::net_fault_inject`]      | probability in `[0, 1]`; cached at first read |
+//! | `GNCG_SERVE_ADDR`           | [`env::serve_addr`]            | listen/connect address, default [`ServeConfig::DEFAULT_ADDR`]; cached at first read |
+//!
+//! Values are strict: unset or empty means "not set", and any other
+//! value must parse under the variable's rule or it is an error naming
+//! the variable and the value — never a silent fallback. Entry points
+//! call [`env::check`] first and exit 2 with its message; a cached
+//! accessor that an unchecked caller reaches with a bad value panics
+//! with the same message. `GNCG_MODEL` keeps its own `Result`, checked
+//! by the subcommands that run a model.
 //!
 //! Caching is *lazy per variable*: nothing is read until the first
 //! consumer asks, so a test that sets `GNCG_THREADS` before the first
@@ -90,17 +91,50 @@ impl std::fmt::Display for ModelKind {
 
 /// Pure parse rules for the `GNCG_*` variables, shared by the cached
 /// accessors and unit-testable without touching the process environment.
+/// Each takes the variable's name for its error message.
 pub mod parse {
-    /// `GNCG_TRACE` semantics: on iff `"1"` or case-insensitive `"true"`.
-    pub fn trace_on(value: Option<&str>) -> bool {
-        value.is_some_and(|v| v == "1" || v.eq_ignore_ascii_case("true"))
+    /// Flag semantics (`GNCG_TRACE`, `GNCG_ARENA_DEBUG`): `"1"` or
+    /// `"true"` is on, `"0"` or `"false"` is off (any case), unset or
+    /// empty is off, anything else is an error.
+    pub fn flag(name: &str, value: Option<&str>) -> Result<bool, String> {
+        match value.unwrap_or("") {
+            "" | "0" => Ok(false),
+            "1" => Ok(true),
+            v if v.eq_ignore_ascii_case("true") => Ok(true),
+            v if v.eq_ignore_ascii_case("false") => Ok(false),
+            v => Err(format!(
+                "{name}={v:?} is not a flag; accepted: 1, true, 0, false (any case; empty or unset means off)"
+            )),
+        }
     }
 
-    /// Numeric semantics shared by `GNCG_THREADS`, `GNCG_BUDGET_MS`,
-    /// `GNCG_FAULT_INJECT`: a set but unparsable value behaves like an
-    /// unset one.
-    pub fn number<T: std::str::FromStr>(value: Option<&str>) -> Option<T> {
-        value.and_then(|v| v.parse().ok())
+    /// Numeric semantics (`GNCG_THREADS`, `GNCG_BUDGET_MS`): unset or
+    /// empty ⇒ `Ok(None)`; any other value must parse as a `T`.
+    pub fn number<T: std::str::FromStr>(
+        name: &str,
+        value: Option<&str>,
+    ) -> Result<Option<T>, String> {
+        match value {
+            None | Some("") => Ok(None),
+            Some(v) => v
+                .parse()
+                .map(Some)
+                .map_err(|_| format!("{name}={v:?} is not a valid number")),
+        }
+    }
+
+    /// Fault-probability semantics (`GNCG_FAULT_INJECT`,
+    /// `GNCG_NET_FAULT_INJECT`): [`number`], and the value must lie in
+    /// `[0, 1]`.
+    pub fn probability(name: &str, value: Option<&str>) -> Result<Option<f64>, String> {
+        let p = number::<f64>(name, value)?;
+        if p.is_some_and(|p| !(0.0..=1.0).contains(&p)) {
+            return Err(format!(
+                "{name}={:?} is not a probability in [0, 1]",
+                value.unwrap_or_default()
+            ));
+        }
+        Ok(p)
     }
 
     /// `GNCG_MODEL` semantics: unset ⇒ `Ok(None)`, no explicit choice
@@ -134,42 +168,86 @@ pub mod env {
         std::env::var(name).ok()
     }
 
+    /// One strictly-parsed variable: `rule` runs on its value at first
+    /// use, and the outcome is cached.
+    struct Var<T: 'static> {
+        name: &'static str,
+        rule: fn(&str, Option<&str>) -> Result<T, String>,
+        cell: OnceLock<Result<T, String>>,
+    }
+
+    impl<T: Clone> Var<T> {
+        const fn new(
+            name: &'static str,
+            rule: fn(&str, Option<&str>) -> Result<T, String>,
+        ) -> Self {
+            let cell = OnceLock::new();
+            Self { name, rule, cell }
+        }
+
+        fn parsed(&self) -> &Result<T, String> {
+            let Self { name, rule, cell } = self;
+            cell.get_or_init(|| rule(name, read(name).as_deref()))
+        }
+
+        /// The value; a bad one panics with the message [`check`] reports.
+        fn get(&self) -> T {
+            self.parsed().clone().unwrap_or_else(|e| panic!("{e}"))
+        }
+    }
+
+    static THREADS: Var<Option<usize>> = Var::new("GNCG_THREADS", parse::number);
+    static BUDGET_MS: Var<Option<u64>> = Var::new("GNCG_BUDGET_MS", parse::number);
+    static FAULT_INJECT: Var<Option<f64>> = Var::new("GNCG_FAULT_INJECT", parse::probability);
+    static TRACE: Var<bool> = Var::new("GNCG_TRACE", parse::flag);
+    static ARENA_DEBUG: Var<bool> = Var::new("GNCG_ARENA_DEBUG", parse::flag);
+    static NET_FAULT_INJECT: Var<Option<f64>> =
+        Var::new("GNCG_NET_FAULT_INJECT", parse::probability);
+
+    /// Read every strictly-parsed variable once; the first bad value is
+    /// the error. Entry points call this before any work and exit 2
+    /// with its message.
+    pub fn check() -> Result<(), String> {
+        THREADS.parsed().clone()?;
+        BUDGET_MS.parsed().clone()?;
+        FAULT_INJECT.parsed().clone()?;
+        TRACE.parsed().clone()?;
+        ARENA_DEBUG.parsed().clone()?;
+        NET_FAULT_INJECT.parsed().clone()?;
+        Ok(())
+    }
+
     /// `GNCG_THREADS`: requested worker-thread count. `None` when unset
-    /// or unparsable (the consumer falls back to
-    /// `available_parallelism`). Cached at first read.
+    /// (the consumer falls back to `available_parallelism`). Cached at
+    /// first read.
     pub fn threads() -> Option<usize> {
-        static CACHE: OnceLock<Option<usize>> = OnceLock::new();
-        *CACHE.get_or_init(|| parse::number(read("GNCG_THREADS").as_deref()))
+        THREADS.get()
     }
 
     /// `GNCG_BUDGET_MS`: process-wide default solve budget in
     /// milliseconds. `None` ⇒ unlimited. Cached at first read.
     pub fn budget_ms() -> Option<u64> {
-        static CACHE: OnceLock<Option<u64>> = OnceLock::new();
-        *CACHE.get_or_init(|| parse::number(read("GNCG_BUDGET_MS").as_deref()))
+        BUDGET_MS.get()
     }
 
-    /// `GNCG_FAULT_INJECT`: injected-fault probability in `[0, 1]`
-    /// (clamping is the injector's job). Cached at first read.
+    /// `GNCG_FAULT_INJECT`: injected-fault probability in `[0, 1]`.
+    /// Cached at first read.
     pub fn fault_inject() -> Option<f64> {
-        static CACHE: OnceLock<Option<f64>> = OnceLock::new();
-        *CACHE.get_or_init(|| parse::number(read("GNCG_FAULT_INJECT").as_deref()))
+        FAULT_INJECT.get()
     }
 
     /// `GNCG_TRACE`: observability gate. Cached at first read.
     pub fn trace() -> bool {
-        static CACHE: OnceLock<bool> = OnceLock::new();
-        *CACHE.get_or_init(|| parse::trace_on(read("GNCG_TRACE").as_deref()))
+        TRACE.get()
     }
 
     /// `GNCG_ARENA_DEBUG`: arms the scratch-arena debug tripwires
     /// (double-return / foreign-thread-return assertions in
-    /// `gncg_parallel::arena`). Same on-rule as `GNCG_TRACE`; default
+    /// `gncg_parallel::arena`). Same flag rule as `GNCG_TRACE`; default
     /// off so the assertions cost nothing in production runs. Cached at
     /// first read.
     pub fn arena_debug() -> bool {
-        static CACHE: OnceLock<bool> = OnceLock::new();
-        *CACHE.get_or_init(|| parse::trace_on(read("GNCG_ARENA_DEBUG").as_deref()))
+        ARENA_DEBUG.get()
     }
 
     /// `GNCG_RESULTS_DIR`: report output directory override.
@@ -207,11 +285,10 @@ pub mod env {
     }
 
     /// `GNCG_NET_FAULT_INJECT`: injected network-fault probability in
-    /// `[0, 1]` for the `gncg-serve` frame-boundary injector (clamping
-    /// is the injector's job). Cached at first read.
+    /// `[0, 1]` for the `gncg-serve` frame-boundary injector. Cached at
+    /// first read.
     pub fn net_fault_inject() -> Option<f64> {
-        static CACHE: OnceLock<Option<f64>> = OnceLock::new();
-        *CACHE.get_or_init(|| parse::number(read("GNCG_NET_FAULT_INJECT").as_deref()))
+        NET_FAULT_INJECT.get()
     }
 
     /// `GNCG_SERVE_ADDR`: the service-tier listen/connect address.
@@ -220,63 +297,16 @@ pub mod env {
         static CACHE: OnceLock<Option<String>> = OnceLock::new();
         CACHE.get_or_init(|| read("GNCG_SERVE_ADDR")).clone()
     }
-
-    /// The full `GNCG_SERVE_*` knob set, snapshotted once. See
-    /// [`ServeConfig`] for each variable's semantics.
-    pub fn serve() -> &'static ServeConfig {
-        static CACHE: OnceLock<ServeConfig> = OnceLock::new();
-        CACHE.get_or_init(|| ServeConfig {
-            addr: serve_addr().unwrap_or_else(|| ServeConfig::DEFAULT_ADDR.to_string()),
-            max_conns: parse::number(read("GNCG_SERVE_MAX_CONNS").as_deref()).unwrap_or(512),
-            quota: parse::number(read("GNCG_SERVE_QUOTA").as_deref()).unwrap_or(16),
-            max_frame: parse::number(read("GNCG_SERVE_MAX_FRAME").as_deref()).unwrap_or(16 << 20),
-            write_timeout_ms: parse::number(read("GNCG_SERVE_WRITE_TIMEOUT_MS").as_deref())
-                .unwrap_or(2_000),
-            outbuf_frames: parse::number(read("GNCG_SERVE_OUTBUF").as_deref()).unwrap_or(1_024),
-            timeout_ms: parse::number(read("GNCG_SERVE_TIMEOUT_MS").as_deref()).unwrap_or(30_000),
-            retries: parse::number(read("GNCG_SERVE_RETRIES").as_deref()).unwrap_or(16),
-        })
-    }
 }
 
-/// The `GNCG_SERVE_*` knob set of the `gncg-serve` network tier. Every
-/// numeric knob follows the [`parse::number`] rule (set-but-unparsable
-/// behaves like unset, falling back to the documented default); all are
-/// cached at first read via [`env::serve`].
+/// The `gncg-serve` network tier's one setting, its address. Its limits
+/// (connections, per-client quota, frame cap, timeouts, buffers,
+/// retries) are constants of `gncg-serve` itself.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Listen (server) / connect (client) address
     /// (`GNCG_SERVE_ADDR`, default [`ServeConfig::DEFAULT_ADDR`]).
     pub addr: String,
-    /// Maximum simultaneously-open client connections
-    /// (`GNCG_SERVE_MAX_CONNS`, default 512). Excess connects are
-    /// closed after a typed rejection frame.
-    pub max_conns: usize,
-    /// Per-client cap on outstanding (admitted, unresolved) jobs
-    /// (`GNCG_SERVE_QUOTA`, default 16), layered *on top of* the
-    /// session's two-lane queue capacities: one tenant exhausting its
-    /// quota cannot occupy another tenant's lane slots.
-    pub quota: usize,
-    /// Frame-size cap in bytes (`GNCG_SERVE_MAX_FRAME`, default
-    /// 16 MiB). An incoming length prefix above the cap is a typed
-    /// protocol error and closes the connection (the stream cannot be
-    /// resynchronized).
-    pub max_frame: usize,
-    /// Per-connection socket write timeout in milliseconds
-    /// (`GNCG_SERVE_WRITE_TIMEOUT_MS`, default 2000). A write that
-    /// stalls this long marks the client dead and reaps the connection.
-    pub write_timeout_ms: u64,
-    /// Bounded per-connection outbound buffer, in frames
-    /// (`GNCG_SERVE_OUTBUF`, default 1024). A slow reader whose buffer
-    /// stays full is disconnected instead of wedging dispatch.
-    pub outbuf_frames: usize,
-    /// Client-side per-request deadline in milliseconds
-    /// (`GNCG_SERVE_TIMEOUT_MS`, default 30000): connect, retries, and
-    /// result wait all share it.
-    pub timeout_ms: u64,
-    /// Client-side cap on resubmission attempts per request
-    /// (`GNCG_SERVE_RETRIES`, default 16).
-    pub retries: u32,
 }
 
 impl ServeConfig {
@@ -286,18 +316,10 @@ impl ServeConfig {
 }
 
 impl Default for ServeConfig {
-    /// All knobs at their documented defaults, ignoring the
-    /// environment.
+    /// [`ServeConfig::DEFAULT_ADDR`], ignoring the environment.
     fn default() -> Self {
         Self {
             addr: Self::DEFAULT_ADDR.to_string(),
-            max_conns: 512,
-            quota: 16,
-            max_frame: 16 << 20,
-            write_timeout_ms: 2_000,
-            outbuf_frames: 1_024,
-            timeout_ms: 30_000,
-            retries: 16,
         }
     }
 }
@@ -308,24 +330,51 @@ mod tests {
 
     #[test]
     fn trace_parse_rules_are_frozen() {
-        assert!(parse::trace_on(Some("1")));
-        assert!(parse::trace_on(Some("true")));
-        assert!(parse::trace_on(Some("TRUE")));
-        assert!(parse::trace_on(Some("True")));
-        assert!(!parse::trace_on(Some("0")));
-        assert!(!parse::trace_on(Some("yes")));
-        assert!(!parse::trace_on(Some("")));
-        assert!(!parse::trace_on(None));
+        let flag = |v| parse::flag("GNCG_TRACE", v);
+        for (v, on) in [("1", true), ("TRUE", true), ("True", true), ("0", false)] {
+            assert_eq!(flag(Some(v)), Ok(on), "{v}");
+        }
+        for off in [Some("false"), Some("FALSE"), Some(""), None] {
+            assert_eq!(flag(off), Ok(false), "{off:?}");
+        }
+        for bad in ["yes", "on", "2", " 1"] {
+            let err = flag(Some(bad)).unwrap_err();
+            assert!(err.contains(&format!("GNCG_TRACE={bad:?}")), "{err}");
+        }
     }
 
     #[test]
-    fn numeric_parse_treats_garbage_as_unset() {
-        assert_eq!(parse::number::<usize>(Some("4")), Some(4));
-        assert_eq!(parse::number::<usize>(Some("four")), None);
-        assert_eq!(parse::number::<usize>(Some("")), None);
-        assert_eq!(parse::number::<usize>(None), None);
-        assert_eq!(parse::number::<u64>(Some("250")), Some(250));
-        assert_eq!(parse::number::<f64>(Some("0.02")), Some(0.02));
+    fn numeric_parse_rules_are_frozen() {
+        assert_eq!(parse::number("GNCG_THREADS", Some("4")), Ok(Some(4usize)));
+        assert_eq!(
+            parse::number("GNCG_BUDGET_MS", Some("250")),
+            Ok(Some(250u64))
+        );
+        for (v, p) in [("0", 0.0), ("0.02", 0.02), ("1", 1.0)] {
+            assert_eq!(
+                parse::probability("GNCG_FAULT_INJECT", Some(v)),
+                Ok(Some(p))
+            );
+        }
+        for unset in [None, Some("")] {
+            assert_eq!(parse::number::<usize>("GNCG_THREADS", unset), Ok(None));
+            assert_eq!(parse::probability("GNCG_FAULT_INJECT", unset), Ok(None));
+        }
+    }
+
+    #[test]
+    fn numeric_parse_rejects_garbage() {
+        for bad in ["four", "-1", " 4", "1.5"] {
+            let err = parse::number::<u64>("GNCG_BUDGET_MS", Some(bad)).unwrap_err();
+            assert!(err.contains(&format!("GNCG_BUDGET_MS={bad:?}")), "{err}");
+        }
+        for bad in ["often", "1.5", "-0.1", "NaN", "inf"] {
+            let err = parse::probability("GNCG_NET_FAULT_INJECT", Some(bad)).unwrap_err();
+            assert!(
+                err.contains(&format!("GNCG_NET_FAULT_INJECT={bad:?}")),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -354,18 +403,8 @@ mod tests {
     }
 
     #[test]
-    fn serve_defaults_are_frozen() {
-        // the serve tier's soak tests and the client/server pair both
-        // assume these defaults; a drift here desynchronizes them
-        let s = ServeConfig::default();
-        assert_eq!(s.addr, "127.0.0.1:7117");
-        assert_eq!(s.max_conns, 512);
-        assert_eq!(s.quota, 16);
-        assert_eq!(s.max_frame, 16 << 20);
-        assert_eq!(s.write_timeout_ms, 2_000);
-        assert_eq!(s.outbuf_frames, 1_024);
-        assert_eq!(s.timeout_ms, 30_000);
-        assert_eq!(s.retries, 16);
+    fn serve_default_address_is_frozen() {
+        assert_eq!(ServeConfig::default().addr, "127.0.0.1:7117");
     }
 
     #[test]

@@ -50,7 +50,9 @@ use std::collections::BinaryHeap;
 // settled-pop and relaxation tallies recorded here count work that is
 // schedule-independent (each node settles at most once, at its exact
 // min-over-path-folds distance), so heap shape and key encoding cannot
-// perturb the deterministic trace counters.
+// perturb the deterministic trace counters. A relaxation is a strict
+// decrease `nd < row[v]` written to the row, seeds included — the
+// meaning every Dijkstra routine of this crate records.
 
 /// Repairs a shortest-path row in place after edge *insertions*.
 ///
@@ -83,11 +85,13 @@ pub fn repair_insertions(csr: &Csr, row: &mut [f64], inserted: &[(usize, usize, 
     for &(a, b, w) in inserted {
         let via_a = row[a] + w;
         if via_a < row[b] {
+            relaxed += 1;
             row[b] = via_a;
             heap.push_or_decrease(pack_key(via_a.to_bits(), b as u32));
         }
         let via_b = row[b] + w;
         if via_b < row[a] {
+            relaxed += 1;
             row[a] = via_b;
             heap.push_or_decrease(pack_key(via_b.to_bits(), a as u32));
         }
@@ -99,10 +103,10 @@ pub fn repair_insertions(csr: &Csr, row: &mut [f64], inserted: &[(usize, usize, 
         pops += 1;
         let (targets, weights) = csr.neighbors(u);
         for (&t, &w) in targets.iter().zip(weights) {
-            relaxed += 1;
             let v = t as usize;
             let nd = dist + w;
             if nd < row[v] {
+                relaxed += 1;
                 row[v] = nd;
                 heap.push_or_decrease(pack_key(nd.to_bits(), t));
             }
@@ -404,9 +408,9 @@ pub fn dijkstra_modified(
                     continue 'arcs;
                 }
             }
-            relaxed += 1;
             let nd = dist + w;
             if nd < row[v] {
+                relaxed += 1;
                 row[v] = nd;
                 heap.push(Reverse(pack_key(nd.to_bits(), t)));
             }
@@ -419,9 +423,9 @@ pub fn dijkstra_modified(
             } else {
                 continue;
             };
-            relaxed += 1;
             let nd = dist + w;
             if nd < row[v] {
+                relaxed += 1;
                 row[v] = nd;
                 heap.push(Reverse(pack_key(nd.to_bits(), v as u32)));
             }

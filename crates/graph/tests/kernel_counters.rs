@@ -1,12 +1,18 @@
 //! The work counters of the CSR Dijkstra kernel against the
-//! adjacency-list oracle (`dijkstra::tree`).
+//! adjacency-list oracle (`dijkstra::tree`) and the what-if oracle
+//! (`delta::dijkstra_modified`), and of the insertion repair.
+//!
+//! Every routine counts a relaxation for each strict decrease
+//! `nd < dist[v]` it writes (repair seeds included), so routines that
+//! settle the same vertices in the same order record the same count.
 //!
 //! The kernel's indexed heap queues each vertex once, so it pops every
 //! reachable vertex exactly once: its `dijkstra_heap_pops` is the
-//! number of reachable vertices. The oracle's lazy heap also pops the
-//! stale entries a decrease leaves behind, so its count is at least
-//! that. Both settle vertices in the same `(distance, id)` order and
-//! relax the same arcs, so their `dijkstra_relaxations` are equal.
+//! number of reachable vertices. `dijkstra::tree`'s lazy heap also
+//! pops the stale entries a decrease leaves behind, so its count is at
+//! least that; `dijkstra_modified` skips them before counting, so with
+//! no edits it matches the kernel on both counters. All three settle
+//! vertices in the same `(distance, id)` order.
 //!
 //! Inputs are ties-heavy on purpose: coincident points (zero-weight
 //! edges) and unit grids with diagonals, where many paths share one
@@ -14,7 +20,7 @@
 //! relaxation count.
 
 use gncg_graph::csr::{Csr, DijkstraScratch};
-use gncg_graph::{dijkstra, Graph};
+use gncg_graph::{delta, dijkstra, Graph};
 use gncg_trace::Counter;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -64,6 +70,14 @@ fn grid_ties(w: usize, h: usize, rng: &mut StdRng) -> Graph {
     g
 }
 
+/// The trace totals are process-wide, so the tests of this file take
+/// turns: each holds this lock for its whole run.
+static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|p| p.into_inner())
+}
+
 /// `(heap pops, relaxations)` recorded by `work` on this thread.
 fn tallies(work: impl FnOnce()) -> (u64, u64) {
     let before = gncg_trace::snapshot();
@@ -77,6 +91,7 @@ fn tallies(work: impl FnOnce()) -> (u64, u64) {
 
 #[test]
 fn kernel_pops_each_reachable_vertex_once_and_relaxes_like_the_oracle() {
+    let _serial = serial();
     gncg_trace::set_enabled(true);
     let mut rng = StdRng::seed_from_u64(0xc0c0);
     let mut graphs = Vec::new();
@@ -102,6 +117,15 @@ fn kernel_pops_each_reachable_vertex_once_and_relaxes_like_the_oracle() {
                 relaxed, oracle_relaxed,
                 "graph {i}: full-row relaxations from {s}"
             );
+            // the what-if oracle with no edits: the kernel's row and tallies
+            let mut what_if = vec![0.0; n];
+            let tally = tallies(|| delta::dijkstra_modified(&csr, s, &mut what_if, &[], &[]));
+            assert_eq!(
+                tally,
+                (pops, relaxed),
+                "graph {i}: unedited what-if from {s}"
+            );
+            assert_eq!(what_if, row, "graph {i}: unedited what-if row from {s}");
             let mut pred = vec![0; n];
             let (pops, relaxed) =
                 tallies(|| csr.dijkstra_tree(s, &mut row, &mut pred, &mut scratch));
@@ -115,4 +139,29 @@ fn kernel_pops_each_reachable_vertex_once_and_relaxes_like_the_oracle() {
         }
     }
     assert!(stale > 0, "no input made the oracle pop a stale entry");
+}
+
+#[test]
+fn an_insertion_that_shortens_one_vertex_records_one_relaxation() {
+    let _serial = serial();
+    gncg_trace::set_enabled(true);
+    // a unit path 0 - 1 - 2 - 3 plus a pendant 4 hanging off 3; the
+    // shortcut 0 - 4 of length 3.5 improves vertex 4 only (4 → 3.5) and
+    // relaxes nothing onward (3 stays at 3, 0 at 0)
+    let mut g = Graph::new(5);
+    for (u, v) in [(0, 1), (1, 2), (2, 3), (3, 4)] {
+        g.add_edge(u, v, 1.0);
+    }
+    let mut row = vec![0.0; 5];
+    let mut scratch = DijkstraScratch::default();
+    Csr::from_graph(&g).dijkstra_into_slice(0, &mut row, &mut scratch);
+    g.add_edge(0, 4, 3.5);
+    let csr = Csr::from_graph(&g);
+    let (pops, relaxed) = tallies(|| delta::repair_insertions(&csr, &mut row, &[(0, 4, 3.5)]));
+    assert_eq!(relaxed, 1, "one strict decrease, the seed of vertex 4");
+    assert_eq!(pops, 1, "only vertex 4 is queued");
+    let mut fresh = vec![0.0; 5];
+    csr.dijkstra_into_slice(0, &mut fresh, &mut scratch);
+    assert_eq!(row, fresh);
+    assert_eq!(row, [0.0, 1.0, 2.0, 3.0, 3.5]);
 }

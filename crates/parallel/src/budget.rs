@@ -23,7 +23,8 @@
 //!
 //! `GNCG_BUDGET_MS` (read once, like `GNCG_THREADS`) gives every
 //! [`Budget::from_env`] call a fresh deadline that many milliseconds in
-//! the future; unset or unparsable means unlimited.
+//! the future; unset means unlimited (a value that does not parse is an
+//! error, see `gncg_config`).
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -67,7 +68,7 @@ impl Budget {
 
     /// A budget from the `GNCG_BUDGET_MS` environment variable: a fresh
     /// deadline that many milliseconds from now, or unlimited when the
-    /// variable is unset/unparsable. The variable is read once per
+    /// variable is unset. The variable is read once per
     /// process (like `GNCG_THREADS`) through [`gncg_config::env`].
     pub fn from_env() -> Self {
         match gncg_config::env::budget_ms() {

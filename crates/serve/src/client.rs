@@ -16,21 +16,28 @@
 //! - a result frame → terminal, mapped to `Ok` /
 //!   [`ClientError::Cancelled`] / [`ClientError::Panicked`].
 //!
-//! Everything races one wall-clock deadline
-//! ([`gncg_config::ServeConfig::timeout_ms`]); when it expires the call
-//! returns [`ClientError::Deadline`]. After
-//! [`gncg_config::ServeConfig::retries`] faulted attempts the client
-//! engages [`crate::netfault::suppress`] for its own traffic so that a
+//! Everything races one wall-clock deadline (`TIMEOUT`, 30 s, or
+//! [`ServeClient::with_timeout`]); when it expires the call returns
+//! [`ClientError::Deadline`]. After `RETRIES` (16) faulted attempts the
+//! client engages [`crate::netfault::suppress`] for its own traffic so that a
 //! high injected fault rate cannot livelock a soak run — the progress
 //! guarantee the soak harness relies on.
 
 use crate::netfault::{self, NetFault};
-use crate::proto::{ErrorCode, JobSpec, RemoteError, Request, Response};
+use crate::proto::{ErrorCode, JobSpec, RemoteError, Request, Response, MAX_FRAME};
 use gncg_json::frame::{encode_frame, FrameError, FrameReader};
 use gncg_json::{FromJson, ToJson, Value};
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
+
+/// Default per-request deadline: connect, retries and the result wait
+/// all share it.
+const TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Faulted attempts per request after which the client suppresses
+/// injected network faults for its own traffic.
+const RETRIES: u32 = 16;
 
 /// Terminal outcome of a [`ServeClient::submit`] call.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,8 +90,6 @@ pub struct ServeClient {
     addr: String,
     client_id: String,
     timeout: Duration,
-    retries: u32,
-    max_frame: usize,
     conn: Option<Conn>,
     next_req: u64,
     next_idem: u64,
@@ -95,10 +100,8 @@ pub struct ServeClient {
 
 impl ServeClient {
     /// A client for `addr`, identified to the server as `client_id`
-    /// (the quota + idempotency tenant). Deadline/retry knobs come from
-    /// [`gncg_config::env::serve`].
+    /// (the quota + idempotency tenant), with the `TIMEOUT` deadline.
     pub fn new(addr: impl Into<String>, client_id: impl Into<String>) -> Self {
-        let cfg = gncg_config::env::serve();
         let client_id = client_id.into();
         let mut seed = 0x9E37_79B9_7F4A_7C15u64;
         for b in client_id.bytes() {
@@ -107,9 +110,7 @@ impl ServeClient {
         Self {
             addr: addr.into(),
             client_id,
-            timeout: Duration::from_millis(cfg.timeout_ms.max(1)),
-            retries: cfg.retries,
-            max_frame: cfg.max_frame,
+            timeout: TIMEOUT,
             conn: None,
             next_req: 0,
             next_idem: 0,
@@ -142,13 +143,9 @@ impl ServeClient {
             if Instant::now() >= deadline {
                 return Err(ClientError::Deadline);
             }
-            // after `retries` faulted attempts, suppress injected
+            // after `RETRIES` faulted attempts, suppress injected
             // faults for this thread: progress over chaos
-            let _guard = if faulted_attempts >= self.retries {
-                Some(netfault::suppress())
-            } else {
-                None
-            };
+            let _guard = (faulted_attempts >= RETRIES).then(netfault::suppress);
             if attempt > 0 {
                 gncg_trace::incr(gncg_trace::Counter::ServeRetries);
                 self.backoff(attempt, deadline);
@@ -165,13 +162,10 @@ impl ServeClient {
                 idem: idem.to_string(),
                 spec: spec.clone(),
             };
-            match self.send_faulted(&request) {
-                SendOutcome::Sent | SendOutcome::Dropped => {}
-                SendOutcome::Failed => {
-                    self.conn = None;
-                    faulted_attempts += 1;
-                    continue;
-                }
+            if self.send_faulted(&request).is_err() {
+                self.conn = None;
+                faulted_attempts += 1;
+                continue;
             }
             // per-attempt wait grows with the attempt number; an
             // expired wait just resubmits the same key (attach/replay)
@@ -199,20 +193,11 @@ impl ServeClient {
         self.ensure_conn(deadline).map_err(ClientError::Transport)?;
         let seq = self.next_req;
         self.next_req += 1;
-        let bytes = encode_frame(&Request::Ping { seq }.to_json(), self.max_frame)
-            .map_err(|e| ClientError::Transport(e.to_string()))?;
-        self.write_all(&bytes)
-            .map_err(|e| ClientError::Transport(e.to_string()))?;
-        loop {
-            if Instant::now() >= deadline {
-                return Err(ClientError::Deadline);
-            }
-            match self.read_response() {
-                Ok(Response::Pong { seq: s }) if s == seq => return Ok(()),
-                Ok(_) => continue,
-                Err(e) if e.is_timeout() => continue,
-                Err(e) => return Err(ClientError::Transport(e.to_string())),
-            }
+        let pong = |r: &Response| matches!(r, Response::Pong { seq: s } if *s == seq);
+        match self.exchange(&Request::Ping { seq }, deadline, pong) {
+            Ok(true) => Ok(()),
+            Ok(false) => Err(ClientError::Deadline),
+            Err(e) => Err(ClientError::Transport(e)),
         }
     }
 
@@ -233,71 +218,68 @@ impl ServeClient {
         let _ = sock.set_read_timeout(Some(Duration::from_millis(25)));
         self.conn = Some(Conn {
             sock,
-            reader: FrameReader::new(self.max_frame),
+            reader: FrameReader::new(MAX_FRAME),
         });
         // handshake (fault-free: faults exercise the submit path)
         let hello = Request::Hello {
             client: self.client_id.clone(),
         };
-        let bytes = encode_frame(&hello.to_json(), self.max_frame).map_err(|e| e.to_string())?;
-        if let Err(e) = self.write_all(&bytes) {
-            self.conn = None;
-            return Err(e);
-        }
-        loop {
-            if Instant::now() >= deadline {
-                self.conn = None;
-                return Err("deadline during handshake".to_string());
-            }
+        let hello_ok = |r: &Response| matches!(r, Response::HelloOk { .. });
+        let err = match self.exchange(&hello, deadline, hello_ok) {
+            Ok(true) => return Ok(()),
+            Ok(false) => "deadline during handshake".to_string(),
+            Err(e) => e,
+        };
+        self.conn = None;
+        Err(err)
+    }
+
+    /// Send `request` without fault injection, then read frames until
+    /// one satisfies `reply` (`Ok(true)`) or `deadline` passes
+    /// (`Ok(false)`).
+    fn exchange(
+        &mut self,
+        request: &Request,
+        deadline: Instant,
+        reply: impl Fn(&Response) -> bool,
+    ) -> Result<bool, String> {
+        let bytes = encode_frame(&request.to_json(), MAX_FRAME).map_err(|e| e.to_string())?;
+        self.write_all(&bytes)?;
+        while Instant::now() < deadline {
             match self.read_response() {
-                Ok(Response::HelloOk { .. }) => return Ok(()),
-                Ok(_) => continue,
-                Err(e) if e.is_timeout() => continue,
-                Err(e) => {
-                    self.conn = None;
-                    return Err(e.to_string());
-                }
+                Ok(r) if reply(&r) => return Ok(true),
+                Err(e) if !e.is_timeout() => return Err(e.to_string()),
+                _ => {}
             }
         }
+        Ok(false)
     }
 
     /// Write one request frame through the configured network fault
     /// plan: `Drop` swallows the frame, `Delay` stalls then sends,
     /// `Split` flushes it in two pieces (exercising the server's
     /// stateful decoder), `Close` tears the socket down mid-exchange.
-    fn send_faulted(&mut self, request: &Request) -> SendOutcome {
-        let bytes = match encode_frame(&request.to_json(), self.max_frame) {
-            Ok(b) => b,
-            Err(_) => return SendOutcome::Failed,
-        };
+    /// A swallowed frame counts as sent: the per-attempt wait expires
+    /// and the same key is resubmitted.
+    fn send_faulted(&mut self, request: &Request) -> Result<(), String> {
+        let bytes = encode_frame(&request.to_json(), MAX_FRAME).map_err(|e| e.to_string())?;
         match netfault::roll() {
-            NetFault::None => match self.write_all(&bytes) {
-                Ok(()) => SendOutcome::Sent,
-                Err(_) => SendOutcome::Failed,
-            },
-            NetFault::Drop => SendOutcome::Dropped,
+            NetFault::None => self.write_all(&bytes),
+            NetFault::Drop => Ok(()),
             NetFault::Delay => {
                 std::thread::sleep(Duration::from_millis(2));
-                match self.write_all(&bytes) {
-                    Ok(()) => SendOutcome::Sent,
-                    Err(_) => SendOutcome::Failed,
-                }
+                self.write_all(&bytes)
             }
             NetFault::Split => {
-                let mid = (bytes.len() / 2).max(1).min(bytes.len());
-                let (a, b) = bytes.split_at(mid);
-                if self.write_all(a).is_err() {
-                    return SendOutcome::Failed;
-                }
-                std::thread::sleep(Duration::from_millis(1));
-                match self.write_all(b) {
-                    Ok(()) => SendOutcome::Sent,
-                    Err(_) => SendOutcome::Failed,
-                }
+                let (a, b) = bytes.split_at((bytes.len() / 2).max(1).min(bytes.len()));
+                self.write_all(a).and_then(|()| {
+                    std::thread::sleep(Duration::from_millis(1));
+                    self.write_all(b)
+                })
             }
             NetFault::Close => {
                 self.disconnect();
-                SendOutcome::Failed
+                Err("closed by the fault plan".to_string())
             }
         }
     }
@@ -378,14 +360,6 @@ impl ServeClient {
         let remaining = deadline.saturating_duration_since(Instant::now());
         std::thread::sleep(scaled.min(remaining));
     }
-}
-
-enum SendOutcome {
-    Sent,
-    /// Injected `Drop`: the frame was swallowed; the per-attempt wait
-    /// will expire and the same key will be resubmitted.
-    Dropped,
-    Failed,
 }
 
 enum Await {

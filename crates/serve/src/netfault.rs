@@ -94,7 +94,7 @@ impl Drop for SuppressGuard {
 }
 
 /// Disable injection on this thread until the guard drops. The client
-/// engages this after `GNCG_SERVE_RETRIES` faulted attempts on one
+/// engages this after its `RETRIES` (16) faulted attempts on one
 /// request, so a retry loop always terminates.
 pub fn suppress() -> SuppressGuard {
     let prev = SUPPRESSED.with(|s| s.replace(true));

@@ -34,12 +34,12 @@
 //! ```
 //!
 //! A `result.ok` payload is the solver's own JSON (e.g.
-//! [`CertifyReport::to_json`]); because the printer emits finite floats
+//! [`gncg_game::certify::CertifyReport::to_json`], which its
+//! `FromJson` parses back); because the printer emits finite floats
 //! in shortest-roundtrip form, decoding reproduces every float
 //! bit-for-bit.
 
 use gncg_config::ModelKind;
-use gncg_game::certify::CertifyReport;
 use gncg_game::{dynamics, EdgeFormation, GameSpec, OwnedNetwork, SolverConfig};
 use gncg_geometry::PointSet;
 use gncg_json::{field, object, FromJson, JsonError, ToJson, Value};
@@ -48,6 +48,12 @@ use gncg_service::cache::ResultCache;
 use gncg_service::JobKind;
 use gncg_sweep::spec::SweepSpec;
 use std::sync::Arc;
+
+/// Frame-size cap in bytes (16 MiB), one constant for both ends: the
+/// server's reader and writer and the client's encoder. A length
+/// prefix above it is a typed protocol error that closes the
+/// connection (the stream cannot be resynchronized).
+pub const MAX_FRAME: usize = 16 << 20;
 
 // ---------------------------------------------------------------------------
 // job specs
@@ -90,6 +96,13 @@ pub enum JobSpec {
         spec: Box<SweepSpec>,
         budget_ms: Option<u64>,
     },
+}
+
+/// The string at `key` of `value`.
+fn str_field<'a>(value: &'a Value, key: &str) -> Result<&'a str, JsonError> {
+    let v = field(value, key)?;
+    v.as_str()
+        .ok_or_else(|| JsonError::new(format!("{key} must be a string")))
 }
 
 fn model_from_str(s: &str) -> Result<ModelKind, JsonError> {
@@ -251,11 +264,7 @@ impl FromJson for JobSpec {
                 network: OwnedNetwork::from_json(field(value, "network")?)?,
                 alpha: f64::from_json(field(value, "alpha")?)?,
                 exact: bool::from_json(field(value, "exact")?)?,
-                model: model_from_str(
-                    field(value, "model")?
-                        .as_str()
-                        .ok_or_else(|| JsonError::new("model must be a string"))?,
-                )?,
+                model: model_from_str(str_field(value, "model")?)?,
                 budget_ms: Option::<u64>::from_json(field(value, "budget_ms")?)?,
             }),
             Some("dynamics") => Ok(JobSpec::Dynamics {
@@ -268,11 +277,7 @@ impl FromJson for JobSpec {
                 },
                 steps: usize::from_json(field(value, "steps")?)?,
                 spec: GameSpec {
-                    model: model_from_str(
-                        field(value, "model")?
-                            .as_str()
-                            .ok_or_else(|| JsonError::new("model must be a string"))?,
-                    )?,
+                    model: model_from_str(str_field(value, "model")?)?,
                     formation: match field(value, "formation")?.as_str() {
                         Some("unilateral") => EdgeFormation::Unilateral,
                         Some("bilateral") => EdgeFormation::Bilateral,
@@ -316,12 +321,6 @@ pub fn dynamics_outcome_to_json(o: &dynamics::Outcome) -> Value {
             ("state", state.to_json()),
         ]),
     }
-}
-
-/// Parse a [`CertifyReport`] out of a `result.ok` payload (convenience
-/// re-export point for clients asserting bit-identity).
-pub fn certify_report_from_payload(payload: &Value) -> Result<CertifyReport, JsonError> {
-    CertifyReport::from_json(payload)
 }
 
 // ---------------------------------------------------------------------------
@@ -461,14 +460,11 @@ impl ErrorCode {
     }
 
     fn from_str(s: &str) -> Result<Self, JsonError> {
-        match s {
-            "quota" => Ok(ErrorCode::Quota),
-            "queue_full" => Ok(ErrorCode::QueueFull),
-            "draining" => Ok(ErrorCode::Draining),
-            "bad_request" => Ok(ErrorCode::BadRequest),
-            "protocol" => Ok(ErrorCode::Protocol),
-            other => Err(JsonError::new(format!("unknown error code: {other:?}"))),
-        }
+        use ErrorCode::*;
+        [Quota, QueueFull, Draining, BadRequest, Protocol]
+            .into_iter()
+            .find(|code| code.as_str() == s)
+            .ok_or_else(|| JsonError::new(format!("unknown error code: {s:?}")))
     }
 }
 
@@ -510,24 +506,18 @@ impl ToJson for Response {
                 ("req", req.to_json()),
                 ("event", event.as_str().to_json()),
             ]),
-            Response::Result { req, outcome } => match outcome {
-                Ok(payload) => object(vec![
-                    ("kind", "result".to_json()),
-                    ("req", req.to_json()),
-                    ("ok", payload.clone()),
-                ]),
-                Err(RemoteError::Cancelled) => object(vec![
-                    ("kind", "result".to_json()),
-                    ("req", req.to_json()),
-                    ("err", "cancelled".to_json()),
-                ]),
-                Err(RemoteError::Panicked(m)) => object(vec![
-                    ("kind", "result".to_json()),
-                    ("req", req.to_json()),
-                    ("err", "panicked".to_json()),
-                    ("message", m.to_json()),
-                ]),
-            },
+            Response::Result { req, outcome } => {
+                let mut fields = vec![("kind", "result".to_json()), ("req", req.to_json())];
+                match outcome {
+                    Ok(payload) => fields.push(("ok", payload.clone())),
+                    Err(RemoteError::Cancelled) => fields.push(("err", "cancelled".to_json())),
+                    Err(RemoteError::Panicked(m)) => {
+                        fields.push(("err", "panicked".to_json()));
+                        fields.push(("message", m.to_json()));
+                    }
+                }
+                object(fields)
+            }
             Response::Error { req, code, message } => object(vec![
                 ("kind", "error".to_json()),
                 ("req", req.to_json()),
@@ -578,11 +568,7 @@ impl FromJson for Response {
             }
             Some("error") => Ok(Response::Error {
                 req: Option::<u64>::from_json(field(value, "req")?)?,
-                code: ErrorCode::from_str(
-                    field(value, "code")?
-                        .as_str()
-                        .ok_or_else(|| JsonError::new("code must be a string"))?,
-                )?,
+                code: ErrorCode::from_str(str_field(value, "code")?)?,
                 message: String::from_json(field(value, "message")?)?,
             }),
             Some("pong") => Ok(Response::Pong {
@@ -597,6 +583,7 @@ impl FromJson for Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gncg_game::certify::CertifyReport;
     use gncg_geometry::generators;
 
     fn round_trip_request(r: &Request) {
@@ -713,7 +700,7 @@ mod tests {
         let direct = gncg_game::certify::certify(&ps, &net, 1.5, &SolverConfig::exact());
         let payload = direct.to_json();
         let text = gncg_json::to_string(&payload);
-        let decoded = certify_report_from_payload(&gncg_json::parse(&text).unwrap()).unwrap();
+        let decoded = CertifyReport::from_json(&gncg_json::parse(&text).unwrap()).unwrap();
         assert_eq!(decoded.social_cost.to_bits(), direct.social_cost.to_bits());
         assert_eq!(
             decoded.beta_exact.unwrap().to_bits(),

@@ -29,7 +29,7 @@
 //! the number of distinct keys; long-lived deployments should recycle
 //! client ids per session.
 
-use crate::proto::{ErrorCode, EventKind, JobSpec, RemoteError, Request, Response};
+use crate::proto::{ErrorCode, EventKind, JobSpec, RemoteError, Request, Response, MAX_FRAME};
 use gncg_config::ServeConfig;
 use gncg_json::frame::{FrameError, FrameReader};
 use gncg_json::{FromJson, ToJson, Value};
@@ -40,10 +40,28 @@ use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Maximum simultaneously-open client connections. Excess connects are
+/// closed on accept.
+const MAX_CONNS: usize = 512;
+
+/// Per-client cap on outstanding (admitted, unresolved) jobs, layered
+/// *on top of* the session's two-lane queue capacities: one tenant
+/// exhausting its quota cannot occupy another tenant's lane slots.
+/// Reported to each client in `hello_ok`.
+const QUOTA: usize = 16;
+
+/// Per-connection socket write timeout. A write that stalls this long
+/// marks the client dead and reaps the connection.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Bounded per-connection outbound buffer, in frames. A slow reader
+/// whose buffer stays full is disconnected instead of wedging dispatch.
+const OUTBUF_FRAMES: usize = 1024;
 
 /// Point-in-time accounting snapshot. After a completed drain the
 /// invariant `accepted == completed + cancelled + panicked` holds:
@@ -72,33 +90,8 @@ pub struct ServerStats {
     pub conns_panicked: u64,
 }
 
-#[derive(Default)]
-struct Stats {
-    accepted: AtomicU64,
-    replayed: AtomicU64,
-    rejected: AtomicU64,
-    completed: AtomicU64,
-    cancelled: AtomicU64,
-    panicked: AtomicU64,
-    conns_opened: AtomicU64,
-    conns_panicked: AtomicU64,
-}
-
-impl Stats {
-    fn snapshot(&self) -> ServerStats {
-        ServerStats {
-            accepted: self.accepted.load(Ordering::SeqCst),
-            replayed: self.replayed.load(Ordering::SeqCst),
-            rejected: self.rejected.load(Ordering::SeqCst),
-            completed: self.completed.load(Ordering::SeqCst),
-            cancelled: self.cancelled.load(Ordering::SeqCst),
-            panicked: self.panicked.load(Ordering::SeqCst),
-            conns_opened: self.conns_opened.load(Ordering::SeqCst),
-            conns_panicked: self.conns_panicked.load(Ordering::SeqCst),
-        }
-    }
-}
-
+/// A connection's request waiting for a job's events and result.
+#[derive(Clone, Copy)]
 struct Waiter {
     conn: u64,
     req: u64,
@@ -129,7 +122,6 @@ struct ConnHandle {
 
 struct Inner {
     session: Session,
-    cfg: ServeConfig,
     state: Mutex<State>,
     conns: Mutex<HashMap<u64, ConnHandle>>,
     threads: Mutex<Vec<JoinHandle<()>>>,
@@ -137,10 +129,27 @@ struct Inner {
     draining: AtomicBool,
     cancelling: AtomicBool,
     stop: AtomicBool,
-    stats: Stats,
+    stats: Mutex<ServerStats>,
 }
 
 impl Inner {
+    /// Add one to the tally `field` selects.
+    fn count(&self, field: fn(&mut ServerStats) -> &mut u64) {
+        *field(&mut self.stats.lock().unwrap_or_else(|p| p.into_inner())) += 1;
+    }
+
+    fn snapshot(&self) -> ServerStats {
+        *self.stats.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Count a rejected submission and answer it with a typed error.
+    fn reject(&self, conn_id: u64, req: u64, code: ErrorCode, message: &str) {
+        self.count(|s| &mut s.rejected);
+        gncg_trace::incr(gncg_trace::Counter::ServeRejected);
+        let (req, message) = (Some(req), message.to_string());
+        self.send_to_conn(conn_id, Response::Error { req, code, message });
+    }
+
     /// Queue a response to a connection; absent or saturated
     /// connections are handled per the reaping discipline.
     fn send_to_conn(&self, conn_id: u64, resp: Response) {
@@ -148,16 +157,11 @@ impl Inner {
         let Some(handle) = conns.get(&conn_id) else {
             return; // connection gone; result stays cached under its idem key
         };
-        match handle.tx.try_send(resp) {
-            Ok(()) => {}
-            Err(TrySendError::Full(_)) => {
-                // slow reader: reap the connection rather than block or buffer
-                let _ = handle.sock.shutdown(std::net::Shutdown::Both);
-                conns.remove(&conn_id);
-            }
-            Err(TrySendError::Disconnected(_)) => {
-                conns.remove(&conn_id);
-            }
+        if handle.tx.try_send(resp).is_err() {
+            // a slow reader (buffer full) or a dead writer: reap the
+            // connection rather than block or buffer
+            let _ = handle.sock.shutdown(std::net::Shutdown::Both);
+            conns.remove(&conn_id);
         }
     }
 
@@ -202,7 +206,6 @@ impl Server {
         let addr = listener.local_addr()?;
         let inner = Arc::new(Inner {
             session,
-            cfg: cfg.clone(),
             state: Mutex::new(State::default()),
             conns: Mutex::new(HashMap::new()),
             threads: Mutex::new(Vec::new()),
@@ -210,11 +213,10 @@ impl Server {
             draining: AtomicBool::new(false),
             cancelling: AtomicBool::new(false),
             stop: AtomicBool::new(false),
-            stats: Stats::default(),
+            stats: Mutex::default(),
         });
         let accept_inner = Arc::clone(&inner);
-        let max_conns = cfg.max_conns;
-        let accept = std::thread::spawn(move || accept_loop(accept_inner, listener, max_conns));
+        let accept = std::thread::spawn(move || accept_loop(accept_inner, listener));
         let monitor_inner = Arc::clone(&inner);
         let term_base = crate::signal::term_count();
         let monitor = std::thread::spawn(move || {
@@ -275,7 +277,7 @@ impl Server {
 
     /// Current accounting snapshot.
     pub fn stats(&self) -> ServerStats {
-        self.inner.stats.snapshot()
+        self.inner.snapshot()
     }
 
     /// Block until a drain has begun *and* every accepted job has
@@ -328,7 +330,7 @@ impl Server {
         for t in threads {
             let _ = t.join();
         }
-        self.inner.stats.snapshot()
+        self.inner.snapshot()
     }
 }
 
@@ -361,25 +363,19 @@ fn begin_cancel(inner: &Inner) {
     }
 }
 
-fn accept_loop(inner: Arc<Inner>, listener: TcpListener, max_conns: usize) {
+fn accept_loop(inner: Arc<Inner>, listener: TcpListener) {
     while !inner.stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((sock, _peer)) => {
-                if inner.draining.load(Ordering::SeqCst) {
-                    let _ = sock.shutdown(std::net::Shutdown::Both);
-                    continue;
-                }
                 let open = inner.conns.lock().unwrap_or_else(|p| p.into_inner()).len();
-                if open >= max_conns {
+                if inner.draining.load(Ordering::SeqCst) || open >= MAX_CONNS {
                     let _ = sock.shutdown(std::net::Shutdown::Both);
                     continue;
                 }
-                inner.stats.conns_opened.fetch_add(1, Ordering::SeqCst);
+                inner.count(|s| &mut s.conns_opened);
                 spawn_connection(&inner, sock);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            // nothing pending (WouldBlock) or a failed accept: poll again
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
@@ -389,33 +385,21 @@ fn spawn_connection(inner: &Arc<Inner>, sock: TcpStream) {
     let conn_id = inner.next_conn.fetch_add(1, Ordering::SeqCst);
     let _ = sock.set_nodelay(true);
     let _ = sock.set_read_timeout(Some(Duration::from_millis(50)));
-    let _ = sock.set_write_timeout(Some(Duration::from_millis(
-        inner.cfg.write_timeout_ms.max(1),
-    )));
-    let (tx, rx) = sync_channel::<Response>(inner.cfg.outbuf_frames.max(1));
-    let write_sock = match sock.try_clone() {
-        Ok(s) => s,
-        Err(_) => {
-            let _ = sock.shutdown(std::net::Shutdown::Both);
-            return;
-        }
+    let _ = sock.set_write_timeout(Some(WRITE_TIMEOUT));
+    let (tx, rx) = sync_channel::<Response>(OUTBUF_FRAMES);
+    let (Ok(write_sock), Ok(handle_sock)) = (sock.try_clone(), sock.try_clone()) else {
+        let _ = sock.shutdown(std::net::Shutdown::Both);
+        return;
     };
-    {
-        let mut conns = inner.conns.lock().unwrap_or_else(|p| p.into_inner());
-        conns.insert(
-            conn_id,
-            ConnHandle {
-                tx,
-                sock: match sock.try_clone() {
-                    Ok(s) => s,
-                    Err(_) => {
-                        let _ = sock.shutdown(std::net::Shutdown::Both);
-                        return;
-                    }
-                },
-            },
-        );
-    }
+    let handle = ConnHandle {
+        tx,
+        sock: handle_sock,
+    };
+    inner
+        .conns
+        .lock()
+        .unwrap_or_else(|p| p.into_inner())
+        .insert(conn_id, handle);
     let reader_inner = Arc::clone(inner);
     let reader = std::thread::spawn(move || {
         // connection supervisor: a panicking handler kills this
@@ -427,10 +411,7 @@ fn spawn_connection(inner: &Arc<Inner>, sock: TcpStream) {
             connection_reader(&reader_inner, conn_id, sock);
         }));
         if supervised.is_err() {
-            reader_inner
-                .stats
-                .conns_panicked
-                .fetch_add(1, Ordering::SeqCst);
+            reader_inner.count(|s| &mut s.conns_panicked);
         }
         // cleanup: unregister and wake the writer
         let mut conns = reader_inner.conns.lock().unwrap_or_else(|p| p.into_inner());
@@ -445,10 +426,7 @@ fn spawn_connection(inner: &Arc<Inner>, sock: TcpStream) {
             connection_writer(&writer_inner, conn_id, write_sock, rx);
         }));
         if supervised.is_err() {
-            writer_inner
-                .stats
-                .conns_panicked
-                .fetch_add(1, Ordering::SeqCst);
+            writer_inner.count(|s| &mut s.conns_panicked);
         }
     });
     let mut threads = inner.threads.lock().unwrap_or_else(|p| p.into_inner());
@@ -459,7 +437,7 @@ fn spawn_connection(inner: &Arc<Inner>, sock: TcpStream) {
 fn connection_writer(inner: &Inner, conn_id: u64, mut sock: TcpStream, rx: Receiver<Response>) {
     while let Ok(resp) = rx.recv() {
         let value = resp.to_json();
-        match gncg_json::frame::write_frame(&mut sock, &value, inner.cfg.max_frame) {
+        match gncg_json::frame::write_frame(&mut sock, &value, MAX_FRAME) {
             Ok(()) => {
                 let _ = sock.flush();
                 gncg_trace::incr(gncg_trace::Counter::ServeFramesTx);
@@ -472,11 +450,7 @@ fn connection_writer(inner: &Inner, conn_id: u64, mut sock: TcpStream, rx: Recei
                         code: ErrorCode::Protocol,
                         message: format!("result frame of {len} bytes exceeds cap {max}"),
                     };
-                    let _ = gncg_json::frame::write_frame(
-                        &mut sock,
-                        &err.to_json(),
-                        inner.cfg.max_frame,
-                    );
+                    let _ = gncg_json::frame::write_frame(&mut sock, &err.to_json(), MAX_FRAME);
                 }
             }
             Err(_) => {
@@ -492,7 +466,7 @@ fn connection_writer(inner: &Inner, conn_id: u64, mut sock: TcpStream, rx: Recei
 }
 
 fn connection_reader(inner: &Arc<Inner>, conn_id: u64, mut sock: TcpStream) {
-    let mut fr = FrameReader::new(inner.cfg.max_frame);
+    let mut fr = FrameReader::new(MAX_FRAME);
     let mut client: Option<String> = None;
     // connection-scoped request id → this connection's idem key for it
     let mut req_keys: HashMap<u64, (String, String)> = HashMap::new();
@@ -500,34 +474,27 @@ fn connection_reader(inner: &Arc<Inner>, conn_id: u64, mut sock: TcpStream) {
         if inner.stop.load(Ordering::SeqCst) {
             return;
         }
-        let value = match fr.read_frame(&mut sock) {
-            Ok(v) => v,
+        let request = match fr.read_frame(&mut sock) {
             Err(e) if e.is_timeout() => continue,
-            Err(e) if e.is_recoverable() => {
-                // garbage payload, boundary intact: typed error, carry on
-                inner.send_to_conn(
-                    conn_id,
-                    Response::Error {
-                        req: None,
-                        code: ErrorCode::Protocol,
-                        message: e.to_string(),
-                    },
-                );
-                continue;
-            }
             // Closed, Truncated, TooLarge, hard Io: connection over
-            Err(_) => return,
+            Err(e) if !e.is_recoverable() => return,
+            // garbage payload, boundary intact: typed error, carry on
+            Err(e) => Err(e.to_string()),
+            Ok(value) => {
+                gncg_trace::incr(gncg_trace::Counter::ServeFramesRx);
+                Request::from_json(&value).map_err(|e| format!("unparseable request: {e}"))
+            }
         };
-        gncg_trace::incr(gncg_trace::Counter::ServeFramesRx);
-        let request = match Request::from_json(&value) {
+        let request = match request {
             Ok(r) => r,
-            Err(e) => {
+            Err(message) => {
+                let code = ErrorCode::Protocol;
                 inner.send_to_conn(
                     conn_id,
                     Response::Error {
                         req: None,
-                        code: ErrorCode::Protocol,
-                        message: format!("unparseable request: {e}"),
+                        code,
+                        message,
                     },
                 );
                 continue;
@@ -540,7 +507,7 @@ fn connection_reader(inner: &Arc<Inner>, conn_id: u64, mut sock: TcpStream) {
                     conn_id,
                     Response::HelloOk {
                         server: "gncg-serve".to_string(),
-                        quota: inner.cfg.quota,
+                        quota: QUOTA,
                     },
                 );
                 if inner.draining.load(Ordering::SeqCst) {
@@ -560,16 +527,7 @@ fn connection_reader(inner: &Arc<Inner>, conn_id: u64, mut sock: TcpStream) {
             }
             Request::Submit { req, idem, spec } => {
                 let Some(client_id) = client.clone() else {
-                    inner.stats.rejected.fetch_add(1, Ordering::SeqCst);
-                    gncg_trace::incr(gncg_trace::Counter::ServeRejected);
-                    inner.send_to_conn(
-                        conn_id,
-                        Response::Error {
-                            req: Some(req),
-                            code: ErrorCode::BadRequest,
-                            message: "submit before hello".to_string(),
-                        },
-                    );
+                    inner.reject(conn_id, req, ErrorCode::BadRequest, "submit before hello");
                     continue;
                 };
                 req_keys.insert(req, (client_id.clone(), idem.clone()));
@@ -595,21 +553,16 @@ fn handle_submit(
         match entry {
             IdemEntry::Done(outcome) => {
                 let outcome = outcome.clone();
-                inner.stats.replayed.fetch_add(1, Ordering::SeqCst);
+                inner.count(|s| &mut s.replayed);
                 drop(state);
                 inner.send_to_conn(conn_id, Response::Result { req, outcome });
             }
             IdemEntry::InFlight { waiters, .. } => {
                 waiters.push(Waiter { conn: conn_id, req });
-                inner.stats.replayed.fetch_add(1, Ordering::SeqCst);
+                inner.count(|s| &mut s.replayed);
                 drop(state);
-                inner.send_to_conn(
-                    conn_id,
-                    Response::Event {
-                        req,
-                        event: EventKind::Accepted,
-                    },
-                );
+                let event = EventKind::Accepted;
+                inner.send_to_conn(conn_id, Response::Event { req, event });
             }
         }
         return;
@@ -618,27 +571,15 @@ fn handle_submit(
     // 2. drain gate
     if inner.draining.load(Ordering::SeqCst) {
         drop(state);
-        reject(
-            inner,
-            conn_id,
-            req,
-            ErrorCode::Draining,
-            "server is draining",
-        );
+        inner.reject(conn_id, req, ErrorCode::Draining, "server is draining");
         return;
     }
 
     // 3. per-client quota, layered on the session's two-lane admission
     let outstanding = state.quotas.entry(client.clone()).or_insert(0);
-    if *outstanding >= inner.cfg.quota {
+    if *outstanding >= QUOTA {
         drop(state);
-        reject(
-            inner,
-            conn_id,
-            req,
-            ErrorCode::Quota,
-            "per-client quota exhausted",
-        );
+        inner.reject(conn_id, req, ErrorCode::Quota, "per-client quota exhausted");
         return;
     }
     *outstanding += 1;
@@ -674,16 +615,11 @@ fn handle_submit(
                     waiters: vec![Waiter { conn: conn_id, req }],
                 },
             );
-            inner.stats.accepted.fetch_add(1, Ordering::SeqCst);
+            inner.count(|s| &mut s.accepted);
             gncg_trace::incr(gncg_trace::Counter::ServeEnqueued);
             drop(state);
-            inner.send_to_conn(
-                conn_id,
-                Response::Event {
-                    req,
-                    event: EventKind::Accepted,
-                },
-            );
+            let event = EventKind::Accepted;
+            inner.send_to_conn(conn_id, Response::Event { req, event });
         }
         Err(e) => {
             // roll the quota reservation back
@@ -695,44 +631,27 @@ fn handle_submit(
                 SubmitError::QueueFull { .. } => ErrorCode::QueueFull,
                 SubmitError::ShuttingDown => ErrorCode::Draining,
             };
-            reject(inner, conn_id, req, code, &e.to_string());
+            inner.reject(conn_id, req, code, &e.to_string());
         }
     }
-}
-
-fn reject(inner: &Inner, conn_id: u64, req: u64, code: ErrorCode, message: &str) {
-    inner.stats.rejected.fetch_add(1, Ordering::SeqCst);
-    gncg_trace::incr(gncg_trace::Counter::ServeRejected);
-    inner.send_to_conn(
-        conn_id,
-        Response::Error {
-            req: Some(req),
-            code,
-            message: message.to_string(),
-        },
-    );
 }
 
 /// Stream a `started` event to every waiter currently attached to the
 /// job (runs on the worker thread, at the top of the job body).
 fn notify_started(inner: &Inner, key: &(String, String)) {
-    let waiters: Vec<(u64, u64)> = {
-        let state = inner.state.lock().unwrap_or_else(|p| p.into_inner());
-        match state.idem.get(key) {
-            Some(IdemEntry::InFlight { waiters, .. }) => {
-                waiters.iter().map(|w| (w.conn, w.req)).collect()
-            }
-            _ => Vec::new(),
-        }
+    let waiters = match inner
+        .state
+        .lock()
+        .unwrap_or_else(|p| p.into_inner())
+        .idem
+        .get(key)
+    {
+        Some(IdemEntry::InFlight { waiters, .. }) => waiters.clone(),
+        _ => Vec::new(),
     };
-    for (conn, req) in waiters {
-        inner.send_to_conn(
-            conn,
-            Response::Event {
-                req,
-                event: EventKind::Started,
-            },
-        );
+    for Waiter { conn, req } in waiters {
+        let event = EventKind::Started;
+        inner.send_to_conn(conn, Response::Event { req, event });
     }
 }
 
@@ -747,32 +666,23 @@ fn deliver_result(inner: &Inner, key: &(String, String), result: &Result<Value, 
         Err(JobError::Panicked(m)) => Err(RemoteError::Panicked(m.clone())),
     };
     match &outcome {
-        Ok(_) => inner.stats.completed.fetch_add(1, Ordering::SeqCst),
-        Err(RemoteError::Cancelled) => inner.stats.cancelled.fetch_add(1, Ordering::SeqCst),
-        Err(RemoteError::Panicked(_)) => inner.stats.panicked.fetch_add(1, Ordering::SeqCst),
-    };
-    let waiters: Vec<(u64, u64)> = {
+        Ok(_) => inner.count(|s| &mut s.completed),
+        Err(RemoteError::Cancelled) => inner.count(|s| &mut s.cancelled),
+        Err(RemoteError::Panicked(_)) => inner.count(|s| &mut s.panicked),
+    }
+    let prev = {
         let mut state = inner.state.lock().unwrap_or_else(|p| p.into_inner());
-        let prev = state
-            .idem
-            .insert(key.clone(), IdemEntry::Done(outcome.clone()));
         if let Some(outstanding) = state.quotas.get_mut(&key.0) {
             *outstanding = outstanding.saturating_sub(1);
         }
-        match prev {
-            Some(IdemEntry::InFlight { waiters, .. }) => {
-                waiters.iter().map(|w| (w.conn, w.req)).collect()
-            }
-            _ => Vec::new(),
-        }
+        state
+            .idem
+            .insert(key.clone(), IdemEntry::Done(outcome.clone()))
     };
-    for (conn, req) in waiters {
-        inner.send_to_conn(
-            conn,
-            Response::Result {
-                req,
-                outcome: outcome.clone(),
-            },
-        );
+    if let Some(IdemEntry::InFlight { waiters, .. }) = prev {
+        for Waiter { conn, req } in waiters {
+            let outcome = outcome.clone();
+            inner.send_to_conn(conn, Response::Result { req, outcome });
+        }
     }
 }

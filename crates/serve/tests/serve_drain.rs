@@ -38,8 +38,6 @@ fn sigterm_drains_without_losing_any_accepted_job_and_escalates_on_second() {
     // ---------------- phase 1: graceful drain under load ----------------
     let cfg = ServeConfig {
         addr: "127.0.0.1:0".to_string(),
-        quota: 64,
-        ..ServeConfig::default()
     };
     let server = Server::bind(Session::builder().threads(4).build(), &cfg).expect("bind");
     let addr = server.local_addr().to_string();

@@ -10,6 +10,7 @@ use gncg_geometry::generators;
 use gncg_json::frame::{write_frame, FrameReader};
 use gncg_json::{FromJson, ToJson};
 use gncg_parallel::Budget;
+use gncg_serve::proto::MAX_FRAME;
 use gncg_serve::{
     ClientError, ErrorCode, JobSpec, RemoteError, Request, Response, ServeClient, Server,
 };
@@ -21,7 +22,6 @@ use std::time::{Duration, Instant};
 fn test_config() -> ServeConfig {
     ServeConfig {
         addr: "127.0.0.1:0".to_string(),
-        ..ServeConfig::default()
     }
 }
 
@@ -60,12 +60,12 @@ impl RawConn {
             .unwrap();
         Self {
             sock,
-            reader: FrameReader::new(16 << 20),
+            reader: FrameReader::new(MAX_FRAME),
         }
     }
 
     fn send(&mut self, req: &Request) {
-        write_frame(&mut self.sock, &req.to_json(), 16 << 20).expect("send frame");
+        write_frame(&mut self.sock, &req.to_json(), MAX_FRAME).expect("send frame");
     }
 
     fn recv(&mut self, within: Duration) -> Response {
@@ -81,12 +81,14 @@ impl RawConn {
         }
     }
 
-    fn hello(&mut self, client: &str) {
+    /// Say hello as `client`; returns the per-client quota the server
+    /// reports.
+    fn hello(&mut self, client: &str) -> usize {
         self.send(&Request::Hello {
             client: client.to_string(),
         });
         match self.recv(Duration::from_secs(5)) {
-            Response::HelloOk { .. } => {}
+            Response::HelloOk { quota, .. } => quota,
             other => panic!("expected hello_ok, got {other:?}"),
         }
     }
@@ -113,7 +115,7 @@ fn certify_round_trip_is_bit_identical_to_direct_call() {
     let got = client.submit(&spec).expect("remote certify");
     assert_eq!(gncg_json::to_string(&got), expected);
     // and the payload parses back into a structurally equal report
-    let report = gncg_serve::proto::certify_report_from_payload(&got).expect("parse report");
+    let report = gncg_game::certify::CertifyReport::from_json(&got).expect("parse report");
     let direct_report = match spec {
         JobSpec::Certify {
             ref points,
@@ -269,16 +271,12 @@ fn idempotent_resubmission_executes_once_and_replays_cached() {
 
 #[test]
 fn quota_rejects_while_full_and_recovers_after_release() {
-    let cfg = ServeConfig {
-        quota: 1,
-        ..test_config()
-    };
-    // single worker + a gate job parked on it: the wire-submitted job
-    // below stays *queued* for as long as the test wants, so the quota
+    // single worker + a gate job parked on it: the wire-submitted jobs
+    // below stay *queued* for as long as the test wants, so the quota
     // window is deterministic, not timing-dependent. The gate runs in
-    // the batch lane and the hog in the interactive one, which the
-    // worker prefers, so the hog is submitted only once the gate runs.
-    let server = Server::bind(Session::builder().threads(1).build(), &cfg).expect("bind");
+    // the batch lane and the hogs in the interactive one, which the
+    // worker prefers, so the hogs are submitted only once the gate runs.
+    let server = Server::bind(Session::builder().threads(1).build(), &test_config()).expect("bind");
     let (gate_tx, gate_rx) = std::sync::mpsc::channel::<()>();
     let (started_tx, started_rx) = std::sync::mpsc::channel::<()>();
     let gate = server
@@ -292,20 +290,24 @@ fn quota_rejects_while_full_and_recovers_after_release() {
         .recv_timeout(Duration::from_secs(30))
         .expect("gate job started");
     let mut conn = RawConn::connect(&server);
-    conn.hello("tenant");
-    // occupy the single quota slot; the job queues behind the gate
-    conn.send(&Request::Submit {
-        req: 1,
-        idem: "slow".to_string(),
-        spec: certify_spec(16, 99, None),
-    });
-    match conn.recv(Duration::from_secs(5)) {
-        Response::Event { req: 1, .. } => {}
-        other => panic!("expected accepted event, got {other:?}"),
+    let quota = conn.hello("tenant") as u64;
+    assert!(quota >= 1, "hello_ok reports a quota of {quota}");
+    // occupy every quota slot; the jobs queue behind the gate
+    for req in 1..=quota {
+        conn.send(&Request::Submit {
+            req,
+            idem: format!("slow-{req}"),
+            spec: certify_spec(16, 99, None),
+        });
+        match conn.recv(Duration::from_secs(5)) {
+            Response::Event { req: r, .. } if r == req => {}
+            other => panic!("expected accepted event for req {req}, got {other:?}"),
+        }
     }
-    // a second submission from the same tenant is over quota
+    // one more submission from the same tenant is over quota
+    let over = quota + 1;
     conn.send(&Request::Submit {
-        req: 2,
+        req: over,
         idem: "over".to_string(),
         spec: certify_spec(8, 2, None),
     });
@@ -313,7 +315,7 @@ fn quota_rejects_while_full_and_recovers_after_release() {
     loop {
         match conn.recv(deadline.saturating_duration_since(Instant::now())) {
             Response::Error { req, code, .. } => {
-                assert_eq!(req, Some(2));
+                assert_eq!(req, Some(over));
                 assert_eq!(code, ErrorCode::Quota);
                 break;
             }
@@ -321,11 +323,13 @@ fn quota_rejects_while_full_and_recovers_after_release() {
             other => panic!("expected quota rejection, got {other:?}"),
         }
     }
-    // cancel the queued hog, then release the worker: the hog resolves
-    // Cancelled without ever running, and its slot comes back
-    conn.send(&Request::Cancel { req: 1 });
-    // the reader handles frames in order: a pong proves the cancel
-    // was processed before we let the worker go
+    // cancel the queued hogs, then release the worker: each hog
+    // resolves Cancelled without ever running, and its slot comes back
+    for req in 1..=quota {
+        conn.send(&Request::Cancel { req });
+    }
+    // the reader handles frames in order: a pong proves the cancels
+    // were processed before we let the worker go
     conn.send(&Request::Ping { seq: 7 });
     loop {
         match conn.recv(Duration::from_secs(5)) {
@@ -338,22 +342,35 @@ fn quota_rejects_while_full_and_recovers_after_release() {
     }
     gate_tx.send(()).expect("release gate");
     gate.wait().expect("gate job");
-    match conn.result_of(1, Duration::from_secs(30)) {
-        Err(RemoteError::Cancelled) => {}
-        other => panic!("expected cancelled, got {other:?}"),
+    let mut cancelled = std::collections::BTreeSet::new();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while (cancelled.len() as u64) < quota {
+        match conn.recv(deadline.saturating_duration_since(Instant::now())) {
+            Response::Result {
+                req,
+                outcome: Err(RemoteError::Cancelled),
+            } if (1..=quota).contains(&req) => {
+                assert!(cancelled.insert(req), "req {req} resolved twice");
+            }
+            Response::Result { req, outcome } => {
+                panic!("expected req {req} cancelled, got {outcome:?}")
+            }
+            _ => continue,
+        }
     }
+    let after = quota + 2;
     conn.send(&Request::Submit {
-        req: 3,
+        req: after,
         idem: "after".to_string(),
         spec: certify_spec(8, 2, None),
     });
     assert!(
-        conn.result_of(3, Duration::from_secs(30)).is_ok(),
-        "slot should be free after the cancelled job resolved"
+        conn.result_of(after, Duration::from_secs(30)).is_ok(),
+        "slots should be free after the cancelled jobs resolved"
     );
     let stats = server.shutdown();
     assert!(stats.rejected >= 1);
-    assert_eq!(stats.cancelled, 1);
+    assert_eq!(stats.cancelled, quota);
     assert_eq!(
         stats.accepted,
         stats.completed + stats.cancelled + stats.panicked

@@ -51,8 +51,6 @@ fn soak_128_faulted_clients_are_bit_identical_to_direct_calls() {
 
     let cfg = ServeConfig {
         addr: "127.0.0.1:0".to_string(),
-        quota: 4,
-        ..ServeConfig::default()
     };
     // Session::new() honours GNCG_THREADS, which the CI matrix varies
     let server = Server::bind(Session::new(), &cfg).expect("bind soak server");
@@ -166,8 +164,6 @@ fn shared_cache_leg() {
 
     let cfg = ServeConfig {
         addr: "127.0.0.1:0".to_string(),
-        quota: 4,
-        ..ServeConfig::default()
     };
     let server = Server::bind(Session::new(), &cfg).expect("bind shared-cache server");
     let addr = server.local_addr().to_string();

@@ -104,8 +104,8 @@ pub fn generate_points(generator: &str, n: usize, seed: u64) -> PointSet {
     }
 }
 
-/// Build a unit's network — the CLI's method mapping, frozen for the
-/// same reason as [`generate_points`].
+/// Build a unit's network — the one method table, shared with
+/// `gncg build`, frozen for the same reason as [`generate_points`].
 pub fn build_network(method: &str, ps: &PointSet, alpha: f64) -> OwnedNetwork {
     match method {
         "combined" => gncg_algo::build_beta_beta_network(ps, alpha),

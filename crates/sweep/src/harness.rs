@@ -130,10 +130,16 @@ where
     }
 }
 
-/// Parse a repro binary's arguments: `--help`/`-h` prints `claim` and
-/// the usage and exits 0; any argument outside `sections` prints the
-/// usage and exits 2. Returns the selected sections (empty: run all).
+/// Check the environment, then parse a repro binary's arguments: a
+/// `GNCG_*` value that does not parse ([`gncg_config::env::check`])
+/// exits 2 with its message; `--help`/`-h` prints `claim` and the usage
+/// and exits 0; any argument outside `sections` prints the usage and
+/// exits 2. Returns the selected sections (empty: run all).
 fn parse_args(id: &str, claim: &str, sections: &[&str]) -> Vec<String> {
+    if let Err(e) = gncg_config::env::check() {
+        eprintln!("{e}");
+        std::process::exit(2);
+    }
     let mut args = std::env::args();
     let bin = args
         .next()

@@ -109,8 +109,14 @@ pub fn seed_stream(base: u64, count: usize) -> Vec<u64> {
         .collect()
 }
 
-const GENERATORS: [&str; 4] = ["uniform", "grid", "cluster", "chain"];
-const METHODS: [&str; 5] = ["combined", "alg1", "mst", "complete", "star"];
+/// The point-set generators, by name; `engine::generate_points` maps
+/// each to its generator, and `gncg generate --kind` accepts the same
+/// names.
+pub const GENERATORS: [&str; 4] = ["uniform", "grid", "cluster", "chain"];
+/// The network construction methods, by name; `engine::build_network`
+/// maps each to its builder, and `gncg build --method` accepts the same
+/// names.
+pub const METHODS: [&str; 5] = ["combined", "alg1", "mst", "complete", "star"];
 
 /// Reject any key of `value` not in `allowed` (strict-parser rule).
 fn check_keys(value: &Value, path: &str, allowed: &[&str]) -> Result<(), SpecError> {

@@ -81,11 +81,15 @@ pub fn set_enabled(on: bool) {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Counter {
-    /// Successful edge relaxations (`nd < dist[v]`) in any Dijkstra kernel.
+    /// Successful edge relaxations in any Dijkstra routine: each strict
+    /// decrease `nd < dist[v]` it writes, repair seeds included (the
+    /// source's `0` is not one).
     DijkstraRelaxations = 0,
-    /// Heap pops in any Dijkstra kernel: the vertices it settles, since
-    /// the production kernels' indexed heap queues each vertex once (the
-    /// lazy-heap oracles also count the stale entries they pop).
+    /// Heap pops in any Dijkstra routine that settle a vertex. The
+    /// production kernels' indexed heap queues each vertex once, and
+    /// the `delta::dijkstra_modified` oracle skips a stale entry before
+    /// counting, so both count settled vertices; the `dijkstra::tree`
+    /// oracle also counts the stale entries its lazy heap pops.
     DijkstraHeapPops,
     /// Exact strategy evaluations (`ResponseEvaluator::cost_with` calls).
     BestResponseEvals,

@@ -37,10 +37,12 @@ if grep -rn --include='*.rs' -F '"GNCG_MODEL"' src crates tests examples \
     exit 1
 fi
 
-# serve-tier knob discipline: every GNCG_SERVE_* / GNCG_NET_FAULT_INJECT
-# literal lives in crates/config/src; the serve tier and its tests go
-# through gncg_config::env::serve() and the programmatic setters
-# (netfault::set_probability etc.), so the env surface has one parser
+# serve-tier env discipline: the serve tier's two variables,
+# GNCG_SERVE_ADDR and GNCG_NET_FAULT_INJECT, are spelled only in
+# crates/config/src; the serve tier and its tests go through
+# gncg_config::env::{serve_addr, net_fault_inject} and the programmatic
+# setters (netfault::set_probability etc.), so the env surface has one
+# parser
 if grep -rnE --include='*.rs' '"GNCG_(SERVE_[A-Z_]+|NET_FAULT_INJECT)"' src crates tests examples \
     | grep -v '^crates/config/src/'; then
     echo 'GNCG_SERVE_*/GNCG_NET_FAULT_INJECT literals outside crates/config/src' >&2
